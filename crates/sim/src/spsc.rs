@@ -10,6 +10,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 struct State<T> {
     buf: VecDeque<T>,
@@ -106,13 +107,28 @@ impl<T> Receiver<T> {
         item
     }
 
-    /// Non-blocking receive: an item if one is buffered, [`TryRecv::Empty`]
-    /// if the producer is alive but has nothing queued yet, and
-    /// [`TryRecv::Disconnected`] once the producer is gone and the buffer is
-    /// drained. A resident service polls with this instead of parking in
-    /// [`Receiver::recv`], so one stalled source cannot wedge the merge loop.
-    pub fn try_recv(&self) -> TryRecv<T> {
+    /// Blocks until an item arrives, the producer disconnects
+    /// ([`TryRecv::Disconnected`] once the buffer is drained), or `timeout`
+    /// passes ([`TryRecv::Empty`]); a zero timeout never blocks. A consumer
+    /// that must act on wall-clock time waits with this instead of parking
+    /// in [`Receiver::recv`], so one stalled producer cannot wedge it, yet
+    /// it wakes the moment an item is sent.
+    pub fn recv_timeout(&self, timeout: Duration) -> TryRecv<T> {
         let mut state = lock_state(&self.shared.state);
+        let mut started: Option<Instant> = None;
+        while state.buf.is_empty() && state.producer_alive {
+            let waited = started.map_or(Duration::ZERO, |s| s.elapsed());
+            let Some(left) = timeout.checked_sub(waited).filter(|d| !d.is_zero()) else {
+                break;
+            };
+            started.get_or_insert_with(Instant::now);
+            state = self
+                .shared
+                .not_empty
+                .wait_timeout(state, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
         let item = state.buf.pop_front();
         let producer_alive = state.producer_alive;
         drop(state);
@@ -133,12 +149,13 @@ impl<T> Receiver<T> {
     }
 }
 
-/// Outcome of a non-blocking [`Receiver::try_recv`].
+/// Outcome of a [`Receiver::recv_timeout`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TryRecv<T> {
     /// An item was buffered and has been dequeued.
     Item(T),
-    /// Nothing buffered right now, but the producer is still alive.
+    /// Nothing buffered (within the timeout), but the producer is still
+    /// alive.
     Empty,
     /// The producer is gone and everything buffered has been drained.
     Disconnected,
@@ -247,11 +264,19 @@ impl<T> BatchReceiver<T> {
     /// order, [`TryRecv::Empty`] when the producer is alive but nothing has
     /// crossed the channel yet, [`TryRecv::Disconnected`] at true end.
     pub fn try_next(&mut self) -> TryRecv<T> {
+        self.next_timeout(Duration::ZERO)
+    }
+
+    /// `Iterator::next` that gives up after `timeout` with
+    /// [`TryRecv::Empty`]. Items of the batch in hand come out without
+    /// touching the channel; only an exhausted batch waits, and it wakes as
+    /// soon as the next batch ships or the producer disconnects.
+    pub fn next_timeout(&mut self, timeout: Duration) -> TryRecv<T> {
         loop {
             if let Some(item) = self.current.next() {
                 return TryRecv::Item(item);
             }
-            match self.rx.try_recv() {
+            match self.rx.recv_timeout(timeout) {
                 TryRecv::Item(batch) => self.current = batch.into_iter(),
                 TryRecv::Empty => return TryRecv::Empty,
                 TryRecv::Disconnected => return TryRecv::Disconnected,
@@ -350,16 +375,16 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_distinguishes_empty_from_disconnected() {
+    fn zero_timeout_distinguishes_empty_from_disconnected() {
         let (tx, rx) = channel::<u32>(4);
-        assert_eq!(rx.try_recv(), TryRecv::Empty);
+        assert_eq!(rx.recv_timeout(Duration::ZERO), TryRecv::Empty);
         tx.send(9).unwrap();
         assert_eq!(rx.queued(), 1);
-        assert_eq!(rx.try_recv(), TryRecv::Item(9));
-        assert_eq!(rx.try_recv(), TryRecv::Empty);
+        assert_eq!(rx.recv_timeout(Duration::ZERO), TryRecv::Item(9));
+        assert_eq!(rx.recv_timeout(Duration::ZERO), TryRecv::Empty);
         drop(tx);
-        assert_eq!(rx.try_recv(), TryRecv::Disconnected);
-        assert_eq!(rx.try_recv(), TryRecv::Disconnected);
+        assert_eq!(rx.recv_timeout(Duration::ZERO), TryRecv::Disconnected);
+        assert_eq!(rx.recv_timeout(Duration::ZERO), TryRecv::Disconnected);
     }
 
     #[test]
@@ -398,10 +423,86 @@ mod tests {
         assert!(tx.shared.state.is_poisoned());
         tx.send(5).unwrap();
         assert_eq!(rx.queued(), 1);
-        assert_eq!(rx.try_recv(), TryRecv::Item(5));
-        assert_eq!(rx.try_recv(), TryRecv::Empty);
+        assert_eq!(rx.recv_timeout(Duration::ZERO), TryRecv::Item(5));
+        assert_eq!(rx.recv_timeout(Duration::ZERO), TryRecv::Empty);
         drop(tx);
         assert_eq!(rx.recv(), None);
+    }
+
+    #[test]
+    fn next_timeout_gives_up_when_nothing_is_sent() {
+        let (_tx, mut rx) = batch_channel::<u32>(2, 4);
+        let timeout = Duration::from_millis(20);
+        let started = Instant::now();
+        assert_eq!(rx.next_timeout(timeout), TryRecv::Empty);
+        assert!(started.elapsed() >= timeout, "returned before the timeout");
+    }
+
+    #[test]
+    fn next_timeout_wakes_early_when_an_item_arrives() {
+        let (mut tx, mut rx) = batch_channel::<u32>(2, 1);
+        let producer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            tx.push(7).unwrap();
+            tx
+        });
+        let timeout = Duration::from_secs(60);
+        let started = Instant::now();
+        assert_eq!(rx.next_timeout(timeout), TryRecv::Item(7));
+        assert!(started.elapsed() < timeout);
+        drop(producer.join().unwrap());
+        assert_eq!(rx.next_timeout(timeout), TryRecv::Disconnected);
+    }
+
+    #[test]
+    fn next_timeout_drains_then_reports_disconnect() {
+        let (mut tx, mut rx) = batch_channel::<u32>(4, 2);
+        for i in 0..3 {
+            tx.push(i).unwrap();
+        }
+        let timeout = Duration::from_secs(60);
+        let started = Instant::now();
+        let waiter = std::thread::spawn(move || {
+            let got: Vec<TryRecv<u32>> = (0..4).map(|_| rx.next_timeout(timeout)).collect();
+            (got, rx)
+        });
+        // The drop flushes the partial batch, then wakes the waiter.
+        drop(tx);
+        let (got, mut rx) = waiter.join().unwrap();
+        assert!(
+            started.elapsed() < timeout,
+            "disconnect must wake the waiter"
+        );
+        assert_eq!(
+            got,
+            vec![
+                TryRecv::Item(0),
+                TryRecv::Item(1),
+                TryRecv::Item(2),
+                TryRecv::Disconnected
+            ]
+        );
+        assert_eq!(rx.next_timeout(timeout), TryRecv::Disconnected);
+    }
+
+    #[test]
+    fn next_timeout_survives_a_poisoned_lock() {
+        let (mut tx, mut rx) = batch_channel::<u32>(4, 1);
+        let shared = Arc::clone(&rx.rx.shared);
+        let _ = std::thread::spawn(move || {
+            let _guard = shared.state.lock().unwrap();
+            panic!("poison the spsc mutex");
+        })
+        .join();
+        assert!(rx.rx.shared.state.is_poisoned());
+        assert_eq!(rx.next_timeout(Duration::from_millis(5)), TryRecv::Empty);
+        tx.push(3).unwrap();
+        assert_eq!(rx.next_timeout(Duration::from_millis(5)), TryRecv::Item(3));
+        drop(tx);
+        assert_eq!(
+            rx.next_timeout(Duration::from_millis(5)),
+            TryRecv::Disconnected
+        );
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! `wifi-congestion` — command-line front end to the congestion analysis.
 //!
 //! ```text
-//! wifi-congestion analyze <trace.pcap>... [--batch]
-//!                                             per-second + summary analysis
+//! wifi-congestion analyze <trace.pcap>...   per-second + summary analysis
+//! wifi-congestion serve <trace.pcap>... [--socket PATH] ...
+//!                                             the same analysis over live,
+//!                                             growing captures
 //! wifi-congestion histogram <trace.pcap>      Fig 5(c) utilization histogram
 //! wifi-congestion unrecorded <trace.pcap>     Eq. 1 capture-loss estimate
 //! wifi-congestion aps <trace.pcap>            Fig 4(a) AP ranking
@@ -14,19 +16,17 @@
 //! produced by real RFMon captures, not just this repo's simulator.
 //!
 //! `analyze` takes one capture or several per-sniffer captures of the same
-//! channel (merged with online deduplication) and streams them by default —
-//! a capture larger than RAM analyzes in constant memory. `--batch` keeps
-//! the materializing path for A/B comparison.
+//! channel (merged with online deduplication) and streams them — a capture
+//! larger than RAM analyzes in constant memory.
 
 use congestion::ap_stats::{infer_aps, rank_aps, top_k_share};
 use congestion::{analyze, estimate_unrecorded, UtilizationBins};
-use ietf80211_congestion::ingest::{analyze_capture_streams, render_analysis};
+use ietf80211_congestion::ingest::{analyze_capture_streams, render_analysis, StreamAnalysis};
 use ietf80211_congestion::serve::{run_serve, ServeConfig};
-use ietf80211_congestion::trace::{read_capture, read_capture_lossy, write_capture};
+use ietf80211_congestion::trace::{read_capture, write_capture};
 use ietf_workloads::{ietf_day, ietf_plenary, load_ramp, Scenario, SessionScale};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use wifi_pcap::IngestReport;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,13 +57,11 @@ fn print_usage() {
         "wifi-congestion — IEEE 802.11b congestion analysis (IMC 2005 reproduction)
 
 USAGE:
-  wifi-congestion analyze    <trace.pcap>... [--batch]
+  wifi-congestion analyze    <trace.pcap>...
                                             per-second analysis + summary;
                                             several files are treated as
                                             per-sniffer captures of one
-                                            channel and merged (streaming
-                                            by default, --batch to
-                                            materialize)
+                                            channel and merged (streaming)
   wifi-congestion serve      <trace.pcap>... [--socket PATH] [--poll-ms N]
                              [--skew-horizon-us N|none] [--stall-ms N|none]
                              [--heartbeat-s N] [--max-duration-s N]
@@ -96,20 +94,33 @@ fn with_trace(
     f(&records)
 }
 
-/// Prints a capture's damage accounting on stderr when anything was
-/// skipped; clean ingestions stay silent.
-fn report_damage(path: &str, report: &IngestReport) {
-    if !report.is_clean() {
-        eprintln!("note: {path} had skips: {}", report.to_json());
+/// Prints each source's damage accounting and hard error on stderr (clean
+/// sources stay silent), then the merge's first-capture split.
+fn report_sources(paths: &[PathBuf], out: &StreamAnalysis) {
+    for (p, source) in paths.iter().zip(&out.sources) {
+        if !source.report.is_clean() {
+            eprintln!(
+                "note: {} had skips: {}",
+                p.display(),
+                source.report.to_json()
+            );
+        }
+        if let Some(e) = &source.error {
+            eprintln!("error: cannot read {}: {e} (source degraded)", p.display());
+        }
+    }
+    if paths.len() > 1 {
+        eprintln!(
+            "merged {} records; first-capture split: {:?}",
+            out.merged_records, out.contributed
+        );
     }
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let mut batch = false;
     let mut paths: Vec<PathBuf> = Vec::new();
     for a in args {
         match a.as_str() {
-            "--batch" => batch = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
             p => paths.push(PathBuf::from(p)),
         }
@@ -117,141 +128,48 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     if paths.is_empty() {
         return Err("missing <trace.pcap> argument".to_string());
     }
-    let (stats, frames) = if batch {
-        // A/B reference path: materialize every trace, then merge.
-        let mut traces = Vec::with_capacity(paths.len());
-        for p in &paths {
-            let capture =
-                read_capture_lossy(p).map_err(|e| format!("cannot read {}: {e}", p.display()))?;
-            report_damage(&p.display().to_string(), &capture.report);
-            traces.push(capture.records);
-        }
-        let views: Vec<&[wifi_frames::FrameRecord]> = traces.iter().map(|t| t.as_slice()).collect();
-        let merged = congestion::merge_traces(&views);
-        (analyze(&merged), merged.len() as u64)
-    } else {
-        let out =
-            analyze_capture_streams(&paths).map_err(|e| format!("cannot read {:?}: {e}", paths))?;
-        for (p, source) in paths.iter().zip(&out.sources) {
-            report_damage(&p.display().to_string(), &source.report);
-            if let Some(e) = &source.error {
-                eprintln!("error: cannot read {}: {e} (source degraded)", p.display());
-            }
-        }
-        if paths.len() > 1 {
-            eprintln!(
-                "merged {} records; first-capture split: {:?}",
-                out.merged_records, out.contributed
-            );
-        }
-        (out.per_second, out.merged_records)
-    };
-    if stats.is_empty() {
+    let out =
+        analyze_capture_streams(&paths).map_err(|e| format!("cannot read {:?}: {e}", paths))?;
+    report_sources(&paths, &out);
+    if out.per_second.is_empty() {
         return Err("no parseable 802.11 records in the input".to_string());
     }
-    print!("{}", render_analysis(&stats, frames));
+    print!("{}", render_analysis(&out.per_second, out.merged_records));
     Ok(())
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut socket: Option<PathBuf> = None;
-    let mut poll_ms: Option<u64> = None;
-    let mut skew: Option<Option<u64>> = None;
-    let mut stall: Option<Option<u64>> = None;
-    let mut heartbeat_s: Option<u64> = None;
-    let mut max_duration_s: Option<u64> = None;
-    let mut i = 0;
-    let int = |args: &[String], i: usize, flag: &str| -> Result<u64, String> {
-        args.get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?
-            .parse()
-            .map_err(|_| format!("{flag} must be an integer"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => {
-                socket = Some(PathBuf::from(
-                    args.get(i + 1).ok_or("--socket needs a path")?,
-                ));
-                i += 2;
-            }
-            "--poll-ms" => {
-                poll_ms = Some(int(args, i, "--poll-ms")?);
-                i += 2;
-            }
-            "--skew-horizon-us" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or("--skew-horizon-us needs µs or `none`")?;
-                skew = Some(if v == "none" {
-                    None
-                } else {
-                    Some(
-                        v.parse()
-                            .map_err(|_| "--skew-horizon-us must be an integer or `none`")?,
-                    )
-                });
-                i += 2;
-            }
-            "--stall-ms" => {
-                let v = args.get(i + 1).ok_or("--stall-ms needs ms or `none`")?;
-                stall = Some(if v == "none" {
-                    None
-                } else {
-                    Some(
-                        v.parse()
-                            .map_err(|_| "--stall-ms must be an integer or `none`")?,
-                    )
-                });
-                i += 2;
-            }
-            "--heartbeat-s" => {
-                heartbeat_s = Some(int(args, i, "--heartbeat-s")?);
-                i += 2;
-            }
-            "--max-duration-s" => {
-                max_duration_s = Some(int(args, i, "--max-duration-s")?);
-                i += 2;
-            }
+    let mut cfg = ServeConfig::new(Vec::new());
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
+        let int = |v: &String, flag: &str| {
+            v.parse::<u64>()
+                .map_err(|_| format!("{flag} must be an integer"))
+        };
+        let int_or_none = |v: &String, flag: &str| match v.as_str() {
+            "none" => Ok(None),
+            _ => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("{flag} must be an integer or `none`")),
+        };
+        match arg.as_str() {
+            "--socket" => cfg.socket = Some(PathBuf::from(value(arg)?)),
+            "--poll-ms" => cfg.poll_ms = int(value(arg)?, arg)?,
+            "--skew-horizon-us" => cfg.skew_horizon_us = int_or_none(value(arg)?, arg)?,
+            "--stall-ms" => cfg.stall_timeout_ms = int_or_none(value(arg)?, arg)?,
+            "--heartbeat-s" => cfg.heartbeat_s = int(value(arg)?, arg)?,
+            "--max-duration-s" => cfg.max_duration_s = Some(int(value(arg)?, arg)?),
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            p => {
-                paths.push(PathBuf::from(p));
-                i += 1;
-            }
+            p => cfg.paths.push(PathBuf::from(p)),
         }
     }
-    if paths.is_empty() {
+    if cfg.paths.is_empty() {
         return Err("missing <trace.pcap> argument".to_string());
     }
-    let mut cfg = ServeConfig::new(paths);
-    cfg.socket = socket;
-    if let Some(v) = poll_ms {
-        cfg.poll_ms = v;
-    }
-    if let Some(v) = skew {
-        cfg.skew_horizon_us = v;
-    }
-    if let Some(v) = stall {
-        cfg.stall_timeout_ms = v;
-    }
-    if let Some(v) = heartbeat_s {
-        cfg.heartbeat_s = v;
-    }
-    cfg.max_duration_s = max_duration_s;
     let out = run_serve(&cfg).map_err(|e| format!("serve failed: {e}"))?;
-    for (p, source) in cfg.paths.iter().zip(&out.sources) {
-        report_damage(&p.display().to_string(), &source.report);
-        if let Some(e) = &source.error {
-            eprintln!("error: cannot read {}: {e} (source degraded)", p.display());
-        }
-    }
-    if cfg.paths.len() > 1 {
-        eprintln!(
-            "merged {} records; first-capture split: {:?}",
-            out.merged_records, out.contributed
-        );
-    }
+    report_sources(&cfg.paths, &out);
     print!("{}", render_analysis(&out.per_second, out.merged_records));
     Ok(())
 }

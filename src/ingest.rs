@@ -1,36 +1,50 @@
-//! Streaming multi-sniffer ingestion: decode N capture files concurrently,
-//! merge them online, and feed the per-second analysis — file bytes to
+//! The capture-ingest pipeline: decode N sniffer byte sources concurrently,
+//! merge them online, and feed the per-second analysis — bytes to
 //! congestion statistics in O(window) memory, never materializing a trace.
 //!
-//! The pipeline is one decode thread per sniffer file (each running a
-//! [`CaptureStream`]), a bounded batch channel per sniffer for backpressure,
-//! and the k-way [`MergeStream`] heap on the consuming side driving a
-//! [`SecondAccumulator`]. A slow consumer therefore bounds every decoder's
-//! lead to a few batches instead of a whole file; a capture larger than RAM
-//! analyzes in constant memory.
+//! ```text
+//!   Source #0 ─ decode_source ─ batch channel ╲
+//!   Source #1 ─ decode_source ─ batch channel ─→ merge driver ─→ SecondAccumulator
+//!   Source #k ─ decode_source ─ batch channel ╱  (OnlineMerge)
+//! ```
 //!
-//! Deadlock freedom: `run_parallel` is given one thread per file, so every
-//! producer makes progress independently, and the merge heap always drains
-//! the stream whose head record is globally earliest — no producer waits on
-//! another producer, and the consumer never waits on a stream that is not
-//! being produced.
+//! A [`Source`] is any capture byte stream: a file that ends (batch
+//! `analyze`), a tailed live file that grows until told to stop
+//! (`serve`'s `TailSource`), or a reader a test scripts. Each source gets
+//! one scoped decode thread running a [`CaptureStream`], and a bounded
+//! batch channel provides backpressure, so a slow consumer bounds every
+//! decoder's lead to a few batches instead of a whole file. The merge
+//! driver answers each [`MergePoll::Need`] from the needed source's channel.
 //!
-//! Fault isolation: one bad capture — unreadable, wrong link type, or even
+//! Batch analysis ([`analyze_capture_streams`]) is the pipeline over sources
+//! that end: no skew horizon, no stall timeout, and the driver blocks on
+//! the stream the merge needs. The resident service ([`crate::serve`]) runs
+//! the same pipeline under a live policy: the driver waits at most one
+//! poll interval, defers a source that stays quiet past the stall timeout
+//! (by a [`Clock`] the caller supplies), and hands every step to an
+//! observer that publishes status.
+//!
+//! Deadlock freedom: every source has its own thread, so every producer
+//! makes progress independently, and the merge always drains the stream
+//! whose head record is globally earliest — no producer waits on another
+//! producer, and the consumer never waits on a stream that is not being
+//! produced.
+//!
+//! Fault isolation: one bad source — unreadable, wrong link type, or even
 //! a decoder panic — degrades into that source's [`SourceOutcome::error`]
-//! while its siblings analyze to completion. Nothing in this pipeline can
-//! take the process down with it, which is what lets the resident
-//! [`crate::serve`] mode reuse the same building blocks.
+//! while its siblings analyze to completion.
 
-use crate::trace::{CaptureError, CaptureStream};
-use congestion::merge::MergeStream;
+use crate::trace::{CaptureError, CapturePoll, CaptureStream};
+use congestion::merge::{MergePoll, OnlineMerge};
 use congestion::persec::{SecondAccumulator, SecondStats};
 use congestion::{CongestionClassifier, CongestionLevel, UtilizationBins};
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::io::{BufReader, Read};
+use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 use wifi_frames::record::FrameRecord;
-use wifi_pcap::IngestReport;
-use wifi_sim::runner::run_parallel;
-use wifi_sim::spsc::{batch_channel, BatchReceiver, BatchSender};
+use wifi_pcap::{IngestReport, PcapError};
+use wifi_sim::spsc::{batch_channel, BatchReceiver, BatchSender, TryRecv};
 
 /// Records per cross-thread batch: large enough that the channel mutex is
 /// cold (one lock per 256 records), small enough to stay cache-resident.
@@ -40,33 +54,68 @@ pub(crate) const BATCH_LEN: usize = 256;
 /// backpressure bound (~2k records, a few hundred KiB per sniffer).
 pub(crate) const CHANNEL_BATCHES: usize = 8;
 
-/// Environment variable naming a substring of a capture file name whose
-/// decoder must panic before decoding — a deliberately crash-faulty sniffer
-/// for regression tests of panic isolation (the readers themselves are
-/// panic-free on arbitrary bytes, so a real decoder panic cannot be staged
-/// from file contents). Unset in normal operation.
-pub const PANIC_SOURCE_ENV: &str = "CONG_TEST_PANIC_SOURCE";
+/// How long a pending source's decoder backs off when the pipeline runs
+/// without a [`Live`] policy (files never pend; scripted readers may).
+const BATCH_BACKOFF: Duration = Duration::from_millis(1);
 
-pub(crate) fn panic_if_injected(path: &Path) {
-    if let Ok(pattern) = std::env::var(PANIC_SOURCE_ENV) {
-        let hit = !pattern.is_empty()
-            && path
-                .file_name()
-                .is_some_and(|n| n.to_string_lossy().contains(&pattern));
-        if hit {
-            panic!("injected decoder panic for {}", path.display());
+/// One sniffer's capture bytes.
+pub enum Source {
+    /// A capture file, read to its end.
+    File(PathBuf),
+    /// Any byte stream. A read failing with `WouldBlock` means "no new bytes
+    /// yet": the decoder ships what it has decoded, backs off and reads
+    /// again. `Ok(0)` ends the source.
+    Reader(Box<dyn Read + Send>),
+}
+
+impl Source {
+    fn open(self) -> Result<Box<dyn Read + Send>, CaptureError> {
+        match self {
+            Source::File(path) => {
+                let file = std::fs::File::open(path).map_err(PcapError::Io)?;
+                Ok(Box::new(BufReader::new(file)))
+            }
+            Source::Reader(reader) => Ok(reader),
         }
     }
 }
 
-/// Renders a panic payload for [`CaptureError::Panicked`].
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// The clock behind the live pipeline's timed decisions — the stall timeout
+/// here, and the service's status interval, heartbeat and deadline — so a
+/// test can substitute a clock it advances by hand.
+pub trait Clock: Sync {
+    /// Time elapsed since the clock's origin.
+    fn now(&self) -> Duration;
+}
+
+/// The monotonic wall clock, counting from its creation.
+pub struct SystemClock(Instant);
+
+impl Default for SystemClock {
+    fn default() -> SystemClock {
+        SystemClock(Instant::now())
+    }
+}
+
+impl Clock for SystemClock {
+    fn now(&self) -> Duration {
+        self.0.elapsed()
+    }
+}
+
+/// The outcome of a source whose decoder panicked.
+fn panicked(payload: Box<dyn std::any::Any + Send>) -> SourceOutcome {
+    let message = match (
+        payload.downcast_ref::<&str>(),
+        payload.downcast_ref::<String>(),
+    ) {
+        (Some(s), _) => s.to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "non-string panic payload".to_string(),
+    };
+    SourceOutcome {
+        report: IngestReport::default(),
+        error: Some(CaptureError::Panicked(message)),
     }
 }
 
@@ -118,13 +167,64 @@ impl StreamAnalysis {
     }
 }
 
-/// Decodes one capture into `tx`, delivering records in batches. Total:
-/// panics (including injected ones) and hard errors degrade into the
-/// returned [`SourceOutcome`] instead of crossing thread boundaries.
-fn decode_source(path: &Path, mut tx: BatchSender<FrameRecord>) -> SourceOutcome {
+/// Lifecycle of one source, as its decode thread publishes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum SourceState {
+    /// Waiting for the bytes to appear / produce a capture header.
+    #[default]
+    Starting,
+    /// Decoding.
+    Live,
+    /// Reached end-of-stream.
+    Done,
+    /// Hard error or panic; see [`SourceProgress::error`].
+    Failed,
+}
+
+impl SourceState {
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            SourceState::Starting => "starting",
+            SourceState::Live => "live",
+            SourceState::Done => "done",
+            SourceState::Failed => "failed",
+        }
+    }
+}
+
+/// One source's telemetry: its decode thread writes it, a live status view
+/// reads it while the pipeline runs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SourceProgress {
+    pub state: SourceState,
+    /// Damage accounting as of the last delivered batch.
+    pub report: IngestReport,
+    /// The hard error that ended the source.
+    pub error: Option<String>,
+}
+
+/// Locks a mutex, recovering from poisoning: every value guarded in this
+/// pipeline is replaced or extended whole, so a panic elsewhere leaves it
+/// consistent.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Decodes one source into `tx` until it ends, delivering records in
+/// batches. A pending source ships its partial batch, so the merge sees
+/// everything decoded so far, then backs off `backoff`. Total: panics and
+/// hard errors degrade into the returned [`SourceOutcome`] instead of
+/// crossing thread boundaries.
+fn decode_source(
+    source: Source,
+    mut tx: BatchSender<FrameRecord>,
+    progress: &Mutex<SourceProgress>,
+    backoff: Duration,
+) -> SourceOutcome {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        panic_if_injected(path);
-        let mut stream = match CaptureStream::open(path) {
+        // Blocks (politely, via the WouldBlock retry in the header peek)
+        // until a live source yields a capture header or ends.
+        let mut stream = match source.open().and_then(CaptureStream::from_reader) {
             Ok(s) => s,
             Err(e) => {
                 return SourceOutcome {
@@ -133,38 +233,208 @@ fn decode_source(path: &Path, mut tx: BatchSender<FrameRecord>) -> SourceOutcome
                 }
             }
         };
+        lock(progress).state = SourceState::Live;
         // Counters snapshotted only at delivered-batch boundaries
         // (`BatchSender::push` can fail only when a batch ships), so an
         // early consumer termination reports exactly the records the
         // consumer could observe — never the ones discarded with the
         // undeliverable batch.
         let mut delivered = stream.report();
-        while let Some(record) = stream.next() {
-            if tx.push(record).is_err() {
-                return SourceOutcome {
-                    report: delivered,
-                    error: None,
-                };
+        let shipped = loop {
+            let pending = match stream.poll_next() {
+                CapturePoll::Record(r) => match tx.push(r) {
+                    Ok(()) if tx.is_empty() => false,
+                    Ok(()) => continue,
+                    Err(_) => break false,
+                },
+                CapturePoll::Pending => match tx.flush() {
+                    Ok(()) => true,
+                    Err(_) => break false,
+                },
+                CapturePoll::End => break tx.flush().is_ok(),
+            };
+            delivered = stream.report();
+            lock(progress).report = delivered;
+            if pending {
+                std::thread::sleep(backoff);
             }
-            if tx.is_empty() {
-                delivered = stream.report();
-            }
-        }
+        };
         let (report, error) = stream.into_outcome();
-        match tx.flush() {
-            Ok(()) => SourceOutcome { report, error },
-            Err(_) => SourceOutcome {
-                report: delivered,
-                error,
-            },
-        }
+        let report = if shipped { report } else { delivered };
+        SourceOutcome { report, error }
     }));
-    match result {
-        Ok(outcome) => outcome,
-        Err(payload) => SourceOutcome {
-            report: IngestReport::default(),
-            error: Some(CaptureError::Panicked(panic_message(payload))),
-        },
+    let outcome = result.unwrap_or_else(panicked);
+    let mut progress = lock(progress);
+    progress.report = outcome.report;
+    progress.error = outcome.error.as_ref().map(ToString::to_string);
+    progress.state = match progress.error {
+        Some(_) => SourceState::Failed,
+        None => SourceState::Done,
+    };
+    outcome
+}
+
+/// How the merge driver treats sources that can go quiet without ending —
+/// the resident service's half of the pipeline.
+pub(crate) struct Live<'a> {
+    /// Skew horizon in trace µs (see [`OnlineMerge::poll`]); `None` never
+    /// skips a source.
+    pub horizon: Option<u64>,
+    /// A source the merge waits on that delivers nothing for this long, by
+    /// `clock`, is deferred ([`OnlineMerge::defer`]). `None` never defers.
+    pub stall: Option<Duration>,
+    /// The longest the driver waits on a channel before re-reading the
+    /// clock; also a pending source's decoder back-off.
+    pub poll: Duration,
+    pub clock: &'a dyn Clock,
+    /// Called after every driver step that pulled from or waited on a
+    /// channel.
+    pub observe: &'a mut dyn FnMut(&PipelineView<'_>),
+}
+
+/// The pipeline's state between two merge driver steps.
+pub(crate) struct PipelineView<'a> {
+    pub merge: &'a OnlineMerge,
+    /// Per-second statistics folded so far.
+    pub seconds: &'a [SecondStats],
+    /// Merged records so far.
+    pub merged: u64,
+    pub receivers: &'a [BatchReceiver<FrameRecord>],
+    pub progress: &'a [Mutex<SourceProgress>],
+    /// The live clock's reading for this step.
+    pub now: Duration,
+    /// This step waited a whole poll interval without a record.
+    pub idle: bool,
+}
+
+/// Runs `sources` through the pipeline until every source has ended: one
+/// decode thread per source, the merge driver on this thread. Without a
+/// [`Live`] policy this is batch analysis.
+pub(crate) fn run_pipeline(sources: Vec<Source>, live: Option<Live<'_>>) -> StreamAnalysis {
+    let backoff = live.as_ref().map_or(BATCH_BACKOFF, |l| l.poll);
+    let progress: Vec<Mutex<SourceProgress>> = sources.iter().map(|_| Mutex::default()).collect();
+    std::thread::scope(|scope| {
+        // The receivers live inside the scope: should the driver unwind,
+        // dropping them fails every blocked producer fast instead of
+        // leaving the scope's join waiting on them.
+        let (decoders, mut receivers): (Vec<_>, Vec<_>) = sources
+            .into_iter()
+            .zip(&progress)
+            .map(|(source, progress)| {
+                let (tx, rx) = batch_channel(CHANNEL_BATCHES, BATCH_LEN);
+                let decoder = scope.spawn(move || decode_source(source, tx, progress, backoff));
+                (decoder, rx)
+            })
+            .unzip();
+        let (merge, per_second, merged_records) = drive(&mut receivers, &progress, live);
+        // Decoder panics are caught inside `decode_source`; a join error
+        // would mean a thread died outside it — degrade that source rather
+        // than poison the caller.
+        let sources = decoders
+            .into_iter()
+            .map(|d| d.join().unwrap_or_else(panicked))
+            .collect();
+        StreamAnalysis {
+            per_second,
+            sources,
+            merged_records,
+            contributed: merge.contributed().to_vec(),
+        }
+    })
+}
+
+/// The merge driver: answers each [`MergePoll::Need`] from that source's
+/// channel and folds merged records into the per-second accumulator until
+/// every source has ended.
+fn drive(
+    receivers: &mut [BatchReceiver<FrameRecord>],
+    progress: &[Mutex<SourceProgress>],
+    mut live: Option<Live<'_>>,
+) -> (OnlineMerge, Vec<SecondStats>, u64) {
+    let n = receivers.len();
+    let mut merge = OnlineMerge::new(n);
+    let mut acc = SecondAccumulator::new();
+    let mut merged = 0u64;
+    let mut open = n;
+    let horizon = live.as_ref().and_then(|l| l.horizon);
+    // When each source last delivered, by the live clock.
+    let mut heard = vec![live.as_ref().map_or(Duration::ZERO, |l| l.clock.now()); n];
+    loop {
+        let idx = match merge.poll(horizon) {
+            MergePoll::Record(r) => {
+                merged += 1;
+                acc.push(r);
+                continue;
+            }
+            MergePoll::Need(idx) => idx,
+            MergePoll::Done if open == 0 => break,
+            // Every open source is deferred: wait for one to rejoin.
+            MergePoll::Done => (0..n)
+                .find(|&i| merge.is_deferred(i))
+                .expect("an open source the merge does not need is deferred"),
+        };
+        let Some(live) = live.as_mut() else {
+            // Batch: block on the stream the merge needs.
+            match receivers[idx].next() {
+                Some(r) => merge.offer(idx, r),
+                None => {
+                    merge.end(idx);
+                    open -= 1;
+                }
+            }
+            continue;
+        };
+        let got = receivers[idx].next_timeout(live.poll);
+        let idle = matches!(got, TryRecv::Empty);
+        deliver(&mut merge, &mut open, idx, got);
+        let now = live.clock.now();
+        if !idle {
+            heard[idx] = now;
+        } else {
+            // A source quiet past the stall timeout stops blocking the
+            // merge (trace-time horizons cannot unwedge a source stalled at
+            // the merge frontier).
+            if live
+                .stall
+                .is_some_and(|t| now.saturating_sub(heard[idx]) >= t)
+            {
+                merge.defer(idx);
+            }
+            // Deferred sources rejoin as soon as they deliver; the merge
+            // never asks for them, so drain them here.
+            for i in 0..n {
+                if merge.is_deferred(i) {
+                    let got = receivers[i].try_next();
+                    if !matches!(got, TryRecv::Empty) {
+                        heard[i] = now;
+                    }
+                    deliver(&mut merge, &mut open, i, got);
+                }
+            }
+        }
+        (live.observe)(&PipelineView {
+            merge: &merge,
+            seconds: acc.seconds(),
+            merged,
+            receivers,
+            progress,
+            now,
+            idle,
+        });
+    }
+    (merge, acc.finish(), merged)
+}
+
+/// Hands one channel outcome for source `idx` to the merge; `open` counts
+/// the sources that have not ended.
+fn deliver(merge: &mut OnlineMerge, open: &mut usize, idx: usize, got: TryRecv<FrameRecord>) {
+    match got {
+        TryRecv::Item(r) => merge.offer(idx, r),
+        TryRecv::Disconnected => {
+            merge.end(idx);
+            *open -= 1;
+        }
+        TryRecv::Empty => {}
     }
 }
 
@@ -181,65 +451,8 @@ fn decode_source(path: &Path, mut tx: BatchSender<FrameRecord>) -> SourceOutcome
 /// [`SourceOutcome`]; sibling sources and the merged analysis complete
 /// normally.
 pub fn analyze_capture_streams(paths: &[PathBuf]) -> Result<StreamAnalysis, CaptureError> {
-    let mut senders = Vec::with_capacity(paths.len());
-    let mut receivers: Vec<BatchReceiver<FrameRecord>> = Vec::with_capacity(paths.len());
-    for _ in paths {
-        let (tx, rx) = batch_channel(CHANNEL_BATCHES, BATCH_LEN);
-        senders.push(Mutex::new(Some(tx)));
-        receivers.push(rx);
-    }
-    let items: Vec<(PathBuf, Mutex<Option<BatchSender<FrameRecord>>>)> =
-        paths.iter().cloned().zip(senders).collect();
-
-    let (merged_records, contributed, per_second, sources) = std::thread::scope(|scope| {
-        // One decode thread per file; `run_parallel` itself blocks, so it
-        // runs on a scoped helper thread while this thread consumes.
-        let decoder = scope.spawn(|| {
-            run_parallel(&items, items.len(), |item| {
-                let (path, slot) = item;
-                let tx = slot
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .take()
-                    .expect("run_parallel hands each item to exactly one worker");
-                decode_source(path, tx)
-            })
-        });
-        let mut acc = SecondAccumulator::new();
-        let mut merge = MergeStream::new(receivers);
-        let mut merged_records = 0u64;
-        for record in &mut merge {
-            merged_records += 1;
-            acc.push(record);
-        }
-        // Worker panics are caught inside `decode_source`; a join error here
-        // means the dispatch infrastructure itself died, which no single
-        // source should be able to cause — degrade every source rather than
-        // poison the caller.
-        let sources = decoder.join().unwrap_or_else(|payload| {
-            let msg = panic_message(payload);
-            items
-                .iter()
-                .map(|_| SourceOutcome {
-                    report: IngestReport::default(),
-                    error: Some(CaptureError::Panicked(msg.clone())),
-                })
-                .collect()
-        });
-        (
-            merged_records,
-            merge.contributed().to_vec(),
-            acc.finish(),
-            sources,
-        )
-    });
-
-    Ok(StreamAnalysis {
-        per_second,
-        sources,
-        merged_records,
-        contributed,
-    })
+    let sources = paths.iter().cloned().map(Source::File).collect();
+    Ok(run_pipeline(sources, None))
 }
 
 /// Renders the per-second analysis summary exactly as `wifi-congestion
@@ -419,37 +632,31 @@ mod tests {
         assert_eq!(out.contributed, vec![out.merged_records, 0]);
     }
 
+    /// A reader whose first read panics: a crash-faulty decoder.
+    struct PanickingReader;
+
+    impl Read for PanickingReader {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            panic!("decoder panic on the first read");
+        }
+    }
+
     #[test]
     fn panicking_decoder_fails_only_its_source() {
         let full: Vec<FrameRecord> = (0..2000u64)
             .map(|i| rec(i * 900, 1, (i % 4096) as u16))
             .collect();
-        let sniffers = [full.clone(), full.clone(), full.clone()];
-        let dir = std::env::temp_dir().join("congestion_ingest_test_panic");
-        std::fs::create_dir_all(&dir).unwrap();
-        let paths: Vec<PathBuf> = sniffers
-            .iter()
-            .enumerate()
-            .map(|(i, records)| {
-                // Only the middle sniffer's name carries the injection marker.
-                let name = if i == 1 {
-                    "sniffer_1_panic_inject_marker.pcap".to_string()
-                } else {
-                    format!("sniffer_{i}.pcap")
-                };
-                let path = dir.join(name);
-                write_capture(&path, records).unwrap();
-                path
-            })
-            .collect();
-
-        std::env::set_var(PANIC_SOURCE_ENV, "panic_inject_marker");
-        let out = analyze_capture_streams(&paths).unwrap();
-        std::env::remove_var(PANIC_SOURCE_ENV);
+        let paths = write_sniffers("panic", &[full.clone(), full.clone()]);
+        let sources = vec![
+            Source::File(paths[0].clone()),
+            Source::Reader(Box::new(PanickingReader)),
+            Source::File(paths[1].clone()),
+        ];
+        let out = run_pipeline(sources, None);
 
         assert!(
             matches!(out.sources[1].error, Some(CaptureError::Panicked(_))),
-            "injected panic must surface as that source's error: {:?}",
+            "the panic must surface as that source's error: {:?}",
             out.sources[1].error
         );
         assert!(out.sources[0].is_clean());
@@ -475,7 +682,7 @@ mod tests {
         let (tx, mut rx) = batch_channel::<FrameRecord>(1, BATCH_LEN);
         let worker = std::thread::spawn({
             let path = paths[0].clone();
-            move || decode_source(&path, tx)
+            move || decode_source(Source::File(path), tx, &Mutex::default(), BATCH_BACKOFF)
         });
         // Take exactly one batch, then drop the receiver.
         let mut taken = 0usize;

@@ -1,28 +1,25 @@
 //! `wifi-congestion serve` — a resident multi-sniffer ingestion service.
 //!
-//! Tails N live (growing, possibly rotating) pcap/pcapng capture files,
-//! decodes each on its own thread, merges the streams online with the same
-//! dedup window as the batch path, and classifies channel congestion per
-//! second as the data arrives — all in O(merge window) memory. Operational
-//! state is exposed as JSON over a unix socket and as a periodic stderr
+//! Tails N live (growing, possibly rotating) pcap/pcapng capture files
+//! through the capture-ingest pipeline of [`crate::ingest`] — the same
+//! decode threads, merge driver and dedup window as batch `analyze` — and
+//! classifies channel congestion per second as the data arrives, all in
+//! O(merge window) memory. What this module adds is the live half:
+//! `TailSource` to follow each file, and an observer of the merge driver
+//! that publishes status JSON over a unix socket and a periodic stderr
 //! heartbeat.
 //!
-//! ## Threading
-//!
 //! ```text
-//!   tail+decode #0 ──batch channel──┐
-//!   tail+decode #1 ──batch channel──┼──▶ merge loop ──▶ SecondAccumulator
-//!   tail+decode #k ──batch channel──┘        │
-//!                                            ├──▶ status JSON (Mutex)
-//!   unix-socket listener ◀────────reads──────┘
+//!   TailSource #0 ─ decode ─ batch channel ╲
+//!   TailSource #1 ─ decode ─ batch channel ─→ merge driver ─→ SecondAccumulator
+//!   TailSource #k ─ decode ─ batch channel ╱        │ observe
+//!                                                   ├──▶ status JSON, seconds (Mutex)
+//!   unix-socket listener ◀──────────reads───────────┘
 //! ```
 //!
-//! Each source runs `TailSource` (poll-based follow with rotation
-//! detection) under a [`CaptureStream`]; [`CapturePoll::Pending`] flushes
-//! the partial batch and sleeps one poll interval, so records reach the
-//! merge with at most one poll interval of added latency. The merge loop
-//! drains the channels into an [`OnlineMerge`] and feeds emitted records to
-//! the per-second accumulator.
+//! A tail that has caught up with its file reports `WouldBlock`; its
+//! decoder then ships the partial batch and backs off one poll interval, so
+//! records reach the merge with at most one poll interval of added latency.
 //!
 //! ## Degradation, not death
 //!
@@ -32,32 +29,31 @@
 //!   batch ingestion (the decode decisions on a growing file are *monotone*:
 //!   the service's final output is byte-identical to a batch run over the
 //!   final bytes);
-//! * a stalled source holds the merge back by at most the skew horizon,
-//!   after which the merge advances without it (it shows as `lagging` in the
-//!   status; records it delivers late are dropped and counted);
+//! * a stalled source holds the merge back by at most the skew horizon or
+//!   the stall timeout, after which the merge advances without it (it shows
+//!   as `lagging` in the status; records it delivers late are dropped and
+//!   counted);
 //! * a hard failure (unreadable file, wrong link type, decoder panic) marks
 //!   that source `failed` with its error in the status, and the remaining
 //!   sources keep the service running.
 
 use crate::ingest::{
-    panic_if_injected, panic_message, SourceOutcome, StreamAnalysis, BATCH_LEN, CHANNEL_BATCHES,
+    lock, run_pipeline, Clock, Live, PipelineView, Source, SourceProgress, SourceState,
+    StreamAnalysis, SystemClock,
 };
-use crate::trace::{CaptureError, CapturePoll, CaptureStream};
-use congestion::merge::{MergePoll, OnlineMerge};
-use congestion::persec::{SecondAccumulator, SecondStats};
-use congestion::{CongestionClassifier, CongestionLevel, UtilizationBins};
-use std::io::{Read, Write};
+use crate::trace::CaptureError;
+use congestion::persec::SecondStats;
+use congestion::{CongestionClassifier, UtilizationBins};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-use wifi_frames::record::FrameRecord;
-use wifi_pcap::IngestReport;
-use wifi_sim::spsc::{batch_channel, BatchSender, TryRecv};
+use std::time::Duration;
 
-/// How often the merge loop refreshes the published status JSON.
+/// How often the status JSON is refreshed while records flow (an idle
+/// merge refreshes it every poll interval).
 const STATUS_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Configuration for [`run_serve`].
@@ -102,87 +98,31 @@ impl ServeConfig {
     }
 }
 
-/// Lifecycle of one tailed source, as published in the status JSON.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum SourceState {
-    /// Waiting for the file to appear / produce a capture header.
-    Starting = 0,
-    /// Decoding; file is being followed.
-    Live = 1,
-    /// Reached end-of-stream after a stop request.
-    Done = 2,
-    /// Hard error or panic; see the source's `error` field.
-    Failed = 3,
-}
-
-impl SourceState {
-    fn from_u8(v: u8) -> SourceState {
-        match v {
-            0 => SourceState::Starting,
-            1 => SourceState::Live,
-            2 => SourceState::Done,
-            _ => SourceState::Failed,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            SourceState::Starting => "starting",
-            SourceState::Live => "live",
-            SourceState::Done => "done",
-            SourceState::Failed => "failed",
-        }
-    }
-}
-
-/// Shared per-source telemetry, written by the decode thread and its
-/// [`TailSource`], read by the merge loop when rendering status.
-struct SourceShared {
-    path: PathBuf,
-    state: AtomicU8,
-    rotations: AtomicU64,
-    report: Mutex<IngestReport>,
-    error: Mutex<Option<String>>,
-}
-
-impl SourceShared {
-    fn new(path: &Path) -> SourceShared {
-        SourceShared {
-            path: path.to_path_buf(),
-            state: AtomicU8::new(SourceState::Starting as u8),
-            rotations: AtomicU64::new(0),
-            report: Mutex::new(IngestReport::default()),
-            error: Mutex::new(None),
-        }
-    }
-
-    fn set_state(&self, s: SourceState) {
-        self.state.store(s as u8, Ordering::Release);
-    }
-
-    fn state(&self) -> SourceState {
-        SourceState::from_u8(self.state.load(Ordering::Acquire))
-    }
-
-    fn publish_report(&self, report: IngestReport) {
-        *self.report.lock().unwrap_or_else(|p| p.into_inner()) = report;
-    }
-}
-
 /// Everything the service threads share.
 struct Shared {
-    /// Graceful-stop request: sources drain to their current EOF and end.
+    /// Graceful-stop request: tails drain to their current EOF and end.
     stop: AtomicBool,
-    /// Set by the merge loop once everything has drained; tells the socket
-    /// listener to exit.
+    /// Set once the pipeline has drained; tells the socket listener to exit.
     done: AtomicBool,
-    sources: Vec<SourceShared>,
+    /// File rotations each tail has followed.
+    rotations: Vec<AtomicU64>,
     /// Last rendered status JSON (the socket replies with this verbatim).
     status_json: Mutex<String>,
     /// Seconds whose statistics can no longer change (every folded second
     /// except the newest), appended as the merge watermark passes them.
     final_seconds: Mutex<Vec<SecondStats>>,
+}
+
+impl Shared {
+    fn new(sources: usize) -> Shared {
+        Shared {
+            stop: AtomicBool::new(false),
+            done: AtomicBool::new(false),
+            rotations: (0..sources).map(|_| AtomicU64::new(0)).collect(),
+            status_json: Mutex::new("{}".to_string()),
+            final_seconds: Mutex::new(Vec::new()),
+        }
+    }
 }
 
 /// A poll-based `Read` over a live capture file.
@@ -196,6 +136,7 @@ struct Shared {
 struct TailSource {
     shared: Arc<Shared>,
     idx: usize,
+    path: PathBuf,
     file: Option<std::fs::File>,
     ino: u64,
     /// Bytes consumed from the currently open file.
@@ -203,18 +144,15 @@ struct TailSource {
 }
 
 impl TailSource {
-    fn new(shared: Arc<Shared>, idx: usize) -> TailSource {
+    fn new(shared: Arc<Shared>, idx: usize, path: PathBuf) -> TailSource {
         TailSource {
             shared,
             idx,
+            path,
             file: None,
             ino: 0,
             offset: 0,
         }
-    }
-
-    fn path(&self) -> &Path {
-        &self.shared.sources[self.idx].path
     }
 
     fn stopping(&self) -> bool {
@@ -222,7 +160,7 @@ impl TailSource {
     }
 
     fn open_current(&mut self) -> std::io::Result<()> {
-        let file = std::fs::File::open(self.path())?;
+        let file = std::fs::File::open(&self.path)?;
         self.ino = file.metadata()?.ino();
         self.offset = 0;
         self.file = Some(file);
@@ -231,7 +169,7 @@ impl TailSource {
 
     /// At EOF of the open file: has the path been replaced or truncated?
     fn rotated(&self) -> bool {
-        match std::fs::metadata(self.path()) {
+        match std::fs::metadata(&self.path) {
             Ok(meta) => meta.ino() != self.ino || meta.len() < self.offset,
             // Mid-rotation the path may briefly not exist; treat as not yet
             // rotated and let the next poll decide.
@@ -239,20 +177,21 @@ impl TailSource {
         }
     }
 
-    fn would_block() -> std::io::Error {
-        std::io::ErrorKind::WouldBlock.into()
+    /// What a caught-up tail reports: pending, or the end once stopping.
+    fn caught_up(&self) -> std::io::Result<usize> {
+        if self.stopping() {
+            Ok(0)
+        } else {
+            Err(std::io::ErrorKind::WouldBlock.into())
+        }
     }
 }
 
 impl Read for TailSource {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         if self.file.is_none() && self.open_current().is_err() {
-            // Not there yet: pending until it appears, EOF once stopping.
-            return if self.stopping() {
-                Ok(0)
-            } else {
-                Err(Self::would_block())
-            };
+            // Not there yet.
+            return self.caught_up();
         }
         let n = self.file.as_mut().expect("opened above").read(buf)?;
         if n > 0 {
@@ -263,104 +202,90 @@ impl Read for TailSource {
         // rotation, so everything written before the swap has been consumed
         // by the time we get here — switching now loses nothing.
         if self.rotated() && self.open_current().is_ok() {
-            self.shared.sources[self.idx]
-                .rotations
-                .fetch_add(1, Ordering::Relaxed);
+            self.shared.rotations[self.idx].fetch_add(1, Ordering::Relaxed);
             let n = self.file.as_mut().expect("reopened above").read(buf)?;
             self.offset += n as u64;
             if n > 0 {
                 return Ok(n);
             }
         }
-        if self.stopping() {
-            Ok(0)
-        } else {
-            Err(Self::would_block())
-        }
+        self.caught_up()
     }
 }
 
-/// Tails and decodes one source into `tx` until end-of-stream (which, for a
-/// healthy source, only a stop request produces). Panics and hard errors
-/// degrade into the returned outcome; siblings never notice.
-fn serve_source(
-    shared: &Arc<Shared>,
-    idx: usize,
-    mut tx: BatchSender<FrameRecord>,
-    poll: Duration,
-) -> SourceOutcome {
-    let src = &shared.sources[idx];
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        panic_if_injected(&src.path);
-        let tail = TailSource::new(Arc::clone(shared), idx);
-        // Blocks (politely, via the WouldBlock retry in the header peek)
-        // until the file yields a capture header or stop turns EOF real.
-        let mut stream = match CaptureStream::from_reader(tail) {
-            Ok(s) => s,
-            Err(e) => {
-                return SourceOutcome {
-                    report: IngestReport::default(),
-                    error: Some(e),
-                }
-            }
-        };
-        src.set_state(SourceState::Live);
-        let mut delivered = stream.report();
-        loop {
-            match stream.poll_next() {
-                CapturePoll::Record(r) => {
-                    if tx.push(r).is_err() {
-                        return SourceOutcome {
-                            report: delivered,
-                            error: None,
-                        };
-                    }
-                    if tx.is_empty() {
-                        delivered = stream.report();
-                        src.publish_report(delivered);
-                    }
-                }
-                CapturePoll::Pending => {
-                    // Ship the partial batch so the merge sees everything
-                    // decoded so far, then wait for the file to grow.
-                    if tx.flush().is_err() {
-                        return SourceOutcome {
-                            report: delivered,
-                            error: None,
-                        };
-                    }
-                    delivered = stream.report();
-                    src.publish_report(delivered);
-                    std::thread::sleep(poll);
-                }
-                CapturePoll::End => break,
-            }
+/// Renders the small status document the socket serves for `status`.
+fn render_status(
+    paths: &[PathBuf],
+    rotations: &[AtomicU64],
+    view: &PipelineView<'_>,
+    uptime: Duration,
+    horizon: Option<u64>,
+) -> String {
+    use std::fmt::Write;
+    let merge = view.merge;
+    // Every folded second except the newest is final.
+    let finalized = view.seconds.len().saturating_sub(1);
+    let mut out = String::with_capacity(512);
+    let _ = write!(
+        out,
+        "{{\"uptime_s\":{:.1},\"merged_records\":{},\"watermark_us\":{},\"analyzed_seconds\":{finalized}",
+        uptime.as_secs_f64(),
+        view.merged,
+        merge.watermark(),
+    );
+    match finalized.checked_sub(1).map(|i| &view.seconds[i]) {
+        Some(s) => {
+            let bins = UtilizationBins::build(&view.seconds[..finalized]);
+            let class =
+                CongestionClassifier::from_measurements(&bins).classify(s.utilization_pct());
+            let _ = write!(
+                out,
+                ",\"last_second\":{{\"second\":{},\"utilization_pct\":{:.2},\"class\":\"{:?}\"}}",
+                s.second,
+                s.utilization_pct(),
+                class
+            );
         }
-        let (report, error) = stream.into_outcome();
-        match tx.flush() {
-            Ok(()) => SourceOutcome { report, error },
-            Err(_) => SourceOutcome {
-                report: delivered,
-                error,
-            },
-        }
-    }));
-    let outcome = match result {
-        Ok(outcome) => outcome,
-        Err(payload) => SourceOutcome {
-            report: IngestReport::default(),
-            error: Some(CaptureError::Panicked(panic_message(payload))),
-        },
-    };
-    src.publish_report(outcome.report);
-    match &outcome.error {
-        Some(e) => {
-            *src.error.lock().unwrap_or_else(|p| p.into_inner()) = Some(e.to_string());
-            src.set_state(SourceState::Failed);
-        }
-        None => src.set_state(SourceState::Done),
+        None => out.push_str(",\"last_second\":null"),
     }
-    outcome
+    out.push_str(",\"sources\":[");
+    for (idx, progress) in view.progress.iter().enumerate() {
+        if idx > 0 {
+            out.push(',');
+        }
+        let SourceProgress {
+            state,
+            report,
+            error,
+        } = lock(progress).clone();
+        let lag = merge.lag_us(idx);
+        // A live source the merge has moved on from — deferred by the stall
+        // policy, or more than one horizon behind the frontier — surfaces
+        // as `lagging`.
+        let lagging = state == SourceState::Live
+            && (merge.is_deferred(idx) || horizon.is_some_and(|h| lag > h));
+        let state_name = if lagging { "lagging" } else { state.name() };
+        let _ = write!(
+            out,
+            "{{\"path\":\"{}\",\"state\":\"{state_name}\",\"lag_us\":{lag},\"queued_batches\":{},\
+             \"received\":{},\"contributed\":{},\"clamped\":{},\"late_dropped\":{},\"rotations\":{},\
+             \"report\":{},\"error\":{}}}",
+            json_escape(&paths[idx].display().to_string()),
+            view.receivers[idx].queued_batches(),
+            merge.received()[idx],
+            merge.contributed()[idx],
+            merge.clamped()[idx],
+            merge.late_dropped()[idx],
+            rotations[idx].load(Ordering::Relaxed),
+            report.to_json(),
+            match error {
+                Some(e) => format!("\"{}\"", json_escape(&e)),
+                None => "null".to_string(),
+            },
+        );
+    }
+    out.push_str("]}");
+    out
 }
 
 fn json_escape(s: &str) -> String {
@@ -374,76 +299,6 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
-}
-
-/// Renders the small status document the socket serves for `status`.
-#[allow(clippy::too_many_arguments)]
-fn render_status(
-    shared: &Shared,
-    core: &OnlineMerge,
-    queue_depths: &[usize],
-    merged: u64,
-    analyzed_seconds: usize,
-    last_second: Option<(&SecondStats, CongestionLevel)>,
-    uptime: Duration,
-    horizon: Option<u64>,
-) -> String {
-    use std::fmt::Write;
-    let mut out = String::with_capacity(512);
-    let _ = write!(
-        out,
-        "{{\"uptime_s\":{:.1},\"merged_records\":{merged},\"watermark_us\":{},\"analyzed_seconds\":{analyzed_seconds}",
-        uptime.as_secs_f64(),
-        core.watermark(),
-    );
-    match last_second {
-        Some((s, class)) => {
-            let _ = write!(
-                out,
-                ",\"last_second\":{{\"second\":{},\"utilization_pct\":{:.2},\"class\":\"{:?}\"}}",
-                s.second,
-                s.utilization_pct(),
-                class
-            );
-        }
-        None => out.push_str(",\"last_second\":null"),
-    }
-    out.push_str(",\"sources\":[");
-    for (idx, src) in shared.sources.iter().enumerate() {
-        if idx > 0 {
-            out.push(',');
-        }
-        let state = src.state();
-        let lag = core.lag_us(idx);
-        // A live source the merge has moved on from — deferred by the stall
-        // policy, or more than one horizon behind the frontier — surfaces
-        // as `lagging`.
-        let lagging = state == SourceState::Live
-            && (core.is_deferred(idx) || horizon.is_some_and(|h| lag > h));
-        let state_name = if lagging { "lagging" } else { state.name() };
-        let report = src.report.lock().unwrap_or_else(|p| p.into_inner());
-        let error = src.error.lock().unwrap_or_else(|p| p.into_inner());
-        let _ = write!(
-            out,
-            "{{\"path\":\"{}\",\"state\":\"{state_name}\",\"lag_us\":{lag},\"queued_batches\":{},\
-             \"received\":{},\"contributed\":{},\"clamped\":{},\"late_dropped\":{},\"rotations\":{},\
-             \"report\":{},\"error\":{}}}",
-            json_escape(&src.path.display().to_string()),
-            queue_depths[idx],
-            core.received()[idx],
-            core.contributed()[idx],
-            core.clamped()[idx],
-            core.late_dropped()[idx],
-            src.rotations.load(Ordering::Relaxed),
-            report.to_json(),
-            match error.as_deref() {
-                Some(e) => format!("\"{}\"", json_escape(e)),
-                None => "null".to_string(),
-            },
-        );
-    }
-    out.push_str("]}");
     out
 }
 
@@ -482,9 +337,6 @@ fn socket_loop(listener: UnixListener, shared: &Shared) {
     while !shared.done.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => handle_client(stream, shared),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
             Err(_) => std::thread::sleep(Duration::from_millis(50)),
         }
     }
@@ -493,34 +345,13 @@ fn socket_loop(listener: UnixListener, shared: &Shared) {
 fn handle_client(mut stream: UnixStream, shared: &Shared) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut buf = [0u8; 256];
+    // One request line of at most 256 bytes.
     let mut req = Vec::new();
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                req.extend_from_slice(&buf[..n]);
-                if req.contains(&b'\n') || req.len() >= buf.len() {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
+    let _ = BufReader::new((&stream).take(256)).read_until(b'\n', &mut req);
     let line = String::from_utf8_lossy(&req);
     let reply = match line.trim() {
-        "status" | "" => shared
-            .status_json
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone(),
-        "seconds" => {
-            let seconds = shared
-                .final_seconds
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            render_seconds(&seconds)
-        }
+        "status" | "" => lock(&shared.status_json).clone(),
+        "seconds" => render_seconds(&lock(&shared.final_seconds)),
         "shutdown" => {
             shared.stop.store(true, Ordering::Release);
             "{\"stopping\":true}".to_string()
@@ -536,14 +367,43 @@ fn handle_client(mut stream: UnixStream, shared: &Shared) {
 /// the same [`StreamAnalysis`] a batch run over the final bytes would
 /// produce.
 pub fn run_serve(cfg: &ServeConfig) -> Result<StreamAnalysis, CaptureError> {
-    let n = cfg.paths.len();
-    let shared = Arc::new(Shared {
-        stop: AtomicBool::new(false),
-        done: AtomicBool::new(false),
-        sources: cfg.paths.iter().map(|p| SourceShared::new(p)).collect(),
-        status_json: Mutex::new("{}".to_string()),
-        final_seconds: Mutex::new(Vec::new()),
-    });
+    let shared = Arc::new(Shared::new(cfg.paths.len()));
+    let sources = cfg
+        .paths
+        .iter()
+        .enumerate()
+        .map(|(idx, path)| {
+            let tail = TailSource::new(Arc::clone(&shared), idx, path.clone());
+            Source::Reader(Box::new(tail))
+        })
+        .collect();
+    serve(cfg, &shared, sources, &SystemClock::default())
+}
+
+/// [`run_serve`] over caller-supplied sources and clock: the service's
+/// policy, status socket and heartbeat, with `cfg.paths` only labelling the
+/// sources (one label per source). A stop request ends tailed files, not
+/// these sources: the service returns once every source has ended by
+/// itself.
+pub fn serve_sources(
+    cfg: &ServeConfig,
+    sources: Vec<Source>,
+    clock: &dyn Clock,
+) -> Result<StreamAnalysis, CaptureError> {
+    assert_eq!(
+        cfg.paths.len(),
+        sources.len(),
+        "cfg.paths must label the sources one-to-one"
+    );
+    serve(cfg, &Shared::new(sources.len()), sources, clock)
+}
+
+fn serve(
+    cfg: &ServeConfig,
+    shared: &Shared,
+    sources: Vec<Source>,
+    clock: &dyn Clock,
+) -> Result<StreamAnalysis, CaptureError> {
     let listener = match &cfg.socket {
         Some(path) => {
             // A stale socket file from a previous run refuses the bind.
@@ -552,192 +412,63 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<StreamAnalysis, CaptureError> {
         }
         None => None,
     };
-    let poll = Duration::from_millis(cfg.poll_ms.max(1));
-    let horizon = cfg.skew_horizon_us;
-
-    let mut senders = Vec::with_capacity(n);
-    let mut receivers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = batch_channel::<FrameRecord>(CHANNEL_BATCHES, BATCH_LEN);
-        senders.push(Some(tx));
-        receivers.push(rx);
-    }
-
-    let started = Instant::now();
+    let started = clock.now();
     let deadline = cfg.max_duration_s.map(|s| started + Duration::from_secs(s));
-
+    let heartbeat = Duration::from_secs(cfg.heartbeat_s);
+    let mut next_status = started;
+    let mut next_heartbeat = started + heartbeat;
+    let mut published_seconds = 0usize;
+    let mut observe = |view: &PipelineView<'_>| {
+        let uptime = view.now.saturating_sub(started);
+        if deadline.is_some_and(|d| view.now >= d) {
+            shared.stop.store(true, Ordering::Release);
+        }
+        if view.idle || view.now >= next_status {
+            next_status = view.now + STATUS_INTERVAL;
+            // Publish newly finalized seconds (all folded seconds except
+            // the newest, which later records can still extend).
+            let finalized = view.seconds.len().saturating_sub(1);
+            if finalized > published_seconds {
+                lock(&shared.final_seconds)
+                    .extend_from_slice(&view.seconds[published_seconds..finalized]);
+                published_seconds = finalized;
+            }
+            *lock(&shared.status_json) = render_status(
+                &cfg.paths,
+                &shared.rotations,
+                view,
+                uptime,
+                cfg.skew_horizon_us,
+            );
+        }
+        if cfg.heartbeat_s > 0 && view.now >= next_heartbeat {
+            next_heartbeat = view.now + heartbeat;
+            let states: Vec<&str> = view.progress.iter().map(|p| lock(p).state.name()).collect();
+            eprintln!(
+                "serve: up {:.0}s, merged {} records, watermark {}µs, sources [{}]",
+                uptime.as_secs_f64(),
+                view.merged,
+                view.merge.watermark(),
+                states.join(", ")
+            );
+        }
+    };
+    let live = Live {
+        horizon: cfg.skew_horizon_us,
+        stall: cfg.stall_timeout_ms.map(Duration::from_millis),
+        poll: Duration::from_millis(cfg.poll_ms.max(1)),
+        clock,
+        observe: &mut observe,
+    };
     let analysis = std::thread::scope(|scope| {
-        let workers: Vec<_> = senders
-            .iter_mut()
-            .enumerate()
-            .map(|(idx, tx)| {
-                let tx = tx.take().expect("each sender moves to one worker");
-                let shared = Arc::clone(&shared);
-                scope.spawn(move || serve_source(&shared, idx, tx, poll))
-            })
-            .collect();
         if let Some(listener) = listener {
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || socket_loop(listener, &shared));
+            scope.spawn(|| socket_loop(listener, shared));
         }
-
-        let mut acc = SecondAccumulator::new();
-        let mut core = OnlineMerge::new(n);
-        let mut merged = 0u64;
-        let mut published_seconds = 0usize;
-        let mut last_status = Instant::now() - STATUS_INTERVAL;
-        let mut last_heartbeat = Instant::now();
-        let stall = cfg.stall_timeout_ms.map(Duration::from_millis);
-        let mut last_progress = vec![Instant::now(); n];
-        let mut ended = vec![false; n];
-        loop {
-            let mut progressed = false;
-            // Deferred (stalled-out) sources rejoin as soon as they produce;
-            // the merge never returns Need for them, so drain them here.
-            for idx in 0..n {
-                if !core.is_deferred(idx) {
-                    continue;
-                }
-                match receivers[idx].try_next() {
-                    TryRecv::Item(r) => {
-                        core.offer(idx, r);
-                        last_progress[idx] = Instant::now();
-                        progressed = true;
-                    }
-                    TryRecv::Empty => {}
-                    TryRecv::Disconnected => {
-                        core.end(idx);
-                        ended[idx] = true;
-                        progressed = true;
-                    }
-                }
-            }
-            let mut all_done = false;
-            loop {
-                match core.poll(horizon) {
-                    MergePoll::Record(r) => {
-                        merged += 1;
-                        acc.push(r);
-                        progressed = true;
-                    }
-                    MergePoll::Need(idx) => match receivers[idx].try_next() {
-                        TryRecv::Item(r) => {
-                            core.offer(idx, r);
-                            last_progress[idx] = Instant::now();
-                            progressed = true;
-                        }
-                        TryRecv::Empty => {
-                            // Nothing buffered: wall-clock stall policy. A
-                            // source quiet past the timeout stops blocking
-                            // the merge (trace-time horizons cannot unwedge
-                            // a source stalled at the merge frontier).
-                            let timed_out =
-                                stall.is_some_and(|t| last_progress[idx].elapsed() >= t);
-                            if timed_out && core.defer(idx) {
-                                continue;
-                            }
-                            break;
-                        }
-                        TryRecv::Disconnected => {
-                            core.end(idx);
-                            ended[idx] = true;
-                            progressed = true;
-                        }
-                    },
-                    MergePoll::Done => {
-                        // Final only when every source has truly ended;
-                        // otherwise deferred sources may still rejoin.
-                        all_done = ended.iter().all(|&e| e);
-                        break;
-                    }
-                }
-            }
-
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    shared.stop.store(true, Ordering::Release);
-                }
-            }
-            if all_done || last_status.elapsed() >= STATUS_INTERVAL {
-                last_status = Instant::now();
-                // Publish newly finalized seconds (all folded seconds except
-                // the newest, which later records can still extend).
-                let folded = acc.seconds();
-                let finalized = folded.len().saturating_sub(1);
-                if finalized > published_seconds {
-                    let mut out = shared
-                        .final_seconds
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner());
-                    out.extend_from_slice(&folded[published_seconds..finalized]);
-                    published_seconds = finalized;
-                }
-                let last = folded.len().checked_sub(2).map(|i| &folded[i]);
-                let classified = last.map(|s| {
-                    let bins = UtilizationBins::build(&folded[..finalized]);
-                    let classifier = CongestionClassifier::from_measurements(&bins);
-                    (s, classifier.classify(s.utilization_pct()))
-                });
-                let depths: Vec<usize> = receivers.iter().map(|rx| rx.queued_batches()).collect();
-                let status = render_status(
-                    &shared,
-                    &core,
-                    &depths,
-                    merged,
-                    finalized,
-                    classified,
-                    started.elapsed(),
-                    horizon,
-                );
-                *shared.status_json.lock().unwrap_or_else(|p| p.into_inner()) = status;
-            }
-            if cfg.heartbeat_s > 0
-                && last_heartbeat.elapsed() >= Duration::from_secs(cfg.heartbeat_s)
-            {
-                last_heartbeat = Instant::now();
-                let states: Vec<&str> = shared.sources.iter().map(|s| s.state().name()).collect();
-                eprintln!(
-                    "serve: up {:.0}s, merged {merged} records, watermark {}µs, sources [{}]",
-                    started.elapsed().as_secs_f64(),
-                    core.watermark(),
-                    states.join(", ")
-                );
-            }
-            if all_done {
-                break;
-            }
-            if !progressed {
-                std::thread::sleep(poll);
-            }
-        }
-
-        let sources: Vec<SourceOutcome> = workers
-            .into_iter()
-            .map(|w| {
-                w.join().unwrap_or_else(|payload| SourceOutcome {
-                    report: IngestReport::default(),
-                    error: Some(CaptureError::Panicked(panic_message(payload))),
-                })
-            })
-            .collect();
-        let per_second = acc.finish();
-        {
-            let mut out = shared
-                .final_seconds
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            out.clear();
-            out.extend_from_slice(&per_second);
-        }
+        let analysis = run_pipeline(sources, Some(live));
+        *lock(&shared.final_seconds) = analysis.per_second.clone();
         shared.done.store(true, Ordering::Release);
-        StreamAnalysis {
-            per_second,
-            contributed: core.contributed().to_vec(),
-            merged_records: merged,
-            sources,
-        }
+        analysis
     });
-
     if let Some(path) = &cfg.socket {
         let _ = std::fs::remove_file(path);
     }
@@ -748,7 +479,9 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<StreamAnalysis, CaptureError> {
 mod tests {
     use super::*;
     use crate::trace::write_capture;
+    use congestion::merge::OnlineMerge;
     use wifi_frames::phy::{Channel, Rate};
+    use wifi_frames::record::FrameRecord;
     use wifi_frames::{FrameKind, MacAddr};
 
     fn rec(ts: u64, src: u32, seq: u16) -> FrameRecord {
@@ -780,14 +513,8 @@ mod tests {
     fn tail_source_blocks_then_reads_then_detects_rotation() {
         let dir = temp_dir("tail");
         let path = dir.join("live.pcap");
-        let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            done: AtomicBool::new(false),
-            sources: vec![SourceShared::new(&path)],
-            status_json: Mutex::new(String::new()),
-            final_seconds: Mutex::new(Vec::new()),
-        });
-        let mut tail = TailSource::new(Arc::clone(&shared), 0);
+        let shared = Arc::new(Shared::new(1));
+        let mut tail = TailSource::new(Arc::clone(&shared), 0, path.clone());
         let mut buf = [0u8; 64];
 
         // No file yet: pending, not EOF.
@@ -808,7 +535,7 @@ mod tests {
         std::fs::write(&path, b"second!").unwrap();
         assert_eq!(tail.read(&mut buf).unwrap(), 7);
         assert_eq!(&buf[..7], b"second!");
-        assert_eq!(shared.sources[0].rotations.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.rotations[0].load(Ordering::Relaxed), 1);
 
         // Stop turns EOF real.
         shared.stop.store(true, Ordering::Release);
@@ -851,21 +578,20 @@ mod tests {
     fn status_json_is_wellformed_enough() {
         // Smoke the renderers directly: no commas-in-wrong-places panics,
         // balanced braces, expected keys.
-        let shared = Shared {
-            stop: AtomicBool::new(false),
-            done: AtomicBool::new(false),
-            sources: vec![SourceShared::new(Path::new("/tmp/a \"quoted\".pcap"))],
-            status_json: Mutex::new(String::new()),
-            final_seconds: Mutex::new(Vec::new()),
+        let (_tx, rx) = wifi_sim::spsc::batch_channel::<FrameRecord>(1, 1);
+        let view = PipelineView {
+            merge: &OnlineMerge::new(1),
+            seconds: &[],
+            merged: 0,
+            receivers: &[rx],
+            progress: &[Mutex::default()],
+            now: Duration::from_secs(3),
+            idle: true,
         };
-        let core = OnlineMerge::new(1);
         let status = render_status(
-            &shared,
-            &core,
-            &[0],
-            0,
-            0,
-            None,
+            &[PathBuf::from("/tmp/a \"quoted\".pcap")],
+            &Shared::new(1).rotations,
+            &view,
             Duration::from_secs(3),
             Some(2_000_000),
         );
