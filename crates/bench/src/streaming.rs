@@ -2,38 +2,40 @@
 //!
 //! [`Scenario::run`] buffers every captured frame until the end and analyzes
 //! post hoc — O(frames) peak memory, which at congestion-knee scale is the
-//! dominant allocation. [`run_streaming`] instead advances the simulator one
-//! time chunk at a time (repeated `run_until` calls are pure continuations
-//! of the same event queue, so results are identical), drains each sniffer's
-//! trace into its [`SecondAccumulator`] after every chunk, and returns the
-//! finished per-second statistics: peak memory is O(chunk + seconds), however
-//! long the run.
+//! dominant allocation. The drivers here instead run one chunk loop: advance
+//! the simulator to the next chunk boundary (repeated `run_until` calls are
+//! pure continuations of the same event queue, so results are identical),
+//! then drain every sniffer's trace into a sink. Peak memory is
+//! O(chunk + seconds), however long the run.
 //!
-//! [`run_streaming_pipelined`] additionally overlaps the two: the event loop
-//! stays on the calling thread and hands each chunk's captured frames
-//! through a bounded SPSC channel to an analysis thread folding them into
-//! the accumulators. Frame order through the channel is exactly the drain
-//! order of the serial path, so the results are byte-identical — the only
-//! difference is that analysis of chunk *n* runs while chunk *n + 1*
-//! simulates.
-//!
-//! [`run_sharded`] adds intra-scenario parallelism on top: RF-isolation
-//! component sharding when the scenario splits into independent media, and
-//! **time-window lockstep sharding** ([`wifi_sim::shard`]) when it does not
-//! — one dense coupled cell is cut along BSS lines into full-roster shards
-//! that advance window-by-window, exchanging cross-shard transmissions as
-//! ghosts at each boundary. Both merge to results byte-identical to the
-//! unsharded run.
+//! - [`run_streaming`]: the sink is the per-sniffer [`SecondAccumulator`]s,
+//!   on the calling thread.
+//! - [`run_streaming_pipelined`]: the sink is a bounded SPSC channel to an
+//!   analysis thread folding into the same accumulators in the same order,
+//!   so the results are byte-identical — analysis of chunk *n* just runs
+//!   while chunk *n + 1* simulates.
+//! - [`run_streaming_mobile`]: the loop advances a [`MobileScenario`],
+//!   whose own tick schedule ([`MobileScenario::run_until`]) moves the
+//!   walkers between continuations.
+//! - [`run_sharded`]: intra-scenario parallelism. [`ShardSpec::plan`]
+//!   decides once between the unsharded build, RF-isolation component
+//!   shards (each streamed by `run_streaming`'s loop on a worker), and
+//!   **time-window lockstep** shards ([`wifi_sim::shard`]) — one dense
+//!   coupled cell cut along BSS lines into full-roster shards that advance
+//!   window-by-window, exchanging cross-shard transmissions as ghosts at
+//!   each boundary. Every shard's result merges, by global sniffer index
+//!   and by sums, into a run byte-identical to the unsharded one.
 
 use congestion::persec::{SecondAccumulator, SecondStats};
 use ietf_workloads::{MobileScenario, Scenario, ShardScenario};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::vec::Drain;
 use wifi_frames::record::FrameRecord;
 use wifi_frames::timing::Micros;
 use wifi_sim::events::QueueStats;
 use wifi_sim::runner::run_parallel;
-use wifi_sim::shard::{LockstepPlan, Shard, ShardSpec, DEFAULT_LOCKSTEP_WINDOW_US};
+use wifi_sim::shard::{LockstepPlan, Shard, ShardSpec, Sharding};
 use wifi_sim::sniffer::SnifferStats;
 use wifi_sim::spsc;
 use wifi_sim::{RemoteNotice, Simulator};
@@ -44,6 +46,7 @@ const PIPELINE_DEPTH: usize = 4;
 /// What a streaming run yields: the analysis, plus the counters the run
 /// reports and perf baselines need. Raw traces are intentionally absent —
 /// not buffering them is the point.
+#[derive(Default)]
 pub struct StreamedRun {
     /// Scenario name.
     pub name: String,
@@ -61,6 +64,109 @@ pub struct StreamedRun {
     pub queue: QueueStats,
 }
 
+/// Drains every sniffer's captured frames out of `sim`, in sniffer order,
+/// handing `each` the sniffer's index and its frames.
+fn drain_traces(sim: &mut Simulator, mut each: impl FnMut(usize, Drain<'_, FrameRecord>)) {
+    for (i, sniffer) in sim.sniffers_mut().iter_mut().enumerate() {
+        each(i, sniffer.trace.drain(..));
+    }
+}
+
+/// The streaming analysis of one simulator's sniffers: the result path of
+/// every driver.
+struct Analysis {
+    accs: Vec<SecondAccumulator>,
+}
+
+impl Analysis {
+    fn new(sim: &Simulator) -> Analysis {
+        let accs = sim
+            .sniffers()
+            .iter()
+            .map(|_| SecondAccumulator::new())
+            .collect();
+        Analysis { accs }
+    }
+
+    /// Folds frames captured by sniffer `i`, in capture order.
+    fn push(&mut self, i: usize, records: impl IntoIterator<Item = FrameRecord>) {
+        let acc = &mut self.accs[i];
+        for record in records {
+            acc.push(record);
+        }
+    }
+
+    /// Folds everything `sim`'s sniffers captured since the last drain.
+    fn drain(&mut self, sim: &mut Simulator) {
+        drain_traces(sim, |i, records| self.push(i, records));
+    }
+
+    /// The chunk loop with these accumulators as the sink.
+    fn stream(&mut self, run: &mut impl Advance, duration_us: Micros, chunk_us: Micros) {
+        run_chunks(run, duration_us, chunk_us, |sim| {
+            self.drain(sim);
+            true
+        });
+    }
+
+    /// The finished run: the per-second series plus `sim`'s counters.
+    fn finish(self, name: String, sim: &Simulator) -> StreamedRun {
+        StreamedRun {
+            name,
+            per_sniffer_seconds: self
+                .accs
+                .into_iter()
+                .map(SecondAccumulator::finish)
+                .collect(),
+            sniffer_stats: sim.sniffers().iter().map(|s| s.stats).collect(),
+            medium_stats: sim.medium_stats(),
+            events_processed: sim.events_processed(),
+            frames_on_air: sim.ground_truth.transmissions,
+            queue: sim.queue_stats(),
+        }
+    }
+}
+
+/// What the chunk loop advances: a simulator, or a mobile scenario that
+/// moves its walkers at its own tick boundaries on the way.
+trait Advance {
+    /// Runs to `until` and returns the simulator whose traces to drain.
+    fn advance(&mut self, until: Micros) -> &mut Simulator;
+}
+
+impl Advance for Simulator {
+    fn advance(&mut self, until: Micros) -> &mut Simulator {
+        self.run_until(until);
+        self
+    }
+}
+
+impl Advance for MobileScenario {
+    fn advance(&mut self, until: Micros) -> &mut Simulator {
+        self.run_until(until);
+        &mut self.sim
+    }
+}
+
+/// The one chunk loop: advances `run` to `duration_us` in steps of at most
+/// `chunk_us` and hands the simulator to `sink` after every step to drain
+/// its traces. A `false` from `sink` stops the loop early.
+fn run_chunks(
+    run: &mut impl Advance,
+    duration_us: Micros,
+    chunk_us: Micros,
+    mut sink: impl FnMut(&mut Simulator) -> bool,
+) {
+    let chunk_us = chunk_us.max(1);
+    let mut now: Micros = 0;
+    while now < duration_us {
+        now = (now + chunk_us).min(duration_us);
+        if !sink(run.advance(now)) {
+            break;
+        }
+    }
+}
+
 /// Runs `scenario` to completion in `chunk_us` steps, folding captured
 /// frames into per-sniffer accumulators as they appear.
 ///
@@ -75,32 +181,9 @@ pub struct StreamedRun {
 /// }
 /// ```
 pub fn run_streaming(mut scenario: Scenario, chunk_us: Micros) -> StreamedRun {
-    let chunk_us = chunk_us.max(1);
-    let mut accs: Vec<SecondAccumulator> = scenario
-        .sim
-        .sniffers()
-        .iter()
-        .map(|_| SecondAccumulator::new())
-        .collect();
-    let mut now: Micros = 0;
-    while now < scenario.duration_us {
-        now = (now + chunk_us).min(scenario.duration_us);
-        scenario.sim.run_until(now);
-        for (sniffer, acc) in scenario.sim.sniffers_mut().iter_mut().zip(&mut accs) {
-            for record in sniffer.trace.drain(..) {
-                acc.push(record);
-            }
-        }
-    }
-    StreamedRun {
-        name: scenario.name,
-        per_sniffer_seconds: accs.into_iter().map(SecondAccumulator::finish).collect(),
-        sniffer_stats: scenario.sim.sniffers().iter().map(|s| s.stats).collect(),
-        medium_stats: scenario.sim.medium_stats(),
-        events_processed: scenario.sim.events_processed(),
-        frames_on_air: scenario.sim.ground_truth.transmissions,
-        queue: scenario.sim.queue_stats(),
-    }
+    let mut analysis = Analysis::new(&scenario.sim);
+    analysis.stream(&mut scenario.sim, scenario.duration_us, chunk_us);
+    analysis.finish(scenario.name, &scenario.sim)
 }
 
 /// Mobility counters of a finished [`run_streaming_mobile`] run, reported
@@ -115,55 +198,23 @@ pub struct MobilityStats {
     pub roams: u64,
 }
 
-/// [`run_streaming`] for a [`MobileScenario`]: chunked execution with the
-/// waypoint walkers advanced at every mobility-tick boundary. Chunks are
-/// clipped to tick boundaries so a move can never land mid-chunk — the
-/// stream is a pure continuation of the same event queue between moves,
-/// exactly like the static runner.
+/// [`run_streaming`] for a [`MobileScenario`]: the same chunk loop, with
+/// the waypoint walkers advanced at every mobility-tick boundary by the
+/// scenario's own schedule ([`MobileScenario::run_until`]), so the stream
+/// reproduces [`MobileScenario::run`] for any chunk size.
 pub fn run_streaming_mobile(
     mut scenario: MobileScenario,
     chunk_us: Micros,
 ) -> (StreamedRun, MobilityStats) {
-    let chunk_us = chunk_us.max(1);
-    let tick_us = scenario.tick_us.max(1);
-    let mut accs: Vec<SecondAccumulator> = scenario
-        .sim
-        .sniffers()
-        .iter()
-        .map(|_| SecondAccumulator::new())
-        .collect();
-    let mut now: Micros = 0;
-    let mut next_tick = tick_us;
-    while now < scenario.duration_us {
-        now = (now + chunk_us).min(scenario.duration_us).min(next_tick);
-        scenario.sim.run_until(now);
-        for (sniffer, acc) in scenario.sim.sniffers_mut().iter_mut().zip(&mut accs) {
-            for record in sniffer.trace.drain(..) {
-                acc.push(record);
-            }
-        }
-        if now == next_tick {
-            if now < scenario.duration_us {
-                scenario.mobility.advance(&mut scenario.sim, tick_us);
-            }
-            next_tick += tick_us;
-        }
-    }
+    let mut analysis = Analysis::new(&scenario.sim);
+    let duration_us = scenario.duration_us;
+    analysis.stream(&mut scenario, duration_us, chunk_us);
     let stats = MobilityStats {
         walkers: scenario.mobility.walker_count(),
         moves: scenario.mobility.moves,
         roams: scenario.mobility.roams,
     };
-    let run = StreamedRun {
-        name: scenario.name,
-        per_sniffer_seconds: accs.into_iter().map(SecondAccumulator::finish).collect(),
-        sniffer_stats: scenario.sim.sniffers().iter().map(|s| s.stats).collect(),
-        medium_stats: scenario.sim.medium_stats(),
-        events_processed: scenario.sim.events_processed(),
-        frames_on_air: scenario.sim.ground_truth.transmissions,
-        queue: scenario.sim.queue_stats(),
-    };
-    (run, stats)
+    (analysis.finish(scenario.name, &scenario.sim), stats)
 }
 
 /// [`run_streaming`] with simulation and analysis overlapped on two threads.
@@ -176,50 +227,29 @@ pub fn run_streaming_mobile(
 /// the returned [`StreamedRun`] is byte-identical to `run_streaming`'s; the
 /// channel bound keeps at most `PIPELINE_DEPTH` (4) chunks of frames alive.
 pub fn run_streaming_pipelined(mut scenario: Scenario, chunk_us: Micros) -> StreamedRun {
-    let chunk_us = chunk_us.max(1);
-    let n_sniffers = scenario.sim.sniffers().len();
+    let sniffers = scenario.sim.sniffers().len();
+    let mut analysis = Analysis::new(&scenario.sim);
     let (tx, rx) = spsc::channel::<Vec<Vec<FrameRecord>>>(PIPELINE_DEPTH);
-    let per_sniffer_seconds = std::thread::scope(|scope| {
+    let analysis = std::thread::scope(|scope| {
         let consumer = scope.spawn(move || {
-            let mut accs: Vec<SecondAccumulator> =
-                (0..n_sniffers).map(|_| SecondAccumulator::new()).collect();
-            while let Some(chunk) = rx.recv() {
-                for (records, acc) in chunk.into_iter().zip(&mut accs) {
-                    for record in records {
-                        acc.push(record);
-                    }
+            while let Some(batch) = rx.recv() {
+                for (i, records) in batch.into_iter().enumerate() {
+                    analysis.push(i, records);
                 }
             }
-            accs.into_iter()
-                .map(SecondAccumulator::finish)
-                .collect::<Vec<_>>()
+            analysis
         });
-        let mut now: Micros = 0;
-        while now < scenario.duration_us {
-            now = (now + chunk_us).min(scenario.duration_us);
-            scenario.sim.run_until(now);
-            let chunk: Vec<Vec<FrameRecord>> = scenario
-                .sim
-                .sniffers_mut()
-                .iter_mut()
-                .map(|s| s.trace.drain(..).collect())
-                .collect();
-            if tx.send(chunk).is_err() {
-                break; // consumer died; its join below propagates the panic
-            }
-        }
+        run_chunks(&mut scenario.sim, scenario.duration_us, chunk_us, |sim| {
+            let mut batch = vec![Vec::new(); sniffers];
+            drain_traces(sim, |i, records| batch[i].extend(records));
+            // A closed channel means the consumer died; its join below
+            // propagates the panic.
+            tx.send(batch).is_ok()
+        });
         drop(tx);
         consumer.join().expect("analysis thread panicked")
     });
-    StreamedRun {
-        name: scenario.name,
-        per_sniffer_seconds,
-        sniffer_stats: scenario.sim.sniffers().iter().map(|s| s.stats).collect(),
-        medium_stats: scenario.sim.medium_stats(),
-        events_processed: scenario.sim.events_processed(),
-        frames_on_air: scenario.sim.ground_truth.transmissions,
-        queue: scenario.sim.queue_stats(),
-    }
+    analysis.finish(scenario.name, &scenario.sim)
 }
 
 /// What a sharded run yields: the merged [`StreamedRun`] plus how the
@@ -241,77 +271,29 @@ pub struct ShardedRun {
     pub lockstep: bool,
 }
 
-/// Everything one shard's sub-simulator produced.
-struct ShardOut {
-    /// `(global sniffer index, per-second stats, counters)`.
-    sniffers: Vec<(usize, Vec<SecondStats>, SnifferStats)>,
-    medium_stats: Vec<(u64, u64)>,
-    events_processed: u64,
-    frames_on_air: u64,
-    queue: QueueStats,
-}
+/// One shard's result: its sniffers' global indices, and its run.
+type ShardRun = (Vec<usize>, StreamedRun);
 
-/// Runs one sub-simulator to `duration_us` in chunks, folding its sniffer
-/// traces into per-second accumulators — the per-shard half of
-/// [`run_streaming`].
-fn run_shard_streaming(
-    mut sim: Simulator,
-    sniffer_indices: Vec<usize>,
-    duration_us: Micros,
-    chunk_us: Micros,
-) -> ShardOut {
-    let mut accs: Vec<SecondAccumulator> = sniffer_indices
-        .iter()
-        .map(|_| SecondAccumulator::new())
-        .collect();
-    let mut now: Micros = 0;
-    while now < duration_us {
-        now = (now + chunk_us).min(duration_us);
-        sim.run_until(now);
-        for (sniffer, acc) in sim.sniffers_mut().iter_mut().zip(&mut accs) {
-            for record in sniffer.trace.drain(..) {
-                acc.push(record);
-            }
-        }
-    }
-    let sniffers = sniffer_indices
-        .into_iter()
-        .zip(accs)
-        .zip(sim.sniffers().iter())
-        .map(|((gi, acc), s)| (gi, acc.finish(), s.stats))
-        .collect();
-    ShardOut {
-        sniffers,
-        medium_stats: sim.medium_stats(),
-        events_processed: sim.events_processed(),
-        frames_on_air: sim.ground_truth.transmissions,
-        queue: sim.queue_stats(),
-    }
-}
-
-/// Runs a recorded scenario with intra-scenario parallelism: the station
-/// graph is partitioned into RF-isolation shards ([`wifi_sim::shard`]),
-/// each shard's event loop runs on the [`run_parallel`] work queue across
-/// `threads` workers, and the per-shard results merge into one
-/// [`StreamedRun`].
+/// Runs a recorded scenario with intra-scenario parallelism, as
+/// [`ShardSpec::plan`] decides:
 ///
-/// Every sniffer lives in exactly one shard (the planner merges everything
-/// a sniffer can hear into its component), so per-sniffer seconds and
-/// counters need no cross-shard merging — they are placed by global sniffer
-/// index. Channel-level medium stats and the scalar counters sum. The
-/// merged output is identical to the unsharded run for any `max_shards` and
-/// `threads` (`tests/shard_prop.rs` pins this): determinism comes from
-/// per-entity RNG streams keyed by scenario-wide build indices, not from
-/// the schedule.
+/// - **unsharded** when the scenario cannot be partitioned (dynamic
+///   channel management, or a client whose channel has no AP);
+/// - **RF-isolation components** ([`wifi_sim::shard`]), each streamed by
+///   [`run_streaming`]'s loop on the [`run_parallel`] work queue across
+///   `threads` workers;
+/// - **time-window lockstep** at the default window
+///   ([`wifi_sim::shard::DEFAULT_LOCKSTEP_WINDOW_US`]) when the components
+///   stop short of `max_shards` (dense coupled cells — the paper's plenary
+///   is one per channel) and the BSS cut is strictly finer.
 ///
-/// When the scenario cannot be sharded (dynamic channel management, or a
-/// client whose channel has no AP), it falls back to one unsharded shard.
-///
-/// When the component planner stops short of `max_shards` (dense coupled
-/// cells — the paper's plenary is one per channel) and the lockstep planner
-/// can cut *finer* along BSS lines, time-window lockstep sharding engages
-/// instead, with the default window ([`DEFAULT_LOCKSTEP_WINDOW_US`]); see
-/// [`run_sharded_windowed`].
+/// The per-shard results merge into one [`StreamedRun`]. Every sniffer
+/// lives in exactly one shard, so per-sniffer seconds and counters need no
+/// cross-shard merging — they are placed by global sniffer index. Channel-
+/// level medium stats and the scalar counters sum. The merged output is
+/// identical to the unsharded run for any `max_shards` and `threads`
+/// (`tests/shard_prop.rs` pins this): determinism comes from per-entity RNG
+/// streams keyed by scenario-wide build indices, not from the schedule.
 ///
 /// ```
 /// use congestion_bench::streaming::{run_sharded, run_streaming};
@@ -336,135 +318,82 @@ pub fn run_sharded(
     threads: usize,
     max_shards: usize,
 ) -> ShardedRun {
-    run_sharded_windowed(
-        scenario,
-        chunk_us,
-        threads,
-        max_shards,
-        DEFAULT_LOCKSTEP_WINDOW_US,
-    )
-}
-
-/// [`run_sharded`] with an explicit lockstep window width (µs).
-///
-/// The window only matters when lockstep sharding engages: component
-/// sharding exchanges nothing, and the unsharded fallback has no windows at
-/// all. Results are deterministic given `(seed, window_us)` — identical for
-/// every `(threads, max_shards)` at a fixed window — but *different windows
-/// may order same-microsecond cross-shard interactions differently*, so a
-/// lockstep run is compared against serial runs at the same window
-/// (`window_us` is part of the result's identity, like the seed). An unsafe
-/// window (zero, or wider than the influence-latency bound) declines
-/// lockstep and falls back.
-pub fn run_sharded_windowed(
-    scenario: ShardScenario,
-    chunk_us: Micros,
-    threads: usize,
-    max_shards: usize,
-    window_us: Micros,
-) -> ShardedRun {
-    let chunk_us = chunk_us.max(1);
     let ShardScenario {
         name,
         duration_us,
         spec,
     } = scenario;
-    let Some(plan) = spec.partition(max_shards) else {
-        let run = run_streaming(
-            Scenario {
-                name,
-                duration_us,
-                sim: spec.build_unsharded(),
-            },
-            chunk_us,
-        );
-        return ShardedRun {
-            run,
-            shards: 1,
-            components: 1,
-            lockstep: false,
-        };
-    };
-    // The component count is the ceiling of component sharding; when the
-    // caller's cap allows more parallelism than the ceiling (the dense-cell
-    // regime — the plenary is three coupled cells however many cores are
-    // available), lockstep engages if it can actually cut finer. Where
-    // components already fill the cap (the venue campus: one BSS per
-    // component), lockstep cannot do better and stays out of the way.
-    if plan.shards.len() < max_shards {
-        if let Some(lockstep) = spec.partition_lockstep(max_shards, window_us) {
-            if lockstep.shards.len() > plan.shards.len() {
-                let shards = lockstep.shards.len();
-                let outs = run_lockstep(&spec, &lockstep, duration_us, threads);
-                return merge_shard_outs(name, &spec, outs, shards, plan.components, true);
-            }
-        }
-    }
-    let outs: Vec<ShardOut> = run_parallel(&plan.shards, threads, |shard: &Shard| {
-        // Sub-simulators are built inside the worker (a Simulator is not
-        // Send; the spec is).
-        let sim = spec.build_shard(shard);
-        run_shard_streaming(
-            sim,
-            shard.sniffer_indices().collect(),
+    let stream_shard = |sim: Simulator| {
+        let shard = Scenario {
+            name: String::new(),
             duration_us,
-            chunk_us,
-        )
-    });
-    let shards = plan.shards.len();
-    merge_shard_outs(name, &spec, outs, shards, plan.components, false)
-}
-
-/// Merges per-shard outputs into one [`ShardedRun`]. Placement and sums
-/// only: every sniffer lives in exactly one shard, medium stats and the
-/// scalar counters are disjoint per shard (under lockstep, ghosts are
-/// excluded from every merged counter), so the merge is exact.
-fn merge_shard_outs(
-    name: String,
-    spec: &ShardSpec,
-    outs: Vec<ShardOut>,
-    shards: usize,
-    components: usize,
-    lockstep: bool,
-) -> ShardedRun {
-    let channels = spec.config().channels.len();
-    let mut per_sniffer_seconds: Vec<Vec<SecondStats>> =
-        (0..spec.sniffer_count()).map(|_| Vec::new()).collect();
-    let mut sniffer_stats: Vec<SnifferStats> = vec![SnifferStats::default(); spec.sniffer_count()];
-    let mut medium_stats = vec![(0u64, 0u64); channels];
-    let mut events_processed = 0u64;
-    let mut frames_on_air = 0u64;
-    let mut queue = QueueStats::default();
-    for out in outs {
-        for (gi, seconds, stats) in out.sniffers {
-            per_sniffer_seconds[gi] = seconds;
-            sniffer_stats[gi] = stats;
+            sim,
+        };
+        run_streaming(shard, chunk_us)
+    };
+    let (runs, components, lockstep): (Vec<ShardRun>, usize, bool) = match spec.plan(max_shards) {
+        Sharding::Unsharded => {
+            let all_sniffers = (0..spec.sniffer_count()).collect();
+            let runs = vec![(all_sniffers, stream_shard(spec.build_unsharded()))];
+            (runs, 1, false)
         }
-        for (ch, (tx, coll)) in out.medium_stats.into_iter().enumerate() {
-            medium_stats[ch].0 += tx;
-            medium_stats[ch].1 += coll;
+        Sharding::Components(plan) => {
+            // Sub-simulators are built inside the worker (a Simulator is
+            // not Send; the spec is).
+            let runs = run_parallel(&plan.shards, threads, |shard: &Shard| {
+                (
+                    shard.sniffer_indices().collect(),
+                    stream_shard(spec.build_shard(shard)),
+                )
+            });
+            (runs, plan.components, false)
         }
-        events_processed += out.events_processed;
-        frames_on_air += out.frames_on_air;
-        queue.pushed += out.queue.pushed;
-        queue.popped += out.queue.popped;
-        queue.stale_dropped += out.queue.stale_dropped;
-        queue.cascaded += out.queue.cascaded;
-    }
+        Sharding::Lockstep { plan, components } => (
+            run_lockstep(&spec, &plan, duration_us, threads),
+            components,
+            true,
+        ),
+    };
     ShardedRun {
-        run: StreamedRun {
-            name,
-            per_sniffer_seconds,
-            sniffer_stats,
-            medium_stats,
-            events_processed,
-            frames_on_air,
-            queue,
-        },
-        shards,
+        shards: runs.len(),
+        run: merge(name, runs),
         components,
         lockstep,
     }
+}
+
+/// Merges per-shard runs into one. Placement and sums only: every sniffer
+/// lives in exactly one shard, medium stats and the scalar counters are
+/// disjoint per shard (under lockstep, ghosts are excluded from every
+/// counter on non-owner shards), so the merge is exact.
+fn merge(name: String, runs: Vec<ShardRun>) -> StreamedRun {
+    let mut sniffers = Vec::new();
+    let mut merged = StreamedRun::default();
+    for (indices, run) in runs {
+        sniffers.extend(
+            indices
+                .into_iter()
+                .zip(run.per_sniffer_seconds.into_iter().zip(run.sniffer_stats)),
+        );
+        merged.medium_stats.resize(run.medium_stats.len(), (0, 0));
+        for (sum, (tx, coll)) in merged.medium_stats.iter_mut().zip(run.medium_stats) {
+            sum.0 += tx;
+            sum.1 += coll;
+        }
+        merged.events_processed += run.events_processed;
+        merged.frames_on_air += run.frames_on_air;
+        merged.queue.pushed += run.queue.pushed;
+        merged.queue.popped += run.queue.popped;
+        merged.queue.stale_dropped += run.queue.stale_dropped;
+        merged.queue.cascaded += run.queue.cascaded;
+    }
+    // The shards' sniffers together are the whole roster, once each.
+    sniffers.sort_by_key(|&(gi, _)| gi);
+    debug_assert!(sniffers.iter().enumerate().all(|(i, &(gi, _))| i == gi));
+    (merged.per_sniffer_seconds, merged.sniffer_stats) =
+        sniffers.into_iter().map(|(_, sniffer)| sniffer).unzip();
+    merged.name = name;
+    merged
 }
 
 /// A sense-reversing spin barrier. The lockstep protocol crosses a barrier
@@ -511,21 +440,22 @@ impl SpinBarrier {
 }
 
 /// One worker's owned lockstep shard: the sub-simulator plus its streaming
-/// analysis state.
+/// analysis.
 struct LockstepState {
     shard_idx: usize,
     sim: Simulator,
     sniffer_indices: Vec<usize>,
-    accs: Vec<SecondAccumulator>,
+    analysis: Analysis,
 }
 
 /// Drives a lockstep plan to `duration_us`: every shard advances through
 /// the same bounded windows, with a two-barrier exchange round at each
 /// boundary (see `docs/DETERMINISM.md` for the protocol and its proof).
+/// Returns each shard's run, in shard order.
 ///
 /// Round structure, per window `[start, target]`:
 /// 1. each worker runs its shards to `target` and drains sniffer traces
-///    into the per-shard accumulators;
+///    into the per-shard analysis;
 /// 2. each worker publishes its shards' outgoing [`RemoteNotice`]s, then
 ///    **barrier** — all outboxes are complete;
 /// 3. each worker applies every *other* shard's notices to its own shards
@@ -541,7 +471,7 @@ fn run_lockstep(
     plan: &LockstepPlan,
     duration_us: Micros,
     threads: usize,
-) -> Vec<ShardOut> {
+) -> Vec<ShardRun> {
     let k = plan.shards.len();
     let w = plan.window_us;
     // Worker count is a pure throughput knob — shard↔worker assignment and
@@ -555,7 +485,7 @@ fn run_lockstep(
     // before a barrier, read by everyone after it.
     let outboxes: Vec<Mutex<Vec<RemoteNotice>>> = (0..k).map(|_| Mutex::new(Vec::new())).collect();
     let next_times: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(u64::MAX)).collect();
-    let mut outs: Vec<(usize, ShardOut)> = std::thread::scope(|scope| {
+    let mut runs: Vec<(usize, ShardRun)> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for worker in 0..workers {
             let (barrier, outboxes, next_times) = (&barrier, &outboxes, &next_times);
@@ -567,16 +497,12 @@ fn run_lockstep(
                     .step_by(workers)
                     .map(|shard_idx| {
                         let shard = &plan.shards[shard_idx];
-                        let sniffer_indices: Vec<usize> = shard.sniffer_indices().collect();
-                        let accs = sniffer_indices
-                            .iter()
-                            .map(|_| SecondAccumulator::new())
-                            .collect();
+                        let sim = spec.build_lockstep_shard(shard);
                         LockstepState {
                             shard_idx,
-                            sim: spec.build_lockstep_shard(shard),
-                            sniffer_indices,
-                            accs,
+                            analysis: Analysis::new(&sim),
+                            sim,
+                            sniffer_indices: shard.sniffer_indices().collect(),
                         }
                     })
                     .collect();
@@ -588,11 +514,7 @@ fn run_lockstep(
                     let target = (start + w - 1).min(duration_us);
                     for st in &mut states {
                         st.sim.run_until(target);
-                        for (sniffer, acc) in st.sim.sniffers_mut().iter_mut().zip(&mut st.accs) {
-                            for record in sniffer.trace.drain(..) {
-                                acc.push(record);
-                            }
-                        }
+                        st.analysis.drain(&mut st.sim);
                     }
                     if target == duration_us {
                         // Final window: remaining notices could only seed
@@ -638,35 +560,14 @@ fn run_lockstep(
                     }
                     start = next.min(duration_us / w * w);
                 }
+                // Owner-filtered counters: shells own nothing — ghost air
+                // time, collisions and events are all excluded on non-owner
+                // shards, so the shards' sums are the unsharded totals.
                 states
                     .into_iter()
                     .map(|st| {
-                        let LockstepState {
-                            shard_idx,
-                            sim,
-                            sniffer_indices,
-                            accs,
-                        } = st;
-                        let sniffers = sniffer_indices
-                            .into_iter()
-                            .zip(accs)
-                            .zip(sim.sniffers().iter())
-                            .map(|((gi, acc), s)| (gi, acc.finish(), s.stats))
-                            .collect();
-                        (
-                            shard_idx,
-                            ShardOut {
-                                sniffers,
-                                // Owner-filtered: shells own nothing here —
-                                // ghost air time, collisions and events are
-                                // all excluded on non-owner shards, so
-                                // these sums merge to the unsharded totals.
-                                medium_stats: sim.medium_stats(),
-                                events_processed: sim.events_processed(),
-                                frames_on_air: sim.ground_truth.transmissions,
-                                queue: sim.queue_stats(),
-                            },
-                        )
+                        let run = st.analysis.finish(String::new(), &st.sim);
+                        (st.shard_idx, (st.sniffer_indices, run))
                     })
                     .collect::<Vec<_>>()
             }));
@@ -676,8 +577,8 @@ fn run_lockstep(
             .flat_map(|h| h.join().expect("lockstep worker panicked"))
             .collect()
     });
-    outs.sort_by_key(|&(shard_idx, _)| shard_idx);
-    outs.into_iter().map(|(_, out)| out).collect()
+    runs.sort_by_key(|&(shard_idx, _)| shard_idx);
+    runs.into_iter().map(|(_, run)| run).collect()
 }
 
 #[cfg(test)]
@@ -730,6 +631,46 @@ mod tests {
                 .zip(&serial.per_sniffer_seconds)
             {
                 assert_eq!(format!("{p:?}"), format!("{s:?}"));
+            }
+        }
+    }
+
+    /// The mobile driver must reproduce the batch mobile run — events,
+    /// captures, per-second statistics and walker moves — whether chunks
+    /// end before, on or after the mobility ticks, and when the duration
+    /// is not a whole number of ticks.
+    #[test]
+    fn streaming_mobile_matches_batch() {
+        use ietf_workloads::{mobile_venue, ChurnScale};
+        let scenario = || {
+            let mut sc = mobile_venue(ChurnScale {
+                seed: 7,
+                users: 24,
+                duration_s: 3,
+                activity: 1.5,
+                walker_fraction: 1.0,
+            });
+            sc.tick_us = 300_000;
+            sc.duration_us = 2_150_000;
+            sc
+        };
+        let batch = scenario().run();
+        let mut walked = scenario();
+        walked.run_until(walked.duration_us);
+        let (moves, roams) = (walked.mobility.moves, walked.mobility.roams);
+        assert!(moves > 0, "walkers moved");
+        for chunk_us in [100_000u64, 300_000, 700_000] {
+            let (run, stats) = run_streaming_mobile(scenario(), chunk_us);
+            assert_eq!(run.events_processed, batch.events_processed);
+            assert_eq!(run.frames_on_air, batch.frames_on_air);
+            assert_eq!(run.medium_stats, batch.medium_stats);
+            assert_eq!(
+                format!("{:?}", run.sniffer_stats),
+                format!("{:?}", batch.sniffer_stats)
+            );
+            assert_eq!((stats.moves, stats.roams), (moves, roams));
+            for (seconds, trace) in run.per_sniffer_seconds.iter().zip(&batch.traces) {
+                assert_eq!(format!("{seconds:?}"), format!("{:?}", analyze(trace)));
             }
         }
     }

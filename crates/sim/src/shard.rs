@@ -52,6 +52,9 @@
 //! channel has no AP anywhere (the client would rescan onto another
 //! channel). Callers fall back to the unsharded build.
 //!
+//! [`ShardSpec::plan`] makes the whole decision once — unsharded,
+//! components, or lockstep (below) — and is what the scenario driver runs.
+//!
 //! ## Time-window lockstep sharding (dense cells)
 //!
 //! Component sharding has a hard ceiling: one coupled cell — the paper's
@@ -339,6 +342,23 @@ pub struct LockstepPlan {
     pub window_us: Micros,
 }
 
+/// How to run a scenario, as decided by [`ShardSpec::plan`].
+pub enum Sharding {
+    /// One unsharded simulator: the scenario cannot be partitioned
+    /// (dynamic channel management, an orphan client, or `max_shards == 0`).
+    Unsharded,
+    /// RF-isolation component shards.
+    Components(ShardPlan),
+    /// Time-window lockstep shards at [`DEFAULT_LOCKSTEP_WINDOW_US`], whose
+    /// BSS cut is strictly finer than the component plan.
+    Lockstep {
+        /// The lockstep shards.
+        plan: LockstepPlan,
+        /// RF-isolation components the component planner found.
+        components: usize,
+    },
+}
+
 /// Union-find over scenario entities (stations, then sniffers).
 struct UnionFind {
     parent: Vec<usize>,
@@ -368,6 +388,44 @@ impl UnionFind {
             self.parent[hi] = lo;
         }
     }
+
+    /// Numbers the sets densely in first-seen order of entity index:
+    /// returns each entity's set number and the number of sets.
+    fn dense_ids(&mut self) -> (Vec<usize>, usize) {
+        let n = self.parent.len();
+        let mut id_of_root = vec![usize::MAX; n];
+        let mut count = 0;
+        let mut ids = Vec::with_capacity(n);
+        for e in 0..n {
+            let root = self.find(e);
+            if id_of_root[root] == usize::MAX {
+                id_of_root[root] = count;
+                count += 1;
+            }
+            ids.push(id_of_root[root]);
+        }
+        (ids, count)
+    }
+}
+
+/// Longest-processing-time packing: items, largest `sizes` first, each go
+/// to the least-loaded of at most `max_bins` bins (at least one).
+/// Deterministic — stable sort, lowest bin wins ties. Returns the item
+/// indices of each bin in placement order.
+fn lpt_pack(sizes: &[usize], max_bins: usize) -> Vec<Vec<usize>> {
+    let mut order: Vec<usize> = (0..sizes.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(sizes[i]));
+    let bins = max_bins.min(sizes.len()).max(1);
+    let mut loads = vec![0usize; bins];
+    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); bins];
+    for i in order {
+        let bin = (0..bins)
+            .min_by_key(|&b| loads[b])
+            .expect("at least one bin");
+        loads[bin] += sizes[i];
+        assignment[bin].push(i);
+    }
+    assignment
 }
 
 impl ShardSpec {
@@ -522,21 +580,8 @@ impl ShardSpec {
         sniffer_hears: impl Fn(usize, usize) -> bool,
     ) -> Option<(UnionFind, CouplingSignature)> {
         let n = self.stations.len();
-        // Every client must have a co-channel AP somewhere, or the join
-        // logic rescans onto another channel (a migration partitioned
-        // media cannot express).
-        for op in &self.stations {
-            if op.is_ap() {
-                continue;
-            }
-            let ch = op.channel_idx();
-            if !self
-                .stations
-                .iter()
-                .any(|o| o.is_ap() && o.channel_idx() == ch)
-            {
-                return None;
-            }
+        if self.has_orphan_client() {
+            return None;
         }
         let mut uf = UnionFind::new(n + self.sniffers.len());
         // Coupled same-channel pairs interact; everything below the floor
@@ -549,26 +594,10 @@ impl ShardSpec {
                 }
             }
         }
-        // Forced edge: each client joins the strongest co-channel AP (first
-        // maximum in build order — exactly the join-time argmax), wherever
-        // it is; keep that AP in the client's component.
-        let mut client_ap = Vec::new();
-        for c in 0..n {
-            if self.stations[c].is_ap() {
-                continue;
-            }
-            let ch = self.stations[c].channel_idx();
-            let mut best: Option<(usize, f64)> = None;
-            for (i, op) in self.stations.iter().enumerate() {
-                if op.is_ap() && op.channel_idx() == ch {
-                    let rssi = ap_rssi(i, c);
-                    if best.is_none_or(|(_, b)| rssi > b) {
-                        best = Some((i, rssi));
-                    }
-                }
-            }
-            let (ap, _) = best.expect("checked above: every client channel has an AP");
-            client_ap.push((c, ap));
+        // Forced edge: each client joins its join-time AP wherever it is;
+        // keep that AP in the client's component.
+        let client_ap = self.client_aps(ap_rssi);
+        for &(c, ap) in &client_ap {
             uf.union(c, ap);
         }
         // A sniffer hears (or counts a miss for) every co-channel station
@@ -585,6 +614,45 @@ impl ShardSpec {
         // member index (lower-root-wins), independent of edge order.
         let labels = (0..n + self.sniffers.len()).map(|e| uf.find(e)).collect();
         Some((uf, CouplingSignature { labels, client_ap }))
+    }
+
+    /// Does some client's channel have no AP at all? Its join would rescan
+    /// onto another channel — a migration neither partitioned media nor
+    /// lockstep shards can express.
+    fn has_orphan_client(&self) -> bool {
+        let has_ap = |ch: usize| {
+            self.stations
+                .iter()
+                .any(|o| o.is_ap() && o.channel_idx() == ch)
+        };
+        self.stations
+            .iter()
+            .any(|op| !op.is_ap() && !has_ap(op.channel_idx()))
+    }
+
+    /// Each client's join-time AP as `(client, ap)`, ascending by client:
+    /// the co-channel AP with the strongest `ap_rssi(ap, client)`, first
+    /// maximum in build order — exactly the join-time argmax. Callers rule
+    /// out orphan clients first.
+    fn client_aps(&self, ap_rssi: impl Fn(usize, usize) -> f64) -> Vec<(usize, usize)> {
+        let mut client_ap = Vec::new();
+        for (c, client) in self.stations.iter().enumerate() {
+            if client.is_ap() {
+                continue;
+            }
+            let mut best: Option<(usize, f64)> = None;
+            for (i, op) in self.stations.iter().enumerate() {
+                if op.is_ap() && op.channel_idx() == client.channel_idx() {
+                    let rssi = ap_rssi(i, c);
+                    if best.is_none_or(|(_, b)| rssi > b) {
+                        best = Some((i, rssi));
+                    }
+                }
+            }
+            let (ap, _) = best.expect("orphan clients are ruled out first");
+            client_ap.push((c, ap));
+        }
+        client_ap
     }
 
     /// Partitions the scenario into at most `max_shards` shards of
@@ -658,52 +726,31 @@ impl ShardSpec {
         for &(a, b) in keep_together {
             uf.union(a, b);
         }
-        // Collect components, keyed by (first-seen order of) root.
-        let mut comp_of_root: Vec<(usize, usize)> = Vec::new(); // (root, comp id)
-        let mut comp_id = |uf: &mut UnionFind, entity: usize, comps: &mut Vec<Component>| {
-            let root = uf.find(entity);
-            if let Some(&(_, id)) = comp_of_root.iter().find(|&&(r, _)| r == root) {
-                return id;
-            }
-            let id = comps.len();
-            comp_of_root.push((root, id));
-            comps.push(Component::default());
-            id
-        };
+        // Components in first-seen order of their members.
         #[derive(Default)]
         struct Component {
             channel: Option<usize>,
             stations: Vec<usize>,
             sniffers: Vec<usize>,
         }
+        let (comp_of, components) = uf.dense_ids();
         let mut comps: Vec<Component> = Vec::new();
-        for i in 0..n {
-            let id = comp_id(&mut uf, i, &mut comps);
-            comps[id].channel = Some(self.stations[i].channel_idx());
-            comps[id].stations.push(i);
+        comps.resize_with(components, Component::default);
+        for (i, op) in self.stations.iter().enumerate() {
+            let comp = &mut comps[comp_of[i]];
+            comp.channel = Some(op.channel_idx());
+            comp.stations.push(i);
         }
         for (si, cfg) in self.sniffers.iter().enumerate() {
-            let id = comp_id(&mut uf, n + si, &mut comps);
+            let comp = &mut comps[comp_of[n + si]];
             // A sniffer coupled to nothing forms its own (silent) medium.
-            comps[id].channel.get_or_insert(cfg.channel_idx);
-            comps[id].sniffers.push(si);
+            comp.channel.get_or_insert(cfg.channel_idx);
+            comp.sniffers.push(si);
         }
-        let components = comps.len();
-        // Longest-processing-time packing by station count into at most
-        // `max_shards` bins (deterministic: stable sort, lowest bin wins
-        // ties).
-        let mut order: Vec<usize> = (0..comps.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(comps[i].stations.len()));
-        let bins = max_shards.min(comps.len()).max(1);
-        let mut loads = vec![0usize; bins];
-        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); bins];
-        for &ci in &order {
-            let bin = (0..bins).min_by_key(|&b| loads[b]).unwrap();
-            loads[bin] += comps[ci].stations.len();
-            assignment[bin].push(ci);
-        }
+        // Pack by station count into at most `max_shards` shards.
+        let sizes: Vec<usize> = comps.iter().map(|c| c.stations.len()).collect();
         let mut shards = Vec::new();
-        for mut group in assignment {
+        for mut group in lpt_pack(&sizes, max_shards) {
             if group.is_empty() {
                 continue;
             }
@@ -777,6 +824,38 @@ impl ShardSpec {
         sim
     }
 
+    /// Decides once how to run the scenario on at most `max_shards` shards:
+    /// [`Sharding::Unsharded`] when [`ShardSpec::partition`] declines;
+    /// [`Sharding::Lockstep`] at [`DEFAULT_LOCKSTEP_WINDOW_US`] when the
+    /// components stop short of `max_shards` and the BSS cut is strictly
+    /// finer than the component plan; [`Sharding::Components`] otherwise.
+    ///
+    /// The cut is compared before the relevance step builds its full N×N
+    /// topology, so a scenario whose components already hold one BSS each
+    /// (the venue campus) never pays for a lockstep plan it would discard.
+    pub fn plan(&self, max_shards: usize) -> Sharding {
+        let Some(by_component) = self.partition(max_shards) else {
+            return Sharding::Unsharded;
+        };
+        // The component count is the ceiling of component sharding; only a
+        // cap above it (the dense-cell regime — the plenary is three coupled
+        // cells however many cores are available) leaves room for lockstep.
+        let shards = by_component.shards.len();
+        let window_us = DEFAULT_LOCKSTEP_WINDOW_US;
+        let cut = if shards < max_shards {
+            self.bss_cut(max_shards, window_us)
+        } else {
+            None
+        };
+        match cut {
+            Some(owned) if owned.len() > shards => Sharding::Lockstep {
+                plan: self.lockstep_plan(owned, window_us),
+                components: by_component.components,
+            },
+            _ => Sharding::Components(by_component),
+        }
+    }
+
     /// Partitions the scenario for time-window lockstep execution (see the
     /// module docs), or `None` when it cannot or should not engage:
     /// dynamic channel management, an orphan client (cross-channel rescan),
@@ -785,6 +864,14 @@ impl ShardSpec {
     /// cannot fill more than one shard. Callers fall back to component
     /// sharding or the unsharded build.
     pub fn partition_lockstep(&self, max_shards: usize, window_us: Micros) -> Option<LockstepPlan> {
+        let owned = self.bss_cut(max_shards, window_us)?;
+        Some(self.lockstep_plan(owned, window_us))
+    }
+
+    /// The BSS-cut step of [`ShardSpec::partition_lockstep`]: each shard's
+    /// owned stations (ascending), largest shard first, or `None` where
+    /// lockstep declines. Builds no topology.
+    fn bss_cut(&self, max_shards: usize, window_us: Micros) -> Option<Vec<Vec<usize>>> {
         let n = self.stations.len();
         if self.config.channel_mgmt.is_some() || max_shards < 2 || n == 0 {
             return None;
@@ -797,78 +884,37 @@ impl ShardSpec {
         if window_us == 0 || window_us > self.config.cs_delay_us.min(OVERLAP_GUARD_US) {
             return None;
         }
-        let radio = &self.config.radio;
-        let floor = radio.effective_coupling_floor_dbm();
         // Orphan clients rescan onto other channels, toward APs a sibling
         // shard may own; decline exactly as component sharding does.
-        for op in &self.stations {
-            if !op.is_ap()
-                && !self
-                    .stations
-                    .iter()
-                    .any(|o| o.is_ap() && o.channel_idx() == op.channel_idx())
-            {
-                return None;
-            }
+        if self.has_orphan_client() {
+            return None;
         }
-        // BSS grouping: co-own each client with its join-time argmax AP
-        // (strongest co-channel path, first maximum in build order).
+        // BSS grouping: co-own each client with its join-time argmax AP.
         // Downlink MSDUs are enqueued at the AP from the client's own
         // traffic handler; only co-ownership keeps that enqueue
         // shard-local.
+        let radio = &self.config.radio;
         let mut uf = UnionFind::new(n);
-        for c in 0..n {
-            if self.stations[c].is_ap() {
-                continue;
-            }
-            let ch = self.stations[c].channel_idx();
-            let mut best: Option<(usize, f64)> = None;
-            for (i, op) in self.stations.iter().enumerate() {
-                if op.is_ap() && op.channel_idx() == ch {
-                    let rssi = radio.rssi_dbm(op.pos(), self.stations[c].pos());
-                    if best.is_none_or(|(_, b)| rssi > b) {
-                        best = Some((i, rssi));
-                    }
-                }
-            }
-            let (ap, _) = best.expect("checked above: every client channel has an AP");
+        let client_ap = self
+            .client_aps(|ap, c| radio.rssi_dbm(self.stations[ap].pos(), self.stations[c].pos()));
+        for (c, ap) in client_ap {
             uf.union(c, ap);
         }
-        // Collect BSS groups in first-seen root order.
-        let mut root_ids: Vec<(usize, usize)> = Vec::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for i in 0..n {
-            let root = uf.find(i);
-            let gid = match root_ids.iter().find(|&&(r, _)| r == root) {
-                Some(&(_, g)) => g,
-                None => {
-                    root_ids.push((root, groups.len()));
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                }
-            };
-            groups[gid].push(i);
-        }
-        if groups.len() < 2 {
+        let (group_of, count) = uf.dense_ids();
+        if count < 2 {
             return None; // one BSS: nothing to split
         }
-        // Longest-processing-time packing by station count (deterministic:
-        // stable sort, lowest bin wins ties), then ascending owned lists.
-        let bins = max_shards.min(groups.len());
-        let mut order: Vec<usize> = (0..groups.len()).collect();
-        order.sort_by_key(|&g| std::cmp::Reverse(groups[g].len()));
-        let mut loads = vec![0usize; bins];
-        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); bins];
-        for &g in &order {
-            let bin = (0..bins).min_by_key(|&b| loads[b]).unwrap();
-            loads[bin] += groups[g].len();
-            assignment[bin].push(g);
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); count];
+        for (i, &g) in group_of.iter().enumerate() {
+            groups[g].push(i);
         }
-        let mut owned_lists: Vec<Vec<usize>> = assignment
+        // Pack by station count, then ascending owned lists.
+        let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
+        let mut owned_lists: Vec<Vec<usize>> = lpt_pack(&sizes, max_shards)
             .into_iter()
-            .filter(|grp| !grp.is_empty())
-            .map(|grp| {
-                let mut v: Vec<usize> = grp
+            .filter(|bin| !bin.is_empty())
+            .map(|bin| {
+                let mut v: Vec<usize> = bin
                     .iter()
                     .flat_map(|&g| groups[g].iter().copied())
                     .collect();
@@ -880,6 +926,17 @@ impl ShardSpec {
             return None;
         }
         owned_lists.sort_by_key(|v| (std::cmp::Reverse(v.len()), v.first().copied()));
+        Some(owned_lists)
+    }
+
+    /// The relevance step of [`ShardSpec::partition_lockstep`]: assigns the
+    /// sniffers to the BSS cut's shards and derives each shard's export
+    /// mask from relevance closures over a full N×N topology — the
+    /// expensive part of lockstep planning.
+    fn lockstep_plan(&self, owned_lists: Vec<Vec<usize>>, window_us: Micros) -> LockstepPlan {
+        let n = self.stations.len();
+        let radio = &self.config.radio;
+        let floor = radio.effective_coupling_floor_dbm();
         let k = owned_lists.len();
         // Sniffers: deterministic round-robin by global index. Each sniffer
         // is wholly owned by one shard; the relevance closure below makes
@@ -931,7 +988,7 @@ impl ShardSpec {
                 }
             })
             .collect();
-        Some(LockstepPlan { shards, window_us })
+        LockstepPlan { shards, window_us }
     }
 
     /// Materializes one lockstep shard: a full-roster per-channel simulator
@@ -1197,5 +1254,60 @@ mod tests {
         cm.add_client(client(Pos::new(1.0, 1.0), 0));
         cm.add_client(client(Pos::new(41.0, 1.0), 0));
         assert!(cm.partition_lockstep(4, 10).is_none(), "channel mgmt");
+    }
+
+    /// Adds a dense cell of two BSSs on channel `ch` at `x`: one coupled
+    /// component, two BSS groups.
+    fn dense_two_bss(spec: &mut ShardSpec, ch: usize, x: f64) {
+        spec.add_ap(Pos::new(x, 0.0), ch, 4);
+        spec.add_ap(Pos::new(x + 40.0, 0.0), ch, 4);
+        for i in 0..3 {
+            spec.add_client(client(Pos::new(x + 2.0 * i as f64, 1.0), ch));
+            spec.add_client(client(Pos::new(x + 40.0 + 2.0 * i as f64, 1.0), ch));
+        }
+    }
+
+    /// `plan` decides unsharded / components / lockstep once, comparing
+    /// the BSS cut with the component plan before any relevance topology
+    /// is built.
+    #[test]
+    fn plan_decides_once() {
+        // A dense multi-BSS cell past its component ceiling: lockstep.
+        let mut dense = ShardSpec::new(config(vec![1]));
+        dense_two_bss(&mut dense, 0, 0.0);
+        match dense.plan(4) {
+            Sharding::Lockstep { plan, components } => {
+                assert_eq!((components, plan.shards.len()), (1, 2));
+                assert_eq!(plan.window_us, DEFAULT_LOCKSTEP_WINDOW_US);
+            }
+            _ => panic!("a dense two-BSS cell under a cap of 4 runs lockstep"),
+        }
+        // One BSS per component: the cut is no finer than the components,
+        // so the plan never reaches the relevance step.
+        let mut campus = ShardSpec::new(config(vec![1]));
+        for h in 0..3 {
+            let x = h as f64 * 10_000.0;
+            campus.add_ap(Pos::new(x, 0.0), 0, 4);
+            campus.add_client(client(Pos::new(x + 2.0, 3.0), 0));
+        }
+        let cut = campus.bss_cut(usize::MAX, DEFAULT_LOCKSTEP_WINDOW_US);
+        assert_eq!(cut.map(|c| c.len()), Some(3));
+        assert!(matches!(campus.plan(usize::MAX), Sharding::Components(p) if p.shards.len() == 3));
+        // Dynamic channel management: unsharded.
+        let mut cfg = config(vec![1]);
+        cfg.channel_mgmt = Some(crate::config::ChannelMgmt::default());
+        let mut cm = ShardSpec::new(cfg);
+        dense_two_bss(&mut cm, 0, 0.0);
+        assert!(matches!(cm.plan(4), Sharding::Unsharded));
+        // A cap the components already fill: components, though the BSS
+        // cut could split each cell further.
+        let mut halls = ShardSpec::new(config(vec![1]));
+        dense_two_bss(&mut halls, 0, 0.0);
+        dense_two_bss(&mut halls, 0, 10_000.0);
+        for max_shards in [1, 2] {
+            assert!(
+                matches!(halls.plan(max_shards), Sharding::Components(p) if p.shards.len() == max_shards)
+            );
+        }
     }
 }

@@ -16,8 +16,9 @@
 //!   global flush), followed by a strongest-AP reassociation check with
 //!   hysteresis ([`Simulator::reassociate_strongest`]), mirroring how
 //!   aggressive-roaming-era cards hopped APs as RSSI shifted.
-//! * [`MobileScenario`] is the driver: simulate a tick, move the walkers,
-//!   repeat — and [`mobile_venue`] instantiates the pinned churn workload
+//! * [`MobileScenario`] owns the tick schedule
+//!   ([`MobileScenario::run_until`]): simulate to the next tick, move the
+//!   walkers, repeat — and [`mobile_venue`] instantiates the pinned churn workload
 //!   (`BENCH_sim_churn.json`).
 //!
 //! Determinism: one seeded [`SmallRng`] drives every walker, advanced in
@@ -192,18 +193,31 @@ pub struct MobileScenario {
 }
 
 impl MobileScenario {
-    /// Runs to completion, interleaving simulation and movement. The final
-    /// boundary applies no moves (there is nothing left to observe them).
+    /// Runs to completion, interleaving simulation and movement.
     pub fn run(mut self) -> ScenarioResult {
-        let mut now: Micros = 0;
-        while now < self.duration_us {
-            now = (now + self.tick_us).min(self.duration_us);
-            self.sim.run_until(now);
-            if now < self.duration_us {
-                self.mobility.advance(&mut self.sim, self.tick_us);
+        self.run_until(self.duration_us);
+        collect_result(self.name, &mut self.sim)
+    }
+
+    /// Advances the run to `until` (capped at `duration_us`), moving the
+    /// walkers at every mobility-tick boundary on the way: simulation is
+    /// clipped at tick boundaries so a move never lands mid-step, and the
+    /// final boundary applies no moves (there is nothing left to observe
+    /// them). A zero `tick_us` counts as 1 µs. Between ticks, successive
+    /// calls are pure continuations of one event queue, so any sequence of
+    /// calls ending at `duration_us` reproduces [`MobileScenario::run`].
+    pub fn run_until(&mut self, until: Micros) {
+        let until = until.min(self.duration_us);
+        let tick_us = self.tick_us.max(1);
+        while self.sim.now() < until {
+            let now = self.sim.now();
+            let next_tick = (now - now % tick_us).saturating_add(tick_us);
+            let step = next_tick.min(until);
+            self.sim.run_until(step);
+            if step == next_tick && step < self.duration_us {
+                self.mobility.advance(&mut self.sim, tick_us);
             }
         }
-        collect_result(self.name, &mut self.sim)
     }
 }
 
@@ -336,15 +350,8 @@ mod tests {
             walker_fraction: 1.0,
         });
         let ticks = sc.duration_us / sc.tick_us;
-        // Drive manually so the mobility counters stay inspectable.
-        let mut now = 0;
-        while now < sc.duration_us {
-            now = (now + sc.tick_us).min(sc.duration_us);
-            sc.sim.run_until(now);
-            if now < sc.duration_us {
-                sc.mobility.advance(&mut sc.sim, sc.tick_us);
-            }
-        }
+        // Not `run`, so the mobility counters stay inspectable.
+        sc.run_until(sc.duration_us);
         assert!(sc.mobility.moves > 0, "walkers moved");
         assert!(
             sc.mobility.moves <= sc.mobility.walker_count() as u64 * ticks,
@@ -354,5 +361,24 @@ mod tests {
             assert!(w.pos.x >= 0.0 && w.pos.x <= VENUE_W);
             assert!(w.pos.y >= 0.0 && w.pos.y <= VENUE_H);
         }
+    }
+
+    /// A zero tick used to spin forever at `now = 0`; it now counts as
+    /// 1 µs, so the run ends with one move per walker per tick.
+    #[test]
+    fn zero_tick_run_terminates() {
+        let mut sc = mobile_venue(ChurnScale {
+            seed: 5,
+            users: 3,
+            duration_s: 1,
+            activity: 0.5,
+            walker_fraction: 1.0,
+        });
+        sc.tick_us = 0;
+        sc.duration_us = 1_000;
+        sc.run_until(sc.duration_us);
+        // No move at the final boundary.
+        assert_eq!(sc.mobility.moves, 3 * 999);
+        assert_eq!(sc.run().name, "churn");
     }
 }
