@@ -37,14 +37,19 @@
 //! component, so the split comes from time-window lockstep sharding (bounded
 //! window advance, cross-shard TxStart/TxEnd exchange at window boundaries),
 //! still byte-identical to the serial run. Sharded trajectory entries carry
-//! `threads`/`shards`/`components`/`lockstep`/`host_cpus` so scaling claims
-//! can be read against the hardware that produced them — an entry at
+//! `threads`/`shards`/`components`/`lockstep`, and every simulator entry
+//! `host_cpus`, so scaling claims can be read against the hardware that
+//! produced them — an entry at
 //! `--threads 8` on a one-CPU host measures scheduling overhead, not speedup.
 //!
-//! `--check <file>` compares events/s against the *last* trajectory entry of
-//! a committed baseline and exits non-zero on a >15 % drop — after verifying
-//! the entry's scenario fingerprint (seed/users/duration/event count), so a
-//! stale file can't silently gate against the wrong workload.
+//! `--check <file>` compares events/s against the last trajectory entry of
+//! a committed baseline that ran the same way — lockstep or not (an entry
+//! without a `lockstep` field ran without it) — and exits non-zero on a
+//! drop of more than 15 %, after verifying the entry's scenario fingerprint
+//! (seed/users/duration/event count), so a stale file can't silently gate
+//! against the wrong workload. The plenary trajectory interleaves serial
+//! and lockstep entries; gating the serial run against a lockstep entry
+//! would let it lose most of its speed unnoticed.
 
 use congestion_bench::streaming::{
     run_sharded, run_streaming_mobile, run_streaming_pipelined, MobilityStats, StreamedRun,
@@ -342,19 +347,14 @@ fn main() {
     let frames_per_sec = run.frames_on_air as f64 / (wall_ms / 1e3).max(1e-9);
     let seconds_analyzed: usize = run.per_sniffer_seconds.iter().map(|s| s.len()).sum();
 
-    // Sharded entries record how the run was cut and what hardware ran it:
-    // events/s at `threads` only means speedup when `host_cpus` can supply
-    // that many workers.
+    // Sharded entries record how the run was cut: events/s at `threads`
+    // only means speedup when `host_cpus` (every entry) can supply that
+    // many workers.
     let sharding_fields = sharding
         .map(|(shards, components, lockstep)| {
             format!(
-                ", \"threads\": {}, \"shards\": {}, \"components\": {}, \
-                 \"lockstep\": {}, \"host_cpus\": {}",
-                threads,
-                shards,
-                components,
-                lockstep,
-                std::thread::available_parallelism().map_or(0, usize::from),
+                ", \"threads\": {threads}, \"shards\": {shards}, \
+                 \"components\": {components}, \"lockstep\": {lockstep}"
             )
         })
         .unwrap_or_default();
@@ -378,7 +378,8 @@ fn main() {
          \"duration_s\": {}, \"events\": {}, \"frames_on_air\": {}, \
          \"seconds_analyzed\": {}, \"queue_pushed\": {}, \"queue_popped\": {}, \
          \"queue_stale_dropped\": {}, \"queue_cascaded\": {}, \"wall_ms\": {:.1}, \
-         \"events_per_sec\": {:.0}, \"frames_per_sec\": {:.0}, \"peak_rss_kb\": {}{}{}{}}}",
+         \"events_per_sec\": {:.0}, \"frames_per_sec\": {:.0}, \"peak_rss_kb\": {}, \
+         \"host_cpus\": {}{}{}{}}}",
         entry_label.replace(['"', '\\'], "_"),
         pin.label(),
         pin.seed,
@@ -395,6 +396,7 @@ fn main() {
         events_per_sec,
         frames_per_sec,
         peak_rss_kb(),
+        std::thread::available_parallelism().map_or(0, usize::from),
         sharding_fields,
         mobility_fields,
         notes_field,
@@ -423,6 +425,7 @@ fn main() {
         check_regression(
             &baseline,
             check.as_deref().unwrap_or(""),
+            sharding.is_some_and(|(_, _, lockstep)| lockstep),
             &[
                 ("seed", pin.seed as f64),
                 ("users", pin.users as f64),
@@ -435,9 +438,10 @@ fn main() {
 }
 
 /// Gates this run's events/s against the last entry of a committed baseline
-/// trajectory: the fingerprint fields must match exactly (a baseline from a
-/// different pinned workload — or a semantics-changing build — would make
-/// the throughput ratio meaningless), then a >15 % drop fails.
+/// trajectory whose `lockstep` flag matches this run's (absent = `false`):
+/// the fingerprint fields must match exactly (a baseline from a different
+/// pinned workload — or a semantics-changing build — would make the
+/// throughput ratio meaningless), then a >15 % drop fails.
 ///
 /// The 15 % gate (was 30 % while the trajectories were still moving):
 /// interleaved same-host medians vary well under this band, so a breach
@@ -445,11 +449,14 @@ fn main() {
 fn check_regression(
     baseline: &str,
     baseline_path: &str,
+    lockstep: bool,
     fingerprint: &[(&str, f64)],
     events_per_sec: f64,
 ) {
-    let entry = last_entry(baseline).unwrap_or_else(|| {
-        eprintln!("error: baseline {baseline_path} has no trajectory entries");
+    let entry = last_entry(baseline, lockstep).unwrap_or_else(|| {
+        eprintln!(
+            "error: baseline {baseline_path} has no trajectory entries with lockstep = {lockstep}"
+        );
         std::process::exit(1);
     });
     for &(field, want) in fingerprint {
@@ -640,6 +647,7 @@ fn run_trace_pin(
         check_regression(
             baseline,
             check.unwrap_or(""),
+            false,
             &[
                 ("seed", pin.seed as f64),
                 ("users", pin.users as f64),
@@ -670,11 +678,14 @@ fn append_entry(path: &str, pin_label: &str, entry: &str) -> std::io::Result<()>
     std::fs::write(path, doc)
 }
 
-/// The last trajectory entry line (entries are one `{...}` per line).
-fn last_entry(json: &str) -> Option<&str> {
-    json.lines()
-        .rev()
-        .find(|l| l.trim_start().starts_with('{') && l.contains("\"events\""))
+/// The last trajectory entry line (entries are one `{...}` per line) whose
+/// run was — or, for `lockstep == false`, was not — lockstep-sharded.
+fn last_entry(json: &str, lockstep: bool) -> Option<&str> {
+    json.lines().rev().find(|l| {
+        l.trim_start().starts_with('{')
+            && l.contains("\"events\"")
+            && l.contains("\"lockstep\": true") == lockstep
+    })
 }
 
 /// Pulls a numeric field out of a flat JSON fragment (no serde in the
@@ -703,4 +714,26 @@ fn peak_rss_kb() -> u64 {
             })
         })
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A serial run gates against the last serial entry, even when a
+    /// lockstep entry follows it, and the reverse.
+    #[test]
+    fn check_picks_the_last_entry_of_the_same_mode() {
+        let doc = "{\n  \"pin\": \"plenary-523\",\n  \"trajectory\": [\n\
+            \x20   {\"label\": \"a\", \"events\": 1, \"events_per_sec\": 10},\n\
+            \x20   {\"label\": \"b\", \"events\": 1, \"events_per_sec\": 20, \"lockstep\": false},\n\
+            \x20   {\"label\": \"c\", \"events\": 1, \"events_per_sec\": 30, \"lockstep\": true},\n\
+            \x20   {\"label\": \"d\", \"events\": 1, \"events_per_sec\": 40, \"lockstep\": true}\n\
+            \x20 ]\n}\n";
+        let eps = |lockstep| json_number(last_entry(doc, lockstep).unwrap(), "events_per_sec");
+        assert_eq!(eps(false), Some(20.0));
+        assert_eq!(eps(true), Some(40.0));
+        let serial_only = doc.replace("\"lockstep\": true", "\"lockstep\": false");
+        assert!(last_entry(&serial_only, true).is_none());
+    }
 }

@@ -28,8 +28,8 @@
 
 use congestion::persec::{SecondAccumulator, SecondStats};
 use ietf_workloads::{MobileScenario, Scenario, ShardScenario};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::vec::Drain;
 use wifi_frames::record::FrameRecord;
 use wifi_frames::timing::Micros;
@@ -269,6 +269,11 @@ pub struct ShardedRun {
     /// Whether time-window lockstep sharding engaged (one coupled
     /// component, split along BSS lines).
     pub lockstep: bool,
+    /// Lockstep windows simulated — exchange rounds, plus the final window
+    /// — after idle-window skipping (0 when lockstep did not engage). A
+    /// pure function of the scenario and the plan: the same for every
+    /// worker count and chunk size.
+    pub windows: u64,
 }
 
 /// One shard's result: its sniffers' global indices, and its run.
@@ -331,34 +336,41 @@ pub fn run_sharded(
         };
         run_streaming(shard, chunk_us)
     };
-    let (runs, components, lockstep): (Vec<ShardRun>, usize, bool) = match spec.plan(max_shards) {
-        Sharding::Unsharded => {
-            let all_sniffers = (0..spec.sniffer_count()).collect();
-            let runs = vec![(all_sniffers, stream_shard(spec.build_unsharded()))];
-            (runs, 1, false)
-        }
-        Sharding::Components(plan) => {
-            // Sub-simulators are built inside the worker (a Simulator is
-            // not Send; the spec is).
-            let runs = run_parallel(&plan.shards, threads, |shard: &Shard| {
-                (
-                    shard.sniffer_indices().collect(),
-                    stream_shard(spec.build_shard(shard)),
-                )
-            });
-            (runs, plan.components, false)
-        }
-        Sharding::Lockstep { plan, components } => (
-            run_lockstep(&spec, &plan, duration_us, threads),
-            components,
-            true,
-        ),
-    };
+    let (runs, components, windows): (Vec<ShardRun>, usize, Option<u64>) =
+        match spec.plan(max_shards) {
+            Sharding::Unsharded => {
+                let all_sniffers = (0..spec.sniffer_count()).collect();
+                let runs = vec![(all_sniffers, stream_shard(spec.build_unsharded()))];
+                (runs, 1, None)
+            }
+            Sharding::Components(plan) => {
+                // Sub-simulators are built inside the worker (a Simulator is
+                // not Send; the spec is).
+                let runs = run_parallel(&plan.shards, threads, |shard: &Shard| {
+                    (
+                        shard.sniffer_indices().collect(),
+                        stream_shard(spec.build_shard(shard)),
+                    )
+                });
+                (runs, plan.components, None)
+            }
+            Sharding::Lockstep { plan, components } => {
+                // Worker count is a pure throughput knob — shard↔worker
+                // assignment and results are schedule-independent — so clamp
+                // to the cores actually available: oversubscribed barrier
+                // workers just steal each other's timeslices.
+                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+                let (runs, windows) =
+                    run_lockstep(&spec, &plan, duration_us, chunk_us, threads.min(cores));
+                (runs, components, Some(windows))
+            }
+        };
     ShardedRun {
         shards: runs.len(),
         run: merge(name, runs),
         components,
-        lockstep,
+        lockstep: windows.is_some(),
+        windows: windows.unwrap_or(0),
     }
 }
 
@@ -396,11 +408,11 @@ fn merge(name: String, runs: Vec<ShardRun>) -> StreamedRun {
     merged
 }
 
-/// A sense-reversing spin barrier. The lockstep protocol crosses a barrier
-/// twice per window (potentially millions of times per run); parking OS
-/// threads at that frequency would dominate the runtime, and the wait is
-/// bounded by one window of sibling simulation, so spinning is the right
-/// trade.
+/// A sense-reversing spin barrier. The lockstep protocol crosses it once
+/// per window (potentially hundreds of thousands of times per run);
+/// parking OS threads at that frequency would dominate the runtime, and the
+/// wait is bounded by one window of sibling simulation, so spinning is the
+/// right trade.
 struct SpinBarrier {
     n: usize,
     count: AtomicUsize,
@@ -439,6 +451,70 @@ impl SpinBarrier {
     }
 }
 
+/// What one shard publishes at a window boundary.
+#[derive(Default)]
+struct Published {
+    /// The shard's outgoing notices, in start order.
+    notices: Vec<RemoteNotice>,
+    /// The earliest event the exchange leaves on *any* queue on this
+    /// shard's account: its own pre-exchange next-event time, or the
+    /// earliest ghost its notices schedule on a sibling.
+    next: Micros,
+}
+
+/// The lockstep exchange board: one [`Published`] slot per shard for each
+/// window parity, written by the shard's owner and read by every worker
+/// without a lock.
+///
+/// Safety rests on the round protocol. Round `r` writes parity `r % 2`
+/// before its barrier and reads it only after. The owner rewrites that
+/// parity in round `r + 2`, after crossing round `r + 1`'s barrier — which
+/// every reader of round `r` reaches only once it has finished reading.
+/// The barrier's release/acquire pair orders each write before its reads.
+struct ExchangeBoard {
+    slots: [Vec<UnsafeCell<Published>>; 2],
+}
+
+// SAFETY: `slots` is the only field. By the protocol above a slot is never
+// written while another worker can read it; shared reads need
+// `RemoteNotice: Sync`, and the owner's rewrites of notices another worker
+// last read need `Send` — both asserted below.
+unsafe impl Sync for ExchangeBoard {}
+const _: fn() = || {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<RemoteNotice>();
+};
+
+impl ExchangeBoard {
+    fn new(k: usize) -> ExchangeBoard {
+        let parity = || (0..k).map(|_| UnsafeCell::default()).collect();
+        ExchangeBoard {
+            slots: [parity(), parity()],
+        }
+    }
+
+    /// Shard `shard`'s slot in round `round`, for its owner to fill.
+    ///
+    /// # Safety
+    /// The caller owns `shard`, and has crossed round `round - 1`'s barrier
+    /// (every reader of the parity's previous use is done with it).
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn publish(&self, round: u64, shard: usize) -> &mut Published {
+        &mut *self.slots[(round % 2) as usize][shard].get()
+    }
+
+    /// Every shard's slot in round `round`, in shard order.
+    ///
+    /// # Safety
+    /// The caller has crossed round `round`'s barrier, and drops the
+    /// returned references before reaching round `round + 1`'s.
+    unsafe fn read(&self, round: u64) -> impl Iterator<Item = &Published> {
+        self.slots[(round % 2) as usize]
+            .iter()
+            .map(|slot| &*slot.get())
+    }
+}
+
 /// One worker's owned lockstep shard: the sub-simulator plus its streaming
 /// analysis.
 struct LockstepState {
@@ -448,47 +524,45 @@ struct LockstepState {
     analysis: Analysis,
 }
 
-/// Drives a lockstep plan to `duration_us`: every shard advances through
-/// the same bounded windows, with a two-barrier exchange round at each
-/// boundary (see `docs/DETERMINISM.md` for the protocol and its proof).
-/// Returns each shard's run, in shard order.
+/// Drives a lockstep plan to `duration_us` on `workers` threads (clamped
+/// to `1..=k`): every shard advances through the same bounded windows,
+/// with a one-barrier exchange round at each boundary (see
+/// `docs/DETERMINISM.md` for the protocol and its proof). Returns each
+/// shard's run, in shard order, and the number of windows simulated.
 ///
 /// Round structure, per window `[start, target]`:
-/// 1. each worker runs its shards to `target` and drains sniffer traces
-///    into the per-shard analysis;
-/// 2. each worker publishes its shards' outgoing [`RemoteNotice`]s, then
-///    **barrier** — all outboxes are complete;
-/// 3. each worker applies every *other* shard's notices to its own shards
-///    as ghosts (in shard-index order) and publishes each shard's
-///    next-event time, then **barrier** — all inboxes are drained;
-/// 4. every worker independently computes the same next window start,
-///    skipping whole windows up to the global minimum next-event time.
+/// 1. each worker runs its shards to `target`, draining sniffer traces into
+///    the per-shard analysis whenever the window reaches a `chunk_us`
+///    boundary (and at the end of the run);
+/// 2. each worker publishes, per shard, its outgoing [`RemoteNotice`]s and
+///    the earliest event the exchange will leave on any queue on the
+///    shard's account, into the round's parity of the [`ExchangeBoard`] —
+///    then **barrier**;
+/// 3. each worker applies the non-empty sibling outboxes to its own shards
+///    as ghosts, in shard-index order, straight from the board;
+/// 4. every worker computes the same next window start from the published
+///    times: the natural successor, or — skipping whole idle windows — the
+///    window holding the global minimum next-event time.
 ///
 /// The schedule is a pure function of the plan and the window, so the
-/// result is identical for any worker count.
+/// result is identical for any worker count and chunk size.
 fn run_lockstep(
     spec: &ShardSpec,
     plan: &LockstepPlan,
     duration_us: Micros,
-    threads: usize,
-) -> Vec<ShardRun> {
+    chunk_us: Micros,
+    workers: usize,
+) -> (Vec<ShardRun>, u64) {
     let k = plan.shards.len();
     let w = plan.window_us;
-    // Worker count is a pure throughput knob — shard↔worker assignment and
-    // results are schedule-independent — so clamp to the cores actually
-    // available: oversubscribed barrier workers just steal each other's
-    // timeslices.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = threads.min(cores).clamp(1, k);
+    let chunk_us = chunk_us.max(1);
+    let workers = workers.clamp(1, k);
     let barrier = SpinBarrier::new(workers);
-    // One outbox and one next-event slot per shard; written by the owner
-    // before a barrier, read by everyone after it.
-    let outboxes: Vec<Mutex<Vec<RemoteNotice>>> = (0..k).map(|_| Mutex::new(Vec::new())).collect();
-    let next_times: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(u64::MAX)).collect();
-    let mut runs: Vec<(usize, ShardRun)> = std::thread::scope(|scope| {
+    let board = ExchangeBoard::new(k);
+    let results: Vec<(Vec<(usize, ShardRun)>, u64)> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for worker in 0..workers {
-            let (barrier, outboxes, next_times) = (&barrier, &outboxes, &next_times);
+            let (barrier, board) = (&barrier, &board);
             handles.push(scope.spawn(move || {
                 // Static ownership: worker j drives shards j, j+W, ... —
                 // the shard→worker map never affects results, only the
@@ -507,78 +581,95 @@ fn run_lockstep(
                     })
                     .collect();
                 let mut sense = false;
-                let mut notices: Vec<RemoteNotice> = Vec::new();
                 let mut start: Micros = 0;
+                let mut drain_at = chunk_us;
+                let mut round: u64 = 0;
                 loop {
-                    // Phase A: simulate the window and stream the analysis.
+                    // Simulate the window; stream the analysis at chunk
+                    // boundaries, so traces never hold more than a chunk.
                     let target = (start + w - 1).min(duration_us);
+                    let drain = target >= drain_at || target == duration_us;
                     for st in &mut states {
                         st.sim.run_until(target);
-                        st.analysis.drain(&mut st.sim);
+                        if drain {
+                            st.analysis.drain(&mut st.sim);
+                        }
+                    }
+                    if drain {
+                        drain_at = (target / chunk_us + 1) * chunk_us;
                     }
                     if target == duration_us {
                         // Final window: remaining notices could only seed
                         // events past the end of the run.
                         break;
                     }
-                    // Publish outboxes, then wait for every shard's.
                     for st in &mut states {
-                        let mut slot = outboxes[st.shard_idx].lock().unwrap();
-                        slot.clear();
-                        st.sim.drain_remote_notices(&mut slot);
+                        // SAFETY: this worker owns the shard and crossed
+                        // the previous round's barrier.
+                        let slot = unsafe { board.publish(round, st.shard_idx) };
+                        slot.notices.clear();
+                        st.sim.drain_remote_notices(&mut slot.notices);
+                        let queued = st.sim.next_event_time().unwrap_or(Micros::MAX);
+                        slot.next = slot
+                            .notices
+                            .iter()
+                            .map(|notice| st.sim.ghost_cs_busy_at(notice))
+                            .fold(queued, Micros::min);
                     }
                     barrier.wait(&mut sense);
-                    // Apply every sibling's notices as ghosts, in shard
-                    // order, then publish the post-exchange next-event time.
+                    // SAFETY: past this round's barrier; the slots are
+                    // dropped before the next one.
+                    let published = || unsafe { board.read(round) };
                     for st in &mut states {
-                        for (src, outbox) in outboxes.iter().enumerate().take(k) {
-                            if src == st.shard_idx {
-                                continue;
-                            }
-                            notices.clear();
-                            notices.extend_from_slice(&outbox.lock().unwrap());
-                            for notice in &notices {
-                                st.sim.apply_remote_tx(notice);
+                        for (src, slot) in published().enumerate() {
+                            if src != st.shard_idx {
+                                for notice in &slot.notices {
+                                    st.sim.apply_remote_tx(notice);
+                                }
                             }
                         }
-                        let next = st.sim.next_event_time().unwrap_or(u64::MAX);
-                        next_times[st.shard_idx].store(next, Ordering::Release);
                     }
-                    barrier.wait(&mut sense);
-                    // Everyone computes the same next window start: the
-                    // natural successor, or — when every shard is idle
-                    // longer — the window holding the global minimum
-                    // next-event time (never past the final window).
-                    let min_next = next_times
-                        .iter()
-                        .map(|t| t.load(Ordering::Acquire))
+                    // Every notice lands on at least one sibling (k ≥ 2)
+                    // and adds nothing earlier than its ghost CsBusy, so
+                    // this is the minimum next-event time over every
+                    // post-exchange queue. Everyone computes the same next
+                    // window start: the natural successor, or — when every
+                    // shard is idle longer — the window holding that
+                    // minimum (never past the final window).
+                    let min_next = published()
+                        .map(|slot| slot.next)
                         .min()
-                        .unwrap_or(u64::MAX);
+                        .unwrap_or(Micros::MAX);
                     let mut next = start + w;
                     if min_next > target {
                         next = next.max(min_next.min(duration_us) / w * w);
                     }
                     start = next.min(duration_us / w * w);
+                    round += 1;
                 }
                 // Owner-filtered counters: shells own nothing — ghost air
                 // time, collisions and events are all excluded on non-owner
                 // shards, so the shards' sums are the unsharded totals.
-                states
+                let runs = states
                     .into_iter()
                     .map(|st| {
                         let run = st.analysis.finish(String::new(), &st.sim);
                         (st.shard_idx, (st.sniffer_indices, run))
                     })
-                    .collect::<Vec<_>>()
+                    .collect::<Vec<_>>();
+                (runs, round + 1)
             }));
         }
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("lockstep worker panicked"))
+            .map(|h| h.join().expect("lockstep worker panicked"))
             .collect()
     });
+    let windows = results[0].1;
+    debug_assert!(results.iter().all(|&(_, n)| n == windows));
+    let mut runs: Vec<(usize, ShardRun)> = results.into_iter().flat_map(|(runs, _)| runs).collect();
     runs.sort_by_key(|&(shard_idx, _)| shard_idx);
-    runs.into_iter().map(|(_, run)| run).collect()
+    (runs.into_iter().map(|(_, run)| run).collect(), windows)
 }
 
 #[cfg(test)]
@@ -773,6 +864,7 @@ mod tests {
                 assert!(!sharded.lockstep, "components fill a cap of {max_shards}");
                 assert_eq!(sharded.shards, max_shards);
             }
+            assert_eq!(sharded.windows > 0, sharded.lockstep);
             let run = &sharded.run;
             assert_eq!(run.events_processed, baseline.events_processed);
             assert_eq!(run.frames_on_air, baseline.frames_on_air);
@@ -787,6 +879,59 @@ mod tests {
                 .zip(&baseline.per_sniffer_seconds)
             {
                 assert_eq!(format!("{s:?}"), format!("{b:?}"));
+            }
+        }
+    }
+
+    /// `run_lockstep` itself, below `run_sharded`'s core clamp: every
+    /// worker count — including the uneven 2/2/1/1 split of six shards
+    /// over four workers — and chunk size must merge to the unsharded
+    /// result, over the same number of windows.
+    #[test]
+    fn lockstep_any_worker_count_matches_unsharded() {
+        use ietf_workloads::{ietf_plenary_sharded, SessionScale};
+        let scenario = ietf_plenary_sharded(SessionScale {
+            seed: 13,
+            users: 40,
+            duration_s: 2,
+            activity: 1.5,
+            rts_fraction: 0.02,
+        });
+        let spec = &scenario.spec;
+        let baseline = run_streaming(
+            Scenario {
+                name: String::new(),
+                duration_us: scenario.duration_us,
+                sim: spec.build_unsharded(),
+            },
+            1_000_000,
+        );
+        let Sharding::Lockstep { plan, .. } = spec.plan(6) else {
+            panic!("the plenary must plan as lockstep past its 3 components");
+        };
+        assert_eq!(plan.shards.len(), 6);
+        let mut windows = None;
+        for workers in [1, 2, 3, 4, 6] {
+            for chunk_us in [250_000, 1_000_000] {
+                let (runs, n) = run_lockstep(spec, &plan, scenario.duration_us, chunk_us, workers);
+                assert!(n > 0 && n < scenario.duration_us / plan.window_us + 1);
+                assert_eq!(
+                    *windows.get_or_insert(n),
+                    n,
+                    "{workers} workers, chunk {chunk_us}"
+                );
+                let run = merge(String::new(), runs);
+                assert_eq!(run.events_processed, baseline.events_processed);
+                assert_eq!(run.frames_on_air, baseline.frames_on_air);
+                assert_eq!(run.medium_stats, baseline.medium_stats);
+                assert_eq!(
+                    format!("{:?}", run.sniffer_stats),
+                    format!("{:?}", baseline.sniffer_stats)
+                );
+                assert_eq!(
+                    format!("{:?}", run.per_sniffer_seconds),
+                    format!("{:?}", baseline.per_sniffer_seconds)
+                );
             }
         }
     }

@@ -21,8 +21,9 @@
 //!   contention timer, tracked in a per-node slot. Re-arming overwrites the
 //!   slot — the previous entry is physically removed instead of lingering as
 //!   a dead heap entry — and [`EventQueue::cancel_timer`] drops it outright.
-//!   Cancelled fire times are kept in a tiny min-heap of "ghosts" so
-//!   [`EventQueue::drain_ghosts`] can reproduce the historical
+//!   Cancelled fire times are kept in a small unordered list of "ghosts"
+//!   (plus its earliest time) so [`EventQueue::drain_ghosts`] can reproduce
+//!   the historical
 //!   events-processed denominator exactly (committed perf baselines
 //!   fingerprint it); see the method docs.
 //!
@@ -234,10 +235,14 @@ pub struct EventQueue {
     /// Per-node armed cancellable timer.
     armed: Vec<Option<ArmedTimer>>,
     /// Fire times of cancelled timers, for events-processed parity (see
-    /// [`EventQueue::drain_ghosts`]). Unordered: timers are short-lived, so
-    /// nearly every ghost is swept by the next drain — a flat retain scan
-    /// beats heap sifts on the ~⅓ of pushes that end up cancelled.
+    /// [`EventQueue::drain_ghosts`]). Unordered: at chunk-rate drains nearly
+    /// every ghost is swept by the next drain, and a flat retain scan beats
+    /// heap sifts on the ~⅓ of pushes that end up cancelled.
     ghosts: Vec<Micros>,
+    /// The earliest time in `ghosts` (`Micros::MAX` when empty). Lockstep
+    /// shards drain every window — far more often than ghosts come due —
+    /// so a drain before this time returns without scanning.
+    ghost_min: Micros,
     next_seq: u64,
     /// Live entries (excludes tombstones).
     live: usize,
@@ -269,6 +274,7 @@ impl EventQueue {
             pool: VecPool::new(POOL_SPARES, POOL_RETAIN_CAP),
             armed: Vec::new(),
             ghosts: Vec::new(),
+            ghost_min: Micros::MAX,
             next_seq: 0,
             live: 0,
             raw: 0,
@@ -319,6 +325,7 @@ impl EventQueue {
         self.stats.stale_dropped += 1;
         self.live -= 1;
         self.ghosts.push(timer.at);
+        self.ghost_min = self.ghost_min.min(timer.at);
         if timer.at < self.current_end {
             // Already drained: tombstone in place so consume indices hold.
             for e in self.current[self.current_pos..].iter_mut() {
@@ -568,8 +575,19 @@ impl EventQueue {
     /// removes the entries; this hands the simulator the exact count the
     /// lazy scheme would have produced by the time `now` is reached.
     pub fn drain_ghosts(&mut self, now: Micros) -> u64 {
+        if now < self.ghost_min {
+            return 0;
+        }
         let before = self.ghosts.len();
-        self.ghosts.retain(|&t| t > now);
+        let mut min = Micros::MAX;
+        self.ghosts.retain(|&t| {
+            let keep = t > now;
+            if keep {
+                min = min.min(t);
+            }
+            keep
+        });
+        self.ghost_min = min;
         (before - self.ghosts.len()) as u64
     }
 
@@ -694,6 +712,49 @@ mod tests {
         assert_eq!(q.drain_ghosts(99), 0);
         assert_eq!(q.drain_ghosts(300), 2);
         assert_eq!(q.drain_ghosts(1_000_000), 0);
+    }
+
+    /// The earliest-ghost shortcut must count exactly what a full retain
+    /// scan of every cancelled fire time counts, whatever the interleaving
+    /// of arms, re-arms, cancels and drains — including drains that land
+    /// on a ghost's time and timers cancelled after their time has passed.
+    #[test]
+    fn ghost_drain_matches_full_scan() {
+        let mut q = EventQueue::new();
+        let mut reference: Vec<Micros> = Vec::new();
+        let mut state = 0x9e37_79b9_u64;
+        let mut rand = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut now: Micros = 0;
+        let mut drained = 0;
+        for round in 0..5_000u64 {
+            for _ in 0..rand(4) {
+                let node = rand(16) as NodeId;
+                // Arming over a live timer cancels it: a ghost too.
+                if let Some(timer) = q.armed.get(node).copied().flatten() {
+                    reference.push(timer.at);
+                }
+                let at = now.saturating_sub(50) + rand(400);
+                q.arm_timer(node, round, TimerKind::BackoffDone, at);
+                if rand(2) == 0 {
+                    reference.push(at);
+                    q.cancel_timer(node);
+                }
+            }
+            now += rand(60);
+            let before = reference.len();
+            reference.retain(|&t| t > now);
+            let expect = (before - reference.len()) as u64;
+            assert_eq!(q.drain_ghosts(now), expect, "round {round}, now {now}");
+            drained += expect;
+        }
+        assert!(drained > 1_000, "the sequence exercised real drains");
+        assert_eq!(q.drain_ghosts(Micros::MAX), reference.len() as u64);
+        assert_eq!(q.drain_ghosts(Micros::MAX), 0);
     }
 
     #[test]

@@ -718,6 +718,17 @@ impl Simulator {
         self.queue.peek_time()
     }
 
+    /// When [`Self::apply_remote_tx`] schedules `notice`'s ghost `CsBusy`:
+    /// one detection delay into the airtime, clamped inside it. Its other
+    /// event, the ghost `TxEnd` at `notice.end`, is never earlier, so this
+    /// is the earliest event the notice adds to any sibling's queue — which
+    /// lets the lockstep executor pick the next window without a second
+    /// round of next-event publication.
+    pub fn ghost_cs_busy_at(&self, notice: &RemoteNotice) -> Micros {
+        let air = notice.end - notice.start;
+        notice.start + self.config.cs_delay_us.min(air.saturating_sub(1))
+    }
+
     /// Replays a transmission owned by another shard as a *ghost* on this
     /// shard's medium. The ghost occupies air exactly like a local
     /// transmission — carrier sense, interference registration, reception,
@@ -733,7 +744,7 @@ impl Simulator {
     pub fn apply_remote_tx(&mut self, notice: &RemoteNotice) {
         self.ensure_topology();
         let node = notice.node;
-        let air = notice.end - notice.start;
+        let cs_at = self.ghost_cs_busy_at(notice);
         let medium = self.hot.medium_idx[node];
         let Simulator {
             media,
@@ -755,7 +766,6 @@ impl Simulator {
             sensed_by,
             |other| topology.coupled(node, other),
         );
-        let cs_at = notice.start + self.config.cs_delay_us.min(air.saturating_sub(1));
         debug_assert!(
             cs_at > self.now && notice.end > self.now,
             "ghost events must land in the future (window wider than cs_delay?)"

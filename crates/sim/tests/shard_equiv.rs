@@ -245,7 +245,10 @@ fn single_hall_is_identity() {
 /// shards move to the same next window — skipping ahead when every shard is
 /// idle past the window. Mirrors `run_lockstep` in
 /// `congestion_bench::streaming` minus the threads and barriers; the merged
-/// output must not depend on which driver ran the protocol.
+/// output must not depend on which driver ran the protocol. It takes the
+/// next window from the *post-exchange* queues — the definition that the
+/// threaded driver's one-barrier rule (pre-exchange times plus the
+/// notices' ghost `CsBusy` times) reproduces.
 fn run_lockstep_serial(sims: &mut [Simulator], window_us: u64, until: u64) {
     let w = window_us;
     let mut outboxes: Vec<Vec<RemoteNotice>> = vec![Vec::new(); sims.len()];
