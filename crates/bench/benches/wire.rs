@@ -8,7 +8,7 @@ use wifi_frames::mac::MacAddr;
 use wifi_frames::phy::{Channel, Rate};
 use wifi_frames::radiotap::{self, CaptureMeta, FLAG_FCS_AT_END};
 use wifi_frames::{fcs, wire};
-use wifi_pcap::{LinkType, PcapReader, PcapWriter};
+use wifi_pcap::{LinkType, PcapStream, PcapWriter};
 
 fn data_frame(payload: usize) -> Frame {
     Frame::Data(Data {
@@ -97,8 +97,11 @@ fn bench_pcap(c: &mut Criterion) {
     });
     g.bench_function("read_1000_records", |b| {
         b.iter(|| {
-            let r = PcapReader::new(black_box(&file[..])).unwrap();
-            let n = r.packets().count();
+            let mut r = PcapStream::strict(black_box(&file[..])).unwrap();
+            let mut n = 0usize;
+            while r.next_packet().unwrap().is_some() {
+                n += 1;
+            }
             black_box(n)
         })
     });

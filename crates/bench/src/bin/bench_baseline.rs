@@ -37,9 +37,9 @@
 //! component, so the split comes from time-window lockstep sharding (bounded
 //! window advance, cross-shard TxStart/TxEnd exchange at window boundaries),
 //! still byte-identical to the serial run. Sharded trajectory entries carry
-//! `threads`/`shards`/`components`/`lockstep`, and every simulator entry
-//! `host_cpus`, so scaling claims can be read against the hardware that
-//! produced them — an entry at
+//! `threads`/`shards`/`components`/`lockstep`, and every entry `host_cpus`,
+//! so scaling claims can be read against the hardware that produced them —
+//! an entry at
 //! `--threads 8` on a one-CPU host measures scheduling overhead, not speedup.
 //!
 //! `--check <file>` compares events/s against the last trajectory entry of
@@ -617,7 +617,7 @@ fn run_trace_pin(
         "    {{\"label\": \"{}\", \"pin\": \"{}\", \"seed\": {}, \"users\": {}, \
          \"duration_s\": {}, \"events\": {}, \"records_merged\": {}, \
          \"seconds_analyzed\": {}, \"wall_ms\": {:.1}, \"events_per_sec\": {:.0}, \
-         \"peak_rss_kb\": {}{}}}",
+         \"peak_rss_kb\": {}, \"host_cpus\": {}{}}}",
         entry_label.replace(['"', '\\'], "_"),
         pin.label(),
         pin.seed,
@@ -629,6 +629,7 @@ fn run_trace_pin(
         wall_ms,
         events_per_sec,
         peak_rss_kb(),
+        std::thread::available_parallelism().map_or(0, usize::from),
         notes_field,
     );
     if let Err(e) = append_entry(out, pin.label(), &entry) {

@@ -33,6 +33,12 @@ pub const DEDUP_WINDOW_US: Micros = 120;
 /// Merges per-sniffer traces of the same channel into one time-ordered,
 /// de-duplicated trace. Input traces must each be time-ordered (as captures
 /// are).
+///
+/// The batch reference oracle: a full sort plus a window scan, kept so the
+/// [`MergeStream`] unit tests and proptests have an independent merge to
+/// compare against. Production merging — `analyze`, `serve`,
+/// [`coverage_gain`] — runs [`MergeStream`] / [`OnlineMerge`], which equals
+/// this on time-ordered inputs in O(window) memory.
 pub fn merge_traces(traces: &[&[FrameRecord]]) -> Vec<FrameRecord> {
     let mut all: Vec<FrameRecord> = traces.iter().flat_map(|t| t.iter().copied()).collect();
     all.sort_by_key(|r| r.timestamp_us);

@@ -81,11 +81,10 @@ impl PcapPacket {
     }
 }
 
-/// A borrowed view of one captured record, yielded by the zero-copy reader
-/// paths ([`crate::PcapReader::next_packet_ref`] and the lossy streams in
-/// [`crate::stream`]). The data slice lives in the reader's internal buffer
-/// and is only valid until the next read call; [`PacketRef::to_owned`]
-/// copies it out.
+/// A borrowed view of one captured record, yielded by
+/// [`crate::PcapStream`]. The data slice lives in the stream's window and
+/// is only valid until the next read call; [`PacketRef::to_owned`] copies
+/// it out.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PacketRef<'a> {
     /// Capture timestamp in microseconds since the epoch the file uses.
@@ -110,6 +109,26 @@ impl PacketRef<'_> {
     /// True when the record was truncated by the capture snap length.
     pub fn is_truncated(&self) -> bool {
         (self.data.len() as u32) < self.orig_len
+    }
+}
+
+/// The `u16` at `bytes[off..off + 2]` in the capture's byte order.
+pub(crate) fn u16_at(big_endian: bool, bytes: &[u8], off: usize) -> u16 {
+    let b = [bytes[off], bytes[off + 1]];
+    if big_endian {
+        u16::from_be_bytes(b)
+    } else {
+        u16::from_le_bytes(b)
+    }
+}
+
+/// The `u32` at `bytes[off..off + 4]` in the capture's byte order.
+pub(crate) fn u32_at(big_endian: bool, bytes: &[u8], off: usize) -> u32 {
+    let b = [bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]];
+    if big_endian {
+        u32::from_be_bytes(b)
+    } else {
+        u32::from_le_bytes(b)
     }
 }
 

@@ -1,8 +1,8 @@
 //! # wifi-pcap
 //!
-//! A from-scratch implementation of the classic libpcap capture-file format,
-//! sufficient to persist and re-read the sniffer traces of the congestion
-//! study.
+//! A from-scratch implementation of the classic libpcap and the pcapng
+//! capture-file formats, sufficient to persist and re-read the sniffer
+//! traces of the congestion study.
 //!
 //! Supports:
 //!
@@ -11,18 +11,24 @@
 //! * snap-length truncation on write (the study used a 250-byte snaplen),
 //! * streaming reads and writes over any [`std::io::Read`]/[`std::io::Write`].
 //!
+//! Each container has one decoder, [`PcapStream`] or [`PcapNgStream`],
+//! built with one of two policies: `strict` fails on the first damage with
+//! a typed [`PcapError`] (for files we wrote), `lossy` resynchronizes past
+//! damage and accounts for it in an [`IngestReport`] (for real captures).
+//! See [`stream`].
+//!
 //! ```
-//! use wifi_pcap::{LinkType, PcapReader, PcapWriter};
+//! use wifi_pcap::{LinkType, PcapStream, PcapWriter};
 //!
 //! let mut buf = Vec::new();
 //! {
 //!     let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 250).unwrap();
 //!     w.write_packet(1_000_000, &[0xB4, 0x00, 0x12, 0x34]).unwrap();
 //! }
-//! let mut r = PcapReader::new(&buf[..]).unwrap();
+//! let mut r = PcapStream::strict(&buf[..]).unwrap();
 //! let pkt = r.next_packet().unwrap().unwrap();
 //! assert_eq!(pkt.timestamp_us, 1_000_000);
-//! assert_eq!(pkt.data, vec![0xB4, 0x00, 0x12, 0x34]);
+//! assert_eq!(pkt.data, [0xB4, 0x00, 0x12, 0x34]);
 //! ```
 
 #![warn(missing_docs)]
@@ -31,31 +37,28 @@ pub mod chaos;
 mod format;
 pub mod lossy;
 pub mod pcapng;
-mod reader;
 pub mod stream;
 mod writer;
 
 pub use format::{LinkType, PacketRef, PcapError, PcapPacket, MAGIC_BE, MAGIC_LE, MAGIC_NS_LE};
 pub use lossy::{is_pcapng, read_pcap_lossy, read_pcapng_lossy, IngestReport};
-pub use pcapng::{NgPacket, NgPacketRef, PcapNgReader, PcapNgWriter};
-pub use reader::PcapReader;
-pub use stream::{ChunkedSource, FillStatus, LossyPcapNgStream, LossyPcapStream, Polled};
+pub use pcapng::{NgPacket, NgPacketRef, PcapNgWriter};
+pub use stream::{ChunkedSource, FillStatus, PcapNgStream, PcapStream, Polled};
 pub use writer::PcapWriter;
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 use std::path::Path;
 
-/// Reads every packet of a pcap file into memory.
+/// Reads every packet of a classic pcap file into memory, strictly: the
+/// first damaged record fails the read.
 pub fn read_file(path: &Path) -> Result<(LinkType, Vec<PcapPacket>), PcapError> {
-    let file = File::open(path)?;
-    let mut reader = PcapReader::new(BufReader::new(file))?;
-    let link = reader.link_type();
+    let mut stream = PcapStream::strict(File::open(path)?)?;
     let mut packets = Vec::new();
-    while let Some(pkt) = reader.next_packet()? {
-        packets.push(pkt);
+    while let Some(pkt) = stream.next_packet()? {
+        packets.push(pkt.to_owned());
     }
-    Ok((link, packets))
+    Ok((stream.link(), packets))
 }
 
 /// Writes packets (already in `(timestamp_us, bytes)` form) to a pcap file.

@@ -1,10 +1,10 @@
 //! Lossy, resynchronizing capture ingestion.
 //!
-//! The strict readers ([`crate::PcapReader`], [`crate::PcapNgReader`]) abort
-//! an entire trace at the first damaged byte — correct for validating our own
-//! writers, useless for real vicinity captures, which arrive truncated,
-//! bit-flipped, and spliced. The readers here skip damaged regions and
-//! *resynchronize*:
+//! A strict read ([`crate::PcapStream::strict`], [`crate::PcapNgStream::strict`])
+//! aborts an entire trace at the first damaged byte — correct for validating
+//! our own writers, useless for real vicinity captures, which arrive
+//! truncated, bit-flipped, and spliced. The lossy policy of the same
+//! decoders skips damaged regions and *resynchronizes*:
 //!
 //! * **classic pcap** has no per-record framing, so recovery scans forward
 //!   byte-by-byte for a *plausible* record header — sane lengths, a
@@ -18,19 +18,19 @@
 //!
 //! Every decision is accounted in an [`IngestReport`]: how many records
 //! decoded cleanly, how many were recovered after a resync, how many
-//! blocks were abandoned, and how many bytes were discarded. On an
-//! undamaged file both readers are byte-identical to strict mode and the
-//! report shows zero skips — a property the test suite enforces.
+//! blocks were abandoned, and how many bytes were discarded. Strict and
+//! lossy are two policies of one decoder in [`crate::stream`], parting only
+//! where damage is met, so on an undamaged file the lossy read is
+//! byte-identical to the strict one by construction and the report shows
+//! zero skips.
 //!
-//! The decode engines live in [`crate::stream`] and run over a bounded
-//! rolling window, so captures larger than RAM ingest in O(window) memory
-//! through [`crate::LossyPcapStream`] / [`crate::LossyPcapNgStream`]. The
-//! whole-buffer functions here are thin collecting wrappers over those
-//! streams, which keeps the two paths equivalent by construction.
+//! The decoders run over a bounded rolling window, so captures larger than
+//! RAM ingest in O(window) memory; the whole-buffer functions here are thin
+//! collecting wrappers over lossy streams.
 
 use crate::format::{LinkType, PcapError, PcapPacket};
 use crate::pcapng::{NgPacket, BT_SHB};
-use crate::stream::{LossyPcapNgStream, LossyPcapStream};
+use crate::stream::{PcapNgStream, PcapStream};
 
 /// Accounting of one lossy ingestion pass. All counters are cumulative;
 /// [`IngestReport::merge`] folds per-file reports into a campaign total.
@@ -38,8 +38,8 @@ use crate::stream::{LossyPcapNgStream, LossyPcapStream};
 pub struct IngestReport {
     /// Records decoded cleanly, with no resync since the previous record.
     pub records_ok: u64,
-    /// Records decoded immediately after a resync scan — data that strict
-    /// mode would have thrown away.
+    /// Records decoded immediately after a resync scan — data that a strict
+    /// read would have thrown away.
     pub records_recovered: u64,
     /// Damaged records/blocks abandoned (undecodable, oversized, or
     /// referencing an unusable interface).
@@ -138,10 +138,10 @@ pub fn is_pcapng(bytes: &[u8]) -> bool {
 /// Only an unusable global header (bad magic, truncated, wrong version) is
 /// a hard error — there is nothing to recover without it.
 ///
-/// Collecting wrapper over [`LossyPcapStream`]; for captures that should
+/// Collecting wrapper over [`PcapStream::lossy`]; for captures that should
 /// not be materialized, drive the stream directly.
 pub fn read_pcap_lossy(bytes: &[u8]) -> Result<PcapIngest, PcapError> {
-    let mut stream = LossyPcapStream::new(bytes)?;
+    let mut stream = PcapStream::lossy(bytes)?;
     let mut packets = Vec::new();
     while let Some(pkt) = stream
         .next_packet()
@@ -160,10 +160,10 @@ pub fn read_pcap_lossy(bytes: &[u8]) -> Result<PcapIngest, PcapError> {
 /// recoverable section simply yields zero packets with every byte
 /// accounted as skipped.
 ///
-/// Collecting wrapper over [`LossyPcapNgStream`]; for captures that should
+/// Collecting wrapper over [`PcapNgStream::lossy`]; for captures that should
 /// not be materialized, drive the stream directly.
 pub fn read_pcapng_lossy(bytes: &[u8]) -> PcapNgIngest {
-    let mut stream = LossyPcapNgStream::new(bytes);
+    let mut stream = PcapNgStream::lossy(bytes);
     let mut packets = Vec::new();
     while let Some(pkt) = stream
         .next_packet()
@@ -183,7 +183,6 @@ mod tests {
     use crate::format::GLOBAL_HEADER_LEN;
     use crate::pcapng::{PcapNgWriter, BT_EPB, BT_IDB, BYTE_ORDER_MAGIC};
     use crate::writer::PcapWriter;
-    use crate::PcapReader;
 
     fn classic_file(n: usize) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -208,11 +207,11 @@ mod tests {
     #[test]
     fn clean_classic_matches_strict_byte_for_byte() {
         let buf = classic_file(50);
-        let strict: Vec<PcapPacket> = PcapReader::new(&buf[..])
-            .unwrap()
-            .packets()
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let mut r = PcapStream::strict(&buf[..]).unwrap();
+        let mut strict = Vec::new();
+        while let Some(p) = r.next_packet().unwrap() {
+            strict.push(p.to_owned());
+        }
         let lossy = read_pcap_lossy(&buf).unwrap();
         assert_eq!(lossy.packets, strict);
         assert!(lossy.report.is_clean());
@@ -222,10 +221,10 @@ mod tests {
     #[test]
     fn clean_ng_matches_strict_byte_for_byte() {
         let buf = ng_file(50);
-        let mut r = crate::PcapNgReader::new(&buf[..]);
+        let mut r = PcapNgStream::strict(&buf[..]);
         let mut strict = Vec::new();
         while let Some(p) = r.next_packet().unwrap() {
-            strict.push(p);
+            strict.push(p.to_owned());
         }
         let lossy = read_pcapng_lossy(&buf);
         assert_eq!(lossy.packets, strict);
@@ -251,8 +250,14 @@ mod tests {
         let mut buf = classic_file(10);
         let rec4 = GLOBAL_HEADER_LEN + 4 * 56;
         buf[rec4 + 8..rec4 + 12].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
-        let strict: Result<Vec<_>, _> = PcapReader::new(&buf[..]).unwrap().packets().collect();
-        assert!(strict.is_err());
+        let mut strict = PcapStream::strict(&buf[..]).unwrap();
+        for _ in 0..4 {
+            strict.next_packet().unwrap().unwrap();
+        }
+        assert!(matches!(
+            strict.next_packet(),
+            Err(PcapError::OversizedRecord(u32::MAX))
+        ));
         assert_eq!(read_pcap_lossy(&buf).unwrap().packets.len(), 9);
     }
 

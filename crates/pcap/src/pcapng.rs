@@ -12,10 +12,10 @@
 //! * unknown block types and options are skipped by length, as required.
 //!
 //! Timestamps are normalized to microseconds on read, matching the classic
-//! reader.
+//! reader. The block-body parsers live here; the block-framing decode loop
+//! is [`crate::PcapNgStream`].
 
-use crate::format::{LinkType, PcapError, PcapPacket, MAX_SANE_CAPLEN};
-use std::io::Read;
+use crate::format::{u16_at, u32_at, LinkType, PcapError, PcapPacket, MAX_SANE_CAPLEN};
 
 /// Block type: Section Header Block.
 pub const BT_SHB: u32 = 0x0A0D_0D0A;
@@ -46,10 +46,9 @@ pub struct NgPacket {
     pub packet: PcapPacket,
 }
 
-/// A borrowed view of one pcapng packet, yielded by the zero-copy paths
-/// ([`PcapNgReader::next_packet_ref`] and [`crate::LossyPcapNgStream`]).
-/// The data slice lives in the reader's internal buffer and is only valid
-/// until the next read call.
+/// A borrowed view of one pcapng packet, yielded by
+/// [`crate::PcapNgStream`]. The data slice lives in the stream's window and
+/// is only valid until the next read call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NgPacketRef<'a> {
     /// The interface's data-link type.
@@ -58,7 +57,7 @@ pub struct NgPacketRef<'a> {
     pub timestamp_us: u64,
     /// Original on-air length.
     pub orig_len: u32,
-    /// The captured bytes, borrowed from the reader's buffer.
+    /// The captured bytes, borrowed from the stream's window.
     pub data: &'a [u8],
 }
 
@@ -73,172 +72,6 @@ impl NgPacketRef<'_> {
                 data: self.data.to_vec(),
             },
         }
-    }
-}
-
-/// A streaming pcapng reader.
-pub struct PcapNgReader<R> {
-    inner: R,
-    big_endian: bool,
-    interfaces: Vec<Option<Interface>>,
-    started: bool,
-    /// Reused per-block body buffer for the zero-copy read path.
-    scratch: Vec<u8>,
-}
-
-impl<R: Read> PcapNgReader<R> {
-    /// Wraps a byte stream. The first block must be a Section Header Block;
-    /// it is validated lazily on the first packet read.
-    pub fn new(inner: R) -> PcapNgReader<R> {
-        PcapNgReader {
-            inner,
-            big_endian: false,
-            interfaces: Vec::new(),
-            started: false,
-            scratch: Vec::new(),
-        }
-    }
-
-    fn u16_of(&self, b: [u8; 2]) -> u16 {
-        if self.big_endian {
-            u16::from_be_bytes(b)
-        } else {
-            u16::from_le_bytes(b)
-        }
-    }
-
-    fn u32_of(&self, b: [u8; 4]) -> u32 {
-        if self.big_endian {
-            u32::from_be_bytes(b)
-        } else {
-            u32::from_le_bytes(b)
-        }
-    }
-
-    /// Reads the next packet; `Ok(None)` at clean end of stream.
-    pub fn next_packet(&mut self) -> Result<Option<NgPacket>, PcapError> {
-        Ok(self.next_packet_ref()?.map(|p| p.to_owned()))
-    }
-
-    /// Reads the next packet without copying its bytes out of the reader's
-    /// block buffer; `Ok(None)` at clean end of stream. The returned
-    /// [`NgPacketRef`] is invalidated by the next read call.
-    pub fn next_packet_ref(&mut self) -> Result<Option<NgPacketRef<'_>>, PcapError> {
-        // The loop fills `self.scratch` with block bodies until it lands on
-        // a packet-bearing one, then breaks so the borrow of the scratch
-        // buffer starts only after all mutation is done.
-        let is_epb = loop {
-            // Block header: type (4) + total length (4).
-            let mut head = [0u8; 8];
-            match read_fully(&mut self.inner, &mut head)? {
-                ReadOutcome::Eof => return Ok(None),
-                ReadOutcome::Partial => return Err(PcapError::TruncatedFile),
-                ReadOutcome::Full => {}
-            }
-            // The SHB's type bytes are palindromic, so readable before the
-            // byte order is known.
-            let raw_type = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-            if raw_type == BT_SHB {
-                self.read_shb(&head)?;
-                continue;
-            }
-            if !self.started {
-                return Err(PcapError::BadMagic(raw_type));
-            }
-            let block_type = self.u32_of([head[0], head[1], head[2], head[3]]);
-            let total_len = self.u32_of([head[4], head[5], head[6], head[7]]) as usize;
-            if total_len < 12 || !total_len.is_multiple_of(4) {
-                return Err(PcapError::BadBlockLength(total_len as u32));
-            }
-            if total_len as u32 > MAX_SANE_CAPLEN * 2 {
-                return Err(PcapError::OversizedRecord(total_len as u32));
-            }
-            let body_len = total_len - 12; // minus header and trailing length
-            self.scratch.clear();
-            self.scratch.resize(body_len + 4, 0);
-            match read_fully(&mut self.inner, &mut self.scratch)? {
-                ReadOutcome::Full => {}
-                _ => return Err(PcapError::TruncatedFile),
-            }
-            let tail: [u8; 4] = match self.scratch[body_len..].try_into() {
-                Ok(t) => t,
-                Err(_) => return Err(PcapError::BadBlockLength(total_len as u32)),
-            };
-            let trailing = self.u32_of(tail) as usize;
-            if trailing != total_len {
-                return Err(PcapError::BadBlockLength(trailing as u32));
-            }
-            self.scratch.truncate(body_len);
-            match block_type {
-                BT_IDB => {
-                    let iface = parse_idb(self.big_endian, &self.scratch)?;
-                    self.interfaces.push(Some(iface));
-                }
-                BT_EPB => break true,
-                BT_SPB => break false,
-                _ => {} // unknown block: skipped by length
-            }
-        };
-        let pkt = if is_epb {
-            parse_epb_ref(self.big_endian, &self.scratch, &self.interfaces)?
-        } else {
-            parse_spb_ref(self.big_endian, &self.scratch, &self.interfaces)?
-        };
-        Ok(Some(pkt))
-    }
-
-    fn read_shb(&mut self, head: &[u8; 8]) -> Result<(), PcapError> {
-        // Read enough of the body to find the byte-order magic.
-        let mut rest = [0u8; 4]; // byte-order magic
-        if !matches!(read_fully(&mut self.inner, &mut rest)?, ReadOutcome::Full) {
-            return Err(PcapError::TruncatedFile);
-        }
-        let magic_le = u32::from_le_bytes(rest);
-        self.big_endian = match magic_le {
-            BYTE_ORDER_MAGIC => false,
-            m if m == BYTE_ORDER_MAGIC.swap_bytes() => true,
-            other => return Err(PcapError::BadMagic(other)),
-        };
-        let total_len = self.u32_of([head[4], head[5], head[6], head[7]]) as usize;
-        if total_len < 28 || !total_len.is_multiple_of(4) {
-            return Err(PcapError::BadBlockLength(total_len as u32));
-        }
-        // Consume the remaining body (version, section length, options) and
-        // the trailing length.
-        let mut remaining = vec![0u8; total_len - 12 - 4 + 4];
-        if !matches!(
-            read_fully(&mut self.inner, &mut remaining)?,
-            ReadOutcome::Full
-        ) {
-            return Err(PcapError::TruncatedFile);
-        }
-        let major = self.u16_of([remaining[0], remaining[1]]);
-        if major != 1 {
-            let minor = self.u16_of([remaining[2], remaining[3]]);
-            return Err(PcapError::UnsupportedVersion(major, minor));
-        }
-        // A new section resets the interface list.
-        self.interfaces.clear();
-        self.started = true;
-        Ok(())
-    }
-}
-
-fn u16_raw(big_endian: bool, body: &[u8], off: usize) -> u16 {
-    let b = [body[off], body[off + 1]];
-    if big_endian {
-        u16::from_be_bytes(b)
-    } else {
-        u16::from_le_bytes(b)
-    }
-}
-
-fn u32_raw(big_endian: bool, body: &[u8], off: usize) -> u32 {
-    let b = [body[off], body[off + 1], body[off + 2], body[off + 3]];
-    if big_endian {
-        u32::from_be_bytes(b)
-    } else {
-        u32::from_le_bytes(b)
     }
 }
 
@@ -267,14 +100,14 @@ pub(crate) fn parse_idb(big_endian: bool, body: &[u8]) -> Result<Interface, Pcap
     if body.len() < 8 {
         return Err(PcapError::TruncatedFile);
     }
-    let link = LinkType::from_code(u16_raw(big_endian, body, 0) as u32);
-    let snaplen = u32_raw(big_endian, body, 4);
+    let link = LinkType::from_code(u16_at(big_endian, body, 0) as u32);
+    let snaplen = u32_at(big_endian, body, 4);
     // Default resolution: microseconds; overridden by if_tsresol (9).
     let mut ticks_per_sec: u64 = 1_000_000;
     let mut off = 8;
     while off + 4 <= body.len() {
-        let code = u16_raw(big_endian, body, off);
-        let len = u16_raw(big_endian, body, off + 2) as usize;
+        let code = u16_at(big_endian, body, off);
+        let len = u16_at(big_endian, body, off + 2) as usize;
         let val_off = off + 4;
         if code == 0 {
             break; // opt_endofopt
@@ -304,11 +137,11 @@ pub(crate) fn parse_epb_ref<'a>(
     if body.len() < 20 {
         return Err(PcapError::TruncatedFile);
     }
-    let iface_id = u32_raw(big_endian, body, 0) as usize;
-    let ts_high = u32_raw(big_endian, body, 4) as u64;
-    let ts_low = u32_raw(big_endian, body, 8) as u64;
-    let caplen = u32_raw(big_endian, body, 12);
-    let orig_len = u32_raw(big_endian, body, 16);
+    let iface_id = u32_at(big_endian, body, 0) as usize;
+    let ts_high = u32_at(big_endian, body, 4) as u64;
+    let ts_low = u32_at(big_endian, body, 8) as u64;
+    let caplen = u32_at(big_endian, body, 12);
+    let orig_len = u32_at(big_endian, body, 16);
     if caplen > MAX_SANE_CAPLEN {
         return Err(PcapError::OversizedRecord(caplen));
     }
@@ -337,6 +170,20 @@ pub(crate) fn parse_epb_ref<'a>(
     })
 }
 
+/// Parses the body of a packet-bearing block: an EPB, or else an SPB.
+pub(crate) fn parse_packet_block<'a>(
+    block_type: u32,
+    big_endian: bool,
+    body: &'a [u8],
+    interfaces: &[Option<Interface>],
+) -> Result<NgPacketRef<'a>, PcapError> {
+    if block_type == BT_EPB {
+        parse_epb_ref(big_endian, body, interfaces)
+    } else {
+        parse_spb_ref(big_endian, body, interfaces)
+    }
+}
+
 /// Parses a Simple Packet Block body (always interface 0), borrowing the
 /// packet bytes from `body`.
 pub(crate) fn parse_spb_ref<'a>(
@@ -347,7 +194,7 @@ pub(crate) fn parse_spb_ref<'a>(
     if body.len() < 4 {
         return Err(PcapError::TruncatedFile);
     }
-    let orig_len = u32_raw(big_endian, body, 0);
+    let orig_len = u32_at(big_endian, body, 0);
     let iface = interfaces
         .first()
         .copied()
@@ -363,31 +210,6 @@ pub(crate) fn parse_spb_ref<'a>(
         orig_len,
         data: &body[4..4 + caplen],
     })
-}
-
-enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
-}
-
-fn read_fully<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<ReadOutcome, PcapError> {
-    let mut read = 0;
-    while read < buf.len() {
-        match r.read(&mut buf[read..]) {
-            Ok(0) => {
-                return Ok(if read == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Partial
-                })
-            }
-            Ok(n) => read += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(PcapError::Io(e)),
-        }
-    }
-    Ok(ReadOutcome::Full)
 }
 
 /// A minimal pcapng writer: one section, one interface, Enhanced Packet
@@ -451,6 +273,17 @@ impl<W: std::io::Write> PcapNgWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PcapNgStream;
+
+    /// Every packet of a strict read, or the error that stopped it.
+    fn strict(bytes: &[u8]) -> Result<Vec<NgPacket>, PcapError> {
+        let mut r = PcapNgStream::strict(bytes);
+        let mut out = Vec::new();
+        while let Some(p) = r.next_packet()? {
+            out.push(p.to_owned());
+        }
+        Ok(out)
+    }
 
     fn roundtrip(packets: &[(u64, Vec<u8>)], snaplen: u32) -> Vec<NgPacket> {
         let mut buf = Vec::new();
@@ -460,12 +293,7 @@ mod tests {
                 w.write_packet(*ts, data).unwrap();
             }
         }
-        let mut r = PcapNgReader::new(&buf[..]);
-        let mut out = Vec::new();
-        while let Some(p) = r.next_packet().unwrap() {
-            out.push(p);
-        }
-        out
+        strict(&buf).unwrap()
     }
 
     #[test]
@@ -495,14 +323,15 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        let mut r = PcapNgReader::new(&[0xDEu8, 0xAD, 0xBE, 0xEF, 0, 0, 0, 0][..]);
-        assert!(matches!(r.next_packet(), Err(PcapError::BadMagic(_))));
+        assert!(matches!(
+            strict(&[0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 0]),
+            Err(PcapError::BadMagic(_))
+        ));
     }
 
     #[test]
     fn empty_stream_is_clean_eof() {
-        let mut r = PcapNgReader::new(&[][..]);
-        assert!(r.next_packet().unwrap().is_none());
+        assert!(strict(&[]).unwrap().is_empty());
     }
 
     #[test]
@@ -513,8 +342,7 @@ mod tests {
             w.write_packet(5, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
         }
         let cut = buf.len() - 5;
-        let mut r = PcapNgReader::new(&buf[..cut]);
-        assert!(matches!(r.next_packet(), Err(PcapError::TruncatedFile)));
+        assert!(matches!(strict(&buf[..cut]), Err(PcapError::TruncatedFile)));
     }
 
     #[test]
@@ -534,8 +362,7 @@ mod tests {
         let mut spliced = buf[..idb_end].to_vec();
         spliced.extend_from_slice(&custom);
         spliced.extend_from_slice(&buf[idb_end..]);
-        let mut r = PcapNgReader::new(&spliced[..]);
-        let p = r.next_packet().unwrap().unwrap();
+        let p = &strict(&spliced).unwrap()[0];
         assert_eq!(p.packet.data, vec![0xAA]);
         assert_eq!(p.link, LinkType::Ieee80211);
     }
@@ -569,8 +396,7 @@ mod tests {
         buf.extend_from_slice(&2u32.to_be_bytes()); // origlen
         buf.extend_from_slice(&[0xCA, 0xFE, 0, 0]); // padded
         buf.extend_from_slice(&36u32.to_be_bytes());
-        let mut r = PcapNgReader::new(&buf[..]);
-        let p = r.next_packet().unwrap().unwrap();
+        let p = &strict(&buf).unwrap()[0];
         assert_eq!(p.link, LinkType::Radiotap);
         assert_eq!(p.packet.timestamp_us, 42);
         assert_eq!(p.packet.data, vec![0xCA, 0xFE]);
@@ -607,9 +433,7 @@ mod tests {
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&[0x55, 0, 0, 0]);
         buf.extend_from_slice(&36u32.to_le_bytes());
-        let mut r = PcapNgReader::new(&buf[..]);
-        let p = r.next_packet().unwrap().unwrap();
-        assert_eq!(p.packet.timestamp_us, 5_000);
+        assert_eq!(strict(&buf).unwrap()[0].packet.timestamp_us, 5_000);
     }
 
     /// SHB + IDB carrying `if_tsresol = raw` + one EPB with the given ticks.
@@ -650,18 +474,15 @@ mod tests {
         // only carry small tick counts, which round to 0 µs. Use a ticks
         // value that lands on an exact microsecond via the u128 path.
         let buf = file_with_tsresol(19, u32::MAX);
-        let mut r = PcapNgReader::new(&buf[..]);
-        let p = r.next_packet().unwrap().unwrap();
         // 4294967295 ticks at 10^19/s = 4.29e-10 s -> 0 µs, no saturation.
-        assert_eq!(p.packet.timestamp_us, 0);
+        assert_eq!(strict(&buf).unwrap()[0].packet.timestamp_us, 0);
     }
 
     #[test]
     fn tsresol_decimal_overflow_rejected() {
         let buf = file_with_tsresol(20, 1);
-        let mut r = PcapNgReader::new(&buf[..]);
         assert!(matches!(
-            r.next_packet(),
+            strict(&buf),
             Err(PcapError::BadTimestampResolution(20))
         ));
     }
@@ -670,13 +491,11 @@ mod tests {
     fn tsresol_binary_edge_and_overflow() {
         // 2^63 ticks/s parses; 1<<20 ticks = 1<<20 * 1e6 / 2^63 µs ≈ 0.
         let buf = file_with_tsresol(0x80 | 63, 1 << 20);
-        let mut r = PcapNgReader::new(&buf[..]);
-        assert_eq!(r.next_packet().unwrap().unwrap().packet.timestamp_us, 0);
+        assert_eq!(strict(&buf).unwrap()[0].packet.timestamp_us, 0);
         // 2^64 does not fit.
         let buf = file_with_tsresol(0x80 | 64, 1);
-        let mut r = PcapNgReader::new(&buf[..]);
         assert!(matches!(
-            r.next_packet(),
+            strict(&buf),
             Err(PcapError::BadTimestampResolution(raw)) if raw == (0x80 | 64)
         ));
     }
@@ -685,11 +504,7 @@ mod tests {
     fn tsresol_binary_microsecond_neighbour() {
         // 2^20 ticks/s (binary ~µs): 2^20 ticks = exactly 1 second.
         let buf = file_with_tsresol(0x80 | 20, 1 << 20);
-        let mut r = PcapNgReader::new(&buf[..]);
-        assert_eq!(
-            r.next_packet().unwrap().unwrap().packet.timestamp_us,
-            1_000_000
-        );
+        assert_eq!(strict(&buf).unwrap()[0].packet.timestamp_us, 1_000_000);
     }
 
     #[test]
@@ -702,15 +517,10 @@ mod tests {
         // Patch the EPB's total length to a misaligned value.
         let epb_off = 28 + 20;
         buf[epb_off + 4..epb_off + 8].copy_from_slice(&41u32.to_le_bytes());
-        let mut r = PcapNgReader::new(&buf[..]);
-        assert!(matches!(
-            r.next_packet(),
-            Err(PcapError::BadBlockLength(41))
-        ));
+        assert!(matches!(strict(&buf), Err(PcapError::BadBlockLength(41))));
         // And an under-minimum length.
         buf[epb_off + 4..epb_off + 8].copy_from_slice(&8u32.to_le_bytes());
-        let mut r = PcapNgReader::new(&buf[..]);
-        assert!(matches!(r.next_packet(), Err(PcapError::BadBlockLength(8))));
+        assert!(matches!(strict(&buf), Err(PcapError::BadBlockLength(8))));
     }
 
     #[test]
@@ -722,11 +532,29 @@ mod tests {
         }
         let last4 = buf.len() - 4;
         buf[last4..].copy_from_slice(&44u32.to_le_bytes());
-        let mut r = PcapNgReader::new(&buf[..]);
-        assert!(matches!(
-            r.next_packet(),
-            Err(PcapError::BadBlockLength(44))
-        ));
+        assert!(matches!(strict(&buf), Err(PcapError::BadBlockLength(44))));
+    }
+
+    /// An SHB whose length claims ~4 GiB: a strict read must reject the
+    /// length itself, before anything sizes a buffer from it, and stay put.
+    #[test]
+    fn oversized_shb_is_rejected_without_allocating() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&BT_SHB.to_le_bytes());
+        buf.extend_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+        buf.extend_from_slice(&BYTE_ORDER_MAGIC.to_le_bytes());
+        buf.extend_from_slice(&1u16.to_le_bytes());
+        buf.extend_from_slice(&0u16.to_le_bytes());
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        buf.extend_from_slice(&[0u8; 8]);
+        assert_eq!(buf.len(), 32);
+        let mut r = PcapNgStream::strict(&buf[..]);
+        for _ in 0..2 {
+            assert!(matches!(
+                r.next_packet(),
+                Err(PcapError::OversizedRecord(0xFFFF_FFF0))
+            ));
+        }
     }
 
     #[test]
@@ -743,11 +571,9 @@ mod tests {
             w.write_packet(2, &[2]).unwrap();
             buf.extend_from_slice(&second);
         }
-        let mut r = PcapNgReader::new(&buf[..]);
-        let a = r.next_packet().unwrap().unwrap();
-        let b = r.next_packet().unwrap().unwrap();
-        assert_eq!(a.link, LinkType::Ethernet);
-        assert_eq!(b.link, LinkType::Radiotap);
-        assert!(r.next_packet().unwrap().is_none());
+        let got = strict(&buf).unwrap();
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].link, LinkType::Ethernet);
+        assert_eq!(got[1].link, LinkType::Radiotap);
     }
 }

@@ -1,59 +1,72 @@
-//! Chunked streaming engines behind the lossy readers.
+//! The one decoder per capture container.
 //!
-//! [`crate::read_pcap_lossy`] and [`crate::read_pcapng_lossy`] historically
-//! worked over a whole-file byte slice, which meant ingesting a capture cost
-//! O(file) memory before the first record came out. The engines here make
-//! the same decisions over a **bounded rolling window** fed from any
+//! [`PcapStream`] (classic pcap) and [`PcapNgStream`] (pcapng) each run a
+//! single decode loop over a **bounded rolling window** fed from any
 //! [`Read`] source, so a multi-gigabyte sniffer trace decodes in O(window)
-//! memory; the whole-buffer functions are now thin collecting wrappers over
-//! these streams.
+//! memory. Each takes one of two policies at construction:
+//!
+//! * **strict** — for files we wrote, where any damage is a bug: the first
+//!   damage fails the read with the typed [`PcapError`] the head checks
+//!   found, and the stream stays there;
+//! * **lossy** — for real captures, where damage is weather: the decoder
+//!   skips it, resynchronizes, and accounts for every skip in an
+//!   [`IngestReport`].
+//!
+//! The policies share every check and every decision. They part only where
+//! the lossy policy starts a resync, counts a skipped block or flags a
+//! truncated tail: there the strict policy returns the error instead. So a
+//! strict read yields exactly the packets a lossy read yields before its
+//! first damage, and it fails if and only if the lossy report is not clean.
+//! "Lossy is byte-identical to strict on clean files" holds by construction;
+//! `tests/no_panic.rs` checks the prefix property over chaos-corrupted
+//! captures.
 //!
 //! # The window invariant
 //!
-//! Every structural decision the lossy engines make — "does this record's
-//! body run past end-of-stream?", "does the stream end exactly after this
+//! Every structural decision the engines make — "does this record's body
+//! run past end-of-stream?", "does the stream end exactly after this
 //! candidate?", "is the following header also sane?" — looks at most
 //! `2 * MAX_SANE_CAPLEN + 64` bytes past the current position:
 //!
 //! * a classic record occupies at most `RECORD_HEADER_LEN +
 //!   MAX_SANE_CAPLEN` bytes, and resync double-confirmation peeks one more
 //!   record header past it;
-//! * a pcapng block occupies at most `2 * MAX_SANE_CAPLEN` bytes
-//!   (the strict reader's own bound).
+//! * a pcapng block occupies at most `2 * MAX_SANE_CAPLEN` bytes (longer
+//!   lengths are rejected as [`PcapError::OversizedRecord`]).
 //!
 //! [`ChunkedSource`] guarantees that after a refill the window holds at
 //! least that many bytes *or* the source is exhausted and the window is
 //! exactly the remainder of the stream. Under that invariant every
-//! boundary test against `window.len()` means precisely what it meant
-//! against `bytes.len()` in the whole-buffer engine, so the streams are
-//! decision-for-decision identical to the batch readers — including every
-//! [`IngestReport`] counter — for *any* chunking of the underlying reads.
-//! The tests at the bottom enforce this by differencing the two paths over
-//! clean and chaos-corrupted captures at several read granularities.
+//! boundary test against `window.len()` means precisely what it would mean
+//! against the whole remaining stream, so the decisions — including every
+//! [`IngestReport`] counter — are the same for *any* chunking of the
+//! underlying reads. The tests at the bottom enforce this by differencing
+//! byte-at-a-time and coarser reads against whole-buffer reads over clean
+//! and chaos-corrupted captures.
 //!
 //! # Live (non-blocking) sources
 //!
 //! A tailed live capture cannot satisfy the invariant: the last bytes of a
 //! growing file are a partial window with no end-of-stream in sight. Sources
 //! that return [`std::io::ErrorKind::WouldBlock`] surface this as
-//! [`FillStatus::Partial`], and the [`LossyPcapStream::poll_packet`] /
-//! [`LossyPcapNgStream::poll_packet`] entry points then follow one rule: on
+//! [`FillStatus::Partial`], and the [`PcapStream::poll_packet`] /
+//! [`PcapNgStream::poll_packet`] entry points then follow one rule: on
 //! a partial window, either act on a **fully-validated in-window record**
-//! (a decision unchanged by any extension of the window, so the batch
-//! engine over the final bytes makes it identically) or change nothing and
-//! report [`Polled::Pending`]. Resynchronization after corruption always
+//! (a decision unchanged by any extension of the window, so a decode of the
+//! final bytes makes it identically) or change nothing and report
+//! [`Polled::Pending`]. Damage — a resync, or a strict failure — always
 //! waits for a full (or end-of-stream) window. Consequently a poll-driven
 //! decode of a growing file converges, byte-for-byte in records and
-//! accounting, to the batch decode of the final file contents.
+//! accounting, to the decode of the final file contents.
 
 use crate::format::{
-    LinkType, PacketRef, PcapError, GLOBAL_HEADER_LEN, MAGIC_BE, MAGIC_LE, MAGIC_NS_BE,
-    MAGIC_NS_LE, MAX_SANE_CAPLEN, RECORD_HEADER_LEN,
+    u16_at, u32_at, LinkType, PacketRef, PcapError, GLOBAL_HEADER_LEN, MAGIC_BE, MAGIC_LE,
+    MAGIC_NS_BE, MAGIC_NS_LE, MAX_SANE_CAPLEN, RECORD_HEADER_LEN,
 };
-use crate::lossy::IngestReport;
+use crate::lossy::{is_pcapng, IngestReport};
 use crate::pcapng::{
-    parse_epb_ref, parse_idb, parse_spb_ref, Interface, NgPacketRef, BT_EPB, BT_IDB, BT_SHB,
-    BT_SPB, BYTE_ORDER_MAGIC,
+    parse_idb, parse_packet_block, Interface, NgPacketRef, BT_EPB, BT_IDB, BT_SHB, BT_SPB,
+    BYTE_ORDER_MAGIC,
 };
 use std::io::Read;
 
@@ -84,8 +97,8 @@ pub enum FillStatus {
     Partial,
 }
 
-/// Outcome of a single non-blocking [`LossyPcapStream::poll_packet`] /
-/// [`LossyPcapNgStream::poll_packet`].
+/// Outcome of a single non-blocking [`PcapStream::poll_packet`] /
+/// [`PcapNgStream::poll_packet`].
 #[derive(Debug)]
 pub enum Polled<T> {
     /// The next surviving record.
@@ -97,6 +110,17 @@ pub enum Polled<T> {
     End,
 }
 
+impl<T> Polled<T> {
+    /// Maps the record of a [`Polled::Packet`]; `Pending` and `End` pass
+    /// through.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Polled<U> {
+        match self {
+            Polled::Packet(p) => Polled::Packet(f(p)),
+            Polled::Pending => Polled::Pending,
+            Polled::End => Polled::End,
+        }
+    }
+}
 /// A bounded rolling byte window over any [`Read`] source.
 ///
 /// Invariant: after [`ChunkedSource::fill`] returns [`FillStatus::Full`],
@@ -184,19 +208,21 @@ impl<R: Read> ChunkedSource<R> {
     }
 }
 
-pub(crate) struct ClassicHeader {
-    pub(crate) big_endian: bool,
-    pub(crate) nanos: bool,
-    pub(crate) link: LinkType,
+/// Where the two policies part. At a damage point the lossy policy
+/// accounts for the damage and goes on (`Ok`); the strict policy stops
+/// with the error the head checks found.
+fn on_damage(strict: bool, e: PcapError) -> Result<(), PcapError> {
+    if strict {
+        Err(e)
+    } else {
+        Ok(())
+    }
 }
 
-pub(crate) fn u32_end(big_endian: bool, bytes: &[u8], off: usize) -> u32 {
-    let b = [bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]];
-    if big_endian {
-        u32::from_be_bytes(b)
-    } else {
-        u32::from_le_bytes(b)
-    }
+struct ClassicHeader {
+    big_endian: bool,
+    nanos: bool,
+    link: LinkType,
 }
 
 fn parse_global_header(bytes: &[u8]) -> Result<ClassicHeader, PcapError> {
@@ -211,54 +237,39 @@ fn parse_global_header(bytes: &[u8]) -> Result<ClassicHeader, PcapError> {
         MAGIC_NS_BE => (true, true),
         other => return Err(PcapError::BadMagic(other)),
     };
-    let major = {
-        let b = [bytes[4], bytes[5]];
-        if big_endian {
-            u16::from_be_bytes(b)
-        } else {
-            u16::from_le_bytes(b)
-        }
-    };
+    let major = u16_at(big_endian, bytes, 4);
     if major != 2 {
-        let minor = {
-            let b = [bytes[6], bytes[7]];
-            if big_endian {
-                u16::from_be_bytes(b)
-            } else {
-                u16::from_le_bytes(b)
-            }
-        };
+        let minor = u16_at(big_endian, bytes, 6);
         return Err(PcapError::UnsupportedVersion(major, minor));
     }
     Ok(ClassicHeader {
         big_endian,
         nanos,
-        link: LinkType::from_code(u32_end(big_endian, bytes, 20)),
+        link: LinkType::from_code(u32_at(big_endian, bytes, 20)),
     })
 }
 
-/// Why a record at the window head could not be taken as-is.
-enum RecordFailure {
-    /// The header's lengths are impossible.
-    BadHeader,
-    /// The header parses but the body runs past end-of-stream.
-    PastEof,
-}
-
-/// Basic record-header validation at the window head — exactly what the
-/// strict reader checks, so clean files decode identically in both modes.
-/// Returns `(timestamp_us, orig_len, end)` with `end` one past the body.
-fn record_head(w: &[u8], h: &ClassicHeader) -> Result<(u64, u32, usize), RecordFailure> {
-    let ts_sec = u32_end(h.big_endian, w, 0) as u64;
-    let ts_frac = u32_end(h.big_endian, w, 4) as u64;
-    let caplen = u32_end(h.big_endian, w, 8);
-    let orig_len = u32_end(h.big_endian, w, 12);
-    if caplen > MAX_SANE_CAPLEN || caplen > orig_len {
-        return Err(RecordFailure::BadHeader);
+/// Record validation at the window head: a whole header, sane lengths,
+/// the body inside the stream. Returns `(timestamp_us, orig_len, end)` with
+/// `end` one past the body; [`PcapError::TruncatedFile`] means the stream
+/// ends inside the record.
+fn record_head(w: &[u8], h: &ClassicHeader) -> Result<(u64, u32, usize), PcapError> {
+    if w.len() < RECORD_HEADER_LEN {
+        return Err(PcapError::TruncatedFile);
+    }
+    let ts_sec = u32_at(h.big_endian, w, 0) as u64;
+    let ts_frac = u32_at(h.big_endian, w, 4) as u64;
+    let caplen = u32_at(h.big_endian, w, 8);
+    let orig_len = u32_at(h.big_endian, w, 12);
+    if caplen > MAX_SANE_CAPLEN {
+        return Err(PcapError::OversizedRecord(caplen));
+    }
+    if caplen > orig_len {
+        return Err(PcapError::InconsistentLengths { caplen, orig_len });
     }
     let end = RECORD_HEADER_LEN + caplen as usize;
     if end > w.len() {
-        return Err(RecordFailure::PastEof);
+        return Err(PcapError::TruncatedFile);
     }
     let micros = if h.nanos { ts_frac / 1000 } else { ts_frac };
     Ok((ts_sec * 1_000_000 + micros, orig_len, end))
@@ -270,10 +281,10 @@ fn plausible_record(w: &[u8], h: &ClassicHeader, last_sec: Option<u64>) -> bool 
     if w.len() < RECORD_HEADER_LEN {
         return false;
     }
-    let ts_sec = u32_end(h.big_endian, w, 0) as u64;
-    let ts_frac = u32_end(h.big_endian, w, 4) as u64;
-    let caplen = u32_end(h.big_endian, w, 8);
-    let orig_len = u32_end(h.big_endian, w, 12);
+    let ts_sec = u32_at(h.big_endian, w, 0) as u64;
+    let ts_frac = u32_at(h.big_endian, w, 4) as u64;
+    let caplen = u32_at(h.big_endian, w, 8);
+    let orig_len = u32_at(h.big_endian, w, 12);
     let frac_bound = if h.nanos { 1_000_000_000 } else { 1_000_000 };
     if ts_frac >= frac_bound
         || caplen > MAX_SANE_CAPLEN
@@ -300,21 +311,19 @@ fn plausible_record(w: &[u8], h: &ClassicHeader, last_sec: Option<u64>) -> bool 
     if next + RECORD_HEADER_LEN > w.len() {
         return false; // trailing sliver that can't be a record
     }
-    let n_frac = u32_end(h.big_endian, w, next + 4) as u64;
-    let n_caplen = u32_end(h.big_endian, w, next + 8);
-    let n_orig = u32_end(h.big_endian, w, next + 12);
+    let n_frac = u32_at(h.big_endian, w, next + 4) as u64;
+    let n_caplen = u32_at(h.big_endian, w, next + 8);
+    let n_orig = u32_at(h.big_endian, w, next + 12);
     n_frac < frac_bound && n_caplen <= MAX_SANE_CAPLEN && n_caplen <= n_orig
 }
 
-/// A lossy, resynchronizing classic-pcap reader over any byte stream, in
-/// O(window) memory.
-///
-/// Decision-for-decision identical — records *and* [`IngestReport`]
-/// accounting — to [`crate::read_pcap_lossy`], which is a collecting wrapper
-/// over this type.
-pub struct LossyPcapStream<R> {
+/// The classic-pcap decoder over any byte stream, in O(window) memory, with
+/// the strict or lossy policy fixed at construction (see the module docs).
+/// [`crate::read_pcap_lossy`] and [`crate::read_file`] collect one.
+pub struct PcapStream<R> {
     src: ChunkedSource<R>,
     header: ClassicHeader,
+    strict: bool,
     report: IngestReport,
     last_sec: Option<u64>,
     just_resynced: bool,
@@ -324,12 +333,26 @@ pub struct LossyPcapStream<R> {
     pending: usize,
 }
 
-impl<R: Read> LossyPcapStream<R> {
-    /// Wraps a byte stream and validates the global header — the one part
-    /// of the file without which there is nothing to recover. On a live
-    /// (`WouldBlock`) source this waits until the header bytes arrive or the
-    /// source ends.
-    pub fn new(inner: R) -> Result<LossyPcapStream<R>, PcapError> {
+impl<R: Read> PcapStream<R> {
+    /// A strict stream: validates the global header now and fails on the
+    /// first damaged record with its typed [`PcapError`]. After a failure
+    /// the stream stays at the damage, so every later read returns the same
+    /// error.
+    pub fn strict(inner: R) -> Result<PcapStream<R>, PcapError> {
+        PcapStream::new(inner, true)
+    }
+
+    /// A lossy stream: validates the global header now — the one part of
+    /// the file without which there is nothing to recover — and later
+    /// resynchronizes past damaged records, counting them in
+    /// [`PcapStream::report`].
+    pub fn lossy(inner: R) -> Result<PcapStream<R>, PcapError> {
+        PcapStream::new(inner, false)
+    }
+
+    /// On a live (`WouldBlock`) source this waits until the header bytes
+    /// arrive or the source ends.
+    fn new(inner: R, strict: bool) -> Result<PcapStream<R>, PcapError> {
         let mut src = ChunkedSource::new(inner);
         loop {
             let status = src.fill()?;
@@ -340,9 +363,10 @@ impl<R: Read> LossyPcapStream<R> {
         }
         let header = parse_global_header(src.window())?;
         src.consume(GLOBAL_HEADER_LEN);
-        Ok(LossyPcapStream {
+        Ok(PcapStream {
             src,
             header,
+            strict,
             report: IngestReport::default(),
             last_sec: None,
             just_resynced: false,
@@ -365,7 +389,7 @@ impl<R: Read> LossyPcapStream<R> {
     /// [`PacketRef`] borrows the internal window and is invalidated by the
     /// next call.
     ///
-    /// Blocking-source convenience over [`LossyPcapStream::poll_packet`]: a
+    /// Blocking-source convenience over [`PcapStream::poll_packet`]: a
     /// non-blocking source that reports [`Polled::Pending`] surfaces here as
     /// a [`std::io::ErrorKind::WouldBlock`] error.
     pub fn next_packet(&mut self) -> Result<Option<PacketRef<'_>>, PcapError> {
@@ -378,8 +402,8 @@ impl<R: Read> LossyPcapStream<R> {
 
     /// Non-blocking decode step; see the module docs on live sources. On
     /// [`Polled::Pending`] no observable state (position, accounting)
-    /// changes, so any interleaving of polls converges to the batch decode
-    /// of the final bytes.
+    /// changes, so any interleaving of polls converges to the decode of the
+    /// final bytes.
     pub fn poll_packet(&mut self) -> Result<Polled<PacketRef<'_>>, PcapError> {
         self.src.consume(self.pending);
         self.pending = 0;
@@ -392,8 +416,7 @@ impl<R: Read> LossyPcapStream<R> {
                     let w = self.src.window();
                     if w.len() < RECORD_HEADER_LEN {
                         // Trailing sliver too small for a record: the
-                        // scan discards it without a truncated-tail
-                        // flag, same as the batch engine.
+                        // scan discards it without a truncated-tail flag.
                         self.report.bytes_skipped += w.len() as u64;
                         let n = w.len();
                         self.src.consume(n);
@@ -416,22 +439,11 @@ impl<R: Read> LossyPcapStream<R> {
                     FillStatus::Partial => Polled::Pending,
                 });
             }
-            if len < RECORD_HEADER_LEN {
-                if status == FillStatus::Partial {
-                    return Ok(Polled::Pending);
-                }
-                // The window invariant makes this end-of-stream by
-                // construction: too few bytes for a record header.
-                self.report.truncated_tail = true;
-                self.report.bytes_skipped += len as u64;
-                self.src.consume(len);
-                return Ok(Polled::End);
-            }
             match record_head(self.src.window(), &self.header) {
                 Ok(rec) => {
-                    // In-window sane record: the batch engine over any
-                    // extension of this window decodes it identically, so
-                    // emitting is safe even on a partial window.
+                    // In-window sane record: a decode over any extension of
+                    // this window takes it identically, so emitting is safe
+                    // even on a partial window.
                     self.last_sec = Some(rec.0 / 1_000_000);
                     if self.just_resynced {
                         self.report.records_recovered += 1;
@@ -442,14 +454,21 @@ impl<R: Read> LossyPcapStream<R> {
                     break rec;
                 }
                 Err(_) if status == FillStatus::Partial => {
-                    // A body not yet arrived looks like PastEof, and even a
-                    // bad header must not start a resync before the scan's
-                    // full-window lookahead is available.
+                    // A header or body not yet arrived looks truncated, and
+                    // even a bad header must not count as damage before the
+                    // scan's full-window lookahead is available.
                     return Ok(Polled::Pending);
                 }
-                Err(failure) => {
-                    if matches!(failure, RecordFailure::PastEof) {
-                        self.report.truncated_tail = true;
+                Err(e) => {
+                    let truncated = matches!(e, PcapError::TruncatedFile);
+                    on_damage(self.strict, e)?;
+                    self.report.truncated_tail |= truncated;
+                    if len < RECORD_HEADER_LEN {
+                        // The window invariant makes this end-of-stream by
+                        // construction: too few bytes for a record header.
+                        self.report.bytes_skipped += len as u64;
+                        self.src.consume(len);
+                        return Ok(Polled::End);
                     }
                     self.report.resyncs += 1;
                     self.report.blocks_skipped += 1;
@@ -469,90 +488,130 @@ impl<R: Read> LossyPcapStream<R> {
     }
 }
 
-/// Block-length sanity at the window head, shared by in-stride parsing and
+/// Block framing at the window head, shared by in-stride parsing and
 /// resync scanning: lead length in range and aligned, body inside the
-/// stream, trailing length equal to the lead.
-fn ng_block_sane(w: &[u8], big_endian: bool) -> Option<usize> {
-    if w.len() < 12 {
-        return None;
+/// stream, trailing length equal to the lead. Returns the total length.
+fn ng_block_sane(w: &[u8], big_endian: bool) -> Result<usize, PcapError> {
+    if w.len() < 8 {
+        return Err(PcapError::TruncatedFile);
     }
-    let total_len = u32_end(big_endian, w, 4) as usize;
-    if total_len < 12 || !total_len.is_multiple_of(4) || total_len as u32 > MAX_SANE_CAPLEN * 2 {
-        return None;
+    let total_len = u32_at(big_endian, w, 4);
+    if total_len < 12 || !total_len.is_multiple_of(4) {
+        return Err(PcapError::BadBlockLength(total_len));
     }
-    if total_len > w.len() {
-        return None;
+    if total_len > MAX_SANE_CAPLEN * 2 {
+        return Err(PcapError::OversizedRecord(total_len));
     }
-    let trailing = u32_end(big_endian, w, total_len - 4) as usize;
+    let end = total_len as usize;
+    if end > w.len() {
+        return Err(PcapError::TruncatedFile);
+    }
+    let trailing = u32_at(big_endian, w, end - 4);
     if trailing != total_len {
-        return None;
+        return Err(PcapError::BadBlockLength(trailing));
     }
-    Some(total_len)
+    Ok(end)
 }
 
-/// Validates an SHB candidate at the window head; returns
+/// Validates a Section Header Block at the window head; returns
 /// `(big_endian, total_len)`.
-fn ng_shb_sane(w: &[u8]) -> Option<(bool, usize)> {
+fn ng_shb_sane(w: &[u8]) -> Result<(bool, usize), PcapError> {
+    if w.len() < 8 {
+        return Err(PcapError::TruncatedFile);
+    }
+    let block_type = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    if block_type != BT_SHB {
+        return Err(PcapError::BadMagic(block_type));
+    }
     if w.len() < 12 {
-        return None;
+        return Err(PcapError::TruncatedFile);
     }
-    if u32::from_le_bytes([w[0], w[1], w[2], w[3]]) != BT_SHB {
-        return None;
-    }
-    let magic_le = u32::from_le_bytes([w[8], w[9], w[10], w[11]]);
-    let big_endian = match magic_le {
+    let big_endian = match u32::from_le_bytes([w[8], w[9], w[10], w[11]]) {
         BYTE_ORDER_MAGIC => false,
         m if m == BYTE_ORDER_MAGIC.swap_bytes() => true,
-        _ => return None,
+        other => return Err(PcapError::BadMagic(other)),
     };
+    let declared = u32_at(big_endian, w, 4);
+    if declared < 28 {
+        return Err(PcapError::BadBlockLength(declared));
+    }
     let total_len = ng_block_sane(w, big_endian)?;
-    if total_len < 28 {
-        return None;
-    }
-    // Version major must be 1.
-    let major = {
-        let b = [w[12], w[13]];
-        if big_endian {
-            u16::from_be_bytes(b)
-        } else {
-            u16::from_le_bytes(b)
-        }
-    };
+    let major = u16_at(big_endian, w, 12);
     if major != 1 {
-        return None;
+        let minor = u16_at(big_endian, w, 14);
+        return Err(PcapError::UnsupportedVersion(major, minor));
     }
-    Some((big_endian, total_len))
+    Ok((big_endian, total_len))
 }
 
-/// Which packet-bearing block type the scan loop stopped on.
-enum NgBlockKind {
-    Epb,
-    Spb,
+/// What [`ng_head`] found at the window head.
+enum NgHead {
+    /// A valid Section Header Block: a new section starts.
+    Section { big_endian: bool, len: usize },
+    /// A block framed sanely in the current section's byte order.
+    Block { block_type: u32, len: usize },
 }
 
-/// A lossy, resynchronizing pcapng reader over any byte stream, in
-/// O(window) memory. Total like [`crate::read_pcapng_lossy`] (its collecting
-/// wrapper): a stream with no recoverable section yields zero packets with
-/// every byte accounted as skipped; only source I/O can error.
-pub struct LossyPcapNgStream<R> {
+/// Classifies the block at the window head. SHB first: its type bytes are
+/// palindromic, so it is identifiable before the byte order is known. Any
+/// other block needs a section to have started. The error is the damage
+/// found; for a head typed as an SHB, what is wrong with that SHB.
+fn ng_head(w: &[u8], started: bool, big_endian: bool) -> Result<NgHead, PcapError> {
+    let shb_err = match ng_shb_sane(w) {
+        Ok((big_endian, len)) => return Ok(NgHead::Section { big_endian, len }),
+        Err(e) => e,
+    };
+    if !started {
+        return Err(shb_err);
+    }
+    match ng_block_sane(w, big_endian) {
+        Ok(len) => Ok(NgHead::Block {
+            block_type: u32_at(big_endian, w, 0),
+            len,
+        }),
+        Err(_) if is_pcapng(w) => Err(shb_err),
+        Err(e) => Err(e),
+    }
+}
+
+/// The pcapng decoder over any byte stream, in O(window) memory, with the
+/// strict or lossy policy fixed at construction (see the module docs).
+/// [`crate::read_pcapng_lossy`] collects a lossy one.
+pub struct PcapNgStream<R> {
     src: ChunkedSource<R>,
+    strict: bool,
     report: IngestReport,
     big_endian: bool,
     started: bool,
     interfaces: Vec<Option<Interface>>,
     just_resynced: bool,
     /// Mid-resync-scan across a [`Polled::Pending`] return; see
-    /// [`LossyPcapStream`].
+    /// [`PcapStream`].
     resyncing: bool,
     pending: usize,
 }
 
-impl<R: Read> LossyPcapNgStream<R> {
-    /// Wraps a byte stream. Nothing is validated up front: pcapng recovery
-    /// can start mid-stream at any Section Header Block.
-    pub fn new(inner: R) -> LossyPcapNgStream<R> {
-        LossyPcapNgStream {
+impl<R: Read> PcapNgStream<R> {
+    /// A strict stream: the first block must be a Section Header Block, and
+    /// the first damage fails the read with its typed [`PcapError`]. After a
+    /// failure the stream stays at the damage, so every later read returns
+    /// the same error.
+    pub fn strict(inner: R) -> PcapNgStream<R> {
+        PcapNgStream::new(inner, true)
+    }
+
+    /// A lossy stream. Nothing is validated up front: recovery can start
+    /// mid-stream at any Section Header Block, and a stream with no
+    /// recoverable section yields zero packets with every byte accounted as
+    /// skipped; only source I/O can error.
+    pub fn lossy(inner: R) -> PcapNgStream<R> {
+        PcapNgStream::new(inner, false)
+    }
+
+    fn new(inner: R, strict: bool) -> PcapNgStream<R> {
+        PcapNgStream {
             src: ChunkedSource::new(inner),
+            strict,
             report: IngestReport::default(),
             big_endian: false,
             started: false,
@@ -572,9 +631,9 @@ impl<R: Read> LossyPcapNgStream<R> {
     /// [`NgPacketRef`] borrows the internal window and is invalidated by the
     /// next call.
     ///
-    /// Blocking-source convenience over [`LossyPcapNgStream::poll_packet`]:
-    /// a non-blocking source that reports [`Polled::Pending`] surfaces here
-    /// as a [`std::io::ErrorKind::WouldBlock`] error.
+    /// Blocking-source convenience over [`PcapNgStream::poll_packet`]: a
+    /// non-blocking source that reports [`Polled::Pending`] surfaces here as
+    /// a [`std::io::ErrorKind::WouldBlock`] error.
     pub fn next_packet(&mut self) -> Result<Option<NgPacketRef<'_>>, PcapError> {
         match self.poll_packet()? {
             Polled::Packet(p) => Ok(Some(p)),
@@ -585,12 +644,12 @@ impl<R: Read> LossyPcapNgStream<R> {
 
     /// Non-blocking decode step; see the module docs on live sources. On
     /// [`Polled::Pending`] no observable state (position, accounting)
-    /// changes, so any interleaving of polls converges to the batch decode
-    /// of the final bytes.
+    /// changes, so any interleaving of polls converges to the decode of the
+    /// final bytes.
     pub fn poll_packet(&mut self) -> Result<Polled<NgPacketRef<'_>>, PcapError> {
         self.src.consume(self.pending);
         self.pending = 0;
-        let (kind, total_len) = loop {
+        let (block_type, total_len) = loop {
             if self.resyncing {
                 loop {
                     if self.src.fill()? == FillStatus::Partial {
@@ -603,13 +662,13 @@ impl<R: Read> LossyPcapNgStream<R> {
                         self.src.consume(n);
                         return Ok(Polled::End);
                     }
-                    if ng_shb_sane(w).is_some() {
+                    if ng_shb_sane(w).is_ok() {
                         break;
                     }
                     if self.started {
-                        let block_type = u32_end(self.big_endian, w, 0);
+                        let block_type = u32_at(self.big_endian, w, 0);
                         if matches!(block_type, BT_IDB | BT_EPB | BT_SPB)
-                            && ng_block_sane(w, self.big_endian).is_some()
+                            && ng_block_sane(w, self.big_endian).is_ok()
                         {
                             break;
                         }
@@ -628,80 +687,67 @@ impl<R: Read> LossyPcapNgStream<R> {
                     FillStatus::Partial => Polled::Pending,
                 });
             }
-            if len < 12 {
-                if status == FillStatus::Partial {
-                    return Ok(Polled::Pending);
+            match ng_head(self.src.window(), self.started, self.big_endian) {
+                Ok(NgHead::Section { big_endian, len }) => {
+                    self.big_endian = big_endian;
+                    self.started = true;
+                    self.interfaces.clear();
+                    self.src.consume(len);
                 }
-                self.report.truncated_tail = true;
-                self.report.bytes_skipped += len as u64;
-                self.src.consume(len);
-                return Ok(Polled::End);
-            }
-            // SHB first: its type is identifiable before endianness is known.
-            if let Some((be, shb_len)) = ng_shb_sane(self.src.window()) {
-                self.big_endian = be;
-                self.started = true;
-                self.interfaces.clear();
-                self.src.consume(shb_len);
-                continue;
-            }
-            let in_stride = if self.started {
-                ng_block_sane(self.src.window(), self.big_endian)
-            } else {
-                None
-            };
-            match in_stride {
-                Some(total_len) => {
-                    let block_type = u32_end(self.big_endian, self.src.window(), 0);
-                    match block_type {
-                        BT_IDB => {
-                            let parsed =
-                                parse_idb(self.big_endian, &self.src.window()[8..total_len - 4]);
-                            match parsed {
-                                Ok(iface) => self.interfaces.push(Some(iface)),
-                                Err(_) => {
-                                    // Keep interface ids aligned: the slot
-                                    // exists but is unusable; its packets
-                                    // are skipped.
-                                    self.interfaces.push(None);
-                                    self.report.blocks_skipped += 1;
-                                }
-                            }
-                            self.src.consume(total_len);
-                        }
-                        BT_EPB | BT_SPB => {
-                            let body = &self.src.window()[8..total_len - 4];
-                            let decodes = if block_type == BT_EPB {
-                                parse_epb_ref(self.big_endian, body, &self.interfaces).is_ok()
-                            } else {
-                                parse_spb_ref(self.big_endian, body, &self.interfaces).is_ok()
-                            };
-                            if decodes {
-                                if self.just_resynced {
-                                    self.report.records_recovered += 1;
-                                    self.just_resynced = false;
-                                } else {
-                                    self.report.records_ok += 1;
-                                }
-                                let kind = if block_type == BT_EPB {
-                                    NgBlockKind::Epb
-                                } else {
-                                    NgBlockKind::Spb
-                                };
-                                break (kind, total_len);
-                            }
+                Ok(NgHead::Block {
+                    block_type: BT_IDB,
+                    len,
+                }) => {
+                    match parse_idb(self.big_endian, &self.src.window()[8..len - 4]) {
+                        Ok(iface) => self.interfaces.push(Some(iface)),
+                        Err(e) => {
+                            on_damage(self.strict, e)?;
+                            // Keep interface ids aligned: the slot exists
+                            // but is unusable; its packets are skipped.
+                            self.interfaces.push(None);
                             self.report.blocks_skipped += 1;
-                            self.src.consume(total_len);
                         }
-                        _ => self.src.consume(total_len), // unknown: skipped by length
+                    }
+                    self.src.consume(len);
+                }
+                Ok(NgHead::Block {
+                    block_type: block_type @ (BT_EPB | BT_SPB),
+                    len,
+                }) => {
+                    let body = &self.src.window()[8..len - 4];
+                    match parse_packet_block(block_type, self.big_endian, body, &self.interfaces) {
+                        Ok(_) => {
+                            if self.just_resynced {
+                                self.report.records_recovered += 1;
+                                self.just_resynced = false;
+                            } else {
+                                self.report.records_ok += 1;
+                            }
+                            break (block_type, len);
+                        }
+                        Err(e) => {
+                            on_damage(self.strict, e)?;
+                            self.report.blocks_skipped += 1;
+                            self.src.consume(len);
+                        }
                     }
                 }
-                None if status == FillStatus::Partial => {
+                Ok(NgHead::Block { len, .. }) => self.src.consume(len), // unknown: skipped by length
+                Err(_) if status == FillStatus::Partial => {
                     // The head may be a block whose tail has not arrived
                     // yet (and a resync needs full-window lookahead): wait.
                     return Ok(Polled::Pending);
                 }
-                None => {
+                Err(e) => {
+                    on_damage(self.strict, e)?;
+                    if len < 12 {
+                        // End of stream by the window invariant: too few
+                        // bytes for any block.
+                        self.report.truncated_tail = true;
+                        self.report.bytes_skipped += len as u64;
+                        self.src.consume(len);
+                        return Ok(Polled::End);
+                    }
                     // Resync: scan for the next self-consistent known block
                     // (the scan itself runs at the top of the outer loop).
                     self.report.resyncs += 1;
@@ -714,11 +760,8 @@ impl<R: Read> LossyPcapNgStream<R> {
         };
         self.pending = total_len;
         let body = &self.src.window()[8..total_len - 4];
-        let pkt = match kind {
-            NgBlockKind::Epb => parse_epb_ref(self.big_endian, body, &self.interfaces),
-            NgBlockKind::Spb => parse_spb_ref(self.big_endian, body, &self.interfaces),
-        }
-        .expect("block decoded in the scan loop");
+        let pkt = parse_packet_block(block_type, self.big_endian, body, &self.interfaces)
+            .expect("block decoded in the scan loop");
         Ok(Polled::Packet(pkt))
     }
 }
@@ -727,6 +770,7 @@ impl<R: Read> LossyPcapNgStream<R> {
 mod tests {
     use super::*;
     use crate::chaos::{corrupt_bytes, ChaosConfig, ChaosRng};
+    use crate::format::{MAGIC_LE, MAGIC_NS_LE};
     use crate::lossy::{read_pcap_lossy, read_pcapng_lossy};
     use crate::pcapng::PcapNgWriter;
     use crate::writer::PcapWriter;
@@ -774,7 +818,7 @@ mod tests {
     }
 
     fn stream_classic(bytes: &[u8], max: usize) -> (Vec<PcapPacket>, IngestReport) {
-        let mut s = LossyPcapStream::new(small(bytes, max)).unwrap();
+        let mut s = PcapStream::lossy(small(bytes, max)).unwrap();
         let mut out = Vec::new();
         while let Some(p) = s.next_packet().unwrap() {
             out.push(p.to_owned());
@@ -783,7 +827,7 @@ mod tests {
     }
 
     fn stream_ng(bytes: &[u8], max: usize) -> (Vec<crate::NgPacket>, IngestReport) {
-        let mut s = LossyPcapNgStream::new(small(bytes, max));
+        let mut s = PcapNgStream::lossy(small(bytes, max));
         let mut out = Vec::new();
         while let Some(p) = s.next_packet().unwrap() {
             out.push(p.to_owned());
@@ -860,11 +904,11 @@ mod tests {
     #[test]
     fn classic_stream_reports_header_errors() {
         assert!(matches!(
-            LossyPcapStream::new(&[0u8; 40][..]).err(),
+            PcapStream::lossy(&[0u8; 40][..]).err(),
             Some(PcapError::BadMagic(_))
         ));
         assert!(matches!(
-            LossyPcapStream::new(&[1u8, 2, 3][..]).err(),
+            PcapStream::lossy(&[1u8, 2, 3][..]).err(),
             Some(PcapError::TruncatedFile)
         ));
     }
@@ -872,7 +916,7 @@ mod tests {
     #[test]
     fn packet_refs_borrow_then_convert() {
         let buf = classic_file(3);
-        let mut s = LossyPcapStream::new(&buf[..]).unwrap();
+        let mut s = PcapStream::lossy(&buf[..]).unwrap();
         let p = s.next_packet().unwrap().unwrap();
         assert_eq!(p.timestamp_us, 1_000_000);
         assert_eq!(p.data.len(), 40);
@@ -913,7 +957,7 @@ mod tests {
             max,
             block_next: false,
         };
-        let mut s = LossyPcapStream::new(src).unwrap();
+        let mut s = PcapStream::lossy(src).unwrap();
         let mut out = Vec::new();
         loop {
             match s.poll_packet().unwrap() {
@@ -932,7 +976,7 @@ mod tests {
             max,
             block_next: true,
         };
-        let mut s = LossyPcapNgStream::new(src);
+        let mut s = PcapNgStream::lossy(src);
         let mut out = Vec::new();
         loop {
             match s.poll_packet().unwrap() {
@@ -1025,7 +1069,7 @@ mod tests {
                 Ok(n)
             }
         }
-        let mut s = LossyPcapStream::new(HeaderThenBlock(&buf, 0)).unwrap();
+        let mut s = PcapStream::lossy(HeaderThenBlock(&buf, 0)).unwrap();
         match s.next_packet() {
             Err(PcapError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock),
             other => panic!("expected WouldBlock, got {other:?}"),
@@ -1057,5 +1101,149 @@ mod tests {
             src.consume(take);
         }
         assert_eq!(seen, bytes, "no bytes lost or duplicated across refills");
+    }
+
+    // Strict classic reads: typed errors at the first damage.
+
+    fn sample_file() -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 250).unwrap();
+        w.write_packet(1_500_000, &[1, 2, 3]).unwrap();
+        w.write_packet(2_750_001, &[4; 10]).unwrap();
+        buf
+    }
+
+    #[test]
+    fn reads_what_writer_wrote() {
+        let buf = sample_file();
+        let mut r = PcapStream::strict(&buf[..]).unwrap();
+        assert_eq!(r.link(), LinkType::Radiotap);
+        let p1 = r.next_packet().unwrap().unwrap();
+        assert_eq!(p1.timestamp_us, 1_500_000);
+        assert_eq!(p1.data, [1, 2, 3]);
+        assert_eq!(p1.orig_len, 3);
+        let p2 = r.next_packet().unwrap().unwrap();
+        assert_eq!(p2.timestamp_us, 2_750_001);
+        assert!(r.next_packet().unwrap().is_none());
+        // EOF is sticky.
+        assert!(r.next_packet().unwrap().is_none());
+        assert!(r.report().is_clean());
+    }
+
+    #[test]
+    fn rejects_garbage_magic() {
+        let buf = vec![
+            0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert!(matches!(
+            PcapStream::strict(&buf[..]).err(),
+            Some(PcapError::BadMagic(_))
+        ));
+    }
+
+    #[test]
+    fn rejects_short_global_header() {
+        let buf = sample_file();
+        assert!(matches!(
+            PcapStream::strict(&buf[..10]).err(),
+            Some(PcapError::TruncatedFile)
+        ));
+    }
+
+    #[test]
+    fn rejects_truncated_record_header() {
+        let buf = sample_file();
+        // Cut in the middle of the second record header.
+        let cut = GLOBAL_HEADER_LEN + RECORD_HEADER_LEN + 3 + 4;
+        let mut r = PcapStream::strict(&buf[..cut]).unwrap();
+        r.next_packet().unwrap().unwrap();
+        assert!(matches!(r.next_packet(), Err(PcapError::TruncatedFile)));
+    }
+
+    #[test]
+    fn rejects_truncated_record_body() {
+        let buf = sample_file();
+        let cut = buf.len() - 2;
+        let mut r = PcapStream::strict(&buf[..cut]).unwrap();
+        r.next_packet().unwrap().unwrap();
+        assert!(matches!(r.next_packet(), Err(PcapError::TruncatedFile)));
+    }
+
+    #[test]
+    fn reads_big_endian_files() {
+        // Hand-build a big-endian µs file with one 2-byte packet.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC_LE.to_be_bytes());
+        buf.extend_from_slice(&2u16.to_be_bytes());
+        buf.extend_from_slice(&4u16.to_be_bytes());
+        buf.extend_from_slice(&0i32.to_be_bytes()); // thiszone
+        buf.extend_from_slice(&0u32.to_be_bytes()); // sigfigs
+        buf.extend_from_slice(&65535u32.to_be_bytes()); // snaplen
+        buf.extend_from_slice(&127u32.to_be_bytes()); // linktype
+        buf.extend_from_slice(&3u32.to_be_bytes()); // ts_sec
+        buf.extend_from_slice(&14u32.to_be_bytes()); // ts_usec
+        buf.extend_from_slice(&2u32.to_be_bytes()); // caplen
+        buf.extend_from_slice(&2u32.to_be_bytes()); // orig_len
+        buf.extend_from_slice(&[0xAA, 0xBB]);
+        let mut r = PcapStream::strict(&buf[..]).unwrap();
+        assert_eq!(r.link(), LinkType::Radiotap);
+        let p = r.next_packet().unwrap().unwrap();
+        assert_eq!(p.timestamp_us, 3_000_014);
+        assert_eq!(p.data, [0xAA, 0xBB]);
+    }
+
+    #[test]
+    fn reads_nanosecond_files() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC_NS_LE.to_le_bytes());
+        buf.extend_from_slice(&2u16.to_le_bytes());
+        buf.extend_from_slice(&4u16.to_le_bytes());
+        buf.extend_from_slice(&[0u8; 8]);
+        buf.extend_from_slice(&65535u32.to_le_bytes());
+        buf.extend_from_slice(&105u32.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes()); // ts_sec
+        buf.extend_from_slice(&999_999_000u32.to_le_bytes()); // ts_nsec
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.push(0x42);
+        let mut r = PcapStream::strict(&buf[..]).unwrap();
+        assert_eq!(r.link(), LinkType::Ieee80211);
+        let p = r.next_packet().unwrap().unwrap();
+        assert_eq!(p.timestamp_us, 1_999_999);
+    }
+
+    #[test]
+    fn rejects_unsupported_version() {
+        let mut buf = sample_file();
+        buf[4] = 9; // version major
+        assert!(matches!(
+            PcapStream::strict(&buf[..]).err(),
+            Some(PcapError::UnsupportedVersion(9, 4))
+        ));
+    }
+
+    #[test]
+    fn rejects_oversized_record() {
+        let mut buf = sample_file();
+        // Patch the first record's caplen to something absurd.
+        let off = GLOBAL_HEADER_LEN + 8;
+        buf[off..off + 4].copy_from_slice(&(MAX_SANE_CAPLEN + 1).to_le_bytes());
+        let mut r = PcapStream::strict(&buf[..]).unwrap();
+        assert!(matches!(
+            r.next_packet(),
+            Err(PcapError::OversizedRecord(_))
+        ));
+    }
+
+    #[test]
+    fn rejects_caplen_exceeding_origlen() {
+        let mut buf = sample_file();
+        let off = GLOBAL_HEADER_LEN + 12;
+        buf[off..off + 4].copy_from_slice(&1u32.to_le_bytes()); // orig_len = 1 < caplen = 3
+        let mut r = PcapStream::strict(&buf[..]).unwrap();
+        assert!(matches!(
+            r.next_packet(),
+            Err(PcapError::InconsistentLengths { .. })
+        ));
     }
 }

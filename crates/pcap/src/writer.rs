@@ -84,7 +84,7 @@ impl<W: Write> PcapWriter<W> {
 mod tests {
     use super::*;
     use crate::format::GLOBAL_HEADER_LEN;
-    use crate::reader::PcapReader;
+    use crate::stream::PcapStream;
 
     #[test]
     fn global_header_layout() {
@@ -119,7 +119,7 @@ mod tests {
             w.write_packet(42, &vec![0xCC; 1500]).unwrap();
             assert_eq!(w.packets_written(), 1);
         }
-        let mut r = PcapReader::new(&buf[..]).unwrap();
+        let mut r = PcapStream::strict(&buf[..]).unwrap();
         let p = r.next_packet().unwrap().unwrap();
         assert_eq!(p.data.len(), 250);
         assert_eq!(p.orig_len, 1500);
@@ -133,7 +133,7 @@ mod tests {
             let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 65535).unwrap();
             w.write_packet(123_456_789_012, &[1]).unwrap();
         }
-        let mut r = PcapReader::new(&buf[..]).unwrap();
+        let mut r = PcapStream::strict(&buf[..]).unwrap();
         let p = r.next_packet().unwrap().unwrap();
         assert_eq!(p.timestamp_us, 123_456_789_012);
     }
@@ -145,7 +145,7 @@ mod tests {
             let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 65535).unwrap();
             w.write_packet_truncated(0, &[0xAB; 250], 1500).unwrap();
         }
-        let mut r = PcapReader::new(&buf[..]).unwrap();
+        let mut r = PcapStream::strict(&buf[..]).unwrap();
         let p = r.next_packet().unwrap().unwrap();
         assert_eq!(p.data.len(), 250);
         assert_eq!(p.orig_len, 1500);

@@ -1,13 +1,17 @@
 //! Fault-injection properties: no input — pure byte soup or a chaos-
-//! corrupted valid capture — may panic a reader. Strict readers must fail
-//! with structured errors; the lossy readers must stay total and account
-//! for every recovery in their [`wifi_pcap::IngestReport`]. On *clean*
-//! files the lossy readers must be byte-for-byte identical to strict.
+//! corrupted valid capture — may panic a decoder. A strict read must fail
+//! with a structured error; a lossy read must stay total and account for
+//! every recovery in its [`wifi_pcap::IngestReport`]. A strict read is
+//! exactly the prefix of the lossy read before the first damage, and it
+//! fails if and only if the lossy report is not clean.
 
 use proptest::prelude::*;
 use wifi_pcap::chaos::{corrupt_bytes, ChaosConfig, ChaosRng};
-use wifi_pcap::pcapng::{NgPacket, PcapNgReader, PcapNgWriter};
-use wifi_pcap::{read_pcap_lossy, read_pcapng_lossy, LinkType, PcapReader, PcapWriter};
+use wifi_pcap::pcapng::{NgPacket, PcapNgWriter};
+use wifi_pcap::{
+    read_pcap_lossy, read_pcapng_lossy, IngestReport, LinkType, PcapError, PcapNgStream,
+    PcapPacket, PcapStream, PcapWriter,
+};
 
 fn arb_packets() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
     proptest::collection::vec(
@@ -53,19 +57,61 @@ fn hostile() -> ChaosConfig {
     }
 }
 
-fn drain_strict_classic(bytes: &[u8]) {
-    if let Ok(r) = PcapReader::new(bytes) {
-        for item in r.packets() {
-            if item.is_err() {
-                break; // structured error ends the stream; no panic allowed
-            }
+/// A strict classic read: every packet before the first damage, and that
+/// damage; `None` when the global header is unusable.
+fn strict_classic(bytes: &[u8]) -> Option<(Vec<PcapPacket>, Option<PcapError>)> {
+    let mut r = PcapStream::strict(bytes).ok()?;
+    let mut packets = Vec::new();
+    loop {
+        match r.next_packet() {
+            Ok(Some(p)) => packets.push(p.to_owned()),
+            Ok(None) => return Some((packets, None)),
+            Err(e) => return Some((packets, Some(e))),
         }
     }
 }
 
-fn drain_strict_ng(bytes: &[u8]) {
-    let mut r = PcapNgReader::new(bytes);
-    while let Ok(Some(_)) = r.next_packet() {}
+/// A strict pcapng read: every packet before the first damage, and that
+/// damage.
+fn strict_ng(bytes: &[u8]) -> (Vec<NgPacket>, Option<PcapError>) {
+    let mut r = PcapNgStream::strict(bytes);
+    let mut packets = Vec::new();
+    loop {
+        match r.next_packet() {
+            Ok(Some(p)) => packets.push(p.to_owned()),
+            Ok(None) => return (packets, None),
+            Err(e) => return (packets, Some(e)),
+        }
+    }
+}
+
+/// A lossy classic read: every packet, the packets yielded while the
+/// report was still clean, and the final report.
+fn lossy_classic(bytes: &[u8]) -> Option<(Vec<PcapPacket>, Vec<PcapPacket>, IngestReport)> {
+    let mut s = PcapStream::lossy(bytes).ok()?;
+    let (mut all, mut clean) = (Vec::new(), Vec::new());
+    while let Some(p) = s.next_packet().expect("in-memory source") {
+        let p = p.to_owned();
+        if s.report().is_clean() {
+            clean.push(p.clone());
+        }
+        all.push(p);
+    }
+    Some((all, clean, *s.report()))
+}
+
+/// [`lossy_classic`] for pcapng.
+fn lossy_ng(bytes: &[u8]) -> (Vec<NgPacket>, Vec<NgPacket>, IngestReport) {
+    let mut s = PcapNgStream::lossy(bytes);
+    let (mut all, mut clean) = (Vec::new(), Vec::new());
+    while let Some(p) = s.next_packet().expect("in-memory source") {
+        let p = p.to_owned();
+        if s.report().is_clean() {
+            clean.push(p.clone());
+        }
+        all.push(p);
+    }
+    (all, clean, *s.report())
 }
 
 proptest! {
@@ -73,8 +119,8 @@ proptest! {
     fn byte_soup_never_panics_any_reader(
         bytes in proptest::collection::vec(any::<u8>(), 0..400),
     ) {
-        drain_strict_classic(&bytes);
-        drain_strict_ng(&bytes);
+        let _ = strict_classic(&bytes);
+        let _ = strict_ng(&bytes);
         let _ = read_pcap_lossy(&bytes);
         let report = read_pcapng_lossy(&bytes).report;
         // A stream with no section header yields no records.
@@ -90,7 +136,7 @@ proptest! {
     ) {
         let mut bytes = classic_bytes(&packets);
         corrupt_bytes(&mut bytes, 0, &hostile(), &mut ChaosRng::new(seed));
-        drain_strict_classic(&bytes);
+        let _ = strict_classic(&bytes);
         if let Ok(ingest) = read_pcap_lossy(&bytes) {
             // Resyncs without recoveries (or vice versa) would mean the
             // report lies about what the reader did.
@@ -109,46 +155,51 @@ proptest! {
     ) {
         let mut bytes = ng_bytes(&packets);
         corrupt_bytes(&mut bytes, 0, &hostile(), &mut ChaosRng::new(seed));
-        drain_strict_ng(&bytes);
+        let _ = strict_ng(&bytes);
         let ingest = read_pcapng_lossy(&bytes);
         prop_assert_eq!(ingest.report.records_total() as usize, ingest.packets.len());
     }
 
     #[test]
-    fn lossy_equals_strict_on_clean_classic(packets in arb_packets()) {
-        let bytes = classic_bytes(&packets);
-        let strict = PcapReader::new(&bytes[..])
-            .unwrap()
-            .packets()
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
-        let lossy = read_pcap_lossy(&bytes).unwrap();
-        prop_assert!(lossy.report.is_clean(), "clean file: {:?}", lossy.report);
-        prop_assert_eq!(lossy.link, LinkType::Radiotap);
-        prop_assert_eq!(lossy.packets.len(), strict.len());
-        for (a, b) in lossy.packets.iter().zip(&strict) {
-            prop_assert_eq!(a.timestamp_us, b.timestamp_us);
-            prop_assert_eq!(&a.data, &b.data);
-            prop_assert_eq!(a.orig_len, b.orig_len);
+    fn strict_is_lossys_clean_prefix_classic(
+        packets in arb_packets(),
+        seed in any::<u64>(),
+        damaged in any::<bool>(),
+    ) {
+        let mut bytes = classic_bytes(&packets);
+        if damaged {
+            corrupt_bytes(&mut bytes, 0, &hostile(), &mut ChaosRng::new(seed));
+        }
+        let (lossy, strict) = (lossy_classic(&bytes), strict_classic(&bytes));
+        // One global-header check decides both policies alike.
+        prop_assert_eq!(lossy.is_some(), strict.is_some());
+        if let (Some((all, clean, report)), Some((read, err))) = (lossy, strict) {
+            prop_assert_eq!(&read, &clean);
+            prop_assert_eq!(err.is_some(), !report.is_clean(), "{:?} / {:?}", err, report);
+            if !damaged {
+                prop_assert!(err.is_none(), "our own writer's file: {:?}", err);
+                prop_assert_eq!(&read, &all);
+            }
         }
     }
 
     #[test]
-    fn lossy_equals_strict_on_clean_pcapng(packets in arb_packets()) {
-        let bytes = ng_bytes(&packets);
-        let mut strict: Vec<NgPacket> = Vec::new();
-        let mut r = PcapNgReader::new(&bytes[..]);
-        while let Some(pkt) = r.next_packet().unwrap() {
-            strict.push(pkt);
+    fn strict_is_lossys_clean_prefix_pcapng(
+        packets in arb_packets(),
+        seed in any::<u64>(),
+        damaged in any::<bool>(),
+    ) {
+        let mut bytes = ng_bytes(&packets);
+        if damaged {
+            corrupt_bytes(&mut bytes, 0, &hostile(), &mut ChaosRng::new(seed));
         }
-        let lossy = read_pcapng_lossy(&bytes);
-        prop_assert!(lossy.report.is_clean(), "clean file: {:?}", lossy.report);
-        prop_assert_eq!(lossy.packets.len(), strict.len());
-        for (a, b) in lossy.packets.iter().zip(&strict) {
-            prop_assert_eq!(a.link, b.link);
-            prop_assert_eq!(a.packet.timestamp_us, b.packet.timestamp_us);
-            prop_assert_eq!(&a.packet.data, &b.packet.data);
-            prop_assert_eq!(a.packet.orig_len, b.packet.orig_len);
+        let (all, clean, report) = lossy_ng(&bytes);
+        let (read, err) = strict_ng(&bytes);
+        prop_assert_eq!(&read, &clean);
+        prop_assert_eq!(err.is_some(), !report.is_clean(), "{:?} / {:?}", err, report);
+        if !damaged {
+            prop_assert!(err.is_none(), "our own writer's file: {:?}", err);
+            prop_assert_eq!(&read, &all);
         }
     }
 }

@@ -2,7 +2,20 @@
 //! truncation, which is itself exactly characterized).
 
 use proptest::prelude::*;
-use wifi_pcap::{LinkType, PcapPacket, PcapReader, PcapWriter};
+use wifi_pcap::{LinkType, PcapError, PcapPacket, PcapStream, PcapWriter};
+
+/// A strict read: every packet before the first damage, and that damage.
+fn read_strict(bytes: &[u8]) -> Result<(Vec<PcapPacket>, Option<PcapError>), PcapError> {
+    let mut r = PcapStream::strict(bytes)?;
+    let mut packets = Vec::new();
+    loop {
+        match r.next_packet() {
+            Ok(Some(p)) => packets.push(p.to_owned()),
+            Ok(None) => return Ok((packets, None)),
+            Err(e) => return Ok((packets, Some(e))),
+        }
+    }
+}
 
 fn arb_packets() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
     proptest::collection::vec(
@@ -24,8 +37,8 @@ proptest! {
                 w.write_packet(*ts, data).unwrap();
             }
         }
-        let r = PcapReader::new(&buf[..]).unwrap();
-        let read: Vec<PcapPacket> = r.packets().collect::<Result<_, _>>().unwrap();
+        let (read, err) = read_strict(&buf).unwrap();
+        prop_assert!(err.is_none());
         prop_assert_eq!(read.len(), packets.len());
         for (got, (ts, data)) in read.iter().zip(&packets) {
             prop_assert_eq!(got.timestamp_us, *ts);
@@ -44,8 +57,8 @@ proptest! {
                 w.write_packet(*ts, data).unwrap();
             }
         }
-        let r = PcapReader::new(&buf[..]).unwrap();
-        let read: Vec<PcapPacket> = r.packets().collect::<Result<_, _>>().unwrap();
+        let (read, err) = read_strict(&buf).unwrap();
+        prop_assert!(err.is_none());
         prop_assert_eq!(read.len(), packets.len());
         for (got, (ts, data)) in read.iter().zip(&packets) {
             prop_assert_eq!(got.timestamp_us, *ts);
@@ -59,11 +72,7 @@ proptest! {
     #[test]
     fn arbitrary_prefix_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
         // Any byte soup must produce a clean error or packets, never a panic.
-        if let Ok(r) = PcapReader::new(&bytes[..]) {
-            for pkt in r.packets() {
-                let _ = pkt;
-            }
-        }
+        let _ = read_strict(&bytes);
     }
 
     #[test]
@@ -79,15 +88,8 @@ proptest! {
             }
         }
         let cut = 24 + ((buf.len() - 24) as f64 * cut_frac) as usize;
-        let r = PcapReader::new(&buf[..cut]).unwrap();
         // Either all records up to the cut parse, or the last yields an error.
-        let mut count = 0usize;
-        for item in r.packets() {
-            match item {
-                Ok(_) => count += 1,
-                Err(_) => break,
-            }
-        }
-        prop_assert!(count <= packets.len());
+        let (read, _) = read_strict(&buf[..cut]).unwrap();
+        prop_assert!(read.len() <= packets.len());
     }
 }

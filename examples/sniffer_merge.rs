@@ -7,7 +7,7 @@
 //! cargo run --release --example sniffer_merge
 //! ```
 
-use congestion::merge::{coverage_gain, merge_traces};
+use congestion::merge::{coverage_gain, MergeStream};
 use ietf80211_congestion::prelude::*;
 use wifi_sim::geometry::Pos;
 use wifi_sim::rate::RateAdaptation;
@@ -61,7 +61,7 @@ fn main() {
         pct(b.len(), on_air)
     );
 
-    let merged = merge_traces(&[&a, &b]);
+    let merged: Vec<_> = MergeStream::new(vec![a.iter().copied(), b.iter().copied()]).collect();
     let gain = coverage_gain(&[&a, &b]);
     println!(
         "merged (deduplicated): {} ({:.1}%) — +{} frames over the best single sniffer",

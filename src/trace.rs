@@ -12,10 +12,8 @@ use std::path::Path;
 use wifi_frames::radiotap::{self, CaptureMeta, FLAG_FCS_AT_END};
 use wifi_frames::record::FrameRecord;
 use wifi_frames::wire;
-use wifi_pcap::pcapng::PcapNgReader;
 use wifi_pcap::{
-    is_pcapng, IngestReport, LinkType, LossyPcapNgStream, LossyPcapStream, PcapError, PcapReader,
-    PcapWriter, Polled,
+    is_pcapng, IngestReport, LinkType, PcapError, PcapNgStream, PcapStream, PcapWriter, Polled,
 };
 
 /// The snap length the study used.
@@ -147,44 +145,16 @@ fn peek_magic<R: Read>(mut reader: R) -> io::Result<(Vec<u8>, Replayed<R>)> {
 /// truncation via header-only parsing plus the original-length field, just
 /// as an analysis of the study's real traces must.
 ///
-/// Streams the file through the zero-copy reader paths in fixed memory —
-/// only the records, never the file, are materialized.
+/// A strict [`CaptureStream`] collected: any container damage or
+/// undecodable radiotap header fails the read, while frames whose MAC
+/// header does not parse are skipped, as a real analysis must. Only the
+/// records, never the file, are materialized.
 pub fn read_capture(path: &Path) -> Result<Vec<FrameRecord>, CaptureError> {
     let file = std::fs::File::open(path).map_err(PcapError::Io)?;
-    let (magic, source) = peek_magic(io::BufReader::new(file)).map_err(PcapError::Io)?;
-    let mut out = Vec::new();
-    let mut push_record = |data: &[u8], orig_len: u32| -> Result<(), CaptureError> {
-        let (meta, frame_bytes) = radiotap::parse_packet(data).map_err(CaptureError::Radiotap)?;
-        // The radiotap header is never truncated (25 bytes < any snaplen we
-        // use); the frame behind it may be. A crafted capture can still
-        // claim an original length smaller than the header it carries, so
-        // saturate rather than wrap the subtraction.
-        let radiotap_len = data.len() - frame_bytes.len();
-        let frame_orig_len = orig_len.saturating_sub(radiotap_len as u32);
-        if let Ok(header) = wire::parse_header(frame_bytes) {
-            out.push(FrameRecord::from_header(&header, frame_orig_len, &meta));
-        }
-        // Mangled frames are skipped, as a real analysis must.
-        Ok(())
-    };
-    if is_pcapng(&magic) {
-        let mut reader = PcapNgReader::new(source);
-        while let Some(pkt) = reader.next_packet_ref()? {
-            if pkt.link != LinkType::Radiotap {
-                return Err(CaptureError::WrongLinkType(pkt.link));
-            }
-            push_record(pkt.data, pkt.orig_len)?;
-        }
-    } else {
-        let mut reader = PcapReader::new(source)?;
-        if reader.link_type() != LinkType::Radiotap {
-            return Err(CaptureError::WrongLinkType(reader.link_type()));
-        }
-        while let Some(pkt) = reader.next_packet_ref()? {
-            push_record(pkt.data, pkt.orig_len)?;
-        }
-    }
-    Ok(out)
+    let mut stream = CaptureStream::new(io::BufReader::new(file), true)?;
+    let records = stream.by_ref().collect();
+    stream.finish()?;
+    Ok(records)
 }
 
 /// A lossy capture ingestion: whatever records survived decoding, plus a
@@ -217,30 +187,39 @@ pub fn read_capture_lossy_bytes(bytes: &[u8]) -> Result<LossyCapture, CaptureErr
     Ok(LossyCapture { records, report })
 }
 
-/// Decodes one captured radiotap packet into an analysis record, counting
-/// (rather than propagating) radiotap and frame-header failures — the shared
-/// frame-level half of every lossy ingestion path.
+/// Decodes one captured radiotap packet into an analysis record — the
+/// frame-level half of every capture read. Counts each failure in `report`;
+/// a frame-header failure is a skip (`Ok(None)`), a radiotap failure comes
+/// back as the error so a strict read can fail on it.
 ///
 /// Every reader in `wifi_pcap` guarantees `orig_len >= data.len()`, which
 /// with an untruncated radiotap header implies the subtraction below cannot
 /// underflow on reader-produced input; the `saturating_sub` guards the
 /// crafted-capture case where a record *claims* an original length smaller
 /// than the radiotap header it carries.
-fn decode_packet(data: &[u8], orig_len: u32, report: &mut IngestReport) -> Option<FrameRecord> {
+fn decode_packet(
+    data: &[u8],
+    orig_len: u32,
+    report: &mut IngestReport,
+) -> Result<Option<FrameRecord>, radiotap::RadiotapError> {
     let (meta, frame_bytes) = match radiotap::parse_packet(data) {
         Ok(parsed) => parsed,
-        Err(_) => {
+        Err(e) => {
             report.undecodable_radiotap += 1;
-            return None;
+            return Err(e);
         }
     };
     let radiotap_len = data.len() - frame_bytes.len();
     let frame_orig_len = orig_len.saturating_sub(radiotap_len as u32);
     match wire::parse_header(frame_bytes) {
-        Ok(header) => Some(FrameRecord::from_header(&header, frame_orig_len, &meta)),
+        Ok(header) => Ok(Some(FrameRecord::from_header(
+            &header,
+            frame_orig_len,
+            &meta,
+        ))),
         Err(_) => {
             report.undecodable_frames += 1;
-            None
+            Ok(None)
         }
     }
 }
@@ -248,8 +227,8 @@ fn decode_packet(data: &[u8], orig_len: u32, report: &mut IngestReport) -> Optio
 /// The container half of a streaming capture: either classic pcap or pcapng,
 /// each over a chunked source that replays the peeked magic bytes.
 enum StreamInner<R: Read> {
-    Classic(LossyPcapStream<Replayed<R>>),
-    Ng(LossyPcapNgStream<Replayed<R>>),
+    Classic(PcapStream<Replayed<R>>),
+    Ng(PcapNgStream<Replayed<R>>),
 }
 
 /// A streaming lossy capture ingestion: pulls records one at a time from any
@@ -260,12 +239,15 @@ enum StreamInner<R: Read> {
 ///
 /// Hard failures (an I/O error mid-stream, a non-radiotap link type) end the
 /// iteration early and surface from [`CaptureStream::finish`]; everything
-/// recoverable is skip-counted instead.
+/// recoverable is skip-counted instead. ([`read_capture`] runs the same
+/// stream strictly, where container damage and radiotap failures are hard
+/// failures too.)
 pub struct CaptureStream<R: Read = Box<dyn Read + Send>> {
     inner: StreamInner<R>,
     /// Frame-level skip counters (the container counters live inside the
-    /// lossy container stream).
+    /// container stream).
     frame_report: IngestReport,
+    strict: bool,
     failed: Option<CaptureError>,
 }
 
@@ -283,11 +265,25 @@ impl<R: Read> CaptureStream<R> {
     /// eager hard errors — everything later is lossy or deferred to
     /// [`CaptureStream::finish`]).
     pub fn from_reader(reader: R) -> Result<Self, CaptureError> {
+        CaptureStream::new(reader, false)
+    }
+
+    /// [`CaptureStream::from_reader`] with the container policy chosen:
+    /// `strict` fails on the first damage instead of skipping it.
+    fn new(reader: R, strict: bool) -> Result<Self, CaptureError> {
         let (magic, source) = peek_magic(reader).map_err(PcapError::Io)?;
         let inner = if is_pcapng(&magic) {
-            StreamInner::Ng(LossyPcapNgStream::new(source))
+            StreamInner::Ng(if strict {
+                PcapNgStream::strict(source)
+            } else {
+                PcapNgStream::lossy(source)
+            })
         } else {
-            let stream = LossyPcapStream::new(source)?;
+            let stream = if strict {
+                PcapStream::strict(source)?
+            } else {
+                PcapStream::lossy(source)?
+            };
             if stream.link() != LinkType::Radiotap {
                 return Err(CaptureError::WrongLinkType(stream.link()));
             }
@@ -296,12 +292,13 @@ impl<R: Read> CaptureStream<R> {
         Ok(CaptureStream {
             inner,
             frame_report: IngestReport::default(),
+            strict,
             failed: None,
         })
     }
 
     /// The damage accounting so far: container-level counters from the
-    /// lossy reader plus the frame-level skip counters.
+    /// container stream plus the frame-level skip counters.
     pub fn report(&self) -> IngestReport {
         let mut report = *match &self.inner {
             StreamInner::Classic(s) => s.report(),
@@ -336,46 +333,41 @@ impl<R: Read> CaptureStream<R> {
     /// no decodable bytes buffered yet reports [`CapturePoll::Pending`]
     /// (with no state change) instead of erroring out.
     pub fn poll_next(&mut self) -> CapturePoll {
-        let CaptureStream {
-            inner,
-            frame_report,
-            failed,
-        } = self;
-        if failed.is_some() {
+        if self.failed.is_some() {
             return CapturePoll::End;
         }
+        match self.poll_decoded() {
+            Ok(poll) => poll,
+            Err(e) => {
+                self.failed = Some(e);
+                CapturePoll::End
+            }
+        }
+    }
+
+    /// [`CaptureStream::poll_next`] with its hard failure as an error.
+    fn poll_decoded(&mut self) -> Result<CapturePoll, CaptureError> {
         loop {
-            match inner {
-                StreamInner::Classic(s) => match s.poll_packet() {
-                    Ok(Polled::Packet(pkt)) => {
-                        if let Some(r) = decode_packet(pkt.data, pkt.orig_len, frame_report) {
-                            return CapturePoll::Record(r);
-                        }
-                    }
-                    Ok(Polled::Pending) => return CapturePoll::Pending,
-                    Ok(Polled::End) => return CapturePoll::End,
-                    Err(e) => {
-                        *failed = Some(CaptureError::Pcap(e));
-                        return CapturePoll::End;
-                    }
-                },
-                StreamInner::Ng(s) => match s.poll_packet() {
-                    Ok(Polled::Packet(pkt)) => {
-                        if pkt.link != LinkType::Radiotap {
-                            *failed = Some(CaptureError::WrongLinkType(pkt.link));
-                            return CapturePoll::End;
-                        }
-                        if let Some(r) = decode_packet(pkt.data, pkt.orig_len, frame_report) {
-                            return CapturePoll::Record(r);
-                        }
-                    }
-                    Ok(Polled::Pending) => return CapturePoll::Pending,
-                    Ok(Polled::End) => return CapturePoll::End,
-                    Err(e) => {
-                        *failed = Some(CaptureError::Pcap(e));
-                        return CapturePoll::End;
-                    }
-                },
+            let polled = match &mut self.inner {
+                StreamInner::Classic(s) => {
+                    let link = s.link();
+                    s.poll_packet()?.map(|p| (link, p.data, p.orig_len))
+                }
+                StreamInner::Ng(s) => s.poll_packet()?.map(|p| (p.link, p.data, p.orig_len)),
+            };
+            let (link, data, orig_len) = match polled {
+                Polled::Packet(p) => p,
+                Polled::Pending => return Ok(CapturePoll::Pending),
+                Polled::End => return Ok(CapturePoll::End),
+            };
+            if link != LinkType::Radiotap {
+                return Err(CaptureError::WrongLinkType(link));
+            }
+            match decode_packet(data, orig_len, &mut self.frame_report) {
+                Ok(Some(r)) => return Ok(CapturePoll::Record(r)),
+                Ok(None) => {}
+                Err(e) if self.strict => return Err(CaptureError::Radiotap(e)),
+                Err(_) => {}
             }
         }
     }
@@ -648,10 +640,41 @@ mod tests {
         };
         let packet = radiotap::encode_packet(&meta, &wire::encode(&record_to_frame(&records[0])));
         let mut report = IngestReport::default();
-        let rec = decode_packet(&packet, 3, &mut report).expect("frame itself is decodable");
+        let rec = decode_packet(&packet, 3, &mut report)
+            .unwrap()
+            .expect("frame itself is decodable");
         assert_eq!(rec.mac_bytes, 0, "claimed length saturates to zero");
         assert_eq!(rec.payload_bytes, 0);
         assert_eq!(report, IngestReport::default());
+    }
+
+    #[test]
+    fn strict_read_skips_bad_frames_but_fails_on_bad_radiotap() {
+        let dir = std::env::temp_dir().join("congestion_trace_test_strict_frames");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("frames.pcap");
+        write_capture_with_snaplen(&path, &sample_records(), 0).unwrap();
+        let (_, pkts) = wifi_pcap::read_file(&path).unwrap();
+        let good = &pkts[0].data;
+        // Radiotap intact, but only 3 bytes of MAC header behind it.
+        let radiotap_len = u16::from_le_bytes([good[2], good[3]]) as usize;
+        let bad_frame = &good[..radiotap_len + 3];
+        let bad_radiotap = [0xFFu8; 12];
+        let rewrite = |second: &[u8]| {
+            let packets = vec![(0u64, &good[..]), (1, second), (2, &good[..])];
+            wifi_pcap::write_file(&path, LinkType::Radiotap, 0, packets).unwrap();
+        };
+        rewrite(bad_frame);
+        assert_eq!(read_capture(&path).unwrap().len(), 2);
+        rewrite(&bad_radiotap);
+        assert!(matches!(
+            read_capture(&path),
+            Err(CaptureError::Radiotap(_))
+        ));
+        // The lossy read counts the same packet and goes on.
+        let lossy = read_capture_lossy(&path).unwrap();
+        assert_eq!(lossy.records.len(), 2);
+        assert_eq!(lossy.report.undecodable_radiotap, 1);
     }
 
     #[test]
