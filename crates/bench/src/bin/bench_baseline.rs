@@ -33,23 +33,20 @@
 //! that down). The venue pin runs `run_sharded`: one event loop per
 //! RF-isolation shard on a `--threads`-wide work queue, merged output again
 //! identical for every thread count. The plenary pin with `--max-shards > 1`
-//! also runs `run_sharded` — its three per-channel cells are each one coupled
-//! component, so the split comes from time-window lockstep sharding (bounded
-//! window advance, cross-shard TxStart/TxEnd exchange at window boundaries),
-//! still byte-identical to the serial run. Sharded trajectory entries carry
-//! `threads`/`shards`/`components`/`lockstep`, and every entry `host_cpus`,
-//! so scaling claims can be read against the hardware that produced them —
-//! an entry at
-//! `--threads 8` on a one-CPU host measures scheduling overhead, not speedup.
+//! also runs `run_sharded` — as its three per-channel cells, each one
+//! coupled RF-isolation component — still byte-identical to the serial
+//! run. Sharded trajectory entries carry `threads`/`shards`/`components`,
+//! and every entry `host_cpus`, so scaling claims can be read against the
+//! hardware that produced them — an entry at `--threads 8` on a one-CPU
+//! host measures scheduling overhead, not speedup.
 //!
 //! `--check <file>` compares events/s against the last trajectory entry of
-//! a committed baseline that ran the same way — lockstep or not (an entry
-//! without a `lockstep` field ran without it) — and exits non-zero on a
-//! drop of more than 15 %, after verifying the entry's scenario fingerprint
-//! (seed/users/duration/event count), so a stale file can't silently gate
-//! against the wrong workload. The plenary trajectory interleaves serial
-//! and lockstep entries; gating the serial run against a lockstep entry
-//! would let it lose most of its speed unnoticed.
+//! a committed baseline and exits non-zero on a drop of more than 15 %,
+//! after verifying the entry's scenario fingerprint (seed/users/duration/
+//! event count), so a stale file can't silently gate against the wrong
+//! workload. Historical `"lockstep": true` entries (time-window lockstep
+//! sharding, since removed) are skipped: gating against one would let the
+//! run lose most of its speed unnoticed.
 
 use congestion_bench::streaming::{
     run_sharded, run_streaming_mobile, run_streaming_pipelined, MobilityStats, StreamedRun,
@@ -185,18 +182,13 @@ impl Pin {
     /// Runs the pin. The serial pins take the pipelined two-thread path;
     /// venue-5k partitions into RF-isolation shards and runs them on a
     /// `threads`-wide work queue; plenary-523 with `--max-shards > 1` takes
-    /// the sharded path too, where the three coupled per-channel cells split
-    /// further under time-window lockstep. Returns the merged run plus
-    /// `(shards, components, lockstep)` for sharded runs.
+    /// the sharded path too, as its three coupled per-channel cells.
+    /// Returns the merged run plus `(shards, components)` for sharded runs.
     fn run(
         &self,
         threads: usize,
         max_shards: usize,
-    ) -> (
-        StreamedRun,
-        Option<(usize, usize, bool)>,
-        Option<MobilityStats>,
-    ) {
+    ) -> (StreamedRun, Option<(usize, usize)>, Option<MobilityStats>) {
         match self.name {
             PinName::Churn => {
                 let scale = ChurnScale::venue_default(self.seed);
@@ -214,7 +206,7 @@ impl Pin {
                 let sharded = run_sharded(scenario, 1_000_000, threads, max_shards);
                 (
                     sharded.run,
-                    Some((sharded.shards, sharded.components, sharded.lockstep)),
+                    Some((sharded.shards, sharded.components)),
                     None,
                 )
             }
@@ -230,7 +222,7 @@ impl Pin {
                 let sharded = run_sharded(scenario, 1_000_000, threads, max_shards);
                 (
                     sharded.run,
-                    Some((sharded.shards, sharded.components, sharded.lockstep)),
+                    Some((sharded.shards, sharded.components)),
                     None,
                 )
             }
@@ -288,11 +280,12 @@ fn main() {
                      trajectory JSON (default\n\
                      BENCH_sim[_quick|_plenary|_venue|_churn].json). --quick =\n\
                      --pin ramp-quick. --max-shards caps the partition; for\n\
-                     plenary-523 a value > 1 takes the sharded path, splitting\n\
-                     the coupled per-channel cells by time-window lockstep\n\
-                     (results byte-identical to the serial run). --check\n\
-                     compares events/s against the last entry of a committed\n\
-                     trajectory and exits 1 on a >15% regression."
+                     plenary-523 a value > 1 takes the sharded path, one\n\
+                     shard per coupled per-channel cell (results\n\
+                     byte-identical to the serial run). --check compares\n\
+                     events/s against the last entry of a committed\n\
+                     trajectory, skipping historical lockstep entries, and\n\
+                     exits 1 on a >15% regression."
                 );
                 return;
             }
@@ -351,10 +344,10 @@ fn main() {
     // only means speedup when `host_cpus` (every entry) can supply that
     // many workers.
     let sharding_fields = sharding
-        .map(|(shards, components, lockstep)| {
+        .map(|(shards, components)| {
             format!(
                 ", \"threads\": {threads}, \"shards\": {shards}, \
-                 \"components\": {components}, \"lockstep\": {lockstep}"
+                 \"components\": {components}"
             )
         })
         .unwrap_or_default();
@@ -406,9 +399,8 @@ fn main() {
         std::process::exit(1);
     }
     let sharding_note = sharding
-        .map(|(shards, components, lockstep)| {
-            let mode = if lockstep { "lockstep" } else { "component" };
-            format!(" [{shards} shards / {components} components, {mode} @ {threads} threads]")
+        .map(|(shards, components)| {
+            format!(" [{shards} shards / {components} components @ {threads} threads]")
         })
         .unwrap_or_default();
     eprintln!(
@@ -425,7 +417,6 @@ fn main() {
         check_regression(
             &baseline,
             check.as_deref().unwrap_or(""),
-            sharding.is_some_and(|(_, _, lockstep)| lockstep),
             &[
                 ("seed", pin.seed as f64),
                 ("users", pin.users as f64),
@@ -438,8 +429,8 @@ fn main() {
 }
 
 /// Gates this run's events/s against the last entry of a committed baseline
-/// trajectory whose `lockstep` flag matches this run's (absent = `false`):
-/// the fingerprint fields must match exactly (a baseline from a different
+/// trajectory that did not run lockstep ([`last_entry`]): the fingerprint
+/// fields must match exactly (a baseline from a different
 /// pinned workload — or a semantics-changing build — would make the
 /// throughput ratio meaningless), then a >15 % drop fails.
 ///
@@ -449,14 +440,11 @@ fn main() {
 fn check_regression(
     baseline: &str,
     baseline_path: &str,
-    lockstep: bool,
     fingerprint: &[(&str, f64)],
     events_per_sec: f64,
 ) {
-    let entry = last_entry(baseline, lockstep).unwrap_or_else(|| {
-        eprintln!(
-            "error: baseline {baseline_path} has no trajectory entries with lockstep = {lockstep}"
-        );
+    let entry = last_entry(baseline).unwrap_or_else(|| {
+        eprintln!("error: baseline {baseline_path} has no non-lockstep trajectory entries");
         std::process::exit(1);
     });
     for &(field, want) in fingerprint {
@@ -648,7 +636,6 @@ fn run_trace_pin(
         check_regression(
             baseline,
             check.unwrap_or(""),
-            false,
             &[
                 ("seed", pin.seed as f64),
                 ("users", pin.users as f64),
@@ -679,13 +666,14 @@ fn append_entry(path: &str, pin_label: &str, entry: &str) -> std::io::Result<()>
     std::fs::write(path, doc)
 }
 
-/// The last trajectory entry line (entries are one `{...}` per line) whose
-/// run was — or, for `lockstep == false`, was not — lockstep-sharded.
-fn last_entry(json: &str, lockstep: bool) -> Option<&str> {
+/// The last trajectory entry line (entries are one `{...}` per line),
+/// skipping historical `"lockstep": true` entries: lockstep sharding is
+/// gone, and those rows ran far slower than the serial path.
+fn last_entry(json: &str) -> Option<&str> {
     json.lines().rev().find(|l| {
         l.trim_start().starts_with('{')
             && l.contains("\"events\"")
-            && l.contains("\"lockstep\": true") == lockstep
+            && !l.contains("\"lockstep\": true")
     })
 }
 
@@ -721,20 +709,28 @@ fn peak_rss_kb() -> u64 {
 mod tests {
     use super::*;
 
-    /// A serial run gates against the last serial entry, even when a
-    /// lockstep entry follows it, and the reverse.
+    /// A run gates against the last entry that did not run lockstep, even
+    /// when historical lockstep entries follow it; entries without the
+    /// field, component-sharded entries and `"lockstep": false` all count.
     #[test]
     fn check_picks_the_last_entry_of_the_same_mode() {
-        let doc = "{\n  \"pin\": \"plenary-523\",\n  \"trajectory\": [\n\
-            \x20   {\"label\": \"a\", \"events\": 1, \"events_per_sec\": 10},\n\
-            \x20   {\"label\": \"b\", \"events\": 1, \"events_per_sec\": 20, \"lockstep\": false},\n\
-            \x20   {\"label\": \"c\", \"events\": 1, \"events_per_sec\": 30, \"lockstep\": true},\n\
-            \x20   {\"label\": \"d\", \"events\": 1, \"events_per_sec\": 40, \"lockstep\": true}\n\
-            \x20 ]\n}\n";
-        let eps = |lockstep| json_number(last_entry(doc, lockstep).unwrap(), "events_per_sec");
-        assert_eq!(eps(false), Some(20.0));
-        assert_eq!(eps(true), Some(40.0));
-        let serial_only = doc.replace("\"lockstep\": true", "\"lockstep\": false");
-        assert!(last_entry(&serial_only, true).is_none());
+        let doc = |rows: &[&str]| {
+            let rows: Vec<String> = rows.iter().map(|r| format!("    {{{r}}}")).collect();
+            format!(
+                "{{\n  \"pin\": \"plenary-523\",\n  \"trajectory\": [\n{}\n  ]\n}}\n",
+                rows.join(",\n")
+            )
+        };
+        let eps = |rows: &[&str]| {
+            last_entry(&doc(rows)).and_then(|entry| json_number(entry, "events_per_sec"))
+        };
+        let serial = "\"events\": 1, \"events_per_sec\": 10";
+        let unflagged = "\"events\": 1, \"events_per_sec\": 20, \"lockstep\": false";
+        let lockstep = "\"events\": 1, \"events_per_sec\": 30, \"lockstep\": true";
+        let components = "\"events\": 1, \"events_per_sec\": 40, \"shards\": 3, \"components\": 3";
+        assert_eq!(eps(&[serial, unflagged, lockstep, lockstep]), Some(20.0));
+        assert_eq!(eps(&[serial, lockstep]), Some(10.0));
+        assert_eq!(eps(&[serial, lockstep, components]), Some(40.0));
+        assert_eq!(eps(&[lockstep, lockstep]), None);
     }
 }

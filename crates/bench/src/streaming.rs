@@ -17,28 +17,24 @@
 //! - [`run_streaming_mobile`]: the loop advances a [`MobileScenario`],
 //!   whose own tick schedule ([`MobileScenario::run_until`]) moves the
 //!   walkers between continuations.
-//! - [`run_sharded`]: intra-scenario parallelism. [`ShardSpec::plan`]
-//!   decides once between the unsharded build, RF-isolation component
-//!   shards (each streamed by `run_streaming`'s loop on a worker), and
-//!   **time-window lockstep** shards ([`wifi_sim::shard`]) — one dense
-//!   coupled cell cut along BSS lines into full-roster shards that advance
-//!   window-by-window, exchanging cross-shard transmissions as ghosts at
-//!   each boundary. Every shard's result merges, by global sniffer index
-//!   and by sums, into a run byte-identical to the unsharded one.
+//! - [`run_sharded`]: intra-scenario parallelism. The scenario runs
+//!   unsharded when [`wifi_sim::shard::ShardSpec::partition`] declines,
+//!   and otherwise as RF-isolation component shards, each streamed by
+//!   `run_streaming`'s loop on a worker. Every shard's result merges, by
+//!   global sniffer index and by sums, into a run byte-identical to the
+//!   unsharded one.
 
 use congestion::persec::{SecondAccumulator, SecondStats};
 use ietf_workloads::{MobileScenario, Scenario, ShardScenario};
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::vec::Drain;
 use wifi_frames::record::FrameRecord;
 use wifi_frames::timing::Micros;
 use wifi_sim::events::QueueStats;
 use wifi_sim::runner::run_parallel;
-use wifi_sim::shard::{LockstepPlan, Shard, ShardSpec, Sharding};
+use wifi_sim::shard::Shard;
 use wifi_sim::sniffer::SnifferStats;
 use wifi_sim::spsc;
-use wifi_sim::{RemoteNotice, Simulator};
+use wifi_sim::Simulator;
 
 /// Chunks buffered in the sim→analysis channel before the producer blocks.
 const PIPELINE_DEPTH: usize = 4;
@@ -96,15 +92,10 @@ impl Analysis {
         }
     }
 
-    /// Folds everything `sim`'s sniffers captured since the last drain.
-    fn drain(&mut self, sim: &mut Simulator) {
-        drain_traces(sim, |i, records| self.push(i, records));
-    }
-
     /// The chunk loop with these accumulators as the sink.
     fn stream(&mut self, run: &mut impl Advance, duration_us: Micros, chunk_us: Micros) {
         run_chunks(run, duration_us, chunk_us, |sim| {
-            self.drain(sim);
+            drain_traces(sim, |i, records| self.push(i, records));
             true
         });
     }
@@ -258,39 +249,28 @@ pub struct ShardedRun {
     /// The merged result — field-for-field comparable with an unsharded
     /// [`run_streaming`] of the same scenario (`queue` excepted: timing-
     /// wheel churn like cascade counts depends on how events distribute
-    /// over wheels — and, under lockstep, on ghost bookkeeping — so it is
-    /// observability, not output).
+    /// over wheels, so it is observability, not output).
     pub run: StreamedRun,
     /// Sub-simulators the scenario ran as (1 when sharding declined).
     pub shards: usize,
-    /// RF-isolation components found (the parallelism ceiling of component
-    /// sharding; lockstep sharding can exceed it).
+    /// RF-isolation components found (the parallelism ceiling).
     pub components: usize,
-    /// Whether time-window lockstep sharding engaged (one coupled
-    /// component, split along BSS lines).
+    /// Always `false`: production runs no lockstep sharding. Kept only for
+    /// perfbench's traced pass until ROADMAP item 1's benchmark PR.
     pub lockstep: bool,
-    /// Lockstep windows simulated — exchange rounds, plus the final window
-    /// — after idle-window skipping (0 when lockstep did not engage). A
-    /// pure function of the scenario and the plan: the same for every
-    /// worker count and chunk size.
-    pub windows: u64,
 }
 
 /// One shard's result: its sniffers' global indices, and its run.
 type ShardRun = (Vec<usize>, StreamedRun);
 
-/// Runs a recorded scenario with intra-scenario parallelism, as
-/// [`ShardSpec::plan`] decides:
+/// Runs a recorded scenario with intra-scenario parallelism:
 ///
-/// - **unsharded** when the scenario cannot be partitioned (dynamic
-///   channel management, or a client whose channel has no AP);
-/// - **RF-isolation components** ([`wifi_sim::shard`]), each streamed by
-///   [`run_streaming`]'s loop on the [`run_parallel`] work queue across
-///   `threads` workers;
-/// - **time-window lockstep** at the default window
-///   ([`wifi_sim::shard::DEFAULT_LOCKSTEP_WINDOW_US`]) when the components
-///   stop short of `max_shards` (dense coupled cells — the paper's plenary
-///   is one per channel) and the BSS cut is strictly finer.
+/// - **unsharded** when [`wifi_sim::shard::ShardSpec::partition`]
+///   declines (dynamic channel management, or a client whose channel has
+///   no AP);
+/// - **RF-isolation components** ([`wifi_sim::shard`]) otherwise, packed
+///   into at most `max_shards` shards, each streamed by [`run_streaming`]'s
+///   loop on the [`run_parallel`] work queue across `threads` workers.
 ///
 /// The per-shard results merge into one [`StreamedRun`]. Every sniffer
 /// lives in exactly one shard, so per-sniffer seconds and counters need no
@@ -306,7 +286,8 @@ type ShardRun = (Vec<usize>, StreamedRun);
 ///
 /// let scale = SessionScale { seed: 3, users: 24, duration_s: 1, activity: 1.0, rts_fraction: 0.0 };
 /// let sharded = run_sharded(ietf_plenary_sharded(scale), 1_000_000, 4, 6);
-/// assert!(sharded.lockstep && sharded.shards > sharded.components);
+/// // One coupled cell per channel: three component shards.
+/// assert_eq!((sharded.components, sharded.shards), (3, 3));
 ///
 /// // The merged result reproduces the serial run bit for bit.
 /// let serial = run_streaming(ietf_plenary(scale), 1_000_000);
@@ -336,48 +317,35 @@ pub fn run_sharded(
         };
         run_streaming(shard, chunk_us)
     };
-    let (runs, components, windows): (Vec<ShardRun>, usize, Option<u64>) =
-        match spec.plan(max_shards) {
-            Sharding::Unsharded => {
-                let all_sniffers = (0..spec.sniffer_count()).collect();
-                let runs = vec![(all_sniffers, stream_shard(spec.build_unsharded()))];
-                (runs, 1, None)
-            }
-            Sharding::Components(plan) => {
-                // Sub-simulators are built inside the worker (a Simulator is
-                // not Send; the spec is).
-                let runs = run_parallel(&plan.shards, threads, |shard: &Shard| {
-                    (
-                        shard.sniffer_indices().collect(),
-                        stream_shard(spec.build_shard(shard)),
-                    )
-                });
-                (runs, plan.components, None)
-            }
-            Sharding::Lockstep { plan, components } => {
-                // Worker count is a pure throughput knob — shard↔worker
-                // assignment and results are schedule-independent — so clamp
-                // to the cores actually available: oversubscribed barrier
-                // workers just steal each other's timeslices.
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                let (runs, windows) =
-                    run_lockstep(&spec, &plan, duration_us, chunk_us, threads.min(cores));
-                (runs, components, Some(windows))
-            }
-        };
+    let (runs, components): (Vec<ShardRun>, usize) = match spec.partition(max_shards) {
+        None => {
+            let all_sniffers = (0..spec.sniffer_count()).collect();
+            let run = stream_shard(spec.build_unsharded());
+            (vec![(all_sniffers, run)], 1)
+        }
+        Some(plan) => {
+            // Sub-simulators are built inside the worker (a Simulator is
+            // not Send; the spec is).
+            let runs = run_parallel(&plan.shards, threads, |shard: &Shard| {
+                (
+                    shard.sniffer_indices().collect(),
+                    stream_shard(spec.build_shard(shard)),
+                )
+            });
+            (runs, plan.components)
+        }
+    };
     ShardedRun {
         shards: runs.len(),
         run: merge(name, runs),
         components,
-        lockstep: windows.is_some(),
-        windows: windows.unwrap_or(0),
+        lockstep: false,
     }
 }
 
 /// Merges per-shard runs into one. Placement and sums only: every sniffer
-/// lives in exactly one shard, medium stats and the scalar counters are
-/// disjoint per shard (under lockstep, ghosts are excluded from every
-/// counter on non-owner shards), so the merge is exact.
+/// lives in exactly one shard, and medium stats and the scalar counters
+/// are disjoint per shard, so the merge is exact.
 fn merge(name: String, runs: Vec<ShardRun>) -> StreamedRun {
     let mut sniffers = Vec::new();
     let mut merged = StreamedRun::default();
@@ -406,270 +374,6 @@ fn merge(name: String, runs: Vec<ShardRun>) -> StreamedRun {
         sniffers.into_iter().map(|(_, sniffer)| sniffer).unzip();
     merged.name = name;
     merged
-}
-
-/// A sense-reversing spin barrier. The lockstep protocol crosses it once
-/// per window (potentially hundreds of thousands of times per run);
-/// parking OS threads at that frequency would dominate the runtime, and the
-/// wait is bounded by one window of sibling simulation, so spinning is the
-/// right trade.
-struct SpinBarrier {
-    n: usize,
-    count: AtomicUsize,
-    sense: AtomicBool,
-}
-
-impl SpinBarrier {
-    fn new(n: usize) -> SpinBarrier {
-        SpinBarrier {
-            n,
-            count: AtomicUsize::new(0),
-            sense: AtomicBool::new(false),
-        }
-    }
-
-    /// Blocks until all `n` participants arrive. `local_sense` is the
-    /// caller's thread-local phase flag, initialized `false`. Spins briefly
-    /// (the common case: siblings are one window behind), then yields —
-    /// pure spinning livelocks when workers outnumber cores.
-    fn wait(&self, local_sense: &mut bool) {
-        *local_sense = !*local_sense;
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            self.count.store(0, Ordering::Relaxed);
-            self.sense.store(*local_sense, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.sense.load(Ordering::Acquire) != *local_sense {
-                spins += 1;
-                if spins < 1_000 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-/// What one shard publishes at a window boundary.
-#[derive(Default)]
-struct Published {
-    /// The shard's outgoing notices, in start order.
-    notices: Vec<RemoteNotice>,
-    /// The earliest event the exchange leaves on *any* queue on this
-    /// shard's account: its own pre-exchange next-event time, or the
-    /// earliest ghost its notices schedule on a sibling.
-    next: Micros,
-}
-
-/// The lockstep exchange board: one [`Published`] slot per shard for each
-/// window parity, written by the shard's owner and read by every worker
-/// without a lock.
-///
-/// Safety rests on the round protocol. Round `r` writes parity `r % 2`
-/// before its barrier and reads it only after. The owner rewrites that
-/// parity in round `r + 2`, after crossing round `r + 1`'s barrier — which
-/// every reader of round `r` reaches only once it has finished reading.
-/// The barrier's release/acquire pair orders each write before its reads.
-struct ExchangeBoard {
-    slots: [Vec<UnsafeCell<Published>>; 2],
-}
-
-// SAFETY: `slots` is the only field. By the protocol above a slot is never
-// written while another worker can read it; shared reads need
-// `RemoteNotice: Sync`, and the owner's rewrites of notices another worker
-// last read need `Send` — both asserted below.
-unsafe impl Sync for ExchangeBoard {}
-const _: fn() = || {
-    fn shareable<T: Send + Sync>() {}
-    shareable::<RemoteNotice>();
-};
-
-impl ExchangeBoard {
-    fn new(k: usize) -> ExchangeBoard {
-        let parity = || (0..k).map(|_| UnsafeCell::default()).collect();
-        ExchangeBoard {
-            slots: [parity(), parity()],
-        }
-    }
-
-    /// Shard `shard`'s slot in round `round`, for its owner to fill.
-    ///
-    /// # Safety
-    /// The caller owns `shard`, and has crossed round `round - 1`'s barrier
-    /// (every reader of the parity's previous use is done with it).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn publish(&self, round: u64, shard: usize) -> &mut Published {
-        &mut *self.slots[(round % 2) as usize][shard].get()
-    }
-
-    /// Every shard's slot in round `round`, in shard order.
-    ///
-    /// # Safety
-    /// The caller has crossed round `round`'s barrier, and drops the
-    /// returned references before reaching round `round + 1`'s.
-    unsafe fn read(&self, round: u64) -> impl Iterator<Item = &Published> {
-        self.slots[(round % 2) as usize]
-            .iter()
-            .map(|slot| &*slot.get())
-    }
-}
-
-/// One worker's owned lockstep shard: the sub-simulator plus its streaming
-/// analysis.
-struct LockstepState {
-    shard_idx: usize,
-    sim: Simulator,
-    sniffer_indices: Vec<usize>,
-    analysis: Analysis,
-}
-
-/// Drives a lockstep plan to `duration_us` on `workers` threads (clamped
-/// to `1..=k`): every shard advances through the same bounded windows,
-/// with a one-barrier exchange round at each boundary (see
-/// `docs/DETERMINISM.md` for the protocol and its proof). Returns each
-/// shard's run, in shard order, and the number of windows simulated.
-///
-/// Round structure, per window `[start, target]`:
-/// 1. each worker runs its shards to `target`, draining sniffer traces into
-///    the per-shard analysis whenever the window reaches a `chunk_us`
-///    boundary (and at the end of the run);
-/// 2. each worker publishes, per shard, its outgoing [`RemoteNotice`]s and
-///    the earliest event the exchange will leave on any queue on the
-///    shard's account, into the round's parity of the [`ExchangeBoard`] —
-///    then **barrier**;
-/// 3. each worker applies the non-empty sibling outboxes to its own shards
-///    as ghosts, in shard-index order, straight from the board;
-/// 4. every worker computes the same next window start from the published
-///    times: the natural successor, or — skipping whole idle windows — the
-///    window holding the global minimum next-event time.
-///
-/// The schedule is a pure function of the plan and the window, so the
-/// result is identical for any worker count and chunk size.
-fn run_lockstep(
-    spec: &ShardSpec,
-    plan: &LockstepPlan,
-    duration_us: Micros,
-    chunk_us: Micros,
-    workers: usize,
-) -> (Vec<ShardRun>, u64) {
-    let k = plan.shards.len();
-    let w = plan.window_us;
-    let chunk_us = chunk_us.max(1);
-    let workers = workers.clamp(1, k);
-    let barrier = SpinBarrier::new(workers);
-    let board = ExchangeBoard::new(k);
-    let results: Vec<(Vec<(usize, ShardRun)>, u64)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let (barrier, board) = (&barrier, &board);
-            handles.push(scope.spawn(move || {
-                // Static ownership: worker j drives shards j, j+W, ... —
-                // the shard→worker map never affects results, only the
-                // schedule.
-                let mut states: Vec<LockstepState> = (worker..k)
-                    .step_by(workers)
-                    .map(|shard_idx| {
-                        let shard = &plan.shards[shard_idx];
-                        let sim = spec.build_lockstep_shard(shard);
-                        LockstepState {
-                            shard_idx,
-                            analysis: Analysis::new(&sim),
-                            sim,
-                            sniffer_indices: shard.sniffer_indices().collect(),
-                        }
-                    })
-                    .collect();
-                let mut sense = false;
-                let mut start: Micros = 0;
-                let mut drain_at = chunk_us;
-                let mut round: u64 = 0;
-                loop {
-                    // Simulate the window; stream the analysis at chunk
-                    // boundaries, so traces never hold more than a chunk.
-                    let target = (start + w - 1).min(duration_us);
-                    let drain = target >= drain_at || target == duration_us;
-                    for st in &mut states {
-                        st.sim.run_until(target);
-                        if drain {
-                            st.analysis.drain(&mut st.sim);
-                        }
-                    }
-                    if drain {
-                        drain_at = (target / chunk_us + 1) * chunk_us;
-                    }
-                    if target == duration_us {
-                        // Final window: remaining notices could only seed
-                        // events past the end of the run.
-                        break;
-                    }
-                    for st in &mut states {
-                        // SAFETY: this worker owns the shard and crossed
-                        // the previous round's barrier.
-                        let slot = unsafe { board.publish(round, st.shard_idx) };
-                        slot.notices.clear();
-                        st.sim.drain_remote_notices(&mut slot.notices);
-                        let queued = st.sim.next_event_time().unwrap_or(Micros::MAX);
-                        slot.next = slot
-                            .notices
-                            .iter()
-                            .map(|notice| st.sim.ghost_cs_busy_at(notice))
-                            .fold(queued, Micros::min);
-                    }
-                    barrier.wait(&mut sense);
-                    // SAFETY: past this round's barrier; the slots are
-                    // dropped before the next one.
-                    let published = || unsafe { board.read(round) };
-                    for st in &mut states {
-                        for (src, slot) in published().enumerate() {
-                            if src != st.shard_idx {
-                                for notice in &slot.notices {
-                                    st.sim.apply_remote_tx(notice);
-                                }
-                            }
-                        }
-                    }
-                    // Every notice lands on at least one sibling (k ≥ 2)
-                    // and adds nothing earlier than its ghost CsBusy, so
-                    // this is the minimum next-event time over every
-                    // post-exchange queue. Everyone computes the same next
-                    // window start: the natural successor, or — when every
-                    // shard is idle longer — the window holding that
-                    // minimum (never past the final window).
-                    let min_next = published()
-                        .map(|slot| slot.next)
-                        .min()
-                        .unwrap_or(Micros::MAX);
-                    let mut next = start + w;
-                    if min_next > target {
-                        next = next.max(min_next.min(duration_us) / w * w);
-                    }
-                    start = next.min(duration_us / w * w);
-                    round += 1;
-                }
-                // Owner-filtered counters: shells own nothing — ghost air
-                // time, collisions and events are all excluded on non-owner
-                // shards, so the shards' sums are the unsharded totals.
-                let runs = states
-                    .into_iter()
-                    .map(|st| {
-                        let run = st.analysis.finish(String::new(), &st.sim);
-                        (st.shard_idx, (st.sniffer_indices, run))
-                    })
-                    .collect::<Vec<_>>();
-                (runs, round + 1)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("lockstep worker panicked"))
-            .collect()
-    });
-    let windows = results[0].1;
-    debug_assert!(results.iter().all(|&(_, n)| n == windows));
-    let mut runs: Vec<(usize, ShardRun)> = results.into_iter().flat_map(|(runs, _)| runs).collect();
-    runs.sort_by_key(|&(shard_idx, _)| shard_idx);
-    (runs.into_iter().map(|(_, run)| run).collect(), windows)
 }
 
 #[cfg(test)]
@@ -822,11 +526,12 @@ mod tests {
         }
     }
 
-    /// A lockstep plenary run — one dense coupled component split along
-    /// BSS lines — must merge to exactly the unsharded streaming result
-    /// for every `(threads, max_shards)` at the fixed default window.
+    /// The plenary — one dense coupled cell per channel — plans as its
+    /// three RF-isolation components, and the component shards merge to
+    /// exactly the unsharded streaming result for every `(threads,
+    /// max_shards)`.
     #[test]
-    fn lockstep_plenary_matches_unsharded() {
+    fn plenary_plans_as_components() {
         use ietf_workloads::{ietf_plenary_sharded, SessionScale};
         let scale = SessionScale {
             seed: 13,
@@ -850,21 +555,8 @@ mod tests {
                 sharded.components, 3,
                 "the plenary is one coupled cell per channel"
             );
-            if max_shards > sharded.components {
-                assert!(
-                    sharded.lockstep,
-                    "lockstep must engage past the component ceiling"
-                );
-                assert!(
-                    sharded.shards > sharded.components,
-                    "lockstep must cut finer than components (got {} shards)",
-                    sharded.shards
-                );
-            } else {
-                assert!(!sharded.lockstep, "components fill a cap of {max_shards}");
-                assert_eq!(sharded.shards, max_shards);
-            }
-            assert_eq!(sharded.windows > 0, sharded.lockstep);
+            assert_eq!(sharded.shards, max_shards.min(3));
+            assert!(!sharded.lockstep);
             let run = &sharded.run;
             assert_eq!(run.events_processed, baseline.events_processed);
             assert_eq!(run.frames_on_air, baseline.frames_on_air);
@@ -879,59 +571,6 @@ mod tests {
                 .zip(&baseline.per_sniffer_seconds)
             {
                 assert_eq!(format!("{s:?}"), format!("{b:?}"));
-            }
-        }
-    }
-
-    /// `run_lockstep` itself, below `run_sharded`'s core clamp: every
-    /// worker count — including the uneven 2/2/1/1 split of six shards
-    /// over four workers — and chunk size must merge to the unsharded
-    /// result, over the same number of windows.
-    #[test]
-    fn lockstep_any_worker_count_matches_unsharded() {
-        use ietf_workloads::{ietf_plenary_sharded, SessionScale};
-        let scenario = ietf_plenary_sharded(SessionScale {
-            seed: 13,
-            users: 40,
-            duration_s: 2,
-            activity: 1.5,
-            rts_fraction: 0.02,
-        });
-        let spec = &scenario.spec;
-        let baseline = run_streaming(
-            Scenario {
-                name: String::new(),
-                duration_us: scenario.duration_us,
-                sim: spec.build_unsharded(),
-            },
-            1_000_000,
-        );
-        let Sharding::Lockstep { plan, .. } = spec.plan(6) else {
-            panic!("the plenary must plan as lockstep past its 3 components");
-        };
-        assert_eq!(plan.shards.len(), 6);
-        let mut windows = None;
-        for workers in [1, 2, 3, 4, 6] {
-            for chunk_us in [250_000, 1_000_000] {
-                let (runs, n) = run_lockstep(spec, &plan, scenario.duration_us, chunk_us, workers);
-                assert!(n > 0 && n < scenario.duration_us / plan.window_us + 1);
-                assert_eq!(
-                    *windows.get_or_insert(n),
-                    n,
-                    "{workers} workers, chunk {chunk_us}"
-                );
-                let run = merge(String::new(), runs);
-                assert_eq!(run.events_processed, baseline.events_processed);
-                assert_eq!(run.frames_on_air, baseline.frames_on_air);
-                assert_eq!(run.medium_stats, baseline.medium_stats);
-                assert_eq!(
-                    format!("{:?}", run.sniffer_stats),
-                    format!("{:?}", baseline.sniffer_stats)
-                );
-                assert_eq!(
-                    format!("{:?}", run.per_sniffer_seconds),
-                    format!("{:?}", baseline.per_sniffer_seconds)
-                );
             }
         }
     }

@@ -41,7 +41,7 @@ pub mod stream;
 mod writer;
 
 pub use format::{LinkType, PacketRef, PcapError, PcapPacket, MAGIC_BE, MAGIC_LE, MAGIC_NS_LE};
-pub use lossy::{is_pcapng, read_pcap_lossy, read_pcapng_lossy, IngestReport};
+pub use lossy::{is_pcapng, IngestReport};
 pub use pcapng::{NgPacket, NgPacketRef, PcapNgWriter};
 pub use stream::{ChunkedSource, FillStatus, PcapNgStream, PcapStream, Polled};
 pub use writer::PcapWriter;

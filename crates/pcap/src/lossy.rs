@@ -25,12 +25,9 @@
 //! zero skips.
 //!
 //! The decoders run over a bounded rolling window, so captures larger than
-//! RAM ingest in O(window) memory; the whole-buffer functions here are thin
-//! collecting wrappers over lossy streams.
+//! RAM ingest in O(window) memory.
 
-use crate::format::{LinkType, PcapError, PcapPacket};
-use crate::pcapng::{NgPacket, BT_SHB};
-use crate::stream::{PcapNgStream, PcapStream};
+use crate::pcapng::BT_SHB;
 
 /// Accounting of one lossy ingestion pass. All counters are cumulative;
 /// [`IngestReport::merge`] folds per-file reports into a campaign total.
@@ -106,26 +103,6 @@ impl IngestReport {
     }
 }
 
-/// Result of a lossy classic-pcap pass.
-#[derive(Debug)]
-pub struct PcapIngest {
-    /// The file's data-link type.
-    pub link: LinkType,
-    /// Every record that decoded, clean or recovered.
-    pub packets: Vec<PcapPacket>,
-    /// What happened along the way.
-    pub report: IngestReport,
-}
-
-/// Result of a lossy pcapng pass.
-#[derive(Debug)]
-pub struct PcapNgIngest {
-    /// Every packet that decoded, tagged with its interface's link type.
-    pub packets: Vec<NgPacket>,
-    /// What happened along the way.
-    pub report: IngestReport,
-}
-
 /// True when the buffer leads with a pcapng Section Header Block. The SHB
 /// type bytes are byte-order palindromic, so one comparison covers both
 /// endiannesses.
@@ -133,56 +110,41 @@ pub fn is_pcapng(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) == BT_SHB
 }
 
-/// Reads a classic pcap buffer in lossy mode: damaged records are skipped
-/// and the reader resynchronizes on the next plausible record boundary.
-/// Only an unusable global header (bad magic, truncated, wrong version) is
-/// a hard error — there is nothing to recover without it.
-///
-/// Collecting wrapper over [`PcapStream::lossy`]; for captures that should
-/// not be materialized, drive the stream directly.
-pub fn read_pcap_lossy(bytes: &[u8]) -> Result<PcapIngest, PcapError> {
-    let mut stream = PcapStream::lossy(bytes)?;
-    let mut packets = Vec::new();
-    while let Some(pkt) = stream
-        .next_packet()
-        .expect("in-memory source cannot fail mid-stream")
-    {
-        packets.push(pkt.to_owned());
-    }
-    Ok(PcapIngest {
-        link: stream.link(),
-        packets,
-        report: *stream.report(),
-    })
-}
-
-/// Reads a pcapng buffer in lossy mode. Total: a stream with no
-/// recoverable section simply yields zero packets with every byte
-/// accounted as skipped.
-///
-/// Collecting wrapper over [`PcapNgStream::lossy`]; for captures that should
-/// not be materialized, drive the stream directly.
-pub fn read_pcapng_lossy(bytes: &[u8]) -> PcapNgIngest {
-    let mut stream = PcapNgStream::lossy(bytes);
-    let mut packets = Vec::new();
-    while let Some(pkt) = stream
-        .next_packet()
-        .expect("in-memory source cannot fail mid-stream")
-    {
-        packets.push(pkt.to_owned());
-    }
-    PcapNgIngest {
-        packets,
-        report: *stream.report(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::GLOBAL_HEADER_LEN;
-    use crate::pcapng::{PcapNgWriter, BT_EPB, BT_IDB, BYTE_ORDER_MAGIC};
+    use crate::format::{LinkType, PcapError, PcapPacket, GLOBAL_HEADER_LEN};
+    use crate::pcapng::{NgPacket, PcapNgWriter, BT_EPB, BT_IDB, BYTE_ORDER_MAGIC};
+    use crate::stream::{PcapNgStream, PcapStream};
     use crate::writer::PcapWriter;
+
+    /// What a lossy read of a whole buffer yields.
+    struct Ingest<P> {
+        packets: Vec<P>,
+        report: IngestReport,
+    }
+
+    /// Collects a lossy classic-pcap stream over `bytes`.
+    fn collect_pcap(bytes: &[u8]) -> Result<Ingest<PcapPacket>, PcapError> {
+        let mut stream = PcapStream::lossy(bytes)?;
+        let mut packets = Vec::new();
+        while let Some(pkt) = stream.next_packet().expect("in-memory source") {
+            packets.push(pkt.to_owned());
+        }
+        let report = *stream.report();
+        Ok(Ingest { packets, report })
+    }
+
+    /// Collects a lossy pcapng stream over `bytes`.
+    fn collect_pcapng(bytes: &[u8]) -> Ingest<NgPacket> {
+        let mut stream = PcapNgStream::lossy(bytes);
+        let mut packets = Vec::new();
+        while let Some(pkt) = stream.next_packet().expect("in-memory source") {
+            packets.push(pkt.to_owned());
+        }
+        let report = *stream.report();
+        Ingest { packets, report }
+    }
 
     fn classic_file(n: usize) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -212,7 +174,7 @@ mod tests {
         while let Some(p) = r.next_packet().unwrap() {
             strict.push(p.to_owned());
         }
-        let lossy = read_pcap_lossy(&buf).unwrap();
+        let lossy = collect_pcap(&buf).unwrap();
         assert_eq!(lossy.packets, strict);
         assert!(lossy.report.is_clean());
         assert_eq!(lossy.report.records_ok, 50);
@@ -226,7 +188,7 @@ mod tests {
         while let Some(p) = r.next_packet().unwrap() {
             strict.push(p.to_owned());
         }
-        let lossy = read_pcapng_lossy(&buf);
+        let lossy = collect_pcapng(&buf);
         assert_eq!(lossy.packets, strict);
         assert!(lossy.report.is_clean());
     }
@@ -237,7 +199,7 @@ mod tests {
         // Blast the caplen of record 4 (records are 16 + 40 bytes each).
         let rec4 = GLOBAL_HEADER_LEN + 4 * 56;
         buf[rec4 + 8..rec4 + 12].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
-        let out = read_pcap_lossy(&buf).unwrap();
+        let out = collect_pcap(&buf).unwrap();
         assert_eq!(out.report.resyncs, 1);
         assert!(out.report.records_recovered >= 1);
         // All other records survive: 9 of 10 (the damaged one is lost).
@@ -258,14 +220,14 @@ mod tests {
             strict.next_packet(),
             Err(PcapError::OversizedRecord(u32::MAX))
         ));
-        assert_eq!(read_pcap_lossy(&buf).unwrap().packets.len(), 9);
+        assert_eq!(collect_pcap(&buf).unwrap().packets.len(), 9);
     }
 
     #[test]
     fn classic_truncated_tail_is_flagged() {
         let mut buf = classic_file(5);
         buf.truncate(buf.len() - 17);
-        let out = read_pcap_lossy(&buf).unwrap();
+        let out = collect_pcap(&buf).unwrap();
         assert!(out.report.truncated_tail);
         assert_eq!(out.packets.len(), 4);
     }
@@ -279,7 +241,7 @@ mod tests {
         let mut buf = base[..cut].to_vec();
         buf.extend_from_slice(&[0x5A; 37]);
         buf.extend_from_slice(&base[cut..]);
-        let out = read_pcapng_lossy(&buf);
+        let out = collect_pcapng(&buf);
         assert_eq!(out.packets.len(), 6, "all six packets survive");
         assert_eq!(out.report.resyncs, 1);
         assert_eq!(out.report.records_recovered, 1);
@@ -328,7 +290,7 @@ mod tests {
             buf.extend_from_slice(&[0xAB, 0xCD, 0, 0]);
             buf.extend_from_slice(&36u32.to_le_bytes());
         }
-        let out = read_pcapng_lossy(&buf);
+        let out = collect_pcapng(&buf);
         assert_eq!(out.packets.len(), 1);
         assert_eq!(out.packets[0].link, LinkType::Ieee80211);
         assert_eq!(out.packets[0].packet.timestamp_us, 77);
@@ -339,7 +301,7 @@ mod tests {
     #[test]
     fn garbage_only_stream_yields_nothing() {
         let junk: Vec<u8> = (0..700u32).map(|i| (i * 37 + 11) as u8).collect();
-        let out = read_pcapng_lossy(&junk);
+        let out = collect_pcapng(&junk);
         assert!(out.packets.is_empty());
         assert_eq!(out.report.records_total(), 0);
         assert!(out.report.bytes_skipped > 0);
@@ -348,11 +310,11 @@ mod tests {
     #[test]
     fn bad_global_header_is_a_hard_error() {
         assert!(matches!(
-            read_pcap_lossy(&[0u8; 40]),
+            collect_pcap(&[0u8; 40]),
             Err(PcapError::BadMagic(_))
         ));
         assert!(matches!(
-            read_pcap_lossy(&[1, 2, 3]),
+            collect_pcap(&[1, 2, 3]),
             Err(PcapError::TruncatedFile)
         ));
     }

@@ -319,7 +319,7 @@ fn plausible_record(w: &[u8], h: &ClassicHeader, last_sec: Option<u64>) -> bool 
 
 /// The classic-pcap decoder over any byte stream, in O(window) memory, with
 /// the strict or lossy policy fixed at construction (see the module docs).
-/// [`crate::read_pcap_lossy`] and [`crate::read_file`] collect one.
+/// [`crate::read_file`] collects one.
 pub struct PcapStream<R> {
     src: ChunkedSource<R>,
     header: ClassicHeader,
@@ -576,7 +576,6 @@ fn ng_head(w: &[u8], started: bool, big_endian: bool) -> Result<NgHead, PcapErro
 
 /// The pcapng decoder over any byte stream, in O(window) memory, with the
 /// strict or lossy policy fixed at construction (see the module docs).
-/// [`crate::read_pcapng_lossy`] collects a lossy one.
 pub struct PcapNgStream<R> {
     src: ChunkedSource<R>,
     strict: bool,
@@ -771,7 +770,6 @@ mod tests {
     use super::*;
     use crate::chaos::{corrupt_bytes, ChaosConfig, ChaosRng};
     use crate::format::{MAGIC_LE, MAGIC_NS_LE};
-    use crate::lossy::{read_pcap_lossy, read_pcapng_lossy};
     use crate::pcapng::PcapNgWriter;
     use crate::writer::PcapWriter;
     use crate::PcapPacket;
@@ -838,25 +836,25 @@ mod tests {
     #[test]
     fn classic_chunking_is_invisible_on_clean_files() {
         let buf = classic_file(60);
-        let batch = read_pcap_lossy(&buf).unwrap();
+        let (batch, batch_report) = stream_classic(&buf, usize::MAX);
         for max in [1, 7, 64, 4096] {
             let (pkts, report) = stream_classic(&buf, max);
-            assert_eq!(pkts, batch.packets, "read granularity {max}");
-            assert_eq!(report, batch.report, "read granularity {max}");
+            assert_eq!(pkts, batch, "read granularity {max}");
+            assert_eq!(report, batch_report, "read granularity {max}");
         }
-        assert!(batch.report.is_clean());
+        assert!(batch_report.is_clean());
     }
 
     #[test]
     fn ng_chunking_is_invisible_on_clean_files() {
         let buf = ng_file(60);
-        let batch = read_pcapng_lossy(&buf);
+        let (batch, batch_report) = stream_ng(&buf, usize::MAX);
         for max in [1, 7, 64, 4096] {
             let (pkts, report) = stream_ng(&buf, max);
-            assert_eq!(pkts, batch.packets, "read granularity {max}");
-            assert_eq!(report, batch.report, "read granularity {max}");
+            assert_eq!(pkts, batch, "read granularity {max}");
+            assert_eq!(report, batch_report, "read granularity {max}");
         }
-        assert!(batch.report.is_clean());
+        assert!(batch_report.is_clean());
     }
 
     #[test]
@@ -871,11 +869,11 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, GLOBAL_HEADER_LEN, &cfg, &mut rng);
-            let batch = read_pcap_lossy(&buf).unwrap();
+            let (batch, batch_report) = stream_classic(&buf, usize::MAX);
             for max in [1, 13, 256] {
                 let (pkts, report) = stream_classic(&buf, max);
-                assert_eq!(pkts, batch.packets, "seed {seed} granularity {max}");
-                assert_eq!(report, batch.report, "seed {seed} granularity {max}");
+                assert_eq!(pkts, batch, "seed {seed} granularity {max}");
+                assert_eq!(report, batch_report, "seed {seed} granularity {max}");
             }
         }
     }
@@ -892,11 +890,11 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, 0, &cfg, &mut rng);
-            let batch = read_pcapng_lossy(&buf);
+            let (batch, batch_report) = stream_ng(&buf, usize::MAX);
             for max in [1, 13, 256] {
                 let (pkts, report) = stream_ng(&buf, max);
-                assert_eq!(pkts, batch.packets, "seed {seed} granularity {max}");
-                assert_eq!(report, batch.report, "seed {seed} granularity {max}");
+                assert_eq!(pkts, batch, "seed {seed} granularity {max}");
+                assert_eq!(report, batch_report, "seed {seed} granularity {max}");
             }
         }
     }
@@ -991,22 +989,22 @@ mod tests {
     #[test]
     fn classic_polling_converges_to_batch_on_clean_files() {
         let buf = classic_file(60);
-        let batch = read_pcap_lossy(&buf).unwrap();
+        let (batch, batch_report) = stream_classic(&buf, usize::MAX);
         for max in [7, 64, 4096] {
             let (pkts, report) = poll_classic(&buf, max);
-            assert_eq!(pkts, batch.packets, "granularity {max}");
-            assert_eq!(report, batch.report, "granularity {max}");
+            assert_eq!(pkts, batch, "granularity {max}");
+            assert_eq!(report, batch_report, "granularity {max}");
         }
     }
 
     #[test]
     fn ng_polling_converges_to_batch_on_clean_files() {
         let buf = ng_file(60);
-        let batch = read_pcapng_lossy(&buf);
+        let (batch, batch_report) = stream_ng(&buf, usize::MAX);
         for max in [7, 64, 4096] {
             let (pkts, report) = poll_ng(&buf, max);
-            assert_eq!(pkts, batch.packets, "granularity {max}");
-            assert_eq!(report, batch.report, "granularity {max}");
+            assert_eq!(pkts, batch, "granularity {max}");
+            assert_eq!(report, batch_report, "granularity {max}");
         }
     }
 
@@ -1022,11 +1020,11 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, GLOBAL_HEADER_LEN, &cfg, &mut rng);
-            let batch = read_pcap_lossy(&buf).unwrap();
+            let (batch, batch_report) = stream_classic(&buf, usize::MAX);
             for max in [13, 256] {
                 let (pkts, report) = poll_classic(&buf, max);
-                assert_eq!(pkts, batch.packets, "seed {seed} granularity {max}");
-                assert_eq!(report, batch.report, "seed {seed} granularity {max}");
+                assert_eq!(pkts, batch, "seed {seed} granularity {max}");
+                assert_eq!(report, batch_report, "seed {seed} granularity {max}");
             }
         }
     }
@@ -1043,11 +1041,11 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, 0, &cfg, &mut rng);
-            let batch = read_pcapng_lossy(&buf);
+            let (batch, batch_report) = stream_ng(&buf, usize::MAX);
             for max in [13, 256] {
                 let (pkts, report) = poll_ng(&buf, max);
-                assert_eq!(pkts, batch.packets, "seed {seed} granularity {max}");
-                assert_eq!(report, batch.report, "seed {seed} granularity {max}");
+                assert_eq!(pkts, batch, "seed {seed} granularity {max}");
+                assert_eq!(report, batch_report, "seed {seed} granularity {max}");
             }
         }
     }

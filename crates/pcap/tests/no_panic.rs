@@ -9,8 +9,7 @@ use proptest::prelude::*;
 use wifi_pcap::chaos::{corrupt_bytes, ChaosConfig, ChaosRng};
 use wifi_pcap::pcapng::{NgPacket, PcapNgWriter};
 use wifi_pcap::{
-    read_pcap_lossy, read_pcapng_lossy, IngestReport, LinkType, PcapError, PcapNgStream,
-    PcapPacket, PcapStream, PcapWriter,
+    IngestReport, LinkType, PcapError, PcapNgStream, PcapPacket, PcapStream, PcapWriter,
 };
 
 fn arb_packets() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
@@ -121,8 +120,8 @@ proptest! {
     ) {
         let _ = strict_classic(&bytes);
         let _ = strict_ng(&bytes);
-        let _ = read_pcap_lossy(&bytes);
-        let report = read_pcapng_lossy(&bytes).report;
+        let _ = lossy_classic(&bytes);
+        let (_, _, report) = lossy_ng(&bytes);
         // A stream with no section header yields no records.
         if !bytes.windows(4).any(|w| w == [0x0A, 0x0D, 0x0D, 0x0A]) {
             prop_assert_eq!(report.records_total(), 0);
@@ -137,14 +136,11 @@ proptest! {
         let mut bytes = classic_bytes(&packets);
         corrupt_bytes(&mut bytes, 0, &hostile(), &mut ChaosRng::new(seed));
         let _ = strict_classic(&bytes);
-        if let Ok(ingest) = read_pcap_lossy(&bytes) {
+        if let Some((packets, _, report)) = lossy_classic(&bytes) {
             // Resyncs without recoveries (or vice versa) would mean the
             // report lies about what the reader did.
-            prop_assert!(ingest.report.records_recovered == 0 || ingest.report.resyncs > 0);
-            prop_assert_eq!(
-                ingest.report.records_total() as usize,
-                ingest.packets.len()
-            );
+            prop_assert!(report.records_recovered == 0 || report.resyncs > 0);
+            prop_assert_eq!(report.records_total() as usize, packets.len());
         }
     }
 
@@ -156,8 +152,8 @@ proptest! {
         let mut bytes = ng_bytes(&packets);
         corrupt_bytes(&mut bytes, 0, &hostile(), &mut ChaosRng::new(seed));
         let _ = strict_ng(&bytes);
-        let ingest = read_pcapng_lossy(&bytes);
-        prop_assert_eq!(ingest.report.records_total() as usize, ingest.packets.len());
+        let (packets, _, report) = lossy_ng(&bytes);
+        prop_assert_eq!(report.records_total() as usize, packets.len());
     }
 
     #[test]

@@ -4,20 +4,19 @@
 //! frequency: timing-wheel slot buffers and spill buckets in
 //! [`crate::events`], interferer lists in [`crate::medium`]. Before this
 //! module each site hand-rolled its own recycling (or dropped buffers
-//! straight back to the allocator), and the lockstep executor paid that
-//! churn once per shard per window.
+//! straight back to the allocator).
 //!
 //! [`VecPool`] is the shared primitive: a bounded free-list arena of
 //! `Vec<T>` buffers. It is *not* a classic bump arena — wheel entries and
-//! in-flight transmissions outlive any single window, and byte-identity
+//! in-flight transmissions share no common lifetime, and byte-identity
 //! pins the exact order buffers are filled and drained, so a
 //! reset-the-high-water-mark allocator cannot apply. A free-list with a
 //! retention policy gives the same effect the arena is after (steady-state
-//! windows perform zero allocator traffic) without perturbing any
+//! operation performs zero allocator traffic) without perturbing any
 //! observable order.
 //!
-//! Each [`crate::sim::Simulator`] — and therefore each lockstep shard —
-//! owns its pools outright; nothing here is shared or synchronized.
+//! Each [`crate::sim::Simulator`] — and therefore each shard — owns its
+//! pools outright; nothing here is shared or synchronized.
 //!
 //! Retention policy, and why it is RSS-safe: `put` keeps at most
 //! `max_spares` buffers, and drops any buffer whose capacity exceeds

@@ -22,8 +22,7 @@
 //!   slot — the previous entry is physically removed instead of lingering as
 //!   a dead heap entry — and [`EventQueue::cancel_timer`] drops it outright.
 //!   Cancelled fire times are kept in a small unordered list of "ghosts"
-//!   (plus its earliest time) so [`EventQueue::drain_ghosts`] can reproduce
-//!   the historical
+//!   so [`EventQueue::drain_ghosts`] can reproduce the historical
 //!   events-processed denominator exactly (committed perf baselines
 //!   fingerprint it); see the method docs.
 //!
@@ -230,7 +229,7 @@ pub struct EventQueue {
     spill: BTreeMap<Micros, Vec<Entry>>,
     spill_len: usize,
     /// Bounded arena recycling entry buffers between drained slots and
-    /// spill buckets (per queue, hence per lockstep shard).
+    /// spill buckets (per queue, hence per shard).
     pool: VecPool<Entry>,
     /// Per-node armed cancellable timer.
     armed: Vec<Option<ArmedTimer>>,
@@ -239,10 +238,6 @@ pub struct EventQueue {
     /// every ghost is swept by the next drain, and a flat retain scan beats
     /// heap sifts on the ~⅓ of pushes that end up cancelled.
     ghosts: Vec<Micros>,
-    /// The earliest time in `ghosts` (`Micros::MAX` when empty). Lockstep
-    /// shards drain every window — far more often than ghosts come due —
-    /// so a drain before this time returns without scanning.
-    ghost_min: Micros,
     next_seq: u64,
     /// Live entries (excludes tombstones).
     live: usize,
@@ -274,7 +269,6 @@ impl EventQueue {
             pool: VecPool::new(POOL_SPARES, POOL_RETAIN_CAP),
             armed: Vec::new(),
             ghosts: Vec::new(),
-            ghost_min: Micros::MAX,
             next_seq: 0,
             live: 0,
             raw: 0,
@@ -325,7 +319,6 @@ impl EventQueue {
         self.stats.stale_dropped += 1;
         self.live -= 1;
         self.ghosts.push(timer.at);
-        self.ghost_min = self.ghost_min.min(timer.at);
         if timer.at < self.current_end {
             // Already drained: tombstone in place so consume indices hold.
             for e in self.current[self.current_pos..].iter_mut() {
@@ -575,19 +568,8 @@ impl EventQueue {
     /// removes the entries; this hands the simulator the exact count the
     /// lazy scheme would have produced by the time `now` is reached.
     pub fn drain_ghosts(&mut self, now: Micros) -> u64 {
-        if now < self.ghost_min {
-            return 0;
-        }
         let before = self.ghosts.len();
-        let mut min = Micros::MAX;
-        self.ghosts.retain(|&t| {
-            let keep = t > now;
-            if keep {
-                min = min.min(t);
-            }
-            keep
-        });
-        self.ghost_min = min;
+        self.ghosts.retain(|&t| t > now);
         (before - self.ghosts.len()) as u64
     }
 
@@ -714,10 +696,10 @@ mod tests {
         assert_eq!(q.drain_ghosts(1_000_000), 0);
     }
 
-    /// The earliest-ghost shortcut must count exactly what a full retain
-    /// scan of every cancelled fire time counts, whatever the interleaving
-    /// of arms, re-arms, cancels and drains — including drains that land
-    /// on a ghost's time and timers cancelled after their time has passed.
+    /// Drains must count exactly the cancelled fire times that have come
+    /// due, whatever the interleaving of arms, re-arms, cancels and drains
+    /// — including drains that land on a ghost's time and timers cancelled
+    /// after their time has passed.
     #[test]
     fn ghost_drain_matches_full_scan() {
         let mut q = EventQueue::new();

@@ -72,4 +72,4 @@ pub mod traffic;
 
 pub use config::SimConfig;
 pub use runner::{run_parallel, CellReport, RunReport};
-pub use sim::{ClientConfig, GroundTruth, RemoteNotice, Simulator};
+pub use sim::{ClientConfig, GroundTruth, Simulator};

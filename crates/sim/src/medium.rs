@@ -27,12 +27,8 @@ use wifi_frames::timing::Micros;
 /// Physically this is one SIFS — by the time a new preamble could put
 /// energy on the air, a frame with under one SIFS left is into its final
 /// symbols and the receiver's PHY pipeline has already committed to them;
-/// a sub-SIFS tail graze does not flip the decode. Structurally it is the
-/// keystone of lockstep sharding ([`crate::shard`]): with lockstep windows
-/// no wider than the guard, a transmission whose end was processed inside a
-/// window can never retroactively gain an interferer from a remote start
-/// in the same window, so cross-shard notices exchanged at window
-/// boundaries are always *early enough* (see `docs/DETERMINISM.md`).
+/// a sub-SIFS tail graze does not flip the decode. It is part of the model
+/// the goldens pin (see `docs/DETERMINISM.md` §5).
 pub const OVERLAP_GUARD_US: Micros = 10;
 
 /// One transmission in flight (or just completed).
@@ -61,10 +57,6 @@ pub struct Transmission {
     /// Whether the busy indication has already been applied at listeners
     /// (set when the carrier-sense detection delay elapses).
     pub cs_applied: bool,
-    /// True for a transmission mirrored from another lockstep shard via
-    /// [`Medium::register_remote`]: it interferes and is received/sniffed
-    /// here, but its ground-truth accounting happens at its owner shard.
-    pub ghost: bool,
 }
 
 /// Keeps an interferer list sorted by ascending node id (no duplicates
@@ -165,74 +157,17 @@ impl Medium {
             interferers,
             sensed_by,
             cs_applied: false,
-            ghost: false,
-        });
-        tx_id
-    }
-
-    /// Mirrors a transmission owned by another lockstep shard into this
-    /// medium; returns its (local) id. The ghost interferes with — and
-    /// collects interference from — every coupled transmission already
-    /// active here, under the same symmetric tail-guard rule as
-    /// [`Medium::start_tx`], but written for arbitrary start order: ghosts
-    /// arrive at window boundaries, after local transmissions that started
-    /// *later* than the ghost did. Ghosts do not count toward
-    /// `transmissions`; their ground truth is kept by the owner shard.
-    #[allow(clippy::too_many_arguments)]
-    pub fn register_remote(
-        &mut self,
-        node: NodeId,
-        frame: SimFrame,
-        rate: Rate,
-        start: Micros,
-        end: Micros,
-        sensed_by: NodeSet,
-        coupled: impl Fn(NodeId) -> bool,
-    ) -> u64 {
-        let tx_id = self.next_tx_id;
-        self.next_tx_id += 1;
-        let mut interferers = self.list_pool.take();
-        for other in &mut self.active {
-            if !coupled(other.node) {
-                continue;
-            }
-            // Same predicate as start_tx, symmetric in start order: the
-            // earlier-starting transmission must outlive the later one's
-            // start by more than the tail guard.
-            let mutual = if start <= other.start {
-                end > other.start + OVERLAP_GUARD_US
-            } else {
-                other.end > start + OVERLAP_GUARD_US
-            };
-            if !mutual {
-                continue;
-            }
-            insert_sorted(&mut other.interferers, node);
-            insert_sorted(&mut interferers, other.node);
-        }
-        self.active.push(Transmission {
-            tx_id,
-            node,
-            frame,
-            rate,
-            start,
-            end,
-            interferers,
-            sensed_by,
-            cs_applied: false,
-            ghost: true,
         });
         tx_id
     }
 
     /// Removes and returns a completed transmission, counting it into
-    /// `collisions` if it suffered at least one overlap (ghosts are counted
-    /// by their owner shard). Hand it back via [`Medium::recycle`] when
-    /// done to keep the pools warm.
+    /// `collisions` if it suffered at least one overlap. Hand it back via
+    /// [`Medium::recycle`] when done to keep the pools warm.
     pub fn end_tx(&mut self, tx_id: u64) -> Option<Transmission> {
         let idx = self.active.iter().position(|t| t.tx_id == tx_id)?;
         let tx = self.active.swap_remove(idx);
-        if !tx.ghost && !tx.interferers.is_empty() {
+        if !tx.interferers.is_empty() {
             self.collisions += 1;
         }
         Some(tx)
@@ -327,24 +262,6 @@ mod tests {
         let tb = m.end_tx(b).unwrap();
         assert!(tb.interferers.is_empty());
         assert_eq!(m.collisions, 0);
-    }
-
-    #[test]
-    fn remote_ghost_interferes_but_is_not_counted() {
-        let mut m = Medium::new();
-        // A local transmission starts at 600; the ghost (registered later,
-        // at a window boundary) started at 500 — *before* the local one.
-        let a = start(&mut m, 0, 600, 1600);
-        let set = m.take_set();
-        let g = m.register_remote(7, frame(), Rate::R1, 500, 1500, set, |_| true);
-        assert_eq!(m.transmissions, 1, "ghosts are owned elsewhere");
-        let tg = m.end_tx(g).unwrap();
-        assert!(tg.ghost);
-        assert_eq!(tg.interferers, vec![0]);
-        assert_eq!(m.collisions, 0, "ghost collisions count at the owner");
-        let ta = m.end_tx(a).unwrap();
-        assert_eq!(ta.interferers, vec![7]);
-        assert_eq!(m.collisions, 1);
     }
 
     #[test]

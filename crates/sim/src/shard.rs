@@ -52,38 +52,19 @@
 //! channel has no AP anywhere (the client would rescan onto another
 //! channel). Callers fall back to the unsharded build.
 //!
-//! [`ShardSpec::plan`] makes the whole decision once — unsharded,
-//! components, or lockstep (below) — and is what the scenario driver runs.
+//! A dense coupled cell — the paper's 523-user plenary — is one component
+//! per channel, so it runs as one shard per channel however many cores are
+//! available.
 //!
-//! ## Time-window lockstep sharding (dense cells)
+//! ## Lockstep planner (kept only for perfbench)
 //!
-//! Component sharding has a hard ceiling: one coupled cell — the paper's
-//! 523-user plenary — is one component, so it runs on one core no matter
-//! how many are available. [`ShardSpec::partition_lockstep`] breaks that
-//! ceiling by splitting *coupled* stations across shards and advancing all
-//! shards in lockstep over bounded time windows:
-//!
-//! * Every shard materializes the **full roster** ([`ShardSpec::build_lockstep_shard`]):
-//!   owned stations behave normally, the rest are passive *shells* (identity
-//!   only), so node ids, MACs, RNG keys and topology rows agree everywhere.
-//! * A window of `W <= min(cs_delay, OVERLAP_GUARD_US)` microseconds is the
-//!   safe lookahead: a transmission started on one shard cannot influence
-//!   another station — not via carrier sense (one detection delay), not via
-//!   retroactive interference (the overlap guard), not via reception or NAV
-//!   (a frame airtime) — before the window ends. Shards therefore simulate
-//!   a window independently, then exchange [`crate::sim::RemoteNotice`]s at
-//!   the boundary and replay each other's transmissions as *ghosts*
-//!   ([`Simulator::apply_remote_tx`]) before the next window.
-//! * Each client is co-owned with its join-time argmax AP (the BSS
-//!   grouping): downlink traffic is enqueued at the AP from the client's
-//!   own traffic handler, which only co-ownership keeps shard-local.
-//! * The export set is the two-hop relevance closure
-//!   ([`crate::topology::SensingTopology::boundary_relevance`]): everything
-//!   coupled to an owned station or audible at an owned sniffer, plus the
-//!   neighbors of those — the interferer lists of relevant transmissions.
-//!
-//! The full protocol and its determinism argument live in
-//! `docs/DETERMINISM.md`.
+//! [`ShardSpec::partition_lockstep`] cuts a coupled cell along BSS lines
+//! and [`ShardSpec::build_lockstep_shard`] materializes one cut as a
+//! full-roster simulator whose unowned stations are passive *shells*.
+//! Nothing runs these shards any more: time-window lockstep execution was
+//! never faster than serial and is gone. The planner surface stays
+//! callable only for perfbench's traced pass until ROADMAP item 1's
+//! benchmark PR removes it.
 
 use crate::config::SimConfig;
 use crate::geometry::Pos;
@@ -97,7 +78,8 @@ use wifi_frames::phy::Rate;
 use wifi_frames::timing::Micros;
 
 /// Default lockstep window width, µs: the widest window that is safe under
-/// the default radio timing (`min(cs_delay, OVERLAP_GUARD_US)`).
+/// the default radio timing (`min(cs_delay, OVERLAP_GUARD_US)`). Kept only
+/// for perfbench's traced pass until ROADMAP item 1's benchmark PR.
 pub const DEFAULT_LOCKSTEP_WINDOW_US: Micros = 10;
 
 /// One recorded station-build operation.
@@ -289,19 +271,19 @@ impl ShardPlan {
 }
 
 /// One lockstep shard: a full-roster simulator that *owns* a subset of the
-/// stations (the rest are shells) and a subset of the sniffers, advancing
-/// in bounded windows against its sibling shards. Built by
+/// stations (the rest are shells) and a subset of the sniffers. Built by
 /// [`ShardSpec::partition_lockstep`], materialized by
-/// [`ShardSpec::build_lockstep_shard`].
+/// [`ShardSpec::build_lockstep_shard`]. Kept only for perfbench's traced
+/// pass until ROADMAP item 1's benchmark PR.
 #[derive(Clone, Debug)]
 pub struct LockstepShard {
     /// Global indices of owned stations, ascending.
     owned: Vec<usize>,
     /// `owned_mask[gi]`: does this shard own global station `gi`?
     owned_mask: Vec<bool>,
-    /// `export_mask[gi]`: is owned station `gi` inside some sibling's
-    /// relevance closure (its transmissions crossing the cut)?
-    export_mask: Vec<bool>,
+    /// `exported[gi]`: is owned station `gi` inside some sibling's
+    /// relevance closure?
+    exported: Vec<bool>,
     /// Global indices of owned sniffers, ascending.
     sniffers: Vec<usize>,
 }
@@ -329,34 +311,19 @@ impl LockstepShard {
 
     /// How many owned stations are exported across the cut.
     pub fn exported_count(&self) -> usize {
-        self.export_mask.iter().filter(|&&e| e).count()
+        self.exported.iter().filter(|&&e| e).count()
     }
 }
 
 /// The result of lockstep partitioning: every station owned by exactly one
 /// shard, every sniffer owned by exactly one shard, and a validated window.
+/// Kept only for perfbench's traced pass until ROADMAP item 1's benchmark
+/// PR.
 pub struct LockstepPlan {
     /// The shards, largest (by owned-station count) first.
     pub shards: Vec<LockstepShard>,
     /// The validated lockstep window width, µs.
     pub window_us: Micros,
-}
-
-/// How to run a scenario, as decided by [`ShardSpec::plan`].
-pub enum Sharding {
-    /// One unsharded simulator: the scenario cannot be partitioned
-    /// (dynamic channel management, an orphan client, or `max_shards == 0`).
-    Unsharded,
-    /// RF-isolation component shards.
-    Components(ShardPlan),
-    /// Time-window lockstep shards at [`DEFAULT_LOCKSTEP_WINDOW_US`], whose
-    /// BSS cut is strictly finer than the component plan.
-    Lockstep {
-        /// The lockstep shards.
-        plan: LockstepPlan,
-        /// RF-isolation components the component planner found.
-        components: usize,
-    },
 }
 
 /// Union-find over scenario entities (stations, then sniffers).
@@ -617,8 +584,8 @@ impl ShardSpec {
     }
 
     /// Does some client's channel have no AP at all? Its join would rescan
-    /// onto another channel — a migration neither partitioned media nor
-    /// lockstep shards can express.
+    /// onto another channel — a migration partitioned media cannot
+    /// express.
     fn has_orphan_client(&self) -> bool {
         let has_ap = |ch: usize| {
             self.stations
@@ -824,45 +791,13 @@ impl ShardSpec {
         sim
     }
 
-    /// Decides once how to run the scenario on at most `max_shards` shards:
-    /// [`Sharding::Unsharded`] when [`ShardSpec::partition`] declines;
-    /// [`Sharding::Lockstep`] at [`DEFAULT_LOCKSTEP_WINDOW_US`] when the
-    /// components stop short of `max_shards` and the BSS cut is strictly
-    /// finer than the component plan; [`Sharding::Components`] otherwise.
-    ///
-    /// The cut is compared before the relevance step builds its full N×N
-    /// topology, so a scenario whose components already hold one BSS each
-    /// (the venue campus) never pays for a lockstep plan it would discard.
-    pub fn plan(&self, max_shards: usize) -> Sharding {
-        let Some(by_component) = self.partition(max_shards) else {
-            return Sharding::Unsharded;
-        };
-        // The component count is the ceiling of component sharding; only a
-        // cap above it (the dense-cell regime — the plenary is three coupled
-        // cells however many cores are available) leaves room for lockstep.
-        let shards = by_component.shards.len();
-        let window_us = DEFAULT_LOCKSTEP_WINDOW_US;
-        let cut = if shards < max_shards {
-            self.bss_cut(max_shards, window_us)
-        } else {
-            None
-        };
-        match cut {
-            Some(owned) if owned.len() > shards => Sharding::Lockstep {
-                plan: self.lockstep_plan(owned, window_us),
-                components: by_component.components,
-            },
-            _ => Sharding::Components(by_component),
-        }
-    }
-
-    /// Partitions the scenario for time-window lockstep execution (see the
-    /// module docs), or `None` when it cannot or should not engage:
-    /// dynamic channel management, an orphan client (cross-channel rescan),
-    /// `max_shards < 2`, an unsafe `window_us` (zero, or wider than
-    /// `min(cs_delay, OVERLAP_GUARD_US)`), or a scenario whose BSS groups
-    /// cannot fill more than one shard. Callers fall back to component
-    /// sharding or the unsharded build.
+    /// Cuts the scenario along BSS lines into at most `max_shards` lockstep
+    /// shards, or `None` when the cut declines: dynamic channel management,
+    /// an orphan client (cross-channel rescan), `max_shards < 2`, an unsafe
+    /// `window_us` (zero, or wider than `min(cs_delay, OVERLAP_GUARD_US)`),
+    /// or a scenario whose BSS groups cannot fill more than one shard.
+    /// Nothing runs the result; kept only for perfbench's traced pass until
+    /// ROADMAP item 1's benchmark PR.
     pub fn partition_lockstep(&self, max_shards: usize, window_us: Micros) -> Option<LockstepPlan> {
         let owned = self.bss_cut(max_shards, window_us)?;
         Some(self.lockstep_plan(owned, window_us))
@@ -870,7 +805,8 @@ impl ShardSpec {
 
     /// The BSS-cut step of [`ShardSpec::partition_lockstep`]: each shard's
     /// owned stations (ascending), largest shard first, or `None` where
-    /// lockstep declines. Builds no topology.
+    /// lockstep declines. Builds no topology. Kept only for perfbench's
+    /// traced pass until ROADMAP item 1's benchmark PR.
     fn bss_cut(&self, max_shards: usize, window_us: Micros) -> Option<Vec<Vec<usize>>> {
         let n = self.stations.len();
         if self.config.channel_mgmt.is_some() || max_shards < 2 || n == 0 {
@@ -930,17 +866,18 @@ impl ShardSpec {
     }
 
     /// The relevance step of [`ShardSpec::partition_lockstep`]: assigns the
-    /// sniffers to the BSS cut's shards and derives each shard's export
-    /// mask from relevance closures over a full N×N topology — the
-    /// expensive part of lockstep planning.
+    /// sniffers to the BSS cut's shards and derives each shard's exported
+    /// stations from relevance closures over a full N×N topology — the
+    /// expensive part of lockstep planning. Kept only for perfbench's
+    /// traced pass until ROADMAP item 1's benchmark PR.
     fn lockstep_plan(&self, owned_lists: Vec<Vec<usize>>, window_us: Micros) -> LockstepPlan {
         let n = self.stations.len();
         let radio = &self.config.radio;
         let floor = radio.effective_coupling_floor_dbm();
         let k = owned_lists.len();
         // Sniffers: deterministic round-robin by global index. Each sniffer
-        // is wholly owned by one shard; the relevance closure below makes
-        // every transmission it can hear reach that shard as a ghost.
+        // is wholly owned by one shard; the relevance closure below covers
+        // every transmission it can hear.
         let mut shard_sniffers: Vec<Vec<usize>> = vec![Vec::new(); k];
         for si in 0..self.sniffers.len() {
             shard_sniffers[si % k].push(si);
@@ -975,15 +912,15 @@ impl ShardSpec {
             .enumerate()
             .map(|(a, (owned, sniffers))| {
                 let mut owned_mask = vec![false; n];
-                let mut export_mask = vec![false; n];
+                let mut exported = vec![false; n];
                 for &gi in &owned {
                     owned_mask[gi] = true;
-                    export_mask[gi] = (0..k).any(|b| b != a && relevance[b].contains(gi));
+                    exported[gi] = (0..k).any(|b| b != a && relevance[b].contains(gi));
                 }
                 LockstepShard {
                     owned,
                     owned_mask,
-                    export_mask,
+                    exported,
                     sniffers,
                 }
             })
@@ -993,8 +930,9 @@ impl ShardSpec {
 
     /// Materializes one lockstep shard: a full-roster per-channel simulator
     /// in which `shard`'s stations are owned, every other station is a
-    /// passive shell, only `shard`'s sniffers exist, and the export mask is
-    /// installed. Node ids equal global build indices on every shard.
+    /// passive shell, and only `shard`'s sniffers exist. Node ids equal
+    /// global build indices on every shard. Kept only for perfbench's
+    /// traced pass until ROADMAP item 1's benchmark PR.
     pub fn build_lockstep_shard(&self, shard: &LockstepShard) -> Simulator {
         let mut sim = Simulator::new(self.config.clone());
         sim.reserve_stations(self.stations.len(), shard.sniffers.len());
@@ -1028,7 +966,6 @@ impl ShardSpec {
             let cfg = self.sniffers[si];
             sim.add_sniffer_keyed(cfg, si as u64, cfg.channel_idx);
         }
-        sim.set_export_mask(shard.export_mask.clone());
         sim
     }
 }
@@ -1267,47 +1204,18 @@ mod tests {
         }
     }
 
-    /// `plan` decides unsharded / components / lockstep once, comparing
-    /// the BSS cut with the component plan before any relevance topology
-    /// is built.
+    /// Dense multi-BSS cells stay whole: the partition never splits a
+    /// component, whatever the cap, and a zero cap declines.
     #[test]
-    fn plan_decides_once() {
-        // A dense multi-BSS cell past its component ceiling: lockstep.
-        let mut dense = ShardSpec::new(config(vec![1]));
-        dense_two_bss(&mut dense, 0, 0.0);
-        match dense.plan(4) {
-            Sharding::Lockstep { plan, components } => {
-                assert_eq!((components, plan.shards.len()), (1, 2));
-                assert_eq!(plan.window_us, DEFAULT_LOCKSTEP_WINDOW_US);
-            }
-            _ => panic!("a dense two-BSS cell under a cap of 4 runs lockstep"),
-        }
-        // One BSS per component: the cut is no finer than the components,
-        // so the plan never reaches the relevance step.
-        let mut campus = ShardSpec::new(config(vec![1]));
-        for h in 0..3 {
-            let x = h as f64 * 10_000.0;
-            campus.add_ap(Pos::new(x, 0.0), 0, 4);
-            campus.add_client(client(Pos::new(x + 2.0, 3.0), 0));
-        }
-        let cut = campus.bss_cut(usize::MAX, DEFAULT_LOCKSTEP_WINDOW_US);
-        assert_eq!(cut.map(|c| c.len()), Some(3));
-        assert!(matches!(campus.plan(usize::MAX), Sharding::Components(p) if p.shards.len() == 3));
-        // Dynamic channel management: unsharded.
-        let mut cfg = config(vec![1]);
-        cfg.channel_mgmt = Some(crate::config::ChannelMgmt::default());
-        let mut cm = ShardSpec::new(cfg);
-        dense_two_bss(&mut cm, 0, 0.0);
-        assert!(matches!(cm.plan(4), Sharding::Unsharded));
-        // A cap the components already fill: components, though the BSS
-        // cut could split each cell further.
+    fn dense_cells_partition_as_components() {
         let mut halls = ShardSpec::new(config(vec![1]));
         dense_two_bss(&mut halls, 0, 0.0);
         dense_two_bss(&mut halls, 0, 10_000.0);
-        for max_shards in [1, 2] {
-            assert!(
-                matches!(halls.plan(max_shards), Sharding::Components(p) if p.shards.len() == max_shards)
-            );
+        for max_shards in [1, 2, 8] {
+            let plan = halls.partition(max_shards).expect("shardable");
+            assert_eq!(plan.components, 2);
+            assert_eq!(plan.shards.len(), max_shards.min(2));
         }
+        assert!(halls.partition(0).is_none(), "zero cap");
     }
 }

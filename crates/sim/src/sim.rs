@@ -96,25 +96,6 @@ pub struct ClientConfig {
     pub frag_threshold: Option<u32>,
 }
 
-/// A cross-shard transmission notification (lockstep sharding): everything
-/// a remote shard needs to replay this transmission as a *ghost* on its own
-/// medium via [`Simulator::apply_remote_tx`]. Lockstep rosters are
-/// replicated, so `node` is meaningful on every shard. See
-/// `docs/DETERMINISM.md` for the window-boundary exchange protocol.
-#[derive(Clone, Debug)]
-pub struct RemoteNotice {
-    /// Transmitting station (global node id).
-    pub node: NodeId,
-    /// The frame on the air.
-    pub frame: SimFrame,
-    /// PHY rate of the transmission.
-    pub rate: Rate,
-    /// Airtime start, µs.
-    pub start: Micros,
-    /// Airtime end, µs.
-    pub end: Micros,
-}
-
 /// The simulator.
 pub struct Simulator {
     /// Configuration (immutable after construction).
@@ -199,18 +180,12 @@ pub struct Simulator {
     sniffer_fade_cache: Vec<f64>,
     /// Coherence bucket both fade caches describe (`u64::MAX` = none yet).
     fade_epoch: u64,
-    /// Lockstep sharding: while `true`, the station adders materialize
-    /// passive *shells* (identity only — no seeded events, no build-time
-    /// RNG draws, no medium membership). Toggled by [`crate::shard`] while
-    /// replaying the build order of stations owned by other shards.
+    /// While `true`, the station adders materialize passive *shells*
+    /// (identity only — no seeded events, no build-time RNG draws, no
+    /// medium membership). Toggled by
+    /// [`crate::shard::ShardSpec::build_lockstep_shard`], kept only for
+    /// perfbench's traced pass until ROADMAP item 1's benchmark PR.
     shell_mode: bool,
-    /// Lockstep sharding: `export_mask[node]` marks stations audible across
-    /// a shard cut, whose transmissions must be queued as [`RemoteNotice`]s
-    /// for the window-boundary exchange. Empty outside lockstep shards.
-    export_mask: Vec<bool>,
-    /// Lockstep sharding: outbox of exported transmissions started since
-    /// the last [`Self::drain_remote_notices`].
-    remote_notices: Vec<RemoteNotice>,
 }
 
 impl Simulator {
@@ -274,8 +249,6 @@ impl Simulator {
             sniffer_fade_cache: Vec::new(),
             fade_epoch: u64::MAX,
             shell_mode: false,
-            export_mask: Vec::new(),
-            remote_notices: Vec::new(),
         }
     }
 
@@ -685,93 +658,13 @@ impl Simulator {
         &self.topology
     }
 
-    // ------------------------------------------------------------------
-    // Lockstep sharding (see `crate::shard` and docs/DETERMINISM.md)
-    // ------------------------------------------------------------------
-
     /// Switches the builder into (or out of) *shell mode*: while on, the
-    /// station adders materialize passive shells owned by another shard.
-    /// Used by [`crate::shard`] to replay the full scenario build order on
-    /// every lockstep shard, so node ids, MACs and topology rows agree
-    /// across shards.
+    /// station adders materialize passive shells owned by another shard, so
+    /// [`crate::shard::ShardSpec::build_lockstep_shard`] can replay the full
+    /// build order. Kept only for perfbench's traced pass until ROADMAP
+    /// item 1's benchmark PR.
     pub(crate) fn set_shell_mode(&mut self, on: bool) {
         self.shell_mode = on;
-    }
-
-    /// Installs the export mask: stations whose transmissions must be
-    /// queued as [`RemoteNotice`]s for the window-boundary exchange.
-    pub(crate) fn set_export_mask(&mut self, mask: Vec<bool>) {
-        self.export_mask = mask;
-    }
-
-    /// Drains the outbox of exported transmissions started since the last
-    /// drain, appending them to `out` in start order. Called by the
-    /// lockstep executor at each window boundary.
-    pub fn drain_remote_notices(&mut self, out: &mut Vec<RemoteNotice>) {
-        out.append(&mut self.remote_notices);
-    }
-
-    /// The timestamp of the earliest pending event, if any. Drives the
-    /// lockstep executor's idle-window skip-ahead: when every shard's next
-    /// event lies far in the future, whole windows are skipped at once.
-    pub fn next_event_time(&mut self) -> Option<Micros> {
-        self.queue.peek_time()
-    }
-
-    /// When [`Self::apply_remote_tx`] schedules `notice`'s ghost `CsBusy`:
-    /// one detection delay into the airtime, clamped inside it. Its other
-    /// event, the ghost `TxEnd` at `notice.end`, is never earlier, so this
-    /// is the earliest event the notice adds to any sibling's queue — which
-    /// lets the lockstep executor pick the next window without a second
-    /// round of next-event publication.
-    pub fn ghost_cs_busy_at(&self, notice: &RemoteNotice) -> Micros {
-        let air = notice.end - notice.start;
-        notice.start + self.config.cs_delay_us.min(air.saturating_sub(1))
-    }
-
-    /// Replays a transmission owned by another shard as a *ghost* on this
-    /// shard's medium. The ghost occupies air exactly like a local
-    /// transmission — carrier sense, interference registration, reception,
-    /// NAV and sniffer capture all fire for locally-owned listeners — but
-    /// the transmitter's state machine, counters, air-time and ground truth
-    /// advance only on its owning shard, and ghost `CsBusy`/`TxEnd` events
-    /// are excluded from [`Self::events_processed`] so shard sums equal the
-    /// unsharded count.
-    ///
-    /// Must be called at a window boundary `now < start + cs_delay` (the
-    /// lockstep window bound `W <= cs_delay` guarantees it), so both ghost
-    /// events land strictly in the future.
-    pub fn apply_remote_tx(&mut self, notice: &RemoteNotice) {
-        self.ensure_topology();
-        let node = notice.node;
-        let cs_at = self.ghost_cs_busy_at(notice);
-        let medium = self.hot.medium_idx[node];
-        let Simulator {
-            media,
-            topology,
-            medium_members,
-            ..
-        } = self;
-        // Listeners: locally-owned stations only (shells never join a
-        // medium), sensed through the same cached carrier-sense row a local
-        // transmission would use.
-        let mut sensed_by = media[medium].take_set();
-        topology.sensed_into(node, &medium_members[medium], &mut sensed_by);
-        let tx_id = media[medium].register_remote(
-            node,
-            notice.frame.clone(),
-            notice.rate,
-            notice.start,
-            notice.end,
-            sensed_by,
-            |other| topology.coupled(node, other),
-        );
-        debug_assert!(
-            cs_at > self.now && notice.end > self.now,
-            "ghost events must land in the future (window wider than cs_delay?)"
-        );
-        self.queue.push(cs_at, Event::CsBusy { medium, tx_id });
-        self.queue.push(notice.end, Event::TxEnd { medium, tx_id });
     }
 
     /// Runs the simulation until `until` (microseconds).
@@ -780,7 +673,7 @@ impl Simulator {
     /// yields every event sharing the earliest time. Each batch is then
     /// re-ordered by the *canonical* key (`batch_sort_key`) — event
     /// class, then the acting entity's scenario-global key — rather than
-    /// push-sequence order. Push order is materialization-local (a lockstep
+    /// push-sequence order. Push order is materialization-local (a component
     /// shard pushes only its own stations' events, in shard-local
     /// interleavings), while the canonical key is a pure function of the
     /// event itself, so every materialization of a scenario processes a
@@ -1413,18 +1306,6 @@ impl Simulator {
         // unoptimized loop did O(stations) path-loss math per frame. The
         // busy indication lands one detection delay later (the CSMA
         // vulnerability window).
-        // Lockstep sharding: a station audible across a shard cut queues a
-        // notice for the window-boundary exchange before the frame is moved
-        // onto the medium.
-        if self.export_mask.get(node).copied().unwrap_or(false) {
-            self.remote_notices.push(RemoteNotice {
-                node,
-                frame: frame.clone(),
-                rate,
-                start: now,
-                end,
-            });
-        }
         let Simulator {
             media,
             topology,
@@ -1456,15 +1337,7 @@ impl Simulator {
             .iter()
             .find(|t| t.tx_id == tx_id)
         {
-            Some(t) => {
-                if t.ghost {
-                    // Ghost events are bookkeeping of the lockstep exchange,
-                    // not part of the scenario's event stream; keep
-                    // events_processed equal to the unsharded run's.
-                    self.events_processed -= 1;
-                }
-                t.sensed_by.copy_words_into(&mut words)
-            }
+            Some(t) => t.sensed_by.copy_words_into(&mut words),
             None => {
                 self.cs_scratch = words;
                 return; // transmission already ended (degenerate cs delay)
@@ -1543,15 +1416,8 @@ impl Simulator {
         let now = self.now;
         let channel = self.medium_channel[medium];
 
-        // 1. Advance the transmitter's state machine — unless the
-        // transmission is a lockstep ghost, whose transmitter lives (and
-        // advances) on its owning shard. Ghost events are also excluded
-        // from events_processed so shard sums match the unsharded count.
-        if tx.ghost {
-            self.events_processed -= 1;
-        } else {
-            self.advance_transmitter(&tx);
-        }
+        // 1. Advance the transmitter's state machine.
+        self.advance_transmitter(&tx);
 
         // 2. Intended-receiver reception.
         self.process_reception(medium, &tx);
@@ -1564,19 +1430,15 @@ impl Simulator {
         // 4. Sniffers.
         self.process_sniffers(medium, &tx);
 
-        // 5. Ground truth and channel load accounting (owning shard only:
-        // ghost air time and records are accounted where the transmitter
-        // lives, so the shard-summed totals equal the unsharded run's).
-        if !tx.ghost {
-            self.chan_airtime_us[channel] += tx.end.saturating_sub(tx.start);
-            self.ground_truth.transmissions += 1;
-            if self.config.record_ground_truth {
-                let ch = self.config.channels[channel];
-                let sig = self.config.radio.tx_power_dbm as i8;
-                self.ground_truth
-                    .records
-                    .push(tx.frame.to_record(tx.end, tx.rate, ch, sig));
-            }
+        // 5. Ground truth and channel load accounting.
+        self.chan_airtime_us[channel] += tx.end.saturating_sub(tx.start);
+        self.ground_truth.transmissions += 1;
+        if self.config.record_ground_truth {
+            let ch = self.config.channels[channel];
+            let sig = self.config.radio.tx_power_dbm as i8;
+            self.ground_truth
+                .records
+                .push(tx.frame.to_record(tx.end, tx.rate, ch, sig));
         }
 
         // 6. Release carrier sense. Bitset iteration is ascending, matching
@@ -1599,8 +1461,7 @@ impl Simulator {
             self.cs_scratch = words;
         }
         // The transmitter itself: its own channel went quiet from its side.
-        // (A ghost's transmitter is a shell here; it never contends.)
-        if !tx.ghost && !self.hot.channel_busy(tx.node, now) {
+        if !self.hot.channel_busy(tx.node, now) {
             self.hot.idle_since[tx.node] = now;
         }
         // 7. Recycle the transmission's listener set and interferer list.
@@ -1665,8 +1526,7 @@ impl Simulator {
             return;
         }
         if self.hot.shell[rx_node] {
-            return; // lockstep shell: reception (and its RNG draw) happens
-                    // on the receiver's owning shard
+            return; // passive shell: it owns no reception (or RNG draw)
         }
         if !self.topology.coupled(tx.node, rx_node) {
             return; // below the pair-coupling floor: no interaction

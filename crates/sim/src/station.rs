@@ -229,12 +229,13 @@ pub struct HotState {
     /// draws *fresh* fade realizations — physically its links changed —
     /// instead of replaying the fades memoized for its old position.
     pub fade_gen: Vec<u64>,
-    /// Lockstep sharding: this station is a passive *shell* — it exists for
+    /// This station is a passive *shell* of a lockstep shard — it exists for
     /// identity only (node id, MAC, RNG keying, topology row) and is owned
     /// by another shard. Shells seed no events, draw no randomness, join no
-    /// medium, and are skipped by every listener-side handler; their real
-    /// behaviour plays out on the owning shard and reaches this one as
-    /// ghost transmissions. Always `false` outside lockstep shards.
+    /// medium, and are skipped by every listener-side handler. Only
+    /// [`crate::shard::ShardSpec::build_lockstep_shard`] makes them, kept
+    /// for perfbench's traced pass until ROADMAP item 1's benchmark PR;
+    /// always `false` in every simulator that runs.
     pub shell: Vec<bool>,
 }
 

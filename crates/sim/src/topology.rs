@@ -441,8 +441,10 @@ impl SensingTopology {
     }
 
     /// The boundary-coupling closure of one lockstep shard: every station
-    /// whose transmissions the shard must observe for its own physics to be
-    /// exact (see [`crate::shard`] and `docs/DETERMINISM.md`).
+    /// whose transmissions the shard would have to observe for its own
+    /// physics to be exact. Kept only for perfbench's traced pass (via
+    /// [`crate::shard::ShardSpec::partition_lockstep`]) until ROADMAP item
+    /// 1's benchmark PR.
     ///
     /// Let `A` be the shard's `owned` stations and `S₁` the stations
     /// directly coupled to `A` — plus `audible`, the stations any of the
@@ -455,9 +457,9 @@ impl SensingTopology {
     /// `S₁` (who interfere with frames from `S₁`) are needed too. The
     /// result written to `out` is the 2-hop closure
     /// `A ∪ S₁ ∪ neighbors(S₁)`, computed as word-wise ORs of the cached
-    /// coupling rows. Over-approximation is harmless (an extra ghost draws
-    /// no randomness and touches no owned state below the coupling floor);
-    /// a missing member would be an exactness bug.
+    /// coupling rows. Over-approximation is harmless (an extra mirrored
+    /// frame draws no randomness and touches no owned state below the
+    /// coupling floor); a missing member would be an exactness bug.
     pub fn boundary_relevance(&self, owned: &NodeSet, audible: &NodeSet, out: &mut NodeSet) {
         let mut s1 = vec![0u64; self.wpr];
         for id in owned.iter() {

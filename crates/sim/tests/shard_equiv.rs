@@ -16,31 +16,23 @@
 //!   the shard sum reproduces the global count).
 //!
 //! Timing-wheel churn (`QueueStats`) is deliberately *not* compared:
-//! cascade and ghost bookkeeping depends on how events distribute over
-//! wheels — observability, not simulated output.
+//! cascade bookkeeping depends on how events distribute over wheels —
+//! observability, not simulated output.
 //!
 //! The property test drives this across random campus topologies (hall
 //! count, spacing, per-hall population, channel layouts, sniffer
 //! placement), random shard caps, and both materializations.
-//!
-//! The second half does the same for **time-window lockstep sharding**
-//! ([`ShardSpec::partition_lockstep`]): dense single-cell topologies where
-//! every station is coupled, split by BSS and advanced in bounded windows
-//! with cross-shard TxStart/TxEnd ghost exchange. The serial driver here
-//! replicates the round protocol of `congestion_bench::streaming` (publish
-//! → apply in shard order → skip-ahead), and the same byte-identity must
-//! hold for every `(max_shards, window)` within the safe-window bound.
 
 use proptest::prelude::*;
 use wifi_frames::record::FrameRecord;
 use wifi_frames::timing::SECOND;
 use wifi_sim::geometry::Pos;
 use wifi_sim::rate::RateAdaptation;
-use wifi_sim::shard::{ShardSpec, DEFAULT_LOCKSTEP_WINDOW_US};
+use wifi_sim::shard::ShardSpec;
 use wifi_sim::sniffer::SnifferConfig;
 use wifi_sim::station::RtsPolicy;
 use wifi_sim::traffic::{FlowConfig, SizeDist, TrafficProfile};
-use wifi_sim::{ClientConfig, RemoteNotice, SimConfig, Simulator};
+use wifi_sim::{ClientConfig, SimConfig, Simulator};
 
 /// Canonical order for ground-truth records: timestamp first, then the full
 /// record rendering as a tiebreak — total, and independent of which
@@ -66,17 +58,8 @@ struct Observed {
     events_processed: u64,
 }
 
+/// Runs every simulator to `until` and gathers the comparable output.
 fn observe(mut sims: Vec<(Simulator, Vec<usize>)>, until: u64, sniffers: usize) -> Observed {
-    for (sim, _) in &mut sims {
-        sim.run_until(until);
-    }
-    collect(sims, sniffers)
-}
-
-/// Gathers the comparable output of already-run simulators. Passive shell
-/// stations (lockstep shards materialize the full roster) are skipped: they
-/// hold no simulated state, and their owners report the real counters.
-fn collect(mut sims: Vec<(Simulator, Vec<usize>)>, sniffers: usize) -> Observed {
     let mut sniffer_traces = vec![Vec::new(); sniffers];
     let mut sniffer_stats = vec![String::new(); sniffers];
     let mut station_stats = Vec::new();
@@ -84,14 +67,12 @@ fn collect(mut sims: Vec<(Simulator, Vec<usize>)>, sniffers: usize) -> Observed 
     let mut medium_stats = Vec::new();
     let (mut transmissions, mut delivered, mut retry_drops, mut events) = (0, 0, 0, 0);
     for (sim, sniffer_idx) in &mut sims {
+        sim.run_until(until);
         for (local, &global) in sniffer_idx.iter().enumerate() {
             sniffer_traces[global] = std::mem::take(&mut sim.sniffers_mut()[local].trace);
             sniffer_stats[global] = format!("{:?}", sim.sniffers()[local].stats);
         }
         for (i, st) in sim.stations().iter().enumerate() {
-            if sim.hot().shell[i] {
-                continue;
-            }
             station_stats.push((sim.hot().key[i], format!("{:?}", st.stats)));
         }
         ground_truth.extend(sim.ground_truth.records.iter().copied());
@@ -237,181 +218,6 @@ fn campus_sharded_matches_unsharded() {
 fn single_hall_is_identity() {
     let spec = campus(7, 1, 8, 2, 5_000.0, &[0]);
     assert_equivalent(&spec, 3 * SECOND, 8);
-}
-
-/// Serial reference implementation of the lockstep round protocol: run every
-/// shard to the window end, exchange TxStart/TxEnd notices (each shard
-/// applies its siblings' batches in shard order, never its own), then all
-/// shards move to the same next window — skipping ahead when every shard is
-/// idle past the window. Mirrors `run_lockstep` in
-/// `congestion_bench::streaming` minus the threads and barriers; the merged
-/// output must not depend on which driver ran the protocol. It takes the
-/// next window from the *post-exchange* queues — the definition that the
-/// threaded driver's one-barrier rule (pre-exchange times plus the
-/// notices' ghost `CsBusy` times) reproduces.
-fn run_lockstep_serial(sims: &mut [Simulator], window_us: u64, until: u64) {
-    let w = window_us;
-    let mut outboxes: Vec<Vec<RemoteNotice>> = vec![Vec::new(); sims.len()];
-    let mut start = 0u64;
-    loop {
-        let target = (start + w - 1).min(until);
-        for sim in sims.iter_mut() {
-            sim.run_until(target);
-        }
-        if target == until {
-            // Final window: leftover notices could only seed events past
-            // the end of the run.
-            break;
-        }
-        for (slot, sim) in outboxes.iter_mut().zip(sims.iter_mut()) {
-            slot.clear();
-            sim.drain_remote_notices(slot);
-        }
-        let mut min_next = u64::MAX;
-        for (dst, sim) in sims.iter_mut().enumerate() {
-            for (src, batch) in outboxes.iter().enumerate() {
-                if src == dst {
-                    continue;
-                }
-                for notice in batch {
-                    sim.apply_remote_tx(notice);
-                }
-            }
-            min_next = min_next.min(sim.next_event_time().unwrap_or(u64::MAX));
-        }
-        let mut next = start + w;
-        if min_next > target {
-            next = next.max(min_next.min(until) / w * w);
-        }
-        start = next.min(until / w * w);
-    }
-}
-
-fn assert_lockstep_equivalent(spec: &ShardSpec, until: u64, max_shards: usize, window_us: u64) {
-    let sniffers = spec.sniffer_count();
-    let unsharded = observe(
-        vec![(spec.build_unsharded(), (0..sniffers).collect())],
-        until,
-        sniffers,
-    );
-    let plan = spec
-        .partition_lockstep(max_shards, window_us)
-        .expect("dense-cell test scenarios admit a lockstep split");
-    assert!(
-        plan.shards.len() >= 2,
-        "lockstep plan did not split (max_shards={max_shards})"
-    );
-    let mut sims: Vec<Simulator> = plan
-        .shards
-        .iter()
-        .map(|s| spec.build_lockstep_shard(s))
-        .collect();
-    run_lockstep_serial(&mut sims, window_us, until);
-    let lockstep = collect(
-        sims.into_iter()
-            .zip(&plan.shards)
-            .map(|(sim, s)| (sim, s.sniffer_indices().collect()))
-            .collect(),
-        sniffers,
-    );
-
-    let tag = format!("(max_shards={max_shards}, window={window_us})");
-    assert_eq!(
-        lockstep.sniffer_traces, unsharded.sniffer_traces,
-        "lockstep sniffer traces diverged {tag}"
-    );
-    assert_eq!(lockstep.sniffer_stats, unsharded.sniffer_stats, "{tag}");
-    assert_eq!(lockstep.station_stats, unsharded.station_stats, "{tag}");
-    assert_eq!(lockstep.ground_truth, unsharded.ground_truth, "{tag}");
-    assert_eq!(lockstep.medium_stats, unsharded.medium_stats, "{tag}");
-    assert_eq!(lockstep.transmissions, unsharded.transmissions, "{tag}");
-    assert_eq!(lockstep.delivered, unsharded.delivered, "{tag}");
-    assert_eq!(lockstep.retry_drops, unsharded.retry_drops, "{tag}");
-    assert_eq!(
-        lockstep.events_processed, unsharded.events_processed,
-        "lockstep events-processed denominator diverged {tag}"
-    );
-}
-
-/// One dense cell: `aps` base stations a few tens of meters apart — far
-/// inside the coupling range, so every station carrier-senses every other
-/// and the component partitioner sees a single blob per channel. Clients
-/// cluster around their AP; sniffers sit in the middle of the cell.
-fn dense_cell(seed: u64, aps: usize, per_ap: usize, channels: usize, spacing: f64) -> ShardSpec {
-    let chans: Vec<wifi_frames::phy::Channel> = [1u8, 6, 11][..channels]
-        .iter()
-        .map(|&c| wifi_frames::phy::Channel::new(c).unwrap())
-        .collect();
-    let mut spec = ShardSpec::new(SimConfig {
-        seed,
-        channels: chans,
-        ..SimConfig::default()
-    });
-    for a in 0..aps {
-        spec.add_ap(Pos::new(a as f64 * spacing, 0.0), a % channels, 6);
-    }
-    for a in 0..aps {
-        for i in 0..per_ap {
-            spec.add_client(ClientConfig {
-                pos: Pos::new(a as f64 * spacing + 2.0 + 3.0 * i as f64, 4.0),
-                channel_idx: a % channels,
-                rts_policy: if i % 5 == 0 {
-                    RtsPolicy::Threshold(400)
-                } else {
-                    RtsPolicy::Never
-                },
-                adaptation: RateAdaptation::Arf(wifi_frames::phy::Rate::R11),
-                traffic: traffic(2.0 + (i % 4) as f64),
-                join_at_us: ((a + i) as u64 % 4) * 100_000,
-                leave_at_us: None,
-                power_save_interval_us: if i % 3 == 0 { Some(10_000_000) } else { None },
-                frag_threshold: if (a + i) % 7 == 0 { Some(600) } else { None },
-            });
-        }
-    }
-    for ch in 0..channels {
-        spec.add_sniffer(SnifferConfig {
-            pos: Pos::new(spacing * (aps - 1) as f64 / 2.0, 2.0),
-            channel_idx: ch,
-            ..SnifferConfig::default()
-        });
-    }
-    spec
-}
-
-/// Deterministic lockstep anchor: one coupled cell of three BSSes, split
-/// across shard caps and window widths (the full safe range ends at the
-/// 10 µs overlap guard).
-#[test]
-fn dense_cell_lockstep_matches_unsharded() {
-    let spec = dense_cell(23, 3, 4, 2, 40.0);
-    for (max_shards, window_us) in [
-        (2, DEFAULT_LOCKSTEP_WINDOW_US),
-        (3, DEFAULT_LOCKSTEP_WINDOW_US),
-        (8, 1),
-        (3, 7),
-    ] {
-        assert_lockstep_equivalent(&spec, 2 * SECOND, max_shards, window_us);
-    }
-}
-
-proptest! {
-    /// Random dense cells: AP count, per-BSS population, channel count, AP
-    /// spacing, shard cap, and lockstep window — the merged lockstep output
-    /// must stay byte-identical to the unsharded run for all of them.
-    fn random_dense_cell_lockstep_equivalence(
-        seed in 0u64..1_000,
-        aps in 2usize..5,
-        per_ap in 1usize..4,
-        channels in 1usize..3,
-        spacing_sel in 0usize..3,
-        max_shards in 2usize..8,
-        window_us in 1u64..=10,
-    ) {
-        let spacing = [15.0, 40.0, 90.0][spacing_sel];
-        let spec = dense_cell(seed, aps, per_ap, channels, spacing);
-        assert_lockstep_equivalent(&spec, SECOND / 2, max_shards, window_us);
-    }
 }
 
 proptest! {

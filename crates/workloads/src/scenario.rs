@@ -367,9 +367,9 @@ pub fn ietf_plenary(scale: SessionScale) -> Scenario {
 }
 
 /// [`ietf_plenary`] recorded as a [`ShardScenario`], for
-/// `congestion_bench::streaming::run_sharded`: one dense coupled cell (a
-/// single RF-isolation component), so parallelism comes from time-window
-/// lockstep sharding rather than component sharding.
+/// `congestion_bench::streaming::run_sharded`: one dense coupled cell per
+/// channel (one RF-isolation component each), so it shards at most three
+/// ways, one shard per channel.
 pub fn ietf_plenary_sharded(scale: SessionScale) -> ShardScenario {
     let attendance = Attendance::plenary(scale.duration_s);
     let center = Pos::new(VENUE_W * 0.5, VENUE_H * 0.7);
