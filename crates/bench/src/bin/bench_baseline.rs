@@ -158,7 +158,7 @@ impl Pin {
     }
 
     fn build(&self) -> Scenario {
-        let mut scenario = match self.name {
+        match self.name {
             PinName::RampQuick | PinName::Ramp320 => {
                 load_ramp(self.seed, self.users, self.duration_s, 1.7)
             }
@@ -172,11 +172,7 @@ impl Pin {
             PinName::Venue5k => unreachable!("venue-5k runs the sharded path"),
             PinName::Churn => unreachable!("churn runs the mobile streaming path"),
             PinName::TraceMerge3x => unreachable!("trace-merge-3x runs the ingest path"),
-        };
-        // Perf run: skip the ground-truth tape (it is O(frames) memory and
-        // no figure reads it here); the on-air counter still runs.
-        scenario.sim.config.record_ground_truth = false;
-        scenario
+        }
     }
 
     /// Runs the pin. The serial pins take the pipelined two-thread path;
@@ -193,16 +189,14 @@ impl Pin {
             PinName::Churn => {
                 let scale = ChurnScale::venue_default(self.seed);
                 debug_assert!(scale.users == self.users && scale.duration_s == self.duration_s);
-                let mut scenario = mobile_venue(scale);
-                scenario.sim.config.record_ground_truth = false;
+                let scenario = mobile_venue(scale);
                 let (run, mobility) = run_streaming_mobile(scenario, 1_000_000);
                 (run, None, Some(mobility))
             }
             PinName::Venue5k => {
                 let scale = CampusScale::venue_5k(self.seed);
                 debug_assert!(scale.users == self.users && scale.duration_s == self.duration_s);
-                let mut scenario = venue_campus(scale);
-                scenario.spec.config_mut().record_ground_truth = false;
+                let scenario = venue_campus(scale);
                 let sharded = run_sharded(scenario, 1_000_000, threads, max_shards);
                 (
                     sharded.run,
@@ -211,14 +205,13 @@ impl Pin {
                 )
             }
             PinName::Plenary523 if max_shards > 1 => {
-                let mut scenario = ietf_plenary_sharded(SessionScale {
+                let scenario = ietf_plenary_sharded(SessionScale {
                     seed: self.seed,
                     users: self.users,
                     duration_s: self.duration_s,
                     activity: 3.0,
                     rts_fraction: 0.02,
                 });
-                scenario.spec.config_mut().record_ground_truth = false;
                 let sharded = run_sharded(scenario, 1_000_000, threads, max_shards);
                 (
                     sharded.run,

@@ -20,7 +20,23 @@
 
 use congestion_bench::streaming::{run_streaming, run_streaming_pipelined};
 use congestion_bench::{run_cells, Cell, SweepArgs};
-use ietf_workloads::{ietf_day, ietf_plenary, load_ramp, ScenarioResult, SessionScale};
+use ietf_workloads::{
+    ietf_day, ietf_plenary, ietf_radio, load_ramp, Scenario, ScenarioResult, SessionScale,
+};
+use wifi_frames::fc::FrameKind;
+use wifi_frames::phy::Rate;
+use wifi_sim::config::ChannelMgmt;
+use wifi_sim::geometry::Pos;
+use wifi_sim::rate::RateAdaptation;
+use wifi_sim::sniffer::SnifferConfig;
+use wifi_sim::station::RtsPolicy;
+use wifi_sim::traffic::{FlowConfig, SizeDist, TrafficProfile};
+use wifi_sim::{ClientConfig, SimConfig, Simulator};
+
+const SECOND: u64 = 1_000_000;
+
+/// Payload threshold of the fragmentation cell.
+const FRAG_THRESHOLD: u32 = 512;
 
 /// FNV-1a, the same folding the vendored proptest uses for test seeding —
 /// enough to make accidental output drift unmistakable.
@@ -73,8 +89,124 @@ fn tiny_plenary(seed: u64) -> SessionScale {
     }
 }
 
+/// One uplink-heavy channel-0 client of the hand-built cells below.
+fn client(pos: Pos, fps: f64) -> ClientConfig {
+    ClientConfig {
+        pos,
+        channel_idx: 0,
+        rts_policy: RtsPolicy::Never,
+        adaptation: RateAdaptation::Arf(Rate::R11),
+        traffic: TrafficProfile {
+            uplink: FlowConfig::poisson(fps, SizeDist::ietf_mix()),
+            downlink: FlowConfig::poisson(fps / 2.0, SizeDist::ietf_mix()),
+        },
+        join_at_us: 0,
+        leave_at_us: None,
+        power_save_interval_us: None,
+        frag_threshold: None,
+    }
+}
+
+/// Two loaded APs crammed onto channel 0 of three, with dynamic channel
+/// assignment on: an AP migrates off the hot channel and its clients
+/// follow it (`ChannelEval` → `FollowAp`, retuning mid-run).
+fn channel_mgmt_cell(seed: u64) -> Scenario {
+    let mut sim = Simulator::new(SimConfig {
+        seed,
+        radio: ietf_radio(seed),
+        channel_mgmt: Some(ChannelMgmt {
+            eval_interval_us: 2 * SECOND,
+            switch_ratio: 1.5,
+            follow_delay_max_us: 300_000,
+        }),
+        ..SimConfig::ietf_three_channels(seed)
+    });
+    sim.add_ap(Pos::new(4.0, 4.0), 0, 6);
+    sim.add_ap(Pos::new(24.0, 4.0), 0, 6);
+    for i in 0..14 {
+        let pos = Pos::new((i % 7) as f64 * 4.0, 6.0 + (i / 7) as f64 * 3.0);
+        sim.add_client(client(pos, 40.0));
+    }
+    for ch in 0..3 {
+        sim.add_sniffer(SnifferConfig {
+            pos: Pos::new(14.0, 6.0),
+            channel_idx: ch,
+            ..SnifferConfig::default()
+        });
+    }
+    Scenario {
+        name: "channel-mgmt".to_string(),
+        duration_us: 10 * SECOND,
+        sim,
+    }
+}
+
+/// Two co-channel APs whose clients precede every data frame above 256
+/// bytes with RTS/CTS, so overhearers set NAV on most exchanges.
+fn rts_cell(seed: u64) -> Scenario {
+    let mut sim = Simulator::new(SimConfig {
+        seed,
+        radio: ietf_radio(seed),
+        ..SimConfig::default()
+    });
+    sim.add_ap(Pos::new(10.0, 10.0), 0, 6);
+    sim.add_ap(Pos::new(40.0, 10.0), 0, 6);
+    for i in 0..16 {
+        let pos = Pos::new(2.0 + (i % 8) as f64 * 6.0, 4.0 + (i / 8) as f64 * 12.0);
+        sim.add_client(ClientConfig {
+            rts_policy: RtsPolicy::Threshold(256),
+            ..client(pos, 20.0)
+        });
+    }
+    sim.add_sniffer(SnifferConfig {
+        pos: Pos::new(25.0, 10.0),
+        channel_idx: 0,
+        ..SnifferConfig::default()
+    });
+    Scenario {
+        name: "rts".to_string(),
+        duration_us: 6 * SECOND,
+        sim,
+    }
+}
+
+/// One AP whose clients fragment every data MSDU above
+/// [`FRAG_THRESHOLD`] into a SIFS-separated burst.
+fn frag_cell(seed: u64) -> Scenario {
+    let mut sim = Simulator::new(SimConfig {
+        seed,
+        radio: ietf_radio(seed),
+        ..SimConfig::default()
+    });
+    sim.add_ap(Pos::new(16.0, 10.0), 0, 6);
+    for i in 0..10 {
+        let pos = Pos::new(6.0 + (i % 5) as f64 * 5.0, 4.0 + (i / 5) as f64 * 12.0);
+        sim.add_client(ClientConfig {
+            frag_threshold: Some(FRAG_THRESHOLD),
+            // Uplink only: the AP does not fragment its downlink.
+            traffic: TrafficProfile {
+                uplink: FlowConfig::poisson(25.0, SizeDist::ietf_mix()),
+                downlink: FlowConfig::off(),
+            },
+            ..client(pos, 25.0)
+        });
+    }
+    sim.add_sniffer(SnifferConfig {
+        pos: Pos::new(16.0, 12.0),
+        channel_idx: 0,
+        ..SnifferConfig::default()
+    });
+    Scenario {
+        name: "frag".to_string(),
+        duration_us: 6 * SECOND,
+        sim,
+    }
+}
+
 /// The golden cell set: fig4's two sessions plus ablation_knee's
-/// (seed × load) ramp grid, at smoke scale.
+/// (seed × load) ramp grid, at smoke scale; then one cell per MAC path the
+/// small cells barely reach — a dense ramp (many idle listeners per frame),
+/// an RTS-heavy cell (NAV), dynamic channel assignment and fragmentation.
 fn golden_cells() -> Vec<Cell> {
     let mut cells = Vec::new();
     for seed in [21u64, 22, 23] {
@@ -96,6 +228,14 @@ fn golden_cells() -> Vec<Cell> {
             ));
         }
     }
+    cells.push(Cell::new("dense ramp seed=111 users=150", 111, || {
+        load_ramp(111, 150, 4, 1.7)
+    }));
+    cells.push(Cell::new("rts seed=121", 121, || rts_cell(121)));
+    cells.push(Cell::new("channel-mgmt seed=131", 131, || {
+        channel_mgmt_cell(131)
+    }));
+    cells.push(Cell::new("frag seed=141", 141, || frag_cell(141)));
     cells
 }
 
@@ -159,6 +299,53 @@ fn output_matches_preoptimization_goldens_across_threads() {
         "simulated output drifted from the pre-optimization goldens; if the \
          change is meant to alter results, re-bless with GOLDEN_BLESS=1"
     );
+}
+
+/// The four path cells must really reach the paths they are named after,
+/// or their goldens would pin nothing new.
+#[test]
+fn path_cells_reach_their_paths() {
+    let cells = golden_cells();
+    let find = |prefix: &str| {
+        cells
+            .iter()
+            .find(|c| c.label.starts_with(prefix))
+            .expect("cell exists")
+    };
+
+    let dense = find("dense ramp").build_scenario();
+    assert!(dense.sim.stations().len() >= 120);
+
+    let rts = find("rts").build_scenario().run();
+    let rts_frames = rts.traces[0]
+        .iter()
+        .filter(|r| r.kind == FrameKind::Rts)
+        .count();
+    assert!(rts_frames > 100, "RTS-heavy cell sent {rts_frames} RTS");
+
+    let mut mgmt = find("channel-mgmt").build_scenario();
+    mgmt.sim.run_until(mgmt.duration_us);
+    let moved_clients = mgmt
+        .sim
+        .stations()
+        .iter()
+        .enumerate()
+        .filter(|(i, s)| !s.is_ap() && mgmt.sim.hot().channel_idx[*i] != 0)
+        .count();
+    assert!(
+        moved_clients > 0,
+        "no client followed its AP off the hot channel"
+    );
+
+    let frag = find("frag").build_scenario().run();
+    let data: Vec<u32> = frag.traces[0]
+        .iter()
+        .filter(|r| r.kind == FrameKind::Data)
+        .map(|r| r.payload_bytes)
+        .collect();
+    assert!(data.iter().all(|&p| p <= FRAG_THRESHOLD));
+    let full = data.iter().filter(|&&p| p == FRAG_THRESHOLD).count();
+    assert!(full > 50, "only {full} full-size fragments captured");
 }
 
 /// The pipelined sim→analysis path must match the serial streaming path

@@ -53,8 +53,10 @@ pub struct SimConfig {
     /// RX/TX turnaround). This is the collision vulnerability window; the
     /// 20 µs 802.11b slot time exists to cover it.
     pub cs_delay_us: u64,
-    /// Record every on-air frame as ground truth (memory-heavy on long
-    /// runs; figure sweeps keep it on, long soak runs may disable it).
+    /// Record every on-air frame into `GroundTruth::records`: one record per
+    /// transmission, O(frames) memory. Off by default; only code that reads
+    /// the tape (capture-superset and shard-equivalence checks) turns it
+    /// on. The on-air counters run either way.
     pub record_ground_truth: bool,
     /// Beacon interval in microseconds (100 TU ≈ the paper's 100 ms).
     pub beacon_interval_us: u64,
@@ -78,7 +80,7 @@ impl Default for SimConfig {
             queue_cap: 128,
             eifs_enabled: true,
             cs_delay_us: 15,
-            record_ground_truth: true,
+            record_ground_truth: false,
             beacon_interval_us: 102_400,
             channel_mgmt: None,
         }

@@ -31,7 +31,7 @@ use crate::rate::RateAdaptation;
 use crate::rng::SimRng;
 use crate::sniffer::{MissReason, Sniffer, SnifferConfig};
 use crate::station::{HotState, MacState, Msdu, MsduKind, Role, RtsPolicy, Station, TxOp, TxPhase};
-use crate::topology::{NodeSet, SensingTopology};
+use crate::topology::{for_each_bit, NodeSet, SensingTopology};
 use crate::traffic::TrafficProfile;
 use rand::Rng;
 use std::collections::HashMap;
@@ -58,7 +58,8 @@ pub(crate) const SNIFFER_LINK_BASE: u64 = 1 << 40;
 /// Ground-truth log of everything that actually went on air.
 #[derive(Default)]
 pub struct GroundTruth {
-    /// Every transmitted frame (when `record_ground_truth` is on).
+    /// Every transmitted frame; empty unless
+    /// [`SimConfig::record_ground_truth`] is on.
     pub records: Vec<FrameRecord>,
     /// Total transmissions.
     pub transmissions: u64,
@@ -143,9 +144,9 @@ pub struct Simulator {
     sniffer_rngs: Vec<SimRng>,
     /// Scratch: sampled MSDU sizes of one traffic batch.
     sizes_scratch: Vec<u32>,
-    /// Scratch: listener-bitset word snapshot while applying or releasing
-    /// carrier-sense busy (bits are walked in place; extracting ~N ids per
-    /// frame into a `Vec<NodeId>` dominated the 320-user profile).
+    /// Scratch: the words of `sensed_by ∩ contending` while applying or
+    /// releasing carrier-sense busy — the listeners the MAC callback pass
+    /// visits (see [`Self::on_cs_busy`]).
     cs_scratch: Vec<u64>,
     /// Scratch: per-channel air-time deltas of one channel evaluation.
     eval_deltas: Vec<u64>,
@@ -707,6 +708,10 @@ impl Simulator {
             for &event in &batch {
                 self.handle(event);
             }
+            debug_assert!(
+                self.hot.contending_consistent(),
+                "contending set out of step with MAC state"
+            );
         }
         self.batch_scratch = batch;
         self.now = until;
@@ -1055,7 +1060,7 @@ impl Simulator {
 
     /// Starts serving the head-of-line MSDU if the station is free.
     fn try_dequeue(&mut self, node: NodeId) {
-        if self.hot.state[node] != MacState::Idle {
+        if self.hot.state(node) != MacState::Idle {
             return;
         }
         let st = &mut self.stations[node];
@@ -1115,7 +1120,7 @@ impl Simulator {
                 let cw = self.hot.cw[node];
                 self.hot.backoff_slots[node] = draw_backoff(&mut self.stations[node].rng, cw);
             }
-            self.hot.state[node] = MacState::Frozen;
+            self.hot.set_state(node, MacState::Frozen);
             return;
         }
         // Channel idle. Immediate transmission is allowed only with no
@@ -1128,7 +1133,7 @@ impl Simulator {
             let cw = self.hot.cw[node];
             self.hot.backoff_slots[node] = draw_backoff(&mut self.stations[node].rng, cw);
         }
-        self.hot.state[node] = MacState::WaitDefer;
+        self.hot.set_state(node, MacState::WaitDefer);
         let ready_at = (self.hot.idle_since[node] + difs).max(now);
         self.arm_timer(node, TimerKind::DeferDone, ready_at);
     }
@@ -1143,12 +1148,12 @@ impl Simulator {
 
     fn on_defer_done(&mut self, node: NodeId) {
         let now = self.now;
-        if self.hot.state[node] != MacState::WaitDefer {
+        if self.hot.state(node) != MacState::WaitDefer {
             return;
         }
         self.hot.use_eifs[node] = false;
         if self.hot.channel_busy(node, now) {
-            self.hot.state[node] = MacState::Frozen;
+            self.hot.set_state(node, MacState::Frozen);
             return;
         }
         let slots = self.hot.backoff_slots[node];
@@ -1156,16 +1161,19 @@ impl Simulator {
             self.transmit_current(node);
             return;
         }
-        self.hot.state[node] = MacState::Backoff {
-            started: now,
-            slots_at_start: slots,
-        };
+        self.hot.set_state(
+            node,
+            MacState::Backoff {
+                started: now,
+                slots_at_start: slots,
+            },
+        );
         let fire_at = now + slots as Micros * self.config.dcf.slot_us;
         self.arm_timer(node, TimerKind::BackoffDone, fire_at);
     }
 
     fn on_backoff_done(&mut self, node: NodeId) {
-        if !matches!(self.hot.state[node], MacState::Backoff { .. }) {
+        if !matches!(self.hot.state(node), MacState::Backoff { .. }) {
             return;
         }
         self.hot.backoff_slots[node] = 0;
@@ -1176,16 +1184,16 @@ impl Simulator {
     fn on_channel_busy(&mut self, node: NodeId) {
         let now = self.now;
         let slot = self.config.dcf.slot_us;
-        let cancelled = match self.hot.state[node] {
+        let cancelled = match self.hot.state(node) {
             MacState::WaitDefer => {
                 self.hot.bump_timer_gen(node);
-                self.hot.state[node] = MacState::Frozen;
+                self.hot.set_state(node, MacState::Frozen);
                 true
             }
             MacState::Backoff { started, .. } => {
                 self.hot.bump_timer_gen(node);
                 self.hot.consume_backoff(node, now - started, slot);
-                self.hot.state[node] = MacState::Frozen;
+                self.hot.set_state(node, MacState::Frozen);
                 true
             }
             _ => false,
@@ -1199,8 +1207,8 @@ impl Simulator {
     fn on_channel_idle(&mut self, node: NodeId) {
         let now = self.now;
         self.hot.idle_since[node] = now;
-        if self.hot.state[node] == MacState::Frozen {
-            self.hot.state[node] = MacState::WaitDefer;
+        if self.hot.state(node) == MacState::Frozen {
+            self.hot.set_state(node, MacState::WaitDefer);
             let difs = self.defer_interval(node);
             self.arm_timer(node, TimerKind::DeferDone, now + difs);
         }
@@ -1299,7 +1307,7 @@ impl Simulator {
         let air = frame_airtime_us(frame.mac_bytes as u64, rate, preamble);
         let end = now + air;
         let medium = self.hot.medium_idx[node];
-        self.hot.state[node] = MacState::Transmitting { phase };
+        self.hot.set_state(node, MacState::Transmitting { phase });
         self.hot.tx_until[node] = end;
         // Decide who will sense this transmission: the cached carrier-sense
         // row masked by the medium's membership — a few word ANDs where the
@@ -1325,45 +1333,44 @@ impl Simulator {
     }
 
     /// One detection delay into a transmission: listeners now sense energy.
+    ///
+    /// Two passes over the listener bitset's words, both ascending. The
+    /// counter pass ([`HotState::sense_busy`]) raises `sensed` for every
+    /// listener and collects, into a reused scratch buffer, the listeners
+    /// that are also contending. The callback pass freezes those whose
+    /// channel just turned busy. The split
+    /// is exact: [`Self::on_channel_busy`] acts only on `WaitDefer`/`Backoff`
+    /// (both contending) and touches nothing but its own station, so the
+    /// callbacks, and the queue operations they make, run in the same order
+    /// as in one interleaved pass.
     fn on_cs_busy(&mut self, medium: usize, tx_id: u64) {
         let now = self.now;
-        // Snapshot the listener bitset's words into a reused scratch buffer
-        // (the set itself stays on the transmission for the release at
-        // TxEnd) and walk the bits in place, ascending — same station order
-        // as the id list this replaces, at a fraction of the copy cost.
-        let mut words = std::mem::take(&mut self.cs_scratch);
-        match self.media[medium]
-            .active()
-            .iter()
-            .find(|t| t.tx_id == tx_id)
+        let mut hits = std::mem::take(&mut self.cs_scratch);
         {
-            Some(t) => t.sensed_by.copy_words_into(&mut words),
-            None => {
-                self.cs_scratch = words;
+            let Simulator { media, hot, .. } = self;
+            let Some(t) = media[medium].active().iter().find(|t| t.tx_id == tx_id) else {
+                self.cs_scratch = hits;
                 return; // transmission already ended (degenerate cs delay)
-            }
+            };
+            hot.sense_busy(t.sensed_by.words(), &mut hits);
         }
         self.media[medium].mark_cs_applied(tx_id);
-        for (wi, &w) in words.iter().enumerate() {
-            let mut bits = w;
-            while bits != 0 {
-                let i = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let was_busy = self.hot.channel_busy(i, now);
-                self.hot.sensed[i] += 1;
-                if !was_busy {
+        for (wi, &w) in hits.iter().enumerate() {
+            for_each_bit(w, wi * 64, |i| {
+                // Busy now; idle before this frame's own increment?
+                if self.hot.sensed[i] == 1 && self.hot.nav_until[i] <= now {
                     self.on_channel_busy(i);
                 }
-            }
+            });
         }
-        self.cs_scratch = words;
+        self.cs_scratch = hits;
     }
 
     fn fire_sifs_response(&mut self, node: NodeId) {
         let Some(frame) = self.stations[node].pending_response.take() else {
             return;
         };
-        let state = self.hot.state[node];
+        let state = self.hot.state(node);
         let (phase, rate) = match frame.kind {
             // The data frame of an RTS-protected exchange (released a SIFS
             // after its CTS, state AwaitCts) or the next fragment of a burst
@@ -1441,24 +1448,24 @@ impl Simulator {
                 .push(tx.frame.to_record(tx.end, tx.rate, ch, sig));
         }
 
-        // 6. Release carrier sense. Bitset iteration is ascending, matching
-        // the station order the listener set was built in.
+        // 6. Release carrier sense: the same two ascending passes as
+        // `on_cs_busy`. The counter pass (`HotState::sense_release`) lowers
+        // `sensed` and stamps
+        // `idle_since` wherever the channel went idle — all that
+        // `on_channel_idle` does outside `Frozen` — and collects the
+        // contending listeners; the callback pass restarts the defer of
+        // those that went idle (a no-op re-stamp for `WaitDefer`/`Backoff`).
         if tx.cs_applied {
-            let mut words = std::mem::take(&mut self.cs_scratch);
-            tx.sensed_by.copy_words_into(&mut words);
-            for (wi, &w) in words.iter().enumerate() {
-                let mut bits = w;
-                while bits != 0 {
-                    let i = wi * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    debug_assert!(self.hot.sensed[i] > 0);
-                    self.hot.sensed[i] -= 1;
+            let mut hits = std::mem::take(&mut self.cs_scratch);
+            self.hot.sense_release(tx.sensed_by.words(), now, &mut hits);
+            for (wi, &w) in hits.iter().enumerate() {
+                for_each_bit(w, wi * 64, |i| {
                     if !self.hot.channel_busy(i, now) {
                         self.on_channel_idle(i);
                     }
-                }
+                });
             }
-            self.cs_scratch = words;
+            self.cs_scratch = hits;
         }
         // The transmitter itself: its own channel went quiet from its side.
         if !self.hot.channel_busy(tx.node, now) {
@@ -1471,12 +1478,12 @@ impl Simulator {
     fn advance_transmitter(&mut self, tx: &crate::medium::Transmission) {
         let node = tx.node;
         let now = self.now;
-        let MacState::Transmitting { phase } = self.hot.state[node] else {
+        let MacState::Transmitting { phase } = self.hot.state(node) else {
             return;
         };
         match phase {
             TxPhase::Rts => {
-                self.hot.state[node] = MacState::AwaitCts;
+                self.hot.set_state(node, MacState::AwaitCts);
                 let timeout = now + delay::SIFS + delay::CTS + TIMEOUT_MARGIN_US;
                 self.arm_timer(node, TimerKind::CtsTimeout, timeout);
             }
@@ -1484,7 +1491,7 @@ impl Simulator {
                 if tx.frame.is_broadcast() {
                     self.complete_delivery(node, false);
                 } else {
-                    self.hot.state[node] = MacState::AwaitAck;
+                    self.hot.set_state(node, MacState::AwaitAck);
                     let timeout = now + delay::SIFS + delay::ACK + TIMEOUT_MARGIN_US;
                     self.arm_timer(node, TimerKind::AckTimeout, timeout);
                 }
@@ -1496,12 +1503,12 @@ impl Simulator {
                 // backoff.
                 let has_work = self.stations[node].current.is_some();
                 if has_work {
-                    self.hot.state[node] = MacState::Frozen;
+                    self.hot.set_state(node, MacState::Frozen);
                     if !self.hot.channel_busy(node, now) {
                         self.on_channel_idle(node);
                     }
                 } else {
-                    self.hot.state[node] = MacState::Idle;
+                    self.hot.set_state(node, MacState::Idle);
                     self.hot.idle_since[node] = now;
                     self.try_dequeue(node);
                 }
@@ -1606,7 +1613,7 @@ impl Simulator {
         }
         match frame.kind {
             FrameKind::Ack => {
-                if self.hot.state[rx_node] == MacState::AwaitAck {
+                if self.hot.state(rx_node) == MacState::AwaitAck {
                     self.hot.bump_timer_gen(rx_node); // cancel AckTimeout
                     self.queue.cancel_timer(rx_node);
                     let has_more = self.stations[rx_node]
@@ -1621,7 +1628,7 @@ impl Simulator {
                 }
             }
             FrameKind::Cts => {
-                if self.hot.state[rx_node] == MacState::AwaitCts {
+                if self.hot.state(rx_node) == MacState::AwaitCts {
                     self.hot.bump_timer_gen(rx_node); // cancel CtsTimeout
                     self.queue.cancel_timer(rx_node);
                     if let Some(op) = self.stations[rx_node].current.as_mut() {
@@ -1689,7 +1696,7 @@ impl Simulator {
         // simply retries — comparable to real-hardware behaviour under the
         // same (collision-heavy) conditions.
         if matches!(
-            self.hot.state[node],
+            self.hot.state(node),
             MacState::Transmitting { .. } | MacState::AwaitCts | MacState::AwaitAck
         ) {
             return;
@@ -1987,7 +1994,7 @@ impl Simulator {
     fn move_station_channel(&mut self, node: NodeId, new_idx: usize) -> bool {
         assert!(new_idx < self.config.channels.len(), "bad channel index");
         if matches!(
-            self.hot.state[node],
+            self.hot.state(node),
             MacState::Transmitting { .. } | MacState::AwaitCts | MacState::AwaitAck
         ) || self.stations[node].pending_response.is_some()
         {
@@ -2034,7 +2041,7 @@ impl Simulator {
         }
         self.hot.sensed[node] += sensed_gain;
         self.hot.idle_since[node] = now;
-        if self.hot.state[node] == MacState::Frozen && !self.hot.channel_busy(node, now) {
+        if self.hot.state(node) == MacState::Frozen && !self.hot.channel_busy(node, now) {
             self.on_channel_idle(node);
         }
         true
@@ -2098,7 +2105,7 @@ impl Simulator {
             return false; // association in flight; let it land first
         };
         if matches!(
-            self.hot.state[node],
+            self.hot.state(node),
             MacState::Transmitting { .. } | MacState::AwaitCts | MacState::AwaitAck
         ) || st.pending_response.is_some()
         {
@@ -2133,7 +2140,7 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     fn on_exchange_timeout(&mut self, node: NodeId, expected: MacState) {
-        if self.hot.state[node] != expected {
+        if self.hot.state(node) != expected {
             return;
         }
         let drop;
@@ -2170,7 +2177,7 @@ impl Simulator {
             st.current = None;
             self.hot.cw[node] = cw_min;
             self.hot.backoff_slots[node] = backoff;
-            self.hot.state[node] = MacState::Idle;
+            self.hot.set_state(node, MacState::Idle);
             self.ground_truth.retry_drops += 1;
             if is_assoc_req && self.stations[node].joined {
                 self.queue
@@ -2190,7 +2197,7 @@ impl Simulator {
             }
             let cw = self.hot.cw[node];
             self.hot.backoff_slots[node] = draw_backoff(&mut st.rng, cw);
-            self.hot.state[node] = MacState::Idle;
+            self.hot.set_state(node, MacState::Idle);
         }
         self.begin_access(node);
     }
@@ -2250,7 +2257,7 @@ impl Simulator {
             let cw = self.config.dcf.cw_min;
             self.hot.cw[node] = cw;
             self.hot.backoff_slots[node] = draw_backoff(&mut st.rng, cw);
-            self.hot.state[node] = MacState::Idle;
+            self.hot.set_state(node, MacState::Idle);
         }
         self.ground_truth.delivered += 1;
         if acked && is_data {

@@ -11,6 +11,7 @@ use crate::frame_info::SimFrame;
 use crate::geometry::Pos;
 use crate::rate::{RateAdaptation, RateAdapter};
 use crate::rng::SimRng;
+use crate::topology::{for_each_bit, NodeSet};
 use crate::traffic::TrafficProfile;
 use std::collections::{HashMap, VecDeque};
 use wifi_frames::fc::FrameKind;
@@ -181,17 +182,25 @@ pub struct StationStats {
 /// reception, extracted from [`Station`] into parallel vectors indexed by
 /// [`NodeId`].
 ///
-/// The carrier-sense busy/release loops walk a listener bitset and touch
-/// `sensed`/`nav_until`/`state` for every listening station of every frame;
-/// with the fields inline in `Station` (a multi-hundred-byte struct holding
-/// queues and adapter maps) each touch was a fresh cache line. Packed
-/// columns put 8–16 stations' worth of one field on a line. Cold state
-/// (MAC, queue payloads, stats, RNG, adapters) stays in [`Station`] behind
-/// the same `NodeId` indexing.
+/// The carrier-sense busy/release fan-outs walk a listener bitset twice per
+/// frame: a counter pass touching `sensed` (and, on release, `nav_until`
+/// and `idle_since`) for every listening station, then a MAC-callback pass
+/// over the listeners that are also *contending* — in `WaitDefer`,
+/// `Backoff` or `Frozen`, tracked as a bitset beside `state`. With the
+/// fields inline in `Station` (a multi-hundred-byte struct holding queues
+/// and adapter maps) each touch was a fresh cache line. Packed columns put
+/// 8–16 stations' worth of one field on a line. Cold state (MAC, queue
+/// payloads, stats, RNG, adapters) stays in [`Station`] behind the same
+/// `NodeId` indexing.
 #[derive(Default)]
 pub struct HotState {
-    /// Contention state.
-    pub state: Vec<MacState>,
+    /// Contention state. Private so that every write goes through
+    /// [`HotState::set_state`], which keeps `contending` in step.
+    state: Vec<MacState>,
+    /// Stations whose `state` is `WaitDefer`, `Backoff` or `Frozen` — the
+    /// only states a carrier-sense busy or idle transition acts on beyond
+    /// the counters and the idle stamp.
+    contending: NodeSet,
     /// Remaining backoff slots (meaningful in WaitDefer/Frozen/Backoff).
     pub backoff_slots: Vec<u32>,
     /// Current contention-window size.
@@ -279,6 +288,84 @@ impl HotState {
         self.key[node] ^ (self.fade_gen[node] << 44)
     }
 
+    /// Contention state of `node`.
+    #[inline]
+    pub fn state(&self, node: NodeId) -> MacState {
+        self.state[node]
+    }
+
+    /// Sets the contention state of `node`, keeping its `contending` bit in
+    /// step — the only write path to `state`.
+    #[inline]
+    pub(crate) fn set_state(&mut self, node: NodeId, state: MacState) {
+        self.state[node] = state;
+        if is_contending(state) {
+            self.contending.insert(node);
+        } else {
+            self.contending.remove(node);
+        }
+    }
+
+    /// Counter pass of a carrier-sense busy fan-out over the listener
+    /// bitset `words` ([`NodeSet::words`]): raises `sensed` for every
+    /// listener and writes `words ∩ contending` into `hits` (cleared first),
+    /// the listeners the MAC callback pass visits.
+    pub(crate) fn sense_busy(&mut self, words: &[u64], hits: &mut Vec<u64>) {
+        hits.clear();
+        for (wi, &w) in words.iter().enumerate() {
+            let base = wi * 64;
+            if w == u64::MAX {
+                // A dense cell fills whole words: a plain slice loop, which
+                // the compiler vectorizes.
+                self.sensed[base..base + 64]
+                    .iter_mut()
+                    .for_each(|s| *s += 1);
+            } else {
+                for_each_bit(w, base, |i| self.sensed[i] += 1);
+            }
+            hits.push(w & self.contending.word(wi));
+        }
+    }
+
+    /// Counter pass of a carrier-sense release (see [`Self::sense_busy`]):
+    /// lowers `sensed` for every listener, stamps `idle_since = now` where
+    /// the channel went idle (no carrier left, NAV expired), and writes
+    /// `words ∩ contending` into `hits`.
+    pub(crate) fn sense_release(&mut self, words: &[u64], now: Micros, hits: &mut Vec<u64>) {
+        hits.clear();
+        for (wi, &w) in words.iter().enumerate() {
+            let base = wi * 64;
+            if w == u64::MAX {
+                let sensed = &mut self.sensed[base..base + 64];
+                sensed.iter_mut().for_each(|s| *s -= 1);
+                let nav = &self.nav_until[base..base + 64];
+                let idle = &mut self.idle_since[base..base + 64];
+                for ((&s, &nav), idle) in sensed.iter().zip(nav).zip(idle) {
+                    if s == 0 && nav <= now {
+                        *idle = now;
+                    }
+                }
+            } else {
+                for_each_bit(w, base, |i| {
+                    self.sensed[i] -= 1;
+                    if self.sensed[i] == 0 && self.nav_until[i] <= now {
+                        self.idle_since[i] = now;
+                    }
+                });
+            }
+            hits.push(w & self.contending.word(wi));
+        }
+    }
+
+    /// Whether `contending` holds exactly the stations whose state is
+    /// contending (checked by the event loop in debug builds).
+    pub(crate) fn contending_consistent(&self) -> bool {
+        self.state
+            .iter()
+            .enumerate()
+            .all(|(i, &s)| self.contending.contains(i) == is_contending(s))
+    }
+
     /// Number of stations.
     pub fn len(&self) -> usize {
         self.state.len()
@@ -319,6 +406,16 @@ impl HotState {
         let consumed = (elapsed / slot_us) as u32;
         self.backoff_slots[node] = self.backoff_slots[node].saturating_sub(consumed);
     }
+}
+
+/// The states a carrier-sense transition acts on: a busy channel freezes
+/// `WaitDefer`/`Backoff`, an idle one restarts the defer of `Frozen`.
+#[inline]
+fn is_contending(state: MacState) -> bool {
+    matches!(
+        state,
+        MacState::WaitDefer | MacState::Backoff { .. } | MacState::Frozen
+    )
 }
 
 /// A station (AP or client): the *cold* per-station state — identity,
@@ -567,6 +664,81 @@ mod tests {
         let g0 = h.timer_gen[0];
         let g1 = h.bump_timer_gen(0);
         assert!(g1 > g0);
+    }
+
+    #[test]
+    fn contending_tracks_every_state() {
+        let mut h = hot_with_one();
+        h.push(0, 0, 1, 31, false);
+        assert!(h.contending.is_empty(), "new stations start Idle");
+        let phases = [TxPhase::Rts, TxPhase::Data, TxPhase::Cts, TxPhase::Ack];
+        let states = [
+            (MacState::Idle, false),
+            (MacState::WaitDefer, true),
+            (
+                MacState::Backoff {
+                    started: 5,
+                    slots_at_start: 3,
+                },
+                true,
+            ),
+            (MacState::Frozen, true),
+            (MacState::AwaitCts, false),
+            (MacState::AwaitAck, false),
+        ]
+        .into_iter()
+        .chain(
+            phases
+                .into_iter()
+                .map(|phase| (MacState::Transmitting { phase }, false)),
+        );
+        for (state, contending) in states {
+            // Enter from both sides of the split so insert and remove run.
+            for from in [MacState::Idle, MacState::Frozen] {
+                h.set_state(1, from);
+                h.set_state(1, state);
+                assert_eq!(h.state(1), state);
+                assert_eq!(h.contending.contains(1), contending, "{state:?}");
+                assert!(!h.contending.contains(0), "neighbour untouched");
+                assert!(h.contending_consistent());
+            }
+        }
+    }
+
+    #[test]
+    fn sense_passes_match_per_station_counting() {
+        // 130 stations: one full word, one partial word, one sparse word,
+        // so both the slice path and the bit path run.
+        let mut h = HotState::default();
+        for key in 0..130 {
+            h.push(0, 0, key, 31, false);
+        }
+        let words = [u64::MAX, 0xF0F0_0000_0000_0001, 0b10];
+        let listeners: Vec<usize> = (0..130)
+            .filter(|&i| words[i / 64] >> (i % 64) & 1 == 1)
+            .collect();
+        h.set_state(3, MacState::Frozen);
+        h.set_state(64, MacState::WaitDefer);
+        h.set_state(65, MacState::Idle);
+        h.set_state(129, MacState::Frozen);
+        h.sensed[5] = 1; // already busy from another frame
+        h.nav_until[7] = 500; // NAV outlives the release at 300
+        let mut hits = Vec::new();
+
+        h.sense_busy(&words, &mut hits);
+        assert_eq!(hits, [1 << 3, 1, 1 << 1]);
+        for i in 0..130 {
+            let raised = listeners.contains(&i) as u32 + (i == 5) as u32;
+            assert_eq!(h.sensed[i], raised, "station {i}");
+        }
+
+        h.sense_release(&words, 300, &mut hits);
+        assert_eq!(hits, [1 << 3, 1, 1 << 1]);
+        for i in 0..130 {
+            assert_eq!(h.sensed[i], (i == 5) as u32, "station {i}");
+            let went_idle = listeners.contains(&i) && i != 5 && i != 7;
+            assert_eq!(h.idle_since[i], if went_idle { 300 } else { 0 }, "{i}");
+        }
     }
 
     #[test]

@@ -103,17 +103,28 @@ impl NodeSet {
         })
     }
 
-    /// Snapshots the backing words into `out` (cleared first). Callers on
-    /// the carrier-sense hot path walk the bits of the copy directly —
-    /// ascending, exactly like [`NodeSet::iter`] — instead of extracting
-    /// every set bit into a `Vec<NodeId>` per transmission.
-    pub fn copy_words_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(&self.words);
+    /// The backing words: bit `i % 64` of word `i / 64` is id `i`. The
+    /// carrier-sense fan-outs walk them in place, ascending like
+    /// [`NodeSet::iter`].
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
-    fn words(&self) -> &[u64] {
-        &self.words
+    /// Word `wi` of the backing storage; zero past its end.
+    #[inline]
+    pub(crate) fn word(&self, wi: usize) -> u64 {
+        self.words.get(wi).copied().unwrap_or(0)
+    }
+}
+
+/// Calls `f(base + b)` for every set bit `b` of `word`, ascending: the
+/// in-place walk of one [`NodeSet`] word (see [`NodeSet::words`]).
+#[inline]
+pub(crate) fn for_each_bit(word: u64, base: usize, mut f: impl FnMut(NodeId)) {
+    let mut bits = word;
+    while bits != 0 {
+        f(base + bits.trailing_zeros() as usize);
+        bits &= bits - 1;
     }
 }
 

@@ -355,6 +355,7 @@ fn sniffer_misses_out_of_range_traffic() {
 #[test]
 fn ground_truth_supersets_any_capture() {
     let mut sim = small_cell(13, 8, 80.0);
+    sim.config.record_ground_truth = true;
     sim.run_until(3 * SEC);
     let gt = sim.ground_truth.records.len();
     let cap = sim.sniffers()[0].trace.len();

@@ -251,16 +251,30 @@ fn sniffer_hardware_saturation_engages_under_load() {
 }
 
 #[test]
-fn ground_truth_can_be_disabled() {
-    let mut sim = Simulator::new(SimConfig {
-        record_ground_truth: false,
-        ..SimConfig::default()
-    });
-    sim.add_ap(Pos::new(0.0, 0.0), 0, 6);
-    sim.add_client(base_client(Pos::new(5.0, 0.0), 50.0, 500));
-    sim.run_until(2 * SEC);
-    assert!(sim.ground_truth.records.is_empty());
-    assert!(sim.ground_truth.transmissions > 50, "counters still work");
+fn ground_truth_tape_is_opt_in() {
+    let run = |record_ground_truth| {
+        let mut sim = Simulator::new(SimConfig {
+            record_ground_truth,
+            ..SimConfig::default()
+        });
+        sim.add_ap(Pos::new(0.0, 0.0), 0, 6);
+        sim.add_client(base_client(Pos::new(5.0, 0.0), 50.0, 500));
+        sim.run_until(2 * SEC);
+        sim
+    };
+    assert!(!SimConfig::default().record_ground_truth, "off by default");
+    let off = run(false);
+    assert!(off.ground_truth.records.is_empty());
+    assert!(off.ground_truth.transmissions > 50, "counters still work");
+    let on = run(true);
+    assert_eq!(
+        on.ground_truth.records.len() as u64,
+        on.ground_truth.transmissions
+    );
+    assert_eq!(
+        on.ground_truth.transmissions, off.ground_truth.transmissions,
+        "recording changes nothing simulated"
+    );
 }
 
 #[test]

@@ -229,6 +229,7 @@ fn traffic(fps: f64) -> TrafficProfile {
 fn two_halls(seed: u64, per_hall: usize, spacing: f64) -> (ShardSpec, Vec<Pos>, Vec<Pos>, usize) {
     let mut spec = ShardSpec::new(SimConfig {
         seed,
+        record_ground_truth: true, // compared as a multiset
         ..SimConfig::default()
     });
     let mut station_pos = Vec::new();
@@ -304,6 +305,11 @@ fn assert_mobile_equivalent(
         "sniffer traces diverged under mobility"
     );
     assert_eq!(sharded.station_stats, unsharded.station_stats);
+    assert_eq!(
+        unsharded.ground_truth.len() as u64,
+        unsharded.transmissions,
+        "the ground-truth tape must be recorded for the comparison to bite"
+    );
     assert_eq!(sharded.ground_truth, unsharded.ground_truth);
     assert_eq!(sharded.transmissions, unsharded.transmissions);
     assert_eq!(

@@ -127,6 +127,11 @@ fn assert_equivalent(spec: &ShardSpec, until: u64, max_shards: usize) {
     );
     assert_eq!(sharded.sniffer_stats, unsharded.sniffer_stats);
     assert_eq!(sharded.station_stats, unsharded.station_stats);
+    assert_eq!(
+        unsharded.ground_truth.len() as u64,
+        unsharded.transmissions,
+        "the ground-truth tape must be recorded for the comparison to bite"
+    );
     assert_eq!(sharded.ground_truth, unsharded.ground_truth);
     assert_eq!(sharded.medium_stats, unsharded.medium_stats);
     assert_eq!(sharded.transmissions, unsharded.transmissions);
@@ -162,6 +167,7 @@ fn campus(
     let mut spec = ShardSpec::new(SimConfig {
         seed,
         channels: chans,
+        record_ground_truth: true, // compared as a multiset
         ..SimConfig::default()
     });
     for h in 0..halls {

@@ -108,7 +108,9 @@ pub struct ScenarioResult {
     pub traces: Vec<Vec<FrameRecord>>,
     /// Capture-performance counters per sniffer.
     pub sniffer_stats: Vec<SnifferStats>,
-    /// Everything that actually went on air.
+    /// Everything that actually went on air; empty unless the scenario's
+    /// `SimConfig::record_ground_truth` was turned on
+    /// ([`ScenarioResult::frames_on_air`] counts either way).
     pub ground_truth: Vec<FrameRecord>,
     /// `(transmissions, collisions)` per channel.
     pub medium_stats: Vec<(u64, u64)>,
@@ -698,7 +700,9 @@ mod tests {
 
     #[test]
     fn ramp_scenario_saturates_by_the_end() {
-        let result = load_ramp(44, 60, 60, 4.0).run();
+        let mut scenario = load_ramp(44, 60, 60, 4.0);
+        scenario.sim.config.record_ground_truth = true; // read below
+        let result = scenario.run();
         let trace = &result.traces[0];
         assert!(!trace.is_empty());
         // Frame rate in the last 10 s must exceed the first 10 s.
@@ -719,9 +723,14 @@ mod tests {
         let mut scale = SessionScale::day_default(7);
         scale.users = 20;
         scale.duration_s = 5;
-        let a = ietf_day(scale).run();
-        let b = ietf_day(scale).run();
+        let run = || {
+            let mut scenario = ietf_day(scale);
+            scenario.sim.config.record_ground_truth = true;
+            scenario.run()
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.traces[0], b.traces[0]);
+        assert!(!a.ground_truth.is_empty());
         assert_eq!(a.ground_truth.len(), b.ground_truth.len());
     }
 }

@@ -48,7 +48,7 @@ fn main() {
 
     let a = sim.sniffers()[0].trace.clone();
     let b = sim.sniffers()[1].trace.clone();
-    let on_air = sim.ground_truth.records.len();
+    let on_air = sim.ground_truth.transmissions as usize;
     println!("frames on air:        {on_air}");
     println!(
         "sniffer A captured:   {} ({:.1}%)",

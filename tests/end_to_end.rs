@@ -168,10 +168,16 @@ fn congestion_classifier_spans_ramp() {
 
 #[test]
 fn scenario_results_are_deterministic() {
-    let a = load_ramp(81, 40, 20, 2.0).run();
-    let b = load_ramp(81, 40, 20, 2.0).run();
+    let run = |seed| {
+        let mut scenario = load_ramp(seed, 40, 20, 2.0);
+        scenario.sim.config.record_ground_truth = true;
+        scenario.run()
+    };
+    let a = run(81);
+    let b = run(81);
     assert_eq!(a.traces[0], b.traces[0]);
+    assert!(!a.ground_truth.is_empty());
     assert_eq!(a.ground_truth.len(), b.ground_truth.len());
-    let c = load_ramp(82, 40, 20, 2.0).run();
+    let c = run(82);
     assert_ne!(a.traces[0], c.traces[0]);
 }
