@@ -47,7 +47,7 @@ fn bench_topology(c: &mut Criterion) {
             let mut topo = SensingTopology::default();
             b.iter(|| {
                 topo.rebuild(black_box(&pos), black_box(&sniffer), &radio);
-                black_box(topo.epoch())
+                black_box(topo.station_count())
             })
         });
         // One incremental join at population ~N. The population grows by
@@ -76,7 +76,7 @@ fn bench_topology(c: &mut Criterion) {
                     Pos::new(60.0, 30.0)
                 };
                 topo.update_station(black_box(n / 2), p, &radio);
-                black_box(topo.epoch())
+                black_box(topo.station_count())
             })
         });
     }

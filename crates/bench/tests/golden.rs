@@ -12,7 +12,10 @@
 //!   included);
 //! * each cell's full result (traces, sniffer counters, medium stats,
 //!   station outcomes, event counts) is hashed and compared against
-//!   `tests/golden_digests.txt`, committed from the unoptimized build.
+//!   `tests/golden_digests.txt`, committed from the unoptimized build;
+//! * one smoke-scale churn cell (waypoint walkers moving and roaming) runs
+//!   unsharded through `MobileScenario::run` and is digested the same way,
+//!   as the last line of the file.
 //!
 //! Regenerate with `GOLDEN_BLESS=1 cargo test -p congestion-bench --test
 //! golden` — but only when a change is *supposed* to alter simulated output;
@@ -21,7 +24,8 @@
 use congestion_bench::streaming::{run_streaming, run_streaming_pipelined};
 use congestion_bench::{run_cells, Cell, SweepArgs};
 use ietf_workloads::{
-    ietf_day, ietf_plenary, ietf_radio, load_ramp, Scenario, ScenarioResult, SessionScale,
+    ietf_day, ietf_plenary, ietf_radio, load_ramp, mobile_venue, ChurnScale, MobileScenario,
+    Scenario, ScenarioResult, SessionScale,
 };
 use wifi_frames::fc::FrameKind;
 use wifi_frames::phy::Rate;
@@ -239,6 +243,23 @@ fn golden_cells() -> Vec<Cell> {
     cells
 }
 
+/// Label of the churn cell's golden line.
+const CHURN_LABEL: &str = "churn seed=151 users=30";
+
+/// The churn cell: half of 30 users walk between the venue's rooms for
+/// 24 s (six mobility ticks), so the run moves stations, invalidates their
+/// fade caches and roams them between APs. It is a [`MobileScenario`], not
+/// a sweep [`Cell`], so it runs once, outside the thread-count check.
+fn churn_cell() -> MobileScenario {
+    mobile_venue(ChurnScale {
+        seed: 151,
+        users: 30,
+        duration_s: 24,
+        activity: 0.6,
+        walker_fraction: 0.5,
+    })
+}
+
 /// Runs the golden sweep on `threads` workers; returns `(label, digest)`
 /// per cell plus the deterministic run-report fields.
 fn run_golden(threads: usize) -> (Vec<(String, u64)>, String) {
@@ -282,14 +303,15 @@ fn output_matches_preoptimization_goldens_across_threads() {
         "run-report deterministic fields diverged across thread counts"
     );
 
+    let churn = (CHURN_LABEL.to_string(), cell_digest(&churn_cell().run()));
     let mut lines = String::new();
-    for (label, digest) in &serial {
+    for (label, digest) in serial.iter().chain([&churn]) {
         lines.push_str(&format!("{label}\t{digest:016x}\n"));
     }
     let path = golden_path();
     if std::env::var("GOLDEN_BLESS").is_ok_and(|v| v == "1") {
         std::fs::write(&path, &lines).expect("write golden file");
-        eprintln!("blessed {} ({} cells)", path.display(), serial.len());
+        eprintln!("blessed {} ({} cells)", path.display(), serial.len() + 1);
         return;
     }
     let golden = std::fs::read_to_string(&path)
@@ -301,8 +323,8 @@ fn output_matches_preoptimization_goldens_across_threads() {
     );
 }
 
-/// The four path cells must really reach the paths they are named after,
-/// or their goldens would pin nothing new.
+/// The four path cells and the churn cell must really reach the paths they
+/// are named after, or their goldens would pin nothing new.
 #[test]
 fn path_cells_reach_their_paths() {
     let cells = golden_cells();
@@ -346,6 +368,11 @@ fn path_cells_reach_their_paths() {
     assert!(data.iter().all(|&p| p <= FRAG_THRESHOLD));
     let full = data.iter().filter(|&&p| p == FRAG_THRESHOLD).count();
     assert!(full > 50, "only {full} full-size fragments captured");
+
+    let mut churn = churn_cell();
+    churn.run_until(churn.duration_us);
+    assert!(churn.mobility.moves > 0, "no walker moved");
+    assert!(churn.mobility.roams > 0, "no walker roamed to another AP");
 }
 
 /// The pipelined sim→analysis path must match the serial streaming path

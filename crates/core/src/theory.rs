@@ -11,7 +11,7 @@
 //!   throughput against theory (ablation A9).
 
 use wifi_frames::phy::{Preamble, Rate};
-use wifi_frames::timing::{delay, frame_airtime_us, Dcf, Micros};
+use wifi_frames::timing::{delay, frame_airtime_us, Dcf};
 
 /// Theoretical maximum throughput (bits per second of MSDU payload) for
 /// back-to-back delivery of `payload` -byte frames at `rate`, long preamble,
@@ -106,14 +106,6 @@ pub fn bianchi(n: usize, payload: u32, rate: Rate, dcf: &Dcf) -> Bianchi {
         p,
         throughput_bps,
     }
-}
-
-/// Convenience: microseconds a success cycle occupies (for reporting).
-pub fn success_cycle_us(payload: u32, rate: Rate) -> Micros {
-    delay::DIFS
-        + frame_airtime_us((payload + 28) as u64, rate, Preamble::Long)
-        + delay::SIFS
-        + delay::ACK
 }
 
 #[cfg(test)]

@@ -52,6 +52,11 @@
 //! channel has no AP anywhere (the client would rescan onto another
 //! channel). Callers fall back to the unsharded build.
 //!
+//! A plan is computed once, from the recorded build positions. A station
+//! that moves at run time ([`Simulator::move_station`]) can change the
+//! coupling cut, which a fixed plan cannot follow, so mobile scenarios run
+//! unsharded.
+//!
 //! A dense coupled cell — the paper's 523-user plenary — is one component
 //! per channel, so it runs as one shard per channel however many cores are
 //! available.
@@ -168,76 +173,14 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Stations materialized into this shard (global indices, ascending).
+    /// Number of stations materialized into this shard.
     pub fn station_count(&self) -> usize {
         self.stations.len()
     }
 
-    /// Stations materialized into this shard (global indices, ascending).
-    /// The position in this iteration is the station's *local* node id in
-    /// the shard's simulator — mobility drivers use this to route a global
-    /// move to `(shard, local id)`.
-    pub fn station_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.stations.iter().map(|&(gi, _)| gi)
-    }
-
-    /// Sniffers materialized into this shard, as
-    /// `(global sniffer index, medium within shard)`.
+    /// Sniffers materialized into this shard (global indices, ascending).
     pub fn sniffer_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.sniffers.iter().map(|&(gi, _)| gi)
-    }
-
-    /// `(global station index, medium within shard)` pairs — mobility
-    /// drivers check cut containment at *medium* granularity, since a
-    /// shard's media are separate simulated worlds.
-    pub fn station_media(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.stations.iter().copied()
-    }
-
-    /// `(global sniffer index, medium within shard)` pairs.
-    pub fn sniffer_media(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.sniffers.iter().copied()
-    }
-}
-
-/// The canonical cut signature of a scenario's coupling graph at one set of
-/// positions: which entities interact, and which AP each client would join.
-/// Two signatures compare equal exactly when the component/BSS cut is the
-/// same, so a mobility driver detects *drift* — a move that changed the cut
-/// — by recomputing the signature from the incrementally maintained
-/// topology at an epoch boundary and comparing with the one its
-/// [`ShardPlan`] was built under ([`ShardPlan::drifted`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CouplingSignature {
-    /// Component label per entity — stations `0..n`, then sniffers at
-    /// `n..n + s`. The label is the minimum entity index in the component
-    /// (the union-find's lower-root-wins invariant), so labels are
-    /// canonical regardless of edge order.
-    pub labels: Vec<usize>,
-    /// Each client's join-time argmax AP as `(client, ap)`, ascending by
-    /// client. Tracked separately from `labels` because an argmax flip
-    /// between two APs of the *same* component changes no label but does
-    /// change the BSS cut.
-    pub client_ap: Vec<(usize, usize)>,
-}
-
-impl CouplingSignature {
-    /// A spanning set of co-shard constraint edges reproducing this
-    /// signature's grouping: `(entity, label)` for every entity plus each
-    /// client's argmax AP edge. A mobility driver accumulates these across
-    /// drift events and re-partitions with
-    /// [`ShardSpec::partition_with`] so the new plan is valid for every
-    /// position history observed so far.
-    pub fn constraint_edges(&self) -> Vec<(usize, usize)> {
-        let mut edges: Vec<(usize, usize)> = self
-            .labels
-            .iter()
-            .enumerate()
-            .filter(|&(e, &l)| l != e)
-            .map(|(e, &l)| (e, l))
-            .collect();
-        edges.extend(self.client_ap.iter().copied());
-        edges
     }
 }
 
@@ -249,25 +192,6 @@ pub struct ShardPlan {
     /// RF-isolation components found before grouping (shards merge
     /// components; this is the parallelism ceiling).
     pub components: usize,
-    /// The coupling/BSS cut this plan was computed under (constraint edges
-    /// excluded — always the *natural* signature of the positions), for
-    /// drift detection as stations move.
-    pub signature: CouplingSignature,
-}
-
-impl ShardPlan {
-    /// Has the coupling graph drifted away from the cut this plan was
-    /// built under? `topo` is the mobility driver's incrementally
-    /// maintained topology at the current positions; the spec supplies
-    /// channels and roles. Cheap relative to a partition: the signature is
-    /// recomputed from cached bitset rows and RSSI reads, no path-loss
-    /// math. Callers key the check off
-    /// [`SensingTopology::epoch`] — an unchanged epoch cannot
-    /// have drifted.
-    pub fn drifted(&self, spec: &ShardSpec, topo: &SensingTopology) -> bool {
-        spec.coupling_signature(topo)
-            .is_none_or(|sig| sig != self.signature)
-    }
 }
 
 /// One lockstep shard: a full-roster simulator that *owns* a subset of the
@@ -509,80 +433,6 @@ impl ShardSpec {
         sim
     }
 
-    /// Computes the natural coupling/BSS cut ([`CouplingSignature`]) of the
-    /// recorded scenario at the *topology's current positions* — which may
-    /// differ from the recorded build positions once a mobility driver has
-    /// applied moves. Returns `None` when the topology does not cover the
-    /// scenario, or when some client's channel has no AP (the scenario is
-    /// unshardable, so there is no cut to compare). Reads only the cached
-    /// matrix and bitsets; no path-loss math.
-    pub fn coupling_signature(&self, topo: &SensingTopology) -> Option<CouplingSignature> {
-        if topo.station_count() != self.stations.len()
-            || topo.sniffer_count() != self.sniffers.len()
-        {
-            return None;
-        }
-        let floor = self.config.radio.effective_coupling_floor_dbm();
-        self.signature_impl(
-            |a, b| topo.coupled(a, b),
-            |ap, client| topo.rssi(ap, client),
-            |si, st| topo.sniffer_rssi(si, st) >= floor,
-        )
-        .map(|(_, sig)| sig)
-    }
-
-    /// The shared coupling analysis behind [`ShardSpec::partition`],
-    /// [`ShardSpec::partition_with`] and
-    /// [`ShardSpec::coupling_signature`], parameterized over the coupling
-    /// oracles so one caller can use direct path-loss math and another the
-    /// incrementally maintained cache — both produce identical unions
-    /// because the cached values *are* the same pure function's outputs.
-    /// Returns the entity union-find plus the canonical signature, or
-    /// `None` for an orphan client (whose join would rescan across
-    /// channels, which partitioned media cannot express).
-    fn signature_impl(
-        &self,
-        coupled: impl Fn(usize, usize) -> bool,
-        ap_rssi: impl Fn(usize, usize) -> f64,
-        sniffer_hears: impl Fn(usize, usize) -> bool,
-    ) -> Option<(UnionFind, CouplingSignature)> {
-        let n = self.stations.len();
-        if self.has_orphan_client() {
-            return None;
-        }
-        let mut uf = UnionFind::new(n + self.sniffers.len());
-        // Coupled same-channel pairs interact; everything below the floor
-        // is ignored by the simulator entirely.
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if self.stations[a].channel_idx() == self.stations[b].channel_idx() && coupled(a, b)
-                {
-                    uf.union(a, b);
-                }
-            }
-        }
-        // Forced edge: each client joins its join-time AP wherever it is;
-        // keep that AP in the client's component.
-        let client_ap = self.client_aps(ap_rssi);
-        for &(c, ap) in &client_ap {
-            uf.union(c, ap);
-        }
-        // A sniffer hears (or counts a miss for) every co-channel station
-        // whose path RSSI at the sniffer clears the floor; all of them must
-        // share the sniffer's medium.
-        for (si, cfg) in self.sniffers.iter().enumerate() {
-            for (i, op) in self.stations.iter().enumerate() {
-                if op.channel_idx() == cfg.channel_idx && sniffer_hears(si, i) {
-                    uf.union(n + si, i);
-                }
-            }
-        }
-        // Canonical labels: the union-find root is the component's minimum
-        // member index (lower-root-wins), independent of edge order.
-        let labels = (0..n + self.sniffers.len()).map(|e| uf.find(e)).collect();
-        Some((uf, CouplingSignature { labels, client_ap }))
-    }
-
     /// Does some client's channel have no AP at all? Its join would rescan
     /// onto another channel — a migration partitioned media cannot
     /// express.
@@ -598,10 +448,11 @@ impl ShardSpec {
     }
 
     /// Each client's join-time AP as `(client, ap)`, ascending by client:
-    /// the co-channel AP with the strongest `ap_rssi(ap, client)`, first
-    /// maximum in build order — exactly the join-time argmax. Callers rule
-    /// out orphan clients first.
-    fn client_aps(&self, ap_rssi: impl Fn(usize, usize) -> f64) -> Vec<(usize, usize)> {
+    /// the co-channel AP with the strongest path RSSI, first maximum in
+    /// build order — exactly the join-time argmax. Callers rule out orphan
+    /// clients first.
+    fn client_aps(&self) -> Vec<(usize, usize)> {
+        let radio = &self.config.radio;
         let mut client_ap = Vec::new();
         for (c, client) in self.stations.iter().enumerate() {
             if client.is_ap() {
@@ -610,7 +461,7 @@ impl ShardSpec {
             let mut best: Option<(usize, f64)> = None;
             for (i, op) in self.stations.iter().enumerate() {
                 if op.is_ap() && op.channel_idx() == client.channel_idx() {
-                    let rssi = ap_rssi(i, c);
+                    let rssi = radio.rssi_dbm(op.pos(), client.pos());
                     if best.is_none_or(|(_, b)| rssi > b) {
                         best = Some((i, rssi));
                     }
@@ -627,71 +478,42 @@ impl ShardSpec {
     /// sharded (dynamic channel management, or a client whose channel has
     /// no AP and would rescan across channels).
     pub fn partition(&self, max_shards: usize) -> Option<ShardPlan> {
-        let radio = &self.config.radio;
-        let floor = radio.effective_coupling_floor_dbm();
-        // Direct path-loss math: a one-shot partition has no maintained
-        // topology to read, and materializing a throwaway O(N²) matrix
-        // just for this pass would be a multi-hundred-MB transient at
-        // venue scale.
-        self.partition_impl(
-            max_shards,
-            &[],
-            |a, b| radio.rssi_dbm(self.stations[a].pos(), self.stations[b].pos()) >= floor,
-            |ap, client| radio.rssi_dbm(self.stations[ap].pos(), self.stations[client].pos()),
-            |si, st| radio.rssi_dbm(self.stations[st].pos(), self.sniffers[si].pos) >= floor,
-        )
-    }
-
-    /// [`ShardSpec::partition`] against an incrementally maintained
-    /// topology (current positions, not the recorded build positions),
-    /// with extra `keep_together` co-shard constraint edges — entity
-    /// indices, stations `0..n` then sniffers `n..n + s`. A mobility
-    /// driver that detects drift ([`ShardPlan::drifted`]) re-partitions
-    /// here with the constraint edges accumulated from every signature
-    /// seen so far ([`CouplingSignature::constraint_edges`]), so the new
-    /// plan is valid for the whole observed position history. The plan's
-    /// stored signature excludes the constraints (it is always the natural
-    /// cut of the positions, else the drift compare could never
-    /// converge). Returns `None` when the topology does not cover the
-    /// scenario or the scenario is unshardable.
-    pub fn partition_with(
-        &self,
-        max_shards: usize,
-        topo: &SensingTopology,
-        keep_together: &[(usize, usize)],
-    ) -> Option<ShardPlan> {
-        if topo.station_count() != self.stations.len()
-            || topo.sniffer_count() != self.sniffers.len()
-        {
-            return None;
-        }
-        let floor = self.config.radio.effective_coupling_floor_dbm();
-        self.partition_impl(
-            max_shards,
-            keep_together,
-            |a, b| topo.coupled(a, b),
-            |ap, client| topo.rssi(ap, client),
-            |si, st| topo.sniffer_rssi(si, st) >= floor,
-        )
-    }
-
-    fn partition_impl(
-        &self,
-        max_shards: usize,
-        keep_together: &[(usize, usize)],
-        coupled: impl Fn(usize, usize) -> bool,
-        ap_rssi: impl Fn(usize, usize) -> f64,
-        sniffer_hears: impl Fn(usize, usize) -> bool,
-    ) -> Option<ShardPlan> {
-        if self.config.channel_mgmt.is_some() || max_shards == 0 {
+        if self.config.channel_mgmt.is_some() || max_shards == 0 || self.has_orphan_client() {
             return None;
         }
         let n = self.stations.len();
-        let (mut uf, signature) = self.signature_impl(coupled, ap_rssi, sniffer_hears)?;
-        // Constraint edges merge after the natural signature is taken, so
-        // the stored signature always describes the positions alone.
-        for &(a, b) in keep_together {
-            uf.union(a, b);
+        let radio = &self.config.radio;
+        let floor = radio.effective_coupling_floor_dbm();
+        // Direct path-loss math: materializing an O(N²) topology just for
+        // this one pass would be a multi-hundred-MB transient at venue
+        // scale.
+        let mut uf = UnionFind::new(n + self.sniffers.len());
+        // Coupled same-channel pairs interact; everything below the floor
+        // is ignored by the simulator entirely.
+        for (a, op_a) in self.stations.iter().enumerate() {
+            for (b, op_b) in self.stations.iter().enumerate().skip(a + 1) {
+                if op_a.channel_idx() == op_b.channel_idx()
+                    && radio.rssi_dbm(op_a.pos(), op_b.pos()) >= floor
+                {
+                    uf.union(a, b);
+                }
+            }
+        }
+        // Forced edge: each client joins its join-time AP wherever it is;
+        // keep that AP in the client's component.
+        for (c, ap) in self.client_aps() {
+            uf.union(c, ap);
+        }
+        // A sniffer hears (or counts a miss for) every co-channel station
+        // whose path RSSI at the sniffer clears the floor; all of them must
+        // share the sniffer's medium.
+        for (si, cfg) in self.sniffers.iter().enumerate() {
+            for (i, op) in self.stations.iter().enumerate() {
+                if op.channel_idx() == cfg.channel_idx && radio.rssi_dbm(op.pos(), cfg.pos) >= floor
+                {
+                    uf.union(n + si, i);
+                }
+            }
         }
         // Components in first-seen order of their members.
         #[derive(Default)]
@@ -749,11 +571,7 @@ impl ShardSpec {
             shards.push(shard);
         }
         shards.sort_by_key(|s| std::cmp::Reverse(s.stations.len()));
-        Some(ShardPlan {
-            shards,
-            components,
-            signature,
-        })
+        Some(ShardPlan { shards, components })
     }
 
     /// Materializes one shard as a partitioned simulator whose media are
@@ -829,11 +647,8 @@ impl ShardSpec {
         // Downlink MSDUs are enqueued at the AP from the client's own
         // traffic handler; only co-ownership keeps that enqueue
         // shard-local.
-        let radio = &self.config.radio;
         let mut uf = UnionFind::new(n);
-        let client_ap = self
-            .client_aps(|ap, c| radio.rssi_dbm(self.stations[ap].pos(), self.stations[c].pos()));
-        for (c, ap) in client_ap {
+        for (c, ap) in self.client_aps() {
             uf.union(c, ap);
         }
         let (group_of, count) = uf.dense_ids();

@@ -269,11 +269,6 @@ impl Simulator {
         self.queue.stats()
     }
 
-    /// Pending events that will actually fire (cancelled timers excluded).
-    pub fn pending_events(&self) -> usize {
-        self.queue.live_len()
-    }
-
     /// The stations (APs and clients): cold per-station state.
     pub fn stations(&self) -> &[Station] {
         &self.stations
@@ -649,14 +644,6 @@ impl Simulator {
     /// footprint matches a one-shot full rebuild exactly.
     pub fn reserve_stations(&mut self, stations: usize, sniffers: usize) {
         self.topology.reserve(stations, sniffers);
-    }
-
-    /// The maintained sensing-topology cache (always covering the current
-    /// population — the adders and [`Self::move_station`] update it
-    /// eagerly). Shard drift detection reads coupling rows and the
-    /// mutation epoch from here.
-    pub fn topology(&self) -> &SensingTopology {
-        &self.topology
     }
 
     /// Switches the builder into (or out of) *shell mode*: while on, the

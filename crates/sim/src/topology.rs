@@ -20,12 +20,9 @@
 //! [`SensingTopology::add_sniffer`]) — O(population) per change, against
 //! O(population²) for the full [`SensingTopology::rebuild`], which remains
 //! as the reference implementation the incremental paths are proven
-//! bit-identical to (`tests/topology_incremental.rs`). Every mutation bumps
-//! an [`epoch`](SensingTopology::epoch) counter, the explicit dirty
-//! protocol consumers (fade caches, shard drift detection) key off instead
-//! of guessing from population counts. Fading is time-varying and
-//! deliberately *not* cached here — callers add the current fade on top of
-//! the cached path loss.
+//! bit-identical to (`tests/topology_incremental.rs`). Fading is
+//! time-varying and deliberately *not* cached here — callers add the
+//! current fade on top of the cached path loss.
 
 use crate::events::NodeId;
 use crate::geometry::Pos;
@@ -140,8 +137,6 @@ pub struct SensingTopology {
     cap: usize,
     /// Words per carrier-sense row (derived from `cap`).
     wpr: usize,
-    /// Mutation counter: bumped by every `rebuild`/`add_*`/`update_*` call.
-    epoch: u64,
     /// Station positions, the inputs the cache is derived from.
     positions: Vec<Pos>,
     /// Sniffer positions.
@@ -172,23 +167,6 @@ impl SensingTopology {
     #[inline]
     pub fn sniffer_count(&self) -> usize {
         self.sniffers
-    }
-
-    /// The mutation epoch: incremented by every population or position
-    /// change. Consumers that derive state from the topology (shard plans,
-    /// fade caches) record the epoch they saw and compare instead of
-    /// guessing from population counts — a moved station changes no count
-    /// but does bump the epoch, so position changes can't be silently
-    /// missed.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The position station `id` was last registered at.
-    #[inline]
-    pub fn position(&self, id: NodeId) -> Pos {
-        self.positions[id]
     }
 
     /// Pre-sizes the cache for `stations`/`sniffers` before a batch of
@@ -298,7 +276,6 @@ impl SensingTopology {
         for s in 0..self.sniffers {
             self.sniffer_rssi[s * cap + id] = radio.rssi_dbm(pos, self.sniffer_positions[s]);
         }
-        self.epoch += 1;
         id
     }
 
@@ -346,7 +323,6 @@ impl SensingTopology {
         for s in 0..self.sniffers {
             self.sniffer_rssi[s * cap + id] = radio.rssi_dbm(pos, self.sniffer_positions[s]);
         }
-        self.epoch += 1;
     }
 
     /// Registers a new sniffer and computes its RSSI row over the current
@@ -359,7 +335,6 @@ impl SensingTopology {
         for tx in 0..self.n {
             self.sniffer_rssi[idx * self.cap + tx] = radio.rssi_dbm(self.positions[tx], pos);
         }
-        self.epoch += 1;
         idx
     }
 
@@ -409,7 +384,6 @@ impl SensingTopology {
                 self.sniffer_rssi.push(radio.rssi_dbm(tp, sp));
             }
         }
-        self.epoch += 1;
     }
 
     /// Cached path-loss RSSI of the `tx → rx` station link, dBm.
@@ -597,27 +571,19 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_epoch_track_every_mutation() {
+    fn counts_track_every_mutation() {
         let radio = radio();
         let mut topo = SensingTopology::default();
         assert_eq!((topo.station_count(), topo.sniffer_count()), (0, 0));
-        let e0 = topo.epoch();
         topo.rebuild(&[Pos::new(0.0, 0.0)], &[], &radio);
         assert_eq!((topo.station_count(), topo.sniffer_count()), (1, 0));
-        assert!(topo.epoch() > e0);
-        let e1 = topo.epoch();
         topo.add_station(Pos::new(5.0, 0.0), &radio);
         assert_eq!(topo.station_count(), 2);
-        assert!(topo.epoch() > e1);
-        let e2 = topo.epoch();
-        // A move changes no population count — only the epoch says so.
+        // A move changes no population count.
         topo.update_station(1, Pos::new(9.0, 2.0), &radio);
         assert_eq!((topo.station_count(), topo.sniffer_count()), (2, 0));
-        assert!(topo.epoch() > e2);
-        let e3 = topo.epoch();
         topo.add_sniffer(Pos::new(1.0, 1.0), &radio);
         assert_eq!(topo.sniffer_count(), 1);
-        assert!(topo.epoch() > e3);
     }
 
     /// Every matrix cell, both bitsets, and the sniffer rows must agree
