@@ -75,8 +75,8 @@ impl TimerKind {
 pub enum Event {
     /// A transmission that started earlier finishes on `medium`.
     TxEnd {
-        /// Index into the simulator's media list (a whole channel in an
-        /// unsharded simulator, an RF-isolation component in a sharded one).
+        /// The channel index of the medium the transmission is on (the
+        /// simulator keeps one medium per channel).
         medium: usize,
         /// The transmission id handed out by the medium.
         tx_id: u64,
@@ -86,7 +86,7 @@ pub enum Event {
     /// backoff expires inside that window transmit concurrently; this is the
     /// collision vulnerability window of CSMA.
     CsBusy {
-        /// Index into the simulator's media list.
+        /// The channel index of the transmission's medium.
         medium: usize,
         /// The transmission whose energy becomes detectable.
         tx_id: u64,

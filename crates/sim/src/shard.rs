@@ -1,13 +1,14 @@
-//! RF-isolation sharding: partitioning a scenario into independent media.
+//! RF-isolation sharding: partitioning a scenario into independent
+//! simulators.
 //!
 //! A venue-scale deployment (the multi-hall campus the paper's conference
 //! would sit in) contains groups of stations that can never interact: their
 //! pairwise path loss is below every interaction threshold. Such groups —
 //! connected components of the pair-coupling graph restricted to one
-//! channel — are *RF-isolation components*, and a simulator whose media are
-//! components instead of whole channels produces bit-identical per-station
-//! and per-sniffer results while letting components run on separate
-//! threads.
+//! channel — are *RF-isolation components*. A per-channel simulator over
+//! any coupling-closed subset of the stations (a union of whole
+//! components) produces bit-identical per-station and per-sniffer results,
+//! so components can run on separate threads.
 //!
 //! [`ShardSpec`] records a scenario build (the same adder calls
 //! [`Simulator`] exposes), so the one description can be materialized as a
@@ -17,17 +18,23 @@
 //!    simulator — exactly what calling the adders directly produces.
 //! 2. [`ShardSpec::partition`] finds the components and packs them into at
 //!    most `max_shards` shards (longest-processing-time by station count);
-//!    [`ShardSpec::build_shard`] materializes one shard as a partitioned
-//!    [`Simulator`] whose media are that shard's components.
+//!    [`ShardSpec::build_shard`] materializes one shard as an ordinary
+//!    per-channel [`Simulator`] over that shard's stations and sniffers.
+//!
+//! Both builds replay the same ops through the same keyed adders; they
+//! differ only in which stations and sniffers they replay.
 //!
 //! ## Why results are identical (the determinism argument)
 //!
 //! * **Couplings never cross components.** The component edges are "path
 //!   RSSI ≥ the effective coupling floor", and the simulator ignores every
-//!   pair below the floor: no reception, no interferer registration, no
-//!   NAV, no carrier sense (the floor is clamped under the CS and
-//!   sensitivity thresholds), no sniffer accounting. A transmission's full
-//!   effect set therefore lies inside its component.
+//!   pair below the floor even when both transmit on one medium: interferer
+//!   registration checks `coupled`, carrier sense reaches only `sensed ⊆
+//!   coupled` listeners (the floor is clamped under the CS and sensitivity
+//!   thresholds), reception, NAV and probe responses check `coupled`, and
+//!   sniffers apply the floor too. A transmission's full effect set
+//!   therefore lies inside its component, whichever other components share
+//!   its shard's channel medium.
 //! * **Random streams are per-entity.** Every station draws from a
 //!   counter-based stream keyed by its scenario-wide build index, and every
 //!   sniffer from one keyed past the station space ([`crate::rng`]). A
@@ -35,11 +42,13 @@
 //!   which are the same whether its component shares a simulator with
 //!   others or not. Fade realizations are keyed by the same global ids.
 //! * **Association picks cannot escape the component.** A joining client
-//!   associates to the strongest-path-loss AP on its medium (first maximum
+//!   associates to the strongest-path-loss AP on its channel (first maximum
 //!   in ascending build order). The planner adds a forced edge from each
-//!   client to exactly that AP, so the client's component contains it, and
-//!   a subset argmax that contains the global argmax *is* the global
-//!   argmax.
+//!   client to exactly that AP, so the client's component — and so its
+//!   shard — contains it. A packed shard also holds other components' APs
+//!   on that channel, but a subset argmax that contains the global argmax
+//!   *is* the global argmax: in ascending build order every AP before it is
+//!   strictly weaker, so none of them can win.
 //! * **Same-timestamp ordering is preserved within a component.** Shards
 //!   add stations in ascending global build order, so the relative event
 //!   sequence of any two same-component events matches the unsharded run;
@@ -47,10 +56,10 @@
 //!   relative order is immaterial.
 //!
 //! Dynamic channel management migrates stations between channels at run
-//! time, which a partitioned simulator cannot express; `partition` declines
-//! (returns `None`) when it is enabled, as it does when some client's
-//! channel has no AP anywhere (the client would rescan onto another
-//! channel). Callers fall back to the unsharded build.
+//! time, which can couple stations a fixed plan put in different shards;
+//! `partition` declines (returns `None`) when it is enabled, as it does
+//! when some client's channel has no AP anywhere (the client would rescan
+//! onto another channel). Callers fall back to the unsharded build.
 //!
 //! A plan is computed once, from the recorded build positions. A station
 //! that moves at run time ([`Simulator::move_station`]) can change the
@@ -118,6 +127,24 @@ impl StationOp {
     fn is_ap(&self) -> bool {
         matches!(self, StationOp::Ap { .. })
     }
+
+    /// Replays this op into `sim` under the global station key `key`.
+    fn add_to(&self, sim: &mut Simulator, key: u64) {
+        match self {
+            StationOp::Ap {
+                pos,
+                channel_idx,
+                ssid_len,
+                adaptation,
+                rts_policy,
+            } => {
+                sim.add_ap_keyed(*pos, *channel_idx, *ssid_len, *adaptation, *rts_policy, key);
+            }
+            StationOp::Client(cfg) => {
+                sim.add_client_keyed(cfg.clone(), key);
+            }
+        }
+    }
 }
 
 /// A recorded scenario build: configuration plus the adder calls, in order.
@@ -159,17 +186,15 @@ pub struct ShardSpec {
     sniffers: Vec<SnifferConfig>,
 }
 
-/// One shard of a partitioned scenario: a group of RF-isolation
-/// components, each becoming one medium of one partitioned [`Simulator`].
+/// One shard of a partitioned scenario: the stations and sniffers of a
+/// group of whole RF-isolation components, materialized as one per-channel
+/// [`Simulator`].
 #[derive(Clone, Debug)]
 pub struct Shard {
-    /// The channel index each medium (component) of this shard lives on.
-    pub medium_channel: Vec<usize>,
-    /// `(global station index, medium within shard)`, ascending by global
-    /// index.
-    stations: Vec<(usize, usize)>,
-    /// `(global sniffer index, medium within shard)`.
-    sniffers: Vec<(usize, usize)>,
+    /// Global station indices, ascending.
+    stations: Vec<usize>,
+    /// Global sniffer indices, ascending.
+    sniffers: Vec<usize>,
 }
 
 impl Shard {
@@ -180,7 +205,7 @@ impl Shard {
 
     /// Sniffers materialized into this shard (global indices, ascending).
     pub fn sniffer_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.sniffers.iter().map(|&(gi, _)| gi)
+        self.sniffers.iter().copied()
     }
 }
 
@@ -409,33 +434,29 @@ impl ShardSpec {
     /// Materializes the whole scenario as one per-channel simulator —
     /// identical to having called the [`Simulator`] adders directly.
     pub fn build_unsharded(&self) -> Simulator {
+        self.build(0..self.stations.len(), 0..self.sniffers.len())
+    }
+
+    /// A per-channel simulator over the given stations and sniffers
+    /// (global indices, ascending), each added under its global key.
+    fn build(
+        &self,
+        stations: impl ExactSizeIterator<Item = usize>,
+        sniffers: impl ExactSizeIterator<Item = usize>,
+    ) -> Simulator {
         let mut sim = Simulator::new(self.config.clone());
-        sim.reserve_stations(self.stations.len(), self.sniffers.len());
-        for op in &self.stations {
-            match op {
-                StationOp::Ap {
-                    pos,
-                    channel_idx,
-                    ssid_len,
-                    adaptation,
-                    rts_policy,
-                } => {
-                    sim.add_ap_with(*pos, *channel_idx, *ssid_len, *adaptation, *rts_policy);
-                }
-                StationOp::Client(cfg) => {
-                    sim.add_client(cfg.clone());
-                }
-            }
+        sim.reserve_stations(stations.len(), sniffers.len());
+        for gi in stations {
+            self.stations[gi].add_to(&mut sim, gi as u64);
         }
-        for cfg in &self.sniffers {
-            sim.add_sniffer(*cfg);
+        for si in sniffers {
+            sim.add_sniffer_keyed(self.sniffers[si], si as u64);
         }
         sim
     }
 
     /// Does some client's channel have no AP at all? Its join would rescan
-    /// onto another channel — a migration partitioned media cannot
-    /// express.
+    /// onto another channel, outside any fixed plan.
     fn has_orphan_client(&self) -> bool {
         let has_ap = |ch: usize| {
             self.stations
@@ -506,7 +527,7 @@ impl ShardSpec {
         }
         // A sniffer hears (or counts a miss for) every co-channel station
         // whose path RSSI at the sniffer clears the floor; all of them must
-        // share the sniffer's medium.
+        // share the sniffer's shard.
         for (si, cfg) in self.sniffers.iter().enumerate() {
             for (i, op) in self.stations.iter().enumerate() {
                 if op.channel_idx() == cfg.channel_idx && radio.rssi_dbm(op.pos(), cfg.pos) >= floor
@@ -515,98 +536,59 @@ impl ShardSpec {
                 }
             }
         }
-        // Components in first-seen order of their members.
-        #[derive(Default)]
-        struct Component {
-            channel: Option<usize>,
-            stations: Vec<usize>,
-            sniffers: Vec<usize>,
-        }
+        // Group the members by component (a sniffer coupled to nothing is
+        // its own silent component).
         let (comp_of, components) = uf.dense_ids();
-        let mut comps: Vec<Component> = Vec::new();
-        comps.resize_with(components, Component::default);
-        for (i, op) in self.stations.iter().enumerate() {
-            let comp = &mut comps[comp_of[i]];
-            comp.channel = Some(op.channel_idx());
-            comp.stations.push(i);
+        let mut comps = vec![
+            Shard {
+                stations: Vec::new(),
+                sniffers: Vec::new(),
+            };
+            components
+        ];
+        for i in 0..n {
+            comps[comp_of[i]].stations.push(i);
         }
-        for (si, cfg) in self.sniffers.iter().enumerate() {
-            let comp = &mut comps[comp_of[n + si]];
-            // A sniffer coupled to nothing forms its own (silent) medium.
-            comp.channel.get_or_insert(cfg.channel_idx);
-            comp.sniffers.push(si);
+        for si in 0..self.sniffers.len() {
+            comps[comp_of[n + si]].sniffers.push(si);
         }
         // Pack by station count into at most `max_shards` shards.
         let sizes: Vec<usize> = comps.iter().map(|c| c.stations.len()).collect();
         let mut shards = Vec::new();
-        for mut group in lpt_pack(&sizes, max_shards) {
+        for group in lpt_pack(&sizes, max_shards) {
             if group.is_empty() {
                 continue;
             }
-            // Media in ascending first-station order keeps shard layout
-            // independent of the LPT visit order.
-            group.sort_by_key(|&ci| comps[ci].stations.first().copied().unwrap_or(usize::MAX));
             let mut shard = Shard {
-                medium_channel: Vec::new(),
                 stations: Vec::new(),
                 sniffers: Vec::new(),
             };
             for &ci in &group {
-                let medium = shard.medium_channel.len();
-                shard
-                    .medium_channel
-                    .push(comps[ci].channel.expect("component has a channel"));
-                shard
-                    .stations
-                    .extend(comps[ci].stations.iter().map(|&gi| (gi, medium)));
-                shard
-                    .sniffers
-                    .extend(comps[ci].sniffers.iter().map(|&si| (si, medium)));
+                shard.stations.extend_from_slice(&comps[ci].stations);
+                shard.sniffers.extend_from_slice(&comps[ci].sniffers);
             }
             // Ascending global order (components are internally ascending;
             // merge across them) so same-timestamp sequence order matches
             // the unsharded build.
-            shard.stations.sort_by_key(|&(gi, _)| gi);
-            shard.sniffers.sort_by_key(|&(si, _)| si);
+            shard.stations.sort_unstable();
+            shard.sniffers.sort_unstable();
             shards.push(shard);
         }
         shards.sort_by_key(|s| std::cmp::Reverse(s.stations.len()));
         Some(ShardPlan { shards, components })
     }
 
-    /// Materializes one shard as a partitioned simulator whose media are
-    /// the shard's components.
+    /// Materializes one shard as a per-channel simulator over the shard's
+    /// stations and sniffers, keyed by their global indices.
     pub fn build_shard(&self, shard: &Shard) -> Simulator {
-        let mut sim = Simulator::new_partitioned(self.config.clone(), shard.medium_channel.clone());
-        sim.reserve_stations(shard.stations.len(), shard.sniffers.len());
-        for &(gi, medium) in &shard.stations {
-            match &self.stations[gi] {
-                StationOp::Ap {
-                    pos,
-                    channel_idx,
-                    ssid_len,
-                    adaptation,
-                    rts_policy,
-                } => {
-                    sim.add_ap_keyed(
-                        *pos,
-                        *channel_idx,
-                        *ssid_len,
-                        *adaptation,
-                        *rts_policy,
-                        gi as u64,
-                        medium,
-                    );
-                }
-                StationOp::Client(cfg) => {
-                    sim.add_client_keyed(cfg.clone(), gi as u64, medium);
-                }
-            }
-        }
-        for &(si, medium) in &shard.sniffers {
-            sim.add_sniffer_keyed(self.sniffers[si], si as u64, medium);
-        }
-        sim
+        assert!(
+            self.config.channel_mgmt.is_none(),
+            "component shards are incompatible with dynamic channel assignment"
+        );
+        self.build(
+            shard.stations.iter().copied(),
+            shard.sniffers.iter().copied(),
+        )
     }
 
     /// Cuts the scenario along BSS lines into at most `max_shards` lockstep
@@ -753,33 +735,11 @@ impl ShardSpec {
         sim.reserve_stations(self.stations.len(), shard.sniffers.len());
         for (gi, op) in self.stations.iter().enumerate() {
             sim.set_shell_mode(!shard.owns(gi));
-            match op {
-                StationOp::Ap {
-                    pos,
-                    channel_idx,
-                    ssid_len,
-                    adaptation,
-                    rts_policy,
-                } => {
-                    sim.add_ap_keyed(
-                        *pos,
-                        *channel_idx,
-                        *ssid_len,
-                        *adaptation,
-                        *rts_policy,
-                        gi as u64,
-                        *channel_idx,
-                    );
-                }
-                StationOp::Client(cfg) => {
-                    sim.add_client_keyed(cfg.clone(), gi as u64, cfg.channel_idx);
-                }
-            }
+            op.add_to(&mut sim, gi as u64);
         }
         sim.set_shell_mode(false);
         for &si in &shard.sniffers {
-            let cfg = self.sniffers[si];
-            sim.add_sniffer_keyed(cfg, si as u64, cfg.channel_idx);
+            sim.add_sniffer_keyed(self.sniffers[si], si as u64);
         }
         sim
     }
@@ -828,11 +788,8 @@ mod tests {
         let plan = spec.partition(8).expect("shardable");
         assert_eq!(plan.components, 2);
         assert_eq!(plan.shards.len(), 2);
-        let mut stations: Vec<Vec<usize>> = plan
-            .shards
-            .iter()
-            .map(|s| s.stations.iter().map(|&(gi, _)| gi).collect())
-            .collect();
+        let mut stations: Vec<Vec<usize>> =
+            plan.shards.iter().map(|s| s.stations.clone()).collect();
         stations.sort();
         assert_eq!(stations, vec![vec![0, 1], vec![2, 3]]);
     }
@@ -918,7 +875,7 @@ mod tests {
         let mut seen: Vec<usize> = plan
             .shards
             .iter()
-            .flat_map(|s| s.stations.iter().map(|&(gi, _)| gi))
+            .flat_map(|s| s.stations.iter().copied())
             .collect();
         seen.sort();
         assert_eq!(seen, (0..spec.station_count()).collect::<Vec<_>>());

@@ -110,17 +110,12 @@ pub struct Simulator {
     /// per frame; packed columns keep those walks on a few cache lines.
     hot: HotState,
     sniffers: Vec<Sniffer>,
-    /// One medium per *partition*: per channel in an unsharded simulator,
-    /// per RF-isolation component in a sharded one. Every effect of a
-    /// transmission — reception, NAV, carrier sense, sniffer capture — is
-    /// confined to its medium by construction.
+    /// One medium per channel (`media[c]` is channel `c`), in every
+    /// simulator, whole or shard. Every effect of a transmission —
+    /// reception, NAV, carrier sense, sniffer capture — is confined to its
+    /// channel's medium and, within it, to the transmitter's RF-coupled
+    /// stations, so a shard's co-channel components never interact.
     media: Vec<Medium>,
-    /// The channel each medium lives on (`media[i]` ↔ `medium_channel[i]`).
-    /// Identity mapping when media are per-channel.
-    medium_channel: Vec<usize>,
-    /// True when media are RF-isolation components rather than whole
-    /// channels (built by [`crate::shard`]; disables channel migration).
-    partitioned: bool,
     mac_index: HashMap<MacAddr, NodeId>,
     /// Ground truth.
     pub ground_truth: GroundTruth,
@@ -132,10 +127,8 @@ pub struct Simulator {
     /// when the population changes; see [`crate::topology`]).
     topology: SensingTopology,
     /// Which stations belong to each medium (kept in lockstep with
-    /// `Station::medium_idx`), for masking cached sensing rows.
+    /// `HotState::channel_idx`), for masking cached sensing rows.
     medium_members: Vec<NodeSet>,
-    /// The medium each sniffer captures on (parallel to `sniffers`).
-    sniffer_medium: Vec<usize>,
     /// Global sniffer keys (scenario-wide build order; fade-link and RNG
     /// stream identity, stable across shard partitionings).
     sniffer_keys: Vec<u64>,
@@ -192,31 +185,10 @@ pub struct Simulator {
 impl Simulator {
     /// A new, empty simulation with one medium per channel.
     pub fn new(config: SimConfig) -> Simulator {
-        let medium_channel = (0..config.channels.len()).collect();
-        Simulator::with_media(config, medium_channel, false)
-    }
-
-    /// A simulator whose media are the given partitions (one per entry of
-    /// `medium_channel`, which names the channel each medium lives on).
-    /// Used by [`crate::shard`] to build RF-isolation-component media;
-    /// incompatible with dynamic channel assignment, which migrates
-    /// stations between media.
-    pub(crate) fn new_partitioned(config: SimConfig, medium_channel: Vec<usize>) -> Simulator {
-        assert!(
-            config.channel_mgmt.is_none(),
-            "partitioned media are incompatible with dynamic channel assignment"
-        );
-        assert!(
-            medium_channel.iter().all(|&c| c < config.channels.len()),
-            "medium on unknown channel"
-        );
-        Simulator::with_media(config, medium_channel, true)
-    }
-
-    fn with_media(config: SimConfig, medium_channel: Vec<usize>, partitioned: bool) -> Simulator {
-        let media = medium_channel.iter().map(|_| Medium::new()).collect();
-        let chan_airtime_us = vec![0; config.channels.len()];
-        let medium_members = medium_channel.iter().map(|_| NodeSet::new()).collect();
+        let channels = config.channels.len();
+        let media = (0..channels).map(|_| Medium::new()).collect();
+        let chan_airtime_us = vec![0; channels];
+        let medium_members = (0..channels).map(|_| NodeSet::new()).collect();
         Simulator {
             config,
             now: 0,
@@ -225,15 +197,12 @@ impl Simulator {
             hot: HotState::default(),
             sniffers: Vec::new(),
             media,
-            medium_channel,
-            partitioned,
             mac_index: HashMap::new(),
             ground_truth: GroundTruth::default(),
             events_processed: 0,
             chan_airtime_us,
             topology: SensingTopology::default(),
             medium_members,
-            sniffer_medium: Vec::new(),
             sniffer_keys: Vec::new(),
             sniffer_rngs: Vec::new(),
             sizes_scratch: Vec::new(),
@@ -290,16 +259,12 @@ impl Simulator {
         &mut self.sniffers
     }
 
-    /// Collision/transmission counters per channel, summed over that
-    /// channel's media (one medium per channel unsharded, so the sum is
-    /// the identity there).
+    /// Collision/transmission counters per channel.
     pub fn medium_stats(&self) -> Vec<(u64, u64)> {
-        let mut per_channel = vec![(0u64, 0u64); self.config.channels.len()];
-        for (m, &ch) in self.media.iter().zip(&self.medium_channel) {
-            per_channel[ch].0 += m.transmissions;
-            per_channel[ch].1 += m.collisions;
-        }
-        per_channel
+        self.media
+            .iter()
+            .map(|m| (m.transmissions, m.collisions))
+            .collect()
     }
 
     /// Cached path-loss RSSI plus the current slow-fade of the `tx → rx`
@@ -448,7 +413,6 @@ impl Simulator {
             RateAdaptation::Arf(Rate::R11),
             RtsPolicy::Never,
             key,
-            channel_idx,
         )
     }
 
@@ -467,22 +431,12 @@ impl Simulator {
             "bad channel index"
         );
         let key = self.stations.len() as u64;
-        self.add_ap_keyed(
-            pos,
-            channel_idx,
-            ssid_len,
-            adaptation,
-            rts_policy,
-            key,
-            channel_idx,
-        )
+        self.add_ap_keyed(pos, channel_idx, ssid_len, adaptation, rts_policy, key)
     }
 
     /// AP adder taking the global identity explicitly: `key` is the
-    /// scenario-wide build index (RNG stream, fade link, MAC) and
-    /// `medium_idx` the local medium. The public adders pass
-    /// `key = local index, medium = channel`; [`crate::shard`] passes
-    /// global keys and component media.
+    /// scenario-wide build index (RNG stream, fade link, MAC). The public
+    /// adders pass the local index; [`crate::shard`] passes global keys.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn add_ap_keyed(
         &mut self,
@@ -492,7 +446,6 @@ impl Simulator {
         adaptation: RateAdaptation,
         rts_policy: RtsPolicy,
         key: u64,
-        medium_idx: usize,
     ) -> NodeId {
         let mac = MacAddr::from_id(key as u32 + 1);
         let id = self.stations.len();
@@ -515,13 +468,8 @@ impl Simulator {
         st.joined = true;
         st.rng = SimRng::new(self.config.seed, key);
         self.stations.push(st);
-        self.hot.push(
-            channel_idx,
-            medium_idx,
-            key,
-            self.config.dcf.cw_min,
-            self.shell_mode,
-        );
+        self.hot
+            .push(channel_idx, key, self.config.dcf.cw_min, self.shell_mode);
         // Eager incremental topology maintenance: one dirty row + column,
         // shells included (every shard must agree on the full matrix).
         self.topology.add_station(pos, &self.config.radio);
@@ -532,7 +480,7 @@ impl Simulator {
             // build-time draws from the station's stream.
             return id;
         }
-        self.medium_members[medium_idx].insert(id);
+        self.medium_members[channel_idx].insert(id);
         let beacon_interval = self.config.beacon_interval_us;
         let channel_mgmt = self.config.channel_mgmt;
         let offset = self.stations[id].rng.gen_range(0..beacon_interval);
@@ -556,18 +504,12 @@ impl Simulator {
             "bad channel index"
         );
         let key = self.stations.len() as u64;
-        let medium_idx = cfg.channel_idx;
-        self.add_client_keyed(cfg, key, medium_idx)
+        self.add_client_keyed(cfg, key)
     }
 
     /// Client adder taking the global identity explicitly (see
     /// [`Self::add_ap_keyed`]).
-    pub(crate) fn add_client_keyed(
-        &mut self,
-        cfg: ClientConfig,
-        key: u64,
-        medium_idx: usize,
-    ) -> NodeId {
+    pub(crate) fn add_client_keyed(&mut self, cfg: ClientConfig, key: u64) -> NodeId {
         let mac = MacAddr::from_id(key as u32 + 1);
         let id = self.stations.len();
         let mut st = Station::new(
@@ -586,7 +528,6 @@ impl Simulator {
         self.stations.push(st);
         self.hot.push(
             cfg.channel_idx,
-            medium_idx,
             key,
             self.config.dcf.cw_min,
             self.shell_mode,
@@ -596,7 +537,7 @@ impl Simulator {
         if self.shell_mode {
             return id; // passive shell (see add_ap_keyed)
         }
-        self.medium_members[medium_idx].insert(id);
+        self.medium_members[cfg.channel_idx].insert(id);
         self.queue
             .push(cfg.join_at_us, Event::UserJoin { node: id });
         if let Some(leave) = cfg.leave_at_us {
@@ -616,20 +557,13 @@ impl Simulator {
             "bad channel index"
         );
         let key = self.sniffers.len() as u64;
-        let medium_idx = cfg.channel_idx;
-        self.add_sniffer_keyed(cfg, key, medium_idx)
+        self.add_sniffer_keyed(cfg, key)
     }
 
     /// Sniffer adder taking the global identity explicitly (see
     /// [`Self::add_ap_keyed`]). The RNG stream and fade link are keyed
     /// `SNIFFER_LINK_BASE + key`, past the station key space.
-    pub(crate) fn add_sniffer_keyed(
-        &mut self,
-        cfg: SnifferConfig,
-        key: u64,
-        medium_idx: usize,
-    ) -> usize {
-        self.sniffer_medium.push(medium_idx);
+    pub(crate) fn add_sniffer_keyed(&mut self, cfg: SnifferConfig, key: u64) -> usize {
         self.sniffer_keys.push(key);
         self.sniffer_rngs
             .push(SimRng::new(self.config.seed, SNIFFER_LINK_BASE + key));
@@ -827,7 +761,7 @@ impl Simulator {
         if st.associated_ap.is_some() || st.departed {
             return; // already associated, or left for good (stale retry)
         }
-        let medium_idx = self.hot.medium_idx[node];
+        let channel = self.hot.channel_idx[node];
         let first_join = !st.joined;
         self.stations[node].joined = true;
         // Active scanning: a broadcast probe request precedes the first
@@ -841,27 +775,15 @@ impl Simulator {
                 enqueued_at: self.now,
             });
         }
-        // Pick the strongest AP on our medium (cached path loss). Unsharded
-        // the medium is the whole channel; sharded it is our RF-isolation
-        // component, which contains our strongest co-channel AP by
-        // construction (the shard planner's forced edge).
-        let best_on = |sim: &Simulator, m: Option<usize>| -> Option<(NodeId, f64)> {
-            let mut best: Option<(NodeId, f64)> = None;
-            for (i, ap) in sim.stations.iter().enumerate() {
-                if ap.is_ap() && m.is_none_or(|mm| sim.hot.medium_idx[i] == mm) {
-                    let rssi = sim.topology.rssi(i, node);
-                    if best.is_none_or(|(_, b)| rssi > b) {
-                        best = Some((i, rssi));
-                    }
-                }
-            }
-            best
-        };
-        let mut choice = best_on(self, Some(medium_idx));
-        if choice.is_none() && !self.partitioned {
+        // Pick the strongest AP on our channel (cached path loss). In a
+        // shard that is the strongest in our RF-isolation component: the
+        // planner's forced edge keeps the global argmax there.
+        let mut choice = self.strongest_ap(node, Some(channel));
+        if choice.is_none() {
             // Our channel has no AP (it may have migrated away): scan all
-            // channels and retune to the strongest AP found anywhere.
-            if let Some((ap_id, rssi)) = best_on(self, None) {
+            // channels and retune to the strongest AP found anywhere. Never
+            // in a shard: the planner declines orphan clients.
+            if let Some((ap_id, rssi)) = self.strongest_ap(node, None) {
                 let target = self.hot.channel_idx[ap_id];
                 if self.move_station_channel(node, target) {
                     choice = Some((ap_id, rssi));
@@ -884,6 +806,23 @@ impl Simulator {
         };
         self.stations[node].enqueue(msdu);
         self.try_dequeue(node);
+    }
+
+    /// The AP with the strongest cached path-loss RSSI at `node`, on
+    /// `channel` (any channel for `None`); ties go to the first maximum in
+    /// build order. Join, rescan and roam all pick here, so a roam targets
+    /// exactly the AP a join would.
+    fn strongest_ap(&self, node: NodeId, channel: Option<usize>) -> Option<(NodeId, f64)> {
+        let mut best: Option<(NodeId, f64)> = None;
+        for (i, ap) in self.stations.iter().enumerate() {
+            if ap.is_ap() && channel.is_none_or(|c| self.hot.channel_idx[i] == c) {
+                let rssi = self.topology.rssi(i, node);
+                if best.is_none_or(|(_, b)| rssi > b) {
+                    best = Some((i, rssi));
+                }
+            }
+        }
+        best
     }
 
     fn on_user_leave(&mut self, node: NodeId) {
@@ -1293,7 +1232,7 @@ impl Simulator {
         let preamble = self.config.preamble;
         let air = frame_airtime_us(frame.mac_bytes as u64, rate, preamble);
         let end = now + air;
-        let medium = self.hot.medium_idx[node];
+        let medium = self.hot.channel_idx[node];
         self.hot.set_state(node, MacState::Transmitting { phase });
         self.hot.tx_until[node] = end;
         // Decide who will sense this transmission: the cached carrier-sense
@@ -1403,26 +1342,25 @@ impl Simulator {
     // Transmission end: receptions, sniffers, state advance
     // ------------------------------------------------------------------
 
-    fn on_tx_end(&mut self, medium: usize, tx_id: u64) {
-        let tx = self.media[medium]
+    fn on_tx_end(&mut self, channel: usize, tx_id: u64) {
+        let tx = self.media[channel]
             .end_tx(tx_id)
             .expect("TxEnd for unknown transmission");
         let now = self.now;
-        let channel = self.medium_channel[medium];
 
         // 1. Advance the transmitter's state machine.
         self.advance_transmitter(&tx);
 
         // 2. Intended-receiver reception.
-        self.process_reception(medium, &tx);
+        self.process_reception(channel, &tx);
 
         // 3. NAV at overhearers, for RTS/CTS only (see module docs).
         if matches!(tx.frame.kind, FrameKind::Rts | FrameKind::Cts) && tx.frame.duration_us > 0 {
-            self.process_nav(medium, &tx);
+            self.process_nav(channel, &tx);
         }
 
         // 4. Sniffers.
-        self.process_sniffers(medium, &tx);
+        self.process_sniffers(channel, &tx);
 
         // 5. Ground truth and channel load accounting.
         self.chan_airtime_us[channel] += tx.end.saturating_sub(tx.start);
@@ -1459,7 +1397,7 @@ impl Simulator {
             self.hot.idle_since[tx.node] = now;
         }
         // 7. Recycle the transmission's listener set and interferer list.
-        self.media[medium].recycle(tx);
+        self.media[channel].recycle(tx);
     }
 
     fn advance_transmitter(&mut self, tx: &crate::medium::Transmission) {
@@ -1503,41 +1441,55 @@ impl Simulator {
         }
     }
 
-    fn process_reception(&mut self, medium: usize, tx: &crate::medium::Transmission) {
+    /// Whether station `rx` decodes transmission `tx`: the pair-coupling
+    /// floor, half-duplex and sensitivity gates, then one success draw from
+    /// `rx`'s stream against the SINR. `None` when a gate stops the frame
+    /// (no draw is made); otherwise the draw's outcome and the SINR. The
+    /// one decode path of the intended receiver, probed APs and NAV
+    /// overhearers.
+    #[inline]
+    fn decode_at(&mut self, tx: &crate::medium::Transmission, rx: NodeId) -> Option<(bool, f64)> {
+        if !self.topology.coupled(tx.node, rx) {
+            return None; // below the pair-coupling floor: no interaction
+        }
+        if self.hot.was_transmitting_during(rx, tx.start, tx.end) {
+            return None; // half-duplex
+        }
+        let rssi = self.faded_rssi(tx.node, rx);
+        if rssi < self.config.radio.sensitivity_dbm {
+            return None; // out of range
+        }
+        let sinr = self.station_sinr(rssi, tx, rx);
+        let p = self
+            .config
+            .error
+            .frame_success_prob(sinr, tx.rate, tx.frame.mac_bytes);
+        Some((self.stations[rx].rng.gen::<f64>() < p, sinr))
+    }
+
+    fn process_reception(&mut self, channel: usize, tx: &crate::medium::Transmission) {
         let frame = &tx.frame;
         if frame.dst.is_multicast() {
             // Broadcast probes solicit responses from every AP that decodes
             // them; other broadcast frames have no modelled consequences.
             if frame.kind == FrameKind::ProbeRequest {
-                self.process_probe_request(medium, tx);
+                self.process_probe_request(channel, tx);
             }
             return;
         }
         let Some(&rx_node) = self.mac_index.get(&frame.dst) else {
             return;
         };
-        if rx_node == tx.node || self.hot.medium_idx[rx_node] != medium {
+        if rx_node == tx.node || self.hot.channel_idx[rx_node] != channel {
             return;
         }
         if self.hot.shell[rx_node] {
             return; // passive shell: it owns no reception (or RNG draw)
         }
-        if !self.topology.coupled(tx.node, rx_node) {
-            return; // below the pair-coupling floor: no interaction
-        }
-        if self.hot.was_transmitting_during(rx_node, tx.start, tx.end) {
-            return; // half-duplex
-        }
-        let rssi = self.faded_rssi(tx.node, rx_node);
-        if rssi < self.config.radio.sensitivity_dbm {
-            return; // out of range
-        }
-        let sinr = self.station_sinr(rssi, tx, rx_node);
-        let p = self
-            .config
-            .error
-            .frame_success_prob(sinr, tx.rate, frame.mac_bytes);
-        if self.stations[rx_node].rng.gen::<f64>() >= p {
+        let Some((decoded, sinr)) = self.decode_at(tx, rx_node) else {
+            return;
+        };
+        if !decoded {
             if self.config.eifs_enabled {
                 self.hot.use_eifs[rx_node] = true;
             }
@@ -1546,37 +1498,22 @@ impl Simulator {
         self.deliver_frame(rx_node, tx, sinr);
     }
 
-    /// A broadcast probe request: every AP on the medium that decodes it
+    /// A broadcast probe request: every AP on the channel that decodes it
     /// queues a probe response to the prober.
-    fn process_probe_request(&mut self, medium: usize, tx: &crate::medium::Transmission) {
+    fn process_probe_request(&mut self, channel: usize, tx: &crate::medium::Transmission) {
         let Some(prober) = tx.frame.src else {
             return;
         };
         let now = self.now;
         for i in 0..self.stations.len() {
             if !self.stations[i].is_ap()
-                || self.hot.medium_idx[i] != medium
+                || self.hot.channel_idx[i] != channel
                 || i == tx.node
                 || self.hot.shell[i]
             {
                 continue;
             }
-            if !self.topology.coupled(tx.node, i) {
-                continue; // below the pair-coupling floor
-            }
-            if self.hot.was_transmitting_during(i, tx.start, tx.end) {
-                continue;
-            }
-            let rssi = self.faded_rssi(tx.node, i);
-            if rssi < self.config.radio.sensitivity_dbm {
-                continue;
-            }
-            let sinr = self.station_sinr(rssi, tx, i);
-            let p = self
-                .config
-                .error
-                .frame_success_prob(sinr, tx.rate, tx.frame.mac_bytes);
-            if self.stations[i].rng.gen::<f64>() >= p {
+            if !matches!(self.decode_at(tx, i), Some((true, _))) {
                 continue;
             }
             let ap_mac = self.stations[i].mac;
@@ -1737,32 +1674,18 @@ impl Simulator {
         );
     }
 
-    fn process_nav(&mut self, medium: usize, tx: &crate::medium::Transmission) {
+    fn process_nav(&mut self, channel: usize, tx: &crate::medium::Transmission) {
         let now = self.now;
         let until = now + tx.frame.duration_us as Micros;
         for i in 0..self.stations.len() {
-            if i == tx.node || self.hot.medium_idx[i] != medium || self.hot.shell[i] {
+            if i == tx.node || self.hot.channel_idx[i] != channel || self.hot.shell[i] {
                 continue;
             }
             if self.stations[i].mac == tx.frame.dst {
                 continue; // the addressee does not set NAV from its own exchange
             }
-            if !self.topology.coupled(tx.node, i) {
-                continue; // below the pair-coupling floor
-            }
-            if self.hot.was_transmitting_during(i, tx.start, tx.end) {
-                continue;
-            }
-            let rssi = self.faded_rssi(tx.node, i);
-            if rssi < self.config.radio.sensitivity_dbm {
-                continue;
-            }
-            let sinr = self.station_sinr(rssi, tx, i);
-            let p = self
-                .config
-                .error
-                .frame_success_prob(sinr, tx.rate, tx.frame.mac_bytes);
-            if self.stations[i].rng.gen::<f64>() < p && until > self.hot.nav_until[i] {
+            let decoded = matches!(self.decode_at(tx, i), Some((true, _)));
+            if decoded && until > self.hot.nav_until[i] {
                 let was_busy = self.hot.channel_busy(i, now);
                 self.hot.nav_until[i] = until;
                 if !was_busy {
@@ -1773,8 +1696,8 @@ impl Simulator {
         }
     }
 
-    fn process_sniffers(&mut self, medium: usize, tx: &crate::medium::Transmission) {
-        let ch = self.config.channels[self.medium_channel[medium]];
+    fn process_sniffers(&mut self, channel: usize, tx: &crate::medium::Transmission) {
+        let ch = self.config.channels[channel];
         let now = self.now;
         let floor = self.config.radio.effective_coupling_floor_dbm();
         // Pass 1: gather every sniffer that hears this frame (RSSI + SINR
@@ -1787,7 +1710,7 @@ impl Simulator {
         sinrs.clear();
         let fading = self.config.radio.fading;
         for idx in 0..self.sniffers.len() {
-            if self.sniffer_medium[idx] != medium {
+            if self.sniffers[idx].config.channel_idx != channel {
                 continue;
             }
             // The pair-coupling floor applies to sniffer links too: a
@@ -2004,10 +1927,6 @@ impl Simulator {
         self.hot.nav_until[node] = 0;
         self.hot.use_eifs[node] = false;
         self.hot.channel_idx[node] = new_idx;
-        // Channel management only runs unpartitioned (media == channels),
-        // so the medium index moves in lockstep with the channel index.
-        debug_assert!(!self.partitioned);
-        self.hot.medium_idx[node] = new_idx;
         self.medium_members[old_idx].remove(node);
         self.medium_members[new_idx].insert(node);
         // Attach to the new channel's in-flight transmissions (carrier-sense
@@ -2074,7 +1993,7 @@ impl Simulator {
     }
 
     /// Strongest-AP reassociation with hysteresis — the roaming half of a
-    /// mobility tick. When some co-medium AP's cached path-loss RSSI beats
+    /// mobility tick. When some co-channel AP's cached path-loss RSSI beats
     /// the currently associated AP's by at least `hysteresis_db`, the
     /// client disassociates and a `UserJoin` event is queued at the current
     /// time, so the re-association exchange (and the traffic restart it
@@ -2098,20 +2017,8 @@ impl Simulator {
         {
             return false;
         }
-        let medium_idx = self.hot.medium_idx[node];
-        // Same scan (and tie-break: first maximum in build order) as
-        // `on_user_join`, so the roam target is exactly the AP the join
-        // path would pick.
-        let mut best: Option<(NodeId, f64)> = None;
-        for (i, ap) in self.stations.iter().enumerate() {
-            if ap.is_ap() && self.hot.medium_idx[i] == medium_idx {
-                let rssi = self.topology.rssi(i, node);
-                if best.is_none_or(|(_, b)| rssi > b) {
-                    best = Some((i, rssi));
-                }
-            }
-        }
-        let Some((best_ap, best_rssi)) = best else {
+        let channel = self.hot.channel_idx[node];
+        let Some((best_ap, best_rssi)) = self.strongest_ap(node, Some(channel)) else {
             return false;
         };
         if best_ap == cur || best_rssi < self.topology.rssi(cur, node) + hysteresis_db {

@@ -222,12 +222,9 @@ pub struct HotState {
     /// End time of the station's own most recent transmission
     /// (half-duplex check).
     pub tx_until: Vec<Micros>,
-    /// Index into the simulator's channel list.
+    /// Index into the simulator's channel list, and so into its media
+    /// (one medium per channel).
     pub channel_idx: Vec<usize>,
-    /// Index into the simulator's media. In an unsharded simulator media
-    /// are per-channel and this equals `channel_idx`; in a sharded one each
-    /// medium is one RF-isolation component (see [`crate::shard`]).
-    pub medium_idx: Vec<usize>,
     /// Global station key: the station's index in the *scenario-wide* build
     /// order, stable across shard partitionings (equals the node id in an
     /// unsharded simulator). Keys the station's RNG stream and its fade
@@ -250,14 +247,7 @@ pub struct HotState {
 
 impl HotState {
     /// Appends one station's row; returns its node id.
-    pub fn push(
-        &mut self,
-        channel_idx: usize,
-        medium_idx: usize,
-        key: u64,
-        cw_min: u32,
-        shell: bool,
-    ) -> NodeId {
+    pub fn push(&mut self, channel_idx: usize, key: u64, cw_min: u32, shell: bool) -> NodeId {
         let id = self.state.len();
         self.state.push(MacState::Idle);
         self.backoff_slots.push(0);
@@ -269,7 +259,6 @@ impl HotState {
         self.use_eifs.push(false);
         self.tx_until.push(0);
         self.channel_idx.push(channel_idx);
-        self.medium_idx.push(medium_idx);
         self.key.push(key);
         self.fade_gen.push(0);
         self.shell.push(shell);
@@ -572,7 +561,7 @@ mod tests {
 
     fn hot_with_one() -> HotState {
         let mut h = HotState::default();
-        h.push(0, 0, 0, 31, false);
+        h.push(0, 0, 31, false);
         h
     }
 
@@ -669,7 +658,7 @@ mod tests {
     #[test]
     fn contending_tracks_every_state() {
         let mut h = hot_with_one();
-        h.push(0, 0, 1, 31, false);
+        h.push(0, 1, 31, false);
         assert!(h.contending.is_empty(), "new stations start Idle");
         let phases = [TxPhase::Rts, TxPhase::Data, TxPhase::Cts, TxPhase::Ack];
         let states = [
@@ -711,7 +700,7 @@ mod tests {
         // so both the slice path and the bit path run.
         let mut h = HotState::default();
         for key in 0..130 {
-            h.push(0, 0, key, 31, false);
+            h.push(0, key, 31, false);
         }
         let words = [u64::MAX, 0xF0F0_0000_0000_0001, 0b10];
         let listeners: Vec<usize> = (0..130)

@@ -232,56 +232,31 @@ impl SensingTopology {
         self.wpr = new_wpr;
     }
 
-    /// Registers a joining station and computes only its dirty row +
-    /// column: RSSI to and from every existing station, `sensed`/`coupled`
-    /// bits in both directions, and its column in every sniffer row —
-    /// O(population) against the O(population²) full rebuild, and
-    /// bit-identical to it (same pure calls in the same argument order).
+    /// Registers a joining station: extends the matrices by one row, then
+    /// computes its row + column through [`Self::update_station`] (the
+    /// bits that clears are still zero for a fresh id) — O(population)
+    /// against the O(population²) full rebuild, and bit-identical to it.
     /// Returns the new station's id.
     pub fn add_station(&mut self, pos: Pos, radio: &RadioConfig) -> NodeId {
         if self.n == self.cap {
             self.grow((self.cap * 2).max(8));
         }
         let id = self.n;
-        let (cap, wpr) = (self.cap, self.wpr);
         self.n = id + 1;
         self.positions.push(pos);
-        self.rssi.resize(self.n * cap, f64::NAN);
-        self.sensed.resize(self.n * wpr, 0);
-        self.coupled.resize(self.n * wpr, 0);
-        let floor = radio.effective_coupling_floor_dbm();
-        let (col_word, col_mask) = (id / 64, 1u64 << (id % 64));
-        for other in 0..self.n {
-            // Row `id → other` (the diagonal included, as in `rebuild`).
-            let out = radio.rssi_dbm(pos, self.positions[other]);
-            self.rssi[id * cap + other] = out;
-            if other != id {
-                if out >= radio.cs_threshold_dbm {
-                    self.sensed[id * wpr + other / 64] |= 1 << (other % 64);
-                }
-                if out >= floor {
-                    self.coupled[id * wpr + other / 64] |= 1 << (other % 64);
-                }
-                // Column `other → id`.
-                let inc = radio.rssi_dbm(self.positions[other], pos);
-                self.rssi[other * cap + id] = inc;
-                if inc >= radio.cs_threshold_dbm {
-                    self.sensed[other * wpr + col_word] |= col_mask;
-                }
-                if inc >= floor {
-                    self.coupled[other * wpr + col_word] |= col_mask;
-                }
-            }
-        }
-        for s in 0..self.sniffers {
-            self.sniffer_rssi[s * cap + id] = radio.rssi_dbm(pos, self.sniffer_positions[s]);
-        }
+        self.rssi.resize(self.n * self.cap, f64::NAN);
+        self.sensed.resize(self.n * self.wpr, 0);
+        self.coupled.resize(self.n * self.wpr, 0);
+        self.update_station(id, pos, radio);
         id
     }
 
-    /// Moves station `id` to `pos`, recomputing only its row + column
-    /// (both bitset directions and every sniffer's column entry). O(n)
-    /// per move; bit-identical to a full rebuild at the new positions.
+    /// Moves station `id` to `pos`, recomputing only its row + column:
+    /// RSSI to and from every other station (the diagonal included, as in
+    /// `rebuild`), `sensed`/`coupled` bits in both directions, and its
+    /// column in every sniffer row. O(n) per move; bit-identical to a full
+    /// rebuild at the new positions (same pure calls in the same argument
+    /// order).
     pub fn update_station(&mut self, id: NodeId, pos: Pos, radio: &RadioConfig) {
         assert!(
             id < self.n,

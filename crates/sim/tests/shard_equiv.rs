@@ -2,8 +2,9 @@
 //! single byte of simulated output.
 //!
 //! A [`ShardSpec`] is materialized twice — once as one per-channel
-//! simulator, once as partitioned component simulators — and everything
-//! observable must match:
+//! simulator over every station, once as per-channel shard simulators over
+//! groups of RF-isolation components — and everything observable must
+//! match:
 //!
 //! * per-sniffer traces, byte-identical (each sniffer lives in exactly one
 //!   shard, so no merging is involved);
@@ -21,7 +22,10 @@
 //!
 //! The property test drives this across random campus topologies (hall
 //! count, spacing, per-hall population, channel layouts, sniffer
-//! placement), random shard caps, and both materializations.
+//! placement), random shard caps, and both materializations. The spacing
+//! straddles the coupling range, so packed shards put same-channel halls
+//! just past the floor on one medium, where only the coupling filters keep
+//! them apart.
 
 use proptest::prelude::*;
 use wifi_frames::record::FrameRecord;
@@ -150,8 +154,8 @@ fn traffic(fps: f64) -> TrafficProfile {
     }
 }
 
-/// A campus: `halls` separated far beyond the coupling floor, each with one
-/// AP per channel and `per_hall` clients spread over the channels.
+/// A campus: `halls` placed `spacing` metres apart, each with one AP per
+/// channel and `per_hall` clients spread over the channels.
 fn campus(
     seed: u64,
     halls: usize,
@@ -209,7 +213,8 @@ fn campus(
 }
 
 /// The deterministic anchor: a three-hall campus across the full shard-cap
-/// range, including `max_shards = 1` (partitioned media in one simulator).
+/// range, including `max_shards = 1` (every hall in one simulator, sharing
+/// its channels' media).
 #[test]
 fn campus_sharded_matches_unsharded() {
     let spec = campus(42, 3, 6, 3, 5_000.0, &[0, 2]);
@@ -218,20 +223,28 @@ fn campus_sharded_matches_unsharded() {
     }
 }
 
-/// One hall only: the "partitioned" build degenerates to per-channel media
-/// and must still match.
+/// One hall only: the shard build is the whole scenario and must still
+/// match.
 #[test]
 fn single_hall_is_identity() {
     let spec = campus(7, 1, 8, 2, 5_000.0, &[0]);
     assert_equivalent(&spec, 3 * SECOND, 8);
 }
 
+/// The distance at which the default radio's path RSSI falls to the
+/// effective coupling floor (about 680 m).
+fn coupling_range_m() -> f64 {
+    let radio = SimConfig::default().radio;
+    radio.range_at_dbm(radio.effective_coupling_floor_dbm())
+}
+
 proptest! {
-    /// Random topologies: hall count, population, channel count, sniffer
-    /// placement, and shard cap.
+    /// Random topologies: hall count, hall spacing around the coupling
+    /// range, population, channel count, sniffer placement, and shard cap.
     fn random_campus_equivalence(
         seed in 0u64..1_000,
         halls in 1usize..4,
+        spacing_factor in 0.9f64..1.2,
         per_hall in 1usize..5,
         channels in 1usize..4,
         sniffer_hall in 0usize..4,
@@ -242,7 +255,7 @@ proptest! {
             halls,
             per_hall,
             channels,
-            4_000.0,
+            spacing_factor * coupling_range_m(),
             &[sniffer_hall % halls],
         );
         assert_equivalent(&spec, SECOND, max_shards);
