@@ -1,0 +1,57 @@
+//! Criterion benchmarks of the scalar PHY kernels every receiver, station or
+//! sniffer, decodes through: `effective_sinr_db` over interferer lists of
+//! 1/4/16/64 entries, and `frame_success_prob` evaluated for 1/4/16/64
+//! receivers of one frame. The noise floor goes through `black_box`, as the
+//! simulator reads it from its configuration: a literal would let the
+//! inlined kernel constant-fold its milliwatt term.
+
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use wifi_frames::phy::Rate;
+use wifi_sim::radio::{effective_sinr_db, processing_gain_db, ErrorModel};
+
+/// A deterministic interferer RSSI pattern spanning the dynamic range a
+/// dense cell produces (strong near-far captures down to floor grazes).
+fn interferers(n: usize) -> Vec<f64> {
+    (0..n).map(|i| -50.0 - ((i * 37) % 45) as f64).collect()
+}
+
+fn bench_sinr(c: &mut Criterion) {
+    let mut g = c.benchmark_group("phy/sinr");
+    let pg = processing_gain_db(Rate::R11);
+    for &n in &[1usize, 4, 16, 64] {
+        let interf = interferers(n);
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_function(&format!("interferers_{n}"), |b| {
+            b.iter(|| {
+                black_box(effective_sinr_db(
+                    black_box(-55.0),
+                    black_box(&interf),
+                    black_box(-95.0),
+                    pg,
+                ))
+            })
+        });
+    }
+    g.finish();
+}
+
+fn bench_success(c: &mut Criterion) {
+    let mut g = c.benchmark_group("phy/success");
+    let model = ErrorModel::default();
+    for &n in &[1usize, 4, 16, 64] {
+        // SINRs straddling the rate threshold, where the exp() tail is live.
+        let sinrs: Vec<f64> = (0..n).map(|i| ((i * 29) % 25) as f64 - 5.0).collect();
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_function(&format!("receivers_{n}"), |b| {
+            b.iter(|| {
+                for &s in black_box(&sinrs) {
+                    black_box(model.frame_success_prob(s, Rate::R11, 1460));
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_sinr, bench_success);
+criterion_main!(benches);

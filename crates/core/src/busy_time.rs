@@ -4,7 +4,8 @@
 //! inter-frame spacing that precedes it (Equations 2–6; constants from
 //! Table 2). Summing the charges inside a one-second interval gives
 //! `CBT_TOTAL(t)` (Equation 7), and dividing by the second gives the
-//! channel-utilization percentage `U(t)` (Equation 8).
+//! channel-utilization percentage `U(t)` (Equation 8); the per-second
+//! analysis ([`crate::persec::SecondAccumulator`]) does both.
 //!
 //! The metric deliberately charges zero backoff time: in a heavily utilized
 //! network at least one station's backoff timer has already expired at any
@@ -13,7 +14,7 @@
 use wifi_frames::fc::{FrameClass, FrameKind};
 use wifi_frames::frame::MGMT_OVERHEAD_BYTES;
 use wifi_frames::record::FrameRecord;
-use wifi_frames::timing::{cbt, Micros, SECOND};
+use wifi_frames::timing::{cbt, Micros};
 
 /// The busy-time charge of one captured frame, per Equations 2–6.
 ///
@@ -41,56 +42,6 @@ pub fn cbt_us(record: &FrameRecord) -> Micros {
             cbt::data(body as u64, record.rate)
         }
         _ => cbt::data(record.payload_bytes as u64, record.rate),
-    }
-}
-
-/// Accumulates `CBT_TOTAL(t)` per one-second interval (Equation 7).
-#[derive(Debug, Default, Clone)]
-pub struct BusyTimeAccumulator {
-    /// `(second, busy microseconds)` pairs in ascending second order.
-    seconds: Vec<(u64, Micros)>,
-}
-
-impl BusyTimeAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one frame's charge to its second. Frames must arrive in
-    /// non-decreasing timestamp order (as captures do).
-    pub fn add(&mut self, record: &FrameRecord) {
-        let sec = record.second();
-        let charge = cbt_us(record);
-        match self.seconds.last_mut() {
-            Some((s, total)) if *s == sec => *total += charge,
-            Some((s, _)) if *s > sec => {
-                // Tolerate slight reordering by scanning back (rare).
-                if let Some(entry) = self.seconds.iter_mut().rev().find(|(s2, _)| *s2 == sec) {
-                    entry.1 += charge;
-                }
-            }
-            _ => self.seconds.push((sec, charge)),
-        }
-    }
-
-    /// `CBT_TOTAL(t)` for a given second, zero if nothing was captured.
-    pub fn busy_us(&self, second: u64) -> Micros {
-        self.seconds
-            .iter()
-            .find(|(s, _)| *s == second)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
-    /// Utilization percentage `U(t)` (Equation 8) for a second.
-    pub fn utilization_pct(&self, second: u64) -> f64 {
-        self.busy_us(second) as f64 / SECOND as f64 * 100.0
-    }
-
-    /// All `(second, busy µs)` pairs in order.
-    pub fn seconds(&self) -> &[(u64, Micros)] {
-        &self.seconds
     }
 }
 
@@ -170,29 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_buckets_by_second() {
-        let mut acc = BusyTimeAccumulator::new();
-        acc.add(&rec(FrameKind::Ack, 500_000, 0, Rate::R1));
-        acc.add(&rec(FrameKind::Ack, 999_999, 0, Rate::R1));
-        acc.add(&rec(FrameKind::Ack, 1_000_000, 0, Rate::R1));
-        assert_eq!(acc.busy_us(0), 628);
-        assert_eq!(acc.busy_us(1), 314);
-        assert_eq!(acc.busy_us(2), 0);
-    }
-
-    #[test]
-    fn utilization_is_percent_of_second() {
-        let mut acc = BusyTimeAccumulator::new();
-        // 80 data frames at 1 Mbps, 1472-byte payload: 80 × 12_290 µs =
-        // 983_200 µs busy in one second -> 98.32 %.
-        for i in 0..80 {
-            acc.add(&rec(FrameKind::Data, i * 10_000, 1472, Rate::R1));
-        }
-        assert!((acc.utilization_pct(0) - 98.32).abs() < 1e-9);
-        assert_eq!(acc.utilization_pct(5), 0.0);
-    }
-
-    #[test]
     fn utilization_series_interval_scaling() {
         // One ACK (314 µs) per 100 ms for one second.
         let recs: Vec<FrameRecord> = (0..10)
@@ -217,16 +145,5 @@ mod tests {
     #[test]
     fn utilization_series_empty() {
         assert!(utilization_series(&[], 1_000_000).is_empty());
-    }
-
-    #[test]
-    fn out_of_order_within_tolerance() {
-        let mut acc = BusyTimeAccumulator::new();
-        acc.add(&rec(FrameKind::Ack, 1_500_000, 0, Rate::R1));
-        acc.add(&rec(FrameKind::Ack, 999_000, 0, Rate::R1)); // late arrival
-        assert_eq!(acc.busy_us(1), 314);
-        // The late frame's second was never created, so its charge lands
-        // nowhere rather than corrupting a later bucket.
-        assert_eq!(acc.busy_us(0), 0);
     }
 }

@@ -51,11 +51,11 @@ pub mod unrecorded;
 pub mod users;
 
 pub use bins::{BinAgg, UtilizationBins};
-pub use busy_time::{cbt_us, BusyTimeAccumulator};
+pub use busy_time::cbt_us;
 pub use categories::{Category, SizeClass};
 pub use congestion::{find_knee, CongestionClassifier, CongestionLevel};
 pub use merge::{coverage_gain, merge_traces, CoverageGain, MergePoll, MergeStream, OnlineMerge};
 pub use persec::{analyze, DelayAgg, SecondAccumulator, SecondStats};
-pub use stats::{jain_index, mean_ci95, MeanCi, Reservoir};
+pub use stats::{mean_ci95, MeanCi};
 pub use theory::{bianchi, tmt_bps, Bianchi};
 pub use unrecorded::{estimate as estimate_unrecorded, UnrecordedEstimate};

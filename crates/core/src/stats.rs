@@ -1,98 +1,7 @@
-//! Small statistics utilities used by the analyses and ablations: Jain's
-//! fairness index, a deterministic reservoir sampler for delay percentiles,
-//! and the mean ± 95 % confidence-interval aggregation the sweep engine
-//! applies across seeds.
+//! The mean ± 95 % confidence-interval aggregation the sweep engine applies
+//! across seeds.
 
 use std::fmt;
-
-/// Jain's fairness index over per-station allocations:
-/// `(Σx)² / (n · Σx²)`. 1.0 = perfectly fair; `1/n` = one station takes
-/// everything. Returns `None` for an empty slice or all-zero allocations.
-pub fn jain_index(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    let sum: f64 = xs.iter().sum();
-    let sumsq: f64 = xs.iter().map(|x| x * x).sum();
-    if sumsq == 0.0 {
-        return None;
-    }
-    Some(sum * sum / (xs.len() as f64 * sumsq))
-}
-
-/// A deterministic reservoir sampler: keeps up to `capacity` values with
-/// uniform inclusion probability, using a seeded internal hash instead of a
-/// shared RNG so analyses stay reproducible and order-independent given the
-/// same input sequence.
-#[derive(Clone, Debug)]
-pub struct Reservoir {
-    values: Vec<f64>,
-    capacity: usize,
-    seen: u64,
-    state: u64,
-}
-
-impl Reservoir {
-    /// A reservoir holding at most `capacity` samples.
-    pub fn new(capacity: usize, seed: u64) -> Reservoir {
-        assert!(capacity > 0, "capacity must be positive");
-        Reservoir {
-            values: Vec::with_capacity(capacity.min(4096)),
-            capacity,
-            seen: 0,
-            state: seed | 1,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // xorshift64*; deterministic and cheap.
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Offers one sample.
-    pub fn push(&mut self, v: f64) {
-        self.seen += 1;
-        if self.values.len() < self.capacity {
-            self.values.push(v);
-            return;
-        }
-        let j = self.next_u64() % self.seen;
-        if (j as usize) < self.capacity {
-            self.values[j as usize] = v;
-        }
-    }
-
-    /// Total samples offered.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) of the retained sample; `None` when
-    /// empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.values.is_empty() {
-            return None;
-        }
-        let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        Some(sorted[idx])
-    }
-
-    /// Convenience: `(p50, p95, p99)`.
-    pub fn percentiles(&self) -> Option<(f64, f64, f64)> {
-        Some((
-            self.quantile(0.50)?,
-            self.quantile(0.95)?,
-            self.quantile(0.99)?,
-        ))
-    }
-}
 
 /// Two-sided 95 % Student-t critical values for 1–30 degrees of freedom;
 /// beyond 30 the normal approximation (1.960) is within half a percent.
@@ -171,80 +80,6 @@ pub fn mean_ci95(xs: &[f64]) -> Option<MeanCi> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn jain_perfect_fairness() {
-        let v = vec![5.0; 10];
-        assert!((jain_index(&v).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jain_total_unfairness() {
-        let mut v = vec![0.0; 10];
-        v[0] = 42.0;
-        assert!((jain_index(&v).unwrap() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jain_midpoint() {
-        // Half the stations get everything equally: index = 1/2.
-        let v = [1.0, 1.0, 0.0, 0.0];
-        assert!((jain_index(&v).unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jain_degenerate() {
-        assert_eq!(jain_index(&[]), None);
-        assert_eq!(jain_index(&[0.0, 0.0]), None);
-    }
-
-    #[test]
-    fn reservoir_under_capacity_keeps_everything() {
-        let mut r = Reservoir::new(100, 1);
-        for i in 0..50 {
-            r.push(i as f64);
-        }
-        assert_eq!(r.seen(), 50);
-        assert_eq!(r.quantile(0.0), Some(0.0));
-        assert_eq!(r.quantile(1.0), Some(49.0));
-    }
-
-    #[test]
-    fn reservoir_quantiles_track_distribution() {
-        let mut r = Reservoir::new(1000, 7);
-        for i in 0..100_000 {
-            r.push((i % 1000) as f64);
-        }
-        let (p50, p95, p99) = r.percentiles().unwrap();
-        assert!((p50 - 500.0).abs() < 60.0, "p50 {p50}");
-        assert!((p95 - 950.0).abs() < 40.0, "p95 {p95}");
-        assert!((p99 - 990.0).abs() < 25.0, "p99 {p99}");
-    }
-
-    #[test]
-    fn reservoir_is_deterministic() {
-        let run = || {
-            let mut r = Reservoir::new(10, 3);
-            for i in 0..1000 {
-                r.push(i as f64);
-            }
-            r.percentiles()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn empty_reservoir() {
-        let r = Reservoir::new(10, 1);
-        assert_eq!(r.quantile(0.5), None);
-        assert_eq!(r.percentiles(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_panics() {
-        Reservoir::new(0, 1);
-    }
 
     #[test]
     fn mean_ci_empty_and_single() {

@@ -78,8 +78,10 @@ pub enum Event {
         /// The channel index of the medium the transmission is on (the
         /// simulator keeps one medium per channel).
         medium: usize,
-        /// The transmission id handed out by the medium.
-        tx_id: u64,
+        /// The transmitter. A station has at most one transmission in
+        /// flight and stays `Transmitting` until this event, so the
+        /// transmitter names the transmission.
+        node: NodeId,
     },
     /// Carrier sense of a transmission becomes detectable at listeners —
     /// one detection delay after the transmission began. Stations whose
@@ -88,8 +90,10 @@ pub enum Event {
     CsBusy {
         /// The channel index of the transmission's medium.
         medium: usize,
-        /// The transmission whose energy becomes detectable.
-        tx_id: u64,
+        /// The transmitter whose energy becomes detectable. This event
+        /// fires strictly before the transmission's `TxEnd`, so it is the
+        /// transmitter's one transmission in flight.
+        node: NodeId,
     },
     /// A station timer fires. `gen` must match the station's current timer
     /// generation or the event is stale and dropped (for cancellable kinds

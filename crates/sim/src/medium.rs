@@ -31,11 +31,10 @@ use wifi_frames::timing::Micros;
 /// the goldens pin (see `docs/DETERMINISM.md` §5).
 pub const OVERLAP_GUARD_US: Micros = 10;
 
-/// One transmission in flight (or just completed).
+/// One transmission in flight (or just completed). A node has at most one
+/// transmission in flight, so its transmitter names it.
 #[derive(Clone, Debug)]
 pub struct Transmission {
-    /// Medium-assigned id.
-    pub tx_id: u64,
     /// Transmitting node.
     pub node: NodeId,
     /// The frame.
@@ -76,7 +75,6 @@ const LIST_POOL_RETAIN_CAP: usize = 256;
 /// The medium of a single channel.
 pub struct Medium {
     active: Vec<Transmission>,
-    next_tx_id: u64,
     /// Running count of transmissions that suffered at least one overlap.
     pub collisions: u64,
     /// Running count of all transmissions.
@@ -92,7 +90,6 @@ impl Default for Medium {
     fn default() -> Medium {
         Medium {
             active: Vec::new(),
-            next_tx_id: 0,
             collisions: 0,
             transmissions: 0,
             set_pool: Vec::new(),
@@ -113,15 +110,15 @@ impl Medium {
         self.set_pool.pop().unwrap_or_default()
     }
 
-    /// Registers a transmission; returns its id. Every already-active
-    /// transmission whose transmitter is RF-coupled to `node` (per the
-    /// `coupled` predicate — the topology's pair-coupling floor) and whose
-    /// remaining air time exceeds [`OVERLAP_GUARD_US`] becomes a mutual
-    /// interferer; uncoupled and sub-guard tail overlaps are physically
-    /// negligible and excluding them here is what keeps interferer lists —
-    /// and the collision counter — identical whether a channel is simulated
-    /// whole or split into shards. `sensed_by` is the listener set the
-    /// simulator computed for this transmission.
+    /// Registers `node`'s transmission; `node` must have none in flight.
+    /// Every already-active transmission whose transmitter is RF-coupled to
+    /// `node` (per the `coupled` predicate — the topology's pair-coupling
+    /// floor) and whose remaining air time exceeds [`OVERLAP_GUARD_US`]
+    /// becomes a mutual interferer; uncoupled and sub-guard tail overlaps
+    /// are physically negligible and excluding them here is what keeps
+    /// interferer lists — and the collision counter — identical whether a
+    /// channel is simulated whole or split into shards. `sensed_by` is the
+    /// listener set the simulator computed for this transmission.
     #[allow(clippy::too_many_arguments)]
     pub fn start_tx(
         &mut self,
@@ -132,9 +129,11 @@ impl Medium {
         end: Micros,
         sensed_by: NodeSet,
         coupled: impl Fn(NodeId) -> bool,
-    ) -> u64 {
-        let tx_id = self.next_tx_id;
-        self.next_tx_id += 1;
+    ) {
+        debug_assert!(
+            self.active.iter().all(|t| t.node != node),
+            "node {node} already has a transmission in flight"
+        );
         let mut interferers = self.list_pool.take();
         for other in &mut self.active {
             // `other` started no later than `start`; the pair interferes iff
@@ -148,7 +147,6 @@ impl Medium {
         }
         self.transmissions += 1;
         self.active.push(Transmission {
-            tx_id,
             node,
             frame,
             rate,
@@ -158,14 +156,13 @@ impl Medium {
             sensed_by,
             cs_applied: false,
         });
-        tx_id
     }
 
-    /// Removes and returns a completed transmission, counting it into
+    /// Removes and returns `node`'s completed transmission, counting it into
     /// `collisions` if it suffered at least one overlap. Hand it back via
     /// [`Medium::recycle`] when done to keep the pools warm.
-    pub fn end_tx(&mut self, tx_id: u64) -> Option<Transmission> {
-        let idx = self.active.iter().position(|t| t.tx_id == tx_id)?;
+    pub fn end_tx(&mut self, node: NodeId) -> Option<Transmission> {
+        let idx = self.active.iter().position(|t| t.node == node)?;
         let tx = self.active.swap_remove(idx);
         if !tx.interferers.is_empty() {
             self.collisions += 1;
@@ -196,16 +193,20 @@ impl Medium {
         &mut self.active
     }
 
-    /// Marks a transmission's carrier sense as applied at its listeners.
-    pub fn mark_cs_applied(&mut self, tx_id: u64) {
-        if let Some(t) = self.active.iter_mut().find(|t| t.tx_id == tx_id) {
-            t.cs_applied = true;
-        }
-    }
-
-    /// True when any transmission is in flight.
-    pub fn is_transmitting(&self) -> bool {
-        !self.active.is_empty()
+    /// Marks `node`'s in-flight transmission's carrier sense as applied at
+    /// its listeners; returns those listeners.
+    ///
+    /// # Panics
+    ///
+    /// If `node` has no transmission in flight.
+    pub fn mark_cs_applied(&mut self, node: NodeId) -> &NodeSet {
+        let t = self
+            .active
+            .iter_mut()
+            .find(|t| t.node == node)
+            .expect("carrier sense of a transmission not in flight");
+        t.cs_applied = true;
+        &t.sensed_by
     }
 }
 
@@ -218,21 +219,21 @@ mod tests {
         SimFrame::ack(MacAddr::from_id(1))
     }
 
-    fn start(m: &mut Medium, node: NodeId, start: Micros, end: Micros) -> u64 {
+    fn start(m: &mut Medium, node: NodeId, start: Micros, end: Micros) -> NodeId {
         let set = m.take_set();
-        m.start_tx(node, frame(), Rate::R1, start, end, set, |_| true)
+        m.start_tx(node, frame(), Rate::R1, start, end, set, |_| true);
+        node
     }
 
     #[test]
     fn single_tx_lifecycle() {
         let mut m = Medium::new();
-        assert!(!m.is_transmitting());
+        assert!(m.active().is_empty());
         let id = start(&mut m, 0, 0, 304);
-        assert!(m.is_transmitting());
         assert_eq!(m.active().len(), 1);
         let tx = m.end_tx(id).unwrap();
         assert!(tx.interferers.is_empty());
-        assert!(!m.is_transmitting());
+        assert!(m.active().is_empty());
         assert_eq!(m.collisions, 0);
         assert_eq!(m.transmissions, 1);
     }
@@ -301,8 +302,8 @@ mod tests {
         m.recycle(tx);
         let set = m.take_set();
         assert!(set.is_empty(), "pooled set is cleared");
-        let c = m.start_tx(2, frame(), Rate::R1, 0, 10, set, |_| true);
-        let tc = m.end_tx(c).unwrap();
+        m.start_tx(2, frame(), Rate::R1, 0, 10, set, |_| true);
+        let tc = m.end_tx(2).unwrap();
         // The pooled interferer list was cleared before reuse: only the
         // still-active transmission shows up.
         assert_eq!(tc.interferers, vec![0]);
@@ -313,13 +314,5 @@ mod tests {
     fn end_unknown_tx_is_none() {
         let mut m = Medium::new();
         assert!(m.end_tx(99).is_none());
-    }
-
-    #[test]
-    fn tx_ids_are_unique_and_monotone() {
-        let mut m = Medium::new();
-        let a = start(&mut m, 0, 0, 1);
-        let b = start(&mut m, 1, 0, 1);
-        assert!(b > a);
     }
 }

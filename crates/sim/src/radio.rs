@@ -9,8 +9,10 @@
 //!   per bit — longer frames and faster rates are more fragile, which is the
 //!   physical root of the paper's observations about small 11 Mbps frames.
 
+use crate::events::NodeId;
 use crate::geometry::Pos;
 use wifi_frames::phy::Rate;
+use wifi_frames::timing::Micros;
 
 /// Radio-propagation parameters.
 #[derive(Clone, Copy, Debug)]
@@ -117,6 +119,149 @@ fn splitmix64(mut x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The fade-key step of one station move. Station keys are build indices
+/// below the sniffer link space at `SNIFFER_LINK_BASE = 1 << 40`, so the
+/// move count occupies bits ≥ 44, disjoint from both.
+const MOVE_KEY_STEP: u64 = 1 << 44;
+
+/// The simulator's slow-fade memo: every receiver, station or sniffer,
+/// reads its link fades here.
+///
+/// [`Fading::fade_db`] is a pure hash of `(link, coherence interval,
+/// seed)`, so each directed link pays one Box–Muller draw per coherence
+/// interval instead of one per frame, and a hit returns the exact bits a
+/// fresh call would compute. Interval boundaries are global (`now /
+/// coherence_us`), so one `until` stamp validates both tables instead of a
+/// per-entry tag: each entry is one bare `f64`, `NAN` = not drawn this
+/// interval (`fade_db` never returns `NAN`).
+///
+/// A station's fade key is its scenario-global key plus one
+/// `MOVE_KEY_STEP` per move: a moved station draws fresh fades on all of its
+/// links instead of replaying those memoized for its old position, and a
+/// station that never moved keys its links by the bare global key.
+pub(crate) struct FadeMemo {
+    /// A copy of the simulator's `config.radio.fading`.
+    fading: Fading,
+    /// Fade key of each station, by node id.
+    station_keys: Vec<u64>,
+    /// Fade link of each sniffer (`SNIFFER_LINK_BASE + key`), by index.
+    sniffer_links: Vec<u64>,
+    /// Station-link fades, `[tx * n + rx]`.
+    links: Vec<f64>,
+    /// Sniffer-link fades, `[sniffer * n + tx]` (unscaled; callers apply
+    /// the sniffer's `fade_scale`).
+    sniffers: Vec<f64>,
+    /// Start of the first coherence interval the tables do not describe.
+    until: Micros,
+}
+
+impl FadeMemo {
+    /// An empty memo for `fading`.
+    pub(crate) fn new(fading: Fading) -> FadeMemo {
+        FadeMemo {
+            fading,
+            station_keys: Vec::new(),
+            sniffer_links: Vec::new(),
+            links: Vec::new(),
+            sniffers: Vec::new(),
+            until: 0,
+        }
+    }
+
+    /// Registers the next station (node id = call order) by its global key.
+    pub(crate) fn add_station(&mut self, key: u64) {
+        self.station_keys.push(key);
+    }
+
+    /// Registers the next sniffer by its fade link.
+    pub(crate) fn add_sniffer(&mut self, link: u64) {
+        self.sniffer_links.push(link);
+    }
+
+    /// Sizes both tables for the registered population. A population change
+    /// rebuilds them all-`NAN`, as fresh exact-size allocations: incremental
+    /// joins would otherwise leave amortized-doubling dead capacity on the
+    /// largest allocation in the simulator.
+    pub(crate) fn cover(&mut self) {
+        let n = self.station_keys.len();
+        for (table, len) in [
+            (&mut self.links, n * n),
+            (&mut self.sniffers, self.sniffer_links.len() * n),
+        ] {
+            if table.len() != len {
+                *table = Vec::new();
+                table.reserve_exact(len);
+                table.resize(len, f64::NAN);
+            }
+        }
+    }
+
+    /// Forgets both tables when `now` has left the interval they describe.
+    #[inline]
+    fn refresh(&mut self, now: Micros) {
+        if now >= self.until {
+            self.links.fill(f64::NAN);
+            self.sniffers.fill(f64::NAN);
+            let coherence = self.fading.coherence_us.max(1);
+            self.until = (now / coherence + 1).saturating_mul(coherence);
+        }
+    }
+
+    /// The fade (dB) of the station link `tx → rx` at `now`.
+    #[inline]
+    pub(crate) fn link(&mut self, tx: NodeId, rx: NodeId, now: Micros) -> f64 {
+        if self.fading.sigma_db == 0.0 {
+            return 0.0;
+        }
+        self.refresh(now);
+        let n = self.station_keys.len();
+        let slot = &mut self.links[tx * n + rx];
+        if slot.is_nan() {
+            *slot = self
+                .fading
+                .fade_db(self.station_keys[tx], self.station_keys[rx], now);
+        }
+        *slot
+    }
+
+    /// The fade (dB, unscaled) of station `tx` at sniffer `s` at `now`.
+    #[inline]
+    pub(crate) fn sniffer(&mut self, s: usize, tx: NodeId, now: Micros) -> f64 {
+        if self.fading.sigma_db == 0.0 {
+            return 0.0;
+        }
+        self.refresh(now);
+        let n = self.station_keys.len();
+        let slot = &mut self.sniffers[s * n + tx];
+        if slot.is_nan() {
+            *slot = self
+                .fading
+                .fade_db(self.station_keys[tx], self.sniffer_links[s], now);
+        }
+        *slot
+    }
+
+    /// Station `node` moved: its links take fresh fades. Exactly its row
+    /// and column of the link table, and its column of the sniffer table,
+    /// are forgotten; every other memoized fade in the interval stays
+    /// valid. Tables not yet sized by [`Self::cover`] start all-`NAN`.
+    pub(crate) fn moved(&mut self, node: NodeId) {
+        self.station_keys[node] = self.station_keys[node].wrapping_add(MOVE_KEY_STEP);
+        let n = self.station_keys.len();
+        if self.links.len() == n * n {
+            self.links[node * n..(node + 1) * n].fill(f64::NAN);
+            for rx in 0..n {
+                self.links[rx * n + node] = f64::NAN;
+            }
+        }
+        if self.sniffers.len() == self.sniffer_links.len() * n {
+            for s in 0..self.sniffer_links.len() {
+                self.sniffers[s * n + node] = f64::NAN;
+            }
+        }
+    }
 }
 
 impl RadioConfig {
@@ -240,96 +385,9 @@ impl ErrorModel {
     }
 }
 
-/// Batched PHY kernels: the scalar reception math of this module evaluated
-/// across whole interferer lists / reception sets in one pass over
-/// contiguous `f64` slices.
-///
-/// **Bit-identity contract:** every function here performs the *same
-/// floating-point operations in the same order* as the scalar routine it
-/// batches ([`effective_sinr_db`], [`ErrorModel::frame_success_prob`]), so
-/// its results are bit-for-bit equal — only loop overhead (iterator
-/// adaptors, per-call constant recomputation, per-element dispatch) is
-/// removed. The simulator's golden digests rest on this; it is pinned by
-/// proptests in `crates/sim/tests/phy_batch_equiv.rs`.
-pub mod batch {
-    use super::ErrorModel;
-    use wifi_frames::phy::Rate;
-
-    /// [`super::effective_sinr_db`] over a contiguous interferer slice:
-    /// each interferer's milliwatt power is accumulated in slice order,
-    /// then the noise floor, exactly like the scalar
-    /// `sum_dbm(interferers.map(|i| i - pg).chain(once(noise)))` fold.
-    #[inline]
-    pub fn effective_sinr_db(
-        signal_dbm: f64,
-        interferers_dbm: &[f64],
-        noise_floor_dbm: f64,
-        processing_gain_db: f64,
-    ) -> f64 {
-        let mut mw = 0.0f64;
-        for &i in interferers_dbm {
-            mw += 10f64.powf((i - processing_gain_db) / 10.0);
-        }
-        mw += 10f64.powf(noise_floor_dbm / 10.0);
-        let denom = if mw <= 0.0 {
-            f64::NEG_INFINITY
-        } else {
-            10.0 * mw.log10()
-        };
-        signal_dbm - denom
-    }
-
-    /// [`ErrorModel::frame_success_prob`] for one frame evaluated at many
-    /// receivers' SINRs (the concurrent receptions of one `TxEnd`): the
-    /// per-frame constants — rate threshold, reference-bit normalization —
-    /// are computed once, the per-SINR tail is the scalar op sequence
-    /// verbatim. Results are appended to `out` in `sinrs_db` order.
-    pub fn frame_success_probs(
-        model: &ErrorModel,
-        sinrs_db: &[f64],
-        rate: Rate,
-        bytes: u32,
-        out: &mut Vec<f64>,
-    ) {
-        let min_snr = rate.min_snr_db();
-        let bits_ref = model.ref_bytes * 8.0;
-        let ln_pbit_at_zero = 0.5f64.ln() / bits_ref;
-        let bits = bytes as f64 * 8.0;
-        out.reserve(sinrs_db.len());
-        for &sinr_db in sinrs_db {
-            let margin = sinr_db - min_snr;
-            let factor = (-margin / model.steepness_db).exp();
-            let ln_pbit = ln_pbit_at_zero * factor;
-            out.push((ln_pbit * bits).exp().clamp(0.0, 1.0));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_sinr_matches_scalar_bitwise() {
-        let interf = [-62.5, -71.0, -88.25, -54.125];
-        for k in 0..=interf.len() {
-            let scalar = effective_sinr_db(-58.0, &interf[..k], -95.0, 10.4);
-            let batched = batch::effective_sinr_db(-58.0, &interf[..k], -95.0, 10.4);
-            assert_eq!(scalar.to_bits(), batched.to_bits(), "k={k}");
-        }
-    }
-
-    #[test]
-    fn batch_success_matches_scalar_bitwise() {
-        let m = ErrorModel::default();
-        let sinrs = [-4.0, 0.0, 6.25, 11.5, 40.0];
-        let mut out = Vec::new();
-        batch::frame_success_probs(&m, &sinrs, Rate::R5_5, 777, &mut out);
-        for (i, &sinr) in sinrs.iter().enumerate() {
-            let scalar = m.frame_success_prob(sinr, Rate::R5_5, 777);
-            assert_eq!(scalar.to_bits(), out[i].to_bits(), "sinr {sinr}");
-        }
-    }
 
     #[test]
     fn fading_is_deterministic_and_bucketed() {
@@ -348,6 +406,66 @@ mod tests {
             "directional links fade independently"
         );
         assert_eq!(Fading::NONE.fade_db(1, 2, 100), 0.0);
+    }
+
+    /// Every memoized fade equals a direct `fade_db` draw on the station's
+    /// moved key, across coherence boundaries and interleaved moves.
+    #[test]
+    fn fade_memo_matches_direct_draws() {
+        const BASE: u64 = crate::sim::SNIFFER_LINK_BASE;
+        let keys = [3u64, 0, 7, 12];
+        let sniffer_ids = [0u64, 5];
+        for fading in [
+            Fading {
+                sigma_db: 8.0,
+                coherence_us: 1_000,
+                seed: 9,
+            },
+            Fading::NONE,
+        ] {
+            let mut memo = FadeMemo::new(fading);
+            for &k in &keys {
+                memo.add_station(k);
+            }
+            for &k in &sniffer_ids {
+                memo.add_sniffer(BASE + k);
+            }
+            memo.cover();
+            let mut moves = [0u64; 4];
+            let mut now = 0;
+            for step in 0u64..40 {
+                // Steps of 0–699 µs: several lookups per interval, and
+                // each boundary crossed both exactly and in passing.
+                now += (step * 263) % 700;
+                // Check every link, then (every seventh step) move one
+                // station and check again inside the same interval.
+                let rounds = if step % 7 == 3 { 2 } else { 1 };
+                for round in 0..rounds {
+                    if round == 1 {
+                        let node = (step as usize / 7) % keys.len();
+                        memo.moved(node);
+                        moves[node] += 1;
+                    }
+                    let key = |i: usize| keys[i] ^ (moves[i] << 44);
+                    for tx in 0..keys.len() {
+                        for rx in 0..keys.len() {
+                            let want = fading.fade_db(key(tx), key(rx), now);
+                            let got = memo.link(tx, rx, now);
+                            assert_eq!(got.to_bits(), want.to_bits(), "{tx}->{rx} @ {now}");
+                        }
+                        for (s, &k) in sniffer_ids.iter().enumerate() {
+                            let want = fading.fade_db(key(tx), BASE + k, now);
+                            let got = memo.sniffer(s, tx, now);
+                            assert_eq!(got.to_bits(), want.to_bits(), "{tx}->s{s} @ {now}");
+                        }
+                    }
+                }
+            }
+            if fading.sigma_db == 0.0 {
+                assert_eq!(memo.link(0, 1, now), 0.0);
+                assert_eq!(memo.sniffer(1, 2, now), 0.0);
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::events::{Event, EventQueue, NodeId, QueueStats, TimerKind};
 use crate::frame_info::SimFrame;
 use crate::geometry::Pos;
 use crate::medium::Medium;
-use crate::radio::{batch, processing_gain_db};
+use crate::radio::{effective_sinr_db, processing_gain_db, FadeMemo};
 use crate::rate::RateAdaptation;
 use crate::rng::SimRng;
 use crate::sniffer::{MissReason, Sniffer, SnifferConfig};
@@ -52,7 +52,10 @@ const TIMEOUT_MARGIN_US: Micros = 30;
 /// Delay before a failed association is retried.
 const ASSOC_RETRY_US: Micros = 500_000;
 /// Key offset distinguishing sniffer fade links and RNG streams from
-/// station ones (station keys are scenario build indices, far below this).
+/// station ones: a sniffer's fade link and RNG stream are both keyed
+/// `SNIFFER_LINK_BASE + key`. Station keys are scenario build indices, far
+/// below this; a moved station's fade key adds its move count at bit 44
+/// and up ([`FadeMemo`]).
 pub(crate) const SNIFFER_LINK_BASE: u64 = 1 << 40;
 
 /// Ground-truth log of everything that actually went on air.
@@ -129,11 +132,9 @@ pub struct Simulator {
     /// Which stations belong to each medium (kept in lockstep with
     /// `HotState::channel_idx`), for masking cached sensing rows.
     medium_members: Vec<NodeSet>,
-    /// Global sniffer keys (scenario-wide build order; fade-link and RNG
-    /// stream identity, stable across shard partitionings).
-    sniffer_keys: Vec<u64>,
-    /// Per-sniffer decode-draw streams, keyed
-    /// `SNIFFER_LINK_BASE + sniffer_keys[i]`.
+    /// Per-sniffer decode-draw streams, keyed `SNIFFER_LINK_BASE` plus the
+    /// sniffer's global key (scenario-wide build order, stable across shard
+    /// partitionings).
     sniffer_rngs: Vec<SimRng>,
     /// Scratch: sampled MSDU sizes of one traffic batch.
     sizes_scratch: Vec<u32>,
@@ -149,31 +150,9 @@ pub struct Simulator {
     interferer_rssi: Vec<f64>,
     /// Scratch: one same-timestamp event batch from the queue.
     batch_scratch: Vec<Event>,
-    /// Scratch: `(canonical key, event)` pairs of one batch being sorted.
-    /// Keys are computed once per event here — `CsBusy`/`TxEnd` keys scan
-    /// the medium's active list, too costly to recompute per comparison.
-    keyed_scratch: Vec<((u8, u64, u64, u64), Event)>,
-    /// Scratch: `(sniffer index, faded RSSI)` of every sniffer that hears
-    /// one frame, gathered before the batched success-probability pass.
-    sniffer_hear_scratch: Vec<(usize, f64)>,
-    /// Scratch: SINRs parallel to [`Self::sniffer_hear_scratch`].
-    sniffer_sinr_scratch: Vec<f64>,
-    /// Scratch: decode probabilities parallel to the SINR scratch, filled
-    /// by one [`batch::frame_success_probs`] call per frame.
-    sniffer_prob_scratch: Vec<f64>,
-    /// Memoized slow-fade draws per directed station link, `[tx * n + rx]`;
-    /// `NAN` = not drawn this coherence bucket. Bucket boundaries are
-    /// global (`now / coherence_us`), so one [`Self::fade_epoch`] stamp
-    /// validates the whole cache instead of a per-entry tag — at ramp scale
-    /// that halves the dominant O(n²) resident allocation. `Fading::fade_db`
-    /// is a pure function of `(link, bucket, seed)` and never returns `NAN`,
-    /// so a hit returns the exact value a fresh call would compute —
-    /// results stay bit-identical.
-    fade_cache: Vec<f64>,
-    /// Memoized sniffer-link fades, `[sniffer * n + tx]`, same scheme.
-    sniffer_fade_cache: Vec<f64>,
-    /// Coherence bucket both fade caches describe (`u64::MAX` = none yet).
-    fade_epoch: u64,
+    /// Slow-fade draws of every station and sniffer link, memoized per
+    /// coherence interval — the only reader of `Fading::fade_db`.
+    fades: FadeMemo,
     /// While `true`, the station adders materialize passive *shells*
     /// (identity only — no seeded events, no build-time RNG draws, no
     /// medium membership). Toggled by
@@ -189,6 +168,7 @@ impl Simulator {
         let media = (0..channels).map(|_| Medium::new()).collect();
         let chan_airtime_us = vec![0; channels];
         let medium_members = (0..channels).map(|_| NodeSet::new()).collect();
+        let fades = FadeMemo::new(config.radio.fading);
         Simulator {
             config,
             now: 0,
@@ -203,7 +183,6 @@ impl Simulator {
             chan_airtime_us,
             topology: SensingTopology::default(),
             medium_members,
-            sniffer_keys: Vec::new(),
             sniffer_rngs: Vec::new(),
             sizes_scratch: Vec::new(),
             cs_scratch: Vec::new(),
@@ -211,13 +190,7 @@ impl Simulator {
             followers_scratch: Vec::new(),
             interferer_rssi: Vec::new(),
             batch_scratch: Vec::new(),
-            keyed_scratch: Vec::new(),
-            sniffer_hear_scratch: Vec::new(),
-            sniffer_sinr_scratch: Vec::new(),
-            sniffer_prob_scratch: Vec::new(),
-            fade_cache: Vec::new(),
-            sniffer_fade_cache: Vec::new(),
-            fade_epoch: u64::MAX,
+            fades,
             shell_mode: false,
         }
     }
@@ -271,63 +244,11 @@ impl Simulator {
     /// station link.
     #[inline]
     fn faded_rssi(&mut self, tx_node: NodeId, rx_node: NodeId) -> f64 {
-        self.topology.rssi(tx_node, rx_node) + self.link_fade(tx_node, rx_node)
-    }
-
-    /// Invalidates both fade caches when `now` crossed into a new coherence
-    /// bucket. Bucket boundaries are global, so one stamp covers every link.
-    #[inline]
-    fn fade_bucket(&mut self) -> u64 {
-        let bucket = self.now / self.config.radio.fading.coherence_us.max(1);
-        if bucket != self.fade_epoch {
-            self.fade_cache.fill(f64::NAN);
-            self.sniffer_fade_cache.fill(f64::NAN);
-            self.fade_epoch = bucket;
-        }
-        bucket
-    }
-
-    /// Memoized `fade_db` for a station → station link: one Box–Muller
-    /// draw (hash + `ln`/`sqrt`/`cos`) per link per coherence interval
-    /// instead of per frame. Hits return the stored bits unchanged.
-    #[inline]
-    fn link_fade(&mut self, tx_node: NodeId, rx_node: NodeId) -> f64 {
-        let fading = self.config.radio.fading;
-        if fading.sigma_db == 0.0 {
-            return 0.0;
-        }
-        self.fade_bucket();
-        let tx_key = self.hot.fade_key(tx_node);
-        let rx_key = self.hot.fade_key(rx_node);
-        let n = self.stations.len();
-        let slot = &mut self.fade_cache[tx_node * n + rx_node];
-        if slot.is_nan() {
-            *slot = fading.fade_db(tx_key, rx_key, self.now);
-        }
-        *slot
-    }
-
-    /// Memoized `fade_db` of station `tx_node` at sniffer `idx`
-    /// (unscaled; callers apply the sniffer's `fade_scale`).
-    #[inline]
-    fn sniffer_fade(&mut self, idx: usize, tx_node: NodeId) -> f64 {
-        let fading = self.config.radio.fading;
-        if fading.sigma_db == 0.0 {
-            return 0.0;
-        }
-        self.fade_bucket();
-        let tx_key = self.hot.fade_key(tx_node);
-        let link = SNIFFER_LINK_BASE + self.sniffer_keys[idx];
-        let n = self.stations.len();
-        let slot = &mut self.sniffer_fade_cache[idx * n + tx_node];
-        if slot.is_nan() {
-            *slot = fading.fade_db(tx_key, link, self.now);
-        }
-        *slot
+        self.topology.rssi(tx_node, rx_node) + self.fades.link(tx_node, rx_node, self.now)
     }
 
     /// SINR of transmission `tx` at station `rx_node`: cached+faded RSSI
-    /// against the interferer set, summed in medium registration order via
+    /// against the interferer set, summed in ascending interferer order via
     /// the reusable scratch buffer (no per-reception allocation).
     fn station_sinr(
         &mut self,
@@ -337,30 +258,10 @@ impl Simulator {
     ) -> f64 {
         let mut interf = std::mem::take(&mut self.interferer_rssi);
         interf.clear();
-        let fading = self.config.radio.fading;
-        if fading.sigma_db == 0.0 {
-            for &nid in &tx.interferers {
-                interf.push(self.topology.rssi(nid, rx_node));
-            }
-        } else {
-            // Coherence-bucket-keyed prefetch: validate the fade caches once
-            // for the whole interferer list, then walk the `→ rx_node` cache
-            // column directly — `link_fade`'s per-call sigma/bucket checks
-            // and key loads, hoisted out of the loop. A miss draws exactly
-            // the `fade_db(tx_key, rx_key, now)` bits the scalar path would.
-            self.fade_bucket();
-            let n = self.stations.len();
-            let now = self.now;
-            let rx_key = self.hot.fade_key(rx_node);
-            for &nid in &tx.interferers {
-                let slot = &mut self.fade_cache[nid * n + rx_node];
-                if slot.is_nan() {
-                    *slot = fading.fade_db(self.hot.fade_key(nid), rx_key, now);
-                }
-                interf.push(self.topology.rssi(nid, rx_node) + *slot);
-            }
+        for &nid in &tx.interferers {
+            interf.push(self.faded_rssi(nid, rx_node));
         }
-        let sinr = batch::effective_sinr_db(
+        let sinr = effective_sinr_db(
             rssi,
             &interf,
             self.config.radio.noise_floor_dbm,
@@ -368,33 +269,6 @@ impl Simulator {
         );
         self.interferer_rssi = interf;
         sinr
-    }
-
-    /// Sizes the fade memos for the current population. The topology
-    /// itself needs no check here: the station/sniffer adders and
-    /// [`Self::move_station`] maintain it eagerly and incrementally (one
-    /// dirty row + column per change, [`crate::topology`]), so by
-    /// construction it always covers the population — asserted, not
-    /// guessed from counts.
-    fn ensure_topology(&mut self) {
-        let (n, sniffers) = (self.stations.len(), self.sniffers.len());
-        debug_assert_eq!(self.topology.station_count(), n);
-        debug_assert_eq!(self.topology.sniffer_count(), sniffers);
-        // Size the fade memos alongside the topology matrix; a population
-        // change rebuilds them all-`NAN` ("never drawn"). Fresh exact-size
-        // allocations, for the same reason as the RSSI matrix: incremental
-        // joins would otherwise leave amortized-doubling dead capacity on
-        // the largest allocation in the simulator.
-        if self.fade_cache.len() != n * n {
-            self.fade_cache = Vec::new();
-            self.fade_cache.reserve_exact(n * n);
-            self.fade_cache.resize(n * n, f64::NAN);
-        }
-        if self.sniffer_fade_cache.len() != sniffers * n {
-            self.sniffer_fade_cache = Vec::new();
-            self.sniffer_fade_cache.reserve_exact(sniffers * n);
-            self.sniffer_fade_cache.resize(sniffers * n, f64::NAN);
-        }
     }
 
     /// Adds an access point. Returns its node id. The first beacon is
@@ -470,6 +344,7 @@ impl Simulator {
         self.stations.push(st);
         self.hot
             .push(channel_idx, key, self.config.dcf.cw_min, self.shell_mode);
+        self.fades.add_station(key);
         // Eager incremental topology maintenance: one dirty row + column,
         // shells included (every shard must agree on the full matrix).
         self.topology.add_station(pos, &self.config.radio);
@@ -532,6 +407,7 @@ impl Simulator {
             self.config.dcf.cw_min,
             self.shell_mode,
         );
+        self.fades.add_station(key);
         self.topology.add_station(cfg.pos, &self.config.radio);
         self.mac_index.insert(mac, id);
         if self.shell_mode {
@@ -564,9 +440,9 @@ impl Simulator {
     /// [`Self::add_ap_keyed`]). The RNG stream and fade link are keyed
     /// `SNIFFER_LINK_BASE + key`, past the station key space.
     pub(crate) fn add_sniffer_keyed(&mut self, cfg: SnifferConfig, key: u64) -> usize {
-        self.sniffer_keys.push(key);
-        self.sniffer_rngs
-            .push(SimRng::new(self.config.seed, SNIFFER_LINK_BASE + key));
+        let link = SNIFFER_LINK_BASE + key;
+        self.fades.add_sniffer(link);
+        self.sniffer_rngs.push(SimRng::new(self.config.seed, link));
         self.topology.add_sniffer(cfg.pos, &self.config.radio);
         self.sniffers.push(Sniffer::new(cfg));
         self.sniffers.len() - 1
@@ -603,7 +479,12 @@ impl Simulator {
     /// current timestamp form the *next* batch (higher sequence numbers),
     /// which is canonically sorted in turn.
     pub fn run_until(&mut self, until: Micros) {
-        self.ensure_topology();
+        // The station/sniffer adders and `move_station` keep the topology
+        // covering the population eagerly and incrementally (one dirty row
+        // + column per change, `crate::topology`).
+        debug_assert_eq!(self.topology.station_count(), self.stations.len());
+        debug_assert_eq!(self.topology.sniffer_count(), self.sniffers.len());
+        self.fades.cover();
         let mut batch = std::mem::take(&mut self.batch_scratch);
         loop {
             batch.clear();
@@ -613,16 +494,7 @@ impl Simulator {
             if batch.len() > 1 {
                 // Stable: events with identical keys (only literally
                 // identical, idempotent events can tie) keep queue order.
-                // Keys are materialized once per event, then the pairs are
-                // stable-sorted — same order `sort_by_key` produced when it
-                // recomputed keys per comparison.
-                let mut keyed = std::mem::take(&mut self.keyed_scratch);
-                keyed.clear();
-                keyed.extend(batch.iter().map(|e| (self.batch_sort_key(e), *e)));
-                keyed.sort_by_key(|&(k, _)| k);
-                batch.clear();
-                batch.extend(keyed.iter().map(|&(_, e)| e));
-                self.keyed_scratch = keyed;
+                batch.sort_by_key(|e| self.batch_sort_key(e));
             }
             self.now = at;
             self.events_processed += batch.len() as u64;
@@ -645,21 +517,13 @@ impl Simulator {
 
     /// Canonical order of same-microsecond events: `(event class, global
     /// entity key, detail)`. Every component is derived from scenario-global
-    /// identity — station keys are build indices, transmission events order
-    /// by their *transmitter's* key (never by `tx_id`, whose allocation is
-    /// materialization-local) — so any two simulators holding the same
-    /// events in a batch sort them the same way. A station has at most one
-    /// transmission in flight, so the transmitter key is unique per
+    /// identity — station keys are build indices, and transmission events
+    /// order by their transmitter's key — so any two simulators holding the
+    /// same events in a batch sort them the same way. A station has at most
+    /// one transmission in flight, so the transmitter key is unique per
     /// `TxEnd`/`CsBusy` at one timestamp.
     fn batch_sort_key(&self, ev: &Event) -> (u8, u64, u64, u64) {
         let key = |node: NodeId| self.hot.key[node];
-        let tx_key = |medium: usize, tx_id: u64| {
-            self.media[medium]
-                .active()
-                .iter()
-                .find(|t| t.tx_id == tx_id)
-                .map_or(u64::MAX, |t| key(t.node))
-        };
         let timer_rank = |kind: TimerKind| match kind {
             TimerKind::DeferDone => 0u64,
             TimerKind::BackoffDone => 1,
@@ -674,8 +538,8 @@ impl Simulator {
             Event::BeaconDue { node } => (2, key(node), 0, 0),
             Event::TrafficArrival { node, flow } => (3, key(node), flow as u64, 0),
             Event::Timer { node, gen, kind } => (4, key(node), timer_rank(kind), gen),
-            Event::CsBusy { medium, tx_id } => (5, tx_key(medium, tx_id), 0, 0),
-            Event::TxEnd { medium, tx_id } => (6, tx_key(medium, tx_id), 0, 0),
+            Event::CsBusy { node, .. } => (5, key(node), 0, 0),
+            Event::TxEnd { node, .. } => (6, key(node), 0, 0),
             Event::ChannelEval { node } => (7, key(node), 0, 0),
             Event::PowerSaveTick { node } => (8, key(node), 0, 0),
             Event::FollowAp { node, channel_idx } => (9, key(node), channel_idx as u64, 0),
@@ -693,8 +557,8 @@ impl Simulator {
             Event::BeaconDue { node } => self.on_beacon_due(node),
             Event::TrafficArrival { node, flow } => self.on_traffic(node, flow),
             Event::Timer { node, gen, kind } => self.on_timer(node, gen, kind),
-            Event::CsBusy { medium, tx_id } => self.on_cs_busy(medium, tx_id),
-            Event::TxEnd { medium, tx_id } => self.on_tx_end(medium, tx_id),
+            Event::CsBusy { medium, node } => self.on_cs_busy(medium, node),
+            Event::TxEnd { medium, node } => self.on_tx_end(medium, node),
             Event::ChannelEval { node } => self.on_channel_eval(node),
             Event::PowerSaveTick { node } => self.on_power_save_tick(node),
             Event::FollowAp { node, channel_idx } => self.on_follow_ap(node, channel_idx),
@@ -1248,14 +1112,17 @@ impl Simulator {
         } = self;
         let mut sensed_by = media[medium].take_set();
         topology.sensed_into(node, &medium_members[medium], &mut sensed_by);
-        let tx_id = media[medium].start_tx(node, frame, rate, now, end, sensed_by, |other| {
+        media[medium].start_tx(node, frame, rate, now, end, sensed_by, |other| {
             topology.coupled(node, other)
         });
+        // The station stays `Transmitting` until its own `TxEnd`, and
+        // `CsBusy` lands strictly before it, so `(medium, node)` names this
+        // transmission at both events.
         self.queue.push(
             now + self.config.cs_delay_us.min(air.saturating_sub(1)),
-            Event::CsBusy { medium, tx_id },
+            Event::CsBusy { medium, node },
         );
-        self.queue.push(end, Event::TxEnd { medium, tx_id });
+        self.queue.push(end, Event::TxEnd { medium, node });
     }
 
     /// One detection delay into a transmission: listeners now sense energy.
@@ -1269,18 +1136,12 @@ impl Simulator {
     /// (both contending) and touches nothing but its own station, so the
     /// callbacks, and the queue operations they make, run in the same order
     /// as in one interleaved pass.
-    fn on_cs_busy(&mut self, medium: usize, tx_id: u64) {
+    fn on_cs_busy(&mut self, medium: usize, node: NodeId) {
         let now = self.now;
         let mut hits = std::mem::take(&mut self.cs_scratch);
-        {
-            let Simulator { media, hot, .. } = self;
-            let Some(t) = media[medium].active().iter().find(|t| t.tx_id == tx_id) else {
-                self.cs_scratch = hits;
-                return; // transmission already ended (degenerate cs delay)
-            };
-            hot.sense_busy(t.sensed_by.words(), &mut hits);
-        }
-        self.media[medium].mark_cs_applied(tx_id);
+        let Simulator { media, hot, .. } = self;
+        let sensed_by = media[medium].mark_cs_applied(node);
+        hot.sense_busy(sensed_by.words(), &mut hits);
         for (wi, &w) in hits.iter().enumerate() {
             for_each_bit(w, wi * 64, |i| {
                 // Busy now; idle before this frame's own increment?
@@ -1342,10 +1203,10 @@ impl Simulator {
     // Transmission end: receptions, sniffers, state advance
     // ------------------------------------------------------------------
 
-    fn on_tx_end(&mut self, channel: usize, tx_id: u64) {
+    fn on_tx_end(&mut self, channel: usize, node: NodeId) {
         let tx = self.media[channel]
-            .end_tx(tx_id)
-            .expect("TxEnd for unknown transmission");
+            .end_tx(node)
+            .expect("TxEnd for a transmission not in flight");
         let now = self.now;
 
         // 1. Advance the transmitter's state machine.
@@ -1696,19 +1557,14 @@ impl Simulator {
         }
     }
 
+    /// Every sniffer on the channel takes the frame through the stations'
+    /// reception kernels: coupling gate, sensitivity gate, SINR, one decode
+    /// draw from its own stream, then its capture token bucket. Sniffers
+    /// share no state, so one pass per sniffer reorders nothing.
     fn process_sniffers(&mut self, channel: usize, tx: &crate::medium::Transmission) {
         let ch = self.config.channels[channel];
         let now = self.now;
         let floor = self.config.radio.effective_coupling_floor_dbm();
-        // Pass 1: gather every sniffer that hears this frame (RSSI + SINR
-        // against its local interferer view). Per-sniffer decode draws live
-        // on independent RNG streams, so splitting the evaluation from the
-        // draws reorders nothing.
-        let mut hear = std::mem::take(&mut self.sniffer_hear_scratch);
-        let mut sinrs = std::mem::take(&mut self.sniffer_sinr_scratch);
-        hear.clear();
-        sinrs.clear();
-        let fading = self.config.radio.fading;
         for idx in 0..self.sniffers.len() {
             if self.sniffers[idx].config.channel_idx != channel {
                 continue;
@@ -1718,68 +1574,38 @@ impl Simulator {
             // floor is not on this sniffer's air at all — not even as a
             // miss. This is what makes per-sniffer traces and statistics
             // independent of how the channel is partitioned into shards.
-            if self.topology.sniffer_rssi(idx, tx.node) < floor {
+            let path = self.topology.sniffer_rssi(idx, tx.node);
+            if path < floor {
                 continue;
             }
             // Sniffer links get their own fade realizations, keyed past the
             // station id space, and a sniffer-specific fade scale.
             let fade_scale = self.sniffers[idx].config.fade_scale;
-            let rssi = self.topology.sniffer_rssi(idx, tx.node)
-                + fade_scale * self.sniffer_fade(idx, tx.node);
+            let rssi = path + fade_scale * self.fades.sniffer(idx, tx.node, now);
             if rssi < self.config.radio.sensitivity_dbm {
                 self.sniffers[idx].miss(MissReason::OutOfRange);
                 continue;
             }
             let mut interf = std::mem::take(&mut self.interferer_rssi);
             interf.clear();
-            if fading.sigma_db == 0.0 {
-                for &nid in &tx.interferers {
-                    let path = self.topology.sniffer_rssi(idx, nid);
-                    if path < floor {
-                        continue; // below the floor at this sniffer
-                    }
-                    interf.push(path + fade_scale * 0.0);
+            for &nid in &tx.interferers {
+                let path = self.topology.sniffer_rssi(idx, nid);
+                if path < floor {
+                    continue; // below the floor at this sniffer
                 }
-            } else {
-                // Same coherence-bucket prefetch as `station_sinr`, walking
-                // this sniffer's fade-cache row directly.
-                self.fade_bucket();
-                let n = self.stations.len();
-                let link = SNIFFER_LINK_BASE + self.sniffer_keys[idx];
-                for &nid in &tx.interferers {
-                    let path = self.topology.sniffer_rssi(idx, nid);
-                    if path < floor {
-                        continue; // below the floor at this sniffer
-                    }
-                    let slot = &mut self.sniffer_fade_cache[idx * n + nid];
-                    if slot.is_nan() {
-                        *slot = fading.fade_db(self.hot.fade_key(nid), link, now);
-                    }
-                    interf.push(path + fade_scale * *slot);
-                }
+                interf.push(path + fade_scale * self.fades.sniffer(idx, nid, now));
             }
-            let sinr = batch::effective_sinr_db(
+            let sinr = effective_sinr_db(
                 rssi,
                 &interf,
                 self.config.radio.noise_floor_dbm,
                 processing_gain_db(tx.rate),
             );
             self.interferer_rssi = interf;
-            hear.push((idx, rssi));
-            sinrs.push(sinr);
-        }
-        // One batched success-probability evaluation across all concurrent
-        // receptions of this frame, then pass 2: draw, token, capture.
-        let mut probs = std::mem::take(&mut self.sniffer_prob_scratch);
-        probs.clear();
-        batch::frame_success_probs(
-            &self.config.error,
-            &sinrs,
-            tx.rate,
-            tx.frame.mac_bytes,
-            &mut probs,
-        );
-        for (&(idx, rssi), &p) in hear.iter().zip(&probs) {
+            let p = self
+                .config
+                .error
+                .frame_success_prob(sinr, tx.rate, tx.frame.mac_bytes);
             if self.sniffer_rngs[idx].gen::<f64>() >= p {
                 if tx.interferers.is_empty() {
                     self.sniffers[idx].stats.missed_clean += 1;
@@ -1794,9 +1620,6 @@ impl Simulator {
             let record = tx.frame.to_record(tx.end, tx.rate, ch, rssi.round() as i8);
             self.sniffers[idx].capture(record);
         }
-        self.sniffer_hear_scratch = hear;
-        self.sniffer_sinr_scratch = sinrs;
-        self.sniffer_prob_scratch = probs;
     }
 
     // ------------------------------------------------------------------
@@ -1960,11 +1783,9 @@ impl Simulator {
 
     /// Moves a station to `pos` — the position half of a mobility tick,
     /// called between `run_until` calls. The topology cache takes one
-    /// incremental row + column update (O(population), not a rebuild); the
-    /// station's fade generation is bumped so its links draw fresh fade
-    /// realizations, and exactly its row + column of the link fade cache
-    /// (plus its column of every sniffer's cache) are invalidated — every
-    /// other memoized fade in the coherence bucket stays valid.
+    /// incremental row + column update (O(population), not a rebuild), and
+    /// the station's links draw fresh fade realizations from here on
+    /// (the fade memo forgets exactly its memoized fades).
     ///
     /// Frames already in the air keep the physics they started with:
     /// `sensed_by` sets and interferer lists are snapshotted at TX start,
@@ -1974,22 +1795,7 @@ impl Simulator {
     pub fn move_station(&mut self, node: NodeId, pos: Pos) {
         self.stations[node].pos = pos;
         self.topology.update_station(node, pos, &self.config.radio);
-        self.hot.fade_gen[node] += 1;
-        let n = self.stations.len();
-        // Per-moved-station invalidation, not a global epoch bump: NAN the
-        // dirty row + column only. Caches not yet sized (before the first
-        // `run_until`) start all-NAN anyway.
-        if self.fade_cache.len() == n * n {
-            self.fade_cache[node * n..(node + 1) * n].fill(f64::NAN);
-            for rx in 0..n {
-                self.fade_cache[rx * n + node] = f64::NAN;
-            }
-        }
-        if self.sniffer_fade_cache.len() == self.sniffers.len() * n {
-            for idx in 0..self.sniffers.len() {
-                self.sniffer_fade_cache[idx * n + node] = f64::NAN;
-            }
-        }
+        self.fades.moved(node);
     }
 
     /// Strongest-AP reassociation with hysteresis — the roaming half of a

@@ -227,14 +227,10 @@ pub struct HotState {
     pub channel_idx: Vec<usize>,
     /// Global station key: the station's index in the *scenario-wide* build
     /// order, stable across shard partitionings (equals the node id in an
-    /// unsharded simulator). Keys the station's RNG stream and its fade
-    /// links, so a station draws the same values whichever shard it runs in.
+    /// unsharded simulator). The station's RNG stream and fade links are
+    /// keyed by it, so a station draws the same values whichever shard it
+    /// runs in; here it orders same-microsecond events canonically.
     pub key: Vec<u64>,
-    /// Mobility generation: how many times the station has moved. Mixed
-    /// into the fade-link key ([`HotState::fade_key`]) so a moved station
-    /// draws *fresh* fade realizations — physically its links changed —
-    /// instead of replaying the fades memoized for its old position.
-    pub fade_gen: Vec<u64>,
     /// This station is a passive *shell* of a lockstep shard — it exists for
     /// identity only (node id, MAC, RNG keying, topology row) and is owned
     /// by another shard. Shells seed no events, draw no randomness, join no
@@ -260,21 +256,8 @@ impl HotState {
         self.tx_until.push(0);
         self.channel_idx.push(channel_idx);
         self.key.push(key);
-        self.fade_gen.push(0);
         self.shell.push(shell);
         id
-    }
-
-    /// The fade-link key of `node`: its global station key, decorrelated by
-    /// its mobility generation. Generation 0 (every station until it first
-    /// moves) is exactly the bare key, so static scenarios draw the same
-    /// fades as ever; each move shifts the station onto fresh fade streams
-    /// for all of its links. The generation occupies bits ≥ 44, disjoint
-    /// from both the station key space (build indices) and the sniffer link
-    /// space at `SNIFFER_LINK_BASE = 1 << 40`.
-    #[inline]
-    pub fn fade_key(&self, node: NodeId) -> u64 {
-        self.key[node] ^ (self.fade_gen[node] << 44)
     }
 
     /// Contention state of `node`.
