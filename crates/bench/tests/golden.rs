@@ -13,9 +13,10 @@
 //! * each cell's full result (traces, sniffer counters, medium stats,
 //!   station outcomes, event counts) is hashed and compared against
 //!   `tests/golden_digests.txt`, committed from the unoptimized build;
-//! * one smoke-scale churn cell (waypoint walkers moving and roaming) runs
-//!   unsharded through `MobileScenario::run` and is digested the same way,
-//!   as the last line of the file.
+//! * two smoke-scale churn cells (waypoint walkers moving and roaming) run
+//!   unsharded through `MobileScenario::run` and are digested the same way,
+//!   as the last two lines of the file: one ticks on the fade coherence
+//!   interval, the other between its boundaries.
 //!
 //! Regenerate with `GOLDEN_BLESS=1 cargo test -p congestion-bench --test
 //! golden` — but only when a change is *supposed* to alter simulated output;
@@ -260,6 +261,20 @@ fn churn_cell() -> MobileScenario {
     })
 }
 
+/// Label of the mid-interval churn cell's golden line.
+const CHURN_MID_INTERVAL_LABEL: &str = "churn seed=151 users=30 tick=1.5s";
+
+/// The churn cell with a 1.5 s mobility tick, which is not a multiple of
+/// the 4 s fade coherence interval: most moves land inside an interval
+/// whose fades the memo already holds, so a stale fade after a move
+/// changes this digest. (The 4 s tick moves only on interval boundaries,
+/// where the memo has just forgotten every fade anyway.)
+fn churn_mid_interval_cell() -> MobileScenario {
+    let mut cell = churn_cell();
+    cell.tick_us = 1_500_000;
+    cell
+}
+
 /// Runs the golden sweep on `threads` workers; returns `(label, digest)`
 /// per cell plus the deterministic run-report fields.
 fn run_golden(threads: usize) -> (Vec<(String, u64)>, String) {
@@ -304,14 +319,18 @@ fn output_matches_preoptimization_goldens_across_threads() {
     );
 
     let churn = (CHURN_LABEL.to_string(), cell_digest(&churn_cell().run()));
+    let churn_mid_interval = (
+        CHURN_MID_INTERVAL_LABEL.to_string(),
+        cell_digest(&churn_mid_interval_cell().run()),
+    );
     let mut lines = String::new();
-    for (label, digest) in serial.iter().chain([&churn]) {
+    for (label, digest) in serial.iter().chain([&churn, &churn_mid_interval]) {
         lines.push_str(&format!("{label}\t{digest:016x}\n"));
     }
     let path = golden_path();
     if std::env::var("GOLDEN_BLESS").is_ok_and(|v| v == "1") {
         std::fs::write(&path, &lines).expect("write golden file");
-        eprintln!("blessed {} ({} cells)", path.display(), serial.len() + 1);
+        eprintln!("blessed {} ({} cells)", path.display(), serial.len() + 2);
         return;
     }
     let golden = std::fs::read_to_string(&path)
@@ -323,8 +342,8 @@ fn output_matches_preoptimization_goldens_across_threads() {
     );
 }
 
-/// The four path cells and the churn cell must really reach the paths they
-/// are named after, or their goldens would pin nothing new.
+/// The four path cells and the two churn cells must really reach the paths
+/// they are named after, or their goldens would pin nothing new.
 #[test]
 fn path_cells_reach_their_paths() {
     let cells = golden_cells();
@@ -373,6 +392,21 @@ fn path_cells_reach_their_paths() {
     churn.run_until(churn.duration_us);
     assert!(churn.mobility.moves > 0, "no walker moved");
     assert!(churn.mobility.roams > 0, "no walker roamed to another AP");
+
+    let mut mid = churn_mid_interval_cell();
+    let coherence_us = mid.sim.config.radio.fading.coherence_us;
+    assert_ne!(
+        mid.tick_us % coherence_us,
+        0,
+        "ticks land on fade boundaries"
+    );
+    mid.run_until(mid.duration_us);
+    assert!(
+        mid.mobility.moves > churn.mobility.moves,
+        "the mid-interval cell moved {} times, the 4 s one {}",
+        mid.mobility.moves,
+        churn.mobility.moves
+    );
 }
 
 /// The pipelined sim→analysis path must match the serial streaming path

@@ -19,8 +19,7 @@
 //! suppressed or not — comparing only against emitted records would leak C
 //! back in as a false new frame once B is suppressed.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use wifi_frames::fc::FrameKind;
 use wifi_frames::mac::MacAddr;
 use wifi_frames::record::FrameRecord;
@@ -83,10 +82,10 @@ fn dedup_in_place(sorted: Vec<FrameRecord>) -> Vec<FrameRecord> {
     out
 }
 
-/// The fields of [`same_transmission`] as a hashable identity key. Two
+/// The fields of [`same_transmission`] as one copyable identity key. Two
 /// records compare equal under `same_transmission` iff their keys are equal,
-/// so a `HashMap` keyed on this replaces the linear cluster scan.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// so the online window stores keys instead of whole records.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct TransmissionKey {
     kind: FrameKind,
     dst: MacAddr,
@@ -109,10 +108,10 @@ impl TransmissionKey {
     }
 }
 
-/// Expired cluster entries are swept from the dedup map every this many
-/// merged records, bounding its size to the identities seen over one sweep
-/// interval plus the dedup window.
-const CLUSTER_SWEEP_INTERVAL: usize = 4096;
+/// Once the dedup window holds more entries than this, expired ones are
+/// compacted out. Popping only the front leaves expired entries behind a
+/// front cluster that keeps being extended (a long duplicate chain).
+const CLUSTER_COMPACT_LEN: usize = 32;
 
 /// What an [`OnlineMerge::poll`] produced.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -166,12 +165,10 @@ pub struct OnlineMerge {
     needy: usize,
     /// Per-stream clamp floor: the highest (clamped) timestamp offered.
     stream_high: Vec<Micros>,
-    /// Min-heap over `(head timestamp, stream index)`; ties break toward the
-    /// lower stream index, matching a stable sort of the concatenation.
-    heap: BinaryHeap<Reverse<(Micros, usize)>>,
-    /// Live dedup clusters: transmission identity → latest member timestamp.
-    clusters: HashMap<TransmissionKey, Micros>,
-    merged_since_sweep: usize,
+    /// Dedup clusters in the order they opened: transmission identity and
+    /// latest member timestamp. Expired entries are popped off the front
+    /// and compacted past [`CLUSTER_COMPACT_LEN`].
+    clusters: VecDeque<(TransmissionKey, Micros)>,
     /// Highest timestamp emitted (or suppressed as a duplicate) so far.
     watermark: Micros,
     received: Vec<u64>,
@@ -189,9 +186,7 @@ impl OnlineMerge {
             deferred: vec![false; k],
             needy: k,
             stream_high: vec![0; k],
-            heap: BinaryHeap::with_capacity(k),
-            clusters: HashMap::new(),
-            merged_since_sweep: 0,
+            clusters: VecDeque::new(),
             watermark: 0,
             received: vec![0; k],
             clamped: vec![0; k],
@@ -225,7 +220,6 @@ impl OnlineMerge {
         } else {
             self.stream_high[idx] = record.timestamp_us;
         }
-        self.heap.push(Reverse((record.timestamp_us, idx)));
         self.heads[idx] = Some(record);
     }
 
@@ -270,8 +264,9 @@ impl OnlineMerge {
     /// past that stream's high-water mark.
     pub fn poll(&mut self, horizon: Option<Micros>) -> MergePoll {
         loop {
+            let next = self.earliest_head();
             if self.needy > 0 {
-                let candidate = self.heap.peek().map(|&Reverse((ts, _))| ts);
+                let candidate = next.map(|(ts, _)| ts);
                 for idx in 0..self.heads.len() {
                     if !self.needs(idx) || self.deferred[idx] {
                         continue;
@@ -285,10 +280,10 @@ impl OnlineMerge {
                     }
                 }
             }
-            let Some(Reverse((_, idx))) = self.heap.pop() else {
+            let Some((_, idx)) = next else {
                 return MergePoll::Done;
             };
-            let record = self.heads[idx].take().expect("heap entry implies a head");
+            let record = self.heads[idx].take().expect("earliest head exists");
             // A stream with a buffered head is never deferred (`defer`
             // no-ops then), so popping makes it plain needy if still open.
             if !self.ended[idx] {
@@ -297,35 +292,37 @@ impl OnlineMerge {
             // A stream skipped over by the horizon can deliver records below
             // the emitted watermark; dropping them keeps output timestamps
             // non-decreasing for the per-second accumulator.
-            if record.timestamp_us < self.watermark {
+            let ts = record.timestamp_us;
+            if ts < self.watermark {
                 self.late_dropped[idx] += 1;
                 continue;
             }
-            self.watermark = record.timestamp_us;
-            self.merged_since_sweep += 1;
-            if self.merged_since_sweep >= CLUSTER_SWEEP_INTERVAL {
-                self.merged_since_sweep = 0;
-                // Merged timestamps are non-decreasing, so anything already
-                // outside this record's window can never match again.
-                self.clusters
-                    .retain(|_, last| record.timestamp_us.saturating_sub(*last) <= DEDUP_WINDOW_US);
+            self.watermark = ts;
+            // The batch path's retain + scan. Merged timestamps are
+            // non-decreasing, so an expired entry never matches again.
+            let live = |last: Micros| ts.saturating_sub(last) <= DEDUP_WINDOW_US;
+            while self.clusters.front().is_some_and(|&(_, last)| !live(last)) {
+                self.clusters.pop_front();
             }
-            // Replaces the batch path's retain + scan: the previous entry
-            // for this identity is the live cluster if still in-window
-            // (record is a duplicate, the anchor extends), or an expired one
-            // the batch path would have retained away (record opens a new
-            // cluster). Either way the new anchor is this timestamp.
-            let prev = self
-                .clusters
-                .insert(TransmissionKey::of(&record), record.timestamp_us);
-            match prev {
-                Some(last) if record.timestamp_us.saturating_sub(last) <= DEDUP_WINDOW_US => {}
-                _ => {
-                    self.contributed[idx] += 1;
-                    return MergePoll::Record(record);
-                }
+            let key = TransmissionKey::of(&record);
+            if let Some(c) = self.clusters.iter_mut().find(|c| c.0 == key && live(c.1)) {
+                c.1 = ts; // a duplicate extends its cluster's anchor
+                continue;
             }
+            self.clusters.push_back((key, ts));
+            if self.clusters.len() > CLUSTER_COMPACT_LEN {
+                self.clusters.retain(|&(_, last)| live(last));
+            }
+            self.contributed[idx] += 1;
+            return MergePoll::Record(record);
         }
+    }
+
+    /// The earliest buffered head as `(timestamp, stream index)`. Ties go
+    /// to the lowest index, the order of a stable sort of the concatenation.
+    fn earliest_head(&self) -> Option<(Micros, usize)> {
+        let head = |(i, h): (usize, &Option<FrameRecord>)| Some((h.as_ref()?.timestamp_us, i));
+        self.heads.iter().enumerate().filter_map(head).min()
     }
 
     /// Highest timestamp merged so far (emitted or suppressed).
@@ -373,16 +370,17 @@ impl OnlineMerge {
 /// A pull-based driver over [`OnlineMerge`]: each [`MergePoll::Need`] is
 /// answered by advancing that input iterator, so memory stays O(k + live
 /// dedup clusters) regardless of trace length. Deduplication applies the
-/// same [`DEDUP_WINDOW_US`] cluster logic as the batch path, but keyed by a
-/// hash of the transmission identity instead of a linear scan: the batch
-/// scan can never hold two live clusters with the same identity (a record
-/// matching a live cluster always extends it rather than opening a second
-/// one), so "the latest member of the live cluster for this identity" is
-/// exactly one map lookup. For time-ordered inputs (as captures are) the
-/// output is record-for-record identical to `merge_traces(traces)` — the
-/// heap's `(timestamp, stream index)` ordering reproduces a stable sort of
-/// the concatenated traces. Inputs with in-stream clock regressions are
-/// normalized by the per-stream clamp rather than rejected.
+/// same [`DEDUP_WINDOW_US`] cluster logic as the batch path over a window
+/// of `(transmission identity, latest member timestamp)` entries instead of
+/// emitted records. The window can never hold two live clusters with the
+/// same identity (a record matching a live cluster always extends it rather
+/// than opening a second one), so a record is a duplicate exactly when the
+/// scan finds a live entry with its identity. For time-ordered inputs (as
+/// captures are) the output is record-for-record identical to
+/// `merge_traces(traces)`: taking the earliest head, ties to the lowest
+/// stream index, reproduces a stable sort of the concatenated traces.
+/// Inputs with in-stream clock regressions are normalized by the per-stream
+/// clamp rather than rejected.
 ///
 /// ```
 /// use congestion::merge::MergeStream;
@@ -413,11 +411,6 @@ impl<I: Iterator<Item = FrameRecord>> MergeStream<I> {
     /// indexed by input order. Complete once the stream is exhausted.
     pub fn contributed(&self) -> &[u64] {
         self.core.contributed()
-    }
-
-    #[cfg(test)]
-    fn live_clusters(&self) -> usize {
-        self.core.live_clusters()
     }
 }
 
@@ -687,22 +680,91 @@ mod tests {
         assert_eq!(merged, merge_traces(&views));
     }
 
+    /// Distinct identities among `sorted`'s records in the dedup window
+    /// that ends at `watermark`: an upper bound on the merge's live
+    /// clusters once it has merged up to `watermark`.
+    fn identities_in_window(sorted: &[FrameRecord], watermark: Micros) -> usize {
+        let lo = sorted.partition_point(|r| r.timestamp_us + DEDUP_WINDOW_US < watermark);
+        let hi = sorted.partition_point(|r| r.timestamp_us <= watermark);
+        let mut keys: Vec<TransmissionKey> = Vec::new();
+        for r in &sorted[lo..hi] {
+            let key = TransmissionKey::of(r);
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+        keys.len()
+    }
+
+    /// Streams the merge of time-ordered `traces`, asserting after every
+    /// emitted record that the dedup window holds at most
+    /// [`CLUSTER_COMPACT_LEN`] entries beyond the live set. Returns the
+    /// merged records and the most entries the window ever held.
+    fn merge_checking_window(traces: &[&[FrameRecord]]) -> (Vec<FrameRecord>, usize) {
+        let mut sorted: Vec<FrameRecord> = traces.iter().flat_map(|t| t.iter().copied()).collect();
+        sorted.sort_by_key(|r| r.timestamp_us);
+        let mut s = MergeStream::new(traces.iter().map(|t| t.iter().copied()).collect());
+        let mut merged = Vec::new();
+        let mut most = 0;
+        while let Some(r) = s.next() {
+            merged.push(r);
+            let live = identities_in_window(&sorted, s.core.watermark());
+            let held = s.core.live_clusters();
+            assert!(
+                held <= CLUSTER_COMPACT_LEN + live,
+                "dedup window leaked: {held} entries for {live} live identities"
+            );
+            most = most.max(held);
+        }
+        (merged, most)
+    }
+
     #[test]
-    fn stream_dedup_map_is_swept() {
-        // Far more distinct transmissions than one sweep interval, spread
-        // far apart in time: the cluster map must not grow with trace
-        // length.
-        let n = 3 * super::CLUSTER_SWEEP_INTERVAL;
-        let t: Vec<FrameRecord> = (0..n)
-            .map(|i| rec(i as Micros * 1000, 1 + (i as u32 % 7), (i % 4096) as u16))
+    fn stream_dedup_window_stays_bounded() {
+        // One identity re-captured every 100 µs for the whole trace keeps
+        // the front cluster alive, while a distinct identity between each
+        // pair of captures expires behind it: without compaction the window
+        // would grow with trace length.
+        let n = 20 * CLUSTER_COMPACT_LEN as u64;
+        let chain: Vec<FrameRecord> = (0..n).map(|i| rec(i * 100, 1, 7)).collect();
+        let others: Vec<FrameRecord> = (0..n)
+            .map(|i| rec(i * 100 + 50, 2, (i % 4096) as u16))
             .collect();
-        let mut s = MergeStream::new(vec![t.iter().copied()]);
-        assert_eq!(s.by_ref().count(), n);
-        assert!(
-            s.live_clusters() <= super::CLUSTER_SWEEP_INTERVAL + 1,
-            "dedup map leaked: {} live clusters",
-            s.live_clusters()
+        let (merged, most) = merge_checking_window(&[&chain, &others]);
+        assert_eq!(merged.len() as u64, 1 + n, "one chain plus every other");
+        assert_eq!(merged, merge_traces(&[&chain, &others]));
+        assert_eq!(
+            most, CLUSTER_COMPACT_LEN,
+            "the window never reached the bound"
         );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn duplicate_chains_keep_the_window_bounded(
+            gaps in proptest::collection::vec(1..DEDUP_WINDOW_US, 50..300),
+            chain_sniffers in proptest::collection::vec(0usize..3, 1..20),
+            others in proptest::collection::vec((0u64..1 << 20, 0usize..3), 0..300),
+        ) {
+            // A chain of one identity, each capture < 120 µs after the
+            // last, spread over three sniffers; distinct identities land
+            // anywhere along it and expire behind its live front cluster.
+            let mut views: Vec<Vec<FrameRecord>> = vec![Vec::new(); 3];
+            let mut ts = 0;
+            for (i, gap) in gaps.iter().enumerate() {
+                ts += gap;
+                views[chain_sniffers[i % chain_sniffers.len()]].push(rec(ts, 1, 7));
+            }
+            for (j, &(at, sniffer)) in others.iter().enumerate() {
+                views[sniffer].push(rec(at % ts, 2 + j as u32 % 5, j as u16));
+            }
+            for v in &mut views {
+                v.sort_by_key(|r| r.timestamp_us);
+            }
+            let views: Vec<&[FrameRecord]> = views.iter().map(Vec::as_slice).collect();
+            let (merged, _) = merge_checking_window(&views);
+            proptest::prop_assert_eq!(merged, merge_traces(&views));
+        }
     }
 
     #[test]

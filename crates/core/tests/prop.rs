@@ -2,6 +2,7 @@
 //! laws of the single-pass analyzer, the busy-time metric, binning, and the
 //! unrecorded-frame estimator against synthetic traces with known losses.
 
+use congestion::merge::DEDUP_WINDOW_US;
 use congestion::{
     analyze, cbt_us, estimate_unrecorded, merge_traces, MergeStream, SecondAccumulator, SizeClass,
     UtilizationBins,
@@ -450,6 +451,45 @@ proptest! {
             })
             .collect();
         let slices: Vec<&[FrameRecord]> = clamped.iter().map(|v| v.as_slice()).collect();
+        prop_assert_eq!(streamed, merge_traces(&slices));
+    }
+
+    #[test]
+    fn long_duplicate_chains_match_batch(
+        // One identity re-captured every < 120 µs across many windows, each
+        // capture by one of up to four sniffers …
+        gaps in proptest::collection::vec(1..DEDUP_WINDOW_US, 50..400),
+        chain_sniffers in proptest::collection::vec(0usize..4, 1..20),
+        // … while distinct identities, some seen twice by neighbouring
+        // sniffers (in or out of the window), expire behind it.
+        others in proptest::collection::vec(
+            (0u64..1 << 20, 0usize..4, any::<bool>(), 0u64..2 * DEDUP_WINDOW_US),
+            0..300,
+        ),
+    ) {
+        let mut views: Vec<Vec<FrameRecord>> = vec![Vec::new(); 4];
+        let mut ts = 0;
+        for (i, gap) in gaps.iter().enumerate() {
+            ts += gap;
+            let mut r = rec(FrameKind::Data, ts, Some(1), 99, 100, Rate::R11);
+            r.seq = Some(4095);
+            views[chain_sniffers[i % chain_sniffers.len()]].push(r);
+        }
+        for (j, &(at, sniffer, recaptured, skew)) in others.iter().enumerate() {
+            let mut r = rec(FrameKind::Data, at % ts, Some(2 + j as u32 % 5), 99, 100, Rate::R11);
+            r.seq = Some(j as u16);
+            views[sniffer].push(r);
+            if recaptured {
+                r.timestamp_us += skew;
+                views[(sniffer + 1) % 4].push(r);
+            }
+        }
+        for v in &mut views {
+            v.sort_by_key(|r| r.timestamp_us);
+        }
+        let slices: Vec<&[FrameRecord]> = views.iter().map(|v| v.as_slice()).collect();
+        let streamed: Vec<FrameRecord> =
+            MergeStream::new(views.iter().map(|v| v.iter().copied()).collect()).collect();
         prop_assert_eq!(streamed, merge_traces(&slices));
     }
 }

@@ -7,8 +7,8 @@
 //! work queue that fans cells across a thread pool while keeping the result
 //! order identical to serial execution, which is what makes parallel sweeps
 //! bit-identical to `--threads 1` runs: determinism comes from per-cell
-//! seeding (no shared RNG), order-independence from writing each result into
-//! its cell's slot.
+//! seeding (no shared RNG), order-independence from putting each result
+//! back at its cell's index after the workers join.
 //!
 //! [`RunReport`] is the observability side: per-cell wall-clock, events
 //! processed, frame counts, and events-per-second throughput, serialized as
@@ -17,55 +17,17 @@
 //! the format is flat enough that this costs a few lines.
 
 use crate::events::QueueStats;
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// Output slots for [`run_parallel`]: one cell per item, written lock-free.
-///
-/// Safety rests on the work-queue protocol, not on a lock: the shared
-/// `fetch_add` counter hands each index to exactly one worker, so every
-/// slot has a single writer and no reader until the scope joins. The join
-/// synchronizes-with every worker exit, so the subsequent single-threaded
-/// drain observes all writes. A `Mutex<Option<R>>` per slot bought nothing
-/// but an uncontended lock/unlock pair on every cell — measurable on
-/// sweeps of thousands of sub-millisecond cells (the sharded venue runs).
-struct ResultSlots<R> {
-    cells: Vec<UnsafeCell<Option<R>>>,
-}
-
-// SAFETY: workers only touch disjoint cells (unique indices from the work
-// queue), and results cross threads exactly once at scope join.
-unsafe impl<R: Send> Sync for ResultSlots<R> {}
-
-impl<R> ResultSlots<R> {
-    fn new(n: usize) -> ResultSlots<R> {
-        ResultSlots {
-            cells: (0..n).map(|_| UnsafeCell::new(None)).collect(),
-        }
-    }
-
-    /// Stores the result of item `i`. Caller must be the worker that
-    /// claimed `i` from the queue (the sole writer of this cell).
-    unsafe fn write(&self, i: usize, r: R) {
-        *self.cells[i].get() = Some(r);
-    }
-
-    fn into_results(self) -> impl Iterator<Item = R> {
-        self.cells.into_iter().map(|c| {
-            c.into_inner()
-                .expect("worker finished without storing a result")
-        })
-    }
-}
 
 /// Maps `f` over `items` on `threads` worker threads, preserving input
 /// order in the output.
 ///
 /// A shared atomic index hands out the next unclaimed cell to whichever
 /// worker is free (a work queue, not a static partition — cells vary widely
-/// in cost because offered load varies). Each result is written into the
-/// slot of its item, so the returned vector is independent of scheduling:
+/// in cost because offered load varies). Each worker returns its
+/// `(index, result)` pairs from its join, and the caller puts them back in
+/// index order, so the returned vector is independent of scheduling:
 /// `run_parallel(items, 1, f)` and `run_parallel(items, 8, f)` return
 /// identical vectors whenever `f` is deterministic per item.
 ///
@@ -82,21 +44,29 @@ where
         return items.iter().map(&f).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots = ResultSlots::new(items.len());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                // SAFETY: this worker claimed `i` exclusively above.
-                unsafe { slots.write(i, r) };
-            });
-        }
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            break done;
+                        }
+                        done.push((i, f(&items[i])));
+                    }
+                })
+            })
+            .collect();
+        let joined = workers
+            .into_iter()
+            .map(|w| w.join().expect("a worker panicked"));
+        joined.flatten().collect()
     });
-    slots.into_results().collect()
+    // The work queue handed out each index exactly once.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Runs `f` and returns its result with the elapsed wall-clock milliseconds.
