@@ -58,11 +58,11 @@ fn bench_rearm(c: &mut Criterion) {
             // Timer churn against a deep queue: node re-arms overwrite the
             // previous entry (the old scheme left it dead in the heap).
             let mut q = filled(pending, 0);
-            let mut gen = 0u64;
+            let mut round = 0u64;
             b.iter(|| {
                 for node in 0..pending as usize {
-                    gen += 1;
-                    q.arm_timer(node & 1023, gen, TimerKind::BackoffDone, 20 + gen % 1_000);
+                    round += 1;
+                    q.arm_timer(node & 1023, TimerKind::BackoffDone, 20 + round % 1_000);
                 }
             })
         });

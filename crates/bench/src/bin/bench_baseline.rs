@@ -27,10 +27,10 @@
 //!     --pin venue-5k --threads 8
 //! ```
 //!
-//! The serial pins use the pipelined sim→analysis path (event loop and
-//! per-second congestion analysis overlapped on two threads; results
-//! byte-identical to the serial path — `crates/bench/tests/golden.rs` pins
-//! that down). The venue pin runs `run_sharded`: one event loop per
+//! The serial pins run `run_streaming`: one thread alternates event-loop
+//! chunks with per-second congestion analysis of the frames each chunk
+//! captured (results byte-identical to the whole-trace batch run —
+//! `crates/bench/tests/golden.rs` pins that down). The venue pin runs `run_sharded`: one event loop per
 //! RF-isolation shard on a `--threads`-wide work queue, merged output again
 //! identical for every thread count. The plenary pin with `--max-shards > 1`
 //! also runs `run_sharded` — as its three per-channel cells, each one
@@ -49,7 +49,7 @@
 //! run lose most of its speed unnoticed.
 
 use congestion_bench::streaming::{
-    run_sharded, run_streaming_mobile, run_streaming_pipelined, MobilityStats, StreamedRun,
+    run_sharded, run_streaming, run_streaming_mobile, MobilityStats, StreamedRun,
 };
 use ietf_workloads::{
     ietf_plenary, ietf_plenary_sharded, load_ramp, mobile_venue, venue_campus, CampusScale,
@@ -175,7 +175,7 @@ impl Pin {
         }
     }
 
-    /// Runs the pin. The serial pins take the pipelined two-thread path;
+    /// Runs the pin. The serial pins take the serial chunk loop;
     /// venue-5k partitions into RF-isolation shards and runs them on a
     /// `threads`-wide work queue; plenary-523 with `--max-shards > 1` takes
     /// the sharded path too, as its three coupled per-channel cells.
@@ -219,7 +219,7 @@ impl Pin {
                     None,
                 )
             }
-            _ => (run_streaming_pipelined(self.build(), 1_000_000), None, None),
+            _ => (run_streaming(self.build(), 1_000_000), None, None),
         }
     }
 }

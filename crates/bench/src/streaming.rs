@@ -2,18 +2,14 @@
 //!
 //! [`Scenario::run`] buffers every captured frame until the end and analyzes
 //! post hoc — O(frames) peak memory, which at congestion-knee scale is the
-//! dominant allocation. The drivers here instead run one chunk loop: advance
-//! the simulator to the next chunk boundary (repeated `run_until` calls are
-//! pure continuations of the same event queue, so results are identical),
-//! then drain every sniffer's trace into a sink. Peak memory is
+//! dominant allocation. The drivers here instead run one serial chunk loop:
+//! advance the simulator to the next chunk boundary (repeated `run_until`
+//! calls are pure continuations of the same event queue, so results are
+//! identical), then fold every sniffer's drained trace into its
+//! [`SecondAccumulator`] on the calling thread. Peak memory is
 //! O(chunk + seconds), however long the run.
 //!
-//! - [`run_streaming`]: the sink is the per-sniffer [`SecondAccumulator`]s,
-//!   on the calling thread.
-//! - [`run_streaming_pipelined`]: the sink is a bounded SPSC channel to an
-//!   analysis thread folding into the same accumulators in the same order,
-//!   so the results are byte-identical — analysis of chunk *n* just runs
-//!   while chunk *n + 1* simulates.
+//! - [`run_streaming`]: the loop advances a [`Scenario`]'s simulator.
 //! - [`run_streaming_mobile`]: the loop advances a [`MobileScenario`],
 //!   whose own tick schedule ([`MobileScenario::run_until`]) moves the
 //!   walkers between continuations.
@@ -26,18 +22,12 @@
 
 use congestion::persec::{SecondAccumulator, SecondStats};
 use ietf_workloads::{MobileScenario, Scenario, ShardScenario};
-use std::vec::Drain;
-use wifi_frames::record::FrameRecord;
 use wifi_frames::timing::Micros;
 use wifi_sim::events::QueueStats;
 use wifi_sim::runner::run_parallel;
 use wifi_sim::shard::Shard;
 use wifi_sim::sniffer::SnifferStats;
-use wifi_sim::spsc;
 use wifi_sim::Simulator;
-
-/// Chunks buffered in the sim→analysis channel before the producer blocks.
-const PIPELINE_DEPTH: usize = 4;
 
 /// What a streaming run yields: the analysis, plus the counters the run
 /// reports and perf baselines need. Raw traces are intentionally absent —
@@ -60,14 +50,6 @@ pub struct StreamedRun {
     pub queue: QueueStats,
 }
 
-/// Drains every sniffer's captured frames out of `sim`, in sniffer order,
-/// handing `each` the sniffer's index and its frames.
-fn drain_traces(sim: &mut Simulator, mut each: impl FnMut(usize, Drain<'_, FrameRecord>)) {
-    for (i, sniffer) in sim.sniffers_mut().iter_mut().enumerate() {
-        each(i, sniffer.trace.drain(..));
-    }
-}
-
 /// The streaming analysis of one simulator's sniffers: the result path of
 /// every driver.
 struct Analysis {
@@ -84,20 +66,21 @@ impl Analysis {
         Analysis { accs }
     }
 
-    /// Folds frames captured by sniffer `i`, in capture order.
-    fn push(&mut self, i: usize, records: impl IntoIterator<Item = FrameRecord>) {
-        let acc = &mut self.accs[i];
-        for record in records {
-            acc.push(record);
-        }
-    }
-
-    /// The chunk loop with these accumulators as the sink.
+    /// The one chunk loop: advances `run` to `duration_us` in steps of at
+    /// most `chunk_us`, and after every step drains each sniffer's captured
+    /// frames into its accumulator, in capture order.
     fn stream(&mut self, run: &mut impl Advance, duration_us: Micros, chunk_us: Micros) {
-        run_chunks(run, duration_us, chunk_us, |sim| {
-            drain_traces(sim, |i, records| self.push(i, records));
-            true
-        });
+        let chunk_us = chunk_us.max(1);
+        let mut now: Micros = 0;
+        while now < duration_us {
+            now = (now + chunk_us).min(duration_us);
+            let sim = run.advance(now);
+            for (acc, sniffer) in self.accs.iter_mut().zip(sim.sniffers_mut()) {
+                for record in sniffer.trace.drain(..) {
+                    acc.push(record);
+                }
+            }
+        }
     }
 
     /// The finished run: the per-second series plus `sim`'s counters.
@@ -136,25 +119,6 @@ impl Advance for MobileScenario {
     fn advance(&mut self, until: Micros) -> &mut Simulator {
         self.run_until(until);
         &mut self.sim
-    }
-}
-
-/// The one chunk loop: advances `run` to `duration_us` in steps of at most
-/// `chunk_us` and hands the simulator to `sink` after every step to drain
-/// its traces. A `false` from `sink` stops the loop early.
-fn run_chunks(
-    run: &mut impl Advance,
-    duration_us: Micros,
-    chunk_us: Micros,
-    mut sink: impl FnMut(&mut Simulator) -> bool,
-) {
-    let chunk_us = chunk_us.max(1);
-    let mut now: Micros = 0;
-    while now < duration_us {
-        now = (now + chunk_us).min(duration_us);
-        if !sink(run.advance(now)) {
-            break;
-        }
     }
 }
 
@@ -208,39 +172,11 @@ pub fn run_streaming_mobile(
     (analysis.finish(scenario.name, &scenario.sim), stats)
 }
 
-/// [`run_streaming`] with simulation and analysis overlapped on two threads.
-///
-/// The simulator (which is not `Send` and never migrates) runs chunks on the
-/// calling thread; after each chunk the captured frames are drained into a
-/// per-sniffer batch and sent through a bounded [`spsc`] channel to a scoped
-/// analysis thread that folds them into the [`SecondAccumulator`]s. Every
-/// frame reaches its accumulator in the same order as the serial path, so
-/// the returned [`StreamedRun`] is byte-identical to `run_streaming`'s; the
-/// channel bound keeps at most `PIPELINE_DEPTH` (4) chunks of frames alive.
-pub fn run_streaming_pipelined(mut scenario: Scenario, chunk_us: Micros) -> StreamedRun {
-    let sniffers = scenario.sim.sniffers().len();
-    let mut analysis = Analysis::new(&scenario.sim);
-    let (tx, rx) = spsc::channel::<Vec<Vec<FrameRecord>>>(PIPELINE_DEPTH);
-    let analysis = std::thread::scope(|scope| {
-        let consumer = scope.spawn(move || {
-            while let Some(batch) = rx.recv() {
-                for (i, records) in batch.into_iter().enumerate() {
-                    analysis.push(i, records);
-                }
-            }
-            analysis
-        });
-        run_chunks(&mut scenario.sim, scenario.duration_us, chunk_us, |sim| {
-            let mut batch = vec![Vec::new(); sniffers];
-            drain_traces(sim, |i, records| batch[i].extend(records));
-            // A closed channel means the consumer died; its join below
-            // propagates the panic.
-            tx.send(batch).is_ok()
-        });
-        drop(tx);
-        consumer.join().expect("analysis thread panicked")
-    });
-    analysis.finish(scenario.name, &scenario.sim)
+/// [`run_streaming`] under its former name. Kept only because the frozen
+/// `perfbench/` calls it by name; ROADMAP item 3's benchmark PR moves
+/// `perfbench/` to [`run_streaming`] and deletes this forward.
+pub fn run_streaming_pipelined(scenario: Scenario, chunk_us: Micros) -> StreamedRun {
+    run_streaming(scenario, chunk_us)
 }
 
 /// What a sharded run yields: the merged [`StreamedRun`] plus how the
@@ -401,31 +337,6 @@ mod tests {
             assert_eq!(seconds.len(), expect.len());
             for (got, want) in seconds.iter().zip(&expect) {
                 assert_eq!(format!("{got:?}"), format!("{want:?}"));
-            }
-        }
-    }
-
-    /// The pipelined path must be byte-identical to the serial streaming
-    /// path: same analysis, same counters, whatever the chunk size.
-    #[test]
-    fn pipelined_matches_serial_streaming() {
-        for chunk_us in [750_000u64, 5_000_000] {
-            let serial = run_streaming(load_ramp(7, 8, 6, 1.5), chunk_us);
-            let piped = run_streaming_pipelined(load_ramp(7, 8, 6, 1.5), chunk_us);
-            assert_eq!(piped.events_processed, serial.events_processed);
-            assert_eq!(piped.frames_on_air, serial.frames_on_air);
-            assert_eq!(piped.medium_stats, serial.medium_stats);
-            assert_eq!(piped.queue, serial.queue);
-            assert_eq!(
-                format!("{:?}", piped.sniffer_stats),
-                format!("{:?}", serial.sniffer_stats)
-            );
-            for (p, s) in piped
-                .per_sniffer_seconds
-                .iter()
-                .zip(&serial.per_sniffer_seconds)
-            {
-                assert_eq!(format!("{p:?}"), format!("{s:?}"));
             }
         }
     }

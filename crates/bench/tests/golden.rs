@@ -22,7 +22,8 @@
 //! golden` — but only when a change is *supposed* to alter simulated output;
 //! a perf PR that needs a re-bless is a broken perf PR.
 
-use congestion_bench::streaming::{run_streaming, run_streaming_pipelined};
+use congestion::analyze;
+use congestion_bench::streaming::run_streaming;
 use congestion_bench::{run_cells, Cell, SweepArgs};
 use ietf_workloads::{
     ietf_day, ietf_plenary, ietf_radio, load_ramp, mobile_venue, ChurnScale, MobileScenario,
@@ -409,40 +410,44 @@ fn path_cells_reach_their_paths() {
     );
 }
 
-/// The pipelined sim→analysis path must match the serial streaming path
-/// byte-for-byte on the golden cell set — same per-second statistics, same
-/// counters — and both must match the batch `Scenario::run` denominators.
+/// The serial streaming path must reproduce the batch `Scenario::run` in
+/// full on the golden cell set: the same counters, and per-second
+/// statistics equal to `analyze` over each sniffer's whole trace.
 #[test]
-fn pipelined_streaming_matches_serial_on_golden_cells() {
+fn serial_streaming_matches_batch_on_golden_cells() {
     for cell in golden_cells() {
         let batch = cell.build_scenario().run();
-        let serial = run_streaming(cell.build_scenario(), 1_000_000);
-        let piped = run_streaming_pipelined(cell.build_scenario(), 1_000_000);
+        let streamed = run_streaming(cell.build_scenario(), 1_000_000);
         assert_eq!(
-            piped.events_processed, serial.events_processed,
-            "{}: pipelined event count diverged",
+            streamed.events_processed, batch.events_processed,
+            "{}: event count diverged",
             cell.label
         );
-        assert_eq!(piped.frames_on_air, serial.frames_on_air, "{}", cell.label);
-        assert_eq!(piped.medium_stats, serial.medium_stats, "{}", cell.label);
-        assert_eq!(piped.queue, serial.queue, "{}", cell.label);
         assert_eq!(
-            format!("{:?}", piped.sniffer_stats),
-            format!("{:?}", serial.sniffer_stats),
+            streamed.frames_on_air, batch.frames_on_air,
+            "{}",
+            cell.label
+        );
+        assert_eq!(streamed.medium_stats, batch.medium_stats, "{}", cell.label);
+        assert_eq!(
+            format!("{:?}", streamed.sniffer_stats),
+            format!("{:?}", batch.sniffer_stats),
             "{}",
             cell.label
         );
         assert_eq!(
-            format!("{:?}", piped.per_sniffer_seconds),
-            format!("{:?}", serial.per_sniffer_seconds),
-            "{}: pipelined per-second analysis diverged",
-            cell.label
-        );
-        assert_eq!(
-            serial.events_processed, batch.events_processed,
+            streamed.per_sniffer_seconds.len(),
+            batch.traces.len(),
             "{}",
             cell.label
         );
-        assert_eq!(serial.frames_on_air, batch.frames_on_air, "{}", cell.label);
+        for (seconds, trace) in streamed.per_sniffer_seconds.iter().zip(&batch.traces) {
+            assert_eq!(
+                format!("{seconds:?}"),
+                format!("{:?}", analyze(trace)),
+                "{}: per-second analysis diverged",
+                cell.label
+            );
+        }
     }
 }

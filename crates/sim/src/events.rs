@@ -5,7 +5,7 @@
 //! configuration and seed. The original implementation was one global
 //! `BinaryHeap`; at plenary scale the scheduler itself became the hot path —
 //! every DIFS/backoff/SIFS/NAV re-arm paid an O(log n) sift against a heap
-//! inflated by dead generation-mismatched timers. The wheel replaces that
+//! inflated by dead superseded timers. The wheel replaces that
 //! with O(1) bucket pushes and batched, cache-friendly pops:
 //!
 //! * **Near future** (one 65.536 ms window of 4096 × 16 µs slots): an event
@@ -95,14 +95,12 @@ pub enum Event {
         /// transmitter's one transmission in flight.
         node: NodeId,
     },
-    /// A station timer fires. `gen` must match the station's current timer
-    /// generation or the event is stale and dropped (for cancellable kinds
-    /// this is a belt-and-braces check — the queue removes them eagerly).
+    /// A station timer fires. A cancelled or superseded contention timer
+    /// never fires: the queue removes it eagerly
+    /// ([`EventQueue::cancel_timer`]).
     Timer {
         /// The station.
         node: NodeId,
-        /// Generation stamp at arming time.
-        gen: u64,
         /// Which timer.
         kind: TimerKind,
     },
@@ -295,7 +293,7 @@ impl EventQueue {
 
     /// Arms `node`'s single cancellable timer at `at`, overwriting (and
     /// physically removing) any previously armed one.
-    pub fn arm_timer(&mut self, node: NodeId, gen: u64, kind: TimerKind, at: Micros) {
+    pub fn arm_timer(&mut self, node: NodeId, kind: TimerKind, at: Micros) {
         debug_assert!(kind.is_cancellable());
         self.cancel_timer(node);
         let seq = self.next_seq;
@@ -308,7 +306,7 @@ impl EventQueue {
         self.insert(Entry {
             at,
             seq,
-            event: Event::Timer { node, gen, kind },
+            event: Event::Timer { node, kind },
             dead: false,
         });
     }
@@ -579,7 +577,7 @@ impl EventQueue {
 
     /// Physical entries present, including cancelled-but-unskipped
     /// tombstones in the drained buffer. Under the heap this also counted
-    /// dead generation-mismatched timers; see [`EventQueue::live_len`].
+    /// dead superseded timers; see [`EventQueue::live_len`].
     pub fn len(&self) -> usize {
         self.raw
     }
@@ -684,10 +682,10 @@ mod tests {
     #[test]
     fn rearm_overwrites_and_cancel_removes() {
         let mut q = EventQueue::new();
-        q.arm_timer(2, 1, TimerKind::DeferDone, 100);
+        q.arm_timer(2, TimerKind::DeferDone, 100);
         assert_eq!((q.len(), q.live_len()), (1, 1));
         // Re-arm: the old entry is gone, not lingering as a dead one.
-        q.arm_timer(2, 2, TimerKind::BackoffDone, 300);
+        q.arm_timer(2, TimerKind::BackoffDone, 300);
         assert_eq!((q.len(), q.live_len()), (1, 1));
         assert_eq!(q.stats().stale_dropped, 1);
         q.cancel_timer(2);
@@ -725,7 +723,7 @@ mod tests {
                     reference.push(timer.at);
                 }
                 let at = now.saturating_sub(50) + rand(400);
-                q.arm_timer(node, round, TimerKind::BackoffDone, at);
+                q.arm_timer(node, TimerKind::BackoffDone, at);
                 if rand(2) == 0 {
                     reference.push(at);
                     q.cancel_timer(node);
@@ -747,16 +745,16 @@ mod tests {
     fn cancel_finds_entries_in_every_region() {
         let mut q = EventQueue::new();
         // Spill region.
-        q.arm_timer(0, 1, TimerKind::AckTimeout, 5 * WINDOW_US);
+        q.arm_timer(0, TimerKind::AckTimeout, 5 * WINDOW_US);
         q.cancel_timer(0);
         assert!(q.is_empty());
         // Wheel region.
-        q.arm_timer(0, 2, TimerKind::AckTimeout, 50);
+        q.arm_timer(0, TimerKind::AckTimeout, 50);
         q.cancel_timer(0);
         assert!(q.is_empty());
         // Drained (current) region: same slot as an already-popped event.
         q.push(3, Event::BeaconDue { node: 9 });
-        q.arm_timer(0, 3, TimerKind::AckTimeout, 4);
+        q.arm_timer(0, TimerKind::AckTimeout, 4);
         assert_eq!(q.pop().map(|(t, _)| t), Some(3));
         q.cancel_timer(0);
         assert_eq!(q.live_len(), 0);
@@ -790,8 +788,8 @@ mod tests {
     fn stats_account_for_all_flows() {
         let mut q = EventQueue::new();
         q.push(1, Event::BeaconDue { node: 0 });
-        q.arm_timer(1, 1, TimerKind::DeferDone, 30);
-        q.arm_timer(1, 2, TimerKind::DeferDone, 60); // re-arm drops one
+        q.arm_timer(1, TimerKind::DeferDone, 30);
+        q.arm_timer(1, TimerKind::DeferDone, 60); // re-arm drops one
         while q.pop().is_some() {}
         let s = q.stats();
         assert_eq!(s.pushed, 3);

@@ -1,12 +1,12 @@
 //! The simulator's lightweight frame descriptor.
 //!
-//! Full byte-level [`wifi_frames::Frame`]s are only materialized when a trace
-//! is exported to pcap; on the hot path the simulator moves [`SimFrame`]
-//! descriptors, which carry exactly the fields the MAC rules and the
-//! analysis need.
+//! Full byte-level [`wifi_frames::Frame`]s are only materialized, from the
+//! captured [`FrameRecord`]s, when a trace is exported to pcap; on the hot
+//! path the simulator moves [`SimFrame`] descriptors, which carry exactly
+//! the fields the MAC rules and the analysis need.
 
-use wifi_frames::fc::{FcFlags, FrameKind};
-use wifi_frames::frame::{self, Ack, Beacon, Cts, Data, Frame, Rts, SeqCtl};
+use wifi_frames::fc::FrameKind;
+use wifi_frames::frame;
 use wifi_frames::mac::MacAddr;
 use wifi_frames::phy::{Channel, Rate};
 use wifi_frames::record::FrameRecord;
@@ -229,82 +229,6 @@ impl SimFrame {
             duration_us: self.duration_us,
         }
     }
-
-    /// Materializes full frame bytes for pcap export. Data payloads are
-    /// zero-filled (their content never mattered to the study; the sniffers
-    /// kept only headers anyway).
-    pub fn to_frame(&self, channel: Channel) -> Frame {
-        let seq = SeqCtl::new(self.seq.unwrap_or(0), self.frag);
-        match self.kind {
-            FrameKind::Rts => Frame::Rts(Rts {
-                duration: self.duration_us,
-                receiver: self.dst,
-                transmitter: self.src.unwrap_or(MacAddr::ZERO),
-            }),
-            FrameKind::Cts => Frame::Cts(Cts {
-                duration: self.duration_us,
-                receiver: self.dst,
-            }),
-            FrameKind::Ack => Frame::Ack(Ack {
-                duration: self.duration_us,
-                receiver: self.dst,
-            }),
-            FrameKind::Beacon => Frame::Beacon(Beacon {
-                duration: 0,
-                dest: MacAddr::BROADCAST,
-                source: self.src.unwrap_or(MacAddr::ZERO),
-                bssid: self.bssid.unwrap_or(MacAddr::ZERO),
-                seq,
-                timestamp: 0,
-                interval_tu: 100,
-                capability: 0x0401,
-                // Size the SSID so the materialized frame matches mac_bytes:
-                // overhead(28) + fixed(12) + ssid_ie(2+n) + rates(6) + ds(3).
-                ssid: "x".repeat((self.mac_bytes as usize).saturating_sub(
-                    frame::MGMT_OVERHEAD_BYTES + frame::BEACON_FIXED_BODY_BYTES + 11,
-                )),
-                channel,
-            }),
-            FrameKind::Data | FrameKind::NullData => {
-                let flags = FcFlags {
-                    retry: self.retry,
-                    to_ds: self.to_ds,
-                    from_ds: !self.to_ds,
-                    more_frag: self.more_frag,
-                    ..FcFlags::default()
-                };
-                Frame::Data(Data {
-                    flags,
-                    duration: self.duration_us,
-                    addr1: self.dst,
-                    addr2: self.src.unwrap_or(MacAddr::ZERO),
-                    addr3: self.bssid.unwrap_or(MacAddr::ZERO),
-                    seq,
-                    payload: vec![0u8; self.payload_bytes as usize],
-                    null: self.kind == FrameKind::NullData,
-                })
-            }
-            kind => {
-                let flags = FcFlags {
-                    retry: self.retry,
-                    ..FcFlags::default()
-                };
-                Frame::Mgmt(wifi_frames::frame::Mgmt {
-                    kind,
-                    flags,
-                    duration: self.duration_us,
-                    addr1: self.dst,
-                    addr2: self.src.unwrap_or(MacAddr::ZERO),
-                    addr3: self.bssid.unwrap_or(MacAddr::ZERO),
-                    seq,
-                    body: vec![
-                        0u8;
-                        (self.mac_bytes as usize).saturating_sub(frame::MGMT_OVERHEAD_BYTES)
-                    ],
-                })
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -350,41 +274,5 @@ mod tests {
         assert_eq!(r.mac_bytes, 828);
         assert_eq!(r.payload_bytes, 800);
         assert_eq!(r.signal_dbm, -55);
-    }
-
-    #[test]
-    fn materialized_frames_encode_to_declared_size() {
-        let ch = Channel::new(1).unwrap();
-        let frames = [
-            SimFrame::data(a(1), a(2), a(3), 7, 321, false, 0, true),
-            SimFrame::rts(a(1), a(2), 9),
-            SimFrame::cts(a(2), 5),
-            SimFrame::ack(a(1)),
-            SimFrame::beacon(a(4), 1, 29),
-            SimFrame::mgmt(FrameKind::AssocRequest, a(1), a(4), a(4), 2, 20, false, 0),
-        ];
-        for sf in frames {
-            let full = sf.to_frame(ch);
-            let bytes = wifi_frames::wire::encode(&full);
-            assert_eq!(bytes.len() as u32, sf.mac_bytes, "{:?}", sf.kind);
-            // And they parse back.
-            wifi_frames::wire::parse(&bytes).unwrap();
-        }
-    }
-
-    #[test]
-    fn materialized_data_round_trips_ds_bits() {
-        let up = SimFrame::data(a(1), a(2), a(3), 7, 10, false, 0, true);
-        if let Frame::Data(d) = up.to_frame(Channel::new(1).unwrap()) {
-            assert!(d.flags.to_ds && !d.flags.from_ds);
-        } else {
-            panic!("not a data frame");
-        }
-        let down = SimFrame::data(a(2), a(1), a(3), 8, 10, false, 0, false);
-        if let Frame::Data(d) = down.to_frame(Channel::new(1).unwrap()) {
-            assert!(!d.flags.to_ds && d.flags.from_ds);
-        } else {
-            panic!("not a data frame");
-        }
     }
 }

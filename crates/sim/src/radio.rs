@@ -302,13 +302,8 @@ pub fn sum_dbm(levels: impl IntoIterator<Item = f64>) -> f64 {
     }
 }
 
-/// SINR in dB: `signal` against the power sum of `interferers` and the noise
-/// floor.
-pub fn sinr_db(signal_dbm: f64, interferers_dbm: &[f64], noise_floor_dbm: f64) -> f64 {
-    effective_sinr_db(signal_dbm, interferers_dbm, noise_floor_dbm, 0.0)
-}
-
-/// SINR with despreading credit: DSSS processing gain suppresses
+/// SINR in dB: `signal` against the power sum of `interferers` and the
+/// noise floor, with despreading credit: DSSS processing gain suppresses
 /// *interference* (not thermal noise) by `processing_gain_db`. The 11-chip
 /// Barker code of the 1 and 2 Mbps rates rejects ≈10.4 dB of co-channel
 /// interference — the physical reason slow frames survive collisions that
@@ -526,7 +521,7 @@ mod tests {
 
     #[test]
     fn sinr_against_noise_only() {
-        let s = sinr_db(-60.0, &[], -95.0);
+        let s = effective_sinr_db(-60.0, &[], -95.0, 0.0);
         assert!((s - 35.0).abs() < 1e-9);
     }
 
@@ -534,7 +529,7 @@ mod tests {
     fn sinr_collision_crushes_margin() {
         // An equal-power interferer puts SINR at ~0 dB: undecodable at any
         // 802.11b rate.
-        let s = sinr_db(-60.0, &[-60.0], -95.0);
+        let s = effective_sinr_db(-60.0, &[-60.0], -95.0, 0.0);
         assert!(s < 0.1);
     }
 

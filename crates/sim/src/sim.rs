@@ -522,7 +522,7 @@ impl Simulator {
     /// same events in a batch sort them the same way. A station has at most
     /// one transmission in flight, so the transmitter key is unique per
     /// `TxEnd`/`CsBusy` at one timestamp.
-    fn batch_sort_key(&self, ev: &Event) -> (u8, u64, u64, u64) {
+    fn batch_sort_key(&self, ev: &Event) -> (u8, u64, u64) {
         let key = |node: NodeId| self.hot.key[node];
         let timer_rank = |kind: TimerKind| match kind {
             TimerKind::DeferDone => 0u64,
@@ -533,16 +533,16 @@ impl Simulator {
             TimerKind::NavExpired => 5,
         };
         match *ev {
-            Event::UserJoin { node } => (0, key(node), 0, 0),
-            Event::UserLeave { node } => (1, key(node), 0, 0),
-            Event::BeaconDue { node } => (2, key(node), 0, 0),
-            Event::TrafficArrival { node, flow } => (3, key(node), flow as u64, 0),
-            Event::Timer { node, gen, kind } => (4, key(node), timer_rank(kind), gen),
-            Event::CsBusy { node, .. } => (5, key(node), 0, 0),
-            Event::TxEnd { node, .. } => (6, key(node), 0, 0),
-            Event::ChannelEval { node } => (7, key(node), 0, 0),
-            Event::PowerSaveTick { node } => (8, key(node), 0, 0),
-            Event::FollowAp { node, channel_idx } => (9, key(node), channel_idx as u64, 0),
+            Event::UserJoin { node } => (0, key(node), 0),
+            Event::UserLeave { node } => (1, key(node), 0),
+            Event::BeaconDue { node } => (2, key(node), 0),
+            Event::TrafficArrival { node, flow } => (3, key(node), flow as u64),
+            Event::Timer { node, kind } => (4, key(node), timer_rank(kind)),
+            Event::CsBusy { node, .. } => (5, key(node), 0),
+            Event::TxEnd { node, .. } => (6, key(node), 0),
+            Event::ChannelEval { node } => (7, key(node), 0),
+            Event::PowerSaveTick { node } => (8, key(node), 0),
+            Event::FollowAp { node, channel_idx } => (9, key(node), channel_idx as u64),
         }
     }
 
@@ -556,7 +556,7 @@ impl Simulator {
             Event::UserLeave { node } => self.on_user_leave(node),
             Event::BeaconDue { node } => self.on_beacon_due(node),
             Event::TrafficArrival { node, flow } => self.on_traffic(node, flow),
-            Event::Timer { node, gen, kind } => self.on_timer(node, gen, kind),
+            Event::Timer { node, kind } => self.on_timer(node, kind),
             Event::CsBusy { medium, node } => self.on_cs_busy(medium, node),
             Event::TxEnd { medium, node } => self.on_tx_end(medium, node),
             Event::ChannelEval { node } => self.on_channel_eval(node),
@@ -565,54 +565,34 @@ impl Simulator {
         }
     }
 
-    /// Arms the station's single contention timer. The generation bump
-    /// invalidates any previous arm (a cross-check retained in `on_timer`);
-    /// the queue additionally removes the superseded entry outright, so
-    /// re-arming never leaves a dead event behind.
-    fn arm_timer(&mut self, node: NodeId, kind: TimerKind, at: Micros) {
-        let gen = self.hot.bump_timer_gen(node);
-        self.queue.arm_timer(node, gen, kind, at);
-    }
-
-    /// NavExpired is validated by condition, not generation, so it must not
-    /// bump the generation (that would cancel a live contention timer).
+    /// NavExpired is a plain event validated by condition: it must not
+    /// take the contention-timer slot (that would cancel a live timer).
     fn arm_nav_expiry(&mut self, node: NodeId, at: Micros) {
-        let gen = self.hot.timer_gen[node];
         self.queue.push(
             at,
             Event::Timer {
                 node,
-                gen,
                 kind: TimerKind::NavExpired,
             },
         );
     }
 
-    fn on_timer(&mut self, node: NodeId, gen: u64, kind: TimerKind) {
-        // NavExpired and SifsResponse are condition-validated; the rest are
-        // generation-validated.
+    /// NavExpired and SifsResponse are condition-validated. A contention
+    /// timer that pops is live: cancelling or re-arming one removes it from
+    /// the queue, and in a same-microsecond batch timers run before the
+    /// carrier-sense and end-of-frame events that cancel them.
+    fn on_timer(&mut self, node: NodeId, kind: TimerKind) {
         match kind {
             TimerKind::NavExpired => {
                 if self.hot.nav_until[node] <= self.now && self.hot.sensed[node] == 0 {
                     self.on_channel_idle(node);
                 }
-                return;
             }
-            TimerKind::SifsResponse => {
-                self.fire_sifs_response(node);
-                return;
-            }
-            _ => {}
-        }
-        if self.hot.timer_gen[node] != gen {
-            return; // stale
-        }
-        match kind {
+            TimerKind::SifsResponse => self.fire_sifs_response(node),
             TimerKind::DeferDone => self.on_defer_done(node),
             TimerKind::BackoffDone => self.on_backoff_done(node),
             TimerKind::CtsTimeout => self.on_exchange_timeout(node, MacState::AwaitCts),
             TimerKind::AckTimeout => self.on_exchange_timeout(node, MacState::AwaitAck),
-            TimerKind::NavExpired | TimerKind::SifsResponse => unreachable!(),
         }
     }
 
@@ -925,7 +905,7 @@ impl Simulator {
         }
         self.hot.set_state(node, MacState::WaitDefer);
         let ready_at = (self.hot.idle_since[node] + difs).max(now);
-        self.arm_timer(node, TimerKind::DeferDone, ready_at);
+        self.queue.arm_timer(node, TimerKind::DeferDone, ready_at);
     }
 
     fn defer_interval(&self, node: NodeId) -> Micros {
@@ -959,7 +939,7 @@ impl Simulator {
             },
         );
         let fire_at = now + slots as Micros * self.config.dcf.slot_us;
-        self.arm_timer(node, TimerKind::BackoffDone, fire_at);
+        self.queue.arm_timer(node, TimerKind::BackoffDone, fire_at);
     }
 
     fn on_backoff_done(&mut self, node: NodeId) {
@@ -976,12 +956,10 @@ impl Simulator {
         let slot = self.config.dcf.slot_us;
         let cancelled = match self.hot.state(node) {
             MacState::WaitDefer => {
-                self.hot.bump_timer_gen(node);
                 self.hot.set_state(node, MacState::Frozen);
                 true
             }
             MacState::Backoff { started, .. } => {
-                self.hot.bump_timer_gen(node);
                 self.hot.consume_backoff(node, now - started, slot);
                 self.hot.set_state(node, MacState::Frozen);
                 true
@@ -1000,7 +978,7 @@ impl Simulator {
         if self.hot.state(node) == MacState::Frozen {
             self.hot.set_state(node, MacState::WaitDefer);
             let difs = self.defer_interval(node);
-            self.arm_timer(node, TimerKind::DeferDone, now + difs);
+            self.queue.arm_timer(node, TimerKind::DeferDone, now + difs);
         }
     }
 
@@ -1271,7 +1249,7 @@ impl Simulator {
             TxPhase::Rts => {
                 self.hot.set_state(node, MacState::AwaitCts);
                 let timeout = now + delay::SIFS + delay::CTS + TIMEOUT_MARGIN_US;
-                self.arm_timer(node, TimerKind::CtsTimeout, timeout);
+                self.queue.arm_timer(node, TimerKind::CtsTimeout, timeout);
             }
             TxPhase::Data => {
                 if tx.frame.is_broadcast() {
@@ -1279,7 +1257,7 @@ impl Simulator {
                 } else {
                     self.hot.set_state(node, MacState::AwaitAck);
                     let timeout = now + delay::SIFS + delay::ACK + TIMEOUT_MARGIN_US;
-                    self.arm_timer(node, TimerKind::AckTimeout, timeout);
+                    self.queue.arm_timer(node, TimerKind::AckTimeout, timeout);
                 }
             }
             TxPhase::Cts | TxPhase::Ack => {
@@ -1399,8 +1377,7 @@ impl Simulator {
         match frame.kind {
             FrameKind::Ack => {
                 if self.hot.state(rx_node) == MacState::AwaitAck {
-                    self.hot.bump_timer_gen(rx_node); // cancel AckTimeout
-                    self.queue.cancel_timer(rx_node);
+                    self.queue.cancel_timer(rx_node); // the AckTimeout
                     let has_more = self.stations[rx_node]
                         .current
                         .as_ref()
@@ -1414,8 +1391,7 @@ impl Simulator {
             }
             FrameKind::Cts => {
                 if self.hot.state(rx_node) == MacState::AwaitCts {
-                    self.hot.bump_timer_gen(rx_node); // cancel CtsTimeout
-                    self.queue.cancel_timer(rx_node);
+                    self.queue.cancel_timer(rx_node); // the CtsTimeout
                     if let Some(op) = self.stations[rx_node].current.as_mut() {
                         op.cts_received = true;
                     }
@@ -1488,12 +1464,10 @@ impl Simulator {
         }
         let now = self.now;
         self.stations[node].pending_response = Some(frame);
-        let gen = self.hot.timer_gen[node];
         self.queue.push(
             now + delay::SIFS,
             Event::Timer {
                 node,
-                gen,
                 kind: TimerKind::SifsResponse,
             },
         );
@@ -1523,13 +1497,11 @@ impl Simulator {
         );
         st.stats.tx_attempts += 1;
         st.pending_response = Some(frame);
-        let gen = self.hot.timer_gen[node];
         self.ground_truth.data_tx += 1;
         self.queue.push(
             now + delay::SIFS,
             Event::Timer {
                 node,
-                gen,
                 kind: TimerKind::SifsResponse,
             },
         );
@@ -1930,13 +1902,11 @@ impl Simulator {
         );
         st.stats.tx_attempts += 1;
         st.pending_response = Some(frame);
-        let gen = self.hot.timer_gen[node];
         self.ground_truth.data_tx += 1;
         self.queue.push(
             now + delay::SIFS,
             Event::Timer {
                 node,
-                gen,
                 kind: TimerKind::SifsResponse,
             },
         );

@@ -205,12 +205,6 @@ pub struct HotState {
     pub backoff_slots: Vec<u32>,
     /// Current contention-window size.
     pub cw: Vec<u32>,
-    /// Timer generation stamp. The event queue removes cancelled
-    /// contention timers eagerly (`EventQueue::cancel_timer`); the
-    /// generation survives as a belt-and-braces cross-check at delivery —
-    /// a popped timer whose stamp mismatches is stale and dropped. Bump
-    /// sites pair with a queue-side cancellation.
-    pub timer_gen: Vec<u64>,
     /// Number of carrier-sensed in-flight transmissions.
     pub sensed: Vec<u32>,
     /// NAV expiry.
@@ -248,7 +242,6 @@ impl HotState {
         self.state.push(MacState::Idle);
         self.backoff_slots.push(0);
         self.cw.push(cw_min);
-        self.timer_gen.push(0);
         self.sensed.push(0);
         self.nav_until.push(0);
         self.idle_since.push(0);
@@ -362,13 +355,6 @@ impl HotState {
         // hear anything, so overlap reduces to this check.
         let _ = end;
         self.tx_until[node] > start
-    }
-
-    /// Invalidates any armed timers of `node`; returns the new generation.
-    #[inline]
-    pub fn bump_timer_gen(&mut self, node: NodeId) -> u64 {
-        self.timer_gen[node] += 1;
-        self.timer_gen[node]
     }
 
     /// Consumes elapsed backoff time of `node`: decrements the remaining
@@ -628,14 +614,6 @@ mod tests {
         s.adapter_for(p1).on_failure();
         assert_eq!(s.pick_rate(p1), Rate::R5_5, "p1 stepped down");
         assert_eq!(s.pick_rate(p2), Rate::R11, "p2 untouched");
-    }
-
-    #[test]
-    fn timer_generation_invalidates() {
-        let mut h = hot_with_one();
-        let g0 = h.timer_gen[0];
-        let g1 = h.bump_timer_gen(0);
-        assert!(g1 > g0);
     }
 
     #[test]

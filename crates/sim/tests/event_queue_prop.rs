@@ -54,7 +54,7 @@ impl RefQueue {
         });
     }
 
-    fn arm_timer(&mut self, node: usize, gen: u64, kind: TimerKind, at: u64) {
+    fn arm_timer(&mut self, node: usize, kind: TimerKind, at: u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.armed.len() <= node {
@@ -64,7 +64,7 @@ impl RefQueue {
         self.entries.push(RefEntry {
             at,
             seq,
-            event: Event::Timer { node, gen, kind },
+            event: Event::Timer { node, kind },
             timer_node: Some(node),
         });
     }
@@ -131,7 +131,6 @@ struct Driver {
     wheel_ghosts: u64,
     reference: RefQueue,
     now: u64,
-    node_gen: [u64; 4],
     next_id: usize,
 }
 
@@ -143,7 +142,6 @@ impl Driver {
             wheel_ghosts: 0,
             reference: RefQueue::default(),
             now: 0,
-            node_gen: [0; 4],
             next_id: 0,
         }
     }
@@ -173,15 +171,14 @@ impl Driver {
             2 => {
                 let node = (a % 4) as usize;
                 let at = self.target_time(a / 4, b);
-                self.node_gen[node] += 1;
-                let gen = self.node_gen[node];
-                let kind = if a % 2 == 0 {
-                    TimerKind::DeferDone
-                } else {
-                    TimerKind::AckTimeout
-                };
-                self.wheel.arm_timer(node, gen, kind, at);
-                self.reference.arm_timer(node, gen, kind, at);
+                let kind = [
+                    TimerKind::DeferDone,
+                    TimerKind::BackoffDone,
+                    TimerKind::CtsTimeout,
+                    TimerKind::AckTimeout,
+                ][(a / 16 % 4) as usize];
+                self.wheel.arm_timer(node, kind, at);
+                self.reference.arm_timer(node, kind, at);
             }
             3 => {
                 let node = (a % 4) as usize;
@@ -255,7 +252,6 @@ proptest! {
         // schedule (pops skipped so both queues see the same inserts).
         let mut single = EventQueue::new();
         let mut batched = EventQueue::new();
-        let mut gen = [0u64; 4];
         let mut id = 0usize;
         let mut max_at = 0u64;
         for (code, a, b) in ops {
@@ -274,11 +270,10 @@ proptest! {
                 }
                 _ => {
                     let node = (a % 4) as usize;
-                    gen[node] += 1;
                     let at = b % (2 * WINDOW_US);
                     max_at = max_at.max(at);
-                    single.arm_timer(node, gen[node], TimerKind::DeferDone, at);
-                    batched.arm_timer(node, gen[node], TimerKind::DeferDone, at);
+                    single.arm_timer(node, TimerKind::DeferDone, at);
+                    batched.arm_timer(node, TimerKind::DeferDone, at);
                 }
             }
         }

@@ -253,16 +253,6 @@ pub fn ap_grid() -> Vec<(Pos, usize)> {
     aps
 }
 
-/// The channel of the geographically nearest AP — the association rule a
-/// controller-less network would use (the sessions use round-robin
-/// balancing instead, mirroring the Airespace controller).
-pub fn nearest_channel(aps: &[(Pos, usize)], pos: Pos) -> usize {
-    aps.iter()
-        .min_by(|a, b| a.0.distance_to(pos).total_cmp(&b.0.distance_to(pos)))
-        .map(|&(_, ch)| ch)
-        .expect("APs exist")
-}
-
 fn build_session_spec(
     name: &str,
     scale: SessionScale,
@@ -650,13 +640,6 @@ mod tests {
         for ch in 0..3 {
             assert_eq!(aps.iter().filter(|&&(_, c)| c == ch).count(), 3);
         }
-    }
-
-    #[test]
-    fn nearest_channel_is_deterministic() {
-        let aps = ap_grid();
-        let p = Pos::new(10.0, 10.0);
-        assert_eq!(nearest_channel(&aps, p), nearest_channel(&aps, p));
     }
 
     #[test]

@@ -539,6 +539,39 @@ mod tests {
         }
     }
 
+    /// The exporter materializes a frame of exactly the declared size for
+    /// every descriptor the simulator builds, so an untruncated capture
+    /// reads back each record's `mac_bytes`.
+    #[test]
+    fn exported_sim_frames_keep_their_declared_size() {
+        use wifi_sim::frame_info::SimFrame;
+        let a = MacAddr::from_id;
+        let frames = [
+            SimFrame::data(a(1), a(2), a(3), 7, 321, false, 0, true),
+            SimFrame::data_fragment(a(2), a(1), a(3), 8, 1, 256, true, 314, false, true),
+            SimFrame::rts(a(1), a(2), 9),
+            SimFrame::cts(a(2), 5),
+            SimFrame::ack(a(1)),
+            SimFrame::beacon(a(4), 1, 29),
+            SimFrame::mgmt(FrameKind::AssocRequest, a(1), a(4), a(4), 2, 20, false, 0),
+        ];
+        let channel = Channel::new(1).unwrap();
+        let records: Vec<FrameRecord> = (0u64..)
+            .zip(&frames)
+            .map(|(i, f)| f.to_record(1_000 * (i + 1), Rate::R2, channel, -60))
+            .collect();
+        let dir = std::env::temp_dir().join("congestion_trace_test_sim_frames");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sim_frames.pcap");
+        write_capture_with_snaplen(&path, &records, 0).unwrap();
+        let back = read_capture(&path).unwrap();
+        assert_eq!(back.len(), records.len());
+        for (got, want) in back.iter().zip(&records) {
+            assert_eq!(got.kind, want.kind);
+            assert_eq!(got.mac_bytes, want.mac_bytes, "{:?}", want.kind);
+        }
+    }
+
     #[test]
     fn roundtrip_with_study_snaplen() {
         let dir = std::env::temp_dir().join("congestion_trace_test_snap");
