@@ -1,13 +1,12 @@
 //! Criterion benchmarks of the scalar PHY kernels every receiver, station or
 //! sniffer, decodes through: `effective_sinr_db` over interferer lists of
 //! 1/4/16/64 entries, and `frame_success_prob` evaluated for 1/4/16/64
-//! receivers of one frame. The noise floor goes through `black_box`, as the
-//! simulator reads it from its configuration: a literal would let the
-//! inlined kernel constant-fold its milliwatt term.
+//! receivers of one frame. The noise floor goes through `black_box`: a
+//! literal would let the inlined kernel constant-fold its milliwatt term.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use wifi_frames::phy::Rate;
-use wifi_sim::radio::{effective_sinr_db, processing_gain_db, ErrorModel};
+use wifi_sim::radio::{effective_sinr_db, frame_success_prob, processing_gain_db};
 
 /// A deterministic interferer RSSI pattern spanning the dynamic range a
 /// dense cell produces (strong near-far captures down to floor grazes).
@@ -37,7 +36,6 @@ fn bench_sinr(c: &mut Criterion) {
 
 fn bench_success(c: &mut Criterion) {
     let mut g = c.benchmark_group("phy/success");
-    let model = ErrorModel::default();
     for &n in &[1usize, 4, 16, 64] {
         // SINRs straddling the rate threshold, where the exp() tail is live.
         let sinrs: Vec<f64> = (0..n).map(|i| ((i * 29) % 25) as f64 - 5.0).collect();
@@ -45,7 +43,7 @@ fn bench_success(c: &mut Criterion) {
         g.bench_function(&format!("receivers_{n}"), |b| {
             b.iter(|| {
                 for &s in black_box(&sinrs) {
-                    black_box(model.frame_success_prob(s, Rate::R11, 1460));
+                    black_box(frame_success_prob(s, Rate::R11, 1460));
                 }
             })
         });

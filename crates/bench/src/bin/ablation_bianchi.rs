@@ -9,7 +9,6 @@
 use congestion::theory::{bianchi, tmt_bps};
 use congestion_bench::{print_series, scaled};
 use wifi_frames::phy::Rate;
-use wifi_frames::timing::Dcf;
 use wifi_sim::geometry::Pos;
 use wifi_sim::rate::RateAdaptation;
 use wifi_sim::station::RtsPolicy;
@@ -57,10 +56,9 @@ fn simulate(n: usize, duration_s: u64) -> (f64, f64) {
 
 fn main() {
     let duration = scaled(60, 10);
-    let dcf = Dcf::standard();
     let mut rows = Vec::new();
     for n in [2usize, 5, 10, 20, 40] {
-        let theory = bianchi(n, PAYLOAD, Rate::R11, &dcf);
+        let theory = bianchi(n, PAYLOAD, Rate::R11);
         let (sim_bps, sim_p) = simulate(n, duration);
         rows.push(vec![
             n.to_string(),

@@ -6,7 +6,6 @@ use congestion::theory::{tmt_bps, tmt_with_backoff_bps};
 use congestion::{find_knee, CongestionClassifier};
 use congestion_bench::{bins_of, figure_dataset, occupied_bins, print_series, SweepArgs};
 use wifi_frames::phy::Rate;
-use wifi_frames::timing::Dcf;
 
 fn main() {
     let args = SweepArgs::parse(3);
@@ -37,7 +36,7 @@ fn main() {
          with mean backoff = {:.2} Mbps — the paper compares its 4.9 Mbps peak \
          against these",
         tmt_bps(1472, Rate::R11) / 1e6,
-        tmt_with_backoff_bps(1472, Rate::R11, &Dcf::standard()) / 1e6
+        tmt_with_backoff_bps(1472, Rate::R11) / 1e6
     );
     let classifier = CongestionClassifier::from_measurements(&bins);
     println!(

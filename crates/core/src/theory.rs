@@ -11,7 +11,7 @@
 //!   throughput against theory (ablation A9).
 
 use wifi_frames::phy::{Preamble, Rate};
-use wifi_frames::timing::{delay, frame_airtime_us, Dcf};
+use wifi_frames::timing::{dcf, delay, frame_airtime_us};
 
 /// Theoretical maximum throughput (bits per second of MSDU payload) for
 /// back-to-back delivery of `payload` -byte frames at `rate`, long preamble,
@@ -26,9 +26,9 @@ pub fn tmt_bps(payload: u32, rate: Rate) -> f64 {
 
 /// TMT including the mean backoff of an idle channel (CWmin/2 slots), the
 /// variant usually quoted for a single saturated sender.
-pub fn tmt_with_backoff_bps(payload: u32, rate: Rate, dcf: &Dcf) -> f64 {
+pub fn tmt_with_backoff_bps(payload: u32, rate: Rate) -> f64 {
     let t_data = frame_airtime_us((payload + 28) as u64, rate, Preamble::Long);
-    let mean_bo = (dcf.cw_min as u64 * dcf.slot_us) / 2;
+    let mean_bo = (dcf::CW_MIN as u64 * dcf::SLOT_US) / 2;
     let cycle = delay::DIFS + mean_bo + t_data + delay::SIFS + delay::ACK;
     payload as f64 * 8.0 / (cycle as f64 / 1e6)
 }
@@ -46,15 +46,15 @@ pub struct Bianchi {
 
 /// Solves Bianchi's model for `n` saturated stations sending fixed
 /// `payload`-byte frames at `rate` (basic access, no RTS/CTS), with `m`
-/// backoff stages derived from the DCF's CWmin/CWmax.
+/// backoff stages derived from the DCF's CWmin/CWmax ([`dcf`]).
 ///
 /// Fixed point: `tau = 2(1-2p) / ((1-2p)(W+1) + pW(1-(2p)^m))` with
 /// `p = 1 - (1-tau)^(n-1)`, solved by bisection on `p`.
-pub fn bianchi(n: usize, payload: u32, rate: Rate, dcf: &Dcf) -> Bianchi {
+pub fn bianchi(n: usize, payload: u32, rate: Rate) -> Bianchi {
     assert!(n >= 1);
-    let w = (dcf.cw_min + 1) as f64;
+    let w = (dcf::CW_MIN + 1) as f64;
     // Number of doubling stages.
-    let m = ((dcf.cw_max + 1) as f64 / w).log2().round().max(0.0);
+    let m = ((dcf::CW_MAX + 1) as f64 / w).log2().round().max(0.0);
 
     let tau_of_p = |p: f64| -> f64 {
         if n == 1 {
@@ -90,7 +90,7 @@ pub fn bianchi(n: usize, payload: u32, rate: Rate, dcf: &Dcf) -> Bianchi {
         0.0
     };
     let t_data = frame_airtime_us((payload + 28) as u64, rate, Preamble::Long) as f64;
-    let sigma = dcf.slot_us as f64;
+    let sigma = dcf::SLOT_US as f64;
     let t_success = delay::DIFS as f64 + t_data + delay::SIFS as f64 + delay::ACK as f64;
     // A collision occupies the channel for the (equal-length) frame plus an
     // ACK-timeout worth of dead air, then a DIFS.
@@ -134,29 +134,27 @@ mod tests {
 
     #[test]
     fn tmt_with_backoff_is_lower() {
-        let dcf = Dcf::standard();
-        assert!(tmt_with_backoff_bps(1472, Rate::R11, &dcf) < tmt_bps(1472, Rate::R11));
+        assert!(tmt_with_backoff_bps(1472, Rate::R11) < tmt_bps(1472, Rate::R11));
     }
 
     #[test]
     fn bianchi_single_station_has_no_collisions() {
-        let b = bianchi(1, 1000, Rate::R11, &Dcf::standard());
+        let b = bianchi(1, 1000, Rate::R11);
         assert!(b.p < 1e-9, "p = {}", b.p);
         assert!(b.throughput_bps > 4e6, "{}", b.throughput_bps);
     }
 
     #[test]
     fn bianchi_collision_probability_grows_with_n() {
-        let dcf = Dcf::standard();
         let mut last_p = 0.0;
         for n in [2, 5, 10, 20, 50, 100] {
-            let b = bianchi(n, 1000, Rate::R11, &dcf);
+            let b = bianchi(n, 1000, Rate::R11);
             assert!(b.p > last_p, "p must grow with n: {} at n={n}", b.p);
             assert!(b.tau > 0.0 && b.tau < 1.0);
             last_p = b.p;
         }
         // The classic regime: tens of percent for tens of stations.
-        let b50 = bianchi(50, 1000, Rate::R11, &dcf);
+        let b50 = bianchi(50, 1000, Rate::R11);
         assert!(
             (0.3..0.8).contains(&b50.p),
             "n=50 collision probability {}",
@@ -166,9 +164,8 @@ mod tests {
 
     #[test]
     fn bianchi_throughput_declines_gently_with_n() {
-        let dcf = Dcf::standard();
-        let t2 = bianchi(2, 1472, Rate::R11, &dcf).throughput_bps;
-        let t50 = bianchi(50, 1472, Rate::R11, &dcf).throughput_bps;
+        let t2 = bianchi(2, 1472, Rate::R11).throughput_bps;
+        let t50 = bianchi(50, 1472, Rate::R11).throughput_bps;
         assert!(t2 > t50, "{t2} vs {t50}");
         // But it does not collapse to zero: DCF stabilizes.
         assert!(t50 > 0.4 * t2, "{t50} vs {t2}");
@@ -176,9 +173,8 @@ mod tests {
 
     #[test]
     fn bianchi_fixed_point_consistency() {
-        let dcf = Dcf::standard();
         for n in [2usize, 10, 40] {
-            let b = bianchi(n, 800, Rate::R11, &dcf);
+            let b = bianchi(n, 800, Rate::R11);
             let p_back = 1.0 - (1.0 - b.tau).powi(n as i32 - 1);
             assert!((p_back - b.p).abs() < 1e-6, "n={n}: {} vs {}", p_back, b.p);
         }
@@ -190,6 +186,6 @@ mod tests {
         // 11 Mbps TMT (≈7.1 Mbps) and near a mixed-rate practical ceiling —
         // the sanity relation the paper appeals to.
         assert!(tmt_bps(1472, Rate::R11) > 4.9e6);
-        assert!(tmt_with_backoff_bps(1472, Rate::R11, &Dcf::standard()) > 4.9e6);
+        assert!(tmt_with_backoff_bps(1472, Rate::R11) > 4.9e6);
     }
 }

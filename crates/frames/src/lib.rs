@@ -62,4 +62,4 @@ pub use frame::Frame;
 pub use mac::MacAddr;
 pub use phy::{Channel, Preamble, Rate};
 pub use record::FrameRecord;
-pub use timing::{Dcf, Micros, SECOND};
+pub use timing::{Micros, SECOND};

@@ -7,8 +7,8 @@
 //! the simulator and the pcap ingestion path produce `FrameRecord`s, so the
 //! analysis crate is agnostic to where a trace came from.
 
-use crate::fc::FrameKind;
-use crate::frame::{Frame, DATA_OVERHEAD_BYTES};
+use crate::fc::{FrameClass, FrameKind};
+use crate::frame::DATA_OVERHEAD_BYTES;
 use crate::mac::MacAddr;
 use crate::phy::{Channel, Rate};
 use crate::radiotap::CaptureMeta;
@@ -48,37 +48,27 @@ pub struct FrameRecord {
 }
 
 impl FrameRecord {
-    /// Builds a record from a fully-parsed frame plus capture metadata.
-    pub fn from_frame(frame: &Frame, meta: &CaptureMeta) -> FrameRecord {
-        FrameRecord {
-            timestamp_us: meta.tsft_us,
-            kind: frame.kind(),
-            rate: meta.rate,
-            channel: meta.channel,
-            dst: frame.receiver(),
-            src: frame.transmitter(),
-            bssid: frame.bssid(),
-            retry: frame.retry(),
-            seq: frame.seq().map(|s| s.seq),
-            mac_bytes: frame.size_bytes() as u32,
-            payload_bytes: frame.payload_len() as u32,
-            signal_dbm: meta.signal_dbm,
-            duration_us: frame.duration(),
-        }
-    }
-
     /// Builds a record from a snaplen-truncated capture: the parsed header,
     /// the *original* (pre-truncation) frame length reported by the capture
     /// file, and the radiotap metadata.
     ///
     /// The payload size of a data frame is recovered as
     /// `orig_len - header - FCS`, exactly how an analysis of a 250-byte
-    /// snaplen trace must do it.
+    /// snaplen trace must do it. A data frame's BSSID follows its DS bits
+    /// (addr1 to the AP, addr2 from it, addr3 otherwise), as
+    /// [`crate::frame::Data::bssid`] infers it; every other frame's is its
+    /// addr3, when it has one.
     pub fn from_header(header: &HeaderInfo, orig_len: u32, meta: &CaptureMeta) -> FrameRecord {
         let payload_bytes = if header.kind == FrameKind::Data {
             orig_len.saturating_sub(DATA_OVERHEAD_BYTES as u32)
         } else {
             0
+        };
+        let flags = header.fc.flags;
+        let bssid = match (header.kind.class(), flags.to_ds, flags.from_ds) {
+            (FrameClass::Data, true, false) => Some(header.receiver),
+            (FrameClass::Data, false, true) => header.transmitter,
+            _ => header.addr3,
         };
         FrameRecord {
             timestamp_us: meta.tsft_us,
@@ -87,7 +77,7 @@ impl FrameRecord {
             channel: meta.channel,
             dst: header.receiver,
             src: header.transmitter,
-            bssid: header.addr3,
+            bssid,
             retry: header.fc.flags.retry,
             seq: header.seq.map(|s| s.seq),
             mac_bytes: orig_len,
@@ -113,7 +103,7 @@ impl FrameRecord {
 mod tests {
     use super::*;
     use crate::fc::FcFlags;
-    use crate::frame::{Ack, Data, SeqCtl};
+    use crate::frame::{Ack, Data, Frame, SeqCtl};
     use crate::radiotap::FLAG_FCS_AT_END;
     use crate::wire;
 
@@ -127,6 +117,14 @@ mod tests {
             noise_dbm: -95,
             antenna: 0,
         }
+    }
+
+    /// The record a capture of `f` yields: its header parsed from the
+    /// encoded bytes, untruncated.
+    fn record(f: &Frame, meta: &CaptureMeta) -> FrameRecord {
+        let bytes = wire::encode(f);
+        let header = wire::parse_header(&bytes).unwrap();
+        FrameRecord::from_header(&header, bytes.len() as u32, meta)
     }
 
     fn data_frame(payload: usize, retry: bool) -> Frame {
@@ -149,7 +147,7 @@ mod tests {
     #[test]
     fn record_from_full_frame() {
         let f = data_frame(1000, true);
-        let r = FrameRecord::from_frame(&f, &meta(2_500_000, Rate::R11));
+        let r = record(&f, &meta(2_500_000, Rate::R11));
         assert_eq!(r.kind, FrameKind::Data);
         assert_eq!(r.mac_bytes, 1028);
         assert_eq!(r.payload_bytes, 1000);
@@ -158,6 +156,24 @@ mod tests {
         assert_eq!(r.second(), 2);
         assert_eq!(r.src, Some(MacAddr::from_id(2)));
         assert_eq!(r.bssid, Some(MacAddr::from_id(1))); // to_ds: bssid = addr1
+    }
+
+    /// A from-DS data frame names its BSSID in addr2; addr3 is the source
+    /// on the wired side, not the BSSID.
+    #[test]
+    fn from_ds_bssid_is_addr2() {
+        let mut f = data_frame(100, false);
+        if let Frame::Data(d) = &mut f {
+            d.flags.to_ds = false;
+            d.flags.from_ds = true;
+            d.addr1 = MacAddr::from_id(5);
+            d.addr2 = MacAddr::from_id(1);
+            d.addr3 = MacAddr::from_id(77);
+        }
+        let r = record(&f, &meta(0, Rate::R11));
+        assert_eq!(r.src, Some(MacAddr::from_id(1)));
+        assert_eq!(r.bssid, Some(MacAddr::from_id(1)));
+        assert_eq!(r.bssid, f.bssid());
     }
 
     #[test]
@@ -178,8 +194,9 @@ mod tests {
             duration: 0,
             receiver: MacAddr::from_id(2),
         });
-        let r = FrameRecord::from_frame(&f, &meta(10, Rate::R1));
+        let r = record(&f, &meta(10, Rate::R1));
         assert_eq!(r.src, None);
+        assert_eq!(r.bssid, None);
         assert_eq!(r.payload_bytes, 0);
         assert_eq!(r.mac_bytes, 14);
         assert_eq!(r.seq, None);
@@ -191,31 +208,14 @@ mod tests {
         if let Frame::Data(d) = &mut f {
             d.addr1 = MacAddr::BROADCAST;
         }
-        let r = FrameRecord::from_frame(&f, &meta(0, Rate::R1));
+        let r = record(&f, &meta(0, Rate::R1));
         assert!(r.is_broadcast());
     }
 
     #[test]
     fn second_bucketing_boundaries() {
         let f = data_frame(0, false);
-        assert_eq!(
-            FrameRecord::from_frame(&f, &meta(999_999, Rate::R1)).second(),
-            0
-        );
-        assert_eq!(
-            FrameRecord::from_frame(&f, &meta(1_000_000, Rate::R1)).second(),
-            1
-        );
-    }
-
-    #[test]
-    fn from_header_on_control_frame_clamps_payload() {
-        let ack = wire::encode(&Frame::Ack(Ack {
-            duration: 0,
-            receiver: MacAddr::from_id(7),
-        }));
-        let h = wire::parse_header(&ack).unwrap();
-        let r = FrameRecord::from_header(&h, ack.len() as u32, &meta(0, Rate::R1));
-        assert_eq!(r.payload_bytes, 0);
+        assert_eq!(record(&f, &meta(999_999, Rate::R1)).second(), 0);
+        assert_eq!(record(&f, &meta(1_000_000, Rate::R1)).second(), 1);
     }
 }

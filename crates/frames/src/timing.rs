@@ -8,8 +8,8 @@
 //!   the busy-time *metric*, which charges a fixed DIFS per data frame, a SIFS
 //!   before every CTS/ACK, and assumes the average backoff is zero (at least
 //!   one station always has an expired backoff timer in a saturated network).
-//! * [`Dcf`] holds the standard-conformant parameter set (slot time, CWmin,
-//!   CWmax, retry limits) that the simulator enforces on the air. The metric
+//! * [`dcf`] holds the standard-conformant parameter set (slot time, CWmin,
+//!   CWmax, retry limit) that the simulator enforces on the air. The metric
 //!   is an *estimator* computed over traffic produced by the real rules —
 //!   exactly the situation the paper's sniffers faced.
 //!
@@ -114,80 +114,40 @@ pub mod cbt {
     }
 }
 
-/// Standard-conformant 802.11b DCF parameters used by the simulator.
+/// The standard-conformant 802.11b DCF parameter set the simulator
+/// enforces on the air.
 ///
 /// Note the paper's protocol overview quotes a 10 µs slot and a 255-slot
 /// maximum contention window; the 802.11b standard (long-preamble HR/DSSS)
-/// specifies a 20 µs slot and CWmax = 1023. Both are expressible here; the
-/// default is the standard set, and [`Dcf::paper`] gives the paper's variant
-/// for sensitivity ablations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Dcf {
+/// specifies a 20 µs slot and CWmax = 1023, and that is what runs here.
+pub mod dcf {
+    use super::{delay, Micros};
+
     /// Slot time in microseconds.
-    pub slot_us: Micros,
+    pub const SLOT_US: Micros = 20;
     /// SIFS in microseconds.
-    pub sifs_us: Micros,
+    pub const SIFS_US: Micros = 10;
     /// Minimum contention window (slots); the first backoff draws from
-    /// `0..=cw_min`.
-    pub cw_min: u32,
+    /// `0..=CW_MIN`.
+    pub const CW_MIN: u32 = 31;
     /// Maximum contention window (slots).
-    pub cw_max: u32,
-    /// Retry limit for frames short enough to skip RTS/CTS ("short retry
-    /// limit" in the standard; 7 by default).
-    pub short_retry_limit: u32,
-    /// Retry limit for frames sent under RTS/CTS protection (4 by default).
-    pub long_retry_limit: u32,
-}
-
-impl Dcf {
-    /// The IEEE 802.11b standard parameter set.
-    pub const fn standard() -> Dcf {
-        Dcf {
-            slot_us: 20,
-            sifs_us: 10,
-            cw_min: 31,
-            cw_max: 1023,
-            short_retry_limit: 7,
-            long_retry_limit: 4,
-        }
-    }
-
-    /// The parameter set as quoted in Section 3 of the paper (10 µs slot,
-    /// CW growing 31 → 255).
-    pub const fn paper() -> Dcf {
-        Dcf {
-            slot_us: 10,
-            sifs_us: 10,
-            cw_min: 31,
-            cw_max: 255,
-            short_retry_limit: 7,
-            long_retry_limit: 4,
-        }
-    }
-
+    pub const CW_MAX: u32 = 1023;
+    /// Retry limit of every frame, RTS-protected or not (the standard's
+    /// "short retry limit"): an MSDU is dropped after its first attempt
+    /// plus this many retries.
+    pub const RETRY_LIMIT: u32 = 7;
     /// DIFS = SIFS + 2 × slot.
-    pub const fn difs_us(&self) -> Micros {
-        self.sifs_us + 2 * self.slot_us
-    }
-
+    pub const DIFS_US: Micros = SIFS_US + 2 * SLOT_US;
     /// EIFS = SIFS + DIFS + ACK-at-lowest-rate; used after a reception error.
-    pub const fn eifs_us(&self) -> Micros {
-        self.sifs_us + self.difs_us() + delay::ACK
-    }
+    pub const EIFS_US: Micros = SIFS_US + DIFS_US + delay::ACK;
 
     /// The contention window after `retries` consecutive failures:
-    /// `min(cw_max, (cw_min + 1) * 2^retries - 1)`.
-    pub fn cw_after(&self, retries: u32) -> u32 {
-        let grown = (self.cw_min as u64 + 1)
+    /// `min(CW_MAX, (CW_MIN + 1) * 2^retries - 1)`.
+    pub fn cw_after(retries: u32) -> u32 {
+        let grown = (CW_MIN as u64 + 1)
             .saturating_mul(1u64 << retries.min(16))
             .saturating_sub(1);
-        grown.min(self.cw_max as u64) as u32
-    }
-}
-
-impl Default for Dcf {
-    fn default() -> Self {
-        Dcf::standard()
+        grown.min(CW_MAX as u64) as u32
     }
 }
 
@@ -258,39 +218,32 @@ mod tests {
 
     #[test]
     fn dcf_standard_parameters() {
-        let d = Dcf::standard();
-        assert_eq!(d.slot_us, 20);
-        assert_eq!(d.difs_us(), 50);
-        assert_eq!(d.cw_min, 31);
-        assert_eq!(d.cw_max, 1023);
-    }
-
-    #[test]
-    fn dcf_paper_parameters() {
-        let d = Dcf::paper();
-        assert_eq!(d.slot_us, 10);
-        assert_eq!(d.difs_us(), 30);
-        assert_eq!(d.cw_max, 255);
+        assert_eq!(dcf::SLOT_US, 20);
+        assert_eq!(dcf::DIFS_US, 50);
+        assert_eq!(
+            dcf::DIFS_US,
+            delay::DIFS,
+            "Table 2's DIFS is the standard's"
+        );
+        assert_eq!(dcf::CW_MIN, 31);
+        assert_eq!(dcf::CW_MAX, 1023);
     }
 
     #[test]
     fn contention_window_growth() {
-        let d = Dcf::standard();
-        assert_eq!(d.cw_after(0), 31);
-        assert_eq!(d.cw_after(1), 63);
-        assert_eq!(d.cw_after(2), 127);
-        assert_eq!(d.cw_after(3), 255);
-        assert_eq!(d.cw_after(4), 511);
-        assert_eq!(d.cw_after(5), 1023);
-        assert_eq!(d.cw_after(6), 1023, "clamps at CWmax");
-        assert_eq!(d.cw_after(40), 1023, "no overflow at absurd retry counts");
-        let p = Dcf::paper();
-        assert_eq!(p.cw_after(3), 255);
-        assert_eq!(p.cw_after(10), 255);
+        let d = dcf::cw_after;
+        assert_eq!(d(0), 31);
+        assert_eq!(d(1), 63);
+        assert_eq!(d(2), 127);
+        assert_eq!(d(3), 255);
+        assert_eq!(d(4), 511);
+        assert_eq!(d(5), 1023);
+        assert_eq!(d(6), 1023, "clamps at CWmax");
+        assert_eq!(d(40), 1023, "no overflow at absurd retry counts");
     }
 
     #[test]
-    fn eifs_exceeds_difs() {
-        assert!(Dcf::standard().eifs_us() > Dcf::standard().difs_us());
+    fn eifs_is_sifs_difs_and_a_slow_ack() {
+        assert_eq!(dcf::EIFS_US, 10 + 50 + 304);
     }
 }

@@ -176,6 +176,7 @@ proptest! {
         };
         let r = FrameRecord::from_header(&h, bytes.len() as u32, &meta);
         prop_assert_eq!(r.mac_bytes as usize, frame.size_bytes());
+        prop_assert_eq!(r.bssid, frame.bssid());
         if frame.kind() == FrameKind::Data {
             prop_assert_eq!(r.payload_bytes as usize, frame.payload_len());
         }
@@ -205,11 +206,11 @@ proptest! {
 
     #[test]
     fn cw_growth_monotone_and_bounded(retries_a in 0u32..20, retries_b in 0u32..20) {
-        let d = timing::Dcf::standard();
+        use timing::dcf::{cw_after, CW_MAX, CW_MIN};
         let (lo, hi) = if retries_a <= retries_b { (retries_a, retries_b) } else { (retries_b, retries_a) };
-        prop_assert!(d.cw_after(lo) <= d.cw_after(hi));
-        prop_assert!(d.cw_after(hi) <= d.cw_max);
-        prop_assert!(d.cw_after(lo) >= d.cw_min);
+        prop_assert!(cw_after(lo) <= cw_after(hi));
+        prop_assert!(cw_after(hi) <= CW_MAX);
+        prop_assert!(cw_after(lo) >= CW_MIN);
     }
 
     #[test]

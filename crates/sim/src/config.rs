@@ -1,8 +1,7 @@
 //! Simulation-wide configuration.
 
-use crate::radio::{ErrorModel, RadioConfig};
-use wifi_frames::phy::{Channel, Preamble, Rate};
-use wifi_frames::timing::Dcf;
+use crate::radio::RadioConfig;
+use wifi_frames::phy::Channel;
 
 /// Dynamic channel-assignment policy for APs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -30,20 +29,12 @@ impl Default for ChannelMgmt {
 /// Top-level simulator configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// DCF timing parameters.
-    pub dcf: Dcf,
     /// Radio propagation parameters.
     pub radio: RadioConfig,
-    /// Frame-decoding model.
-    pub error: ErrorModel,
     /// The channels simulated (each gets an independent medium).
     pub channels: Vec<Channel>,
     /// RNG seed: same seed ⇒ identical trace.
     pub seed: u64,
-    /// Rate used for control/management frames and beacons (the basic rate).
-    pub control_rate: Rate,
-    /// PLCP preamble.
-    pub preamble: Preamble,
     /// Per-station transmit-queue capacity.
     pub queue_cap: usize,
     /// Apply EIFS after a failed decode at the intended receiver.
@@ -58,8 +49,6 @@ pub struct SimConfig {
     /// the tape (capture-superset and shard-equivalence checks) turns it
     /// on. The on-air counters run either way.
     pub record_ground_truth: bool,
-    /// Beacon interval in microseconds (100 TU ≈ the paper's 100 ms).
-    pub beacon_interval_us: u64,
     /// Dynamic channel assignment for APs (the venue's Airespace
     /// controller switched AP channels to balance load; technical details
     /// were proprietary — this is a published-heuristic stand-in).
@@ -70,18 +59,13 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            dcf: Dcf::standard(),
             radio: RadioConfig::default(),
-            error: ErrorModel::default(),
             channels: vec![Channel::new(1).unwrap()],
             seed: 1,
-            control_rate: Rate::R1,
-            preamble: Preamble::Long,
             queue_cap: 128,
             eifs_enabled: true,
             cs_delay_us: 15,
             record_ground_truth: false,
-            beacon_interval_us: 102_400,
             channel_mgmt: None,
         }
     }
@@ -105,8 +89,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = SimConfig::default();
-        assert_eq!(c.control_rate, Rate::R1);
-        assert_eq!(c.beacon_interval_us, 102_400);
         assert_eq!(c.channels.len(), 1);
         assert!(c.queue_cap > 0);
     }

@@ -14,32 +14,33 @@ use crate::geometry::Pos;
 use wifi_frames::phy::Rate;
 use wifi_frames::timing::Micros;
 
+/// Path loss at the 1 m reference distance, dB.
+pub const REF_LOSS_DB: f64 = 40.0;
+/// Thermal noise floor, dBm.
+pub const NOISE_FLOOR_DBM: f64 = -95.0;
+/// Receiver sensitivity, dBm: frames weaker than this are inaudible.
+pub const SENSITIVITY_DBM: f64 = -90.0;
+/// Pair-coupling floor, dBm: two radios whose *path-loss* RSSI (no
+/// fading) is below this floor do not interact at all — no reception,
+/// no interference contribution, no NAV, no sniffer accounting. At
+/// −110 dBm the excluded signals sit ≥ 15 dB under the thermal noise floor
+/// (< 0.14 dB of any SINR denominator), so within one venue nothing
+/// changes; across hundreds of meters it makes RF isolation *exact*, which
+/// is what lets [`crate::shard`] split a scenario into independently
+/// simulable components with bit-identical results.
+pub const COUPLING_FLOOR_DBM: f64 = -110.0;
+
 /// Radio-propagation parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct RadioConfig {
     /// Transmit power of clients and APs, dBm (802.11b cards: 15–20 dBm).
     pub tx_power_dbm: f64,
-    /// Path loss at the 1 m reference distance, dB.
-    pub ref_loss_db: f64,
     /// Log-distance path-loss exponent (≈2 free space, ≈3–3.5 indoors).
     pub pathloss_exp: f64,
-    /// Thermal noise floor, dBm.
-    pub noise_floor_dbm: f64,
     /// Carrier-sense threshold, dBm: transmissions weaker than this at a
     /// listener do not mark the medium busy for it (the source of hidden
     /// terminals).
     pub cs_threshold_dbm: f64,
-    /// Receiver sensitivity, dBm: frames weaker than this are inaudible.
-    pub sensitivity_dbm: f64,
-    /// Pair-coupling floor, dBm: two radios whose *path-loss* RSSI (no
-    /// fading) is below this floor do not interact at all — no reception,
-    /// no interference contribution, no NAV, no sniffer accounting. At the
-    /// default −110 dBm the excluded signals sit ≥ 15 dB under the thermal
-    /// noise floor (< 0.14 dB of any SINR denominator), so within one venue
-    /// nothing changes; across hundreds of meters it makes RF isolation
-    /// *exact*, which is what lets [`crate::shard`] split a scenario into
-    /// independently simulable components with bit-identical results.
-    pub coupling_floor_dbm: f64,
     /// Slow shadow fading applied per (transmitter, receiver) link on top
     /// of the path loss — bodies and obstacles in a crowded hall.
     pub fading: Fading,
@@ -49,12 +50,8 @@ impl Default for RadioConfig {
     fn default() -> Self {
         RadioConfig {
             tx_power_dbm: 15.0,
-            ref_loss_db: 40.0,
             pathloss_exp: 3.0,
-            noise_floor_dbm: -95.0,
             cs_threshold_dbm: -82.0,
-            sensitivity_dbm: -90.0,
-            coupling_floor_dbm: -110.0,
             fading: Fading::NONE,
         }
     }
@@ -151,7 +148,7 @@ pub(crate) struct FadeMemo {
     /// Station-link fades, `[tx * n + rx]`.
     links: Vec<f64>,
     /// Sniffer-link fades, `[sniffer * n + tx]` (unscaled; callers apply
-    /// the sniffer's `fade_scale`).
+    /// [`crate::sniffer::FADE_SCALE`]).
     sniffers: Vec<f64>,
     /// Start of the first coherence interval the tables do not describe.
     until: Micros,
@@ -265,29 +262,29 @@ impl FadeMemo {
 }
 
 impl RadioConfig {
-    /// The coupling floor actually applied: `coupling_floor_dbm` clamped
+    /// The coupling floor actually applied: [`COUPLING_FLOOR_DBM`] clamped
     /// under both the carrier-sense threshold and the receiver sensitivity,
     /// so every pair that could carrier-sense or decode one another is
     /// guaranteed to count as coupled — the invariant the shard planner's
     /// connected components rest on.
     pub fn effective_coupling_floor_dbm(&self) -> f64 {
-        self.coupling_floor_dbm
+        COUPLING_FLOOR_DBM
             .min(self.cs_threshold_dbm)
-            .min(self.sensitivity_dbm)
+            .min(SENSITIVITY_DBM)
     }
 
     /// Received signal strength at `rx` for a transmitter at `tx`, dBm.
     /// Distances below 1 m clamp to the reference loss.
     pub fn rssi_dbm(&self, tx: Pos, rx: Pos) -> f64 {
         let d = tx.distance_to(rx).max(1.0);
-        self.tx_power_dbm - self.ref_loss_db - 10.0 * self.pathloss_exp * d.log10()
+        self.tx_power_dbm - REF_LOSS_DB - 10.0 * self.pathloss_exp * d.log10()
     }
 
     /// The distance (meters) at which RSSI falls to `level_dbm` — handy for
     /// sizing scenarios (e.g. placing a hidden terminal outside carrier-sense
     /// range but inside interference range of a receiver).
     pub fn range_at_dbm(&self, level_dbm: f64) -> f64 {
-        let loss = self.tx_power_dbm - self.ref_loss_db - level_dbm;
+        let loss = self.tx_power_dbm - REF_LOSS_DB - level_dbm;
         10f64.powf(loss / (10.0 * self.pathloss_exp))
     }
 }
@@ -334,50 +331,36 @@ pub fn processing_gain_db(rate: Rate) -> f64 {
     }
 }
 
-/// Frame-decoding model.
-#[derive(Clone, Copy, Debug)]
-pub struct ErrorModel {
-    /// Logistic steepness: dB of SINR margin per e-fold of per-bit odds.
-    pub steepness_db: f64,
-    /// Reference frame size (bytes) at which the rate-threshold SNRs of
-    /// [`Rate::min_snr_db`] give 50 % frame success.
-    pub ref_bytes: f64,
-}
+/// Logistic steepness of the frame-decoding model: dB of SINR margin per
+/// e-fold of per-bit odds.
+pub const STEEPNESS_DB: f64 = 1.5;
+/// Reference frame size (bytes) at which the rate-threshold SNRs of
+/// [`Rate::min_snr_db`] give 50 % frame success.
+pub const REF_BYTES: f64 = 1024.0;
 
-impl Default for ErrorModel {
-    fn default() -> Self {
-        ErrorModel {
-            steepness_db: 1.5,
-            ref_bytes: 1024.0,
-        }
-    }
-}
-
-impl ErrorModel {
-    /// Probability that a frame of `bytes` bytes at `rate` decodes at the
-    /// given SINR.
-    ///
-    /// A logistic per-bit success probability is compounded over the frame
-    /// length, normalized so that at `sinr == rate.min_snr_db()` a
-    /// `ref_bytes`-byte frame succeeds 50 % of the time. The model has the
-    /// two monotonicities that drive the paper's findings: success falls
-    /// with frame size and rises with SINR margin, and a slower rate buys
-    /// margin.
-    pub fn frame_success_prob(&self, sinr_db: f64, rate: Rate, bytes: u32) -> f64 {
-        let margin = sinr_db - rate.min_snr_db();
-        // Per-bit success from a logistic in the margin. At margin 0 the
-        // per-bit success is tuned so p_ref = 0.5 for ref_bytes.
-        let bits_ref = self.ref_bytes * 8.0;
-        // p_bit(0)^bits_ref = 0.5  =>  ln p_bit(0) = ln 0.5 / bits_ref.
-        let ln_pbit_at_zero = 0.5f64.ln() / bits_ref;
-        // Scale the per-bit log-failure by a logistic factor in the margin:
-        // large positive margin -> factor -> 0 (no errors); large negative ->
-        // factor grows -> certain loss.
-        let factor = (-margin / self.steepness_db).exp();
-        let ln_pbit = ln_pbit_at_zero * factor;
-        let bits = bytes as f64 * 8.0;
-        (ln_pbit * bits).exp().clamp(0.0, 1.0)
-    }
+/// Probability that a frame of `bytes` bytes at `rate` decodes at the
+/// given SINR.
+///
+/// A logistic per-bit success probability is compounded over the frame
+/// length, normalized so that at `sinr == rate.min_snr_db()` a
+/// [`REF_BYTES`]-byte frame succeeds 50 % of the time. The model has the
+/// two monotonicities that drive the paper's findings: success falls
+/// with frame size and rises with SINR margin, and a slower rate buys
+/// margin.
+pub fn frame_success_prob(sinr_db: f64, rate: Rate, bytes: u32) -> f64 {
+    let margin = sinr_db - rate.min_snr_db();
+    // Per-bit success from a logistic in the margin. At margin 0 the
+    // per-bit success is tuned so p_ref = 0.5 for REF_BYTES.
+    let bits_ref = REF_BYTES * 8.0;
+    // p_bit(0)^bits_ref = 0.5  =>  ln p_bit(0) = ln 0.5 / bits_ref.
+    let ln_pbit_at_zero = 0.5f64.ln() / bits_ref;
+    // Scale the per-bit log-failure by a logistic factor in the margin:
+    // large positive margin -> factor -> 0 (no errors); large negative ->
+    // factor grows -> certain loss.
+    let factor = (-margin / STEEPNESS_DB).exp();
+    let ln_pbit = ln_pbit_at_zero * factor;
+    let bits = bytes as f64 * 8.0;
+    (ln_pbit * bits).exp().clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -535,10 +518,9 @@ mod tests {
 
     #[test]
     fn success_monotone_in_sinr() {
-        let m = ErrorModel::default();
         let mut last = 0.0;
         for snr in [0.0, 4.0, 8.0, 12.0, 16.0, 24.0, 40.0] {
-            let p = m.frame_success_prob(snr, Rate::R11, 1024);
+            let p = frame_success_prob(snr, Rate::R11, 1024);
             assert!(p >= last, "p({snr}) = {p} < {last}");
             last = p;
         }
@@ -547,35 +529,31 @@ mod tests {
 
     #[test]
     fn success_falls_with_size() {
-        let m = ErrorModel::default();
         let snr = 11.0;
-        let small = m.frame_success_prob(snr, Rate::R11, 100);
-        let large = m.frame_success_prob(snr, Rate::R11, 1500);
+        let small = frame_success_prob(snr, Rate::R11, 100);
+        let large = frame_success_prob(snr, Rate::R11, 1500);
         assert!(small > large);
     }
 
     #[test]
     fn slower_rate_buys_reliability() {
-        let m = ErrorModel::default();
         let snr = 8.0; // marginal for 11 Mbps, comfortable for 1 Mbps
-        let p11 = m.frame_success_prob(snr, Rate::R11, 800);
-        let p1 = m.frame_success_prob(snr, Rate::R1, 800);
+        let p11 = frame_success_prob(snr, Rate::R11, 800);
+        let p1 = frame_success_prob(snr, Rate::R1, 800);
         assert!(p1 > p11 + 0.2, "p1={p1} p11={p11}");
     }
 
     #[test]
     fn half_success_at_threshold_for_ref_size() {
-        let m = ErrorModel::default();
         for rate in Rate::ALL {
-            let p = m.frame_success_prob(rate.min_snr_db(), rate, 1024);
+            let p = frame_success_prob(rate.min_snr_db(), rate, 1024);
             assert!((p - 0.5).abs() < 1e-6, "{rate}: {p}");
         }
     }
 
     #[test]
     fn deep_fade_is_certain_loss() {
-        let m = ErrorModel::default();
-        let p = m.frame_success_prob(-10.0, Rate::R1, 1500);
+        let p = frame_success_prob(-10.0, Rate::R1, 1500);
         assert!(p < 1e-6);
     }
 }

@@ -26,10 +26,13 @@ use crate::events::{Event, EventQueue, NodeId, QueueStats, TimerKind};
 use crate::frame_info::SimFrame;
 use crate::geometry::Pos;
 use crate::medium::Medium;
-use crate::radio::{effective_sinr_db, processing_gain_db, FadeMemo};
+use crate::radio::{
+    effective_sinr_db, frame_success_prob, processing_gain_db, FadeMemo, NOISE_FLOOR_DBM,
+    SENSITIVITY_DBM,
+};
 use crate::rate::RateAdaptation;
 use crate::rng::SimRng;
-use crate::sniffer::{MissReason, Sniffer, SnifferConfig};
+use crate::sniffer::{MissReason, Sniffer, SnifferConfig, FADE_SCALE};
 use crate::station::{HotState, MacState, Msdu, MsduKind, Role, RtsPolicy, Station, TxOp, TxPhase};
 use crate::topology::{for_each_bit, NodeSet, SensingTopology};
 use crate::traffic::TrafficProfile;
@@ -38,15 +41,21 @@ use std::collections::HashMap;
 use wifi_frames::fc::FrameKind;
 use wifi_frames::frame;
 use wifi_frames::mac::MacAddr;
-use wifi_frames::phy::Rate;
+use wifi_frames::phy::{Preamble, Rate};
 use wifi_frames::record::FrameRecord;
-use wifi_frames::timing::{delay, frame_airtime_us, Micros};
+use wifi_frames::timing::{dcf, delay, frame_airtime_us, Micros};
 
 /// Management-frame body sizes (bytes) used for the association handshake.
 const ASSOC_REQ_BODY: u32 = 34;
 const ASSOC_RESP_BODY: u32 = 30;
 const PROBE_REQ_BODY: u32 = 12;
 const PROBE_RESP_BODY: u32 = 42;
+/// Rate of control and management frames and beacons (the basic rate).
+const CONTROL_RATE: Rate = Rate::R1;
+/// PLCP preamble of every frame.
+const PREAMBLE: Preamble = Preamble::Long;
+/// Beacon interval in microseconds (100 TU ≈ the paper's 100 ms).
+const BEACON_INTERVAL_US: Micros = 102_400;
 /// Guard added to CTS/ACK timeouts beyond SIFS + response air time.
 const TIMEOUT_MARGIN_US: Micros = 30;
 /// Delay before a failed association is retried.
@@ -261,12 +270,7 @@ impl Simulator {
         for &nid in &tx.interferers {
             interf.push(self.faded_rssi(nid, rx_node));
         }
-        let sinr = effective_sinr_db(
-            rssi,
-            &interf,
-            self.config.radio.noise_floor_dbm,
-            processing_gain_db(tx.rate),
-        );
+        let sinr = effective_sinr_db(rssi, &interf, NOISE_FLOOR_DBM, processing_gain_db(tx.rate));
         self.interferer_rssi = interf;
         sinr
     }
@@ -342,8 +346,7 @@ impl Simulator {
         st.joined = true;
         st.rng = SimRng::new(self.config.seed, key);
         self.stations.push(st);
-        self.hot
-            .push(channel_idx, key, self.config.dcf.cw_min, self.shell_mode);
+        self.hot.push(channel_idx, key, self.shell_mode);
         self.fades.add_station(key);
         // Eager incremental topology maintenance: one dirty row + column,
         // shells included (every shard must agree on the full matrix).
@@ -356,9 +359,8 @@ impl Simulator {
             return id;
         }
         self.medium_members[channel_idx].insert(id);
-        let beacon_interval = self.config.beacon_interval_us;
         let channel_mgmt = self.config.channel_mgmt;
-        let offset = self.stations[id].rng.gen_range(0..beacon_interval);
+        let offset = self.stations[id].rng.gen_range(0..BEACON_INTERVAL_US);
         self.queue.push(offset, Event::BeaconDue { node: id });
         if let Some(cm) = channel_mgmt {
             let jitter = self.stations[id]
@@ -401,12 +403,7 @@ impl Simulator {
         st.frag_threshold = cfg.frag_threshold;
         st.rng = SimRng::new(self.config.seed, key);
         self.stations.push(st);
-        self.hot.push(
-            cfg.channel_idx,
-            key,
-            self.config.dcf.cw_min,
-            self.shell_mode,
-        );
+        self.hot.push(cfg.channel_idx, key, self.shell_mode);
         self.fades.add_station(key);
         self.topology.add_station(cfg.pos, &self.config.radio);
         self.mac_index.insert(mac, id);
@@ -450,9 +447,9 @@ impl Simulator {
 
     /// Pre-sizes the topology cache for a known final population: one
     /// exact allocation instead of geometric growth while stations join.
-    /// Scenario builders call this with their final counts; the resulting
-    /// footprint matches a one-shot full rebuild exactly.
-    pub fn reserve_stations(&mut self, stations: usize, sniffers: usize) {
+    /// [`crate::shard::ShardSpec`] calls this with its recorded counts; the
+    /// resulting footprint matches a one-shot full rebuild exactly.
+    pub(crate) fn reserve_stations(&mut self, stations: usize, sniffers: usize) {
         self.topology.reserve(stations, sniffers);
     }
 
@@ -788,10 +785,8 @@ impl Simulator {
             kind: MsduKind::Beacon,
             enqueued_at: self.now,
         });
-        self.queue.push(
-            self.now + self.config.beacon_interval_us,
-            Event::BeaconDue { node },
-        );
+        self.queue
+            .push(self.now + BEACON_INTERVAL_US, Event::BeaconDue { node });
         self.try_dequeue(node);
     }
 
@@ -847,7 +842,7 @@ impl Simulator {
                 let r = st.pick_rate(msdu.dst);
                 (r, unicast && st.rts_policy.applies(msdu.payload))
             }
-            _ => (self.config.control_rate, false),
+            _ => (CONTROL_RATE, false),
         };
         // Fragmentation: unicast data MSDUs above the threshold become a
         // SIFS-separated fragment burst.
@@ -910,9 +905,9 @@ impl Simulator {
 
     fn defer_interval(&self, node: NodeId) -> Micros {
         if self.config.eifs_enabled && self.hot.use_eifs[node] {
-            self.config.dcf.eifs_us()
+            dcf::EIFS_US
         } else {
-            self.config.dcf.difs_us()
+            dcf::DIFS_US
         }
     }
 
@@ -938,7 +933,7 @@ impl Simulator {
                 slots_at_start: slots,
             },
         );
-        let fire_at = now + slots as Micros * self.config.dcf.slot_us;
+        let fire_at = now + slots as Micros * dcf::SLOT_US;
         self.queue.arm_timer(node, TimerKind::BackoffDone, fire_at);
     }
 
@@ -953,14 +948,13 @@ impl Simulator {
     /// The channel turned busy for `node`: freeze contention.
     fn on_channel_busy(&mut self, node: NodeId) {
         let now = self.now;
-        let slot = self.config.dcf.slot_us;
         let cancelled = match self.hot.state(node) {
             MacState::WaitDefer => {
                 self.hot.set_state(node, MacState::Frozen);
                 true
             }
             MacState::Backoff { started, .. } => {
-                self.hot.consume_backoff(node, now - started, slot);
+                self.hot.consume_backoff(node, now - started);
                 self.hot.set_state(node, MacState::Frozen);
                 true
             }
@@ -988,8 +982,6 @@ impl Simulator {
 
     fn transmit_current(&mut self, node: NodeId) {
         let now = self.now;
-        let control_rate = self.config.control_rate;
-        let preamble = self.config.preamble;
         let st = &mut self.stations[node];
         let op = st.current.as_mut().expect("transmit without TxOp");
         let mac = st.mac;
@@ -998,11 +990,11 @@ impl Simulator {
         if op.use_rts && !op.cts_received {
             // RTS attempt.
             let data_bytes = frame::DATA_OVERHEAD_BYTES as u32 + op.current_payload;
-            let data_air = frame_airtime_us(data_bytes as u64, op.rate, preamble);
+            let data_air = frame_airtime_us(data_bytes as u64, op.rate, PREAMBLE);
             let dur = (3 * delay::SIFS + delay::CTS + data_air + delay::ACK).min(u16::MAX as u64);
             let frame = SimFrame::rts(mac, op.msdu.dst, dur as u16);
             st.stats.rts_sent += 1;
-            self.start_transmission(node, frame, control_rate, TxPhase::Rts);
+            self.start_transmission(node, frame, CONTROL_RATE, TxPhase::Rts);
             return;
         }
 
@@ -1062,7 +1054,7 @@ impl Simulator {
         };
         let rate = match op.msdu.kind {
             MsduKind::Data { .. } => op.rate,
-            _ => control_rate,
+            _ => CONTROL_RATE,
         };
         st.stats.tx_attempts += 1;
         self.ground_truth.data_tx += matches!(op.msdu.kind, MsduKind::Data { .. }) as u64;
@@ -1071,8 +1063,7 @@ impl Simulator {
 
     fn start_transmission(&mut self, node: NodeId, frame: SimFrame, rate: Rate, phase: TxPhase) {
         let now = self.now;
-        let preamble = self.config.preamble;
-        let air = frame_airtime_us(frame.mac_bytes as u64, rate, preamble);
+        let air = frame_airtime_us(frame.mac_bytes as u64, rate, PREAMBLE);
         let end = now + air;
         let medium = self.hot.channel_idx[node];
         self.hot.set_state(node, MacState::Transmitting { phase });
@@ -1149,7 +1140,7 @@ impl Simulator {
                     .current
                     .as_ref()
                     .map(|op| op.rate)
-                    .unwrap_or(self.config.control_rate);
+                    .unwrap_or(CONTROL_RATE);
                 (TxPhase::Data, rate)
             }
             FrameKind::Cts | FrameKind::Ack => {
@@ -1166,10 +1157,10 @@ impl Simulator {
                 self.on_channel_busy(node);
                 if frame.kind == FrameKind::Cts {
                     self.stations[node].stats.cts_sent += 1;
-                    (TxPhase::Cts, self.config.control_rate)
+                    (TxPhase::Cts, CONTROL_RATE)
                 } else {
                     self.stations[node].stats.acks_sent += 1;
-                    (TxPhase::Ack, self.config.control_rate)
+                    (TxPhase::Ack, CONTROL_RATE)
                 }
             }
             _ => return,
@@ -1295,14 +1286,11 @@ impl Simulator {
             return None; // half-duplex
         }
         let rssi = self.faded_rssi(tx.node, rx);
-        if rssi < self.config.radio.sensitivity_dbm {
+        if rssi < SENSITIVITY_DBM {
             return None; // out of range
         }
         let sinr = self.station_sinr(rssi, tx, rx);
-        let p = self
-            .config
-            .error
-            .frame_success_prob(sinr, tx.rate, tx.frame.mac_bytes);
+        let p = frame_success_prob(sinr, tx.rate, tx.frame.mac_bytes);
         Some((self.stations[rx].rng.gen::<f64>() < p, sinr))
     }
 
@@ -1551,10 +1539,9 @@ impl Simulator {
                 continue;
             }
             // Sniffer links get their own fade realizations, keyed past the
-            // station id space, and a sniffer-specific fade scale.
-            let fade_scale = self.sniffers[idx].config.fade_scale;
-            let rssi = path + fade_scale * self.fades.sniffer(idx, tx.node, now);
-            if rssi < self.config.radio.sensitivity_dbm {
+            // station id space, and the sniffers' own fade scale.
+            let rssi = path + FADE_SCALE * self.fades.sniffer(idx, tx.node, now);
+            if rssi < SENSITIVITY_DBM {
                 self.sniffers[idx].miss(MissReason::OutOfRange);
                 continue;
             }
@@ -1565,19 +1552,12 @@ impl Simulator {
                 if path < floor {
                     continue; // below the floor at this sniffer
                 }
-                interf.push(path + fade_scale * self.fades.sniffer(idx, nid, now));
+                interf.push(path + FADE_SCALE * self.fades.sniffer(idx, nid, now));
             }
-            let sinr = effective_sinr_db(
-                rssi,
-                &interf,
-                self.config.radio.noise_floor_dbm,
-                processing_gain_db(tx.rate),
-            );
+            let sinr =
+                effective_sinr_db(rssi, &interf, NOISE_FLOOR_DBM, processing_gain_db(tx.rate));
             self.interferer_rssi = interf;
-            let p = self
-                .config
-                .error
-                .frame_success_prob(sinr, tx.rate, tx.frame.mac_bytes);
+            let p = frame_success_prob(sinr, tx.rate, tx.frame.mac_bytes);
             if self.sniffer_rngs[idx].gen::<f64>() >= p {
                 if tx.interferers.is_empty() {
                     self.sniffers[idx].stats.missed_clean += 1;
@@ -1820,7 +1800,6 @@ impl Simulator {
         let is_assoc_req;
         let is_data;
         {
-            let dcf = self.config.dcf;
             let st = &mut self.stations[node];
             let op = st.current.as_mut().expect("timeout without TxOp");
             peer = op.msdu.dst;
@@ -1828,8 +1807,8 @@ impl Simulator {
             is_data = matches!(op.msdu.kind, MsduKind::Data { .. });
             op.retries += 1;
             op.cts_received = false;
-            drop = op.retries > dcf.short_retry_limit;
-            self.hot.cw[node] = dcf.cw_after(op.retries);
+            drop = op.retries > dcf::RETRY_LIMIT;
+            self.hot.cw[node] = dcf::cw_after(op.retries);
         }
         // Rate-adaptation feedback for data frames. This is exactly the
         // deficiency the paper identifies: the adapter cannot distinguish a
@@ -1842,12 +1821,11 @@ impl Simulator {
             }
         }
         if drop {
-            let cw_min = self.config.dcf.cw_min;
             let st = &mut self.stations[node];
-            let backoff = draw_backoff(&mut st.rng, cw_min);
+            let backoff = draw_backoff(&mut st.rng, dcf::CW_MIN);
             st.stats.retry_drops += 1;
             st.current = None;
-            self.hot.cw[node] = cw_min;
+            self.hot.cw[node] = dcf::CW_MIN;
             self.hot.backoff_slots[node] = backoff;
             self.hot.set_state(node, MacState::Idle);
             self.ground_truth.retry_drops += 1;
@@ -1924,7 +1902,7 @@ impl Simulator {
             is_data = matches!(op.msdu.kind, MsduKind::Data { .. });
             st.stats.delivered += 1;
             st.stats.delivery_delay_total_us += now.saturating_sub(op.msdu.enqueued_at);
-            let cw = self.config.dcf.cw_min;
+            let cw = dcf::CW_MIN;
             self.hot.cw[node] = cw;
             self.hot.backoff_slots[node] = draw_backoff(&mut st.rng, cw);
             self.hot.set_state(node, MacState::Idle);

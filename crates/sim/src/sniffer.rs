@@ -15,6 +15,12 @@ use crate::geometry::Pos;
 use wifi_frames::record::FrameRecord;
 use wifi_frames::timing::Micros;
 
+/// Scale on the shadow-fading sigma for links into a sniffer. Sniffers are
+/// deliberately sited (elevated, line of sight, diversity antennas), so
+/// they ride out crowd shadowing better than the average client link; 1.0
+/// would fade like everyone else.
+pub const FADE_SCALE: f64 = 0.35;
+
 /// Capture-loss configuration of one sniffer.
 #[derive(Clone, Copy, Debug)]
 pub struct SnifferConfig {
@@ -26,14 +32,6 @@ pub struct SnifferConfig {
     pub capacity_fps: f64,
     /// Token-bucket burst (frames).
     pub burst: f64,
-    /// Snap length recorded with the trace (truncation applies at pcap
-    /// export; the in-memory record always keeps the header fields).
-    pub snaplen: u32,
-    /// Scale on the shadow-fading sigma for links into this sniffer.
-    /// Sniffers are deliberately sited (elevated, line of sight, diversity
-    /// antennas), so they ride out crowd shadowing better than the average
-    /// client link; 1.0 = fade like everyone else.
-    pub fade_scale: f64,
 }
 
 impl Default for SnifferConfig {
@@ -43,8 +41,6 @@ impl Default for SnifferConfig {
             channel_idx: 0,
             capacity_fps: 2_500.0,
             burst: 250.0,
-            snaplen: 250,
-            fade_scale: 0.35,
         }
     }
 }

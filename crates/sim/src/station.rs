@@ -17,7 +17,7 @@ use std::collections::{HashMap, VecDeque};
 use wifi_frames::fc::FrameKind;
 use wifi_frames::mac::MacAddr;
 use wifi_frames::phy::Rate;
-use wifi_frames::timing::Micros;
+use wifi_frames::timing::{dcf, Micros};
 
 /// When a station precedes data frames with an RTS/CTS exchange.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -236,12 +236,12 @@ pub struct HotState {
 }
 
 impl HotState {
-    /// Appends one station's row; returns its node id.
-    pub fn push(&mut self, channel_idx: usize, key: u64, cw_min: u32, shell: bool) -> NodeId {
+    /// Appends one station's row, its window at CWmin; returns its node id.
+    pub fn push(&mut self, channel_idx: usize, key: u64, shell: bool) -> NodeId {
         let id = self.state.len();
         self.state.push(MacState::Idle);
         self.backoff_slots.push(0);
-        self.cw.push(cw_min);
+        self.cw.push(dcf::CW_MIN);
         self.sensed.push(0);
         self.nav_until.push(0);
         self.idle_since.push(0);
@@ -360,8 +360,8 @@ impl HotState {
     /// Consumes elapsed backoff time of `node`: decrements the remaining
     /// slot count by the number of whole slots that fit in `elapsed`.
     #[inline]
-    pub fn consume_backoff(&mut self, node: NodeId, elapsed: Micros, slot_us: Micros) {
-        let consumed = (elapsed / slot_us) as u32;
+    pub fn consume_backoff(&mut self, node: NodeId, elapsed: Micros) {
+        let consumed = (elapsed / dcf::SLOT_US) as u32;
         self.backoff_slots[node] = self.backoff_slots[node].saturating_sub(consumed);
     }
 }
@@ -530,7 +530,7 @@ mod tests {
 
     fn hot_with_one() -> HotState {
         let mut h = HotState::default();
-        h.push(0, 0, 31, false);
+        h.push(0, 0, false);
         h
     }
 
@@ -599,9 +599,9 @@ mod tests {
     fn backoff_consumption_floors_partial_slots() {
         let mut h = hot_with_one();
         h.backoff_slots[0] = 10;
-        h.consume_backoff(0, 59, 20); // 2.95 slots -> 2
+        h.consume_backoff(0, 59); // 2.95 slots -> 2
         assert_eq!(h.backoff_slots[0], 8);
-        h.consume_backoff(0, 1_000_000, 20); // saturates at zero
+        h.consume_backoff(0, 1_000_000); // saturates at zero
         assert_eq!(h.backoff_slots[0], 0);
     }
 
@@ -619,7 +619,7 @@ mod tests {
     #[test]
     fn contending_tracks_every_state() {
         let mut h = hot_with_one();
-        h.push(0, 1, 31, false);
+        h.push(0, 1, false);
         assert!(h.contending.is_empty(), "new stations start Idle");
         let phases = [TxPhase::Rts, TxPhase::Data, TxPhase::Cts, TxPhase::Ack];
         let states = [
@@ -661,7 +661,7 @@ mod tests {
         // so both the slice path and the bit path run.
         let mut h = HotState::default();
         for key in 0..130 {
-            h.push(0, key, 31, false);
+            h.push(0, key, false);
         }
         let words = [u64::MAX, 0xF0F0_0000_0000_0001, 0b10];
         let listeners: Vec<usize> = (0..130)

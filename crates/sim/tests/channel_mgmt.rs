@@ -53,7 +53,6 @@ fn imbalanced_sim(mgmt: Option<ChannelMgmt>) -> Simulator {
             channel_idx: ch,
             capacity_fps: 1e6,
             burst: 1e5,
-            ..SnifferConfig::default()
         });
     }
     sim

@@ -153,19 +153,18 @@ fn processing_gain_lets_slow_frames_survive_equal_power_collisions() {
     // The despreading credit, checked at the radio model: an equal-power
     // interferer leaves raw SINR at ~0 dB, which kills CCK-11 outright but
     // leaves DBPSK-1 ~6 dB above its threshold.
-    use wifi_sim::radio::{effective_sinr_db, processing_gain_db, ErrorModel};
+    use wifi_sim::radio::{effective_sinr_db, frame_success_prob, processing_gain_db};
     let signal = -60.0;
     let interferer = [-60.0];
     let noise = -95.0;
-    let model = ErrorModel::default();
 
     let sinr_1 = effective_sinr_db(signal, &interferer, noise, processing_gain_db(Rate::R1));
     let sinr_11 = effective_sinr_db(signal, &interferer, noise, processing_gain_db(Rate::R11));
     assert!(sinr_1 > 10.0, "despread SINR at 1 Mbps: {sinr_1:.1}");
     assert!(sinr_11 < 1.0, "CCK-11 sees nearly raw SINR: {sinr_11:.1}");
 
-    let p1 = model.frame_success_prob(sinr_1, Rate::R1, 428);
-    let p11 = model.frame_success_prob(sinr_11, Rate::R11, 428);
+    let p1 = frame_success_prob(sinr_1, Rate::R1, 428);
+    let p11 = frame_success_prob(sinr_11, Rate::R11, 428);
     assert!(p1 > 0.95, "1 Mbps survives the collision: {p1:.3}");
     assert!(p11 < 0.01, "11 Mbps dies in the collision: {p11:.3}");
 }
@@ -427,4 +426,72 @@ fn probe_scan_precedes_association() {
     for r in trace.iter().filter(|r| r.kind == FrameKind::ProbeRequest) {
         assert_eq!(r.duration_us, 0);
     }
+}
+
+/// A client whose AP goes out of range mid-run, so that every MSDU it
+/// sends afterwards exhausts the retry limit. Returns the client's frames
+/// captured by a sniffer next to its new position, and the MSDUs it
+/// dropped. Both are counted between two moments when the client had
+/// nothing queued or in flight, so every drop is seen whole.
+fn frames_after_ap_loss(rts_policy: RtsPolicy) -> (Vec<wifi_frames::record::FrameRecord>, u64) {
+    let mut sim = Simulator::new(SimConfig::default());
+    sim.add_ap(Pos::new(0.0, 0.0), 0, 6);
+    let mut c = base_client(Pos::new(5.0, 0.0), 4.0, 500);
+    c.rts_policy = rts_policy;
+    let client = sim.add_client(c);
+    sim.add_sniffer(SnifferConfig {
+        pos: Pos::new(1_005.0, 0.0),
+        ..wide_open_sniffer()
+    });
+    let idle = |sim: &Simulator| {
+        let st = &sim.stations()[client];
+        st.current.is_none() && st.queue.is_empty()
+    };
+    let mut now = SEC;
+    sim.run_until(now);
+    while !idle(&sim) {
+        now += 1_000;
+        sim.run_until(now);
+    }
+    // 1 km out: past the pair-coupling floor, so the AP hears nothing (and
+    // the sniffer heard nothing before the move).
+    sim.move_station(client, Pos::new(1_000.0, 0.0));
+    let drops_before = sim.stations()[client].stats.retry_drops;
+    now += 3 * SEC;
+    sim.run_until(now);
+    while !idle(&sim) {
+        now += 1_000;
+        sim.run_until(now);
+    }
+    let drops = sim.stations()[client].stats.retry_drops - drops_before;
+    assert!(drops >= 5, "only {drops} MSDUs dropped");
+    let mac = sim.stations()[client].mac;
+    let frames = sim.sniffers()[0]
+        .trace
+        .iter()
+        .filter(|r| r.src == Some(mac))
+        .copied()
+        .collect();
+    (frames, drops)
+}
+
+#[test]
+fn one_retry_limit_drops_an_msdu_after_eight_attempts() {
+    let (frames, drops) = frames_after_ap_loss(RtsPolicy::Never);
+    assert!(frames.iter().all(|r| r.kind == FrameKind::Data));
+    let mut attempts: std::collections::BTreeMap<u16, u64> = Default::default();
+    for r in &frames {
+        *attempts
+            .entry(r.seq.expect("data frames carry a seq"))
+            .or_default() += 1;
+    }
+    assert_eq!(attempts.len() as u64, drops, "one sequence number per drop");
+    for (seq, n) in attempts {
+        assert_eq!(n, 8, "seq {seq}: one first attempt plus 7 retries");
+    }
+    // The same limit applies under RTS/CTS protection: no CTS ever comes
+    // back, so each drop costs 8 RTS frames and no data frame.
+    let (frames, drops) = frames_after_ap_loss(RtsPolicy::Threshold(0));
+    assert!(frames.iter().all(|r| r.kind == FrameKind::Rts));
+    assert_eq!(frames.len() as u64, 8 * drops);
 }

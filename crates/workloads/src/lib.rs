@@ -18,7 +18,7 @@ pub mod mobility;
 pub mod scenario;
 
 pub use attendance::Attendance;
-pub use mobility::{mobile_venue, ChurnScale, MobileScenario, WaypointConfig, WaypointMobility};
+pub use mobility::{mobile_venue, ChurnScale, MobileScenario, WaypointMobility};
 pub use scenario::{
     ietf_day, ietf_plenary, ietf_plenary_sharded, ietf_radio, load_ramp, load_ramp_with, table1,
     venue_campus, CampusScale, DataSetInfo, Scenario, ScenarioResult, SessionScale, ShardScenario,

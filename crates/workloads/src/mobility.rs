@@ -36,34 +36,24 @@ use wifi_frames::phy::Rate;
 use wifi_frames::timing::{Micros, SECOND};
 use wifi_sim::geometry::Pos;
 use wifi_sim::rate::RateAdaptation;
+use wifi_sim::shard::ShardSpec;
 use wifi_sim::sniffer::SnifferConfig;
 use wifi_sim::station::RtsPolicy;
 use wifi_sim::{ClientConfig, SimConfig, Simulator};
 
-/// Tunables of the waypoint walk.
-#[derive(Clone, Copy, Debug)]
-pub struct WaypointConfig {
-    /// Walkable floor, `(width, height)` metres; waypoints are uniform
-    /// over it.
-    pub bounds: (f64, f64),
-    /// Walking speed draw, m/s (pedestrian: ~0.5–1.5).
-    pub speed_mps: (f64, f64),
-    /// Dwell at each waypoint, in whole ticks.
-    pub pause_ticks: (u32, u32),
-    /// Reassociation hysteresis, dB: roam only when some other AP beats
-    /// the current one's path RSSI by at least this much.
-    pub hysteresis_db: f64,
-}
+/// Walkable floor, `(width, height)` metres; waypoints are uniform over it.
+const BOUNDS: (f64, f64) = (VENUE_W, VENUE_H);
+/// Walking speed draw, m/s (pedestrian: ~0.5–1.5).
+const SPEED_MPS: (f64, f64) = (0.5, 1.5);
+/// Dwell at each waypoint, in whole ticks.
+const PAUSE_TICKS: (u32, u32) = (0, 3);
+/// Reassociation hysteresis, dB: roam only when some other AP beats the
+/// current one's path RSSI by at least this much.
+const HYSTERESIS_DB: f64 = 6.0;
 
-impl Default for WaypointConfig {
-    fn default() -> WaypointConfig {
-        WaypointConfig {
-            bounds: (VENUE_W, VENUE_H),
-            speed_mps: (0.5, 1.5),
-            pause_ticks: (0, 3),
-            hysteresis_db: 6.0,
-        }
-    }
+/// A waypoint uniform over [`BOUNDS`].
+fn draw_waypoint(rng: &mut SmallRng) -> Pos {
+    Pos::new(rng.gen_range(0.0..BOUNDS.0), rng.gen_range(0.0..BOUNDS.1))
 }
 
 /// One walking client.
@@ -81,7 +71,6 @@ struct Walker {
 /// node order, so a walk schedule is a pure function of `(seed, ticks)`.
 pub struct WaypointMobility {
     rng: SmallRng,
-    cfg: WaypointConfig,
     walkers: Vec<Walker>,
     /// Total positions applied via [`Simulator::move_station`].
     pub moves: u64,
@@ -92,10 +81,9 @@ pub struct WaypointMobility {
 impl WaypointMobility {
     /// A new mobility driver. `seed` is independent of the simulator's
     /// PHY/traffic seeds.
-    pub fn new(seed: u64, cfg: WaypointConfig) -> WaypointMobility {
+    pub fn new(seed: u64) -> WaypointMobility {
         WaypointMobility {
             rng: SmallRng::seed_from_u64(seed ^ 0x000b_17e5),
-            cfg,
             walkers: Vec::new(),
             moves: 0,
             roams: 0,
@@ -106,10 +94,8 @@ impl WaypointMobility {
     /// and draws its first waypoint. Call in ascending node order to keep
     /// the draw sequence canonical.
     pub fn add_walker(&mut self, node: usize, pos: Pos) {
-        let target = self.draw_waypoint();
-        let speed_mps = self
-            .rng
-            .gen_range(self.cfg.speed_mps.0..=self.cfg.speed_mps.1);
+        let target = draw_waypoint(&mut self.rng);
+        let speed_mps = self.rng.gen_range(SPEED_MPS.0..=SPEED_MPS.1);
         self.walkers.push(Walker {
             node,
             pos,
@@ -122,13 +108,6 @@ impl WaypointMobility {
     /// Number of registered walkers.
     pub fn walker_count(&self) -> usize {
         self.walkers.len()
-    }
-
-    fn draw_waypoint(&mut self) -> Pos {
-        Pos::new(
-            self.rng.gen_range(0.0..self.cfg.bounds.0),
-            self.rng.gen_range(0.0..self.cfg.bounds.1),
-        )
     }
 
     /// Advances every walker by one tick of `tick_us` microseconds and
@@ -150,16 +129,9 @@ impl WaypointMobility {
             if dist <= step {
                 // Arrived: dwell, then pick the next waypoint.
                 w.pos = w.target;
-                w.pause_left = self
-                    .rng
-                    .gen_range(self.cfg.pause_ticks.0..=self.cfg.pause_ticks.1);
-                w.target = Pos::new(
-                    self.rng.gen_range(0.0..self.cfg.bounds.0),
-                    self.rng.gen_range(0.0..self.cfg.bounds.1),
-                );
-                w.speed_mps = self
-                    .rng
-                    .gen_range(self.cfg.speed_mps.0..=self.cfg.speed_mps.1);
+                w.pause_left = self.rng.gen_range(PAUSE_TICKS.0..=PAUSE_TICKS.1);
+                w.target = draw_waypoint(&mut self.rng);
+                w.speed_mps = self.rng.gen_range(SPEED_MPS.0..=SPEED_MPS.1);
             } else {
                 w.pos = Pos::new(w.pos.x + dx / dist * step, w.pos.y + dy / dist * step);
             }
@@ -170,7 +142,7 @@ impl WaypointMobility {
             self.moves += 1;
         }
         for &(node, _) in &moved {
-            if sim.reassociate_strongest(node, self.cfg.hysteresis_db) {
+            if sim.reassociate_strongest(node, HYSTERESIS_DB) {
                 self.roams += 1;
             }
         }
@@ -256,16 +228,14 @@ impl ChurnScale {
 /// APs, three sniffers (one per channel) watching the busiest room.
 pub fn mobile_venue(scale: ChurnScale) -> MobileScenario {
     let mut rng = SmallRng::seed_from_u64(scale.seed ^ 0x00c4_0a1e);
-    let mut sim = Simulator::new(SimConfig {
+    let mut spec = ShardSpec::new(SimConfig {
         radio: ietf_radio(scale.seed),
         ..SimConfig::ietf_three_channels(scale.seed)
     });
-    let aps = ap_grid();
-    sim.reserve_stations(aps.len() + scale.users, 3);
-    for &(pos, ch) in &aps {
-        sim.add_ap(pos, ch, 6); // ssid "ietf62"
+    for (pos, ch) in ap_grid() {
+        spec.add_ap(pos, ch, 6); // ssid "ietf62"
     }
-    let mut mobility = WaypointMobility::new(scale.seed, WaypointConfig::default());
+    let mut mobility = WaypointMobility::new(scale.seed);
     let duration_us = scale.duration_s * SECOND;
     for i in 0..scale.users {
         let pos = Pos::new(rng.gen_range(0.0..VENUE_W), rng.gen_range(0.0..VENUE_H));
@@ -275,7 +245,8 @@ pub fn mobile_venue(scale: ChurnScale) -> MobileScenario {
         let traffic = draw_traffic(&mut rng, fps);
         let power_save = draw_power_save(&mut rng);
         let walks = rng.gen_bool(scale.walker_fraction);
-        let node = sim.add_client(ClientConfig {
+        // The spec's station index is the built simulator's node id.
+        let node = spec.add_client(ClientConfig {
             pos,
             channel_idx: i % 3,
             rts_policy: RtsPolicy::Never,
@@ -298,12 +269,11 @@ pub fn mobile_venue(scale: ChurnScale) -> MobileScenario {
     .into_iter()
     .enumerate()
     {
-        sim.add_sniffer(SnifferConfig {
+        spec.add_sniffer(SnifferConfig {
             pos,
             channel_idx: idx,
             capacity_fps: 1_500.0,
             burst: 200.0,
-            ..SnifferConfig::default()
         });
     }
     MobileScenario {
@@ -313,7 +283,7 @@ pub fn mobile_venue(scale: ChurnScale) -> MobileScenario {
         // `ietf_radio` (4 s): below it the channel model already holds the
         // environment fixed, so finer movement would be invisible.
         tick_us: 4 * SECOND,
-        sim,
+        sim: spec.build_unsharded(),
         mobility,
     }
 }

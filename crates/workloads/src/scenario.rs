@@ -192,7 +192,6 @@ pub fn ietf_radio(seed: u64) -> RadioConfig {
             coherence_us: 4_000_000,
             seed,
         },
-        ..RadioConfig::default()
     }
 }
 
@@ -303,7 +302,6 @@ fn build_session_spec(
             // al.), one of the paper's three loss causes.
             capacity_fps: 1_500.0,
             burst: 200.0,
-            ..SnifferConfig::default()
         });
     }
     ShardScenario {
@@ -408,20 +406,16 @@ pub fn load_ramp_with(
     rts_fraction: f64,
 ) -> Scenario {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x004a_3b77);
-    let mut sim = Simulator::new(SimConfig {
+    let mut spec = ShardSpec::new(SimConfig {
         seed,
         radio: ietf_radio(seed),
         ..SimConfig::default()
     });
-    // Joins stream in through the whole ramp, each an incremental O(N)
-    // topology extension; the hint sizes the cache once so no join pays a
-    // re-stride.
-    sim.reserve_stations(3 + users, 1);
     // Three APs sharing the channel, as co-channel cells in a dense
     // deployment do.
-    sim.add_ap(Pos::new(16.0, 18.0), 0, 6);
-    sim.add_ap(Pos::new(32.0, 18.0), 0, 6);
-    sim.add_ap(Pos::new(48.0, 18.0), 0, 6);
+    spec.add_ap(Pos::new(16.0, 18.0), 0, 6);
+    spec.add_ap(Pos::new(32.0, 18.0), 0, 6);
+    spec.add_ap(Pos::new(48.0, 18.0), 0, 6);
     for i in 0..users {
         let frac = i as f64 / users.max(1) as f64;
         let join_us = (frac * 0.8 * duration_s as f64) as u64 * SECOND;
@@ -429,7 +423,7 @@ pub fn load_ramp_with(
         let rts = rng.gen_bool(rts_fraction);
         let traffic = draw_traffic(&mut rng, per_user_fps);
         let power_save = draw_power_save(&mut rng);
-        sim.add_client(ClientConfig {
+        spec.add_client(ClientConfig {
             pos,
             channel_idx: 0,
             rts_policy: if rts {
@@ -445,7 +439,7 @@ pub fn load_ramp_with(
             frag_threshold: None,
         });
     }
-    sim.add_sniffer(SnifferConfig {
+    spec.add_sniffer(SnifferConfig {
         pos: Pos::new(30.0, 17.0),
         channel_idx: 0,
         ..SnifferConfig::default()
@@ -453,7 +447,7 @@ pub fn load_ramp_with(
     Scenario {
         name: "ramp".to_string(),
         duration_us: duration_s * SECOND,
-        sim,
+        sim: spec.build_unsharded(),
     }
 }
 
@@ -565,7 +559,6 @@ pub fn venue_campus(scale: CampusScale) -> ShardScenario {
             channel_idx: ch,
             capacity_fps: 1_500.0,
             burst: 200.0,
-            ..SnifferConfig::default()
         });
     }
     ShardScenario {

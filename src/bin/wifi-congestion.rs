@@ -23,7 +23,7 @@ use congestion::ap_stats::{infer_aps, rank_aps, top_k_share};
 use congestion::{analyze, estimate_unrecorded, UtilizationBins};
 use ietf80211_congestion::ingest::{analyze_capture_streams, render_analysis, StreamAnalysis};
 use ietf80211_congestion::serve::{run_serve, ServeConfig};
-use ietf80211_congestion::trace::{read_capture, write_capture};
+use ietf80211_congestion::trace::{write_capture, CaptureStream};
 use ietf_workloads::{ietf_day, ietf_plenary, load_ramp, Scenario, SessionScale};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -80,6 +80,8 @@ USAGE:
     );
 }
 
+/// Reads one capture the way `analyze` does: lossily, noting any skips on
+/// stderr and failing only on a hard error; then runs `f` over its records.
 fn with_trace(
     args: &[String],
     f: fn(&[wifi_frames::FrameRecord]) -> Result<(), String>,
@@ -87,7 +89,13 @@ fn with_trace(
     let path = args
         .get(1)
         .ok_or_else(|| "missing <trace.pcap> argument".to_string())?;
-    let records = read_capture(Path::new(path)).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let cannot_read = |e| format!("cannot read {path}: {e}");
+    let mut stream = CaptureStream::open(Path::new(path)).map_err(cannot_read)?;
+    let records: Vec<_> = stream.by_ref().collect();
+    let report = stream.finish().map_err(cannot_read)?;
+    if !report.is_clean() {
+        eprintln!("note: {path} had skips: {}", report.to_json());
+    }
     if records.is_empty() {
         return Err(format!("{path} contains no parseable 802.11 records"));
     }

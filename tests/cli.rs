@@ -92,3 +92,37 @@ fn helpful_errors() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
 }
+
+/// One damaged record in the middle of a capture: every analysis
+/// subcommand reads past it through the lossy reader, notes the skip on
+/// stderr, and succeeds.
+#[test]
+fn every_subcommand_reads_a_damaged_capture() {
+    let dir = temp_dir("damaged");
+    let pcap = simulate(&dir);
+    let mut bytes = std::fs::read(&pcap).unwrap();
+    // Walk the classic-pcap record headers (24-byte global header, 16-byte
+    // record headers) and blast the middle record's caplen.
+    let mut offsets = Vec::new();
+    let mut off = 24;
+    while off + 16 <= bytes.len() {
+        offsets.push(off);
+        let caplen = u32::from_le_bytes(bytes[off + 8..off + 12].try_into().unwrap());
+        off += 16 + caplen as usize;
+    }
+    let mid = offsets[offsets.len() / 2];
+    bytes[mid + 8..mid + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&pcap, &bytes).unwrap();
+    for cmd in ["analyze", "histogram", "unrecorded", "aps"] {
+        let out = bin()
+            .args([cmd, pcap.to_str().unwrap()])
+            .output()
+            .expect("run subcommand");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{cmd} failed: {stderr}");
+        assert!(
+            stderr.contains(&format!("note: {} had skips:", pcap.display())),
+            "{cmd}: {stderr}"
+        );
+    }
+}
