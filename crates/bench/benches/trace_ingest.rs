@@ -3,10 +3,11 @@
 //!
 //! The two produce record-identical output (pinned by the proptests in
 //! `crates/core`); what differs is cost shape. The batch path concatenates,
-//! sorts the whole union, then scans; the streaming path pays a scan of
-//! the k stream heads per record and a scan of the few live dedup
-//! clusters per dedup decision in O(window) memory. Throughput is reported per *input* record so the numbers stay
-//! comparable as the sniffer count (and so the duplicate ratio) grows.
+//! sorts the whole union, then scans; the streaming path pays exactly one
+//! scan of the k stream heads per merged record and a scan of the few live
+//! dedup clusters per dedup decision, in O(window) memory. Throughput is
+//! reported per *input* record so the numbers stay comparable as the
+//! sniffer count (and so the duplicate ratio) grows.
 
 use congestion::merge::{merge_traces, MergeStream};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};

@@ -264,23 +264,27 @@ impl OnlineMerge {
     /// past that stream's high-water mark.
     pub fn poll(&mut self, horizon: Option<Micros>) -> MergePoll {
         loop {
-            let next = self.earliest_head();
+            // The head scan runs once per record taken: in the needy check
+            // only when a horizon may skip, otherwise after it.
+            let mut next = None;
             if self.needy > 0 {
-                let candidate = next.map(|(ts, _)| ts);
                 for idx in 0..self.heads.len() {
                     if !self.needs(idx) || self.deferred[idx] {
                         continue;
                     }
-                    let can_skip = match (horizon, candidate) {
-                        (Some(h), Some(ts)) => ts > self.stream_high[idx].saturating_add(h),
-                        _ => false,
+                    let Some(h) = horizon else {
+                        return MergePoll::Need(idx);
                     };
-                    if !can_skip {
+                    // Skip the stream once the candidate is past its horizon.
+                    let candidate = *next.get_or_insert_with(|| self.earliest_head());
+                    let within =
+                        |(ts, _): (Micros, usize)| ts <= self.stream_high[idx].saturating_add(h);
+                    if candidate.is_none_or(within) {
                         return MergePoll::Need(idx);
                     }
                 }
             }
-            let Some((_, idx)) = next else {
+            let Some((_, idx)) = next.unwrap_or_else(|| self.earliest_head()) else {
                 return MergePoll::Done;
             };
             let record = self.heads[idx].take().expect("earliest head exists");

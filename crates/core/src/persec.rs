@@ -161,8 +161,9 @@ impl SecondStats {
 #[derive(Debug, Default)]
 pub struct SecondAccumulator {
     out: Vec<SecondStats>,
-    /// `(transmitter, seq)` → first transmission-attempt timestamp.
-    first_tx: HashMap<(MacAddr, u16), Micros>,
+    /// `(transmitter, seq)`, packed by [`first_tx_key`] → first
+    /// transmission-attempt timestamp.
+    first_tx: HashMap<u64, Micros>,
     last_evict: Micros,
     /// The record awaiting its successor (for ACK adjacency).
     pending: Option<FrameRecord>,
@@ -251,7 +252,7 @@ impl SecondAccumulator {
                 s.bytes_by_rate[ri] += r.mac_bytes as u64;
 
                 // Track the first attempt for acceptance delay.
-                let key = r.src.map(|src| (src, r.seq.unwrap_or(0)));
+                let key = r.src.map(|src| first_tx_key(src, r.seq.unwrap_or(0)));
                 if let Some(key) = key {
                     self.first_tx.entry(key).or_insert(r.timestamp_us);
                 }
@@ -291,6 +292,13 @@ impl SecondAccumulator {
             self.last_evict = r.timestamp_us;
         }
     }
+}
+
+/// Packs a `(transmitter, seq)` pair into one word, `MAC << 16 | seq`:
+/// 48 + 16 bits, so distinct pairs never share a key.
+fn first_tx_key(src: MacAddr, seq: u16) -> u64 {
+    let [a, b, c, d, e, f] = src.0;
+    u64::from_be_bytes([a, b, c, d, e, f, 0, 0]) | seq as u64
 }
 
 /// Walks a time-ordered trace and produces per-second statistics.
@@ -418,6 +426,31 @@ mod tests {
         let agg = s.acc_delay[0][3];
         assert_eq!(agg.count, 1);
         assert_eq!(agg.total_us, 10_400);
+    }
+
+    #[test]
+    fn first_attempts_are_keyed_per_transmitter() {
+        // Stations 2 and 3 differ only in their last MAC byte and send the
+        // same sequence number; station 2 needs a retry. Each delay runs
+        // from that station's own first attempt.
+        assert_eq!(MacAddr::from_id(2).0[..5], MacAddr::from_id(3).0[..5]);
+        let recs = vec![
+            data(0, 2, 7, 100, Rate::R11, false), // station 2, not acked
+            data(1_000, 3, 7, 100, Rate::R1, false),
+            ack(1_400, 3),
+            data(10_000, 2, 7, 100, Rate::R11, true), // station 2's retry
+            ack(10_400, 2),
+        ];
+        let s = &analyze(&recs)[0];
+        // Category S (128 B): station 3 at 1 Mbps, station 2 at 11 Mbps.
+        assert_eq!(
+            (s.acc_delay[0][0].count, s.acc_delay[0][0].total_us),
+            (1, 400)
+        );
+        assert_eq!(
+            (s.acc_delay[0][3].count, s.acc_delay[0][3].total_us),
+            (1, 10_400)
+        );
     }
 
     #[test]

@@ -105,6 +105,15 @@ const FIELD_LAYOUT: [(usize, usize); 15] = [
     (2, 2), // 14 RX flags
 ];
 
+// `parse_packet` aligns with a mask, which needs power-of-two alignments.
+const _: () = {
+    let mut bit = 0;
+    while bit < FIELD_LAYOUT.len() {
+        assert!(FIELD_LAYOUT[bit].1.is_power_of_two());
+        bit += 1;
+    }
+};
+
 /// Serializes a capture record: radiotap header followed by the frame bytes.
 pub fn encode_packet(meta: &CaptureMeta, frame: &[u8]) -> Vec<u8> {
     // Fixed layout: header(8) tsft(8) flags(1) rate(1) chan(4 at align 2)
@@ -172,14 +181,16 @@ pub fn parse_packet(bytes: &[u8]) -> Result<(CaptureMeta, &[u8]), RadiotapError>
     let mut noise = i8::MIN; // default noise floor if absent
     let mut antenna = 0u8;
 
-    for bit in 0..32u32 {
-        if present & (1 << bit) == 0 {
-            continue;
-        }
+    // Visit only the set bits, lowest first: the field order of the
+    // standard, so the first unknown or truncated field is the one reported.
+    let mut rest = present;
+    while rest != 0 {
+        let bit = rest.trailing_zeros();
+        rest &= rest - 1;
         let (size, align) = *FIELD_LAYOUT
             .get(bit as usize)
             .ok_or(RadiotapError::UnknownField(bit))?;
-        pos = pos.div_ceil(align) * align;
+        pos = (pos + align - 1) & !(align - 1);
         if pos + size > header_len {
             return Err(RadiotapError::Truncated);
         }
@@ -322,10 +333,17 @@ mod tests {
     }
 
     #[test]
-    fn extended_bitmap_is_rejected() {
-        let mut pkt = encode_packet(&meta(), b"");
-        pkt[7] |= 0x80; // set bit 31
-        assert_eq!(parse_packet(&pkt), Err(RadiotapError::UnknownField(31)));
+    fn unknown_and_extended_bits_are_rejected() {
+        // Bits 15–30 are fields this parser does not know; bit 31 extends
+        // the bitmap.
+        for bit in 15..32 {
+            let mut pkt = encode_packet(&meta(), b"");
+            pkt[4 + bit / 8] |= 1 << (bit % 8);
+            assert_eq!(
+                parse_packet(&pkt),
+                Err(RadiotapError::UnknownField(bit as u32))
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use wifi_frames::fc::{FcFlags, FrameKind};
 use wifi_frames::frame::{Ack, Beacon, Cts, Data, Frame, Rts, SeqCtl};
 use wifi_frames::mac::MacAddr;
 use wifi_frames::phy::{Channel, Preamble, Rate};
-use wifi_frames::radiotap::{self, CaptureMeta};
+use wifi_frames::radiotap::{self, CaptureMeta, RadiotapError};
 use wifi_frames::record::FrameRecord;
 use wifi_frames::{fcs, timing, wire};
 
@@ -102,6 +102,176 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 }
             ),
     ]
+}
+
+/// (size, alignment) of radiotap field bits 0–14, as the standard lays
+/// them out.
+const RADIOTAP_LAYOUT: [(usize, usize); 15] = [
+    (8, 8),
+    (1, 1),
+    (1, 1),
+    (4, 2),
+    (2, 1),
+    (1, 1),
+    (1, 1),
+    (2, 2),
+    (2, 2),
+    (2, 2),
+    (1, 1),
+    (1, 1),
+    (1, 1),
+    (1, 1),
+    (2, 2),
+];
+
+/// The reference radiotap parser: tests all 32 present bits in turn and
+/// aligns each field by division. `radiotap::parse_packet` must agree with
+/// it on every input, including which error it reports.
+fn parse_packet_oracle(bytes: &[u8]) -> Result<(CaptureMeta, &[u8]), RadiotapError> {
+    if bytes.len() < 8 {
+        return Err(RadiotapError::Truncated);
+    }
+    if bytes[0] != 0 {
+        return Err(RadiotapError::BadVersion(bytes[0]));
+    }
+    let header_len = u16::from_le_bytes([bytes[2], bytes[3]]) as usize;
+    if header_len < 8 || bytes.len() < header_len {
+        return Err(RadiotapError::Truncated);
+    }
+    let present = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+    if present & (1 << 31) != 0 {
+        return Err(RadiotapError::UnknownField(31));
+    }
+    let channel_from_mhz = |mhz: u16| match mhz {
+        2484 => Channel::new(14),
+        2412..=2472 if (mhz - 2407).is_multiple_of(5) => Channel::new(((mhz - 2407) / 5) as u8),
+        _ => None,
+    };
+    let mut pos = 8usize;
+    let (mut tsft, mut flags, mut signal, mut noise, mut antenna) = (0u64, 0u8, 0i8, i8::MIN, 0u8);
+    let (mut rate, mut channel) = (None, None);
+    for bit in 0..32u32 {
+        if present & (1 << bit) == 0 {
+            continue;
+        }
+        let (size, align) = *RADIOTAP_LAYOUT
+            .get(bit as usize)
+            .ok_or(RadiotapError::UnknownField(bit))?;
+        pos = pos.div_ceil(align) * align;
+        if pos + size > header_len {
+            return Err(RadiotapError::Truncated);
+        }
+        let field = &bytes[pos..pos + size];
+        match bit {
+            0 => tsft = u64::from_le_bytes(field.try_into().unwrap()),
+            1 => flags = field[0],
+            2 => {
+                rate = Some(
+                    Rate::from_units_500kbps(field[0]).ok_or(RadiotapError::BadRate(field[0]))?,
+                )
+            }
+            3 => {
+                let mhz = u16::from_le_bytes([field[0], field[1]]);
+                channel = Some(channel_from_mhz(mhz).ok_or(RadiotapError::BadChannel(mhz))?);
+            }
+            5 => signal = field[0] as i8,
+            6 => noise = field[0] as i8,
+            11 => antenna = field[0],
+            _ => {}
+        }
+        pos += size;
+    }
+    let meta = CaptureMeta {
+        tsft_us: tsft,
+        flags,
+        rate: rate.ok_or(RadiotapError::MissingField("rate"))?,
+        channel: channel.ok_or(RadiotapError::MissingField("channel"))?,
+        signal_dbm: signal,
+        noise_dbm: noise,
+        antenna,
+    };
+    Ok((meta, &bytes[header_len..]))
+}
+
+/// `usual` seven times in eight (by `roll`), otherwise `raw`.
+fn mostly<T>(roll: u8, usual: T, raw: T) -> T {
+    if roll.is_multiple_of(8) {
+        raw
+    } else {
+        usual
+    }
+}
+
+/// Radiotap records that reach every branch of the parser: present maps
+/// mostly over the known bits 0–14 (usually with rate and channel), some
+/// with one unknown bit 15–31 and some over all 32 bits; fields laid out at
+/// their alignment with mostly valid rates and frequencies; and a declared
+/// length, version byte and total length that are sometimes wrong. One case
+/// in eight is raw bytes.
+fn arb_radiotap_packet() -> impl Strategy<Value = Vec<u8>> {
+    let present = (any::<u32>(), 0u8..8, 15u32..32).prop_map(|(raw, roll, unknown)| match roll {
+        0..=3 => raw & 0x7fff | 0b1100,
+        4 => raw & 0x7fff,
+        5..=6 => raw & 0x7fff | 0b1100 | 1 << unknown,
+        _ => raw,
+    });
+    let rate = (any::<u8>(), arb_rate(), any::<u8>())
+        .prop_map(|(roll, rate, raw)| mostly(roll, rate.units_500kbps(), raw));
+    let mhz = (any::<u8>(), arb_channel(), any::<u16>())
+        .prop_map(|(roll, ch, raw)| mostly(roll, ch.center_mhz(), raw));
+    let version = (0u8..16, any::<u8>()).prop_map(|(roll, v)| if roll == 0 { v } else { 0 });
+    let len_delta = (0u8..6, -10i32..10, any::<u16>()).prop_map(|(roll, d, raw)| match roll {
+        0..=3 => 0,
+        4 => d,
+        _ => i32::from(raw),
+    });
+    let cut = (0u8..8, any::<prop::sample::Index>()).prop_map(|(roll, i)| (roll == 0).then_some(i));
+    let laid_out = (
+        present,
+        rate,
+        mhz,
+        version,
+        len_delta,
+        proptest::collection::vec(any::<u8>(), 32),
+        proptest::collection::vec(any::<u8>(), 0..16),
+        cut,
+    )
+        .prop_map(
+            |(present, rate, mhz, version, len_delta, filler, frame, cut)| {
+                let mut pkt = vec![version, 0, 0, 0];
+                pkt.extend_from_slice(&present.to_le_bytes());
+                let mut fill = filler.iter().copied().cycle();
+                for (bit, &(size, align)) in RADIOTAP_LAYOUT.iter().enumerate() {
+                    if present & (1 << bit) == 0 {
+                        continue;
+                    }
+                    while pkt.len() % align != 0 {
+                        pkt.extend(fill.next());
+                    }
+                    match bit {
+                        2 => pkt.push(rate),
+                        3 => {
+                            pkt.extend_from_slice(&mhz.to_le_bytes());
+                            pkt.extend(fill.by_ref().take(2));
+                        }
+                        _ => pkt.extend(fill.by_ref().take(size)),
+                    }
+                }
+                let len = (pkt.len() as i32 + len_delta).clamp(0, u16::MAX as i32) as u16;
+                pkt[2..4].copy_from_slice(&len.to_le_bytes());
+                pkt.extend_from_slice(&frame);
+                if let Some(cut) = cut {
+                    pkt.truncate(cut.index(pkt.len() + 1));
+                }
+                pkt
+            },
+        );
+    (
+        laid_out,
+        0u8..8,
+        proptest::collection::vec(any::<u8>(), 0..48),
+    )
+        .prop_map(|(pkt, roll, raw)| if roll == 0 { raw } else { pkt })
 }
 
 proptest! {
@@ -223,5 +393,10 @@ proptest! {
     fn mac_display_parse_roundtrip(mac in arb_mac()) {
         let s = mac.to_string();
         prop_assert_eq!(s.parse::<MacAddr>().unwrap(), mac);
+    }
+
+    #[test]
+    fn radiotap_parse_matches_full_bitmap_oracle(pkt in arb_radiotap_packet()) {
+        prop_assert_eq!(radiotap::parse_packet(&pkt), parse_packet_oracle(&pkt));
     }
 }

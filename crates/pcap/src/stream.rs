@@ -129,9 +129,14 @@ impl<T> Polled<T> {
 /// remainder of the stream.
 pub struct ChunkedSource<R> {
     inner: R,
+    /// Reads land here in place. Its capacity, reserved at construction,
+    /// is `REFILL_TARGET + READ_CHUNK` bytes, the most a refill can hold;
+    /// its length grows into it as reads first reach each byte.
     buf: Vec<u8>,
+    /// Start of the unconsumed window.
     pos: usize,
-    chunk: Vec<u8>,
+    /// End of the bytes read so far: the window is `buf[pos..end]`.
+    end: usize,
     eof: bool,
 }
 
@@ -142,9 +147,9 @@ impl<R: Read> ChunkedSource<R> {
     pub fn new(inner: R) -> ChunkedSource<R> {
         ChunkedSource {
             inner,
-            buf: Vec::new(),
+            buf: Vec::with_capacity(REFILL_TARGET + READ_CHUNK),
             pos: 0,
-            chunk: Vec::new(),
+            end: 0,
             eof: false,
         }
     }
@@ -158,26 +163,32 @@ impl<R: Read> ChunkedSource<R> {
     /// prefix of the eventual remainder and the invariant does **not** hold.
     /// Blocking sources never produce `Partial`.
     pub fn fill(&mut self) -> Result<FillStatus, PcapError> {
-        if self.eof || self.buf.len() - self.pos >= WINDOW_TARGET {
+        if self.eof || self.end - self.pos >= WINDOW_TARGET {
             return Ok(FillStatus::Full);
         }
         if self.pos > 0 {
-            self.buf.drain(..self.pos);
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
             self.pos = 0;
         }
-        if self.chunk.is_empty() {
-            self.chunk.resize(READ_CHUNK, 0);
-        }
-        while self.buf.len() < REFILL_TARGET {
-            match self.inner.read(&mut self.chunk) {
+        while self.end < REFILL_TARGET {
+            if self.buf.len() < self.end + READ_CHUNK {
+                // Within the capacity reserved at construction: zeroes only
+                // bytes no read has reached yet, and never reallocates.
+                self.buf.resize(self.end + READ_CHUNK, 0);
+            }
+            match self
+                .inner
+                .read(&mut self.buf[self.end..self.end + READ_CHUNK])
+            {
                 Ok(0) => {
                     self.eof = true;
                     break;
                 }
-                Ok(n) => self.buf.extend_from_slice(&self.chunk[..n]),
+                Ok(n) => self.end += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return Ok(if self.buf.len() >= WINDOW_TARGET {
+                    return Ok(if self.end >= WINDOW_TARGET {
                         FillStatus::Full
                     } else {
                         FillStatus::Partial
@@ -191,13 +202,13 @@ impl<R: Read> ChunkedSource<R> {
 
     /// The bytes currently visible at the stream position.
     pub fn window(&self) -> &[u8] {
-        &self.buf[self.pos..]
+        &self.buf[self.pos..self.end]
     }
 
     /// Advances the stream position by `n` bytes (which must be within the
     /// current window).
     pub fn consume(&mut self, n: usize) {
-        debug_assert!(n <= self.buf.len() - self.pos);
+        debug_assert!(n <= self.end - self.pos);
         self.pos += n;
     }
 
@@ -1078,27 +1089,82 @@ mod tests {
         );
     }
 
+    /// A reader that cycles through a short read, `Interrupted`, an
+    /// unbounded read and `WouldBlock`, as a pipe or a growing file might.
+    struct ChoppyReads<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+        calls: usize,
+    }
+
+    impl Read for ChoppyReads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let max = match self.calls % 4 {
+                1 => 1 + self.calls % 5_000,
+                2 => return Err(std::io::ErrorKind::Interrupted.into()),
+                3 => usize::MAX,
+                _ => return Err(std::io::ErrorKind::WouldBlock.into()),
+            };
+            let n = buf.len().min(max).min(self.bytes.len() - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// Drains `src` through fills and consumes of up to `take` bytes,
+    /// checking the window invariant, the meaning of `Partial` and the
+    /// buffer bound after every fill. Returns the bytes consumed and the
+    /// number of `Partial` fills.
+    fn drain_checked<R: Read>(mut src: ChunkedSource<R>, take: usize) -> (Vec<u8>, usize) {
+        let mut seen = Vec::new();
+        let mut partials = 0;
+        loop {
+            match src.fill().unwrap() {
+                FillStatus::Full => assert!(
+                    src.window().len() >= WINDOW_TARGET || src.eof(),
+                    "window invariant violated"
+                ),
+                FillStatus::Partial => {
+                    assert!(src.window().len() < WINDOW_TARGET && !src.eof());
+                    partials += 1;
+                }
+            }
+            assert!(src.buf.capacity() <= REFILL_TARGET + READ_CHUNK);
+            if src.eof() && src.window().is_empty() {
+                return (seen, partials);
+            }
+            let n = src.window().len().min(take);
+            seen.extend_from_slice(&src.window()[..n]);
+            src.consume(n);
+        }
+    }
+
     #[test]
     fn chunked_source_window_invariant_holds() {
-        // A stream longer than one refill: every fill either tops the window
-        // past WINDOW_TARGET or exhausts the source.
-        let bytes: Vec<u8> = (0..(REFILL_TARGET + 1234)).map(|i| i as u8).collect();
-        let mut src = ChunkedSource::new(small(&bytes, 50_000));
-        let mut seen = Vec::new();
-        loop {
-            src.fill().unwrap();
-            assert!(
-                src.window().len() >= WINDOW_TARGET || src.eof(),
-                "window invariant violated"
-            );
-            if src.window().is_empty() {
-                break;
-            }
-            let take = src.window().len().min(100_000);
-            seen.extend_from_slice(&src.window()[..take]);
-            src.consume(take);
-        }
+        // A stream longer than two refills: every fill either tops the
+        // window past WINDOW_TARGET or exhausts the source, reads land in a
+        // buffer that never grows past REFILL_TARGET + READ_CHUNK bytes, and
+        // no byte is lost or duplicated across refills.
+        let bytes: Vec<u8> = (0..(2 * REFILL_TARGET + 1234))
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let (seen, partials) = drain_checked(ChunkedSource::new(small(&bytes, 50_000)), 100_000);
         assert_eq!(seen, bytes, "no bytes lost or duplicated across refills");
+        assert_eq!(partials, 0, "a blocking source never yields Partial");
+
+        // Consuming less than a fill reads lets the window cross
+        // WINDOW_TARGET inside a fill that then meets WouldBlock: that fill
+        // must report Full.
+        let choppy = ChoppyReads {
+            bytes: &bytes,
+            pos: 0,
+            calls: 0,
+        };
+        let (seen, partials) = drain_checked(ChunkedSource::new(choppy), 20_000);
+        assert_eq!(seen, bytes, "no bytes lost or duplicated across refills");
+        assert!(partials > 0, "WouldBlock below the target yields Partial");
     }
 
     // Strict classic reads: typed errors at the first damage.
