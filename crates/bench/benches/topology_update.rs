@@ -35,8 +35,8 @@ fn built(n: usize, radio: &RadioConfig) -> SensingTopology {
 fn bench_topology(c: &mut Criterion) {
     let radio = RadioConfig::default();
     let mut g = c.benchmark_group("topology_update");
-    // Each sample is one join / move / rebuild; a handful suffices and
-    // bounds the population drift of the add_station bench (see below).
+    // At most ten joins / moves / rebuilds per sample: bounds the
+    // population drift of the add_station bench (see below).
     g.sample_size(10);
     for &n in &[320usize, 1_000, 5_000] {
         let pos = positions(n);
@@ -51,9 +51,9 @@ fn bench_topology(c: &mut Criterion) {
             })
         });
         // One incremental join at population ~N. The population grows by
-        // one per iteration; with sample_size capped the drift stays under
-        // a dozen stations, and pre-reserving keeps grow() out of the
-        // measurement.
+        // one per iteration and is rebuilt for each sample; with
+        // sample_size capped the drift stays under a dozen stations, and
+        // pre-reserving keeps grow() out of the measurement.
         g.bench_function(&format!("add_station_{n}"), |b| {
             let mut topo = built(n, &radio);
             topo.reserve(n + 64, 1);

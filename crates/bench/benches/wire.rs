@@ -97,7 +97,7 @@ fn bench_pcap(c: &mut Criterion) {
     });
     g.bench_function("read_1000_records", |b| {
         b.iter(|| {
-            let mut r = PcapStream::strict(black_box(&file[..])).unwrap();
+            let mut r = PcapStream::new(black_box(&file[..])).unwrap();
             let mut n = 0usize;
             while r.next_packet().unwrap().is_some() {
                 n += 1;

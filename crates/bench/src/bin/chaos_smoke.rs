@@ -4,8 +4,8 @@
 //!
 //! 1. **no panics** — every corrupted input either errors in a structured
 //!    way or resynchronizes (the process finishing *is* the proof);
-//! 2. **honest accounting** — the merged [`IngestReport`] balances, and on
-//!    clean inputs the lossy path is identical to the strict one;
+//! 2. **honest accounting** — the merged [`IngestReport`] balances, and
+//!    clean inputs read back whole with a clean report;
 //! 3. **estimator validity** — with known injected drop rates at three
 //!    congestion levels, Equation 1 stays a lower bound on true loss.
 //!
@@ -15,12 +15,12 @@
 
 use congestion::unrecorded::estimate;
 use congestion_bench::scaled;
-use ietf80211_congestion::trace::read_capture_lossy_bytes;
+use ietf80211_congestion::trace::read_capture;
 use ietf_workloads::load_ramp;
 use wifi_frames::record::FrameRecord;
 use wifi_pcap::chaos::{corrupt_bytes, corrupt_records, ChaosConfig, ChaosRng, RecordChaosConfig};
 use wifi_pcap::pcapng::PcapNgWriter;
-use wifi_pcap::{IngestReport, LinkType, PcapWriter};
+use wifi_pcap::{IngestReport, LinkType, PcapStream, PcapWriter};
 
 /// One base scenario: a congestion level plus its serialized capture in
 /// both container formats.
@@ -36,8 +36,13 @@ fn encode_packets(records: &[FrameRecord]) -> Vec<(u64, Vec<u8>)> {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("encode.pcap");
     ietf80211_congestion::trace::write_capture_with_snaplen(&path, records, 0).expect("write");
-    let (_, pkts) = wifi_pcap::read_file(&path).expect("re-read");
-    pkts.into_iter().map(|p| (p.timestamp_us, p.data)).collect()
+    let mut stream = PcapStream::new(std::fs::File::open(&path).expect("re-open")).expect("header");
+    let mut packets = Vec::new();
+    while let Some(p) = stream.next_packet().expect("re-read") {
+        packets.push((p.timestamp_us, p.data.to_vec()));
+    }
+    assert!(stream.report().is_clean(), "{:?}", stream.report());
+    packets
 }
 
 fn classic_bytes(packets: &[(u64, Vec<u8>)]) -> Vec<u8> {
@@ -76,7 +81,7 @@ fn estimator_check(base: &BaseTrace, seed: u64) -> String {
     };
     let faults = corrupt_records(&mut packets, &cfg, &mut ChaosRng::new(seed));
     let dropped = faults.dropped.len();
-    let ingest = read_capture_lossy_bytes(&classic_bytes(&packets)).expect("clean container");
+    let ingest = read_capture(&classic_bytes(&packets)[..]).expect("clean container");
     assert!(
         ingest.report.is_clean(),
         "drops alone keep the container clean"
@@ -155,7 +160,7 @@ fn main() {
     // Sanity anchor: on the *clean* images the lossy path reports no damage.
     for base in &bases {
         for bytes in [&base.classic, &base.ng] {
-            let clean = read_capture_lossy_bytes(bytes).expect("clean image");
+            let clean = read_capture(&bytes[..]).expect("clean image");
             assert!(clean.report.is_clean(), "clean image: {:?}", clean.report);
             assert_eq!(clean.records.len(), base.records.len());
         }
@@ -178,7 +183,7 @@ fn main() {
             base.ng.clone()
         };
         corrupt_bytes(&mut bytes, 0, &hostile, &mut ChaosRng::new(seed));
-        match read_capture_lossy_bytes(&bytes) {
+        match read_capture(&bytes[..]) {
             Ok(ingest) => {
                 if ingest.report.resyncs > 0 {
                     resynced_files += 1;

@@ -19,7 +19,7 @@
 use congestion::merge::{merge_traces, MergeStream};
 use congestion::{analyze, SecondStats};
 use ietf80211_congestion::ingest::analyze_capture_streams;
-use ietf80211_congestion::trace::{read_capture_lossy_bytes, write_capture_with_snaplen};
+use ietf80211_congestion::trace::{read_capture, write_capture_with_snaplen};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use wifi_frames::fc::FrameKind;
@@ -133,7 +133,7 @@ proptest! {
             // Protect the 24-byte file header: container identity is not
             // the property under test here, record damage is.
             corrupt_bytes(&mut bytes, 24, &cfg, &mut rng);
-            let mut survived = read_capture_lossy_bytes(&bytes)
+            let mut survived = read_capture(&bytes[..])
                 .expect("lossy ingest never fails on a valid magic")
                 .records;
             // Restore the time-ordering contract chaos may have broken.
@@ -200,7 +200,7 @@ proptest! {
             let records = thin(&base, &mask, 40 * s as u64);
             let mut bytes = to_pcap_bytes(&records, &format!("trunc_{seed}_{s}_w.pcap"));
             corrupt_bytes(&mut bytes, 24, &cfg, &mut rng);
-            let survived = read_capture_lossy_bytes(&bytes).expect("valid magic").records;
+            let survived = read_capture(&bytes[..]).expect("valid magic").records;
             let path = temp_path(&format!("trunc_{seed}_{s}.pcap"));
             std::fs::write(&path, &bytes).expect("write damaged");
             paths.push(path);

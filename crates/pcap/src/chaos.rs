@@ -18,9 +18,9 @@
 //!   truncation, garbage insertion, and length-field blasts (oversized or
 //!   misaligned block lengths).
 //!
-//! The lossy readers in [`crate::lossy`] are expected to survive anything
-//! these produce; the strict readers must fail with structured errors, never
-//! panics.
+//! The decoders in [`crate::stream`] must survive anything these produce,
+//! never panicking, and account for the damage in an
+//! [`crate::IngestReport`].
 
 /// A tiny deterministic generator (splitmix64) so the harness needs no
 /// external RNG crate and corruption replays from a seed.

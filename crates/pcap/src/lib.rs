@@ -11,11 +11,10 @@
 //! * snap-length truncation on write (the study used a 250-byte snaplen),
 //! * streaming reads and writes over any [`std::io::Read`]/[`std::io::Write`].
 //!
-//! Each container has one decoder, [`PcapStream`] or [`PcapNgStream`],
-//! built with one of two policies: `strict` fails on the first damage with
-//! a typed [`PcapError`] (for files we wrote), `lossy` resynchronizes past
-//! damage and accounts for it in an [`IngestReport`] (for real captures).
-//! See [`stream`].
+//! Each container has one decoder, [`PcapStream`] or [`PcapNgStream`]. It
+//! resynchronizes past damage and accounts for every skip in an
+//! [`IngestReport`], so a capture is read with its damage counted, not
+//! refused; a file we wrote reads back with a clean report. See [`stream`].
 //!
 //! ```
 //! use wifi_pcap::{LinkType, PcapStream, PcapWriter};
@@ -25,10 +24,11 @@
 //!     let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 250).unwrap();
 //!     w.write_packet(1_000_000, &[0xB4, 0x00, 0x12, 0x34]).unwrap();
 //! }
-//! let mut r = PcapStream::strict(&buf[..]).unwrap();
+//! let mut r = PcapStream::new(&buf[..]).unwrap();
 //! let pkt = r.next_packet().unwrap().unwrap();
 //! assert_eq!(pkt.timestamp_us, 1_000_000);
 //! assert_eq!(pkt.data, [0xB4, 0x00, 0x12, 0x34]);
+//! assert!(r.next_packet().unwrap().is_none() && r.report().is_clean());
 //! ```
 
 #![warn(missing_docs)]
@@ -49,17 +49,6 @@ pub use writer::PcapWriter;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
-
-/// Reads every packet of a classic pcap file into memory, strictly: the
-/// first damaged record fails the read.
-pub fn read_file(path: &Path) -> Result<(LinkType, Vec<PcapPacket>), PcapError> {
-    let mut stream = PcapStream::strict(File::open(path)?)?;
-    let mut packets = Vec::new();
-    while let Some(pkt) = stream.next_packet()? {
-        packets.push(pkt.to_owned());
-    }
-    Ok((stream.link(), packets))
-}
 
 /// Writes packets (already in `(timestamp_us, bytes)` form) to a pcap file.
 pub fn write_file<'a>(

@@ -1,10 +1,7 @@
-//! Lossy, resynchronizing capture ingestion.
+//! Damage accounting for capture ingestion.
 //!
-//! A strict read ([`crate::PcapStream::strict`], [`crate::PcapNgStream::strict`])
-//! aborts an entire trace at the first damaged byte — correct for validating
-//! our own writers, useless for real vicinity captures, which arrive
-//! truncated, bit-flipped, and spliced. The lossy policy of the same
-//! decoders skips damaged regions and *resynchronizes*:
+//! Real vicinity captures arrive truncated, bit-flipped and spliced, so the
+//! decoders in [`crate::stream`] skip damaged regions and *resynchronize*:
 //!
 //! * **classic pcap** has no per-record framing, so recovery scans forward
 //!   byte-by-byte for a *plausible* record header — sane lengths, a
@@ -18,25 +15,23 @@
 //!
 //! Every decision is accounted in an [`IngestReport`]: how many records
 //! decoded cleanly, how many were recovered after a resync, how many
-//! blocks were abandoned, and how many bytes were discarded. Strict and
-//! lossy are two policies of one decoder in [`crate::stream`], parting only
-//! where damage is met, so on an undamaged file the lossy read is
-//! byte-identical to the strict one by construction and the report shows
-//! zero skips.
+//! blocks were abandoned, and how many bytes were discarded. An undamaged
+//! file reads back with a clean report, so "is this exactly what the writer
+//! wrote?" is [`IngestReport::is_clean`].
 //!
 //! The decoders run over a bounded rolling window, so captures larger than
 //! RAM ingest in O(window) memory.
 
 use crate::pcapng::BT_SHB;
 
-/// Accounting of one lossy ingestion pass. All counters are cumulative;
+/// Accounting of one ingestion pass. All counters are cumulative;
 /// [`IngestReport::merge`] folds per-file reports into a campaign total.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestReport {
     /// Records decoded cleanly, with no resync since the previous record.
     pub records_ok: u64,
-    /// Records decoded immediately after a resync scan — data that a strict
-    /// read would have thrown away.
+    /// Records decoded immediately after a resync scan — data that stopping
+    /// at the first damage would have thrown away.
     pub records_recovered: u64,
     /// Damaged records/blocks abandoned (undecodable, oversized, or
     /// referencing an unusable interface).
@@ -126,7 +121,7 @@ mod tests {
 
     /// Collects a lossy classic-pcap stream over `bytes`.
     fn collect_pcap(bytes: &[u8]) -> Result<Ingest<PcapPacket>, PcapError> {
-        let mut stream = PcapStream::lossy(bytes)?;
+        let mut stream = PcapStream::new(bytes)?;
         let mut packets = Vec::new();
         while let Some(pkt) = stream.next_packet().expect("in-memory source") {
             packets.push(pkt.to_owned());
@@ -137,7 +132,7 @@ mod tests {
 
     /// Collects a lossy pcapng stream over `bytes`.
     fn collect_pcapng(bytes: &[u8]) -> Ingest<NgPacket> {
-        let mut stream = PcapNgStream::lossy(bytes);
+        let mut stream = PcapNgStream::new(bytes);
         let mut packets = Vec::new();
         while let Some(pkt) = stream.next_packet().expect("in-memory source") {
             packets.push(pkt.to_owned());
@@ -167,33 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_classic_matches_strict_byte_for_byte() {
-        let buf = classic_file(50);
-        let mut r = PcapStream::strict(&buf[..]).unwrap();
-        let mut strict = Vec::new();
-        while let Some(p) = r.next_packet().unwrap() {
-            strict.push(p.to_owned());
-        }
-        let lossy = collect_pcap(&buf).unwrap();
-        assert_eq!(lossy.packets, strict);
-        assert!(lossy.report.is_clean());
-        assert_eq!(lossy.report.records_ok, 50);
-    }
-
-    #[test]
-    fn clean_ng_matches_strict_byte_for_byte() {
-        let buf = ng_file(50);
-        let mut r = PcapNgStream::strict(&buf[..]);
-        let mut strict = Vec::new();
-        while let Some(p) = r.next_packet().unwrap() {
-            strict.push(p.to_owned());
-        }
-        let lossy = collect_pcapng(&buf);
-        assert_eq!(lossy.packets, strict);
-        assert!(lossy.report.is_clean());
-    }
-
-    #[test]
     fn classic_resyncs_over_a_corrupted_record() {
         let mut buf = classic_file(10);
         // Blast the caplen of record 4 (records are 16 + 40 bytes each).
@@ -205,22 +173,6 @@ mod tests {
         // All other records survive: 9 of 10 (the damaged one is lost).
         assert_eq!(out.packets.len(), 9);
         assert!(out.packets.iter().all(|p| p.data.len() == 40));
-    }
-
-    #[test]
-    fn classic_strict_fails_where_lossy_recovers() {
-        let mut buf = classic_file(10);
-        let rec4 = GLOBAL_HEADER_LEN + 4 * 56;
-        buf[rec4 + 8..rec4 + 12].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
-        let mut strict = PcapStream::strict(&buf[..]).unwrap();
-        for _ in 0..4 {
-            strict.next_packet().unwrap().unwrap();
-        }
-        assert!(matches!(
-            strict.next_packet(),
-            Err(PcapError::OversizedRecord(u32::MAX))
-        ));
-        assert_eq!(collect_pcap(&buf).unwrap().packets.len(), 9);
     }
 
     #[test]

@@ -273,16 +273,23 @@ impl<W: std::io::Write> PcapNgWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PcapNgStream;
+    use crate::{IngestReport, PcapNgStream};
 
-    /// Every packet of a strict read, or the error that stopped it.
-    fn strict(bytes: &[u8]) -> Result<Vec<NgPacket>, PcapError> {
-        let mut r = PcapNgStream::strict(bytes);
+    /// Every packet of a read, and its final report.
+    fn read(bytes: &[u8]) -> (Vec<NgPacket>, IngestReport) {
+        let mut r = PcapNgStream::new(bytes);
         let mut out = Vec::new();
-        while let Some(p) = r.next_packet()? {
+        while let Some(p) = r.next_packet().expect("in-memory source") {
             out.push(p.to_owned());
         }
-        Ok(out)
+        (out, *r.report())
+    }
+
+    /// Every packet of a read that must see no damage.
+    fn read_clean(bytes: &[u8]) -> Vec<NgPacket> {
+        let (packets, report) = read(bytes);
+        assert!(report.is_clean(), "{report:?}");
+        packets
     }
 
     fn roundtrip(packets: &[(u64, Vec<u8>)], snaplen: u32) -> Vec<NgPacket> {
@@ -293,7 +300,7 @@ mod tests {
                 w.write_packet(*ts, data).unwrap();
             }
         }
-        strict(&buf).unwrap()
+        read_clean(&buf)
     }
 
     #[test]
@@ -322,27 +329,8 @@ mod tests {
     }
 
     #[test]
-    fn rejects_garbage() {
-        assert!(matches!(
-            strict(&[0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 0]),
-            Err(PcapError::BadMagic(_))
-        ));
-    }
-
-    #[test]
     fn empty_stream_is_clean_eof() {
-        assert!(strict(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn truncated_block_errors() {
-        let mut buf = Vec::new();
-        {
-            let mut w = PcapNgWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
-            w.write_packet(5, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
-        }
-        let cut = buf.len() - 5;
-        assert!(matches!(strict(&buf[..cut]), Err(PcapError::TruncatedFile)));
+        assert!(read_clean(&[]).is_empty());
     }
 
     #[test]
@@ -362,7 +350,7 @@ mod tests {
         let mut spliced = buf[..idb_end].to_vec();
         spliced.extend_from_slice(&custom);
         spliced.extend_from_slice(&buf[idb_end..]);
-        let p = &strict(&spliced).unwrap()[0];
+        let p = &read_clean(&spliced)[0];
         assert_eq!(p.packet.data, vec![0xAA]);
         assert_eq!(p.link, LinkType::Ieee80211);
     }
@@ -396,7 +384,7 @@ mod tests {
         buf.extend_from_slice(&2u32.to_be_bytes()); // origlen
         buf.extend_from_slice(&[0xCA, 0xFE, 0, 0]); // padded
         buf.extend_from_slice(&36u32.to_be_bytes());
-        let p = &strict(&buf).unwrap()[0];
+        let p = &read_clean(&buf)[0];
         assert_eq!(p.link, LinkType::Radiotap);
         assert_eq!(p.packet.timestamp_us, 42);
         assert_eq!(p.packet.data, vec![0xCA, 0xFE]);
@@ -433,7 +421,7 @@ mod tests {
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&[0x55, 0, 0, 0]);
         buf.extend_from_slice(&36u32.to_le_bytes());
-        assert_eq!(strict(&buf).unwrap()[0].packet.timestamp_us, 5_000);
+        assert_eq!(read_clean(&buf)[0].packet.timestamp_us, 5_000);
     }
 
     /// SHB + IDB carrying `if_tsresol = raw` + one EPB with the given ticks.
@@ -475,86 +463,50 @@ mod tests {
         // value that lands on an exact microsecond via the u128 path.
         let buf = file_with_tsresol(19, u32::MAX);
         // 4294967295 ticks at 10^19/s = 4.29e-10 s -> 0 µs, no saturation.
-        assert_eq!(strict(&buf).unwrap()[0].packet.timestamp_us, 0);
+        assert_eq!(read_clean(&buf)[0].packet.timestamp_us, 0);
+    }
+
+    /// `parse_idb` over the IDB body of a [`file_with_tsresol`] file.
+    fn idb_of(buf: &[u8]) -> Result<Interface, PcapError> {
+        parse_idb(false, &buf[28 + 8..28 + 28 - 4])
+    }
+
+    /// An unusable IDB is skipped, and so is the EPB on its interface.
+    fn assert_idb_and_packet_skipped(buf: &[u8]) {
+        let (packets, report) = read(buf);
+        assert!(packets.is_empty());
+        assert_eq!(report.blocks_skipped, 2);
     }
 
     #[test]
     fn tsresol_decimal_overflow_rejected() {
         let buf = file_with_tsresol(20, 1);
         assert!(matches!(
-            strict(&buf),
+            idb_of(&buf),
             Err(PcapError::BadTimestampResolution(20))
         ));
+        assert_idb_and_packet_skipped(&buf);
     }
 
     #[test]
     fn tsresol_binary_edge_and_overflow() {
         // 2^63 ticks/s parses; 1<<20 ticks = 1<<20 * 1e6 / 2^63 µs ≈ 0.
         let buf = file_with_tsresol(0x80 | 63, 1 << 20);
-        assert_eq!(strict(&buf).unwrap()[0].packet.timestamp_us, 0);
+        assert_eq!(read_clean(&buf)[0].packet.timestamp_us, 0);
         // 2^64 does not fit.
         let buf = file_with_tsresol(0x80 | 64, 1);
         assert!(matches!(
-            strict(&buf),
+            idb_of(&buf),
             Err(PcapError::BadTimestampResolution(raw)) if raw == (0x80 | 64)
         ));
+        assert_idb_and_packet_skipped(&buf);
     }
 
     #[test]
     fn tsresol_binary_microsecond_neighbour() {
         // 2^20 ticks/s (binary ~µs): 2^20 ticks = exactly 1 second.
         let buf = file_with_tsresol(0x80 | 20, 1 << 20);
-        assert_eq!(strict(&buf).unwrap()[0].packet.timestamp_us, 1_000_000);
-    }
-
-    #[test]
-    fn misaligned_block_length_is_bad_block_length() {
-        let mut buf = Vec::new();
-        {
-            let mut w = PcapNgWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
-            w.write_packet(1, &[0xAA; 8]).unwrap();
-        }
-        // Patch the EPB's total length to a misaligned value.
-        let epb_off = 28 + 20;
-        buf[epb_off + 4..epb_off + 8].copy_from_slice(&41u32.to_le_bytes());
-        assert!(matches!(strict(&buf), Err(PcapError::BadBlockLength(41))));
-        // And an under-minimum length.
-        buf[epb_off + 4..epb_off + 8].copy_from_slice(&8u32.to_le_bytes());
-        assert!(matches!(strict(&buf), Err(PcapError::BadBlockLength(8))));
-    }
-
-    #[test]
-    fn trailing_length_mismatch_is_bad_block_length() {
-        let mut buf = Vec::new();
-        {
-            let mut w = PcapNgWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
-            w.write_packet(1, &[0xAA; 8]).unwrap();
-        }
-        let last4 = buf.len() - 4;
-        buf[last4..].copy_from_slice(&44u32.to_le_bytes());
-        assert!(matches!(strict(&buf), Err(PcapError::BadBlockLength(44))));
-    }
-
-    /// An SHB whose length claims ~4 GiB: a strict read must reject the
-    /// length itself, before anything sizes a buffer from it, and stay put.
-    #[test]
-    fn oversized_shb_is_rejected_without_allocating() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&BT_SHB.to_le_bytes());
-        buf.extend_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
-        buf.extend_from_slice(&BYTE_ORDER_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&1u16.to_le_bytes());
-        buf.extend_from_slice(&0u16.to_le_bytes());
-        buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        buf.extend_from_slice(&[0u8; 8]);
-        assert_eq!(buf.len(), 32);
-        let mut r = PcapNgStream::strict(&buf[..]);
-        for _ in 0..2 {
-            assert!(matches!(
-                r.next_packet(),
-                Err(PcapError::OversizedRecord(0xFFFF_FFF0))
-            ));
-        }
+        assert_eq!(read_clean(&buf)[0].packet.timestamp_us, 1_000_000);
     }
 
     #[test]
@@ -571,7 +523,7 @@ mod tests {
             w.write_packet(2, &[2]).unwrap();
             buf.extend_from_slice(&second);
         }
-        let got = strict(&buf).unwrap();
+        let got = read_clean(&buf);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].link, LinkType::Ethernet);
         assert_eq!(got[1].link, LinkType::Radiotap);

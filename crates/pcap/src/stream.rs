@@ -3,23 +3,11 @@
 //! [`PcapStream`] (classic pcap) and [`PcapNgStream`] (pcapng) each run a
 //! single decode loop over a **bounded rolling window** fed from any
 //! [`Read`] source, so a multi-gigabyte sniffer trace decodes in O(window)
-//! memory. Each takes one of two policies at construction:
-//!
-//! * **strict** — for files we wrote, where any damage is a bug: the first
-//!   damage fails the read with the typed [`PcapError`] the head checks
-//!   found, and the stream stays there;
-//! * **lossy** — for real captures, where damage is weather: the decoder
-//!   skips it, resynchronizes, and accounts for every skip in an
-//!   [`IngestReport`].
-//!
-//! The policies share every check and every decision. They part only where
-//! the lossy policy starts a resync, counts a skipped block or flags a
-//! truncated tail: there the strict policy returns the error instead. So a
-//! strict read yields exactly the packets a lossy read yields before its
-//! first damage, and it fails if and only if the lossy report is not clean.
-//! "Lossy is byte-identical to strict on clean files" holds by construction;
-//! `tests/no_panic.rs` checks the prefix property over chaos-corrupted
-//! captures.
+//! memory. The decoder skips damage, resynchronizes, and accounts for every
+//! skip in an [`IngestReport`], so an undamaged file reads with a clean
+//! report. The head checks decide what is damage and name it with a typed
+//! [`PcapError`]; the only errors a stream returns are an unusable classic
+//! global header and source I/O.
 //!
 //! # The window invariant
 //!
@@ -54,7 +42,7 @@
 //! a partial window, either act on a **fully-validated in-window record**
 //! (a decision unchanged by any extension of the window, so a decode of the
 //! final bytes makes it identically) or change nothing and report
-//! [`Polled::Pending`]. Damage — a resync, or a strict failure — always
+//! [`Polled::Pending`]. Damage — a resync or a skipped block — always
 //! waits for a full (or end-of-stream) window. Consequently a poll-driven
 //! decode of a growing file converges, byte-for-byte in records and
 //! accounting, to the decode of the final file contents.
@@ -63,7 +51,7 @@ use crate::format::{
     u16_at, u32_at, LinkType, PacketRef, PcapError, GLOBAL_HEADER_LEN, MAGIC_BE, MAGIC_LE,
     MAGIC_NS_BE, MAGIC_NS_LE, MAX_SANE_CAPLEN, RECORD_HEADER_LEN,
 };
-use crate::lossy::{is_pcapng, IngestReport};
+use crate::lossy::IngestReport;
 use crate::pcapng::{
     parse_idb, parse_packet_block, Interface, NgPacketRef, BT_EPB, BT_IDB, BT_SHB, BT_SPB,
     BYTE_ORDER_MAGIC,
@@ -219,17 +207,6 @@ impl<R: Read> ChunkedSource<R> {
     }
 }
 
-/// Where the two policies part. At a damage point the lossy policy
-/// accounts for the damage and goes on (`Ok`); the strict policy stops
-/// with the error the head checks found.
-fn on_damage(strict: bool, e: PcapError) -> Result<(), PcapError> {
-    if strict {
-        Err(e)
-    } else {
-        Ok(())
-    }
-}
-
 struct ClassicHeader {
     big_endian: bool,
     nanos: bool,
@@ -328,13 +305,11 @@ fn plausible_record(w: &[u8], h: &ClassicHeader, last_sec: Option<u64>) -> bool 
     n_frac < frac_bound && n_caplen <= MAX_SANE_CAPLEN && n_caplen <= n_orig
 }
 
-/// The classic-pcap decoder over any byte stream, in O(window) memory, with
-/// the strict or lossy policy fixed at construction (see the module docs).
-/// [`crate::read_file`] collects one.
+/// The classic-pcap decoder over any byte stream, in O(window) memory (see
+/// the module docs).
 pub struct PcapStream<R> {
     src: ChunkedSource<R>,
     header: ClassicHeader,
-    strict: bool,
     report: IngestReport,
     last_sec: Option<u64>,
     just_resynced: bool,
@@ -345,25 +320,12 @@ pub struct PcapStream<R> {
 }
 
 impl<R: Read> PcapStream<R> {
-    /// A strict stream: validates the global header now and fails on the
-    /// first damaged record with its typed [`PcapError`]. After a failure
-    /// the stream stays at the damage, so every later read returns the same
-    /// error.
-    pub fn strict(inner: R) -> Result<PcapStream<R>, PcapError> {
-        PcapStream::new(inner, true)
-    }
-
-    /// A lossy stream: validates the global header now — the one part of
-    /// the file without which there is nothing to recover — and later
-    /// resynchronizes past damaged records, counting them in
-    /// [`PcapStream::report`].
-    pub fn lossy(inner: R) -> Result<PcapStream<R>, PcapError> {
-        PcapStream::new(inner, false)
-    }
-
-    /// On a live (`WouldBlock`) source this waits until the header bytes
-    /// arrive or the source ends.
-    fn new(inner: R, strict: bool) -> Result<PcapStream<R>, PcapError> {
+    /// Validates the global header now — the one part of the file without
+    /// which there is nothing to recover — and later resynchronizes past
+    /// damaged records, counting them in [`PcapStream::report`]. On a live
+    /// (`WouldBlock`) source this waits until the header bytes arrive or the
+    /// source ends.
+    pub fn new(inner: R) -> Result<PcapStream<R>, PcapError> {
         let mut src = ChunkedSource::new(inner);
         loop {
             let status = src.fill()?;
@@ -377,7 +339,6 @@ impl<R: Read> PcapStream<R> {
         Ok(PcapStream {
             src,
             header,
-            strict,
             report: IngestReport::default(),
             last_sec: None,
             just_resynced: false,
@@ -471,9 +432,7 @@ impl<R: Read> PcapStream<R> {
                     return Ok(Polled::Pending);
                 }
                 Err(e) => {
-                    let truncated = matches!(e, PcapError::TruncatedFile);
-                    on_damage(self.strict, e)?;
-                    self.report.truncated_tail |= truncated;
+                    self.report.truncated_tail |= matches!(e, PcapError::TruncatedFile);
                     if len < RECORD_HEADER_LEN {
                         // The window invariant makes this end-of-stream by
                         // construction: too few bytes for a record header.
@@ -563,33 +522,27 @@ enum NgHead {
     Block { block_type: u32, len: usize },
 }
 
-/// Classifies the block at the window head. SHB first: its type bytes are
-/// palindromic, so it is identifiable before the byte order is known. Any
-/// other block needs a section to have started. The error is the damage
-/// found; for a head typed as an SHB, what is wrong with that SHB.
-fn ng_head(w: &[u8], started: bool, big_endian: bool) -> Result<NgHead, PcapError> {
-    let shb_err = match ng_shb_sane(w) {
-        Ok((big_endian, len)) => return Ok(NgHead::Section { big_endian, len }),
-        Err(e) => e,
-    };
+/// Classifies the block at the window head; `None` is damage. SHB first:
+/// its type bytes are palindromic, so it is identifiable before the byte
+/// order is known. Any other block needs a section to have started.
+fn ng_head(w: &[u8], started: bool, big_endian: bool) -> Option<NgHead> {
+    if let Ok((big_endian, len)) = ng_shb_sane(w) {
+        return Some(NgHead::Section { big_endian, len });
+    }
     if !started {
-        return Err(shb_err);
+        return None;
     }
-    match ng_block_sane(w, big_endian) {
-        Ok(len) => Ok(NgHead::Block {
-            block_type: u32_at(big_endian, w, 0),
-            len,
-        }),
-        Err(_) if is_pcapng(w) => Err(shb_err),
-        Err(e) => Err(e),
-    }
+    let len = ng_block_sane(w, big_endian).ok()?;
+    Some(NgHead::Block {
+        block_type: u32_at(big_endian, w, 0),
+        len,
+    })
 }
 
-/// The pcapng decoder over any byte stream, in O(window) memory, with the
-/// strict or lossy policy fixed at construction (see the module docs).
+/// The pcapng decoder over any byte stream, in O(window) memory (see the
+/// module docs).
 pub struct PcapNgStream<R> {
     src: ChunkedSource<R>,
-    strict: bool,
     report: IngestReport,
     big_endian: bool,
     started: bool,
@@ -602,26 +555,13 @@ pub struct PcapNgStream<R> {
 }
 
 impl<R: Read> PcapNgStream<R> {
-    /// A strict stream: the first block must be a Section Header Block, and
-    /// the first damage fails the read with its typed [`PcapError`]. After a
-    /// failure the stream stays at the damage, so every later read returns
-    /// the same error.
-    pub fn strict(inner: R) -> PcapNgStream<R> {
-        PcapNgStream::new(inner, true)
-    }
-
-    /// A lossy stream. Nothing is validated up front: recovery can start
-    /// mid-stream at any Section Header Block, and a stream with no
-    /// recoverable section yields zero packets with every byte accounted as
-    /// skipped; only source I/O can error.
-    pub fn lossy(inner: R) -> PcapNgStream<R> {
-        PcapNgStream::new(inner, false)
-    }
-
-    fn new(inner: R, strict: bool) -> PcapNgStream<R> {
+    /// Nothing is validated up front: recovery can start mid-stream at any
+    /// Section Header Block, and a stream with no recoverable section yields
+    /// zero packets with every byte accounted as skipped; only source I/O
+    /// can error.
+    pub fn new(inner: R) -> PcapNgStream<R> {
         PcapNgStream {
             src: ChunkedSource::new(inner),
-            strict,
             report: IngestReport::default(),
             big_endian: false,
             started: false,
@@ -698,20 +638,19 @@ impl<R: Read> PcapNgStream<R> {
                 });
             }
             match ng_head(self.src.window(), self.started, self.big_endian) {
-                Ok(NgHead::Section { big_endian, len }) => {
+                Some(NgHead::Section { big_endian, len }) => {
                     self.big_endian = big_endian;
                     self.started = true;
                     self.interfaces.clear();
                     self.src.consume(len);
                 }
-                Ok(NgHead::Block {
+                Some(NgHead::Block {
                     block_type: BT_IDB,
                     len,
                 }) => {
                     match parse_idb(self.big_endian, &self.src.window()[8..len - 4]) {
                         Ok(iface) => self.interfaces.push(Some(iface)),
-                        Err(e) => {
-                            on_damage(self.strict, e)?;
+                        Err(_) => {
                             // Keep interface ids aligned: the slot exists
                             // but is unusable; its packets are skipped.
                             self.interfaces.push(None);
@@ -720,7 +659,7 @@ impl<R: Read> PcapNgStream<R> {
                     }
                     self.src.consume(len);
                 }
-                Ok(NgHead::Block {
+                Some(NgHead::Block {
                     block_type: block_type @ (BT_EPB | BT_SPB),
                     len,
                 }) => {
@@ -735,21 +674,19 @@ impl<R: Read> PcapNgStream<R> {
                             }
                             break (block_type, len);
                         }
-                        Err(e) => {
-                            on_damage(self.strict, e)?;
+                        Err(_) => {
                             self.report.blocks_skipped += 1;
                             self.src.consume(len);
                         }
                     }
                 }
-                Ok(NgHead::Block { len, .. }) => self.src.consume(len), // unknown: skipped by length
-                Err(_) if status == FillStatus::Partial => {
+                Some(NgHead::Block { len, .. }) => self.src.consume(len), // unknown: skipped by length
+                None if status == FillStatus::Partial => {
                     // The head may be a block whose tail has not arrived
                     // yet (and a resync needs full-window lookahead): wait.
                     return Ok(Polled::Pending);
                 }
-                Err(e) => {
-                    on_damage(self.strict, e)?;
+                None => {
                     if len < 12 {
                         // End of stream by the window invariant: too few
                         // bytes for any block.
@@ -827,7 +764,7 @@ mod tests {
     }
 
     fn stream_classic(bytes: &[u8], max: usize) -> (Vec<PcapPacket>, IngestReport) {
-        let mut s = PcapStream::lossy(small(bytes, max)).unwrap();
+        let mut s = PcapStream::new(small(bytes, max)).unwrap();
         let mut out = Vec::new();
         while let Some(p) = s.next_packet().unwrap() {
             out.push(p.to_owned());
@@ -836,7 +773,7 @@ mod tests {
     }
 
     fn stream_ng(bytes: &[u8], max: usize) -> (Vec<crate::NgPacket>, IngestReport) {
-        let mut s = PcapNgStream::lossy(small(bytes, max));
+        let mut s = PcapNgStream::new(small(bytes, max));
         let mut out = Vec::new();
         while let Some(p) = s.next_packet().unwrap() {
             out.push(p.to_owned());
@@ -913,11 +850,11 @@ mod tests {
     #[test]
     fn classic_stream_reports_header_errors() {
         assert!(matches!(
-            PcapStream::lossy(&[0u8; 40][..]).err(),
+            PcapStream::new(&[0u8; 40][..]).err(),
             Some(PcapError::BadMagic(_))
         ));
         assert!(matches!(
-            PcapStream::lossy(&[1u8, 2, 3][..]).err(),
+            PcapStream::new(&[1u8, 2, 3][..]).err(),
             Some(PcapError::TruncatedFile)
         ));
     }
@@ -925,7 +862,7 @@ mod tests {
     #[test]
     fn packet_refs_borrow_then_convert() {
         let buf = classic_file(3);
-        let mut s = PcapStream::lossy(&buf[..]).unwrap();
+        let mut s = PcapStream::new(&buf[..]).unwrap();
         let p = s.next_packet().unwrap().unwrap();
         assert_eq!(p.timestamp_us, 1_000_000);
         assert_eq!(p.data.len(), 40);
@@ -966,7 +903,7 @@ mod tests {
             max,
             block_next: false,
         };
-        let mut s = PcapStream::lossy(src).unwrap();
+        let mut s = PcapStream::new(src).unwrap();
         let mut out = Vec::new();
         loop {
             match s.poll_packet().unwrap() {
@@ -985,7 +922,7 @@ mod tests {
             max,
             block_next: true,
         };
-        let mut s = PcapNgStream::lossy(src);
+        let mut s = PcapNgStream::new(src);
         let mut out = Vec::new();
         loop {
             match s.poll_packet().unwrap() {
@@ -1078,7 +1015,7 @@ mod tests {
                 Ok(n)
             }
         }
-        let mut s = PcapStream::lossy(HeaderThenBlock(&buf, 0)).unwrap();
+        let mut s = PcapStream::new(HeaderThenBlock(&buf, 0)).unwrap();
         match s.next_packet() {
             Err(PcapError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock),
             other => panic!("expected WouldBlock, got {other:?}"),
@@ -1167,7 +1104,8 @@ mod tests {
         assert!(partials > 0, "WouldBlock below the target yields Partial");
     }
 
-    // Strict classic reads: typed errors at the first damage.
+    // Head checks: the typed error each finds, and what the stream makes of
+    // that damage.
 
     fn sample_file() -> Vec<u8> {
         let mut buf = Vec::new();
@@ -1177,10 +1115,18 @@ mod tests {
         buf
     }
 
+    /// Offset of `sample_file`'s second record header.
+    const SECOND_RECORD: usize = GLOBAL_HEADER_LEN + RECORD_HEADER_LEN + 3;
+
+    /// `record_head` at `off` in a classic file.
+    fn head_at(buf: &[u8], off: usize) -> Result<(u64, u32, usize), PcapError> {
+        record_head(&buf[off..], &parse_global_header(buf).unwrap())
+    }
+
     #[test]
     fn reads_what_writer_wrote() {
         let buf = sample_file();
-        let mut r = PcapStream::strict(&buf[..]).unwrap();
+        let mut r = PcapStream::new(&buf[..]).unwrap();
         assert_eq!(r.link(), LinkType::Radiotap);
         let p1 = r.next_packet().unwrap().unwrap();
         assert_eq!(p1.timestamp_us, 1_500_000);
@@ -1200,7 +1146,7 @@ mod tests {
             0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ];
         assert!(matches!(
-            PcapStream::strict(&buf[..]).err(),
+            PcapStream::new(&buf[..]).err(),
             Some(PcapError::BadMagic(_))
         ));
     }
@@ -1209,7 +1155,7 @@ mod tests {
     fn rejects_short_global_header() {
         let buf = sample_file();
         assert!(matches!(
-            PcapStream::strict(&buf[..10]).err(),
+            PcapStream::new(&buf[..10]).err(),
             Some(PcapError::TruncatedFile)
         ));
     }
@@ -1218,19 +1164,27 @@ mod tests {
     fn rejects_truncated_record_header() {
         let buf = sample_file();
         // Cut in the middle of the second record header.
-        let cut = GLOBAL_HEADER_LEN + RECORD_HEADER_LEN + 3 + 4;
-        let mut r = PcapStream::strict(&buf[..cut]).unwrap();
-        r.next_packet().unwrap().unwrap();
-        assert!(matches!(r.next_packet(), Err(PcapError::TruncatedFile)));
+        let cut = SECOND_RECORD + 4;
+        assert!(matches!(
+            head_at(&buf[..cut], SECOND_RECORD),
+            Err(PcapError::TruncatedFile)
+        ));
+        let (pkts, report) = stream_classic(&buf[..cut], usize::MAX);
+        assert_eq!(pkts.len(), 1);
+        assert!(report.truncated_tail && report.bytes_skipped == 4);
     }
 
     #[test]
     fn rejects_truncated_record_body() {
         let buf = sample_file();
         let cut = buf.len() - 2;
-        let mut r = PcapStream::strict(&buf[..cut]).unwrap();
-        r.next_packet().unwrap().unwrap();
-        assert!(matches!(r.next_packet(), Err(PcapError::TruncatedFile)));
+        assert!(matches!(
+            head_at(&buf[..cut], SECOND_RECORD),
+            Err(PcapError::TruncatedFile)
+        ));
+        let (pkts, report) = stream_classic(&buf[..cut], usize::MAX);
+        assert_eq!(pkts.len(), 1);
+        assert!(report.truncated_tail);
     }
 
     #[test]
@@ -1249,11 +1203,12 @@ mod tests {
         buf.extend_from_slice(&2u32.to_be_bytes()); // caplen
         buf.extend_from_slice(&2u32.to_be_bytes()); // orig_len
         buf.extend_from_slice(&[0xAA, 0xBB]);
-        let mut r = PcapStream::strict(&buf[..]).unwrap();
+        let mut r = PcapStream::new(&buf[..]).unwrap();
         assert_eq!(r.link(), LinkType::Radiotap);
         let p = r.next_packet().unwrap().unwrap();
         assert_eq!(p.timestamp_us, 3_000_014);
         assert_eq!(p.data, [0xAA, 0xBB]);
+        assert!(r.next_packet().unwrap().is_none() && r.report().is_clean());
     }
 
     #[test]
@@ -1270,7 +1225,7 @@ mod tests {
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.push(0x42);
-        let mut r = PcapStream::strict(&buf[..]).unwrap();
+        let mut r = PcapStream::new(&buf[..]).unwrap();
         assert_eq!(r.link(), LinkType::Ieee80211);
         let p = r.next_packet().unwrap().unwrap();
         assert_eq!(p.timestamp_us, 1_999_999);
@@ -1281,7 +1236,7 @@ mod tests {
         let mut buf = sample_file();
         buf[4] = 9; // version major
         assert!(matches!(
-            PcapStream::strict(&buf[..]).err(),
+            PcapStream::new(&buf[..]).err(),
             Some(PcapError::UnsupportedVersion(9, 4))
         ));
     }
@@ -1292,11 +1247,13 @@ mod tests {
         // Patch the first record's caplen to something absurd.
         let off = GLOBAL_HEADER_LEN + 8;
         buf[off..off + 4].copy_from_slice(&(MAX_SANE_CAPLEN + 1).to_le_bytes());
-        let mut r = PcapStream::strict(&buf[..]).unwrap();
         assert!(matches!(
-            r.next_packet(),
-            Err(PcapError::OversizedRecord(_))
+            head_at(&buf, GLOBAL_HEADER_LEN),
+            Err(PcapError::OversizedRecord(n)) if n == MAX_SANE_CAPLEN + 1
         ));
+        let (pkts, report) = stream_classic(&buf, usize::MAX);
+        assert_eq!(pkts.len(), 1, "the scan recovers the second record");
+        assert_eq!((report.resyncs, report.records_recovered), (1, 1));
     }
 
     #[test]
@@ -1304,10 +1261,103 @@ mod tests {
         let mut buf = sample_file();
         let off = GLOBAL_HEADER_LEN + 12;
         buf[off..off + 4].copy_from_slice(&1u32.to_le_bytes()); // orig_len = 1 < caplen = 3
-        let mut r = PcapStream::strict(&buf[..]).unwrap();
         assert!(matches!(
-            r.next_packet(),
-            Err(PcapError::InconsistentLengths { .. })
+            head_at(&buf, GLOBAL_HEADER_LEN),
+            Err(PcapError::InconsistentLengths {
+                caplen: 3,
+                orig_len: 1
+            })
         ));
+        let (pkts, report) = stream_classic(&buf, usize::MAX);
+        assert_eq!(pkts.len(), 1, "the scan recovers the second record");
+        assert_eq!((report.resyncs, report.records_recovered), (1, 1));
+    }
+
+    /// One EPB of 8 bytes after the SHB (28 bytes) and IDB (20 bytes).
+    const EPB_OFF: usize = 28 + 20;
+
+    fn one_epb_file() -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = PcapNgWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
+        w.write_packet(1, &[0xAA; 8]).unwrap();
+        buf
+    }
+
+    #[test]
+    fn misaligned_block_length_is_bad_block_length() {
+        let mut buf = one_epb_file();
+        // Patch the EPB's total length to a misaligned value.
+        buf[EPB_OFF + 4..EPB_OFF + 8].copy_from_slice(&41u32.to_le_bytes());
+        assert!(matches!(
+            ng_block_sane(&buf[EPB_OFF..], false),
+            Err(PcapError::BadBlockLength(41))
+        ));
+        // And an under-minimum length.
+        buf[EPB_OFF + 4..EPB_OFF + 8].copy_from_slice(&8u32.to_le_bytes());
+        assert!(matches!(
+            ng_block_sane(&buf[EPB_OFF..], false),
+            Err(PcapError::BadBlockLength(8))
+        ));
+        let (pkts, report) = stream_ng(&buf, usize::MAX);
+        assert!(pkts.is_empty());
+        assert_eq!(report.resyncs, 1);
+    }
+
+    #[test]
+    fn trailing_length_mismatch_is_bad_block_length() {
+        let mut buf = one_epb_file();
+        let last4 = buf.len() - 4;
+        buf[last4..].copy_from_slice(&44u32.to_le_bytes());
+        assert!(matches!(
+            ng_block_sane(&buf[EPB_OFF..], false),
+            Err(PcapError::BadBlockLength(44))
+        ));
+        let (pkts, report) = stream_ng(&buf, usize::MAX);
+        assert!(pkts.is_empty());
+        assert_eq!(report.resyncs, 1);
+    }
+
+    #[test]
+    fn truncated_block_is_truncated_file() {
+        let buf = one_epb_file();
+        let cut = buf.len() - 5;
+        assert!(matches!(
+            ng_block_sane(&buf[EPB_OFF..cut], false),
+            Err(PcapError::TruncatedFile)
+        ));
+        let (pkts, report) = stream_ng(&buf[..cut], usize::MAX);
+        assert!(pkts.is_empty());
+        assert_eq!(report.bytes_skipped, (cut - EPB_OFF) as u64);
+    }
+
+    #[test]
+    fn ng_garbage_is_bad_magic() {
+        let buf = [0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 0];
+        assert!(matches!(ng_shb_sane(&buf), Err(PcapError::BadMagic(_))));
+        let (pkts, report) = stream_ng(&buf, usize::MAX);
+        assert!(pkts.is_empty());
+        assert_eq!(report.bytes_skipped, 8);
+    }
+
+    /// An SHB whose length claims ~4 GiB: the check rejects the length
+    /// itself, before anything sizes a buffer from it.
+    #[test]
+    fn oversized_shb_is_rejected_without_allocating() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&BT_SHB.to_le_bytes());
+        buf.extend_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+        buf.extend_from_slice(&BYTE_ORDER_MAGIC.to_le_bytes());
+        buf.extend_from_slice(&1u16.to_le_bytes());
+        buf.extend_from_slice(&0u16.to_le_bytes());
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        buf.extend_from_slice(&[0u8; 8]);
+        assert_eq!(buf.len(), 32);
+        assert!(matches!(
+            ng_shb_sane(&buf),
+            Err(PcapError::OversizedRecord(0xFFFF_FFF0))
+        ));
+        let (pkts, report) = stream_ng(&buf, usize::MAX);
+        assert!(pkts.is_empty());
+        assert_eq!(report.bytes_skipped, 32);
     }
 }

@@ -119,11 +119,12 @@ mod tests {
             w.write_packet(42, &vec![0xCC; 1500]).unwrap();
             assert_eq!(w.packets_written(), 1);
         }
-        let mut r = PcapStream::strict(&buf[..]).unwrap();
+        let mut r = PcapStream::new(&buf[..]).unwrap();
         let p = r.next_packet().unwrap().unwrap();
         assert_eq!(p.data.len(), 250);
         assert_eq!(p.orig_len, 1500);
         assert!(p.is_truncated());
+        assert!(r.next_packet().unwrap().is_none() && r.report().is_clean());
     }
 
     #[test]
@@ -133,9 +134,10 @@ mod tests {
             let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 65535).unwrap();
             w.write_packet(123_456_789_012, &[1]).unwrap();
         }
-        let mut r = PcapStream::strict(&buf[..]).unwrap();
+        let mut r = PcapStream::new(&buf[..]).unwrap();
         let p = r.next_packet().unwrap().unwrap();
         assert_eq!(p.timestamp_us, 123_456_789_012);
+        assert!(r.next_packet().unwrap().is_none() && r.report().is_clean());
     }
 
     #[test]
@@ -145,10 +147,11 @@ mod tests {
             let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 65535).unwrap();
             w.write_packet_truncated(0, &[0xAB; 250], 1500).unwrap();
         }
-        let mut r = PcapStream::strict(&buf[..]).unwrap();
+        let mut r = PcapStream::new(&buf[..]).unwrap();
         let p = r.next_packet().unwrap().unwrap();
         assert_eq!(p.data.len(), 250);
         assert_eq!(p.orig_len, 1500);
+        assert!(r.next_packet().unwrap().is_none() && r.report().is_clean());
     }
 
     #[test]

@@ -1,16 +1,11 @@
 //! Fault-injection properties: no input — pure byte soup or a chaos-
-//! corrupted valid capture — may panic a decoder. A strict read must fail
-//! with a structured error; a lossy read must stay total and account for
-//! every recovery in its [`wifi_pcap::IngestReport`]. A strict read is
-//! exactly the prefix of the lossy read before the first damage, and it
-//! fails if and only if the lossy report is not clean.
+//! corrupted valid capture — may panic a decoder. A read must stay total
+//! and account for every recovery in its [`wifi_pcap::IngestReport`].
 
 use proptest::prelude::*;
 use wifi_pcap::chaos::{corrupt_bytes, ChaosConfig, ChaosRng};
 use wifi_pcap::pcapng::{NgPacket, PcapNgWriter};
-use wifi_pcap::{
-    IngestReport, LinkType, PcapError, PcapNgStream, PcapPacket, PcapStream, PcapWriter,
-};
+use wifi_pcap::{IngestReport, LinkType, PcapNgStream, PcapPacket, PcapStream, PcapWriter};
 
 fn arb_packets() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
     proptest::collection::vec(
@@ -56,61 +51,25 @@ fn hostile() -> ChaosConfig {
     }
 }
 
-/// A strict classic read: every packet before the first damage, and that
-/// damage; `None` when the global header is unusable.
-fn strict_classic(bytes: &[u8]) -> Option<(Vec<PcapPacket>, Option<PcapError>)> {
-    let mut r = PcapStream::strict(bytes).ok()?;
+/// A classic read: every packet and the final report; `None` when the
+/// global header is unusable.
+fn read_classic(bytes: &[u8]) -> Option<(Vec<PcapPacket>, IngestReport)> {
+    let mut s = PcapStream::new(bytes).ok()?;
     let mut packets = Vec::new();
-    loop {
-        match r.next_packet() {
-            Ok(Some(p)) => packets.push(p.to_owned()),
-            Ok(None) => return Some((packets, None)),
-            Err(e) => return Some((packets, Some(e))),
-        }
+    while let Some(p) = s.next_packet().expect("in-memory source") {
+        packets.push(p.to_owned());
     }
+    Some((packets, *s.report()))
 }
 
-/// A strict pcapng read: every packet before the first damage, and that
-/// damage.
-fn strict_ng(bytes: &[u8]) -> (Vec<NgPacket>, Option<PcapError>) {
-    let mut r = PcapNgStream::strict(bytes);
+/// [`read_classic`] for pcapng.
+fn read_ng(bytes: &[u8]) -> (Vec<NgPacket>, IngestReport) {
+    let mut s = PcapNgStream::new(bytes);
     let mut packets = Vec::new();
-    loop {
-        match r.next_packet() {
-            Ok(Some(p)) => packets.push(p.to_owned()),
-            Ok(None) => return (packets, None),
-            Err(e) => return (packets, Some(e)),
-        }
-    }
-}
-
-/// A lossy classic read: every packet, the packets yielded while the
-/// report was still clean, and the final report.
-fn lossy_classic(bytes: &[u8]) -> Option<(Vec<PcapPacket>, Vec<PcapPacket>, IngestReport)> {
-    let mut s = PcapStream::lossy(bytes).ok()?;
-    let (mut all, mut clean) = (Vec::new(), Vec::new());
     while let Some(p) = s.next_packet().expect("in-memory source") {
-        let p = p.to_owned();
-        if s.report().is_clean() {
-            clean.push(p.clone());
-        }
-        all.push(p);
+        packets.push(p.to_owned());
     }
-    Some((all, clean, *s.report()))
-}
-
-/// [`lossy_classic`] for pcapng.
-fn lossy_ng(bytes: &[u8]) -> (Vec<NgPacket>, Vec<NgPacket>, IngestReport) {
-    let mut s = PcapNgStream::lossy(bytes);
-    let (mut all, mut clean) = (Vec::new(), Vec::new());
-    while let Some(p) = s.next_packet().expect("in-memory source") {
-        let p = p.to_owned();
-        if s.report().is_clean() {
-            clean.push(p.clone());
-        }
-        all.push(p);
-    }
-    (all, clean, *s.report())
+    (packets, *s.report())
 }
 
 proptest! {
@@ -118,10 +77,8 @@ proptest! {
     fn byte_soup_never_panics_any_reader(
         bytes in proptest::collection::vec(any::<u8>(), 0..400),
     ) {
-        let _ = strict_classic(&bytes);
-        let _ = strict_ng(&bytes);
-        let _ = lossy_classic(&bytes);
-        let (_, _, report) = lossy_ng(&bytes);
+        let _ = read_classic(&bytes);
+        let (_, report) = read_ng(&bytes);
         // A stream with no section header yields no records.
         if !bytes.windows(4).any(|w| w == [0x0A, 0x0D, 0x0D, 0x0A]) {
             prop_assert_eq!(report.records_total(), 0);
@@ -135,8 +92,7 @@ proptest! {
     ) {
         let mut bytes = classic_bytes(&packets);
         corrupt_bytes(&mut bytes, 0, &hostile(), &mut ChaosRng::new(seed));
-        let _ = strict_classic(&bytes);
-        if let Some((packets, _, report)) = lossy_classic(&bytes) {
+        if let Some((packets, report)) = read_classic(&bytes) {
             // Resyncs without recoveries (or vice versa) would mean the
             // report lies about what the reader did.
             prop_assert!(report.records_recovered == 0 || report.resyncs > 0);
@@ -151,51 +107,7 @@ proptest! {
     ) {
         let mut bytes = ng_bytes(&packets);
         corrupt_bytes(&mut bytes, 0, &hostile(), &mut ChaosRng::new(seed));
-        let _ = strict_ng(&bytes);
-        let (packets, _, report) = lossy_ng(&bytes);
+        let (packets, report) = read_ng(&bytes);
         prop_assert_eq!(report.records_total() as usize, packets.len());
-    }
-
-    #[test]
-    fn strict_is_lossys_clean_prefix_classic(
-        packets in arb_packets(),
-        seed in any::<u64>(),
-        damaged in any::<bool>(),
-    ) {
-        let mut bytes = classic_bytes(&packets);
-        if damaged {
-            corrupt_bytes(&mut bytes, 0, &hostile(), &mut ChaosRng::new(seed));
-        }
-        let (lossy, strict) = (lossy_classic(&bytes), strict_classic(&bytes));
-        // One global-header check decides both policies alike.
-        prop_assert_eq!(lossy.is_some(), strict.is_some());
-        if let (Some((all, clean, report)), Some((read, err))) = (lossy, strict) {
-            prop_assert_eq!(&read, &clean);
-            prop_assert_eq!(err.is_some(), !report.is_clean(), "{:?} / {:?}", err, report);
-            if !damaged {
-                prop_assert!(err.is_none(), "our own writer's file: {:?}", err);
-                prop_assert_eq!(&read, &all);
-            }
-        }
-    }
-
-    #[test]
-    fn strict_is_lossys_clean_prefix_pcapng(
-        packets in arb_packets(),
-        seed in any::<u64>(),
-        damaged in any::<bool>(),
-    ) {
-        let mut bytes = ng_bytes(&packets);
-        if damaged {
-            corrupt_bytes(&mut bytes, 0, &hostile(), &mut ChaosRng::new(seed));
-        }
-        let (all, clean, report) = lossy_ng(&bytes);
-        let (read, err) = strict_ng(&bytes);
-        prop_assert_eq!(&read, &clean);
-        prop_assert_eq!(err.is_some(), !report.is_clean(), "{:?} / {:?}", err, report);
-        if !damaged {
-            prop_assert!(err.is_none(), "our own writer's file: {:?}", err);
-            prop_assert_eq!(&read, &all);
-        }
     }
 }

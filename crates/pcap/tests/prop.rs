@@ -2,19 +2,16 @@
 //! truncation, which is itself exactly characterized).
 
 use proptest::prelude::*;
-use wifi_pcap::{LinkType, PcapError, PcapPacket, PcapStream, PcapWriter};
+use wifi_pcap::{IngestReport, LinkType, PcapError, PcapPacket, PcapStream, PcapWriter};
 
-/// A strict read: every packet before the first damage, and that damage.
-fn read_strict(bytes: &[u8]) -> Result<(Vec<PcapPacket>, Option<PcapError>), PcapError> {
-    let mut r = PcapStream::strict(bytes)?;
+/// Every packet of a read, and its final report.
+fn read(bytes: &[u8]) -> Result<(Vec<PcapPacket>, IngestReport), PcapError> {
+    let mut r = PcapStream::new(bytes)?;
     let mut packets = Vec::new();
-    loop {
-        match r.next_packet() {
-            Ok(Some(p)) => packets.push(p.to_owned()),
-            Ok(None) => return Ok((packets, None)),
-            Err(e) => return Ok((packets, Some(e))),
-        }
+    while let Some(p) = r.next_packet()? {
+        packets.push(p.to_owned());
     }
+    Ok((packets, *r.report()))
 }
 
 fn arb_packets() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
@@ -37,8 +34,8 @@ proptest! {
                 w.write_packet(*ts, data).unwrap();
             }
         }
-        let (read, err) = read_strict(&buf).unwrap();
-        prop_assert!(err.is_none());
+        let (read, report) = read(&buf).unwrap();
+        prop_assert!(report.is_clean());
         prop_assert_eq!(read.len(), packets.len());
         for (got, (ts, data)) in read.iter().zip(&packets) {
             prop_assert_eq!(got.timestamp_us, *ts);
@@ -57,8 +54,8 @@ proptest! {
                 w.write_packet(*ts, data).unwrap();
             }
         }
-        let (read, err) = read_strict(&buf).unwrap();
-        prop_assert!(err.is_none());
+        let (read, report) = read(&buf).unwrap();
+        prop_assert!(report.is_clean());
         prop_assert_eq!(read.len(), packets.len());
         for (got, (ts, data)) in read.iter().zip(&packets) {
             prop_assert_eq!(got.timestamp_us, *ts);
@@ -72,11 +69,11 @@ proptest! {
     #[test]
     fn arbitrary_prefix_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
         // Any byte soup must produce a clean error or packets, never a panic.
-        let _ = read_strict(&bytes);
+        let _ = read(&bytes);
     }
 
     #[test]
-    fn truncated_valid_file_errors_cleanly(
+    fn truncated_valid_file_reads_cleanly_up_to_the_cut(
         packets in arb_packets().prop_filter("nonempty", |p| !p.is_empty()),
         cut_frac in 0.0f64..1.0,
     ) {
@@ -88,8 +85,9 @@ proptest! {
             }
         }
         let cut = 24 + ((buf.len() - 24) as f64 * cut_frac) as usize;
-        // Either all records up to the cut parse, or the last yields an error.
-        let (read, _) = read_strict(&buf[..cut]).unwrap();
+        // The records before the cut parse; a cut inside one is counted.
+        let (read, report) = read(&buf[..cut]).unwrap();
         prop_assert!(read.len() <= packets.len());
+        prop_assert_eq!(report.records_total() as usize, read.len());
     }
 }

@@ -2,9 +2,9 @@
 //! radiotap pcap with the study's 250-byte snap length, re-ingest the file,
 //! and verify the busy-time analysis is identical — proving the analysis
 //! needs nothing beyond what a 2005 sniffer actually recorded. Then damage
-//! the file with the fault-injection harness and re-ingest it in lossy
-//! mode, showing the resynchronizing reader recovers the bulk of the trace
-//! and reports exactly what it had to skip.
+//! the file with the fault-injection harness and re-ingest it, showing the
+//! resynchronizing reader recovers the bulk of the trace and reports
+//! exactly what it had to skip.
 //!
 //! ```sh
 //! cargo run --release --example pcap_roundtrip
@@ -29,7 +29,10 @@ fn main() {
         path.display()
     );
 
-    let reread = read_capture(&path).expect("read pcap");
+    let open = |p: &std::path::Path| std::fs::File::open(p).expect("open pcap");
+    let clean = read_capture(open(&path)).expect("read pcap");
+    assert!(clean.report.is_clean(), "our own file: {:?}", clean.report);
+    let reread = clean.records;
     println!("re-read: {} records", reread.len());
 
     let before = analyze(trace);
@@ -51,7 +54,7 @@ fn main() {
     println!("utilization mode from the re-read file: {:?}%", bins.mode());
 
     // Now the unhappy path: flip bits, splice garbage and blast a length
-    // field, then re-ingest in lossy mode.
+    // field, then re-ingest.
     use wifi_pcap::chaos::{corrupt_bytes, ChaosConfig, ChaosRng};
     let mut bytes = std::fs::read(&path).expect("re-read bytes");
     let cfg = ChaosConfig {
@@ -67,8 +70,11 @@ fn main() {
     );
     let dirty = dir.join("plenary_ch1_damaged.pcap");
     std::fs::write(&dirty, &bytes).expect("write damaged");
-    assert!(read_capture(&dirty).is_err(), "strict mode must refuse");
-    let lossy = read_capture_lossy(&dirty).expect("lossy read");
+    let lossy = read_capture(open(&dirty)).expect("damaged read");
+    assert!(
+        !lossy.report.is_clean(),
+        "the damage must show in the report"
+    );
     println!(
         "lossy re-read: {} of {} records ({} resyncs, {} bytes skipped)",
         lossy.records.len(),

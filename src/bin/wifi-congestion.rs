@@ -12,8 +12,10 @@
 //!                                             generate pcap traces
 //! ```
 //!
-//! Works on any classic pcap with the radiotap link type — including files
-//! produced by real RFMon captures, not just this repo's simulator.
+//! Works on any classic pcap or pcapng capture with the radiotap link type
+//! (the container is detected from its leading magic) — including files
+//! produced by real RFMon captures, not just this repo's simulator. Damaged
+//! captures are read with their damage counted on stderr, not refused.
 //!
 //! `analyze` takes one capture or several per-sniffer captures of the same
 //! channel (merged with online deduplication) and streams them — a capture
@@ -23,9 +25,9 @@ use congestion::ap_stats::{infer_aps, rank_aps, top_k_share};
 use congestion::{analyze, estimate_unrecorded, UtilizationBins};
 use ietf80211_congestion::ingest::{analyze_capture_streams, render_analysis, StreamAnalysis};
 use ietf80211_congestion::serve::{run_serve, ServeConfig};
-use ietf80211_congestion::trace::{write_capture, CaptureStream};
+use ietf80211_congestion::trace::{read_capture, write_capture, CaptureError};
 use ietf_workloads::{ietf_day, ietf_plenary, load_ramp, Scenario, SessionScale};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -89,17 +91,17 @@ fn with_trace(
     let path = args
         .get(1)
         .ok_or_else(|| "missing <trace.pcap> argument".to_string())?;
-    let cannot_read = |e| format!("cannot read {path}: {e}");
-    let mut stream = CaptureStream::open(Path::new(path)).map_err(cannot_read)?;
-    let records: Vec<_> = stream.by_ref().collect();
-    let report = stream.finish().map_err(cannot_read)?;
-    if !report.is_clean() {
-        eprintln!("note: {path} had skips: {}", report.to_json());
+    let capture = std::fs::File::open(path)
+        .map_err(|e| CaptureError::Pcap(e.into()))
+        .and_then(read_capture)
+        .map_err(|e| format!("cannot read {path}: {e}"))?;
+    if !capture.report.is_clean() {
+        eprintln!("note: {path} had skips: {}", capture.report.to_json());
     }
-    if records.is_empty() {
+    if capture.records.is_empty() {
         return Err(format!("{path} contains no parseable 802.11 records"));
     }
-    f(&records)
+    f(&capture.records)
 }
 
 /// Prints each source's damage accounting and hard error on stderr (clean

@@ -439,10 +439,10 @@ fn deliver(merge: &mut OnlineMerge, open: &mut usize, idx: usize, got: TryRecv<F
 }
 
 /// Streams `paths` (per-sniffer captures of one channel) through parallel
-/// lossy decoding, the online k-way merge, and the per-second accumulator.
+/// decoding, the online k-way merge, and the per-second accumulator.
 ///
 /// Equivalent to reading every file with
-/// [`crate::trace::read_capture_lossy`], merging with
+/// [`crate::trace::read_capture`], merging with
 /// [`congestion::merge_traces`], and running [`congestion::analyze`] — but
 /// in O(window) memory and with the decode work spread across one thread
 /// per file. A source that fails hard (unreadable file, unrecognizable
@@ -523,7 +523,7 @@ pub fn render_analysis(stats: &[SecondStats], frames: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{read_capture_lossy, write_capture};
+    use crate::trace::{read_capture, write_capture};
     use wifi_frames::phy::{Channel, Rate};
     use wifi_frames::{FrameKind, MacAddr};
 
@@ -582,10 +582,14 @@ mod tests {
 
         let streamed = analyze_capture_streams(&paths).unwrap();
 
-        // Batch reference: lossy-read each file, merge, analyze.
+        // Batch reference: read each file whole, merge, analyze.
         let batch: Vec<Vec<FrameRecord>> = paths
             .iter()
-            .map(|p| read_capture_lossy(p).unwrap().records)
+            .map(|p| {
+                read_capture(std::fs::File::open(p).unwrap())
+                    .unwrap()
+                    .records
+            })
             .collect();
         let views: Vec<&[FrameRecord]> = batch.iter().map(|t| &t[..]).collect();
         let merged = congestion::merge_traces(&views);

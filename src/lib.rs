@@ -11,7 +11,8 @@
 //!   for the live IETF-62 network (CSMA/CA, RTS/CTS, rate adaptation,
 //!   fading, association, vicinity sniffers);
 //! * [`wifi_frames`] — 802.11 frames, wire format, radiotap, and timing;
-//! * [`wifi_pcap`] — a from-scratch classic-pcap reader/writer;
+//! * [`wifi_pcap`] — from-scratch classic-pcap and pcapng readers and
+//!   writers;
 //! * [`ietf_workloads`] — the day-session, plenary-session and load-ramp
 //!   scenarios.
 //!
@@ -56,7 +57,5 @@ pub mod prelude {
         analyze_capture_streams, render_analysis, SourceOutcome, StreamAnalysis,
     };
     pub use crate::serve::{run_serve, ServeConfig};
-    pub use crate::trace::{
-        read_capture, read_capture_lossy, write_capture, CaptureStream, LossyCapture,
-    };
+    pub use crate::trace::{read_capture, write_capture, CaptureStream, LossyCapture};
 }

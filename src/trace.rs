@@ -24,8 +24,6 @@ pub const STUDY_SNAPLEN: u32 = 250;
 pub enum CaptureError {
     /// Underlying pcap problem.
     Pcap(PcapError),
-    /// A record's radiotap header was undecodable.
-    Radiotap(radiotap::RadiotapError),
     /// The file's link type is not radiotap.
     WrongLinkType(LinkType),
     /// The decoder driving this source panicked; the payload is the panic
@@ -37,7 +35,6 @@ impl std::fmt::Display for CaptureError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CaptureError::Pcap(e) => write!(f, "pcap error: {e}"),
-            CaptureError::Radiotap(e) => write!(f, "radiotap error: {e}"),
             CaptureError::WrongLinkType(lt) => {
                 write!(f, "expected radiotap link type, found {lt:?}")
             }
@@ -92,19 +89,8 @@ impl CaptureWriter {
 
     /// Serializes and appends one record.
     pub fn write_record(&mut self, r: &FrameRecord) -> Result<(), CaptureError> {
-        let meta = CaptureMeta {
-            tsft_us: r.timestamp_us,
-            flags: FLAG_FCS_AT_END,
-            rate: r.rate,
-            channel: r.channel,
-            signal_dbm: r.signal_dbm,
-            noise_dbm: -95,
-            antenna: 0,
-        };
-        let frame = record_to_frame(r);
-        let bytes = wire::encode(&frame);
-        let packet = radiotap::encode_packet(&meta, &bytes);
-        self.writer.write_packet(r.timestamp_us, &packet)?;
+        self.writer
+            .write_packet(r.timestamp_us, &record_to_packet(r))?;
         Ok(())
     }
 
@@ -140,24 +126,7 @@ fn peek_magic<R: Read>(mut reader: R) -> io::Result<(Vec<u8>, Replayed<R>)> {
     Ok((head.clone(), io::Cursor::new(head).chain(reader)))
 }
 
-/// Reads a radiotap capture back into analysis records, auto-detecting the
-/// container (classic pcap or pcapng by leading magic). Handles snaplen
-/// truncation via header-only parsing plus the original-length field, just
-/// as an analysis of the study's real traces must.
-///
-/// A strict [`CaptureStream`] collected: any container damage or
-/// undecodable radiotap header fails the read, while frames whose MAC
-/// header does not parse are skipped, as a real analysis must. Only the
-/// records, never the file, are materialized.
-pub fn read_capture(path: &Path) -> Result<Vec<FrameRecord>, CaptureError> {
-    let file = std::fs::File::open(path).map_err(PcapError::Io)?;
-    let mut stream = CaptureStream::new(io::BufReader::new(file), true)?;
-    let records = stream.by_ref().collect();
-    stream.finish()?;
-    Ok(records)
-}
-
-/// A lossy capture ingestion: whatever records survived decoding, plus a
+/// A whole capture read: whatever records survived decoding, plus a
 /// forensic report of everything that was skipped along the way.
 #[derive(Debug, Clone)]
 pub struct LossyCapture {
@@ -167,59 +136,39 @@ pub struct LossyCapture {
     pub report: IngestReport,
 }
 
-/// Reads a radiotap capture in lossy mode: damaged container blocks are
-/// resynchronized over, and records whose radiotap header or MAC frame is
-/// undecodable are counted rather than aborting the read. The only hard
-/// errors are an unreadable file, an unrecognizable classic-pcap global
-/// header, or a wrong (non-radiotap) link type — those mean "not a sniffer
-/// trace", not "a damaged one".
-pub fn read_capture_lossy(path: &Path) -> Result<LossyCapture, CaptureError> {
-    let bytes = std::fs::read(path).map_err(PcapError::Io)?;
-    read_capture_lossy_bytes(&bytes)
-}
-
-/// [`read_capture_lossy`] over an in-memory image (what the fault-injection
-/// harness feeds).
-pub fn read_capture_lossy_bytes(bytes: &[u8]) -> Result<LossyCapture, CaptureError> {
-    let mut stream = CaptureStream::from_reader(bytes)?;
-    let records: Vec<FrameRecord> = stream.by_ref().collect();
+/// Reads a radiotap capture from any byte source into memory: a
+/// [`CaptureStream`] collected. Only the records, never the file, are
+/// materialized. Damage is counted in the report, not refused; a file we
+/// wrote reads back with a clean one. The hard errors are those of
+/// [`CaptureStream::from_reader`] and [`CaptureStream::finish`].
+pub fn read_capture<R: Read>(reader: R) -> Result<LossyCapture, CaptureError> {
+    let mut stream = CaptureStream::from_reader(reader)?;
+    let records = stream.by_ref().collect();
     let report = stream.finish()?;
     Ok(LossyCapture { records, report })
 }
 
 /// Decodes one captured radiotap packet into an analysis record — the
-/// frame-level half of every capture read. Counts each failure in `report`;
-/// a frame-header failure is a skip (`Ok(None)`), a radiotap failure comes
-/// back as the error so a strict read can fail on it.
+/// frame-level half of every capture read. A packet whose radiotap or frame
+/// header does not decode is a skip (`None`), counted in `report`.
 ///
 /// Every reader in `wifi_pcap` guarantees `orig_len >= data.len()`, which
 /// with an untruncated radiotap header implies the subtraction below cannot
 /// underflow on reader-produced input; the `saturating_sub` guards the
 /// crafted-capture case where a record *claims* an original length smaller
 /// than the radiotap header it carries.
-fn decode_packet(
-    data: &[u8],
-    orig_len: u32,
-    report: &mut IngestReport,
-) -> Result<Option<FrameRecord>, radiotap::RadiotapError> {
-    let (meta, frame_bytes) = match radiotap::parse_packet(data) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            report.undecodable_radiotap += 1;
-            return Err(e);
-        }
+fn decode_packet(data: &[u8], orig_len: u32, report: &mut IngestReport) -> Option<FrameRecord> {
+    let Ok((meta, frame_bytes)) = radiotap::parse_packet(data) else {
+        report.undecodable_radiotap += 1;
+        return None;
     };
     let radiotap_len = data.len() - frame_bytes.len();
     let frame_orig_len = orig_len.saturating_sub(radiotap_len as u32);
     match wire::parse_header(frame_bytes) {
-        Ok(header) => Ok(Some(FrameRecord::from_header(
-            &header,
-            frame_orig_len,
-            &meta,
-        ))),
+        Ok(header) => Some(FrameRecord::from_header(&header, frame_orig_len, &meta)),
         Err(_) => {
             report.undecodable_frames += 1;
-            Ok(None)
+            None
         }
     }
 }
@@ -231,23 +180,23 @@ enum StreamInner<R: Read> {
     Ng(PcapNgStream<Replayed<R>>),
 }
 
-/// A streaming lossy capture ingestion: pulls records one at a time from any
-/// byte source in O(chunk) memory, so a capture larger than RAM analyzes
-/// fine. The iterator yields decoded [`FrameRecord`]s; damage is accounted
-/// exactly as in [`read_capture_lossy`] and read back via
-/// [`CaptureStream::report`] or [`CaptureStream::finish`].
+/// The one capture reader: pulls records one at a time from any byte
+/// source in O(chunk) memory, so a capture larger than RAM analyzes fine.
+/// The container (classic pcap or pcapng) is detected from the leading
+/// magic. Snaplen truncation is handled by header-only parsing plus the
+/// original-length field, as an analysis of the study's real traces must.
+/// The iterator yields decoded [`FrameRecord`]s; damage is skipped and
+/// accounted, read back via [`CaptureStream::report`] or
+/// [`CaptureStream::finish`].
 ///
 /// Hard failures (an I/O error mid-stream, a non-radiotap link type) end the
 /// iteration early and surface from [`CaptureStream::finish`]; everything
-/// recoverable is skip-counted instead. ([`read_capture`] runs the same
-/// stream strictly, where container damage and radiotap failures are hard
-/// failures too.)
+/// recoverable is skip-counted instead.
 pub struct CaptureStream<R: Read = Box<dyn Read + Send>> {
     inner: StreamInner<R>,
     /// Frame-level skip counters (the container counters live inside the
     /// container stream).
     frame_report: IngestReport,
-    strict: bool,
     failed: Option<CaptureError>,
 }
 
@@ -261,29 +210,15 @@ impl CaptureStream<io::BufReader<std::fs::File>> {
 
 impl<R: Read> CaptureStream<R> {
     /// Wraps any byte source. The container is detected from the first four
-    /// bytes; a classic-pcap global header is validated eagerly (the only
-    /// eager hard errors — everything later is lossy or deferred to
-    /// [`CaptureStream::finish`]).
+    /// bytes; a classic-pcap global header and link type are validated
+    /// eagerly (the only eager hard errors — everything later is skipped or
+    /// deferred to [`CaptureStream::finish`]).
     pub fn from_reader(reader: R) -> Result<Self, CaptureError> {
-        CaptureStream::new(reader, false)
-    }
-
-    /// [`CaptureStream::from_reader`] with the container policy chosen:
-    /// `strict` fails on the first damage instead of skipping it.
-    fn new(reader: R, strict: bool) -> Result<Self, CaptureError> {
         let (magic, source) = peek_magic(reader).map_err(PcapError::Io)?;
         let inner = if is_pcapng(&magic) {
-            StreamInner::Ng(if strict {
-                PcapNgStream::strict(source)
-            } else {
-                PcapNgStream::lossy(source)
-            })
+            StreamInner::Ng(PcapNgStream::new(source))
         } else {
-            let stream = if strict {
-                PcapStream::strict(source)?
-            } else {
-                PcapStream::lossy(source)?
-            };
+            let stream = PcapStream::new(source)?;
             if stream.link() != LinkType::Radiotap {
                 return Err(CaptureError::WrongLinkType(stream.link()));
             }
@@ -292,7 +227,6 @@ impl<R: Read> CaptureStream<R> {
         Ok(CaptureStream {
             inner,
             frame_report: IngestReport::default(),
-            strict,
             failed: None,
         })
     }
@@ -363,11 +297,8 @@ impl<R: Read> CaptureStream<R> {
             if link != LinkType::Radiotap {
                 return Err(CaptureError::WrongLinkType(link));
             }
-            match decode_packet(data, orig_len, &mut self.frame_report) {
-                Ok(Some(r)) => return Ok(CapturePoll::Record(r)),
-                Ok(None) => {}
-                Err(e) if self.strict => return Err(CaptureError::Radiotap(e)),
-                Err(_) => {}
+            if let Some(r) = decode_packet(data, orig_len, &mut self.frame_report) {
+                return Ok(CapturePoll::Record(r));
             }
         }
     }
@@ -402,6 +333,20 @@ impl<R: Read> Iterator for CaptureStream<R> {
             }
         }
     }
+}
+
+/// A record as the radiotap packet a sniffer would have captured.
+fn record_to_packet(r: &FrameRecord) -> Vec<u8> {
+    let meta = CaptureMeta {
+        tsft_us: r.timestamp_us,
+        flags: FLAG_FCS_AT_END,
+        rate: r.rate,
+        channel: r.channel,
+        signal_dbm: r.signal_dbm,
+        noise_dbm: -95,
+        antenna: 0,
+    };
+    radiotap::encode_packet(&meta, &wire::encode(&record_to_frame(r)))
 }
 
 /// Reconstructs a full frame from a record for serialization. Payload
@@ -486,6 +431,18 @@ mod tests {
     use wifi_frames::FrameKind;
     use wifi_frames::MacAddr;
 
+    /// Reads a capture file back whole.
+    fn read_file(path: &Path) -> Result<LossyCapture, CaptureError> {
+        read_capture(std::fs::File::open(path).unwrap())
+    }
+
+    /// Reads a capture file we wrote, which must decode with a clean report.
+    fn read_clean(path: &Path) -> Vec<FrameRecord> {
+        let capture = read_file(path).unwrap();
+        assert!(capture.report.is_clean(), "{:?}", capture.report);
+        capture.records
+    }
+
     fn sample_records() -> Vec<FrameRecord> {
         let mk = |ts: u64, kind, src: Option<u32>, dst: u32, payload: u32, rate| FrameRecord {
             timestamp_us: ts,
@@ -525,7 +482,7 @@ mod tests {
         let records = sample_records();
         let n = write_capture_with_snaplen(&path, &records, 0).unwrap();
         assert_eq!(n, 3);
-        let back = read_capture(&path).unwrap();
+        let back = read_clean(&path);
         assert_eq!(back.len(), records.len());
         for (a, b) in back.iter().zip(&records) {
             assert_eq!(a.timestamp_us, b.timestamp_us);
@@ -564,7 +521,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sim_frames.pcap");
         write_capture_with_snaplen(&path, &records, 0).unwrap();
-        let back = read_capture(&path).unwrap();
+        let back = read_clean(&path);
         assert_eq!(back.len(), records.len());
         for (got, want) in back.iter().zip(&records) {
             assert_eq!(got.kind, want.kind);
@@ -579,7 +536,7 @@ mod tests {
         let path = dir.join("snap.pcap");
         let records = sample_records();
         write_capture(&path, &records).unwrap();
-        let back = read_capture(&path).unwrap();
+        let back = read_clean(&path);
         assert_eq!(back.len(), records.len());
         // The 1500-byte frame was truncated on disk, yet its sizes survive
         // via the original-length field.
@@ -595,7 +552,7 @@ mod tests {
         let path = dir.join("agree.pcap");
         let records = sample_records();
         write_capture(&path, &records).unwrap();
-        let back = read_capture(&path).unwrap();
+        let back = read_clean(&path);
         let a = congestion::analyze(&records);
         let b = congestion::analyze(&back);
         assert_eq!(a.len(), b.len());
@@ -604,19 +561,6 @@ mod tests {
             assert_eq!(x.acked_data, y.acked_data);
             assert_eq!(x.throughput_bits, y.throughput_bits);
         }
-    }
-
-    #[test]
-    fn lossy_matches_strict_on_clean_capture() {
-        let dir = std::env::temp_dir().join("congestion_trace_test_lossy_clean");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("clean.pcap");
-        let records = sample_records();
-        write_capture(&path, &records).unwrap();
-        let strict = read_capture(&path).unwrap();
-        let lossy = read_capture_lossy(&path).unwrap();
-        assert_eq!(lossy.records, strict);
-        assert!(lossy.report.is_clean(), "clean file: {:?}", lossy.report);
     }
 
     #[test]
@@ -634,8 +578,8 @@ mod tests {
         let path = dir.join("damaged.pcap");
         write_capture(&path, &records).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        // Walk to the 20th record header and blast its caplen so the strict
-        // reader dies but the lossy one resynchronizes on the next record.
+        // Walk to the 20th record header and blast its caplen so the reader
+        // resynchronizes on the next record.
         let mut off = 24;
         for _ in 0..20 {
             let caplen = u32::from_le_bytes(bytes[off + 8..off + 12].try_into().unwrap());
@@ -643,8 +587,7 @@ mod tests {
         }
         bytes[off + 8..off + 12].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert!(read_capture(&path).is_err(), "strict must reject the blast");
-        let lossy = read_capture_lossy(&path).unwrap();
+        let lossy = read_file(&path).unwrap();
         assert!(lossy.report.resyncs >= 1);
         assert!(
             lossy.records.len() >= records.len() - 2,
@@ -659,76 +602,37 @@ mod tests {
         // A record can *claim* an original length smaller than the radiotap
         // header it carries. No `wifi_pcap` reader produces one (they all
         // enforce `orig_len >= caplen`), but the decode layer must not rely
-        // on that: the old strict-path formula `orig_len - radiotap_len`
-        // would debug-panic / release-wrap here.
-        let records = sample_records();
-        let meta = CaptureMeta {
-            tsft_us: records[0].timestamp_us,
-            flags: FLAG_FCS_AT_END,
-            rate: records[0].rate,
-            channel: records[0].channel,
-            signal_dbm: records[0].signal_dbm,
-            noise_dbm: -95,
-            antenna: 0,
-        };
-        let packet = radiotap::encode_packet(&meta, &wire::encode(&record_to_frame(&records[0])));
+        // on that: the plain formula `orig_len - radiotap_len` would
+        // debug-panic / release-wrap here.
+        let packet = record_to_packet(&sample_records()[0]);
         let mut report = IngestReport::default();
-        let rec = decode_packet(&packet, 3, &mut report)
-            .unwrap()
-            .expect("frame itself is decodable");
+        let rec = decode_packet(&packet, 3, &mut report).expect("frame itself is decodable");
         assert_eq!(rec.mac_bytes, 0, "claimed length saturates to zero");
         assert_eq!(rec.payload_bytes, 0);
         assert_eq!(report, IngestReport::default());
     }
 
     #[test]
-    fn strict_read_skips_bad_frames_but_fails_on_bad_radiotap() {
-        let dir = std::env::temp_dir().join("congestion_trace_test_strict_frames");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("frames.pcap");
-        write_capture_with_snaplen(&path, &sample_records(), 0).unwrap();
-        let (_, pkts) = wifi_pcap::read_file(&path).unwrap();
-        let good = &pkts[0].data;
+    fn undecodable_frames_and_radiotap_heads_are_counted_and_skipped() {
+        let good = record_to_packet(&sample_records()[0]);
         // Radiotap intact, but only 3 bytes of MAC header behind it.
         let radiotap_len = u16::from_le_bytes([good[2], good[3]]) as usize;
         let bad_frame = &good[..radiotap_len + 3];
         let bad_radiotap = [0xFFu8; 12];
-        let rewrite = |second: &[u8]| {
-            let packets = vec![(0u64, &good[..]), (1, second), (2, &good[..])];
-            wifi_pcap::write_file(&path, LinkType::Radiotap, 0, packets).unwrap();
+        let read_with = |second: &[u8]| {
+            let mut buf = Vec::new();
+            let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
+            for (ts, packet) in [(0, &good[..]), (1, second), (2, &good[..])] {
+                w.write_packet(ts, packet).unwrap();
+            }
+            read_capture(&buf[..]).unwrap()
         };
-        rewrite(bad_frame);
-        assert_eq!(read_capture(&path).unwrap().len(), 2);
-        rewrite(&bad_radiotap);
-        assert!(matches!(
-            read_capture(&path),
-            Err(CaptureError::Radiotap(_))
-        ));
-        // The lossy read counts the same packet and goes on.
-        let lossy = read_capture_lossy(&path).unwrap();
-        assert_eq!(lossy.records.len(), 2);
-        assert_eq!(lossy.report.undecodable_radiotap, 1);
-    }
-
-    #[test]
-    fn capture_stream_matches_batch_lossy_read() {
-        let records: Vec<FrameRecord> = (0..60u64)
-            .map(|i| {
-                let mut r = sample_records()[0];
-                r.timestamp_us = i * 700;
-                r.seq = Some(i as u16);
-                r
-            })
-            .collect();
-        let dir = std::env::temp_dir().join("congestion_trace_test_stream");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stream.pcap");
-        write_capture(&path, &records).unwrap();
-        let batch = read_capture_lossy(&path).unwrap();
-        let mut stream = CaptureStream::open(&path).unwrap();
-        let streamed: Vec<FrameRecord> = stream.by_ref().collect();
-        assert_eq!(streamed, batch.records);
-        assert_eq!(stream.finish().unwrap(), batch.report);
+        let capture = read_with(bad_frame);
+        assert_eq!(capture.records.len(), 2);
+        assert_eq!(capture.report.undecodable_frames, 1);
+        let capture = read_with(&bad_radiotap);
+        assert_eq!(capture.records.len(), 2);
+        assert_eq!(capture.report.undecodable_radiotap, 1);
     }
 
     #[test]
@@ -738,7 +642,7 @@ mod tests {
         let path = dir.join("eth.pcap");
         wifi_pcap::write_file(&path, LinkType::Ethernet, 0, vec![(0u64, &[0u8; 14][..])]).unwrap();
         assert!(matches!(
-            read_capture(&path),
+            read_file(&path),
             Err(CaptureError::WrongLinkType(LinkType::Ethernet))
         ));
     }

@@ -7,12 +7,12 @@
 use congestion::merge::{coverage_gain, merge_traces};
 use congestion::persec::ACK_MATCH_WINDOW_US;
 use congestion::unrecorded::estimate;
-use ietf80211_congestion::trace::{read_capture_lossy_bytes, write_capture_with_snaplen};
+use ietf80211_congestion::trace::{read_capture, write_capture_with_snaplen};
 use ietf_workloads::load_ramp;
 use wifi_frames::fc::FrameKind;
 use wifi_frames::record::FrameRecord;
 use wifi_pcap::chaos::{corrupt_bytes, corrupt_records, ChaosConfig, ChaosRng, RecordChaosConfig};
-use wifi_pcap::{LinkType, PcapWriter};
+use wifi_pcap::{LinkType, PcapStream, PcapWriter};
 
 /// A chaos mix that only drops records — the ground truth stays exact and
 /// the container stays clean, isolating the estimator under test.
@@ -41,7 +41,7 @@ fn baseline_records(seed: u64, nodes: usize, secs: u64, load: f64, name: &str) -
     let path = temp_path(name);
     write_capture_with_snaplen(&path, &result.traces[0], 0).unwrap();
     let bytes = std::fs::read(&path).unwrap();
-    let ingest = read_capture_lossy_bytes(&bytes).unwrap();
+    let ingest = read_capture(&bytes[..]).unwrap();
     assert!(ingest.report.is_clean(), "clean file: {:?}", ingest.report);
     ingest.records
 }
@@ -57,9 +57,12 @@ fn roundtrip_with_chaos(
 ) -> (Vec<FrameRecord>, usize) {
     let path = temp_path(name);
     write_capture_with_snaplen(&path, records, 0).unwrap();
-    let (_, pkts) = wifi_pcap::read_file(&path).unwrap();
-    let mut packets: Vec<(u64, Vec<u8>)> =
-        pkts.into_iter().map(|p| (p.timestamp_us, p.data)).collect();
+    let mut stream = PcapStream::new(std::fs::File::open(&path).unwrap()).unwrap();
+    let mut packets = Vec::new();
+    while let Some(p) = stream.next_packet().unwrap() {
+        packets.push((p.timestamp_us, p.data.to_vec()));
+    }
+    assert!(stream.report().is_clean(), "{:?}", stream.report());
     let faults = corrupt_records(&mut packets, cfg, &mut ChaosRng::new(seed));
     let mut buf = Vec::new();
     {
@@ -69,7 +72,7 @@ fn roundtrip_with_chaos(
         }
         w.flush().unwrap();
     }
-    let ingest = read_capture_lossy_bytes(&buf).unwrap();
+    let ingest = read_capture(&buf[..]).unwrap();
     assert!(
         ingest.report.is_clean(),
         "drops alone leave a clean container"
@@ -239,7 +242,7 @@ fn container_damage_still_yields_bounded_estimate() {
         "chaos config must actually damage bytes"
     );
 
-    let ingest = read_capture_lossy_bytes(&bytes).unwrap();
+    let ingest = read_capture(&bytes[..]).unwrap();
     assert!(
         !ingest.report.is_clean(),
         "damage must be visible in the report: {:?}",

@@ -5,11 +5,20 @@
 use congestion::analyze;
 use ietf80211_congestion::trace::{read_capture, write_capture, write_capture_with_snaplen};
 use ietf_workloads::load_ramp;
+use std::path::Path;
+use wifi_frames::FrameRecord;
 
 fn temp_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("ietf80211-congestion-tests");
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir.join(name)
+}
+
+/// Reads a capture file we wrote, which must decode with a clean report.
+fn read_clean(path: &Path) -> Vec<FrameRecord> {
+    let capture = read_capture(std::fs::File::open(path).unwrap()).unwrap();
+    assert!(capture.report.is_clean(), "{:?}", capture.report);
+    capture.records
 }
 
 #[test]
@@ -22,7 +31,7 @@ fn snaplen_roundtrip_preserves_analysis() {
     let written = write_capture(&path, trace).unwrap();
     assert_eq!(written as usize, trace.len());
 
-    let reread = read_capture(&path).unwrap();
+    let reread = read_clean(&path);
     assert_eq!(reread.len(), trace.len());
 
     let before = analyze(trace);
@@ -55,8 +64,8 @@ fn truncation_actually_happens_on_disk() {
         "snaplen file ({snap_size}) should be smaller than full capture ({full_size})"
     );
     // Yet both parse to the same records.
-    let a = read_capture(&snap).unwrap();
-    let b = read_capture(&full).unwrap();
+    let a = read_clean(&snap);
+    let b = read_clean(&full);
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.mac_bytes, y.mac_bytes);
@@ -73,7 +82,7 @@ fn retry_and_rate_fields_survive() {
     assert!(retries_before > 0, "need some retries to test");
     let path = temp_path("fields.pcap");
     write_capture(&path, trace).unwrap();
-    let reread = read_capture(&path).unwrap();
+    let reread = read_clean(&path);
     let retries_after = reread.iter().filter(|r| r.retry).count();
     assert_eq!(retries_before, retries_after);
     for (a, b) in trace.iter().zip(&reread) {
@@ -87,7 +96,7 @@ fn retry_and_rate_fields_survive() {
 #[test]
 fn pcapng_capture_is_auto_detected() {
     use wifi_pcap::pcapng::PcapNgWriter;
-    use wifi_pcap::LinkType;
+    use wifi_pcap::{LinkType, PcapStream};
 
     // Build a pcapng file whose packets are radiotap-framed records from a
     // simulation, then read it through the same entry point as classic pcap.
@@ -100,14 +109,19 @@ fn pcapng_capture_is_auto_detected() {
     // packet bytes, then carry the identical payloads inside pcapng blocks.
     let tmp = temp_path("ng_source.pcap");
     write_capture_with_snaplen(&tmp, trace, 0).unwrap();
-    let (_, pkts) = wifi_pcap::read_file(&tmp).unwrap();
-    for (r, pkt) in trace.iter().zip(&pkts) {
-        w.write_packet(r.timestamp_us, &pkt.data).unwrap();
+    let mut classic = PcapStream::new(std::fs::File::open(&tmp).unwrap()).unwrap();
+    for r in trace {
+        let pkt = classic
+            .next_packet()
+            .unwrap()
+            .expect("one packet per record");
+        w.write_packet(r.timestamp_us, pkt.data).unwrap();
     }
+    assert!(classic.next_packet().unwrap().is_none() && classic.report().is_clean());
     w.flush().unwrap();
     drop(w);
 
-    let back = read_capture(&dir).unwrap();
+    let back = read_clean(&dir);
     assert_eq!(back.len(), trace.len());
     let a = analyze(trace);
     let b = analyze(&back);
