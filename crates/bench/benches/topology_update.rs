@@ -32,12 +32,22 @@ fn built(n: usize, radio: &RadioConfig) -> SensingTopology {
     topo
 }
 
+/// Iterations per sample.
+const SAMPLE_SIZE: usize = 10;
+
+/// The most samples the vendored criterion takes per bench id (its
+/// `MAX_SAMPLES`).
+const MAX_SAMPLES: usize = 50;
+
+/// The most stations the add_station bench joins to one topology: up to
+/// SAMPLE_SIZE per sample, plus less than two samples' worth over the
+/// warm-up calls, whose iterations at least double up to SAMPLE_SIZE.
+const DRIFT: usize = SAMPLE_SIZE * (MAX_SAMPLES + 2);
+
 fn bench_topology(c: &mut Criterion) {
     let radio = RadioConfig::default();
     let mut g = c.benchmark_group("topology_update");
-    // At most ten joins / moves / rebuilds per sample: bounds the
-    // population drift of the add_station bench (see below).
-    g.sample_size(10);
+    g.sample_size(SAMPLE_SIZE);
     for &n in &[320usize, 1_000, 5_000] {
         let pos = positions(n);
         let sniffer = [Pos::new(30.0, 17.0)];
@@ -50,24 +60,26 @@ fn bench_topology(c: &mut Criterion) {
                 black_box(topo.station_count())
             })
         });
-        // One incremental join at population ~N. The population grows by
-        // one per iteration and is rebuilt for each sample; with
-        // sample_size capped the drift stays under a dozen stations, and
-        // pre-reserving keeps grow() out of the measurement.
+        // One incremental join at population ~N. The topology is built
+        // once per N, outside the samples, and grows by one per iteration.
+        // Starting DRIFT / 2 below N centers the joins on N, so the median
+        // sample joins at about N; reserving up front keeps grow() out of
+        // the measurement.
+        let mut topo = built(n - DRIFT / 2, &radio);
+        topo.reserve(n + DRIFT / 2, 1);
+        let mut i = 0usize;
         g.bench_function(&format!("add_station_{n}"), |b| {
-            let mut topo = built(n, &radio);
-            topo.reserve(n + 64, 1);
-            let mut i = 0usize;
             b.iter(|| {
                 i += 1;
                 let p = Pos::new(31.0 + (i % 7) as f64, 18.0 + (i % 5) as f64);
                 black_box(topo.add_station(black_box(p), &radio))
             })
         });
-        // One incremental move at population N.
+        // One incremental move at population N, on a topology built once
+        // per N: each move is undone by the next.
+        let mut topo = built(n, &radio);
+        let mut flip = false;
         g.bench_function(&format!("update_station_{n}"), |b| {
-            let mut topo = built(n, &radio);
-            let mut flip = false;
             b.iter(|| {
                 flip = !flip;
                 let p = if flip {

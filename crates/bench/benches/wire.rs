@@ -8,7 +8,7 @@ use wifi_frames::mac::MacAddr;
 use wifi_frames::phy::{Channel, Rate};
 use wifi_frames::radiotap::{self, CaptureMeta, FLAG_FCS_AT_END};
 use wifi_frames::{fcs, wire};
-use wifi_pcap::{LinkType, PcapStream, PcapWriter};
+use wifi_pcap::{LinkType, PcapNgWriter, PcapStream, PcapWriter};
 
 fn data_frame(payload: usize) -> Frame {
     Frame::Data(Data {
@@ -74,13 +74,17 @@ fn bench_radiotap(c: &mut Criterion) {
 }
 
 fn bench_pcap(c: &mut Criterion) {
-    // Write 1000 records into memory, then benchmark reading them back.
+    // Write 1000 records into memory in each container, then benchmark
+    // reading them back through the one decoder.
     let payload = vec![0xEEu8; 275];
     let mut file = Vec::new();
+    let mut ng_file = Vec::new();
     {
         let mut w = PcapWriter::new(&mut file, LinkType::Radiotap, 0).unwrap();
+        let mut ng = PcapNgWriter::new(&mut ng_file, LinkType::Radiotap, 0).unwrap();
         for i in 0..1000u64 {
-            w.write_packet(i * 1000, &payload).unwrap();
+            w.write_packet(i * 1000, &payload, 275).unwrap();
+            ng.write_packet(i * 1000, &payload, 275).unwrap();
         }
     }
     let mut g = c.benchmark_group("pcap");
@@ -90,21 +94,26 @@ fn bench_pcap(c: &mut Criterion) {
             let mut buf = Vec::with_capacity(file.len());
             let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
             for i in 0..1000u64 {
-                w.write_packet(i * 1000, black_box(&payload)).unwrap();
+                w.write_packet(i * 1000, black_box(&payload), 275).unwrap();
             }
             black_box(buf)
         })
     });
-    g.bench_function("read_1000_records", |b| {
-        b.iter(|| {
-            let mut r = PcapStream::new(black_box(&file[..])).unwrap();
-            let mut n = 0usize;
-            while r.next_packet().unwrap().is_some() {
-                n += 1;
-            }
-            black_box(n)
-        })
-    });
+    for (id, bytes) in [
+        ("read_1000_records", &file),
+        ("read_1000_records_pcapng", &ng_file),
+    ] {
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                let mut r = PcapStream::new(black_box(&bytes[..])).unwrap();
+                let mut n = 0usize;
+                while r.next_packet().unwrap().is_some() {
+                    n += 1;
+                }
+                black_box(n)
+            })
+        });
+    }
     g.finish();
 }
 

@@ -49,7 +49,8 @@ fn classic_bytes(packets: &[(u64, Vec<u8>)]) -> Vec<u8> {
     let mut buf = Vec::new();
     let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 0).expect("classic header");
     for (ts, data) in packets {
-        w.write_packet(*ts, data).expect("classic record");
+        w.write_packet(*ts, data, data.len() as u32)
+            .expect("classic record");
     }
     w.flush().expect("flush");
     buf
@@ -59,7 +60,8 @@ fn ng_bytes(packets: &[(u64, Vec<u8>)]) -> Vec<u8> {
     let mut buf = Vec::new();
     let mut w = PcapNgWriter::new(&mut buf, LinkType::Radiotap, 0).expect("ng header");
     for (ts, data) in packets {
-        w.write_packet(*ts, data).expect("ng record");
+        w.write_packet(*ts, data, data.len() as u32)
+            .expect("ng record");
     }
     w.flush().expect("flush");
     buf

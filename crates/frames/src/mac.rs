@@ -57,18 +57,6 @@ impl MacAddr {
         // 0x02 prefix: locally administered, unicast.
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
     }
-
-    /// Inverse of [`MacAddr::from_id`]; `None` if this address was not
-    /// produced by it.
-    pub fn to_id(&self) -> Option<u32> {
-        if self.0[0] == 0x02 && self.0[1] == 0x00 {
-            Some(u32::from_be_bytes([
-                self.0[2], self.0[3], self.0[4], self.0[5],
-            ]))
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for MacAddr {
@@ -160,19 +148,12 @@ mod tests {
     }
 
     #[test]
-    fn id_roundtrip() {
+    fn ids_are_locally_administered_unicast() {
         for id in [0u32, 1, 42, 65_535, u32::MAX] {
             let a = MacAddr::from_id(id);
             assert!(a.is_unicast(), "{a} must be unicast");
             assert!(a.is_locally_administered());
-            assert_eq!(a.to_id(), Some(id));
         }
-    }
-
-    #[test]
-    fn to_id_rejects_foreign_addresses() {
-        assert_eq!(MacAddr::BROADCAST.to_id(), None);
-        assert_eq!(MacAddr([0x00, 0x11, 0x22, 0x33, 0x44, 0x55]).to_id(), None);
     }
 
     #[test]

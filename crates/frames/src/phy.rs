@@ -147,16 +147,6 @@ impl Channel {
             2407 + 5 * self.0 as u16
         }
     }
-
-    /// True when two channels are far enough apart (≥5 channel numbers, or
-    /// either is 14) that their 22 MHz DSSS masks do not overlap.
-    pub fn is_orthogonal_to(self, other: Channel) -> bool {
-        if self.0 == 14 || other.0 == 14 {
-            self.0 != other.0
-        } else {
-            self.0.abs_diff(other.0) >= 5
-        }
-    }
 }
 
 impl fmt::Display for Channel {
@@ -265,16 +255,6 @@ mod tests {
         assert_eq!(Channel::new(11).unwrap().center_mhz(), 2462);
         assert_eq!(Channel::new(13).unwrap().center_mhz(), 2472);
         assert_eq!(Channel::new(14).unwrap().center_mhz(), 2484);
-    }
-
-    #[test]
-    fn orthogonal_channel_set() {
-        let [c1, c6, c11] = Channel::ORTHOGONAL;
-        assert!(c1.is_orthogonal_to(c6));
-        assert!(c6.is_orthogonal_to(c11));
-        assert!(c1.is_orthogonal_to(c11));
-        assert!(!c1.is_orthogonal_to(Channel::new(3).unwrap()));
-        assert!(!c6.is_orthogonal_to(c6));
     }
 
     #[test]

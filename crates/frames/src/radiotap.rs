@@ -36,13 +36,6 @@ pub struct CaptureMeta {
     pub antenna: u8,
 }
 
-impl CaptureMeta {
-    /// Signal-to-noise ratio in dB.
-    pub fn snr_db(&self) -> i16 {
-        self.signal_dbm as i16 - self.noise_dbm as i16
-    }
-}
-
 /// Errors produced while parsing a radiotap header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RadiotapError {
@@ -250,11 +243,6 @@ mod tests {
         let (m, f) = parse_packet(&pkt).unwrap();
         assert_eq!(m, meta());
         assert_eq!(f, &frame[..]);
-    }
-
-    #[test]
-    fn snr_computation() {
-        assert_eq!(meta().snr_db(), 37);
     }
 
     #[test]

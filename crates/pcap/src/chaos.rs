@@ -18,7 +18,7 @@
 //!   truncation, garbage insertion, and length-field blasts (oversized or
 //!   misaligned block lengths).
 //!
-//! The decoders in [`crate::stream`] must survive anything these produce,
+//! The decoder in [`crate::stream`] must survive anything these produce,
 //! never panicking, and account for the damage in an
 //! [`crate::IngestReport`].
 

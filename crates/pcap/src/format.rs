@@ -62,31 +62,14 @@ impl LinkType {
     }
 }
 
-/// One captured record.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PcapPacket {
-    /// Capture timestamp in microseconds since the epoch the file uses.
-    pub timestamp_us: u64,
-    /// Original on-air length; `data.len()` may be smaller if the capture was
-    /// snaplen-truncated.
-    pub orig_len: u32,
-    /// The captured bytes.
-    pub data: Vec<u8>,
-}
-
-impl PcapPacket {
-    /// True when the record was truncated by the capture snap length.
-    pub fn is_truncated(&self) -> bool {
-        (self.data.len() as u32) < self.orig_len
-    }
-}
-
-/// A borrowed view of one captured record, yielded by
-/// [`crate::PcapStream`]. The data slice lives in the stream's window and
-/// is only valid until the next read call; [`PacketRef::to_owned`] copies
-/// it out.
+/// One captured record, yielded by [`crate::PcapStream`] from either
+/// container. The data slice lives in the stream's window and is only valid
+/// until the next read call.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PacketRef<'a> {
+    /// The data-link type: the classic global header's, or the pcapng
+    /// interface's the record was captured on.
+    pub link: LinkType,
     /// Capture timestamp in microseconds since the epoch the file uses.
     pub timestamp_us: u64,
     /// Original on-air length; `data.len()` may be smaller if the capture was
@@ -94,22 +77,6 @@ pub struct PacketRef<'a> {
     pub orig_len: u32,
     /// The captured bytes, borrowed from the reader's buffer.
     pub data: &'a [u8],
-}
-
-impl PacketRef<'_> {
-    /// Copies the record into an owned [`PcapPacket`].
-    pub fn to_owned(&self) -> PcapPacket {
-        PcapPacket {
-            timestamp_us: self.timestamp_us,
-            orig_len: self.orig_len,
-            data: self.data.to_vec(),
-        }
-    }
-
-    /// True when the record was truncated by the capture snap length.
-    pub fn is_truncated(&self) -> bool {
-        (self.data.len() as u32) < self.orig_len
-    }
 }
 
 /// The `u16` at `bytes[off..off + 2]` in the capture's byte order.
@@ -220,22 +187,6 @@ mod tests {
         }
         assert_eq!(LinkType::Radiotap.code(), 127);
         assert_eq!(LinkType::Ieee80211.code(), 105);
-    }
-
-    #[test]
-    fn truncation_flag() {
-        let full = PcapPacket {
-            timestamp_us: 0,
-            orig_len: 4,
-            data: vec![1, 2, 3, 4],
-        };
-        assert!(!full.is_truncated());
-        let cut = PcapPacket {
-            timestamp_us: 0,
-            orig_len: 1500,
-            data: vec![0; 250],
-        };
-        assert!(cut.is_truncated());
     }
 
     #[test]

@@ -11,24 +11,42 @@
 //! * snap-length truncation on write (the study used a 250-byte snaplen),
 //! * streaming reads and writes over any [`std::io::Read`]/[`std::io::Write`].
 //!
-//! Each container has one decoder, [`PcapStream`] or [`PcapNgStream`]. It
-//! resynchronizes past damage and accounts for every skip in an
-//! [`IngestReport`], so a capture is read with its damage counted, not
-//! refused; a file we wrote reads back with a clean report. See [`stream`].
+//! One decoder, [`PcapStream`], reads both containers: it detects the
+//! container from the leading magic, and yields every record as a
+//! [`PacketRef`] carrying its link type, timestamp, original length and
+//! captured bytes. It resynchronizes past damage and accounts for every
+//! skip in an [`IngestReport`], so a capture is read with its damage
+//! counted, not refused; a file we wrote reads back with a clean report.
+//! See [`stream`]. Both writers, [`PcapWriter`] and [`PcapNgWriter`], take
+//! each record's original length, so a truncated capture copies across
+//! containers whole.
 //!
 //! ```
-//! use wifi_pcap::{LinkType, PcapStream, PcapWriter};
+//! use wifi_pcap::{LinkType, PcapNgWriter, PcapStream, PcapWriter};
 //!
-//! let mut buf = Vec::new();
-//! {
-//!     let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 250).unwrap();
-//!     w.write_packet(1_000_000, &[0xB4, 0x00, 0x12, 0x34]).unwrap();
+//! // A 1 500-byte frame, captured at the study's 250-byte snap length.
+//! let frame = [0xB4; 1500];
+//! let mut classic = Vec::new();
+//! let mut w = PcapWriter::new(&mut classic, LinkType::Radiotap, 250).unwrap();
+//! w.write_packet(1_000_000, &frame, 1500).unwrap();
+//!
+//! // Copied into pcapng with its original length.
+//! let mut ng = Vec::new();
+//! let mut r = PcapStream::new(&classic[..]).unwrap();
+//! let mut w = PcapNgWriter::new(&mut ng, LinkType::Radiotap, 0).unwrap();
+//! while let Some(p) = r.next_packet().unwrap() {
+//!     w.write_packet(p.timestamp_us, p.data, p.orig_len).unwrap();
 //! }
-//! let mut r = PcapStream::new(&buf[..]).unwrap();
-//! let pkt = r.next_packet().unwrap().unwrap();
-//! assert_eq!(pkt.timestamp_us, 1_000_000);
-//! assert_eq!(pkt.data, [0xB4, 0x00, 0x12, 0x34]);
-//! assert!(r.next_packet().unwrap().is_none() && r.report().is_clean());
+//!
+//! // The same decoder reads both containers.
+//! for bytes in [&classic, &ng] {
+//!     let mut r = PcapStream::new(&bytes[..]).unwrap();
+//!     let pkt = r.next_packet().unwrap().unwrap();
+//!     assert_eq!(pkt.link, LinkType::Radiotap);
+//!     assert_eq!((pkt.timestamp_us, pkt.orig_len), (1_000_000, 1500));
+//!     assert_eq!(pkt.data, &frame[..250]);
+//!     assert!(r.next_packet().unwrap().is_none() && r.report().is_clean());
+//! }
 //! ```
 
 #![warn(missing_docs)]
@@ -40,28 +58,8 @@ pub mod pcapng;
 pub mod stream;
 mod writer;
 
-pub use format::{LinkType, PacketRef, PcapError, PcapPacket, MAGIC_BE, MAGIC_LE, MAGIC_NS_LE};
-pub use lossy::{is_pcapng, IngestReport};
-pub use pcapng::{NgPacket, NgPacketRef, PcapNgWriter};
-pub use stream::{ChunkedSource, FillStatus, PcapNgStream, PcapStream, Polled};
+pub use format::{LinkType, PacketRef, PcapError, MAGIC_BE, MAGIC_LE, MAGIC_NS_LE};
+pub use lossy::IngestReport;
+pub use pcapng::PcapNgWriter;
+pub use stream::{PcapStream, Polled};
 pub use writer::PcapWriter;
-
-use std::fs::File;
-use std::io::BufWriter;
-use std::path::Path;
-
-/// Writes packets (already in `(timestamp_us, bytes)` form) to a pcap file.
-pub fn write_file<'a>(
-    path: &Path,
-    link: LinkType,
-    snaplen: u32,
-    packets: impl IntoIterator<Item = (u64, &'a [u8])>,
-) -> Result<(), PcapError> {
-    let file = File::create(path)?;
-    let mut writer = PcapWriter::new(BufWriter::new(file), link, snaplen)?;
-    for (ts, data) in packets {
-        writer.write_packet(ts, data)?;
-    }
-    writer.flush()?;
-    Ok(())
-}

@@ -1,7 +1,7 @@
 //! Damage accounting for capture ingestion.
 //!
 //! Real vicinity captures arrive truncated, bit-flipped and spliced, so the
-//! decoders in [`crate::stream`] skip damaged regions and *resynchronize*:
+//! decoder in [`crate::stream`] skips damaged regions and *resynchronizes*:
 //!
 //! * **classic pcap** has no per-record framing, so recovery scans forward
 //!   byte-by-byte for a *plausible* record header — sane lengths, a
@@ -19,10 +19,8 @@
 //! file reads back with a clean report, so "is this exactly what the writer
 //! wrote?" is [`IngestReport::is_clean`].
 //!
-//! The decoders run over a bounded rolling window, so captures larger than
+//! The decoder runs over a bounded rolling window, so captures larger than
 //! RAM ingest in O(window) memory.
-
-use crate::pcapng::BT_SHB;
 
 /// Accounting of one ingestion pass. All counters are cumulative;
 /// [`IngestReport::merge`] folds per-file reports into a campaign total.
@@ -98,47 +96,32 @@ impl IngestReport {
     }
 }
 
-/// True when the buffer leads with a pcapng Section Header Block. The SHB
-/// type bytes are byte-order palindromic, so one comparison covers both
-/// endiannesses.
-pub fn is_pcapng(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) == BT_SHB
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{LinkType, PcapError, PcapPacket, GLOBAL_HEADER_LEN};
-    use crate::pcapng::{NgPacket, PcapNgWriter, BT_EPB, BT_IDB, BYTE_ORDER_MAGIC};
-    use crate::stream::{PcapNgStream, PcapStream};
+    use crate::format::{LinkType, PcapError, GLOBAL_HEADER_LEN};
+    use crate::pcapng::{PcapNgWriter, BT_EPB, BT_IDB, BT_SHB, BYTE_ORDER_MAGIC};
+    use crate::stream::PcapStream;
     use crate::writer::PcapWriter;
 
+    /// One decoded record: link, timestamp, original length, bytes.
+    type Packet = (LinkType, u64, u32, Vec<u8>);
+
     /// What a lossy read of a whole buffer yields.
-    struct Ingest<P> {
-        packets: Vec<P>,
+    struct Ingest {
+        packets: Vec<Packet>,
         report: IngestReport,
     }
 
-    /// Collects a lossy classic-pcap stream over `bytes`.
-    fn collect_pcap(bytes: &[u8]) -> Result<Ingest<PcapPacket>, PcapError> {
+    /// Collects a lossy stream over `bytes`, in either container.
+    fn collect(bytes: &[u8]) -> Result<Ingest, PcapError> {
         let mut stream = PcapStream::new(bytes)?;
         let mut packets = Vec::new();
-        while let Some(pkt) = stream.next_packet().expect("in-memory source") {
-            packets.push(pkt.to_owned());
+        while let Some(p) = stream.next_packet().expect("in-memory source") {
+            packets.push((p.link, p.timestamp_us, p.orig_len, p.data.to_vec()));
         }
         let report = *stream.report();
         Ok(Ingest { packets, report })
-    }
-
-    /// Collects a lossy pcapng stream over `bytes`.
-    fn collect_pcapng(bytes: &[u8]) -> Ingest<NgPacket> {
-        let mut stream = PcapNgStream::new(bytes);
-        let mut packets = Vec::new();
-        while let Some(pkt) = stream.next_packet().expect("in-memory source") {
-            packets.push(pkt.to_owned());
-        }
-        let report = *stream.report();
-        Ingest { packets, report }
     }
 
     fn classic_file(n: usize) -> Vec<u8> {
@@ -146,7 +129,8 @@ mod tests {
         let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
         for i in 0..n {
             let data: Vec<u8> = (0..40).map(|b| (b + i) as u8).collect();
-            w.write_packet(1_000_000 + i as u64 * 1_000, &data).unwrap();
+            w.write_packet(1_000_000 + i as u64 * 1_000, &data, 40)
+                .unwrap();
         }
         buf
     }
@@ -156,7 +140,8 @@ mod tests {
         let mut w = PcapNgWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
         for i in 0..n {
             let data: Vec<u8> = (0..40).map(|b| (b + i) as u8).collect();
-            w.write_packet(1_000_000 + i as u64 * 1_000, &data).unwrap();
+            w.write_packet(1_000_000 + i as u64 * 1_000, &data, 40)
+                .unwrap();
         }
         buf
     }
@@ -167,19 +152,19 @@ mod tests {
         // Blast the caplen of record 4 (records are 16 + 40 bytes each).
         let rec4 = GLOBAL_HEADER_LEN + 4 * 56;
         buf[rec4 + 8..rec4 + 12].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
-        let out = collect_pcap(&buf).unwrap();
+        let out = collect(&buf).unwrap();
         assert_eq!(out.report.resyncs, 1);
         assert!(out.report.records_recovered >= 1);
         // All other records survive: 9 of 10 (the damaged one is lost).
         assert_eq!(out.packets.len(), 9);
-        assert!(out.packets.iter().all(|p| p.data.len() == 40));
+        assert!(out.packets.iter().all(|p| p.3.len() == 40));
     }
 
     #[test]
     fn classic_truncated_tail_is_flagged() {
         let mut buf = classic_file(5);
         buf.truncate(buf.len() - 17);
-        let out = collect_pcap(&buf).unwrap();
+        let out = collect(&buf).unwrap();
         assert!(out.report.truncated_tail);
         assert_eq!(out.packets.len(), 4);
     }
@@ -193,7 +178,7 @@ mod tests {
         let mut buf = base[..cut].to_vec();
         buf.extend_from_slice(&[0x5A; 37]);
         buf.extend_from_slice(&base[cut..]);
-        let out = collect_pcapng(&buf);
+        let out = collect(&buf).unwrap();
         assert_eq!(out.packets.len(), 6, "all six packets survive");
         assert_eq!(out.report.resyncs, 1);
         assert_eq!(out.report.records_recovered, 1);
@@ -206,7 +191,7 @@ mod tests {
         // if_tsresol: packets on interface 0 are skipped, interface 1 still
         // decodes.
         let mut buf = Vec::new();
-        buf.extend_from_slice(&crate::pcapng::BT_SHB.to_le_bytes());
+        buf.extend_from_slice(&BT_SHB.to_le_bytes());
         buf.extend_from_slice(&28u32.to_le_bytes());
         buf.extend_from_slice(&BYTE_ORDER_MAGIC.to_le_bytes());
         buf.extend_from_slice(&1u16.to_le_bytes());
@@ -242,18 +227,20 @@ mod tests {
             buf.extend_from_slice(&[0xAB, 0xCD, 0, 0]);
             buf.extend_from_slice(&36u32.to_le_bytes());
         }
-        let out = collect_pcapng(&buf);
+        let out = collect(&buf).unwrap();
         assert_eq!(out.packets.len(), 1);
-        assert_eq!(out.packets[0].link, LinkType::Ieee80211);
-        assert_eq!(out.packets[0].packet.timestamp_us, 77);
+        assert_eq!(out.packets[0].0, LinkType::Ieee80211);
+        assert_eq!(out.packets[0].1, 77);
         // One skipped IDB + one skipped EPB.
         assert_eq!(out.report.blocks_skipped, 2);
     }
 
     #[test]
     fn garbage_only_stream_yields_nothing() {
-        let junk: Vec<u8> = (0..700u32).map(|i| (i * 37 + 11) as u8).collect();
-        let out = collect_pcapng(&junk);
+        // Section header type bytes, then garbage: the scan finds no block.
+        let mut junk = BT_SHB.to_le_bytes().to_vec();
+        junk.extend((0..700u32).map(|i| (i * 37 + 11) as u8));
+        let out = collect(&junk).unwrap();
         assert!(out.packets.is_empty());
         assert_eq!(out.report.records_total(), 0);
         assert!(out.report.bytes_skipped > 0);
@@ -261,14 +248,8 @@ mod tests {
 
     #[test]
     fn bad_global_header_is_a_hard_error() {
-        assert!(matches!(
-            collect_pcap(&[0u8; 40]),
-            Err(PcapError::BadMagic(_))
-        ));
-        assert!(matches!(
-            collect_pcap(&[1, 2, 3]),
-            Err(PcapError::TruncatedFile)
-        ));
+        assert!(matches!(collect(&[0u8; 40]), Err(PcapError::BadMagic(_))));
+        assert!(matches!(collect(&[1, 2, 3]), Err(PcapError::TruncatedFile)));
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! * Enhanced Packet Blocks and Simple Packet Blocks;
 //! * unknown block types and options are skipped by length, as required.
 //!
-//! Timestamps are normalized to microseconds on read, matching the classic
-//! reader. The block-body parsers live here; the block-framing decode loop
-//! is [`crate::PcapNgStream`].
+//! Timestamps are normalized to microseconds on read, matching classic
+//! pcap. The block-body parsers live here; the decode loop is the one in
+//! [`crate::PcapStream`].
 
-use crate::format::{u16_at, u32_at, LinkType, PcapError, PcapPacket, MAX_SANE_CAPLEN};
+use crate::format::{u16_at, u32_at, LinkType, PcapError, MAX_SANE_CAPLEN};
+use crate::stream::Record;
 
 /// Block type: Section Header Block.
 pub const BT_SHB: u32 = 0x0A0D_0D0A;
@@ -34,45 +35,6 @@ pub(crate) struct Interface {
     pub(crate) snaplen: u32,
     /// Timestamp units per second.
     pub(crate) ticks_per_sec: u64,
-}
-
-/// A packet read from a pcapng stream, tagged with its interface's link
-/// type.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NgPacket {
-    /// The interface's data-link type.
-    pub link: LinkType,
-    /// The packet record (timestamp in microseconds).
-    pub packet: PcapPacket,
-}
-
-/// A borrowed view of one pcapng packet, yielded by
-/// [`crate::PcapNgStream`]. The data slice lives in the stream's window and
-/// is only valid until the next read call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NgPacketRef<'a> {
-    /// The interface's data-link type.
-    pub link: LinkType,
-    /// Capture timestamp in microseconds.
-    pub timestamp_us: u64,
-    /// Original on-air length.
-    pub orig_len: u32,
-    /// The captured bytes, borrowed from the stream's window.
-    pub data: &'a [u8],
-}
-
-impl NgPacketRef<'_> {
-    /// Copies the packet into an owned [`NgPacket`].
-    pub fn to_owned(&self) -> NgPacket {
-        NgPacket {
-            link: self.link,
-            packet: PcapPacket {
-                timestamp_us: self.timestamp_us,
-                orig_len: self.orig_len,
-                data: self.data.to_vec(),
-            },
-        }
-    }
 }
 
 /// Decodes an `if_tsresol` option byte into ticks per second, rejecting
@@ -127,13 +89,30 @@ pub(crate) fn parse_idb(big_endian: bool, body: &[u8]) -> Result<Interface, Pcap
     })
 }
 
-/// Parses an Enhanced Packet Block body against the section's interfaces,
-/// borrowing the packet bytes from `body`.
-pub(crate) fn parse_epb_ref<'a>(
+/// Parses a packet-bearing block — an EPB, or else an SPB — against the
+/// section's interfaces. `block` is the whole framed block, both length
+/// copies included, and its body starts at offset 8; the record's offsets
+/// are into the block.
+pub(crate) fn parse_packet_block(
+    block_type: u32,
     big_endian: bool,
-    body: &'a [u8],
+    block: &[u8],
     interfaces: &[Option<Interface>],
-) -> Result<NgPacketRef<'a>, PcapError> {
+) -> Result<Record, PcapError> {
+    if block_type == BT_EPB {
+        parse_epb(big_endian, block, interfaces)
+    } else {
+        parse_spb(big_endian, block, interfaces)
+    }
+}
+
+/// Parses an Enhanced Packet Block against the section's interfaces.
+fn parse_epb(
+    big_endian: bool,
+    block: &[u8],
+    interfaces: &[Option<Interface>],
+) -> Result<Record, PcapError> {
+    let body = &block[8..block.len() - 4];
     if body.len() < 20 {
         return Err(PcapError::TruncatedFile);
     }
@@ -156,41 +135,27 @@ pub(crate) fn parse_epb_ref<'a>(
     if 20 + caplen as usize > body.len() {
         return Err(PcapError::TruncatedFile);
     }
-    let data = &body[20..20 + caplen as usize];
     let ticks = (ts_high << 32) | ts_low;
     // Widen through u128 so sub-microsecond resolutions keep precision
     // instead of saturating.
     let timestamp_us =
         ((ticks as u128 * 1_000_000) / iface.ticks_per_sec as u128).min(u64::MAX as u128) as u64;
-    Ok(NgPacketRef {
+    Ok(Record {
         link: iface.link,
         timestamp_us,
         orig_len,
-        data,
+        data: 28..28 + caplen as usize, // past the block head and 20 EPB bytes
+        end: block.len(),
     })
 }
 
-/// Parses the body of a packet-bearing block: an EPB, or else an SPB.
-pub(crate) fn parse_packet_block<'a>(
-    block_type: u32,
+/// Parses a Simple Packet Block (always interface 0).
+fn parse_spb(
     big_endian: bool,
-    body: &'a [u8],
+    block: &[u8],
     interfaces: &[Option<Interface>],
-) -> Result<NgPacketRef<'a>, PcapError> {
-    if block_type == BT_EPB {
-        parse_epb_ref(big_endian, body, interfaces)
-    } else {
-        parse_spb_ref(big_endian, body, interfaces)
-    }
-}
-
-/// Parses a Simple Packet Block body (always interface 0), borrowing the
-/// packet bytes from `body`.
-pub(crate) fn parse_spb_ref<'a>(
-    big_endian: bool,
-    body: &'a [u8],
-    interfaces: &[Option<Interface>],
-) -> Result<NgPacketRef<'a>, PcapError> {
+) -> Result<Record, PcapError> {
+    let body = &block[8..block.len() - 4];
     if body.len() < 4 {
         return Err(PcapError::TruncatedFile);
     }
@@ -204,11 +169,12 @@ pub(crate) fn parse_spb_ref<'a>(
     if 4 + caplen > body.len() {
         return Err(PcapError::TruncatedFile);
     }
-    Ok(NgPacketRef {
+    Ok(Record {
         link: iface.link,
         timestamp_us: 0, // SPBs carry no timestamp
         orig_len,
-        data: &body[4..4 + caplen],
+        data: 12..12 + caplen, // past the block head and the length
+        end: block.len(),
     })
 }
 
@@ -240,8 +206,23 @@ impl<W: std::io::Write> PcapNgWriter<W> {
         Ok(PcapNgWriter { inner, snaplen })
     }
 
-    /// Writes one packet as an EPB, truncating to the snap length.
-    pub fn write_packet(&mut self, timestamp_us: u64, data: &[u8]) -> Result<(), PcapError> {
+    /// Writes one packet as an EPB, truncating `data` to the snap length.
+    /// `orig_len` is the frame's on-air length: `data.len()` for a whole
+    /// frame, more for one a capture already truncated.
+    ///
+    /// # Panics
+    ///
+    /// If `data` is longer than `orig_len`.
+    pub fn write_packet(
+        &mut self,
+        timestamp_us: u64,
+        data: &[u8],
+        orig_len: u32,
+    ) -> Result<(), PcapError> {
+        assert!(
+            data.len() as u32 <= orig_len,
+            "a record cannot hold more bytes than its original length"
+        );
         let caplen = if self.snaplen == 0 {
             data.len()
         } else {
@@ -256,7 +237,7 @@ impl<W: std::io::Write> PcapNgWriter<W> {
             .write_all(&((timestamp_us >> 32) as u32).to_le_bytes())?;
         self.inner.write_all(&(timestamp_us as u32).to_le_bytes())?;
         self.inner.write_all(&(caplen as u32).to_le_bytes())?;
-        self.inner.write_all(&(data.len() as u32).to_le_bytes())?;
+        self.inner.write_all(&orig_len.to_le_bytes())?;
         self.inner.write_all(&data[..caplen])?;
         self.inner.write_all(&vec![0u8; padded - caplen])?;
         self.inner.write_all(&total.to_le_bytes())?;
@@ -273,31 +254,34 @@ impl<W: std::io::Write> PcapNgWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IngestReport, PcapNgStream};
+    use crate::{IngestReport, PcapStream};
+
+    /// One decoded record: link, timestamp, original length, bytes.
+    type Packet = (LinkType, u64, u32, Vec<u8>);
 
     /// Every packet of a read, and its final report.
-    fn read(bytes: &[u8]) -> (Vec<NgPacket>, IngestReport) {
-        let mut r = PcapNgStream::new(bytes);
+    fn read(bytes: &[u8]) -> (Vec<Packet>, IngestReport) {
+        let mut r = PcapStream::new(bytes).expect("a pcapng stream");
         let mut out = Vec::new();
         while let Some(p) = r.next_packet().expect("in-memory source") {
-            out.push(p.to_owned());
+            out.push((p.link, p.timestamp_us, p.orig_len, p.data.to_vec()));
         }
         (out, *r.report())
     }
 
     /// Every packet of a read that must see no damage.
-    fn read_clean(bytes: &[u8]) -> Vec<NgPacket> {
+    fn read_clean(bytes: &[u8]) -> Vec<Packet> {
         let (packets, report) = read(bytes);
         assert!(report.is_clean(), "{report:?}");
         packets
     }
 
-    fn roundtrip(packets: &[(u64, Vec<u8>)], snaplen: u32) -> Vec<NgPacket> {
+    fn roundtrip(packets: &[(u64, Vec<u8>)], snaplen: u32) -> Vec<Packet> {
         let mut buf = Vec::new();
         {
             let mut w = PcapNgWriter::new(&mut buf, LinkType::Radiotap, snaplen).unwrap();
             for (ts, data) in packets {
-                w.write_packet(*ts, data).unwrap();
+                w.write_packet(*ts, data, data.len() as u32).unwrap();
             }
         }
         read_clean(&buf)
@@ -313,24 +297,25 @@ mod tests {
         let got = roundtrip(&packets, 0);
         assert_eq!(got.len(), 3);
         for (g, (ts, data)) in got.iter().zip(&packets) {
-            assert_eq!(g.link, LinkType::Radiotap);
-            assert_eq!(g.packet.timestamp_us, *ts);
-            assert_eq!(&g.packet.data, data);
-            assert_eq!(g.packet.orig_len as usize, data.len());
+            assert_eq!(
+                g,
+                &(LinkType::Radiotap, *ts, data.len() as u32, data.clone())
+            );
         }
     }
 
     #[test]
     fn snaplen_truncates_epb() {
         let got = roundtrip(&[(0, vec![7u8; 500])], 250);
-        assert_eq!(got[0].packet.data.len(), 250);
-        assert_eq!(got[0].packet.orig_len, 500);
-        assert!(got[0].packet.is_truncated());
+        assert_eq!(got[0].3.len(), 250);
+        assert_eq!(got[0].2, 500);
     }
 
     #[test]
-    fn empty_stream_is_clean_eof() {
-        assert!(read_clean(&[]).is_empty());
+    fn packetless_section_is_clean_eof() {
+        let mut buf = Vec::new();
+        PcapNgWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
+        assert!(read_clean(&buf).is_empty());
     }
 
     #[test]
@@ -338,7 +323,7 @@ mod tests {
         let mut buf = Vec::new();
         {
             let mut w = PcapNgWriter::new(&mut buf, LinkType::Ieee80211, 0).unwrap();
-            w.write_packet(1, &[0xAA]).unwrap();
+            w.write_packet(1, &[0xAA], 1).unwrap();
         }
         // Splice a custom block (type 0x0BAD) between IDB and EPB.
         let idb_end = 28 + 20;
@@ -351,8 +336,8 @@ mod tests {
         spliced.extend_from_slice(&custom);
         spliced.extend_from_slice(&buf[idb_end..]);
         let p = &read_clean(&spliced)[0];
-        assert_eq!(p.packet.data, vec![0xAA]);
-        assert_eq!(p.link, LinkType::Ieee80211);
+        assert_eq!(p.3, vec![0xAA]);
+        assert_eq!(p.0, LinkType::Ieee80211);
     }
 
     #[test]
@@ -385,9 +370,7 @@ mod tests {
         buf.extend_from_slice(&[0xCA, 0xFE, 0, 0]); // padded
         buf.extend_from_slice(&36u32.to_be_bytes());
         let p = &read_clean(&buf)[0];
-        assert_eq!(p.link, LinkType::Radiotap);
-        assert_eq!(p.packet.timestamp_us, 42);
-        assert_eq!(p.packet.data, vec![0xCA, 0xFE]);
+        assert_eq!(p, &(LinkType::Radiotap, 42, 2, vec![0xCA, 0xFE]));
     }
 
     #[test]
@@ -421,7 +404,7 @@ mod tests {
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&[0x55, 0, 0, 0]);
         buf.extend_from_slice(&36u32.to_le_bytes());
-        assert_eq!(read_clean(&buf)[0].packet.timestamp_us, 5_000);
+        assert_eq!(read_clean(&buf)[0].1, 5_000);
     }
 
     /// SHB + IDB carrying `if_tsresol = raw` + one EPB with the given ticks.
@@ -463,7 +446,7 @@ mod tests {
         // value that lands on an exact microsecond via the u128 path.
         let buf = file_with_tsresol(19, u32::MAX);
         // 4294967295 ticks at 10^19/s = 4.29e-10 s -> 0 µs, no saturation.
-        assert_eq!(read_clean(&buf)[0].packet.timestamp_us, 0);
+        assert_eq!(read_clean(&buf)[0].1, 0);
     }
 
     /// `parse_idb` over the IDB body of a [`file_with_tsresol`] file.
@@ -492,7 +475,7 @@ mod tests {
     fn tsresol_binary_edge_and_overflow() {
         // 2^63 ticks/s parses; 1<<20 ticks = 1<<20 * 1e6 / 2^63 µs ≈ 0.
         let buf = file_with_tsresol(0x80 | 63, 1 << 20);
-        assert_eq!(read_clean(&buf)[0].packet.timestamp_us, 0);
+        assert_eq!(read_clean(&buf)[0].1, 0);
         // 2^64 does not fit.
         let buf = file_with_tsresol(0x80 | 64, 1);
         assert!(matches!(
@@ -506,7 +489,7 @@ mod tests {
     fn tsresol_binary_microsecond_neighbour() {
         // 2^20 ticks/s (binary ~µs): 2^20 ticks = exactly 1 second.
         let buf = file_with_tsresol(0x80 | 20, 1 << 20);
-        assert_eq!(read_clean(&buf)[0].packet.timestamp_us, 1_000_000);
+        assert_eq!(read_clean(&buf)[0].1, 1_000_000);
     }
 
     #[test]
@@ -514,18 +497,18 @@ mod tests {
         let mut buf = Vec::new();
         {
             let mut w = PcapNgWriter::new(&mut buf, LinkType::Ethernet, 0).unwrap();
-            w.write_packet(1, &[1]).unwrap();
+            w.write_packet(1, &[1], 1).unwrap();
         }
         // Append a whole second section with a different link type.
         {
             let mut second = Vec::new();
             let mut w = PcapNgWriter::new(&mut second, LinkType::Radiotap, 0).unwrap();
-            w.write_packet(2, &[2]).unwrap();
+            w.write_packet(2, &[2], 1).unwrap();
             buf.extend_from_slice(&second);
         }
         let got = read_clean(&buf);
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].link, LinkType::Ethernet);
-        assert_eq!(got[1].link, LinkType::Radiotap);
+        assert_eq!(got[0].0, LinkType::Ethernet);
+        assert_eq!(got[1].0, LinkType::Radiotap);
     }
 }

@@ -1,18 +1,19 @@
-//! The one decoder per capture container.
+//! The one capture decoder.
 //!
-//! [`PcapStream`] (classic pcap) and [`PcapNgStream`] (pcapng) each run a
-//! single decode loop over a **bounded rolling window** fed from any
+//! [`PcapStream`] reads both capture containers, classic pcap and pcapng,
+//! in a single decode loop over a **bounded rolling window** fed from any
 //! [`Read`] source, so a multi-gigabyte sniffer trace decodes in O(window)
-//! memory. The decoder skips damage, resynchronizes, and accounts for every
-//! skip in an [`IngestReport`], so an undamaged file reads with a clean
-//! report. The head checks decide what is damage and name it with a typed
+//! memory. It detects the container from the leading magic. The decoder
+//! skips damage, resynchronizes, and accounts for every skip in an
+//! [`IngestReport`], so an undamaged file reads with a clean report. Each
+//! container's head check decides what is damage and names it with a typed
 //! [`PcapError`]; the only errors a stream returns are an unusable classic
 //! global header and source I/O.
 //!
 //! # The window invariant
 //!
-//! Every structural decision the engines make — "does this record's body
-//! run past end-of-stream?", "does the stream end exactly after this
+//! Every structural decision the head checks make — "does this record's
+//! body run past end-of-stream?", "does the stream end exactly after this
 //! candidate?", "is the following header also sane?" — looks at most
 //! `2 * MAX_SANE_CAPLEN + 64` bytes past the current position:
 //!
@@ -22,30 +23,29 @@
 //! * a pcapng block occupies at most `2 * MAX_SANE_CAPLEN` bytes (longer
 //!   lengths are rejected as [`PcapError::OversizedRecord`]).
 //!
-//! [`ChunkedSource`] guarantees that after a refill the window holds at
-//! least that many bytes *or* the source is exhausted and the window is
-//! exactly the remainder of the stream. Under that invariant every
-//! boundary test against `window.len()` means precisely what it would mean
-//! against the whole remaining stream, so the decisions — including every
+//! The window guarantees that after a refill it holds at least that many
+//! bytes *or* the source is exhausted and the window is exactly the
+//! remainder of the stream. Under that invariant every boundary test
+//! against `window.len()` means precisely what it would mean against the
+//! whole remaining stream, so the decisions — including every
 //! [`IngestReport`] counter — are the same for *any* chunking of the
 //! underlying reads. The tests at the bottom enforce this by differencing
 //! byte-at-a-time and coarser reads against whole-buffer reads over clean
-//! and chaos-corrupted captures.
+//! and chaos-corrupted captures of both containers.
 //!
 //! # Live (non-blocking) sources
 //!
 //! A tailed live capture cannot satisfy the invariant: the last bytes of a
-//! growing file are a partial window with no end-of-stream in sight. Sources
-//! that return [`std::io::ErrorKind::WouldBlock`] surface this as
-//! [`FillStatus::Partial`], and the [`PcapStream::poll_packet`] /
-//! [`PcapNgStream::poll_packet`] entry points then follow one rule: on
-//! a partial window, either act on a **fully-validated in-window record**
-//! (a decision unchanged by any extension of the window, so a decode of the
-//! final bytes makes it identically) or change nothing and report
-//! [`Polled::Pending`]. Damage — a resync or a skipped block — always
-//! waits for a full (or end-of-stream) window. Consequently a poll-driven
-//! decode of a growing file converges, byte-for-byte in records and
-//! accounting, to the decode of the final file contents.
+//! growing file are a partial window with no end-of-stream in sight. A
+//! source that returns [`std::io::ErrorKind::WouldBlock`] leaves the window
+//! partial, and [`PcapStream::poll_packet`] then follows one rule: on a
+//! partial window, either act on a **fully-validated in-window record or
+//! block** (a decision unchanged by any extension of the window, so a
+//! decode of the final bytes makes it identically) or change nothing and
+//! report [`Polled::Pending`]. Damage — a resync or a skipped block —
+//! always waits for a full (or end-of-stream) window. Consequently a
+//! poll-driven decode of a growing file converges, byte-for-byte in records
+//! and accounting, to the decode of the final file contents.
 
 use crate::format::{
     u16_at, u32_at, LinkType, PacketRef, PcapError, GLOBAL_HEADER_LEN, MAGIC_BE, MAGIC_LE,
@@ -53,10 +53,10 @@ use crate::format::{
 };
 use crate::lossy::IngestReport;
 use crate::pcapng::{
-    parse_idb, parse_packet_block, Interface, NgPacketRef, BT_EPB, BT_IDB, BT_SHB, BT_SPB,
-    BYTE_ORDER_MAGIC,
+    parse_idb, parse_packet_block, Interface, BT_EPB, BT_IDB, BT_SHB, BT_SPB, BYTE_ORDER_MAGIC,
 };
 use std::io::Read;
+use std::ops::Range;
 
 /// Resync plausibility: a candidate record's whole-seconds timestamp must be
 /// within this many seconds of the last good record (captures are sessions,
@@ -64,7 +64,7 @@ use std::io::Read;
 const RESYNC_TS_TOLERANCE_S: u64 = 86_400;
 
 /// The minimum number of bytes a non-exhausted window must hold: the
-/// largest lookahead any engine decision needs (see the module docs).
+/// largest lookahead any head check needs (see the module docs).
 pub const WINDOW_TARGET: usize = 2 * (MAX_SANE_CAPLEN as usize) + 64;
 
 /// Refill high-water mark: topping up to twice the window target halves the
@@ -76,7 +76,7 @@ const READ_CHUNK: usize = 64 * 1024;
 
 /// What a [`ChunkedSource::fill`] achieved.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FillStatus {
+enum FillStatus {
     /// The window invariant holds: at least [`WINDOW_TARGET`] bytes, or
     /// end-of-stream with the window the exact remainder.
     Full,
@@ -85,8 +85,7 @@ pub enum FillStatus {
     Partial,
 }
 
-/// Outcome of a single non-blocking [`PcapStream::poll_packet`] /
-/// [`PcapNgStream::poll_packet`].
+/// Outcome of a single non-blocking [`PcapStream::poll_packet`].
 #[derive(Debug)]
 pub enum Polled<T> {
     /// The next surviving record.
@@ -98,24 +97,13 @@ pub enum Polled<T> {
     End,
 }
 
-impl<T> Polled<T> {
-    /// Maps the record of a [`Polled::Packet`]; `Pending` and `End` pass
-    /// through.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Polled<U> {
-        match self {
-            Polled::Packet(p) => Polled::Packet(f(p)),
-            Polled::Pending => Polled::Pending,
-            Polled::End => Polled::End,
-        }
-    }
-}
 /// A bounded rolling byte window over any [`Read`] source.
 ///
 /// Invariant: after [`ChunkedSource::fill`] returns [`FillStatus::Full`],
 /// either the window holds at least [`WINDOW_TARGET`] bytes, or
-/// [`ChunkedSource::eof`] is true and the window is exactly the unconsumed
-/// remainder of the stream.
-pub struct ChunkedSource<R> {
+/// `eof` is true and the window is exactly the unconsumed remainder of the
+/// stream.
+struct ChunkedSource<R> {
     inner: R,
     /// Reads land here in place. Its capacity, reserved at construction,
     /// is `REFILL_TARGET + READ_CHUNK` bytes, the most a refill can hold;
@@ -125,6 +113,8 @@ pub struct ChunkedSource<R> {
     pos: usize,
     /// End of the bytes read so far: the window is `buf[pos..end]`.
     end: usize,
+    /// The source has reported end-of-stream; the window then holds
+    /// exactly the remaining bytes.
     eof: bool,
 }
 
@@ -132,7 +122,7 @@ impl<R: Read> ChunkedSource<R> {
     /// Wraps a byte source. No bytes are read until the first [`fill`].
     ///
     /// [`fill`]: ChunkedSource::fill
-    pub fn new(inner: R) -> ChunkedSource<R> {
+    fn new(inner: R) -> ChunkedSource<R> {
         ChunkedSource {
             inner,
             buf: Vec::with_capacity(REFILL_TARGET + READ_CHUNK),
@@ -150,7 +140,7 @@ impl<R: Read> ChunkedSource<R> {
     /// target is met yields [`FillStatus::Partial`]: the window then holds a
     /// prefix of the eventual remainder and the invariant does **not** hold.
     /// Blocking sources never produce `Partial`.
-    pub fn fill(&mut self) -> Result<FillStatus, PcapError> {
+    fn fill(&mut self) -> Result<FillStatus, PcapError> {
         if self.eof || self.end - self.pos >= WINDOW_TARGET {
             return Ok(FillStatus::Full);
         }
@@ -189,22 +179,26 @@ impl<R: Read> ChunkedSource<R> {
     }
 
     /// The bytes currently visible at the stream position.
-    pub fn window(&self) -> &[u8] {
+    fn window(&self) -> &[u8] {
         &self.buf[self.pos..self.end]
     }
 
     /// Advances the stream position by `n` bytes (which must be within the
     /// current window).
-    pub fn consume(&mut self, n: usize) {
+    fn consume(&mut self, n: usize) {
         debug_assert!(n <= self.end - self.pos);
         self.pos += n;
     }
+}
 
-    /// True once the underlying source has reported end-of-stream; the
-    /// window then holds exactly the remaining bytes.
-    pub fn eof(&self) -> bool {
-        self.eof
+/// Fills `src` until its window holds `n` bytes or the window invariant
+/// holds; on a live source, waits for the bytes to arrive or the source to
+/// end.
+fn wait_for<R: Read>(src: &mut ChunkedSource<R>, n: usize) -> Result<&[u8], PcapError> {
+    while src.fill()? == FillStatus::Partial && src.window().len() < n {
+        std::thread::sleep(std::time::Duration::from_millis(1));
     }
+    Ok(src.window())
 }
 
 struct ClassicHeader {
@@ -237,11 +231,22 @@ fn parse_global_header(bytes: &[u8]) -> Result<ClassicHeader, PcapError> {
     })
 }
 
+/// A sane record at the window head. Its bytes are located by offsets, not
+/// borrowed, so the decoder can keep moving the window until it emits.
+pub(crate) struct Record {
+    pub(crate) link: LinkType,
+    pub(crate) timestamp_us: u64,
+    pub(crate) orig_len: u32,
+    /// The captured bytes' offsets from the window head.
+    pub(crate) data: Range<usize>,
+    /// One past the record's last byte.
+    pub(crate) end: usize,
+}
+
 /// Record validation at the window head: a whole header, sane lengths,
-/// the body inside the stream. Returns `(timestamp_us, orig_len, end)` with
-/// `end` one past the body; [`PcapError::TruncatedFile`] means the stream
-/// ends inside the record.
-fn record_head(w: &[u8], h: &ClassicHeader) -> Result<(u64, u32, usize), PcapError> {
+/// the body inside the stream. [`PcapError::TruncatedFile`] means the
+/// stream ends inside the record.
+fn record_head(w: &[u8], h: &ClassicHeader) -> Result<Record, PcapError> {
     if w.len() < RECORD_HEADER_LEN {
         return Err(PcapError::TruncatedFile);
     }
@@ -260,7 +265,13 @@ fn record_head(w: &[u8], h: &ClassicHeader) -> Result<(u64, u32, usize), PcapErr
         return Err(PcapError::TruncatedFile);
     }
     let micros = if h.nanos { ts_frac / 1000 } else { ts_frac };
-    Ok((ts_sec * 1_000_000 + micros, orig_len, end))
+    Ok(Record {
+        link: h.link,
+        timestamp_us: ts_sec * 1_000_000 + micros,
+        orig_len,
+        data: RECORD_HEADER_LEN..end,
+        end,
+    })
 }
 
 /// Resync plausibility at the window head: stricter than [`record_head`] so
@@ -305,157 +316,11 @@ fn plausible_record(w: &[u8], h: &ClassicHeader, last_sec: Option<u64>) -> bool 
     n_frac < frac_bound && n_caplen <= MAX_SANE_CAPLEN && n_caplen <= n_orig
 }
 
-/// The classic-pcap decoder over any byte stream, in O(window) memory (see
-/// the module docs).
-pub struct PcapStream<R> {
-    src: ChunkedSource<R>,
-    header: ClassicHeader,
-    report: IngestReport,
-    last_sec: Option<u64>,
-    just_resynced: bool,
-    /// Mid-resync-scan across a [`Polled::Pending`] return: re-entry resumes
-    /// the scan instead of re-counting the resync entry.
-    resyncing: bool,
-    pending: usize,
-}
-
-impl<R: Read> PcapStream<R> {
-    /// Validates the global header now — the one part of the file without
-    /// which there is nothing to recover — and later resynchronizes past
-    /// damaged records, counting them in [`PcapStream::report`]. On a live
-    /// (`WouldBlock`) source this waits until the header bytes arrive or the
-    /// source ends.
-    pub fn new(inner: R) -> Result<PcapStream<R>, PcapError> {
-        let mut src = ChunkedSource::new(inner);
-        loop {
-            let status = src.fill()?;
-            if status == FillStatus::Full || src.window().len() >= GLOBAL_HEADER_LEN {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let header = parse_global_header(src.window())?;
-        src.consume(GLOBAL_HEADER_LEN);
-        Ok(PcapStream {
-            src,
-            header,
-            report: IngestReport::default(),
-            last_sec: None,
-            just_resynced: false,
-            resyncing: false,
-            pending: 0,
-        })
-    }
-
-    /// The file's data-link type.
-    pub fn link(&self) -> LinkType {
-        self.header.link
-    }
-
-    /// The accounting so far; final once `next_packet` returns `Ok(None)`.
-    pub fn report(&self) -> &IngestReport {
-        &self.report
-    }
-
-    /// The next surviving record; `Ok(None)` at end of stream. The returned
-    /// [`PacketRef`] borrows the internal window and is invalidated by the
-    /// next call.
-    ///
-    /// Blocking-source convenience over [`PcapStream::poll_packet`]: a
-    /// non-blocking source that reports [`Polled::Pending`] surfaces here as
-    /// a [`std::io::ErrorKind::WouldBlock`] error.
-    pub fn next_packet(&mut self) -> Result<Option<PacketRef<'_>>, PcapError> {
-        match self.poll_packet()? {
-            Polled::Packet(p) => Ok(Some(p)),
-            Polled::End => Ok(None),
-            Polled::Pending => Err(PcapError::Io(std::io::ErrorKind::WouldBlock.into())),
-        }
-    }
-
-    /// Non-blocking decode step; see the module docs on live sources. On
-    /// [`Polled::Pending`] no observable state (position, accounting)
-    /// changes, so any interleaving of polls converges to the decode of the
-    /// final bytes.
-    pub fn poll_packet(&mut self) -> Result<Polled<PacketRef<'_>>, PcapError> {
-        self.src.consume(self.pending);
-        self.pending = 0;
-        let (timestamp_us, orig_len, end) = loop {
-            if self.resyncing {
-                loop {
-                    if self.src.fill()? == FillStatus::Partial {
-                        return Ok(Polled::Pending);
-                    }
-                    let w = self.src.window();
-                    if w.len() < RECORD_HEADER_LEN {
-                        // Trailing sliver too small for a record: the
-                        // scan discards it without a truncated-tail flag.
-                        self.report.bytes_skipped += w.len() as u64;
-                        let n = w.len();
-                        self.src.consume(n);
-                        return Ok(Polled::End);
-                    }
-                    if plausible_record(w, &self.header, self.last_sec) {
-                        break;
-                    }
-                    self.src.consume(1);
-                    self.report.bytes_skipped += 1;
-                }
-                self.resyncing = false;
-                self.just_resynced = true;
-            }
-            let status = self.src.fill()?;
-            let len = self.src.window().len();
-            if len == 0 {
-                return Ok(match status {
-                    FillStatus::Full => Polled::End,
-                    FillStatus::Partial => Polled::Pending,
-                });
-            }
-            match record_head(self.src.window(), &self.header) {
-                Ok(rec) => {
-                    // In-window sane record: a decode over any extension of
-                    // this window takes it identically, so emitting is safe
-                    // even on a partial window.
-                    self.last_sec = Some(rec.0 / 1_000_000);
-                    if self.just_resynced {
-                        self.report.records_recovered += 1;
-                        self.just_resynced = false;
-                    } else {
-                        self.report.records_ok += 1;
-                    }
-                    break rec;
-                }
-                Err(_) if status == FillStatus::Partial => {
-                    // A header or body not yet arrived looks truncated, and
-                    // even a bad header must not count as damage before the
-                    // scan's full-window lookahead is available.
-                    return Ok(Polled::Pending);
-                }
-                Err(e) => {
-                    self.report.truncated_tail |= matches!(e, PcapError::TruncatedFile);
-                    if len < RECORD_HEADER_LEN {
-                        // The window invariant makes this end-of-stream by
-                        // construction: too few bytes for a record header.
-                        self.report.bytes_skipped += len as u64;
-                        self.src.consume(len);
-                        return Ok(Polled::End);
-                    }
-                    self.report.resyncs += 1;
-                    self.report.blocks_skipped += 1;
-                    self.src.consume(1);
-                    self.report.bytes_skipped += 1;
-                    self.resyncing = true;
-                }
-            }
-        };
-        self.pending = end;
-        let data = &self.src.window()[RECORD_HEADER_LEN..end];
-        Ok(Polled::Packet(PacketRef {
-            timestamp_us,
-            orig_len,
-            data,
-        }))
-    }
+/// True when the bytes lead with a pcapng Section Header Block. The SHB
+/// type bytes are byte-order palindromic, so one comparison covers both
+/// endiannesses.
+fn is_pcapng(bytes: &[u8]) -> bool {
+    bytes.len() >= 4 && u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) == BT_SHB
 }
 
 /// Block framing at the window head, shared by in-stride parsing and
@@ -514,61 +379,190 @@ fn ng_shb_sane(w: &[u8]) -> Result<(bool, usize), PcapError> {
     Ok((big_endian, total_len))
 }
 
-/// What [`ng_head`] found at the window head.
-enum NgHead {
-    /// A valid Section Header Block: a new section starts.
-    Section { big_endian: bool, len: usize },
-    /// A block framed sanely in the current section's byte order.
-    Block { block_type: u32, len: usize },
-}
-
-/// Classifies the block at the window head; `None` is damage. SHB first:
-/// its type bytes are palindromic, so it is identifiable before the byte
-/// order is known. Any other block needs a section to have started.
-fn ng_head(w: &[u8], started: bool, big_endian: bool) -> Option<NgHead> {
-    if let Ok((big_endian, len)) = ng_shb_sane(w) {
-        return Some(NgHead::Section { big_endian, len });
-    }
-    if !started {
-        return None;
-    }
-    let len = ng_block_sane(w, big_endian).ok()?;
-    Some(NgHead::Block {
-        block_type: u32_at(big_endian, w, 0),
-        len,
-    })
-}
-
-/// The pcapng decoder over any byte stream, in O(window) memory (see the
-/// module docs).
-pub struct PcapNgStream<R> {
-    src: ChunkedSource<R>,
-    report: IngestReport,
+/// A pcapng stream's state: the current section's byte order and
+/// interfaces.
+#[derive(Default)]
+struct NgSection {
     big_endian: bool,
+    /// A section has started, so blocks other than an SHB can be framed.
     started: bool,
+    /// The section's interfaces by id; `None` keeps an unusable interface's
+    /// slot so later ids still resolve.
     interfaces: Vec<Option<Interface>>,
+}
+
+impl NgSection {
+    /// The pcapng head check. SHB first: its type bytes are palindromic, so
+    /// it is identifiable before the byte order is known. Any other block
+    /// needs a section to have started.
+    fn head(&mut self, w: &[u8]) -> Head {
+        if let Ok((big_endian, len)) = ng_shb_sane(w) {
+            self.big_endian = big_endian;
+            self.started = true;
+            self.interfaces.clear();
+            return Head::Block {
+                len,
+                abandoned: false,
+            };
+        }
+        let len = match ng_block_sane(w, self.big_endian) {
+            Ok(len) if self.started => len,
+            _ => {
+                return Head::Damage {
+                    truncated: w.len() < 12,
+                }
+            }
+        };
+        match u32_at(self.big_endian, w, 0) {
+            BT_IDB => {
+                let iface = parse_idb(self.big_endian, &w[8..len - 4]).ok();
+                self.interfaces.push(iface);
+                Head::Block {
+                    len,
+                    abandoned: iface.is_none(),
+                }
+            }
+            block_type @ (BT_EPB | BT_SPB) => {
+                match parse_packet_block(block_type, self.big_endian, &w[..len], &self.interfaces) {
+                    Ok(rec) => Head::Record(rec),
+                    Err(_) => Head::Block {
+                        len,
+                        abandoned: true,
+                    },
+                }
+            }
+            // Unknown block types are skipped by length.
+            _ => Head::Block {
+                len,
+                abandoned: false,
+            },
+        }
+    }
+
+    /// Resync plausibility: pcapng is self-framing, so a candidate is an
+    /// SHB or, within a section, a known block whose two length copies
+    /// agree.
+    fn resync_candidate(&self, w: &[u8]) -> bool {
+        ng_shb_sane(w).is_ok()
+            || (self.started
+                && matches!(u32_at(self.big_endian, w, 0), BT_IDB | BT_EPB | BT_SPB)
+                && ng_block_sane(w, self.big_endian).is_ok())
+    }
+}
+
+/// The container a stream decodes, with the state its head check keeps.
+enum Container {
+    Classic {
+        header: ClassicHeader,
+        /// Whole seconds of the last good record: the resync scan's anchor.
+        last_sec: Option<u64>,
+    },
+    Ng(NgSection),
+}
+
+/// What a head check made of the bytes at the window head.
+enum Head {
+    /// A sane packet record.
+    Record(Record),
+    /// A sane block that yields no packet — a section or interface
+    /// description, an unknown block type, or a packet block that does not
+    /// decode — skipped by its length. `abandoned` counts it as damage.
+    Block { len: usize, abandoned: bool },
+    /// No sane record or block starts here. `truncated` is the container's
+    /// truncated-tail rule: for classic pcap, the stream ends inside the
+    /// record; for pcapng, too few bytes remain for any block.
+    Damage { truncated: bool },
+}
+
+impl Container {
+    /// The fewest bytes a record or block takes: a shorter window at end of
+    /// stream is a sliver.
+    fn min_head(&self) -> usize {
+        match self {
+            Container::Classic { .. } => RECORD_HEADER_LEN,
+            // The smallest pcapng block: type, leading and trailing lengths.
+            Container::Ng(_) => 12,
+        }
+    }
+
+    /// The head check: classifies the bytes at the window head, updating
+    /// the container state (last timestamp, section, interfaces) with what
+    /// it accepts.
+    fn head(&mut self, w: &[u8]) -> Head {
+        match self {
+            Container::Classic { header, last_sec } => match record_head(w, header) {
+                Ok(rec) => {
+                    *last_sec = Some(rec.timestamp_us / 1_000_000);
+                    Head::Record(rec)
+                }
+                Err(e) => Head::Damage {
+                    truncated: matches!(e, PcapError::TruncatedFile),
+                },
+            },
+            Container::Ng(section) => section.head(w),
+        }
+    }
+
+    /// Resync plausibility at the window head: classic pcap has no
+    /// framing, so a candidate must pass [`plausible_record`].
+    fn resync_candidate(&self, w: &[u8]) -> bool {
+        match self {
+            Container::Classic { header, last_sec } => plausible_record(w, header, *last_sec),
+            Container::Ng(section) => section.resync_candidate(w),
+        }
+    }
+}
+
+/// The capture decoder for both containers over any byte stream, in
+/// O(window) memory (see the module docs).
+pub struct PcapStream<R> {
+    src: ChunkedSource<R>,
+    container: Container,
+    report: IngestReport,
     just_resynced: bool,
-    /// Mid-resync-scan across a [`Polled::Pending`] return; see
-    /// [`PcapStream`].
+    /// Mid-resync-scan across a [`Polled::Pending`] return: re-entry resumes
+    /// the scan instead of re-counting the resync entry.
     resyncing: bool,
+    /// Length of the record last emitted, consumed by the next call.
     pending: usize,
 }
 
-impl<R: Read> PcapNgStream<R> {
-    /// Nothing is validated up front: recovery can start mid-stream at any
-    /// Section Header Block, and a stream with no recoverable section yields
-    /// zero packets with every byte accounted as skipped; only source I/O
-    /// can error.
-    pub fn new(inner: R) -> PcapNgStream<R> {
-        PcapNgStream {
-            src: ChunkedSource::new(inner),
+impl<R: Read> PcapStream<R> {
+    /// Detects the container from the leading magic. A pcapng stream is
+    /// validated as it goes: recovery can start at any Section Header
+    /// Block. A classic global header is validated now — the one part of
+    /// the file without which there is nothing to recover. On a live
+    /// (`WouldBlock`) source this waits until the magic (and a classic
+    /// header) arrive or the source ends.
+    pub fn new(inner: R) -> Result<PcapStream<R>, PcapError> {
+        let mut src = ChunkedSource::new(inner);
+        let container = if is_pcapng(wait_for(&mut src, 4)?) {
+            Container::Ng(NgSection::default())
+        } else {
+            let header = parse_global_header(wait_for(&mut src, GLOBAL_HEADER_LEN)?)?;
+            src.consume(GLOBAL_HEADER_LEN);
+            Container::Classic {
+                header,
+                last_sec: None,
+            }
+        };
+        Ok(PcapStream {
+            src,
+            container,
             report: IngestReport::default(),
-            big_endian: false,
-            started: false,
-            interfaces: Vec::new(),
             just_resynced: false,
             resyncing: false,
             pending: 0,
+        })
+    }
+
+    /// The classic global header's data-link type; `None` for pcapng, whose
+    /// interfaces each declare their own. Every [`PacketRef`] carries its
+    /// record's.
+    pub fn link(&self) -> Option<LinkType> {
+        match &self.container {
+            Container::Classic { header, .. } => Some(header.link),
+            Container::Ng(_) => None,
         }
     }
 
@@ -577,14 +571,14 @@ impl<R: Read> PcapNgStream<R> {
         &self.report
     }
 
-    /// The next surviving packet; `Ok(None)` at end of stream. The returned
-    /// [`NgPacketRef`] borrows the internal window and is invalidated by the
+    /// The next surviving record; `Ok(None)` at end of stream. The returned
+    /// [`PacketRef`] borrows the internal window and is invalidated by the
     /// next call.
     ///
-    /// Blocking-source convenience over [`PcapNgStream::poll_packet`]: a
+    /// Blocking-source convenience over [`PcapStream::poll_packet`]: a
     /// non-blocking source that reports [`Polled::Pending`] surfaces here as
     /// a [`std::io::ErrorKind::WouldBlock`] error.
-    pub fn next_packet(&mut self) -> Result<Option<NgPacketRef<'_>>, PcapError> {
+    pub fn next_packet(&mut self) -> Result<Option<PacketRef<'_>>, PcapError> {
         match self.poll_packet()? {
             Polled::Packet(p) => Ok(Some(p)),
             Polled::End => Ok(None),
@@ -596,32 +590,26 @@ impl<R: Read> PcapNgStream<R> {
     /// [`Polled::Pending`] no observable state (position, accounting)
     /// changes, so any interleaving of polls converges to the decode of the
     /// final bytes.
-    pub fn poll_packet(&mut self) -> Result<Polled<NgPacketRef<'_>>, PcapError> {
+    pub fn poll_packet(&mut self) -> Result<Polled<PacketRef<'_>>, PcapError> {
         self.src.consume(self.pending);
         self.pending = 0;
-        let (block_type, total_len) = loop {
+        let rec = loop {
             if self.resyncing {
                 loop {
                     if self.src.fill()? == FillStatus::Partial {
                         return Ok(Polled::Pending);
                     }
                     let w = self.src.window();
-                    if w.len() < 12 {
+                    if w.len() < self.container.min_head() {
+                        // Trailing sliver too small for a record: the
+                        // scan discards it without a truncated-tail flag.
                         self.report.bytes_skipped += w.len() as u64;
                         let n = w.len();
                         self.src.consume(n);
                         return Ok(Polled::End);
                     }
-                    if ng_shb_sane(w).is_ok() {
+                    if self.container.resync_candidate(w) {
                         break;
-                    }
-                    if self.started {
-                        let block_type = u32_at(self.big_endian, w, 0);
-                        if matches!(block_type, BT_IDB | BT_EPB | BT_SPB)
-                            && ng_block_sane(w, self.big_endian).is_ok()
-                        {
-                            break;
-                        }
                     }
                     self.src.consume(1);
                     self.report.bytes_skipped += 1;
@@ -637,66 +625,39 @@ impl<R: Read> PcapNgStream<R> {
                     FillStatus::Partial => Polled::Pending,
                 });
             }
-            match ng_head(self.src.window(), self.started, self.big_endian) {
-                Some(NgHead::Section { big_endian, len }) => {
-                    self.big_endian = big_endian;
-                    self.started = true;
-                    self.interfaces.clear();
+            match self.container.head(self.src.window()) {
+                // In-window sane record or block: a decode over any
+                // extension of this window takes it identically, so acting
+                // is safe even on a partial window.
+                Head::Record(rec) => {
+                    if self.just_resynced {
+                        self.report.records_recovered += 1;
+                        self.just_resynced = false;
+                    } else {
+                        self.report.records_ok += 1;
+                    }
+                    break rec;
+                }
+                Head::Block { len, abandoned } => {
+                    self.report.blocks_skipped += u64::from(abandoned);
                     self.src.consume(len);
                 }
-                Some(NgHead::Block {
-                    block_type: BT_IDB,
-                    len,
-                }) => {
-                    match parse_idb(self.big_endian, &self.src.window()[8..len - 4]) {
-                        Ok(iface) => self.interfaces.push(Some(iface)),
-                        Err(_) => {
-                            // Keep interface ids aligned: the slot exists
-                            // but is unusable; its packets are skipped.
-                            self.interfaces.push(None);
-                            self.report.blocks_skipped += 1;
-                        }
-                    }
-                    self.src.consume(len);
-                }
-                Some(NgHead::Block {
-                    block_type: block_type @ (BT_EPB | BT_SPB),
-                    len,
-                }) => {
-                    let body = &self.src.window()[8..len - 4];
-                    match parse_packet_block(block_type, self.big_endian, body, &self.interfaces) {
-                        Ok(_) => {
-                            if self.just_resynced {
-                                self.report.records_recovered += 1;
-                                self.just_resynced = false;
-                            } else {
-                                self.report.records_ok += 1;
-                            }
-                            break (block_type, len);
-                        }
-                        Err(_) => {
-                            self.report.blocks_skipped += 1;
-                            self.src.consume(len);
-                        }
-                    }
-                }
-                Some(NgHead::Block { len, .. }) => self.src.consume(len), // unknown: skipped by length
-                None if status == FillStatus::Partial => {
-                    // The head may be a block whose tail has not arrived
-                    // yet (and a resync needs full-window lookahead): wait.
+                Head::Damage { .. } if status == FillStatus::Partial => {
+                    // Bytes not yet arrived look truncated, and even a bad
+                    // head must not count as damage before the scan's
+                    // full-window lookahead is available.
                     return Ok(Polled::Pending);
                 }
-                None => {
-                    if len < 12 {
-                        // End of stream by the window invariant: too few
-                        // bytes for any block.
-                        self.report.truncated_tail = true;
+                Head::Damage { truncated } => {
+                    self.report.truncated_tail |= truncated;
+                    if len < self.container.min_head() {
+                        // The window invariant makes this end-of-stream by
+                        // construction: too few bytes for a record.
                         self.report.bytes_skipped += len as u64;
                         self.src.consume(len);
                         return Ok(Polled::End);
                     }
-                    // Resync: scan for the next self-consistent known block
-                    // (the scan itself runs at the top of the outer loop).
+                    // Resync: the scan runs at the top of the outer loop.
                     self.report.resyncs += 1;
                     self.report.blocks_skipped += 1;
                     self.src.consume(1);
@@ -705,11 +666,13 @@ impl<R: Read> PcapNgStream<R> {
                 }
             }
         };
-        self.pending = total_len;
-        let body = &self.src.window()[8..total_len - 4];
-        let pkt = parse_packet_block(block_type, self.big_endian, body, &self.interfaces)
-            .expect("block decoded in the scan loop");
-        Ok(Polled::Packet(pkt))
+        self.pending = rec.end;
+        Ok(Polled::Packet(PacketRef {
+            link: rec.link,
+            timestamp_us: rec.timestamp_us,
+            orig_len: rec.orig_len,
+            data: &self.src.window()[rec.data],
+        }))
     }
 }
 
@@ -720,7 +683,13 @@ mod tests {
     use crate::format::{MAGIC_LE, MAGIC_NS_LE};
     use crate::pcapng::PcapNgWriter;
     use crate::writer::PcapWriter;
-    use crate::PcapPacket;
+
+    /// One decoded record: link, timestamp, original length, bytes.
+    type Packet = (LinkType, u64, u32, Vec<u8>);
+
+    fn owned(p: PacketRef<'_>) -> Packet {
+        (p.link, p.timestamp_us, p.orig_len, p.data.to_vec())
+    }
 
     /// A reader that hands out at most `max` bytes per call, to exercise
     /// every possible record-straddles-chunk-boundary alignment.
@@ -748,7 +717,8 @@ mod tests {
         let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
         for i in 0..n {
             let data: Vec<u8> = (0..40).map(|b| (b + i) as u8).collect();
-            w.write_packet(1_000_000 + i as u64 * 1_000, &data).unwrap();
+            w.write_packet(1_000_000 + i as u64 * 1_000, &data, 40)
+                .unwrap();
         }
         buf
     }
@@ -758,25 +728,18 @@ mod tests {
         let mut w = PcapNgWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
         for i in 0..n {
             let data: Vec<u8> = (0..40).map(|b| (b + i) as u8).collect();
-            w.write_packet(1_000_000 + i as u64 * 1_000, &data).unwrap();
+            w.write_packet(1_000_000 + i as u64 * 1_000, &data, 40)
+                .unwrap();
         }
         buf
     }
 
-    fn stream_classic(bytes: &[u8], max: usize) -> (Vec<PcapPacket>, IngestReport) {
+    /// Every packet of a read through `max`-byte reads, and its report.
+    fn stream(bytes: &[u8], max: usize) -> (Vec<Packet>, IngestReport) {
         let mut s = PcapStream::new(small(bytes, max)).unwrap();
         let mut out = Vec::new();
         while let Some(p) = s.next_packet().unwrap() {
-            out.push(p.to_owned());
-        }
-        (out, *s.report())
-    }
-
-    fn stream_ng(bytes: &[u8], max: usize) -> (Vec<crate::NgPacket>, IngestReport) {
-        let mut s = PcapNgStream::new(small(bytes, max));
-        let mut out = Vec::new();
-        while let Some(p) = s.next_packet().unwrap() {
-            out.push(p.to_owned());
+            out.push(owned(p));
         }
         (out, *s.report())
     }
@@ -784,9 +747,9 @@ mod tests {
     #[test]
     fn classic_chunking_is_invisible_on_clean_files() {
         let buf = classic_file(60);
-        let (batch, batch_report) = stream_classic(&buf, usize::MAX);
+        let (batch, batch_report) = stream(&buf, usize::MAX);
         for max in [1, 7, 64, 4096] {
-            let (pkts, report) = stream_classic(&buf, max);
+            let (pkts, report) = stream(&buf, max);
             assert_eq!(pkts, batch, "read granularity {max}");
             assert_eq!(report, batch_report, "read granularity {max}");
         }
@@ -796,9 +759,9 @@ mod tests {
     #[test]
     fn ng_chunking_is_invisible_on_clean_files() {
         let buf = ng_file(60);
-        let (batch, batch_report) = stream_ng(&buf, usize::MAX);
+        let (batch, batch_report) = stream(&buf, usize::MAX);
         for max in [1, 7, 64, 4096] {
-            let (pkts, report) = stream_ng(&buf, max);
+            let (pkts, report) = stream(&buf, max);
             assert_eq!(pkts, batch, "read granularity {max}");
             assert_eq!(report, batch_report, "read granularity {max}");
         }
@@ -817,9 +780,9 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, GLOBAL_HEADER_LEN, &cfg, &mut rng);
-            let (batch, batch_report) = stream_classic(&buf, usize::MAX);
+            let (batch, batch_report) = stream(&buf, usize::MAX);
             for max in [1, 13, 256] {
-                let (pkts, report) = stream_classic(&buf, max);
+                let (pkts, report) = stream(&buf, max);
                 assert_eq!(pkts, batch, "seed {seed} granularity {max}");
                 assert_eq!(report, batch_report, "seed {seed} granularity {max}");
             }
@@ -838,9 +801,9 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, 0, &cfg, &mut rng);
-            let (batch, batch_report) = stream_ng(&buf, usize::MAX);
+            let (batch, batch_report) = stream(&buf, usize::MAX);
             for max in [1, 13, 256] {
-                let (pkts, report) = stream_ng(&buf, max);
+                let (pkts, report) = stream(&buf, max);
                 assert_eq!(pkts, batch, "seed {seed} granularity {max}");
                 assert_eq!(report, batch_report, "seed {seed} granularity {max}");
             }
@@ -860,16 +823,19 @@ mod tests {
     }
 
     #[test]
-    fn packet_refs_borrow_then_convert() {
+    fn link_is_the_classic_headers_or_each_interfaces() {
         let buf = classic_file(3);
         let mut s = PcapStream::new(&buf[..]).unwrap();
+        assert_eq!(s.link(), Some(LinkType::Radiotap));
         let p = s.next_packet().unwrap().unwrap();
-        assert_eq!(p.timestamp_us, 1_000_000);
-        assert_eq!(p.data.len(), 40);
-        assert!(!p.is_truncated());
-        let owned = p.to_owned();
-        assert_eq!(owned.data, p.data);
-        assert_eq!(s.link(), LinkType::Radiotap);
+        assert_eq!(
+            (p.link, p.timestamp_us, p.data.len()),
+            (LinkType::Radiotap, 1_000_000, 40)
+        );
+        let buf = ng_file(3);
+        let mut s = PcapStream::new(&buf[..]).unwrap();
+        assert_eq!(s.link(), None);
+        assert_eq!(s.next_packet().unwrap().unwrap().link, LinkType::Radiotap);
     }
 
     /// A reader that serves bytes in small slices with a `WouldBlock` error
@@ -896,38 +862,20 @@ mod tests {
         }
     }
 
-    fn poll_classic(bytes: &[u8], max: usize) -> (Vec<PcapPacket>, IngestReport) {
-        let src = BlockyReads {
-            bytes,
-            pos: 0,
-            max,
-            block_next: false,
-        };
-        let mut s = PcapStream::new(src).unwrap();
-        let mut out = Vec::new();
-        loop {
-            match s.poll_packet().unwrap() {
-                Polled::Packet(p) => out.push(p.to_owned()),
-                Polled::Pending => continue, // next poll sees more bytes
-                Polled::End => break,
-            }
-        }
-        (out, *s.report())
-    }
-
-    fn poll_ng(bytes: &[u8], max: usize) -> (Vec<crate::NgPacket>, IngestReport) {
+    /// [`stream`] through polls of a source that blocks before every read.
+    fn poll(bytes: &[u8], max: usize) -> (Vec<Packet>, IngestReport) {
         let src = BlockyReads {
             bytes,
             pos: 0,
             max,
             block_next: true,
         };
-        let mut s = PcapNgStream::new(src);
+        let mut s = PcapStream::new(src).unwrap();
         let mut out = Vec::new();
         loop {
             match s.poll_packet().unwrap() {
-                Polled::Packet(p) => out.push(p.to_owned()),
-                Polled::Pending => continue,
+                Polled::Packet(p) => out.push(owned(p)),
+                Polled::Pending => continue, // next poll sees more bytes
                 Polled::End => break,
             }
         }
@@ -937,9 +885,9 @@ mod tests {
     #[test]
     fn classic_polling_converges_to_batch_on_clean_files() {
         let buf = classic_file(60);
-        let (batch, batch_report) = stream_classic(&buf, usize::MAX);
+        let (batch, batch_report) = stream(&buf, usize::MAX);
         for max in [7, 64, 4096] {
-            let (pkts, report) = poll_classic(&buf, max);
+            let (pkts, report) = poll(&buf, max);
             assert_eq!(pkts, batch, "granularity {max}");
             assert_eq!(report, batch_report, "granularity {max}");
         }
@@ -948,9 +896,9 @@ mod tests {
     #[test]
     fn ng_polling_converges_to_batch_on_clean_files() {
         let buf = ng_file(60);
-        let (batch, batch_report) = stream_ng(&buf, usize::MAX);
+        let (batch, batch_report) = stream(&buf, usize::MAX);
         for max in [7, 64, 4096] {
-            let (pkts, report) = poll_ng(&buf, max);
+            let (pkts, report) = poll(&buf, max);
             assert_eq!(pkts, batch, "granularity {max}");
             assert_eq!(report, batch_report, "granularity {max}");
         }
@@ -968,9 +916,9 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, GLOBAL_HEADER_LEN, &cfg, &mut rng);
-            let (batch, batch_report) = stream_classic(&buf, usize::MAX);
+            let (batch, batch_report) = stream(&buf, usize::MAX);
             for max in [13, 256] {
-                let (pkts, report) = poll_classic(&buf, max);
+                let (pkts, report) = poll(&buf, max);
                 assert_eq!(pkts, batch, "seed {seed} granularity {max}");
                 assert_eq!(report, batch_report, "seed {seed} granularity {max}");
             }
@@ -989,9 +937,9 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, 0, &cfg, &mut rng);
-            let (batch, batch_report) = stream_ng(&buf, usize::MAX);
+            let (batch, batch_report) = stream(&buf, usize::MAX);
             for max in [13, 256] {
-                let (pkts, report) = poll_ng(&buf, max);
+                let (pkts, report) = poll(&buf, max);
                 assert_eq!(pkts, batch, "seed {seed} granularity {max}");
                 assert_eq!(report, batch_report, "seed {seed} granularity {max}");
             }
@@ -1060,16 +1008,16 @@ mod tests {
         loop {
             match src.fill().unwrap() {
                 FillStatus::Full => assert!(
-                    src.window().len() >= WINDOW_TARGET || src.eof(),
+                    src.window().len() >= WINDOW_TARGET || src.eof,
                     "window invariant violated"
                 ),
                 FillStatus::Partial => {
-                    assert!(src.window().len() < WINDOW_TARGET && !src.eof());
+                    assert!(src.window().len() < WINDOW_TARGET && !src.eof);
                     partials += 1;
                 }
             }
             assert!(src.buf.capacity() <= REFILL_TARGET + READ_CHUNK);
-            if src.eof() && src.window().is_empty() {
+            if src.eof && src.window().is_empty() {
                 return (seen, partials);
             }
             let n = src.window().len().min(take);
@@ -1110,8 +1058,8 @@ mod tests {
     fn sample_file() -> Vec<u8> {
         let mut buf = Vec::new();
         let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 250).unwrap();
-        w.write_packet(1_500_000, &[1, 2, 3]).unwrap();
-        w.write_packet(2_750_001, &[4; 10]).unwrap();
+        w.write_packet(1_500_000, &[1, 2, 3], 3).unwrap();
+        w.write_packet(2_750_001, &[4; 10], 10).unwrap();
         buf
     }
 
@@ -1119,7 +1067,7 @@ mod tests {
     const SECOND_RECORD: usize = GLOBAL_HEADER_LEN + RECORD_HEADER_LEN + 3;
 
     /// `record_head` at `off` in a classic file.
-    fn head_at(buf: &[u8], off: usize) -> Result<(u64, u32, usize), PcapError> {
+    fn head_at(buf: &[u8], off: usize) -> Result<Record, PcapError> {
         record_head(&buf[off..], &parse_global_header(buf).unwrap())
     }
 
@@ -1127,7 +1075,7 @@ mod tests {
     fn reads_what_writer_wrote() {
         let buf = sample_file();
         let mut r = PcapStream::new(&buf[..]).unwrap();
-        assert_eq!(r.link(), LinkType::Radiotap);
+        assert_eq!(r.link(), Some(LinkType::Radiotap));
         let p1 = r.next_packet().unwrap().unwrap();
         assert_eq!(p1.timestamp_us, 1_500_000);
         assert_eq!(p1.data, [1, 2, 3]);
@@ -1169,7 +1117,7 @@ mod tests {
             head_at(&buf[..cut], SECOND_RECORD),
             Err(PcapError::TruncatedFile)
         ));
-        let (pkts, report) = stream_classic(&buf[..cut], usize::MAX);
+        let (pkts, report) = stream(&buf[..cut], usize::MAX);
         assert_eq!(pkts.len(), 1);
         assert!(report.truncated_tail && report.bytes_skipped == 4);
     }
@@ -1182,7 +1130,7 @@ mod tests {
             head_at(&buf[..cut], SECOND_RECORD),
             Err(PcapError::TruncatedFile)
         ));
-        let (pkts, report) = stream_classic(&buf[..cut], usize::MAX);
+        let (pkts, report) = stream(&buf[..cut], usize::MAX);
         assert_eq!(pkts.len(), 1);
         assert!(report.truncated_tail);
     }
@@ -1204,7 +1152,7 @@ mod tests {
         buf.extend_from_slice(&2u32.to_be_bytes()); // orig_len
         buf.extend_from_slice(&[0xAA, 0xBB]);
         let mut r = PcapStream::new(&buf[..]).unwrap();
-        assert_eq!(r.link(), LinkType::Radiotap);
+        assert_eq!(r.link(), Some(LinkType::Radiotap));
         let p = r.next_packet().unwrap().unwrap();
         assert_eq!(p.timestamp_us, 3_000_014);
         assert_eq!(p.data, [0xAA, 0xBB]);
@@ -1226,7 +1174,7 @@ mod tests {
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.push(0x42);
         let mut r = PcapStream::new(&buf[..]).unwrap();
-        assert_eq!(r.link(), LinkType::Ieee80211);
+        assert_eq!(r.link(), Some(LinkType::Ieee80211));
         let p = r.next_packet().unwrap().unwrap();
         assert_eq!(p.timestamp_us, 1_999_999);
     }
@@ -1251,7 +1199,7 @@ mod tests {
             head_at(&buf, GLOBAL_HEADER_LEN),
             Err(PcapError::OversizedRecord(n)) if n == MAX_SANE_CAPLEN + 1
         ));
-        let (pkts, report) = stream_classic(&buf, usize::MAX);
+        let (pkts, report) = stream(&buf, usize::MAX);
         assert_eq!(pkts.len(), 1, "the scan recovers the second record");
         assert_eq!((report.resyncs, report.records_recovered), (1, 1));
     }
@@ -1268,7 +1216,7 @@ mod tests {
                 orig_len: 1
             })
         ));
-        let (pkts, report) = stream_classic(&buf, usize::MAX);
+        let (pkts, report) = stream(&buf, usize::MAX);
         assert_eq!(pkts.len(), 1, "the scan recovers the second record");
         assert_eq!((report.resyncs, report.records_recovered), (1, 1));
     }
@@ -1279,7 +1227,7 @@ mod tests {
     fn one_epb_file() -> Vec<u8> {
         let mut buf = Vec::new();
         let mut w = PcapNgWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
-        w.write_packet(1, &[0xAA; 8]).unwrap();
+        w.write_packet(1, &[0xAA; 8], 8).unwrap();
         buf
     }
 
@@ -1298,7 +1246,7 @@ mod tests {
             ng_block_sane(&buf[EPB_OFF..], false),
             Err(PcapError::BadBlockLength(8))
         ));
-        let (pkts, report) = stream_ng(&buf, usize::MAX);
+        let (pkts, report) = stream(&buf, usize::MAX);
         assert!(pkts.is_empty());
         assert_eq!(report.resyncs, 1);
     }
@@ -1312,7 +1260,7 @@ mod tests {
             ng_block_sane(&buf[EPB_OFF..], false),
             Err(PcapError::BadBlockLength(44))
         ));
-        let (pkts, report) = stream_ng(&buf, usize::MAX);
+        let (pkts, report) = stream(&buf, usize::MAX);
         assert!(pkts.is_empty());
         assert_eq!(report.resyncs, 1);
     }
@@ -1325,7 +1273,7 @@ mod tests {
             ng_block_sane(&buf[EPB_OFF..cut], false),
             Err(PcapError::TruncatedFile)
         ));
-        let (pkts, report) = stream_ng(&buf[..cut], usize::MAX);
+        let (pkts, report) = stream(&buf[..cut], usize::MAX);
         assert!(pkts.is_empty());
         assert_eq!(report.bytes_skipped, (cut - EPB_OFF) as u64);
     }
@@ -1334,9 +1282,11 @@ mod tests {
     fn ng_garbage_is_bad_magic() {
         let buf = [0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 0];
         assert!(matches!(ng_shb_sane(&buf), Err(PcapError::BadMagic(_))));
-        let (pkts, report) = stream_ng(&buf, usize::MAX);
+        // Behind a section's type bytes, the scan skips it all.
+        let buf = [&BT_SHB.to_le_bytes()[..], &buf].concat();
+        let (pkts, report) = stream(&buf, usize::MAX);
         assert!(pkts.is_empty());
-        assert_eq!(report.bytes_skipped, 8);
+        assert_eq!(report.bytes_skipped, 12);
     }
 
     /// An SHB whose length claims ~4 GiB: the check rejects the length
@@ -1356,7 +1306,7 @@ mod tests {
             ng_shb_sane(&buf),
             Err(PcapError::OversizedRecord(0xFFFF_FFF0))
         ));
-        let (pkts, report) = stream_ng(&buf, usize::MAX);
+        let (pkts, report) = stream(&buf, usize::MAX);
         assert!(pkts.is_empty());
         assert_eq!(report.bytes_skipped, 32);
     }

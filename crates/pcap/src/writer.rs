@@ -31,30 +31,28 @@ impl<W: Write> PcapWriter<W> {
         })
     }
 
-    /// The effective snap length.
-    pub fn snaplen(&self) -> u32 {
-        self.snaplen
-    }
-
     /// Number of records written so far.
     pub fn packets_written(&self) -> u64 {
         self.packets_written
     }
 
-    /// Writes one record, truncating `data` to the snap length.
-    pub fn write_packet(&mut self, timestamp_us: u64, data: &[u8]) -> Result<(), PcapError> {
-        self.write_packet_truncated(timestamp_us, data, data.len() as u32)
-    }
-
-    /// Writes one record whose bytes were *already* truncated: `orig_len` is
-    /// the frame's true on-air length. Used when replaying another capture.
-    pub fn write_packet_truncated(
+    /// Writes one record, truncating `data` to the snap length. `orig_len`
+    /// is the frame's on-air length: `data.len()` for a whole frame, more
+    /// for one a capture already truncated.
+    ///
+    /// # Panics
+    ///
+    /// If `data` is longer than `orig_len`.
+    pub fn write_packet(
         &mut self,
         timestamp_us: u64,
         data: &[u8],
         orig_len: u32,
     ) -> Result<(), PcapError> {
-        debug_assert!(data.len() as u32 <= orig_len);
+        assert!(
+            data.len() as u32 <= orig_len,
+            "a record cannot hold more bytes than its original length"
+        );
         let caplen = (data.len() as u32).min(self.snaplen);
         self.inner
             .write_all(&((timestamp_us / 1_000_000) as u32).to_le_bytes())?;
@@ -71,12 +69,6 @@ impl<W: Write> PcapWriter<W> {
     pub fn flush(&mut self) -> Result<(), PcapError> {
         self.inner.flush()?;
         Ok(())
-    }
-
-    /// Unwraps the inner writer (after flushing).
-    pub fn into_inner(mut self) -> Result<W, PcapError> {
-        self.inner.flush()?;
-        Ok(self.inner)
     }
 }
 
@@ -107,8 +99,8 @@ mod tests {
     #[test]
     fn snaplen_zero_becomes_unlimited() {
         let mut buf = Vec::new();
-        let w = PcapWriter::new(&mut buf, LinkType::Ethernet, 0).unwrap();
-        assert_eq!(w.snaplen(), 65_535);
+        PcapWriter::new(&mut buf, LinkType::Ethernet, 0).unwrap();
+        assert_eq!(&buf[16..20], &65_535u32.to_le_bytes());
     }
 
     #[test]
@@ -116,14 +108,13 @@ mod tests {
         let mut buf = Vec::new();
         {
             let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 250).unwrap();
-            w.write_packet(42, &vec![0xCC; 1500]).unwrap();
+            w.write_packet(42, &vec![0xCC; 1500], 1500).unwrap();
             assert_eq!(w.packets_written(), 1);
         }
         let mut r = PcapStream::new(&buf[..]).unwrap();
         let p = r.next_packet().unwrap().unwrap();
         assert_eq!(p.data.len(), 250);
         assert_eq!(p.orig_len, 1500);
-        assert!(p.is_truncated());
         assert!(r.next_packet().unwrap().is_none() && r.report().is_clean());
     }
 
@@ -132,7 +123,7 @@ mod tests {
         let mut buf = Vec::new();
         {
             let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 65535).unwrap();
-            w.write_packet(123_456_789_012, &[1]).unwrap();
+            w.write_packet(123_456_789_012, &[1], 1).unwrap();
         }
         let mut r = PcapStream::new(&buf[..]).unwrap();
         let p = r.next_packet().unwrap().unwrap();
@@ -145,20 +136,12 @@ mod tests {
         let mut buf = Vec::new();
         {
             let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 65535).unwrap();
-            w.write_packet_truncated(0, &[0xAB; 250], 1500).unwrap();
+            w.write_packet(0, &[0xAB; 250], 1500).unwrap();
         }
         let mut r = PcapStream::new(&buf[..]).unwrap();
         let p = r.next_packet().unwrap().unwrap();
         assert_eq!(p.data.len(), 250);
         assert_eq!(p.orig_len, 1500);
         assert!(r.next_packet().unwrap().is_none() && r.report().is_clean());
-    }
-
-    #[test]
-    fn into_inner_returns_buffer() {
-        let buf = Vec::new();
-        let w = PcapWriter::new(buf, LinkType::Radiotap, 100).unwrap();
-        let buf = w.into_inner().unwrap();
-        assert_eq!(buf.len(), GLOBAL_HEADER_LEN);
     }
 }

@@ -1,15 +1,18 @@
 //! Property-based tests: pcap write→read is the identity (modulo snaplen
-//! truncation, which is itself exactly characterized).
+//! truncation, which is itself exactly characterized), in both containers.
 
 use proptest::prelude::*;
-use wifi_pcap::{IngestReport, LinkType, PcapError, PcapPacket, PcapStream, PcapWriter};
+use wifi_pcap::{IngestReport, LinkType, PcapError, PcapNgWriter, PcapStream, PcapWriter};
+
+/// One decoded record: link, timestamp, original length, bytes.
+type Packet = (LinkType, u64, u32, Vec<u8>);
 
 /// Every packet of a read, and its final report.
-fn read(bytes: &[u8]) -> Result<(Vec<PcapPacket>, IngestReport), PcapError> {
+fn read(bytes: &[u8]) -> Result<(Vec<Packet>, IngestReport), PcapError> {
     let mut r = PcapStream::new(bytes)?;
     let mut packets = Vec::new();
     while let Some(p) = r.next_packet()? {
-        packets.push(p.to_owned());
+        packets.push((p.link, p.timestamp_us, p.orig_len, p.data.to_vec()));
     }
     Ok((packets, *r.report()))
 }
@@ -24,46 +27,71 @@ fn arb_packets() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
     )
 }
 
+/// `packets` written as a classic pcap, each at its own original length.
+fn classic(packets: &[(u64, Vec<u8>, u32)], snaplen: u32) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, snaplen).unwrap();
+    for (ts, data, orig_len) in packets {
+        w.write_packet(*ts, data, *orig_len).unwrap();
+    }
+    buf
+}
+
+/// `packets` written as a pcapng, each at its own original length.
+fn pcapng(packets: &[(u64, Vec<u8>, u32)], snaplen: u32) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut w = PcapNgWriter::new(&mut buf, LinkType::Radiotap, snaplen).unwrap();
+    for (ts, data, orig_len) in packets {
+        w.write_packet(*ts, data, *orig_len).unwrap();
+    }
+    buf
+}
+
 proptest! {
     #[test]
     fn roundtrip_unlimited_snaplen(packets in arb_packets()) {
-        let mut buf = Vec::new();
-        {
-            let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 65535).unwrap();
-            for (ts, data) in &packets {
-                w.write_packet(*ts, data).unwrap();
-            }
-        }
-        let (read, report) = read(&buf).unwrap();
+        let whole: Vec<_> = packets
+            .iter()
+            .map(|(ts, data)| (*ts, data.clone(), data.len() as u32))
+            .collect();
+        let (read, report) = read(&classic(&whole, 65535)).unwrap();
         prop_assert!(report.is_clean());
         prop_assert_eq!(read.len(), packets.len());
         for (got, (ts, data)) in read.iter().zip(&packets) {
-            prop_assert_eq!(got.timestamp_us, *ts);
-            prop_assert_eq!(&got.data, data);
-            prop_assert_eq!(got.orig_len as usize, data.len());
-            prop_assert!(!got.is_truncated());
+            prop_assert_eq!(got, &(LinkType::Radiotap, *ts, data.len() as u32, data.clone()));
         }
     }
 
+    /// Packets a capture already truncated, written with their original
+    /// lengths at a snap length that may truncate them further: both
+    /// containers decode to the same records, with a clean report.
     #[test]
-    fn roundtrip_with_snaplen(packets in arb_packets(), snaplen in 1u32..400) {
-        let mut buf = Vec::new();
-        {
-            let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, snaplen).unwrap();
-            for (ts, data) in &packets {
-                w.write_packet(*ts, data).unwrap();
-            }
-        }
-        let (read, report) = read(&buf).unwrap();
+    fn roundtrip_with_snaplen(
+        packets in arb_packets(),
+        extra in proptest::collection::vec(0u32..2_000, 40),
+        snaplen in 1u32..400,
+        ng in any::<bool>(),
+    ) {
+        let truncated: Vec<_> = packets
+            .iter()
+            .zip(&extra)
+            .map(|((ts, data), extra)| (*ts, data.clone(), data.len() as u32 + extra))
+            .collect();
+        let bytes = if ng {
+            pcapng(&truncated, snaplen)
+        } else {
+            classic(&truncated, snaplen)
+        };
+        let (read, report) = read(&bytes).unwrap();
         prop_assert!(report.is_clean());
-        prop_assert_eq!(read.len(), packets.len());
-        for (got, (ts, data)) in read.iter().zip(&packets) {
-            prop_assert_eq!(got.timestamp_us, *ts);
-            let expect_cap = data.len().min(snaplen as usize);
-            prop_assert_eq!(&got.data[..], &data[..expect_cap]);
-            prop_assert_eq!(got.orig_len as usize, data.len());
-            prop_assert_eq!(got.is_truncated(), data.len() > expect_cap);
-        }
+        let expect: Vec<Packet> = truncated
+            .iter()
+            .map(|(ts, data, orig_len)| {
+                let cap = data.len().min(snaplen as usize);
+                (LinkType::Radiotap, *ts, *orig_len, data[..cap].to_vec())
+            })
+            .collect();
+        prop_assert_eq!(read, expect);
     }
 
     #[test]
@@ -77,13 +105,11 @@ proptest! {
         packets in arb_packets().prop_filter("nonempty", |p| !p.is_empty()),
         cut_frac in 0.0f64..1.0,
     ) {
-        let mut buf = Vec::new();
-        {
-            let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 65535).unwrap();
-            for (ts, data) in &packets {
-                w.write_packet(*ts, data).unwrap();
-            }
-        }
+        let whole: Vec<_> = packets
+            .iter()
+            .map(|(ts, data)| (*ts, data.clone(), data.len() as u32))
+            .collect();
+        let buf = classic(&whole, 65535);
         let cut = 24 + ((buf.len() - 24) as f64 * cut_frac) as usize;
         // The records before the cut parse; a cut inside one is counted.
         let (read, report) = read(&buf[..cut]).unwrap();

@@ -11,8 +11,8 @@
 //!   for the live IETF-62 network (CSMA/CA, RTS/CTS, rate adaptation,
 //!   fading, association, vicinity sniffers);
 //! * [`wifi_frames`] — 802.11 frames, wire format, radiotap, and timing;
-//! * [`wifi_pcap`] — from-scratch classic-pcap and pcapng readers and
-//!   writers;
+//! * [`wifi_pcap`] — a from-scratch decoder for classic pcap and pcapng,
+//!   and a writer for each;
 //! * [`ietf_workloads`] — the day-session, plenary-session and load-ramp
 //!   scenarios.
 //!

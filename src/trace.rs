@@ -12,9 +12,7 @@ use std::path::Path;
 use wifi_frames::radiotap::{self, CaptureMeta, FLAG_FCS_AT_END};
 use wifi_frames::record::FrameRecord;
 use wifi_frames::wire;
-use wifi_pcap::{
-    is_pcapng, IngestReport, LinkType, PcapError, PcapNgStream, PcapStream, PcapWriter, Polled,
-};
+use wifi_pcap::{IngestReport, LinkType, PcapError, PcapStream, PcapWriter, Polled};
 
 /// The snap length the study used.
 pub const STUDY_SNAPLEN: u32 = 250;
@@ -89,8 +87,9 @@ impl CaptureWriter {
 
     /// Serializes and appends one record.
     pub fn write_record(&mut self, r: &FrameRecord) -> Result<(), CaptureError> {
+        let packet = record_to_packet(r);
         self.writer
-            .write_packet(r.timestamp_us, &record_to_packet(r))?;
+            .write_packet(r.timestamp_us, &packet, packet.len() as u32)?;
         Ok(())
     }
 
@@ -99,31 +98,6 @@ impl CaptureWriter {
         self.writer.flush()?;
         Ok(self.writer.packets_written())
     }
-}
-
-/// A reader with its peeked magic bytes replayed in front of it.
-type Replayed<R> = io::Chain<io::Cursor<Vec<u8>>, R>;
-
-/// Peeks the first four bytes of a reader (the container magic) and hands
-/// back a stream that replays them: container detection without buffering
-/// the file.
-fn peek_magic<R: Read>(mut reader: R) -> io::Result<(Vec<u8>, Replayed<R>)> {
-    let mut head = Vec::with_capacity(4);
-    let mut byte = [0u8; 1];
-    while head.len() < 4 {
-        match reader.read(&mut byte) {
-            Ok(0) => break,
-            Ok(_) => head.push(byte[0]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // A live source that has not produced its magic yet: wait for
-            // it (the source turns into EOF if the feed stops for good).
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok((head.clone(), io::Cursor::new(head).chain(reader)))
 }
 
 /// A whole capture read: whatever records survived decoding, plus a
@@ -173,13 +147,6 @@ fn decode_packet(data: &[u8], orig_len: u32, report: &mut IngestReport) -> Optio
     }
 }
 
-/// The container half of a streaming capture: either classic pcap or pcapng,
-/// each over a chunked source that replays the peeked magic bytes.
-enum StreamInner<R: Read> {
-    Classic(PcapStream<Replayed<R>>),
-    Ng(PcapNgStream<Replayed<R>>),
-}
-
 /// The one capture reader: pulls records one at a time from any byte
 /// source in O(chunk) memory, so a capture larger than RAM analyzes fine.
 /// The container (classic pcap or pcapng) is detected from the leading
@@ -193,9 +160,9 @@ enum StreamInner<R: Read> {
 /// iteration early and surface from [`CaptureStream::finish`]; everything
 /// recoverable is skip-counted instead.
 pub struct CaptureStream<R: Read = Box<dyn Read + Send>> {
-    inner: StreamInner<R>,
+    inner: PcapStream<R>,
     /// Frame-level skip counters (the container counters live inside the
-    /// container stream).
+    /// container decoder).
     frame_report: IngestReport,
     failed: Option<CaptureError>,
 }
@@ -209,21 +176,15 @@ impl CaptureStream<io::BufReader<std::fs::File>> {
 }
 
 impl<R: Read> CaptureStream<R> {
-    /// Wraps any byte source. The container is detected from the first four
-    /// bytes; a classic-pcap global header and link type are validated
+    /// Wraps any byte source. The container is detected from its leading
+    /// magic; a classic-pcap global header and link type are validated
     /// eagerly (the only eager hard errors — everything later is skipped or
     /// deferred to [`CaptureStream::finish`]).
     pub fn from_reader(reader: R) -> Result<Self, CaptureError> {
-        let (magic, source) = peek_magic(reader).map_err(PcapError::Io)?;
-        let inner = if is_pcapng(&magic) {
-            StreamInner::Ng(PcapNgStream::new(source))
-        } else {
-            let stream = PcapStream::new(source)?;
-            if stream.link() != LinkType::Radiotap {
-                return Err(CaptureError::WrongLinkType(stream.link()));
-            }
-            StreamInner::Classic(stream)
-        };
+        let inner = PcapStream::new(reader)?;
+        if let Some(link) = inner.link().filter(|&link| link != LinkType::Radiotap) {
+            return Err(CaptureError::WrongLinkType(link));
+        }
         Ok(CaptureStream {
             inner,
             frame_report: IngestReport::default(),
@@ -232,12 +193,9 @@ impl<R: Read> CaptureStream<R> {
     }
 
     /// The damage accounting so far: container-level counters from the
-    /// container stream plus the frame-level skip counters.
+    /// decoder plus the frame-level skip counters.
     pub fn report(&self) -> IngestReport {
-        let mut report = *match &self.inner {
-            StreamInner::Classic(s) => s.report(),
-            StreamInner::Ng(s) => s.report(),
-        };
+        let mut report = *self.inner.report();
         report.merge(&self.frame_report);
         // `merge` double-counts nothing: the two halves fill disjoint
         // fields, except records_ok/recovered which frame_report never sets.
@@ -282,22 +240,15 @@ impl<R: Read> CaptureStream<R> {
     /// [`CaptureStream::poll_next`] with its hard failure as an error.
     fn poll_decoded(&mut self) -> Result<CapturePoll, CaptureError> {
         loop {
-            let polled = match &mut self.inner {
-                StreamInner::Classic(s) => {
-                    let link = s.link();
-                    s.poll_packet()?.map(|p| (link, p.data, p.orig_len))
-                }
-                StreamInner::Ng(s) => s.poll_packet()?.map(|p| (p.link, p.data, p.orig_len)),
-            };
-            let (link, data, orig_len) = match polled {
+            let p = match self.inner.poll_packet()? {
                 Polled::Packet(p) => p,
                 Polled::Pending => return Ok(CapturePoll::Pending),
                 Polled::End => return Ok(CapturePoll::End),
             };
-            if link != LinkType::Radiotap {
-                return Err(CaptureError::WrongLinkType(link));
+            if p.link != LinkType::Radiotap {
+                return Err(CaptureError::WrongLinkType(p.link));
             }
-            if let Some(r) = decode_packet(data, orig_len, &mut self.frame_report) {
+            if let Some(r) = decode_packet(p.data, p.orig_len, &mut self.frame_report) {
                 return Ok(CapturePoll::Record(r));
             }
         }
@@ -623,7 +574,7 @@ mod tests {
             let mut buf = Vec::new();
             let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
             for (ts, packet) in [(0, &good[..]), (1, second), (2, &good[..])] {
-                w.write_packet(ts, packet).unwrap();
+                w.write_packet(ts, packet, packet.len() as u32).unwrap();
             }
             read_capture(&buf[..]).unwrap()
         };
@@ -637,12 +588,11 @@ mod tests {
 
     #[test]
     fn wrong_link_type_rejected() {
-        let dir = std::env::temp_dir().join("congestion_trace_test_lt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("eth.pcap");
-        wifi_pcap::write_file(&path, LinkType::Ethernet, 0, vec![(0u64, &[0u8; 14][..])]).unwrap();
+        let mut buf = Vec::new();
+        let mut w = PcapWriter::new(&mut buf, LinkType::Ethernet, 0).unwrap();
+        w.write_packet(0, &[0u8; 14], 14).unwrap();
         assert!(matches!(
-            read_file(&path),
+            read_capture(&buf[..]),
             Err(CaptureError::WrongLinkType(LinkType::Ethernet))
         ));
     }

@@ -68,7 +68,7 @@ fn roundtrip_with_chaos(
     {
         let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
         for (ts, data) in &packets {
-            w.write_packet(*ts, data).unwrap();
+            w.write_packet(*ts, data, data.len() as u32).unwrap();
         }
         w.flush().unwrap();
     }

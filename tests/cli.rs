@@ -131,23 +131,20 @@ fn every_subcommand_reads_a_damaged_capture() {
 /// classic pcap and in a pcapng file analyze to the same output.
 #[test]
 fn analyze_prints_the_same_for_classic_and_pcapng() {
-    use ietf80211_congestion::trace::write_capture_with_snaplen;
+    use ietf80211_congestion::trace::write_capture;
     use wifi_pcap::{LinkType, PcapNgWriter, PcapStream};
 
     let dir = temp_dir("containers");
     let classic = dir.join("ramp.pcap");
     let ng = dir.join("ramp.pcapng");
-    // Untruncated, so each packet's original length is its captured length:
-    // pcapng's writer records exactly that.
     let trace = &ietf_workloads::load_ramp(5, 40, 20, 2.0).run().traces[0];
-    write_capture_with_snaplen(&classic, trace, 0).unwrap();
+    write_capture(&classic, trace).unwrap();
     let mut packets = PcapStream::new(std::fs::File::open(&classic).unwrap()).unwrap();
     let mut w =
         PcapNgWriter::new(std::fs::File::create(&ng).unwrap(), LinkType::Radiotap, 0).unwrap();
     let mut copied = 0;
     while let Some(p) = packets.next_packet().unwrap() {
-        assert!(!p.is_truncated());
-        w.write_packet(p.timestamp_us, p.data).unwrap();
+        w.write_packet(p.timestamp_us, p.data, p.orig_len).unwrap();
         copied += 1;
     }
     assert!(packets.report().is_clean() && copied == trace.len());

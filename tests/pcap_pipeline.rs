@@ -115,7 +115,8 @@ fn pcapng_capture_is_auto_detected() {
             .next_packet()
             .unwrap()
             .expect("one packet per record");
-        w.write_packet(r.timestamp_us, pkt.data).unwrap();
+        w.write_packet(r.timestamp_us, pkt.data, pkt.orig_len)
+            .unwrap();
     }
     assert!(classic.next_packet().unwrap().is_none() && classic.report().is_clean());
     w.flush().unwrap();
