@@ -10,15 +10,24 @@
 //! [`SensingTopology`](crate::topology::SensingTopology) instead of
 //! carrying positions around. The `sensed_by` listener set is a pooled
 //! [`NodeSet`] bitset, and interferer lists are pooled too (via the
-//! [`crate::arena`] free-list) — ending a transmission recycles both, so
+//! [`crate::arena`] free-list) — retiring a transmission recycles both, so
 //! steady-state operation allocates nothing.
+//!
+//! The medium is also where carrier sense lives. Its `busy` set is the
+//! union of the listener sets of the transmissions whose carrier sense has
+//! been applied, so "does station *i* sense energy?" is one bit, and a busy
+//! or release edge is a few word-wide ORs instead of a counter update at
+//! every listener. The listener sets of the releases of the last
+//! [`dcf::EIFS_US`] are kept, which is all a defer decision can see of
+//! when the channel went idle (see [`Medium::idle_since`]).
 
 use crate::arena::VecPool;
 use crate::events::NodeId;
 use crate::frame_info::SimFrame;
 use crate::topology::NodeSet;
+use std::collections::VecDeque;
 use wifi_frames::phy::Rate;
-use wifi_frames::timing::Micros;
+use wifi_frames::timing::{dcf, Micros};
 
 /// Tail-overlap guard: a transmission whose last `OVERLAP_GUARD_US`
 /// microseconds (or less) overlap another's start is *not* registered as an
@@ -50,8 +59,8 @@ pub struct Transmission {
     /// the topology cache; the fixed order keeps float SINR sums bit-stable
     /// across materializations).
     pub interferers: Vec<NodeId>,
-    /// Stations whose carrier sense this transmission raised (computed by
-    /// the simulator at start; used to release carrier sense at end).
+    /// Stations whose carrier sense this transmission raises (computed by
+    /// the simulator at start; a channel switch adds or removes one).
     pub sensed_by: NodeSet,
     /// Whether the busy indication has already been applied at listeners
     /// (set when the carrier-sense detection delay elapses).
@@ -72,14 +81,29 @@ const LIST_POOL_SPARES: usize = 64;
 /// Largest capacity (node ids) a retained interferer list may have.
 const LIST_POOL_RETAIN_CAP: usize = 256;
 
-/// The medium of a single channel.
+/// One carrier-sense release: when it happened and who sensed it.
+struct Release {
+    at: Micros,
+    listeners: NodeSet,
+}
+
+/// The medium of a single channel: its in-flight transmissions, and the
+/// carrier sense they raise at the channel's stations.
 pub struct Medium {
     active: Vec<Transmission>,
     /// Running count of transmissions that suffered at least one overlap.
     pub collisions: u64,
     /// Running count of all transmissions.
     pub transmissions: u64,
-    /// Recycled listener bitsets (returned by [`Medium::recycle`]).
+    /// The stations that sense energy: the union of the `sensed_by` sets of
+    /// the transmissions whose carrier sense has been applied and not yet
+    /// released ([`Medium::apply_cs`], [`Medium::retire`]).
+    busy: NodeSet,
+    /// Listener sets of the most recent releases, oldest first; pruned to
+    /// the last [`dcf::EIFS_US`] whenever a release is added.
+    releases: VecDeque<Release>,
+    /// Recycled listener bitsets (from [`Medium::retire`] and pruned
+    /// releases).
     set_pool: Vec<NodeSet>,
     /// Recycled interferer lists (a bounded [`crate::arena`] free-list;
     /// concurrent-transmission counts keep it tiny in practice).
@@ -92,6 +116,8 @@ impl Default for Medium {
             active: Vec::new(),
             collisions: 0,
             transmissions: 0,
+            busy: NodeSet::new(),
+            releases: VecDeque::new(),
             set_pool: Vec::new(),
             list_pool: VecPool::new(LIST_POOL_SPARES, LIST_POOL_RETAIN_CAP),
         }
@@ -159,8 +185,9 @@ impl Medium {
     }
 
     /// Removes and returns `node`'s completed transmission, counting it into
-    /// `collisions` if it suffered at least one overlap. Hand it back via
-    /// [`Medium::recycle`] when done to keep the pools warm.
+    /// `collisions` if it suffered at least one overlap. Its carrier sense
+    /// stays applied until the transmission is handed back via
+    /// [`Medium::retire`].
     pub fn end_tx(&mut self, node: NodeId) -> Option<Transmission> {
         let idx = self.active.iter().position(|t| t.node == node)?;
         let tx = self.active.swap_remove(idx);
@@ -170,49 +197,166 @@ impl Medium {
         Some(tx)
     }
 
-    /// Returns a finished transmission's buffers to the pools.
-    pub fn recycle(&mut self, tx: Transmission) {
-        let Transmission {
-            mut sensed_by,
-            interferers,
-            ..
-        } = tx;
-        sensed_by.clear();
-        self.set_pool.push(sensed_by);
-        self.list_pool.put(interferers);
-    }
-
-    /// Active transmissions (for carrier-sense queries).
-    pub fn active(&self) -> &[Transmission] {
-        &self.active
-    }
-
-    /// Mutable access to active transmissions (for channel-switch
-    /// bookkeeping).
-    pub fn active_mut(&mut self) -> &mut [Transmission] {
-        &mut self.active
-    }
-
-    /// Marks `node`'s in-flight transmission's carrier sense as applied at
-    /// its listeners; returns those listeners.
+    /// Applies the carrier sense of `node`'s in-flight transmission: writes
+    /// into `hits` (cleared first) the words of the listeners that were
+    /// idle and are `contending`, then marks every listener busy.
     ///
     /// # Panics
     ///
     /// If `node` has no transmission in flight.
-    pub fn mark_cs_applied(&mut self, node: NodeId) -> &NodeSet {
+    pub fn apply_cs(&mut self, node: NodeId, contending: &NodeSet, hits: &mut Vec<u64>) {
         let t = self
             .active
             .iter_mut()
             .find(|t| t.node == node)
             .expect("carrier sense of a transmission not in flight");
         t.cs_applied = true;
-        &t.sensed_by
+        fresh_hits(&t.sensed_by, &self.busy, contending, hits);
+        self.busy.union_with(&t.sensed_by);
     }
+
+    /// Releases the carrier sense of a transmission taken out by
+    /// [`Medium::end_tx`] and returns its buffers to the pools. `busy`
+    /// becomes the union of the carrier sense still in flight; `hits`
+    /// (cleared first) receives the words of the listeners that went quiet
+    /// and are `contending`. The listener set is kept as a release at `now`
+    /// for [`Medium::idle_since`].
+    pub fn retire(
+        &mut self,
+        tx: Transmission,
+        now: Micros,
+        contending: &NodeSet,
+        hits: &mut Vec<u64>,
+    ) {
+        let Transmission {
+            sensed_by,
+            interferers,
+            cs_applied,
+            ..
+        } = tx;
+        self.list_pool.put(interferers);
+        hits.clear();
+        if !cs_applied {
+            self.recycle_set(sensed_by);
+            return;
+        }
+        self.busy.clear();
+        for t in self.active.iter().filter(|t| t.cs_applied) {
+            self.busy.union_with(&t.sensed_by);
+        }
+        fresh_hits(&sensed_by, &self.busy, contending, hits);
+        // A defer waits at most EIFS, so an older release decides nothing
+        // a later stamp would not.
+        while self
+            .releases
+            .front()
+            .is_some_and(|r| r.at + dcf::EIFS_US <= now)
+        {
+            if let Some(old) = self.releases.pop_front() {
+                self.recycle_set(old.listeners);
+            }
+        }
+        self.releases.push_back(Release {
+            at: now,
+            listeners: sensed_by,
+        });
+    }
+
+    fn recycle_set(&mut self, mut set: NodeSet) {
+        set.clear();
+        self.set_pool.push(set);
+    }
+
+    /// Whether `node` senses a transmission on this medium.
+    #[inline]
+    pub fn senses(&self, node: NodeId) -> bool {
+        self.busy.contains(node)
+    }
+
+    /// When the channel last went idle for `node`, as far as a defer
+    /// decision can tell: the later of `stamp` (the station's own record:
+    /// the end of its own transmission, a NAV expiry, a channel switch)
+    /// and the latest release `node` sensed. Call it only while the
+    /// channel is idle for `node` (no carrier, `nav_until` passed).
+    ///
+    /// A release that found `node` still sensing another frame is followed
+    /// by a later one that did not, so the latest release `node` sensed is
+    /// the one that let its carrier go. One that came before `nav_until`
+    /// was covered by the NAV and is not an idle edge; the NAV expiry
+    /// stamps instead. Releases older than one EIFS are forgotten: such a
+    /// time is at least a full defer interval back and decides a defer the
+    /// same way as any older one.
+    pub fn idle_since(&self, node: NodeId, stamp: Micros, nav_until: Micros) -> Micros {
+        match self
+            .releases
+            .iter()
+            .rev()
+            .find(|r| r.listeners.contains(node))
+        {
+            Some(r) if r.at >= nav_until => stamp.max(r.at),
+            _ => stamp,
+        }
+    }
+
+    /// Takes `node` off this medium's in-flight transmissions (it is
+    /// switching to another channel): it senses none of them any more.
+    pub fn detach(&mut self, node: NodeId) {
+        for t in &mut self.active {
+            t.sensed_by.remove(node);
+        }
+        self.busy.remove(node);
+    }
+
+    /// Puts `node` (switching onto this channel) on the listener set of
+    /// every in-flight transmission it senses, per `senses_tx(transmitter)`;
+    /// those already carrier-sensed make it busy at once.
+    pub fn attach(&mut self, node: NodeId, senses_tx: impl Fn(NodeId) -> bool) {
+        for t in &mut self.active {
+            if senses_tx(t.node) {
+                t.sensed_by.insert(node);
+                if t.cs_applied {
+                    self.busy.insert(node);
+                }
+            }
+        }
+    }
+
+    /// Whether `busy` is exactly the union of the listener sets of the
+    /// carrier-sensed in-flight transmissions (checked by the event loop in
+    /// debug builds, between event batches).
+    pub(crate) fn busy_consistent(&self) -> bool {
+        let mut union = NodeSet::new();
+        for t in self.active.iter().filter(|t| t.cs_applied) {
+            union.union_with(&t.sensed_by);
+        }
+        union.iter().eq(self.busy.iter())
+    }
+
+    /// Active transmissions.
+    pub fn active(&self) -> &[Transmission] {
+        &self.active
+    }
+}
+
+/// Writes `listeners ∖ busy ∩ contending`, word by word, into `hits`
+/// (cleared first): the contending listeners whose carrier just changed.
+fn fresh_hits(listeners: &NodeSet, busy: &NodeSet, contending: &NodeSet, hits: &mut Vec<u64>) {
+    hits.clear();
+    hits.extend(
+        listeners
+            .words()
+            .iter()
+            .enumerate()
+            .map(|(wi, &w)| w & !busy.word(wi) & contending.word(wi)),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+    use crate::topology::for_each_bit;
+    use rand::Rng;
     use wifi_frames::mac::MacAddr;
 
     fn frame() -> SimFrame {
@@ -223,6 +367,11 @@ mod tests {
         let set = m.take_set();
         m.start_tx(node, frame(), Rate::R1, start, end, set, |_| true);
         node
+    }
+
+    fn retire(m: &mut Medium, tx: Transmission) {
+        let end = tx.end;
+        m.retire(tx, end, &NodeSet::new(), &mut Vec::new());
     }
 
     #[test]
@@ -272,7 +421,7 @@ mod tests {
         for node in [9, 2, 7] {
             let id = start(&mut m, node, 100, 5_000);
             let tx = m.end_tx(id).unwrap();
-            m.recycle(tx);
+            retire(&mut m, tx);
         }
         let t = m.end_tx(a).unwrap();
         assert_eq!(t.interferers, vec![2, 7, 9]);
@@ -285,7 +434,7 @@ mod tests {
         for i in 1..4 {
             let id = start(&mut m, i, 0, 100);
             let tx = m.end_tx(id).unwrap();
-            m.recycle(tx);
+            retire(&mut m, tx);
         }
         let t = m.end_tx(long).unwrap();
         assert_eq!(t.interferers, vec![1, 2, 3], "keeps ended interferers");
@@ -299,7 +448,7 @@ mod tests {
         let mut tx = m.end_tx(b).unwrap();
         tx.sensed_by.insert(5);
         assert!(!tx.interferers.is_empty());
-        m.recycle(tx);
+        retire(&mut m, tx);
         let set = m.take_set();
         assert!(set.is_empty(), "pooled set is cleared");
         m.start_tx(2, frame(), Rate::R1, 0, 10, set, |_| true);
@@ -314,5 +463,269 @@ mod tests {
     fn end_unknown_tx_is_none() {
         let mut m = Medium::new();
         assert!(m.end_tx(99).is_none());
+    }
+
+    /// One in-flight frame as the counting oracle sees it.
+    struct Flight {
+        medium: usize,
+        node: NodeId,
+        listeners: Vec<NodeId>,
+        applied: bool,
+    }
+
+    /// The per-listener carrier sense the medium's busy set replaced: a
+    /// count of carrier-sensed frames per station, and an idle time written
+    /// at every edge that leaves a station with no carrier and no NAV.
+    struct CountingOracle {
+        sensed: Vec<u32>,
+        idle_since: Vec<Micros>,
+        flights: Vec<Flight>,
+    }
+
+    /// Random busy/release/NAV/channel-switch sequences over 130 stations
+    /// on two media, checked edge by edge against [`CountingOracle`]:
+    /// whether each station's channel is busy, which contending stations
+    /// each busy and each release edge calls back (NAV permitting), and,
+    /// for every idle station at every step, the idle time a defer reads —
+    /// clamped at one EIFS back, beyond which every value defers alike.
+    #[test]
+    fn carrier_sense_matches_per_listener_counting() {
+        const N: usize = 130;
+        for seed in 0..4 {
+            let mut rng = SimRng::new(seed, 0);
+            // Who senses whom, one word at a time: full words, half-full
+            // words and sparse words all occur (130 = two words and a
+            // two-bit tail).
+            let senses: Vec<NodeSet> = (0..N)
+                .map(|tx| {
+                    let mut set = NodeSet::new();
+                    for word in 0..3 {
+                        let p = [1.0, 0.5, 0.04][rng.gen_range(0..3usize)];
+                        for rx in word * 64..(word * 64 + 64).min(N) {
+                            if rx != tx && rng.gen_bool(p) {
+                                set.insert(rx);
+                            }
+                        }
+                    }
+                    set
+                })
+                .collect();
+            let mut chan: Vec<usize> = (0..N).map(|i| (i >= 120) as usize).collect();
+            let mut media = [Medium::new(), Medium::new()];
+            let mut nav: Vec<Micros> = vec![0; N];
+            let mut stamp: Vec<Micros> = vec![0; N];
+            let mut expiries: Vec<(Micros, NodeId)> = Vec::new();
+            let mut contending = NodeSet::new();
+            let mut oracle = CountingOracle {
+                sensed: vec![0; N],
+                idle_since: vec![0; N],
+                flights: Vec::new(),
+            };
+            let mut hits = Vec::new();
+            let mut now: Micros = 0;
+            let fired = |hits: &[u64], nav: &[Micros], now: Micros| -> Vec<NodeId> {
+                let mut out = Vec::new();
+                for (wi, &w) in hits.iter().enumerate() {
+                    for_each_bit(w, wi * 64, |i| {
+                        if nav[i] <= now {
+                            out.push(i);
+                        }
+                    });
+                }
+                out
+            };
+            for step in 0..3000 {
+                // The next edge: now, a little later, much later, or right
+                // on a pending NAV expiry (so an idle query can land on the
+                // microsecond a NAV ends, before its expiry timer runs).
+                let next_expiry = expiries.iter().map(|e| e.0).min();
+                now = match (rng.gen_range(0..8), next_expiry) {
+                    (0, Some(at)) => at.max(now),
+                    (1 | 2, _) => now,
+                    (3..=5, _) => now + rng.gen_range(1..=60u64),
+                    _ => now + rng.gen_range(1..=500u64),
+                };
+                let query =
+                    |media: &[Medium; 2], nav: &[Micros], stamp: &[Micros], o: &CountingOracle| {
+                        for i in 0..N {
+                            let m = &media[chan[i]];
+                            let busy = m.senses(i) || nav[i] > now;
+                            assert_eq!(
+                                busy,
+                                o.sensed[i] > 0 || nav[i] > now,
+                                "seed {seed} step {step} busy({i})"
+                            );
+                            if !busy {
+                                let floor = now.saturating_sub(dcf::EIFS_US);
+                                let derived = m.idle_since(i, stamp[i], nav[i]);
+                                assert_eq!(
+                                    derived.max(floor),
+                                    o.idle_since[i].max(floor),
+                                    "seed {seed} step {step} idle_since({i}) at {now}"
+                                );
+                            }
+                        }
+                    };
+                // NAV expiry timers run in time order, before the edges of
+                // their microsecond; queries run on both sides of them.
+                expiries.sort_unstable();
+                let fire_until =
+                    |limit: Micros,
+                     media: &[Medium; 2],
+                     stamp: &mut [Micros],
+                     o: &mut CountingOracle,
+                     expiries: &mut Vec<(Micros, NodeId)>| {
+                        while expiries.first().is_some_and(|&(at, _)| at <= limit) {
+                            let (at, i) = expiries.remove(0);
+                            if nav[i] <= at && !media[chan[i]].senses(i) {
+                                stamp[i] = at;
+                            }
+                            if nav[i] <= at && o.sensed[i] == 0 {
+                                o.idle_since[i] = at;
+                            }
+                        }
+                    };
+                fire_until(
+                    now.saturating_sub(1),
+                    &media,
+                    &mut stamp,
+                    &mut oracle,
+                    &mut expiries,
+                );
+                query(&media, &nav, &stamp, &oracle);
+                fire_until(now, &media, &mut stamp, &mut oracle, &mut expiries);
+                query(&media, &nav, &stamp, &oracle);
+
+                match rng.gen_range(0..10) {
+                    // A frame starts on a random medium.
+                    0..=2 => {
+                        let m = rng.gen_range(0..2);
+                        let node = rng.gen_range(0..N);
+                        if chan[node] != m || oracle.flights.iter().any(|f| f.node == node) {
+                            continue;
+                        }
+                        let mut set = media[m].take_set();
+                        let listeners: Vec<NodeId> =
+                            senses[node].iter().filter(|&i| chan[i] == m).collect();
+                        for &i in &listeners {
+                            set.insert(i);
+                        }
+                        let end = now + rng.gen_range(20..2000u64);
+                        media[m].start_tx(node, frame(), Rate::R1, now, end, set, |_| true);
+                        oracle.flights.push(Flight {
+                            medium: m,
+                            node,
+                            listeners,
+                            applied: false,
+                        });
+                    }
+                    // A frame's carrier sense lands.
+                    3 | 4 => {
+                        let Some(f) = oracle.flights.iter_mut().find(|f| !f.applied) else {
+                            continue;
+                        };
+                        f.applied = true;
+                        media[f.medium].apply_cs(f.node, &contending, &mut hits);
+                        let mut expect = Vec::new();
+                        for &i in &f.listeners {
+                            oracle.sensed[i] += 1;
+                            if oracle.sensed[i] == 1 && nav[i] <= now && contending.contains(i) {
+                                expect.push(i);
+                            }
+                        }
+                        expect.sort_unstable();
+                        assert_eq!(
+                            fired(&hits, &nav, now),
+                            expect,
+                            "seed {seed} step {step} busy hits"
+                        );
+                    }
+                    // A carrier-sensed frame ends.
+                    5 | 6 => {
+                        let Some(k) = oracle.flights.iter().position(|f| f.applied) else {
+                            continue;
+                        };
+                        let f = oracle.flights.remove(k);
+                        let tx = media[f.medium].end_tx(f.node).expect("in flight");
+                        media[f.medium].retire(tx, now, &contending, &mut hits);
+                        for &i in &f.listeners {
+                            oracle.sensed[i] -= 1;
+                            if oracle.sensed[i] == 0 && nav[i] <= now {
+                                oracle.idle_since[i] = now;
+                            }
+                        }
+                        let mut expect: Vec<NodeId> = f
+                            .listeners
+                            .iter()
+                            .copied()
+                            .filter(|&i| oracle.sensed[i] == 0 && nav[i] <= now)
+                            .filter(|&i| contending.contains(i))
+                            .collect();
+                        expect.sort_unstable();
+                        assert_eq!(
+                            fired(&hits, &nav, now),
+                            expect,
+                            "seed {seed} step {step} release hits"
+                        );
+                        // The transmitter stamps its own end.
+                        if !media[f.medium].senses(f.node) && nav[f.node] <= now {
+                            stamp[f.node] = now;
+                        }
+                        if oracle.sensed[f.node] == 0 && nav[f.node] <= now {
+                            oracle.idle_since[f.node] = now;
+                        }
+                    }
+                    // An overheard RTS/CTS sets a NAV, always longer than
+                    // one EIFS as the simulator's are.
+                    7 => {
+                        let i = rng.gen_range(0..N);
+                        let until = now + rng.gen_range(dcf::EIFS_US + 1..3000);
+                        if until > nav[i] {
+                            nav[i] = until;
+                            expiries.push((until, i));
+                        }
+                    }
+                    // A station that is not transmitting switches channel,
+                    // mid-frame or not.
+                    8 => {
+                        let i = rng.gen_range(0..N);
+                        if oracle.flights.iter().any(|f| f.node == i) {
+                            continue;
+                        }
+                        let (from, to) = (chan[i], 1 - chan[i]);
+                        media[from].detach(i);
+                        chan[i] = to;
+                        media[to].attach(i, |tx| senses[tx].contains(i));
+                        for f in &mut oracle.flights {
+                            if f.medium == from {
+                                if let Some(k) = f.listeners.iter().position(|&l| l == i) {
+                                    f.listeners.remove(k);
+                                    oracle.sensed[i] -= f.applied as u32;
+                                }
+                            } else if senses[f.node].contains(i) {
+                                f.listeners.push(i);
+                                oracle.sensed[i] += f.applied as u32;
+                            }
+                        }
+                        nav[i] = 0;
+                        stamp[i] = now;
+                        oracle.idle_since[i] = now;
+                    }
+                    // Stations enter and leave contention.
+                    _ => {
+                        for _ in 0..12 {
+                            let i = rng.gen_range(0..N);
+                            if !contending.remove(i) {
+                                contending.insert(i);
+                            }
+                        }
+                    }
+                }
+                assert!(
+                    media.iter().all(Medium::busy_consistent),
+                    "seed {seed} step {step}"
+                );
+            }
+        }
     }
 }

@@ -117,16 +117,18 @@ pub struct Simulator {
     queue: EventQueue,
     stations: Vec<Station>,
     /// Struct-of-arrays columns of the per-station hot state (contention,
-    /// carrier sense, NAV, identity keys), parallel to `stations`. The
-    /// carrier-sense busy/release loops touch one field of many stations
-    /// per frame; packed columns keep those walks on a few cache lines.
+    /// NAV, idle stamps, identity keys), parallel to `stations`. Carrier
+    /// sense itself is a bitset per medium; packed columns keep the MAC
+    /// callbacks of a busy or release edge on a few cache lines.
     hot: HotState,
     sniffers: Vec<Sniffer>,
     /// One medium per channel (`media[c]` is channel `c`), in every
     /// simulator, whole or shard. Every effect of a transmission —
     /// reception, NAV, carrier sense, sniffer capture — is confined to its
     /// channel's medium and, within it, to the transmitter's RF-coupled
-    /// stations, so a shard's co-channel components never interact.
+    /// stations, so a shard's co-channel components never interact. Each
+    /// medium also keeps which of its stations sense energy, and the
+    /// listeners of its recent releases.
     media: Vec<Medium>,
     mac_index: HashMap<MacAddr, NodeId>,
     /// Ground truth.
@@ -147,9 +149,9 @@ pub struct Simulator {
     sniffer_rngs: Vec<SimRng>,
     /// Scratch: sampled MSDU sizes of one traffic batch.
     sizes_scratch: Vec<u32>,
-    /// Scratch: the words of `sensed_by ∩ contending` while applying or
-    /// releasing carrier-sense busy — the listeners the MAC callback pass
-    /// visits (see [`Self::on_cs_busy`]).
+    /// Scratch: the words of the contending listeners whose carrier a busy
+    /// or release edge changed — the stations the MAC callback pass visits
+    /// (see [`Self::on_cs_busy`]).
     cs_scratch: Vec<u64>,
     /// Scratch: per-channel air-time deltas of one channel evaluation.
     eval_deltas: Vec<u64>,
@@ -225,8 +227,10 @@ impl Simulator {
         &self.stations
     }
 
-    /// The struct-of-arrays hot-state columns (contention, carrier sense,
-    /// NAV, keys), indexed by node id parallel to [`Self::stations`].
+    /// The struct-of-arrays hot-state columns (contention, NAV, idle
+    /// stamps, keys), indexed by node id parallel to [`Self::stations`].
+    /// Carrier sense is not among them: it is derived from the in-flight
+    /// transmissions of each channel's [`Medium`].
     pub fn hot(&self) -> &HotState {
         &self.hot
     }
@@ -502,6 +506,10 @@ impl Simulator {
                 self.hot.contending_consistent(),
                 "contending set out of step with MAC state"
             );
+            debug_assert!(
+                self.media.iter().all(Medium::busy_consistent),
+                "busy set out of step with the carrier-sensed transmissions"
+            );
         }
         self.batch_scratch = batch;
         self.now = until;
@@ -581,7 +589,7 @@ impl Simulator {
     fn on_timer(&mut self, node: NodeId, kind: TimerKind) {
         match kind {
             TimerKind::NavExpired => {
-                if self.hot.nav_until[node] <= self.now && self.hot.sensed[node] == 0 {
+                if !self.channel_busy(node) {
                     self.on_channel_idle(node);
                 }
             }
@@ -880,7 +888,7 @@ impl Simulator {
         let now = self.now;
         let difs = self.defer_interval(node);
         debug_assert!(self.stations[node].current.is_some());
-        if self.hot.channel_busy(node, now) {
+        if self.channel_busy(node) {
             if self.hot.backoff_slots[node] == 0 {
                 let cw = self.hot.cw[node];
                 self.hot.backoff_slots[node] = draw_backoff(&mut self.stations[node].rng, cw);
@@ -890,7 +898,12 @@ impl Simulator {
         }
         // Channel idle. Immediate transmission is allowed only with no
         // pending backoff and a DIFS of idle time already behind us.
-        if self.hot.backoff_slots[node] == 0 && self.hot.idle_since[node] + difs <= now {
+        let idle_since = self.media[self.hot.channel_idx[node]].idle_since(
+            node,
+            self.hot.idle_stamp[node],
+            self.hot.nav_until[node],
+        );
+        if self.hot.backoff_slots[node] == 0 && idle_since + difs <= now {
             self.transmit_current(node);
             return;
         }
@@ -899,8 +912,15 @@ impl Simulator {
             self.hot.backoff_slots[node] = draw_backoff(&mut self.stations[node].rng, cw);
         }
         self.hot.set_state(node, MacState::WaitDefer);
-        let ready_at = (self.hot.idle_since[node] + difs).max(now);
+        let ready_at = (idle_since + difs).max(now);
         self.queue.arm_timer(node, TimerKind::DeferDone, ready_at);
+    }
+
+    /// The channel is busy for `node` right now: it senses a transmission,
+    /// or its NAV is set.
+    #[inline]
+    fn channel_busy(&self, node: NodeId) -> bool {
+        self.media[self.hot.channel_idx[node]].senses(node) || self.hot.nav_until[node] > self.now
     }
 
     fn defer_interval(&self, node: NodeId) -> Micros {
@@ -917,7 +937,7 @@ impl Simulator {
             return;
         }
         self.hot.use_eifs[node] = false;
-        if self.hot.channel_busy(node, now) {
+        if self.channel_busy(node) {
             self.hot.set_state(node, MacState::Frozen);
             return;
         }
@@ -968,7 +988,7 @@ impl Simulator {
     /// The channel turned idle for `node`: restart the defer.
     fn on_channel_idle(&mut self, node: NodeId) {
         let now = self.now;
-        self.hot.idle_since[node] = now;
+        self.hot.idle_stamp[node] = now;
         if self.hot.state(node) == MacState::Frozen {
             self.hot.set_state(node, MacState::WaitDefer);
             let difs = self.defer_interval(node);
@@ -1096,25 +1116,21 @@ impl Simulator {
 
     /// One detection delay into a transmission: listeners now sense energy.
     ///
-    /// Two passes over the listener bitset's words, both ascending. The
-    /// counter pass ([`HotState::sense_busy`]) raises `sensed` for every
-    /// listener and collects, into a reused scratch buffer, the listeners
-    /// that are also contending. The callback pass freezes those whose
-    /// channel just turned busy. The split
-    /// is exact: [`Self::on_channel_busy`] acts only on `WaitDefer`/`Backoff`
-    /// (both contending) and touches nothing but its own station, so the
-    /// callbacks, and the queue operations they make, run in the same order
-    /// as in one interleaved pass.
+    /// [`Medium::apply_cs`] adds the listener set to the medium's busy set
+    /// and collects, into a reused scratch buffer, the listeners that were
+    /// idle and are contending; the callback pass then freezes those whose
+    /// NAV was not already holding them. Only contending listeners need a
+    /// callback: [`Self::on_channel_busy`] acts only on `WaitDefer`/`Backoff`
+    /// and touches nothing but its own station, so the callbacks, and the
+    /// queue operations they make, run in ascending id order as in a walk
+    /// over every listener.
     fn on_cs_busy(&mut self, medium: usize, node: NodeId) {
         let now = self.now;
         let mut hits = std::mem::take(&mut self.cs_scratch);
-        let Simulator { media, hot, .. } = self;
-        let sensed_by = media[medium].mark_cs_applied(node);
-        hot.sense_busy(sensed_by.words(), &mut hits);
+        self.media[medium].apply_cs(node, self.hot.contending(), &mut hits);
         for (wi, &w) in hits.iter().enumerate() {
             for_each_bit(w, wi * 64, |i| {
-                // Busy now; idle before this frame's own increment?
-                if self.hot.sensed[i] == 1 && self.hot.nav_until[i] <= now {
+                if self.hot.nav_until[i] <= now {
                     self.on_channel_busy(i);
                 }
             });
@@ -1203,31 +1219,27 @@ impl Simulator {
                 .push(tx.frame.to_record(tx.end, tx.rate, ch, sig));
         }
 
-        // 6. Release carrier sense: the same two ascending passes as
-        // `on_cs_busy`. The counter pass (`HotState::sense_release`) lowers
-        // `sensed` and stamps
-        // `idle_since` wherever the channel went idle — all that
-        // `on_channel_idle` does outside `Frozen` — and collects the
-        // contending listeners; the callback pass restarts the defer of
-        // those that went idle (a no-op re-stamp for `WaitDefer`/`Backoff`).
-        if tx.cs_applied {
-            let mut hits = std::mem::take(&mut self.cs_scratch);
-            self.hot.sense_release(tx.sensed_by.words(), now, &mut hits);
-            for (wi, &w) in hits.iter().enumerate() {
-                for_each_bit(w, wi * 64, |i| {
-                    if !self.hot.channel_busy(i, now) {
-                        self.on_channel_idle(i);
-                    }
-                });
-            }
-            self.cs_scratch = hits;
+        // 6. Release carrier sense (and return the transmission's buffers):
+        // the medium's busy set drops the listeners no other frame holds and
+        // keeps the listener set as a release at `now`, which is the idle
+        // edge every listener's next defer reads. The callback pass then
+        // restarts the defer of the contending listeners that went idle, NAV
+        // permitting (a no-op re-stamp outside `Frozen`).
+        let transmitter = tx.node;
+        let mut hits = std::mem::take(&mut self.cs_scratch);
+        self.media[channel].retire(tx, now, self.hot.contending(), &mut hits);
+        for (wi, &w) in hits.iter().enumerate() {
+            for_each_bit(w, wi * 64, |i| {
+                if self.hot.nav_until[i] <= now {
+                    self.on_channel_idle(i);
+                }
+            });
         }
+        self.cs_scratch = hits;
         // The transmitter itself: its own channel went quiet from its side.
-        if !self.hot.channel_busy(tx.node, now) {
-            self.hot.idle_since[tx.node] = now;
+        if !self.channel_busy(transmitter) {
+            self.hot.idle_stamp[transmitter] = now;
         }
-        // 7. Recycle the transmission's listener set and interferer list.
-        self.media[channel].recycle(tx);
     }
 
     fn advance_transmitter(&mut self, tx: &crate::medium::Transmission) {
@@ -1259,12 +1271,12 @@ impl Simulator {
                 let has_work = self.stations[node].current.is_some();
                 if has_work {
                     self.hot.set_state(node, MacState::Frozen);
-                    if !self.hot.channel_busy(node, now) {
+                    if !self.channel_busy(node) {
                         self.on_channel_idle(node);
                     }
                 } else {
                     self.hot.set_state(node, MacState::Idle);
-                    self.hot.idle_since[node] = now;
+                    self.hot.idle_stamp[node] = now;
                     self.try_dequeue(node);
                 }
             }
@@ -1507,7 +1519,7 @@ impl Simulator {
             }
             let decoded = matches!(self.decode_at(tx, i), Some((true, _)));
             if decoded && until > self.hot.nav_until[i] {
-                let was_busy = self.hot.channel_busy(i, now);
+                let was_busy = self.channel_busy(i);
                 self.hot.nav_until[i] = until;
                 if !was_busy {
                     self.on_channel_busy(i);
@@ -1691,12 +1703,7 @@ impl Simulator {
         }
         let now = self.now;
         // Detach from the old channel's in-flight transmissions.
-        for tx in self.media[old_idx].active_mut() {
-            if tx.sensed_by.remove(node) && tx.cs_applied {
-                debug_assert!(self.hot.sensed[node] > 0);
-                self.hot.sensed[node] = self.hot.sensed[node].saturating_sub(1);
-            }
-        }
+        self.media[old_idx].detach(node);
         // Pause any contention countdown; NAV from the old channel is void.
         self.on_channel_busy(node); // freezes WaitDefer/Backoff safely
         self.hot.nav_until[node] = 0;
@@ -1706,23 +1713,10 @@ impl Simulator {
         self.medium_members[new_idx].insert(node);
         // Attach to the new channel's in-flight transmissions (carrier-sense
         // reachability comes straight from the cached topology row).
-        let mut sensed_gain = 0u32;
-        {
-            let Simulator {
-                media, topology, ..
-            } = self;
-            for tx in media[new_idx].active_mut() {
-                if topology.sensed(tx.node, node) {
-                    tx.sensed_by.insert(node);
-                    if tx.cs_applied {
-                        sensed_gain += 1;
-                    }
-                }
-            }
-        }
-        self.hot.sensed[node] += sensed_gain;
-        self.hot.idle_since[node] = now;
-        if self.hot.state(node) == MacState::Frozen && !self.hot.channel_busy(node, now) {
+        let topology = &self.topology;
+        self.media[new_idx].attach(node, |tx| topology.sensed(tx, node));
+        self.hot.idle_stamp[node] = now;
+        if self.hot.state(node) == MacState::Frozen && !self.channel_busy(node) {
             self.on_channel_idle(node);
         }
         true
@@ -1742,8 +1736,8 @@ impl Simulator {
     /// Frames already in the air keep the physics they started with:
     /// `sensed_by` sets and interferer lists are snapshotted at TX start,
     /// and their carrier-sense release consumes those snapshots, so moving
-    /// a station mid-frame leaves no dangling CS counts. The new position
-    /// governs every transmission that starts after the move.
+    /// a station mid-frame leaves no dangling carrier sense. The new
+    /// position governs every transmission that starts after the move.
     pub fn move_station(&mut self, node: NodeId, pos: Pos) {
         self.stations[node].pos = pos;
         self.topology.update_station(node, pos, &self.config.radio);

@@ -11,7 +11,7 @@ use crate::frame_info::SimFrame;
 use crate::geometry::Pos;
 use crate::rate::{RateAdaptation, RateAdapter};
 use crate::rng::SimRng;
-use crate::topology::{for_each_bit, NodeSet};
+use crate::topology::NodeSet;
 use crate::traffic::TrafficProfile;
 use std::collections::{HashMap, VecDeque};
 use wifi_frames::fc::FrameKind;
@@ -182,11 +182,12 @@ pub struct StationStats {
 /// reception, extracted from [`Station`] into parallel vectors indexed by
 /// [`NodeId`].
 ///
-/// The carrier-sense busy/release fan-outs walk a listener bitset twice per
-/// frame: a counter pass touching `sensed` (and, on release, `nav_until`
-/// and `idle_since`) for every listening station, then a MAC-callback pass
-/// over the listeners that are also *contending* — in `WaitDefer`,
-/// `Backoff` or `Frozen`, tracked as a bitset beside `state`. With the
+/// Carrier sense itself is not here: each [`crate::medium::Medium`] keeps
+/// the set of its stations that sense energy, so a busy or release edge
+/// is word-wide set arithmetic on the listener bitset, and only the
+/// listeners whose carrier changed *and* that are *contending* — in
+/// `WaitDefer`, `Backoff` or `Frozen`, tracked as a bitset beside `state` —
+/// get a MAC callback, which reads `nav_until` and `state` here. With the
 /// fields inline in `Station` (a multi-hundred-byte struct holding queues
 /// and adapter maps) each touch was a fresh cache line. Packed columns put
 /// 8–16 stations' worth of one field on a line. Cold state (MAC, queue
@@ -199,18 +200,19 @@ pub struct HotState {
     state: Vec<MacState>,
     /// Stations whose `state` is `WaitDefer`, `Backoff` or `Frozen` — the
     /// only states a carrier-sense busy or idle transition acts on beyond
-    /// the counters and the idle stamp.
+    /// the idle stamp.
     contending: NodeSet,
     /// Remaining backoff slots (meaningful in WaitDefer/Frozen/Backoff).
     pub backoff_slots: Vec<u32>,
     /// Current contention-window size.
     pub cw: Vec<u32>,
-    /// Number of carrier-sensed in-flight transmissions.
-    pub sensed: Vec<u32>,
     /// NAV expiry.
     pub nav_until: Vec<Micros>,
-    /// When the channel last became idle for this station.
-    pub idle_since: Vec<Micros>,
+    /// The station's own record of when its channel went idle: the end of
+    /// its own transmission, a NAV expiry, a channel switch. The idle edges
+    /// that other stations' releases make are kept by the medium instead;
+    /// [`crate::medium::Medium::idle_since`] combines the two.
+    pub idle_stamp: Vec<Micros>,
     /// Whether the next defer must use EIFS (after an undecodable frame).
     pub use_eifs: Vec<bool>,
     /// End time of the station's own most recent transmission
@@ -242,9 +244,8 @@ impl HotState {
         self.state.push(MacState::Idle);
         self.backoff_slots.push(0);
         self.cw.push(dcf::CW_MIN);
-        self.sensed.push(0);
         self.nav_until.push(0);
-        self.idle_since.push(0);
+        self.idle_stamp.push(0);
         self.use_eifs.push(false);
         self.tx_until.push(0);
         self.channel_idx.push(channel_idx);
@@ -271,55 +272,10 @@ impl HotState {
         }
     }
 
-    /// Counter pass of a carrier-sense busy fan-out over the listener
-    /// bitset `words` ([`NodeSet::words`]): raises `sensed` for every
-    /// listener and writes `words ∩ contending` into `hits` (cleared first),
-    /// the listeners the MAC callback pass visits.
-    pub(crate) fn sense_busy(&mut self, words: &[u64], hits: &mut Vec<u64>) {
-        hits.clear();
-        for (wi, &w) in words.iter().enumerate() {
-            let base = wi * 64;
-            if w == u64::MAX {
-                // A dense cell fills whole words: a plain slice loop, which
-                // the compiler vectorizes.
-                self.sensed[base..base + 64]
-                    .iter_mut()
-                    .for_each(|s| *s += 1);
-            } else {
-                for_each_bit(w, base, |i| self.sensed[i] += 1);
-            }
-            hits.push(w & self.contending.word(wi));
-        }
-    }
-
-    /// Counter pass of a carrier-sense release (see [`Self::sense_busy`]):
-    /// lowers `sensed` for every listener, stamps `idle_since = now` where
-    /// the channel went idle (no carrier left, NAV expired), and writes
-    /// `words ∩ contending` into `hits`.
-    pub(crate) fn sense_release(&mut self, words: &[u64], now: Micros, hits: &mut Vec<u64>) {
-        hits.clear();
-        for (wi, &w) in words.iter().enumerate() {
-            let base = wi * 64;
-            if w == u64::MAX {
-                let sensed = &mut self.sensed[base..base + 64];
-                sensed.iter_mut().for_each(|s| *s -= 1);
-                let nav = &self.nav_until[base..base + 64];
-                let idle = &mut self.idle_since[base..base + 64];
-                for ((&s, &nav), idle) in sensed.iter().zip(nav).zip(idle) {
-                    if s == 0 && nav <= now {
-                        *idle = now;
-                    }
-                }
-            } else {
-                for_each_bit(w, base, |i| {
-                    self.sensed[i] -= 1;
-                    if self.sensed[i] == 0 && self.nav_until[i] <= now {
-                        self.idle_since[i] = now;
-                    }
-                });
-            }
-            hits.push(w & self.contending.word(wi));
-        }
+    /// The contending stations (see [`HotState::set_state`]).
+    #[inline]
+    pub(crate) fn contending(&self) -> &NodeSet {
+        &self.contending
     }
 
     /// Whether `contending` holds exactly the stations whose state is
@@ -339,12 +295,6 @@ impl HotState {
     /// True when no stations have been added.
     pub fn is_empty(&self) -> bool {
         self.state.is_empty()
-    }
-
-    /// The channel is busy for station `node` right now?
-    #[inline]
-    pub fn channel_busy(&self, node: NodeId, now: Micros) -> bool {
-        self.sensed[node] > 0 || self.nav_until[node] > now
     }
 
     /// Was station `node` transmitting at any point in `[start, end]`?
@@ -584,18 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_combines_carrier_sense_and_nav() {
-        let mut h = hot_with_one();
-        assert!(!h.channel_busy(0, 100));
-        h.sensed[0] = 1;
-        assert!(h.channel_busy(0, 100));
-        h.sensed[0] = 0;
-        h.nav_until[0] = 200;
-        assert!(h.channel_busy(0, 100));
-        assert!(!h.channel_busy(0, 200));
-    }
-
-    #[test]
     fn backoff_consumption_floors_partial_slots() {
         let mut h = hot_with_one();
         h.backoff_slots[0] = 10;
@@ -652,42 +590,6 @@ mod tests {
                 assert!(!h.contending.contains(0), "neighbour untouched");
                 assert!(h.contending_consistent());
             }
-        }
-    }
-
-    #[test]
-    fn sense_passes_match_per_station_counting() {
-        // 130 stations: one full word, one partial word, one sparse word,
-        // so both the slice path and the bit path run.
-        let mut h = HotState::default();
-        for key in 0..130 {
-            h.push(0, key, false);
-        }
-        let words = [u64::MAX, 0xF0F0_0000_0000_0001, 0b10];
-        let listeners: Vec<usize> = (0..130)
-            .filter(|&i| words[i / 64] >> (i % 64) & 1 == 1)
-            .collect();
-        h.set_state(3, MacState::Frozen);
-        h.set_state(64, MacState::WaitDefer);
-        h.set_state(65, MacState::Idle);
-        h.set_state(129, MacState::Frozen);
-        h.sensed[5] = 1; // already busy from another frame
-        h.nav_until[7] = 500; // NAV outlives the release at 300
-        let mut hits = Vec::new();
-
-        h.sense_busy(&words, &mut hits);
-        assert_eq!(hits, [1 << 3, 1, 1 << 1]);
-        for i in 0..130 {
-            let raised = listeners.contains(&i) as u32 + (i == 5) as u32;
-            assert_eq!(h.sensed[i], raised, "station {i}");
-        }
-
-        h.sense_release(&words, 300, &mut hits);
-        assert_eq!(hits, [1 << 3, 1, 1 << 1]);
-        for i in 0..130 {
-            assert_eq!(h.sensed[i], (i == 5) as u32, "station {i}");
-            let went_idle = listeners.contains(&i) && i != 5 && i != 7;
-            assert_eq!(h.idle_since[i], if went_idle { 300 } else { 0 }, "{i}");
         }
     }
 

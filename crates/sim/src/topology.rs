@@ -100,6 +100,16 @@ impl NodeSet {
         })
     }
 
+    /// Adds every id of `other`.
+    pub(crate) fn union_with(&mut self, other: &NodeSet) {
+        if self.words.len() < other.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (w, &o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+
     /// The backing words: bit `i % 64` of word `i / 64` is id `i`. The
     /// carrier-sense fan-outs walk them in place, ascending like
     /// [`NodeSet::iter`].

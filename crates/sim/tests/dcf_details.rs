@@ -1,10 +1,13 @@
 //! Finer-grained DCF behaviour tests: duration fields, NAV protection,
-//! queue overflow, fading-driven rate selection, DSSS processing gain, and
-//! the carrier-sense vulnerability window.
+//! queue overflow, fading-driven rate selection, DSSS processing gain, the
+//! carrier-sense vulnerability window, and the exact DIFS/EIFS, NAV and
+//! channel-switch boundaries of channel access.
 
 use wifi_frames::fc::FrameKind;
-use wifi_frames::phy::Rate;
-use wifi_frames::timing::delay;
+use wifi_frames::mac::MacAddr;
+use wifi_frames::phy::{Preamble, Rate};
+use wifi_frames::record::FrameRecord;
+use wifi_frames::timing::{dcf, delay, frame_airtime_us};
 use wifi_sim::geometry::Pos;
 use wifi_sim::radio::{Fading, RadioConfig};
 use wifi_sim::rate::RateAdaptation;
@@ -494,4 +497,293 @@ fn one_retry_limit_drops_an_msdu_after_eight_attempts() {
     let (frames, drops) = frames_after_ap_loss(RtsPolicy::Threshold(0));
     assert!(frames.iter().all(|r| r.kind == FrameKind::Rts));
     assert_eq!(frames.len() as u64, 8 * drops);
+}
+
+// ----------------------------------------------------------------------
+// Channel-access boundaries. A station that joins queues its probe request
+// and enters channel access at exactly its join time, so the tests below
+// place that moment relative to a release read off a reference run's
+// ground-truth tape (the same scenario with the station joining late).
+// ----------------------------------------------------------------------
+
+/// Air start of a ground-truth record (records carry the end time).
+fn start_of(r: &FrameRecord) -> u64 {
+    r.timestamp_us - frame_airtime_us(r.mac_bytes as u64, r.rate, Preamble::Long)
+}
+
+/// A client that joins at `join_at_us` and offers no traffic of its own.
+fn silent_client(pos: Pos, channel_idx: usize, join_at_us: u64) -> ClientConfig {
+    ClientConfig {
+        channel_idx,
+        traffic: TrafficProfile::silent(),
+        join_at_us,
+        ..base_client(pos, 0.0, 0)
+    }
+}
+
+/// The first frame `src` sent that ends after `after`.
+fn first_from(tape: &[FrameRecord], src: MacAddr, after: u64) -> &FrameRecord {
+    tape.iter()
+        .find(|r| r.src == Some(src) && r.timestamp_us > after)
+        .expect("the station transmitted")
+}
+
+/// An AP and a silent client three metres away that joins at `join_at`;
+/// the client's MAC and the ground-truth tape of the first 300 ms.
+fn join_near_ap(join_at: u64) -> (MacAddr, Vec<FrameRecord>) {
+    let mut sim = Simulator::new(SimConfig {
+        record_ground_truth: true,
+        ..SimConfig::default()
+    });
+    sim.add_ap(Pos::new(0.0, 0.0), 0, 6);
+    let p = sim.add_client(silent_client(Pos::new(3.0, 0.0), 0, join_at));
+    sim.run_until(300_000);
+    (sim.stations()[p].mac, sim.ground_truth.records.clone())
+}
+
+#[test]
+fn a_frame_queued_difs_after_a_sensed_release_goes_at_once() {
+    let (_, reference) = join_near_ap(10 * SEC);
+    let beacon = reference
+        .iter()
+        .find(|r| r.kind == FrameKind::Beacon)
+        .expect("the AP beacons");
+    let release = beacon.timestamp_us;
+
+    // Exactly DIFS of idle air behind it, no backoff pending: straight on.
+    let (p, tape) = join_near_ap(release + dcf::DIFS_US);
+    let probe = first_from(&tape, p, release);
+    assert_eq!(probe.kind, FrameKind::ProbeRequest);
+    assert_eq!(start_of(probe), release + dcf::DIFS_US);
+
+    // One microsecond short: it defers to the DIFS boundary, then backs off.
+    let (p, tape) = join_near_ap(release + dcf::DIFS_US - 1);
+    let probe = first_from(&tape, p, release);
+    assert_eq!(probe.kind, FrameKind::ProbeRequest);
+    let start = start_of(probe);
+    assert!(start >= release + dcf::DIFS_US, "started at {start}");
+    assert_eq!(
+        (start - release - dcf::DIFS_US) % dcf::SLOT_US,
+        0,
+        "whole slots after DIFS"
+    );
+}
+
+/// A talker that protects every data frame with RTS/CTS, its AP, and a
+/// silent client `P` that joins at `join_at`. `P` sits next to the talker
+/// but beyond carrier-sense range of the AP, so only the NAV it sets from
+/// the talker's RTS covers the AP's CTS and ACK. Returns the talker's and
+/// `P`'s MACs and the tape of the first 2 s.
+fn nav_cell(join_at: u64) -> (MacAddr, MacAddr, Vec<FrameRecord>) {
+    let mut sim = Simulator::new(SimConfig {
+        record_ground_truth: true,
+        ..SimConfig::default()
+    });
+    let cs_range = sim
+        .config
+        .radio
+        .range_at_dbm(sim.config.radio.cs_threshold_dbm);
+    sim.add_ap(Pos::new(0.0, 0.0), 0, 6);
+    let talker = sim.add_client(ClientConfig {
+        rts_policy: RtsPolicy::Always,
+        ..base_client(Pos::new(cs_range - 2.0, 0.0), 20.0, 1000)
+    });
+    let p = sim.add_client(silent_client(Pos::new(cs_range + 2.0, 0.0), 0, join_at));
+    sim.run_until(2 * SEC);
+    let mac = |i: usize| sim.stations()[i].mac;
+    (mac(talker), mac(p), sim.ground_truth.records.clone())
+}
+
+#[test]
+fn nav_outlives_the_releases_it_covers() {
+    let (talker, _, reference) = nav_cell(10 * SEC);
+    // The first RTS whose exchange went through: its data frame follows
+    // the CTS by one SIFS.
+    let data_after = |rts: &FrameRecord| {
+        let cts_air = frame_airtime_us(14, Rate::R1, Preamble::Long);
+        let data_start = rts.timestamp_us + 2 * delay::SIFS + cts_air;
+        reference.iter().find(|r| {
+            r.src == Some(talker) && r.kind == FrameKind::Data && start_of(r) == data_start
+        })
+    };
+    let (rts, data) = reference
+        .iter()
+        .filter(|r| r.src == Some(talker) && r.kind == FrameKind::Rts)
+        .find_map(|rts| Some((rts, data_after(rts)?)))
+        .expect("an RTS-protected exchange");
+    let nav_until = rts.timestamp_us + rts.duration_us as u64;
+    assert!(
+        data.timestamp_us < nav_until,
+        "the NAV outlives the data frame"
+    );
+
+    // DIFS after the RTS (the CTS, which P cannot sense, is in the air),
+    // and DIFS after the data frame (the ACK is): both wait out the NAV.
+    for join_at in [
+        rts.timestamp_us + dcf::DIFS_US,
+        data.timestamp_us + dcf::DIFS_US,
+    ] {
+        let (_, p, tape) = nav_cell(join_at);
+        let probe = first_from(&tape, p, join_at);
+        assert_eq!(probe.kind, FrameKind::ProbeRequest);
+        let start = start_of(probe);
+        assert!(
+            start >= nav_until + dcf::DIFS_US,
+            "joined at {join_at}, started at {start}, NAV until {nav_until}"
+        );
+    }
+}
+
+/// An AP on the first of three channels and a silent client `P` three
+/// metres away, tuned to the second, that joins at `join_at`: finding no
+/// AP there, it switches to the AP's channel on the spot. Returns `P`'s
+/// MAC, the AP's channel and the tape of the first 300 ms.
+fn switch_cell(join_at: u64) -> (MacAddr, wifi_frames::phy::Channel, Vec<FrameRecord>) {
+    let mut sim = Simulator::new(SimConfig {
+        record_ground_truth: true,
+        ..SimConfig::ietf_three_channels(2)
+    });
+    sim.add_ap(Pos::new(0.0, 0.0), 0, 6);
+    let p = sim.add_client(silent_client(Pos::new(3.0, 0.0), 1, join_at));
+    sim.run_until(300_000);
+    let channel = sim.config.channels[0];
+    (
+        sim.stations()[p].mac,
+        channel,
+        sim.ground_truth.records.clone(),
+    )
+}
+
+#[test]
+fn a_channel_switch_mid_frame_senses_the_frame_in_the_air() {
+    let (_, _, reference) = switch_cell(10 * SEC);
+    let beacon = reference
+        .iter()
+        .find(|r| r.kind == FrameKind::Beacon)
+        .expect("the AP beacons");
+    let (start, end) = (start_of(beacon), beacon.timestamp_us);
+    // Halfway through the beacon, well after its carrier reached listeners.
+    let join_at = (start + end) / 2;
+    let (p, channel, tape) = switch_cell(join_at);
+    let probe = first_from(&tape, p, join_at);
+    assert_eq!(probe.kind, FrameKind::ProbeRequest);
+    assert_eq!(probe.channel, channel, "P switched to the AP's channel");
+    let probe_start = start_of(probe);
+    assert!(
+        probe_start >= end + dcf::DIFS_US,
+        "switched at {join_at} into a beacon ending at {end}, started at {probe_start}"
+    );
+    assert_eq!(
+        (probe_start - end - dcf::DIFS_US) % dcf::SLOT_US,
+        0,
+        "whole slots after DIFS"
+    );
+}
+
+/// The EIFS cell: an AP sending 11 Mb/s downlink to a client `P` at the
+/// edge of its range, where most data frames fail to decode (so `P` owes
+/// EIFS) while 1 Mb/s management and ACKs get through, and a second AP
+/// that `P` roams to. Carrier sense reaches a little further than the
+/// default so that `P` senses the frames it cannot decode.
+struct EifsCell {
+    sim: Simulator,
+    p: usize,
+}
+
+impl EifsCell {
+    fn new(seed: u64) -> EifsCell {
+        let radio = RadioConfig {
+            cs_threshold_dbm: -89.0,
+            ..RadioConfig::default()
+        };
+        let edge = radio.range_at_dbm(-86.0);
+        let mut sim = Simulator::new(SimConfig {
+            seed,
+            eifs_enabled: true,
+            record_ground_truth: true,
+            radio,
+            ..SimConfig::default()
+        });
+        sim.add_ap_with(
+            Pos::new(0.0, 0.0),
+            0,
+            6,
+            RateAdaptation::Fixed(Rate::R11),
+            RtsPolicy::Never,
+        );
+        sim.add_ap(Pos::new(-2.0 * edge, 0.0), 0, 6);
+        let p = sim.add_client(ClientConfig {
+            traffic: TrafficProfile {
+                uplink: FlowConfig::off(),
+                downlink: FlowConfig::poisson(40.0, SizeDist::fixed(1000)),
+            },
+            ..silent_client(Pos::new(edge, 0.0), 0, 0)
+        });
+        EifsCell { sim, p }
+    }
+
+    /// The first release after the first downlink frame to `P` that is
+    /// followed by at least two EIFS of silence on the whole channel.
+    fn quiet_release(seed: u64) -> Option<u64> {
+        let mut cell = EifsCell::new(seed);
+        cell.sim.run_until(2 * SEC);
+        let p_mac = cell.sim.stations()[cell.p].mac;
+        let mut tape = cell.sim.ground_truth.records.clone();
+        tape.sort_by_key(start_of);
+        let first = tape
+            .iter()
+            .position(|r| r.kind == FrameKind::Data && r.dst == p_mac)?;
+        (first..tape.len() - 1).find_map(|i| {
+            let release = tape[i].timestamp_us;
+            let in_flight = tape[..=i].iter().any(|r| r.timestamp_us > release);
+            let next = start_of(&tape[i + 1]);
+            (!in_flight && next > release + 2 * dcf::EIFS_US).then_some(release)
+        })
+    }
+
+    /// Runs to `at`, then has `P` walk next to the second AP and roam to
+    /// it, so its reassociation request enters channel access at `at`.
+    /// Returns that request's air start.
+    fn roam_at(mut self, at: u64) -> u64 {
+        self.sim.run_until(at);
+        let p = self.p;
+        let near_second_ap = Pos::new(3.0 - 2.0 * self.sim.config.radio.range_at_dbm(-86.0), 0.0);
+        self.sim.move_station(p, near_second_ap);
+        assert!(self.sim.reassociate_strongest(p, 0.0), "P roams at {at}");
+        self.sim.run_until(at + 50_000);
+        let mac = self.sim.stations()[p].mac;
+        let req = first_from(&self.sim.ground_truth.records, mac, at);
+        assert_eq!(req.kind, FrameKind::AssocRequest);
+        start_of(req)
+    }
+}
+
+#[test]
+fn eifs_boundary_after_a_failed_decode() {
+    // Only a station with no backoff pending can go at once, and `P` draws
+    // a backoff whenever a delivery of its own completes: take the first
+    // seed whose quiet release finds `P` owing EIFS with none pending.
+    let (seed, release) = (0..200)
+        .find_map(|seed| {
+            let release = EifsCell::quiet_release(seed)?;
+            let mut probe = EifsCell::new(seed);
+            probe.sim.run_until(release);
+            let (hot, p) = (probe.sim.hot(), probe.p);
+            let associated = probe.sim.stations()[p].associated_ap.is_some();
+            (associated && hot.use_eifs[p] && hot.backoff_slots[p] == 0).then_some((seed, release))
+        })
+        .expect("some seed leaves P owing EIFS with no backoff pending");
+    let roam = |at: u64| EifsCell::new(seed).roam_at(at);
+
+    // Exactly EIFS of idle air behind it: straight on.
+    assert_eq!(roam(release + dcf::EIFS_US), release + dcf::EIFS_US);
+    // One microsecond short: it defers to the EIFS boundary, then backs off.
+    let short = roam(release + dcf::EIFS_US - 1);
+    assert!(short >= release + dcf::EIFS_US, "started at {short}");
+    assert_eq!((short - release - dcf::EIFS_US) % dcf::SLOT_US, 0);
+    // DIFS after the release the EIFS is still running.
+    assert!(roam(release + dcf::DIFS_US) >= release + dcf::EIFS_US);
+    // A release more than one EIFS old holds nothing back.
+    let late = release + 2 * dcf::EIFS_US;
+    assert_eq!(roam(late), late);
 }
