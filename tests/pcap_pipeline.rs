@@ -131,3 +131,90 @@ fn pcapng_capture_is_auto_detected() {
         assert_eq!(x.frames, y.frames);
     }
 }
+
+/// FNV-1a over a byte string: enough to make any drift in the written
+/// bytes unmistakable.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
+/// Small ramp, day and plenary runs with a large RTS fraction, so every
+/// frame kind the simulator emits (RTS and CTS included) shows up.
+fn every_kind_traces() -> Vec<Vec<FrameRecord>> {
+    use ietf_workloads::{ietf_day, ietf_plenary, load_ramp_with, SessionScale};
+    use wifi_frames::phy::Rate;
+    use wifi_sim::rate::RateAdaptation;
+    let scale = |seed, activity| SessionScale {
+        seed,
+        users: 24,
+        duration_s: 8,
+        activity,
+        rts_fraction: 0.4,
+    };
+    let ramp = load_ramp_with(94, 24, 8, 3.0, RateAdaptation::Arf(Rate::R11), 0.4);
+    [ramp, ietf_day(scale(95, 1.0)), ietf_plenary(scale(96, 3.0))]
+        .into_iter()
+        .flat_map(|s| s.run().traces)
+        .collect()
+}
+
+/// Every simulated record reads back from its capture field for field,
+/// whole and cut to the study's snap length.
+#[test]
+fn simulated_records_round_trip_exactly() {
+    use wifi_frames::FrameKind;
+    let traces = every_kind_traces();
+    for kind in [
+        FrameKind::Data,
+        FrameKind::NullData,
+        FrameKind::Ack,
+        FrameKind::Rts,
+        FrameKind::Cts,
+        FrameKind::Beacon,
+        FrameKind::ProbeRequest,
+        FrameKind::ProbeResponse,
+        FrameKind::AssocRequest,
+        FrameKind::AssocResponse,
+    ] {
+        assert!(
+            traces.iter().flatten().any(|r| r.kind == kind),
+            "no {kind:?} in the traces"
+        );
+    }
+    let mut compared = 0;
+    for (i, trace) in traces.iter().enumerate() {
+        for snaplen in [0, 250] {
+            let path = temp_path(&format!("exact_{i}_{snaplen}.pcap"));
+            write_capture_with_snaplen(&path, trace, snaplen).unwrap();
+            let back = read_clean(&path);
+            assert_eq!(back.len(), trace.len());
+            for (got, want) in back.iter().zip(trace) {
+                assert_eq!(got, want, "trace {i} snaplen {snaplen}");
+                compared += 1;
+            }
+        }
+    }
+    assert!(compared > 10_000, "only {compared} records compared");
+}
+
+/// The exact bytes of an untruncated capture (zero-filled bodies and FCS
+/// included) are frozen: any change to the frame encoding shows here.
+#[test]
+fn untruncated_capture_bytes_are_frozen() {
+    let path = temp_path("frozen.pcap");
+    let mut bytes = Vec::new();
+    for trace in every_kind_traces() {
+        write_capture_with_snaplen(&path, &trace, 0).unwrap();
+        bytes.extend(std::fs::read(&path).unwrap());
+    }
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (6_354_844, 0xedde_1458_3108_3680),
+        "untruncated capture bytes moved"
+    );
+}
