@@ -1,13 +1,9 @@
-//! Structured 802.11 frame model.
+//! 802.11 frame layout constants and the Sequence Control field.
 //!
-//! [`Frame`] is the fully-typed in-memory representation; it serializes to and
-//! parses from the exact on-air byte layout via [`crate::wire`]. The compact
-//! [`crate::record::FrameRecord`] type — what the analysis pipeline consumes —
-//! is derived from frames plus capture metadata.
-
-use crate::fc::{FcFlags, FrameControl, FrameKind};
-use crate::mac::MacAddr;
-use crate::phy::Channel;
+//! The pipeline carries frames as [`crate::record::FrameRecord`]s: the MAC
+//! header plus the original length, all a 250-byte snaplen capture keeps.
+//! [`crate::wire`] encodes a record to its on-air bytes and parses the
+//! header back; the sizes here are the layout both sides agree on.
 
 /// Sequence Control: a 12-bit sequence number and 4-bit fragment number.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -39,157 +35,13 @@ impl SeqCtl {
             frag: (raw & 0x0f) as u8,
         }
     }
-
-    /// The sequence number following this one (same fragment).
-    pub const fn next(self) -> SeqCtl {
-        SeqCtl {
-            seq: (self.seq + 1) % 4096,
-            frag: self.frag,
-        }
-    }
-}
-
-/// An RTS (Request-to-Send) control frame: 20 bytes on air.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Rts {
-    /// NAV duration in microseconds the sender requests.
-    pub duration: u16,
-    /// Receiver address (RA).
-    pub receiver: MacAddr,
-    /// Transmitter address (TA).
-    pub transmitter: MacAddr,
-}
-
-/// A CTS (Clear-to-Send) control frame: 14 bytes on air.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Cts {
-    /// Remaining NAV duration in microseconds.
-    pub duration: u16,
-    /// Receiver address — the RTS sender.
-    pub receiver: MacAddr,
-}
-
-/// An ACK control frame: 14 bytes on air.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Ack {
-    /// NAV duration (non-zero only for fragment bursts).
-    pub duration: u16,
-    /// Receiver address — the sender of the acknowledged frame.
-    pub receiver: MacAddr,
-}
-
-/// A data frame (header 24 bytes + payload + FCS).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Data {
-    /// Frame Control flag byte (carries `to_ds`/`from_ds`/`retry`).
-    pub flags: FcFlags,
-    /// NAV duration in microseconds.
-    pub duration: u16,
-    /// Address 1: receiver of this transmission.
-    pub addr1: MacAddr,
-    /// Address 2: transmitter of this transmission.
-    pub addr2: MacAddr,
-    /// Address 3: BSSID, or original source/destination depending on DS bits.
-    pub addr3: MacAddr,
-    /// Sequence control.
-    pub seq: SeqCtl,
-    /// MSDU payload bytes (LLC/SNAP + upper layers).
-    pub payload: Vec<u8>,
-    /// True for Null-function frames (no payload on the wire).
-    pub null: bool,
-}
-
-impl Data {
-    /// Transmitter (addr2) — the station whose radio emitted this frame.
-    pub fn transmitter(&self) -> MacAddr {
-        self.addr2
-    }
-
-    /// Receiver (addr1) of this hop.
-    pub fn receiver(&self) -> MacAddr {
-        self.addr1
-    }
-
-    /// The BSSID, inferred from the DS bits.
-    pub fn bssid(&self) -> MacAddr {
-        match (self.flags.to_ds, self.flags.from_ds) {
-            (false, false) => self.addr3, // IBSS
-            (true, false) => self.addr1,  // to AP
-            (false, true) => self.addr2,  // from AP
-            (true, true) => self.addr3,   // WDS (approximation; addr4 elided)
-        }
-    }
-}
-
-/// Information elements carried in a beacon body (the subset the study needs).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Beacon {
-    /// NAV duration (0 for beacons).
-    pub duration: u16,
-    /// Destination (broadcast for beacons).
-    pub dest: MacAddr,
-    /// Source: the AP's MAC.
-    pub source: MacAddr,
-    /// BSSID (equal to source for infrastructure beacons).
-    pub bssid: MacAddr,
-    /// Sequence control.
-    pub seq: SeqCtl,
-    /// TSF timestamp in microseconds.
-    pub timestamp: u64,
-    /// Beacon interval in time units (TU = 1024 µs); 100 TU ≈ the paper's
-    /// "100 millisecond intervals".
-    pub interval_tu: u16,
-    /// Capability information bits.
-    pub capability: u16,
-    /// Network name.
-    pub ssid: String,
-    /// Advertised channel (DS Parameter Set IE).
-    pub channel: Channel,
-}
-
-/// A management frame other than a beacon, carried with an opaque body.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Mgmt {
-    /// The specific management subtype.
-    pub kind: FrameKind,
-    /// Frame Control flag byte.
-    pub flags: FcFlags,
-    /// NAV duration in microseconds.
-    pub duration: u16,
-    /// Address 1 (destination).
-    pub addr1: MacAddr,
-    /// Address 2 (source).
-    pub addr2: MacAddr,
-    /// Address 3 (BSSID).
-    pub addr3: MacAddr,
-    /// Sequence control.
-    pub seq: SeqCtl,
-    /// Raw frame body.
-    pub body: Vec<u8>,
-}
-
-/// A fully-typed 802.11 frame.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Frame {
-    /// Request-to-Send.
-    Rts(Rts),
-    /// Clear-to-Send.
-    Cts(Cts),
-    /// Acknowledgment.
-    Ack(Ack),
-    /// Data or Null-function frame.
-    Data(Data),
-    /// Beacon.
-    Beacon(Beacon),
-    /// Other management frame.
-    Mgmt(Mgmt),
 }
 
 /// MAC header + FCS overhead of a data frame (24 + 4 bytes).
 pub const DATA_OVERHEAD_BYTES: usize = 28;
 /// On-air size of an RTS frame.
 pub const RTS_BYTES: usize = 20;
-/// On-air size of a CTS or ACK frame.
+/// On-air size of a CTS frame.
 pub const CTS_BYTES: usize = 14;
 /// On-air size of an ACK frame.
 pub const ACK_BYTES: usize = 14;
@@ -198,135 +50,15 @@ pub const MGMT_OVERHEAD_BYTES: usize = 28;
 /// Fixed beacon body ahead of the IEs: timestamp (8) + interval (2) +
 /// capability (2).
 pub const BEACON_FIXED_BODY_BYTES: usize = 12;
-
-impl Frame {
-    /// The frame's kind.
-    pub fn kind(&self) -> FrameKind {
-        match self {
-            Frame::Rts(_) => FrameKind::Rts,
-            Frame::Cts(_) => FrameKind::Cts,
-            Frame::Ack(_) => FrameKind::Ack,
-            Frame::Data(d) => {
-                if d.null {
-                    FrameKind::NullData
-                } else {
-                    FrameKind::Data
-                }
-            }
-            Frame::Beacon(_) => FrameKind::Beacon,
-            Frame::Mgmt(m) => m.kind,
-        }
-    }
-
-    /// The frame control field this frame serializes with.
-    pub fn frame_control(&self) -> FrameControl {
-        let mut fc = FrameControl::new(self.kind());
-        match self {
-            Frame::Data(d) => fc.flags = d.flags,
-            Frame::Mgmt(m) => fc.flags = m.flags,
-            _ => {}
-        }
-        fc
-    }
-
-    /// The NAV duration field.
-    pub fn duration(&self) -> u16 {
-        match self {
-            Frame::Rts(f) => f.duration,
-            Frame::Cts(f) => f.duration,
-            Frame::Ack(f) => f.duration,
-            Frame::Data(f) => f.duration,
-            Frame::Beacon(f) => f.duration,
-            Frame::Mgmt(f) => f.duration,
-        }
-    }
-
-    /// Address 1 — the receiver of this transmission.
-    pub fn receiver(&self) -> MacAddr {
-        match self {
-            Frame::Rts(f) => f.receiver,
-            Frame::Cts(f) => f.receiver,
-            Frame::Ack(f) => f.receiver,
-            Frame::Data(f) => f.addr1,
-            Frame::Beacon(f) => f.dest,
-            Frame::Mgmt(f) => f.addr1,
-        }
-    }
-
-    /// Address 2 — the transmitter, when the frame carries one (CTS and ACK
-    /// do not).
-    pub fn transmitter(&self) -> Option<MacAddr> {
-        match self {
-            Frame::Rts(f) => Some(f.transmitter),
-            Frame::Cts(_) | Frame::Ack(_) => None,
-            Frame::Data(f) => Some(f.addr2),
-            Frame::Beacon(f) => Some(f.source),
-            Frame::Mgmt(f) => Some(f.addr2),
-        }
-    }
-
-    /// The BSSID, when determinable from the frame alone.
-    pub fn bssid(&self) -> Option<MacAddr> {
-        match self {
-            Frame::Rts(_) | Frame::Cts(_) | Frame::Ack(_) => None,
-            Frame::Data(f) => Some(f.bssid()),
-            Frame::Beacon(f) => Some(f.bssid),
-            Frame::Mgmt(f) => Some(f.addr3),
-        }
-    }
-
-    /// The retry flag (always false for control frames).
-    pub fn retry(&self) -> bool {
-        match self {
-            Frame::Data(f) => f.flags.retry,
-            Frame::Mgmt(f) => f.flags.retry,
-            _ => false,
-        }
-    }
-
-    /// Sequence control, for frame types that carry one.
-    pub fn seq(&self) -> Option<SeqCtl> {
-        match self {
-            Frame::Rts(_) | Frame::Cts(_) | Frame::Ack(_) => None,
-            Frame::Data(f) => Some(f.seq),
-            Frame::Beacon(f) => Some(f.seq),
-            Frame::Mgmt(f) => Some(f.seq),
-        }
-    }
-
-    /// Data payload length in bytes; zero for everything but data frames.
-    pub fn payload_len(&self) -> usize {
-        match self {
-            Frame::Data(d) if !d.null => d.payload.len(),
-            _ => 0,
-        }
-    }
-
-    /// Total on-air MAC frame size in bytes, including the FCS. This is the
-    /// size a sniffer reports as the original frame length.
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            Frame::Rts(_) => RTS_BYTES,
-            Frame::Cts(_) => CTS_BYTES,
-            Frame::Ack(_) => ACK_BYTES,
-            Frame::Data(d) => DATA_OVERHEAD_BYTES + if d.null { 0 } else { d.payload.len() },
-            Frame::Beacon(b) => {
-                // IEs: SSID (2 + len) + Supported Rates (2 + 4) + DS Param (2 + 1).
-                MGMT_OVERHEAD_BYTES + BEACON_FIXED_BODY_BYTES + 2 + b.ssid.len() + 6 + 3
-            }
-            Frame::Mgmt(m) => MGMT_OVERHEAD_BYTES + m.body.len(),
-        }
-    }
-}
+/// The beacon information elements other than the SSID itself: the SSID
+/// IE header (2), Supported Rates (2 + 4) and DS Parameter Set (2 + 1).
+/// A beacon body is `BEACON_FIXED_BODY_BYTES + BEACON_IE_BYTES` plus the
+/// SSID length.
+pub const BEACON_IE_BYTES: usize = 11;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phy::Channel;
-
-    fn sta(i: u32) -> MacAddr {
-        MacAddr::from_id(i)
-    }
 
     #[test]
     fn seqctl_roundtrip() {
@@ -339,131 +71,6 @@ mod tests {
     #[test]
     fn seqctl_wraps() {
         assert_eq!(SeqCtl::new(4096, 16), SeqCtl::new(0, 0));
-        assert_eq!(SeqCtl::new(4095, 0).next().seq, 0);
-        assert_eq!(SeqCtl::new(10, 3).next(), SeqCtl::new(11, 3));
-    }
-
-    #[test]
-    fn control_frame_sizes_match_standard() {
-        let rts = Frame::Rts(Rts {
-            duration: 1000,
-            receiver: sta(1),
-            transmitter: sta(2),
-        });
-        let cts = Frame::Cts(Cts {
-            duration: 500,
-            receiver: sta(2),
-        });
-        let ack = Frame::Ack(Ack {
-            duration: 0,
-            receiver: sta(2),
-        });
-        assert_eq!(rts.size_bytes(), 20);
-        assert_eq!(cts.size_bytes(), 14);
-        assert_eq!(ack.size_bytes(), 14);
-    }
-
-    #[test]
-    fn data_frame_size_is_overhead_plus_payload() {
-        let d = Frame::Data(Data {
-            flags: FcFlags::default(),
-            duration: 0,
-            addr1: sta(1),
-            addr2: sta(2),
-            addr3: sta(3),
-            seq: SeqCtl::default(),
-            payload: vec![0u8; 1472],
-            null: false,
-        });
-        assert_eq!(d.size_bytes(), 1500);
-        assert_eq!(d.payload_len(), 1472);
-    }
-
-    #[test]
-    fn null_data_has_no_payload_on_air() {
-        let d = Frame::Data(Data {
-            flags: FcFlags::default(),
-            duration: 0,
-            addr1: sta(1),
-            addr2: sta(2),
-            addr3: sta(3),
-            seq: SeqCtl::default(),
-            payload: vec![1, 2, 3], // ignored for null frames
-            null: true,
-        });
-        assert_eq!(d.size_bytes(), DATA_OVERHEAD_BYTES);
-        assert_eq!(d.payload_len(), 0);
-        assert_eq!(d.kind(), FrameKind::NullData);
-    }
-
-    #[test]
-    fn bssid_follows_ds_bits() {
-        let mut d = Data {
-            flags: FcFlags::default(),
-            duration: 0,
-            addr1: sta(1),
-            addr2: sta(2),
-            addr3: sta(3),
-            seq: SeqCtl::default(),
-            payload: vec![],
-            null: false,
-        };
-        d.flags.to_ds = true;
-        assert_eq!(d.bssid(), sta(1));
-        d.flags.to_ds = false;
-        d.flags.from_ds = true;
-        assert_eq!(d.bssid(), sta(2));
-        d.flags.from_ds = false;
-        assert_eq!(d.bssid(), sta(3));
-    }
-
-    #[test]
-    fn transmitter_absent_for_cts_ack() {
-        let cts = Frame::Cts(Cts {
-            duration: 0,
-            receiver: sta(9),
-        });
-        assert_eq!(cts.transmitter(), None);
-        assert_eq!(cts.receiver(), sta(9));
-        assert_eq!(cts.seq(), None);
-    }
-
-    #[test]
-    fn beacon_accessors() {
-        let b = Frame::Beacon(Beacon {
-            duration: 0,
-            dest: MacAddr::BROADCAST,
-            source: sta(7),
-            bssid: sta(7),
-            seq: SeqCtl::new(12, 0),
-            timestamp: 123_456,
-            interval_tu: 100,
-            capability: 0x0401,
-            ssid: "ietf62".into(),
-            channel: Channel::new(6).unwrap(),
-        });
-        assert_eq!(b.kind(), FrameKind::Beacon);
-        assert_eq!(b.transmitter(), Some(sta(7)));
-        assert_eq!(b.bssid(), Some(sta(7)));
-        assert_eq!(b.receiver(), MacAddr::BROADCAST);
-        // 28 overhead + 12 fixed + (2+6 ssid) + 6 rates + 3 ds = 57.
-        assert_eq!(b.size_bytes(), 57);
-    }
-
-    #[test]
-    fn retry_flag_propagates() {
-        let mut d = Data {
-            flags: FcFlags::retry_only(),
-            duration: 0,
-            addr1: sta(1),
-            addr2: sta(2),
-            addr3: sta(3),
-            seq: SeqCtl::default(),
-            payload: vec![],
-            null: false,
-        };
-        assert!(Frame::Data(d.clone()).retry());
-        d.flags.retry = false;
-        assert!(!Frame::Data(d).retry());
+        assert_eq!(SeqCtl::new(4097, 17), SeqCtl::new(1, 1));
     }
 }

@@ -54,10 +54,10 @@ impl FrameRecord {
     ///
     /// The payload size of a data frame is recovered as
     /// `orig_len - header - FCS`, exactly how an analysis of a 250-byte
-    /// snaplen trace must do it. A data frame's BSSID follows its DS bits
-    /// (addr1 to the AP, addr2 from it, addr3 otherwise), as
-    /// [`crate::frame::Data::bssid`] infers it; every other frame's is its
-    /// addr3, when it has one.
+    /// snaplen trace must do it. A data frame's BSSID follows its DS bits:
+    /// addr1 when it goes to the AP, addr2 when it comes from it, addr3
+    /// otherwise (no DS bit in an IBSS, both in a WDS link, whose addr4 is
+    /// not read). Every other frame's BSSID is its addr3, when it has one.
     pub fn from_header(header: &HeaderInfo, orig_len: u32, meta: &CaptureMeta) -> FrameRecord {
         let payload_bytes = if header.kind == FrameKind::Data {
             orig_len.saturating_sub(DATA_OVERHEAD_BYTES as u32)
@@ -102,10 +102,9 @@ impl FrameRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fc::FcFlags;
-    use crate::frame::{Ack, Data, Frame, SeqCtl};
+    use crate::fc::{FcFlags, FrameControl};
+    use crate::frame::SeqCtl;
     use crate::radiotap::FLAG_FCS_AT_END;
-    use crate::wire;
 
     fn meta(t: Micros, rate: Rate) -> CaptureMeta {
         CaptureMeta {
@@ -119,82 +118,98 @@ mod tests {
         }
     }
 
-    /// The record a capture of `f` yields: its header parsed from the
-    /// encoded bytes, untruncated.
-    fn record(f: &Frame, meta: &CaptureMeta) -> FrameRecord {
-        let bytes = wire::encode(f);
-        let header = wire::parse_header(&bytes).unwrap();
-        FrameRecord::from_header(&header, bytes.len() as u32, meta)
+    fn sta(i: u32) -> MacAddr {
+        MacAddr::from_id(i)
     }
 
-    fn data_frame(payload: usize, retry: bool) -> Frame {
-        Frame::Data(Data {
-            flags: FcFlags {
-                to_ds: true,
-                retry,
-                ..FcFlags::default()
-            },
+    /// The header of a data frame from station 2 with addr1 = 1 and
+    /// addr3 = 3, carrying the given DS bits.
+    fn data_header(to_ds: bool, from_ds: bool, retry: bool) -> HeaderInfo {
+        let mut fc = FrameControl::new(FrameKind::Data);
+        fc.flags = FcFlags {
+            to_ds,
+            from_ds,
+            retry,
+            ..FcFlags::default()
+        };
+        HeaderInfo {
+            kind: FrameKind::Data,
+            fc,
             duration: 314,
-            addr1: MacAddr::from_id(1),
-            addr2: MacAddr::from_id(2),
-            addr3: MacAddr::from_id(1),
-            seq: SeqCtl::new(99, 0),
-            payload: vec![0xAB; payload],
-            null: false,
-        })
+            receiver: sta(1),
+            transmitter: Some(sta(2)),
+            addr3: Some(sta(3)),
+            seq: Some(SeqCtl::new(99, 0)),
+        }
     }
 
     #[test]
-    fn record_from_full_frame() {
-        let f = data_frame(1000, true);
-        let r = record(&f, &meta(2_500_000, Rate::R11));
+    fn record_from_data_header() {
+        let h = data_header(true, false, true);
+        let r = FrameRecord::from_header(&h, 1028, &meta(2_500_000, Rate::R11));
         assert_eq!(r.kind, FrameKind::Data);
         assert_eq!(r.mac_bytes, 1028);
         assert_eq!(r.payload_bytes, 1000);
         assert!(r.retry);
         assert_eq!(r.seq, Some(99));
         assert_eq!(r.second(), 2);
-        assert_eq!(r.src, Some(MacAddr::from_id(2)));
-        assert_eq!(r.bssid, Some(MacAddr::from_id(1))); // to_ds: bssid = addr1
+        assert_eq!(r.src, Some(sta(2)));
+        assert_eq!(r.duration_us, 314);
+        assert_eq!(r.rate, Rate::R11);
     }
 
-    /// A from-DS data frame names its BSSID in addr2; addr3 is the source
-    /// on the wired side, not the BSSID.
+    /// A data frame's BSSID follows its DS bits: addr1 to the AP, addr2
+    /// from it (addr3 is then the source on the wired side), addr3 with no
+    /// DS bit or with both.
     #[test]
-    fn from_ds_bssid_is_addr2() {
-        let mut f = data_frame(100, false);
-        if let Frame::Data(d) = &mut f {
-            d.flags.to_ds = false;
-            d.flags.from_ds = true;
-            d.addr1 = MacAddr::from_id(5);
-            d.addr2 = MacAddr::from_id(1);
-            d.addr3 = MacAddr::from_id(77);
+    fn data_bssid_follows_ds_bits() {
+        for ((to_ds, from_ds), bssid) in [
+            ((true, false), sta(1)),
+            ((false, true), sta(2)),
+            ((false, false), sta(3)),
+            ((true, true), sta(3)),
+        ] {
+            let h = data_header(to_ds, from_ds, false);
+            let r = FrameRecord::from_header(&h, 128, &meta(0, Rate::R11));
+            assert_eq!(r.bssid, Some(bssid), "to_ds {to_ds} from_ds {from_ds}");
         }
-        let r = record(&f, &meta(0, Rate::R11));
-        assert_eq!(r.src, Some(MacAddr::from_id(1)));
-        assert_eq!(r.bssid, Some(MacAddr::from_id(1)));
-        assert_eq!(r.bssid, f.bssid());
+    }
+
+    /// Management frames ignore the DS bits: their BSSID is addr3.
+    #[test]
+    fn mgmt_bssid_is_addr3() {
+        let mut h = data_header(true, false, false);
+        h.kind = FrameKind::ProbeResponse;
+        h.fc.kind = FrameKind::ProbeResponse;
+        let r = FrameRecord::from_header(&h, 60, &meta(0, Rate::R1));
+        assert_eq!(r.bssid, Some(sta(3)));
+        assert_eq!(r.payload_bytes, 0);
     }
 
     #[test]
-    fn record_from_truncated_header_recovers_payload_size() {
-        let f = data_frame(1472, false);
-        let bytes = wire::encode(&f);
-        let orig_len = bytes.len() as u32;
-        let header = wire::parse_header(&bytes[..250]).unwrap();
-        let r = FrameRecord::from_header(&header, orig_len, &meta(0, Rate::R5_5));
+    fn payload_size_comes_from_the_original_length() {
+        // A 250-byte snaplen capture of a 1500-byte frame: the header is all
+        // that was kept, the original length gives the payload.
+        let h = data_header(true, false, false);
+        let r = FrameRecord::from_header(&h, 1500, &meta(0, Rate::R5_5));
         assert_eq!(r.mac_bytes, 1500);
         assert_eq!(r.payload_bytes, 1472);
-        assert_eq!(r.rate, Rate::R5_5);
+        let r = FrameRecord::from_header(&h, 20, &meta(0, Rate::R5_5));
+        assert_eq!(r.payload_bytes, 0, "an undersized length saturates");
     }
 
     #[test]
     fn ack_record_has_no_src_or_payload() {
-        let f = Frame::Ack(Ack {
+        let h = HeaderInfo {
+            kind: FrameKind::Ack,
+            fc: FrameControl::new(FrameKind::Ack),
             duration: 0,
-            receiver: MacAddr::from_id(2),
-        });
-        let r = record(&f, &meta(10, Rate::R1));
+            receiver: sta(2),
+            transmitter: None,
+            addr3: None,
+            seq: None,
+        };
+        let r = FrameRecord::from_header(&h, 14, &meta(10, Rate::R1));
         assert_eq!(r.src, None);
         assert_eq!(r.bssid, None);
         assert_eq!(r.payload_bytes, 0);
@@ -204,18 +219,17 @@ mod tests {
 
     #[test]
     fn broadcast_detection() {
-        let mut f = data_frame(10, false);
-        if let Frame::Data(d) = &mut f {
-            d.addr1 = MacAddr::BROADCAST;
-        }
-        let r = record(&f, &meta(0, Rate::R1));
+        let mut h = data_header(false, true, false);
+        h.receiver = MacAddr::BROADCAST;
+        let r = FrameRecord::from_header(&h, 38, &meta(0, Rate::R1));
         assert!(r.is_broadcast());
     }
 
     #[test]
     fn second_bucketing_boundaries() {
-        let f = data_frame(0, false);
-        assert_eq!(record(&f, &meta(999_999, Rate::R1)).second(), 0);
-        assert_eq!(record(&f, &meta(1_000_000, Rate::R1)).second(), 1);
+        let h = data_header(true, false, false);
+        let at = |t| FrameRecord::from_header(&h, 28, &meta(t, Rate::R1)).second();
+        assert_eq!(at(999_999), 0);
+        assert_eq!(at(1_000_000), 1);
     }
 }

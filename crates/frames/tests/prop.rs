@@ -1,9 +1,10 @@
-//! Property-based tests for the wifi-frames crate: wire-format roundtrips,
-//! FCS integrity, radiotap roundtrips, and timing-math invariants.
+//! Property-based tests for the wifi-frames crate: record encode/parse
+//! roundtrips at every snap length, FCS integrity, radiotap roundtrips, and
+//! timing-math invariants.
 
 use proptest::prelude::*;
-use wifi_frames::fc::{FcFlags, FrameKind};
-use wifi_frames::frame::{Ack, Beacon, Cts, Data, Frame, Rts, SeqCtl};
+use wifi_frames::fc::{FrameClass, FrameKind};
+use wifi_frames::frame::SeqCtl;
 use wifi_frames::mac::MacAddr;
 use wifi_frames::phy::{Channel, Preamble, Rate};
 use wifi_frames::radiotap::{self, CaptureMeta, RadiotapError};
@@ -27,81 +28,122 @@ fn arb_channel() -> impl Strategy<Value = Channel> {
     (1u8..=14).prop_map(|n| Channel::new(n).unwrap())
 }
 
-fn arb_flags() -> impl Strategy<Value = FcFlags> {
-    any::<u8>().prop_map(FcFlags::from_bits)
-}
-
-fn arb_seq() -> impl Strategy<Value = SeqCtl> {
-    (0u16..4096, 0u8..16).prop_map(|(s, f)| SeqCtl::new(s, f))
-}
-
-fn arb_data_frame() -> impl Strategy<Value = Frame> {
+/// The radiotap fields and timestamp of a record, with the rest left for
+/// [`arb_record`] to fill in.
+fn arb_capture() -> impl Strategy<Value = FrameRecord> {
     (
-        arb_flags(),
+        any::<u64>(),
+        arb_rate(),
+        arb_channel(),
+        any::<i8>(),
         any::<u16>(),
         arb_mac(),
         arb_mac(),
-        arb_mac(),
-        arb_seq(),
-        proptest::collection::vec(any::<u8>(), 0..2304),
-        any::<bool>(),
+        0u16..4096,
     )
         .prop_map(
-            |(flags, duration, addr1, addr2, addr3, seq, payload, null)| {
-                Frame::Data(Data {
-                    flags,
-                    duration,
-                    addr1,
-                    addr2,
-                    addr3,
-                    seq,
-                    payload: if null { Vec::new() } else { payload },
-                    null,
-                })
+            |(timestamp_us, rate, channel, signal_dbm, duration_us, dst, src, seq)| FrameRecord {
+                timestamp_us,
+                kind: FrameKind::Data,
+                rate,
+                channel,
+                dst,
+                src: Some(src),
+                bssid: None,
+                retry: false,
+                seq: Some(seq),
+                mac_bytes: 0,
+                payload_bytes: 0,
+                signal_dbm,
+                duration_us,
             },
         )
 }
 
-fn arb_frame() -> impl Strategy<Value = Frame> {
-    prop_oneof![
-        (any::<u16>(), arb_mac(), arb_mac()).prop_map(|(duration, receiver, transmitter)| {
-            Frame::Rts(Rts {
-                duration,
-                receiver,
-                transmitter,
-            })
+/// Well-formed records of every layout: data and null frames whose BSSID
+/// is their destination or their source, beacons to broadcast with no
+/// duration, other management frames, RTS and the two-address control
+/// frames (PS-Poll, CF-End) with no BSSID or sequence number, and CTS/ACK
+/// with no source either. Only data and management frames carry a retry
+/// bit; every frame is as long as its kind's header at least.
+fn arb_record() -> impl Strategy<Value = FrameRecord> {
+    let mgmt = prop_oneof![
+        Just(FrameKind::ProbeRequest),
+        Just(FrameKind::ProbeResponse),
+        Just(FrameKind::AssocRequest),
+        Just(FrameKind::AssocResponse),
+        Just(FrameKind::Disassoc),
+        Just(FrameKind::Auth),
+        Just(FrameKind::Deauth),
+    ];
+    let control = prop_oneof![
+        Just(FrameKind::Rts),
+        Just(FrameKind::Other {
+            class: FrameClass::Control,
+            subtype: 0b1010
         }),
-        (any::<u16>(), arb_mac())
-            .prop_map(|(duration, receiver)| Frame::Cts(Cts { duration, receiver })),
-        (any::<u16>(), arb_mac())
-            .prop_map(|(duration, receiver)| Frame::Ack(Ack { duration, receiver })),
-        arb_data_frame(),
-        (
-            arb_mac(),
-            arb_seq(),
-            any::<u64>(),
-            any::<u16>(),
-            any::<u16>(),
-            "[a-z0-9]{0,16}",
-            arb_channel()
-        )
-            .prop_map(
-                |(ap, seq, timestamp, interval_tu, capability, ssid, channel)| {
-                    Frame::Beacon(Beacon {
-                        duration: 0,
-                        dest: MacAddr::BROADCAST,
-                        source: ap,
-                        bssid: ap,
-                        seq,
-                        timestamp,
-                        interval_tu,
-                        capability,
-                        ssid,
-                        channel,
-                    })
+        Just(FrameKind::Other {
+            class: FrameClass::Control,
+            subtype: 0b1110
+        }),
+    ];
+    (
+        arb_capture(),
+        0u8..6,
+        any::<bool>(),
+        any::<bool>(),
+        0u32..2304,
+        mgmt,
+        control,
+    )
+        .prop_map(|(mut r, layout, flag, retry, body, mgmt, control)| {
+            match layout {
+                0 | 1 => {
+                    r.kind = if layout == 0 {
+                        FrameKind::Data
+                    } else {
+                        FrameKind::NullData
+                    };
+                    r.bssid = if flag { Some(r.dst) } else { r.src };
+                    r.retry = retry;
+                    r.payload_bytes = if layout == 0 { body } else { 0 };
+                    r.mac_bytes = 28 + r.payload_bytes;
                 }
-            ),
-    ]
+                2 => {
+                    r.kind = FrameKind::Beacon;
+                    r.dst = MacAddr::BROADCAST;
+                    r.duration_us = 0;
+                    r.bssid = r.src;
+                    r.mac_bytes = 51 + body % 33;
+                }
+                3 => {
+                    r.kind = mgmt;
+                    r.bssid = Some(r.dst);
+                    r.retry = retry;
+                    r.mac_bytes = 28 + body;
+                }
+                4 => {
+                    r.kind = if flag { FrameKind::Rts } else { control };
+                    r.seq = None;
+                    r.mac_bytes = 20;
+                }
+                _ => {
+                    r.kind = if flag { FrameKind::Cts } else { FrameKind::Ack };
+                    (r.src, r.seq) = (None, None);
+                    r.mac_bytes = 14;
+                }
+            }
+            r
+        })
+}
+
+/// The MAC header length of a record's kind.
+fn header_len(kind: FrameKind) -> usize {
+    match kind {
+        FrameKind::Cts | FrameKind::Ack => 10,
+        k if k.class() == FrameClass::Control => 16,
+        _ => 24,
+    }
 }
 
 /// (size, alignment) of radiotap field bits 0–14, as the standard lays
@@ -275,32 +317,48 @@ fn arb_radiotap_packet() -> impl Strategy<Value = Vec<u8>> {
 }
 
 proptest! {
+    /// `parse_header` + `from_header` invert `encode` at every snap length
+    /// that keeps the header, and refuse every shorter cut as truncated.
     #[test]
-    fn wire_roundtrip(frame in arb_frame()) {
-        let bytes = wire::encode(&frame);
-        prop_assert_eq!(bytes.len(), frame.size_bytes());
-        let parsed = wire::parse(&bytes).unwrap();
-        prop_assert_eq!(parsed, frame);
+    fn record_roundtrip_at_every_cut(r in arb_record()) {
+        let bytes = wire::encode(&r);
+        prop_assert_eq!(bytes.len(), r.mac_bytes as usize);
+        let meta = CaptureMeta {
+            tsft_us: r.timestamp_us, flags: 0, rate: r.rate, channel: r.channel,
+            signal_dbm: r.signal_dbm, noise_dbm: -95, antenna: 0,
+        };
+        for cut in 0..=bytes.len() {
+            match wire::parse_header(&bytes[..cut]) {
+                Ok(h) => {
+                    prop_assert!(cut >= header_len(r.kind), "{:?} parsed from {} bytes", r.kind, cut);
+                    prop_assert_eq!(FrameRecord::from_header(&h, r.mac_bytes, &meta), r);
+                }
+                Err(e) => {
+                    prop_assert!(cut < header_len(r.kind), "{:?} cut at {}: {}", r.kind, cut, e);
+                    let truncated = matches!(e, wire::ParseError::Truncated { got, .. } if got == cut);
+                    prop_assert!(truncated, "{:?} cut at {}: {}", r.kind, cut, e);
+                }
+            }
+        }
     }
 
     #[test]
-    fn fcs_always_verifies_after_append(body in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let mut f = body;
+    fn fcs_is_the_crc_of_the_body(body in proptest::collection::vec(any::<u8>(), 0..512)) {
+        let mut f = body.clone();
         fcs::append_fcs(&mut f);
-        prop_assert!(fcs::verify_fcs(&f));
+        prop_assert_eq!(&f[..body.len()], &body[..]);
+        prop_assert_eq!(&f[body.len()..], &fcs::crc32(&body).to_le_bytes()[..]);
     }
 
     #[test]
-    fn fcs_detects_single_flip(
+    fn crc_detects_single_flip(
         body in proptest::collection::vec(any::<u8>(), 1..256),
         flip_byte in any::<prop::sample::Index>(),
         flip_bit in 0u8..8,
     ) {
-        let mut f = body;
-        fcs::append_fcs(&mut f);
-        let idx = flip_byte.index(f.len());
-        f[idx] ^= 1 << flip_bit;
-        prop_assert!(!fcs::verify_fcs(&f));
+        let mut flipped = body.clone();
+        flipped[flip_byte.index(body.len())] ^= 1 << flip_bit;
+        prop_assert!(fcs::crc32(&flipped) != fcs::crc32(&body));
     }
 
     #[test]
@@ -319,37 +377,6 @@ proptest! {
         let (m, f) = radiotap::parse_packet(&pkt).unwrap();
         prop_assert_eq!(m, meta);
         prop_assert_eq!(f, &frame[..]);
-    }
-
-    #[test]
-    fn header_parse_agrees_with_full_parse(frame in arb_frame()) {
-        let bytes = wire::encode(&frame);
-        let h = wire::parse_header(&bytes).unwrap();
-        prop_assert_eq!(h.kind, frame.kind());
-        prop_assert_eq!(h.receiver, frame.receiver());
-        prop_assert_eq!(h.transmitter, frame.transmitter());
-        prop_assert_eq!(h.duration, frame.duration());
-        prop_assert_eq!(h.seq.map(|s| s.seq), frame.seq().map(|s| s.seq));
-    }
-
-    #[test]
-    fn record_from_truncation_preserves_sizes(frame in arb_data_frame(), snap in 24usize..2048) {
-        let bytes = wire::encode(&frame);
-        let cut = snap.min(bytes.len());
-        let h = match wire::parse_header(&bytes[..cut]) {
-            Ok(h) => h,
-            Err(_) => return Ok(()), // snap shorter than the header: nothing to check
-        };
-        let meta = CaptureMeta {
-            tsft_us: 0, flags: 0, rate: Rate::R11,
-            channel: Channel::new(1).unwrap(), signal_dbm: -50, noise_dbm: -95, antenna: 0,
-        };
-        let r = FrameRecord::from_header(&h, bytes.len() as u32, &meta);
-        prop_assert_eq!(r.mac_bytes as usize, frame.size_bytes());
-        prop_assert_eq!(r.bssid, frame.bssid());
-        if frame.kind() == FrameKind::Data {
-            prop_assert_eq!(r.payload_bytes as usize, frame.payload_len());
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The simulator's lightweight frame descriptor.
 //!
-//! Full byte-level [`wifi_frames::Frame`]s are only materialized, from the
-//! captured [`FrameRecord`]s, when a trace is exported to pcap; on the hot
-//! path the simulator moves [`SimFrame`] descriptors, which carry exactly
-//! the fields the MAC rules and the analysis need.
+//! Frame bytes are only materialized, from the captured [`FrameRecord`]s by
+//! [`wifi_frames::wire::encode`], when a trace is exported to pcap; on the
+//! hot path the simulator moves [`SimFrame`] descriptors, which carry
+//! exactly the fields the MAC rules and the analysis need.
 
 use wifi_frames::fc::FrameKind;
 use wifi_frames::frame;

@@ -331,8 +331,9 @@ impl Simulator {
     ) -> NodeId {
         let mac = MacAddr::from_id(key as u32 + 1);
         let id = self.stations.len();
-        // Beacon body: fixed(12) + ssid IE(2+n) + rates IE(6) + DS IE(3).
-        let beacon_body = frame::BEACON_FIXED_BODY_BYTES as u32 + 2 + ssid_len + 6 + 3;
+        // Beacon body: fixed fields, the SSID, then the IEs around it.
+        let beacon_body =
+            (frame::BEACON_FIXED_BODY_BYTES + frame::BEACON_IE_BYTES) as u32 + ssid_len;
         let mut st = Station::new(
             id,
             mac,

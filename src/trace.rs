@@ -2,10 +2,10 @@
 //! radiotap headers (what tethereal in RFMon mode wrote in 2005), and
 //! ingest such files back into analysis records.
 //!
-//! The export path reconstructs full frame bytes from the compact
-//! [`FrameRecord`]s (payloads zero-filled — the study's sniffers kept only
-//! the first 250 bytes anyway), and the import path exercises the same
-//! truncated-header parsing a real trace analysis needs.
+//! The export path encodes each compact [`FrameRecord`] straight to its
+//! frame bytes with [`wire::encode`] (bodies zero-filled — the study's
+//! sniffers kept only the first 250 bytes anyway), and the import path
+//! exercises the same truncated-header parsing a real trace analysis needs.
 
 use std::io::{self, Read};
 use std::path::Path;
@@ -297,82 +297,7 @@ fn record_to_packet(r: &FrameRecord) -> Vec<u8> {
         noise_dbm: -95,
         antenna: 0,
     };
-    radiotap::encode_packet(&meta, &wire::encode(&record_to_frame(r)))
-}
-
-/// Reconstructs a full frame from a record for serialization. Payload
-/// contents are zero-filled; every header field round-trips.
-fn record_to_frame(r: &FrameRecord) -> wifi_frames::Frame {
-    use wifi_frames::fc::FcFlags;
-    use wifi_frames::frame::{self, Ack, Beacon, Cts, Data, Frame, Mgmt, Rts, SeqCtl};
-    use wifi_frames::mac::MacAddr;
-    use wifi_frames::FrameKind;
-
-    let seq = SeqCtl::new(r.seq.unwrap_or(0), 0);
-    match r.kind {
-        FrameKind::Rts => Frame::Rts(Rts {
-            duration: r.duration_us,
-            receiver: r.dst,
-            transmitter: r.src.unwrap_or(MacAddr::ZERO),
-        }),
-        FrameKind::Cts => Frame::Cts(Cts {
-            duration: r.duration_us,
-            receiver: r.dst,
-        }),
-        FrameKind::Ack => Frame::Ack(Ack {
-            duration: r.duration_us,
-            receiver: r.dst,
-        }),
-        FrameKind::Beacon => {
-            Frame::Beacon(Beacon {
-                duration: 0,
-                dest: MacAddr::BROADCAST,
-                source: r.src.unwrap_or(MacAddr::ZERO),
-                bssid: r.bssid.unwrap_or(MacAddr::ZERO),
-                seq,
-                timestamp: r.timestamp_us,
-                interval_tu: 100,
-                capability: 0x0401,
-                ssid: "x".repeat((r.mac_bytes as usize).saturating_sub(
-                    frame::MGMT_OVERHEAD_BYTES + frame::BEACON_FIXED_BODY_BYTES + 11,
-                )),
-                channel: r.channel,
-            })
-        }
-        FrameKind::Data | FrameKind::NullData => {
-            let mut flags = FcFlags::default();
-            flags.retry = r.retry;
-            // Direction: to-DS when the destination is the BSSID.
-            flags.to_ds = r.bssid == Some(r.dst);
-            flags.from_ds = !flags.to_ds;
-            Frame::Data(Data {
-                flags,
-                duration: r.duration_us,
-                addr1: r.dst,
-                addr2: r.src.unwrap_or(MacAddr::ZERO),
-                addr3: r.bssid.unwrap_or(MacAddr::ZERO),
-                seq,
-                payload: vec![0u8; r.payload_bytes as usize],
-                null: r.kind == FrameKind::NullData,
-            })
-        }
-        kind => {
-            let flags = FcFlags {
-                retry: r.retry,
-                ..FcFlags::default()
-            };
-            Frame::Mgmt(Mgmt {
-                kind,
-                flags,
-                duration: r.duration_us,
-                addr1: r.dst,
-                addr2: r.src.unwrap_or(MacAddr::ZERO),
-                addr3: r.bssid.unwrap_or(MacAddr::ZERO),
-                seq,
-                body: vec![0u8; (r.mac_bytes as usize).saturating_sub(frame::MGMT_OVERHEAD_BYTES)],
-            })
-        }
-    }
+    radiotap::encode_packet(&meta, &wire::encode(r))
 }
 
 #[cfg(test)]
@@ -478,6 +403,32 @@ mod tests {
             assert_eq!(got.kind, want.kind);
             assert_eq!(got.mac_bytes, want.mac_bytes, "{:?}", want.kind);
         }
+    }
+
+    /// PS-Poll and CF-End carry two addresses and no sequence control, so
+    /// a complete 20-byte frame decodes instead of being skipped as
+    /// truncated (and so uncharged for busy time).
+    #[test]
+    fn two_address_control_frames_decode() {
+        use wifi_frames::FrameClass;
+        let records: Vec<FrameRecord> = [0b1010, 0b1110]
+            .into_iter()
+            .map(|subtype| {
+                let mut r = sample_records()[1];
+                r.kind = FrameKind::Other {
+                    class: FrameClass::Control,
+                    subtype,
+                };
+                r.src = Some(MacAddr::from_id(2));
+                r.mac_bytes = 20;
+                r
+            })
+            .collect();
+        let dir = std::env::temp_dir().join("congestion_trace_test_two_addr");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("two_addr.pcap");
+        write_capture(&path, &records).unwrap();
+        assert_eq!(read_clean(&path), records);
     }
 
     #[test]
