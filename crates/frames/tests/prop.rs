@@ -123,7 +123,7 @@ fn arb_record() -> impl Strategy<Value = FrameRecord> {
                     r.mac_bytes = 28 + body;
                 }
                 4 => {
-                    r.kind = if flag { FrameKind::Rts } else { control };
+                    r.kind = control;
                     r.seq = None;
                     r.mac_bytes = 20;
                 }
