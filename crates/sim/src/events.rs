@@ -21,10 +21,15 @@
 //!   contention timer, tracked in a per-node slot. Re-arming overwrites the
 //!   slot — the previous entry is physically removed instead of lingering as
 //!   a dead heap entry — and [`EventQueue::cancel_timer`] drops it outright.
-//!   Cancelled fire times are kept in a small unordered list of "ghosts"
-//!   so [`EventQueue::drain_ghosts`] can reproduce the historical
-//!   events-processed denominator exactly (committed perf baselines
-//!   fingerprint it); see the method docs.
+//! * **Ghosts**: the fire times of timers the historical lazy-deletion heap
+//!   would have popped dead — cancelled timers, and the defer deadline of
+//!   every backoff countdown (the two-timer DCF's separate defer timer,
+//!   which the simulator now folds into its `BackoffDone`; see
+//!   [`EventQueue::record_ghost`]). [`EventQueue::drain_ghosts`] adds them
+//!   back so the events-processed denominator stays exactly the historical
+//!   one (committed perf baselines fingerprint it). A ghost at or before
+//!   the drain horizon ([`EventQueue::set_ghost_horizon`]) is only counted;
+//!   later ones are kept until a drain reaches them.
 //!
 //! Queue churn is observable through [`EventQueue::stats`]:
 //! pushed/popped/stale-dropped/cascaded counters that run reports surface
@@ -37,15 +42,15 @@ use wifi_frames::timing::Micros;
 /// Identifies a node (station, AP, or sniffer) inside one simulation.
 pub type NodeId = usize;
 
-/// Timer kinds a station can arm. Contention timers (the first four) are
-/// cancellable: arming via [`EventQueue::arm_timer`] overwrites the node's
-/// single timer slot. `SifsResponse` and `NavExpired` are condition-validated
-/// plain events and may coexist with a contention timer.
+/// Timer kinds a station can arm. Contention timers (`BackoffDone`,
+/// `CtsTimeout`, `AckTimeout`) are cancellable: arming via
+/// [`EventQueue::arm_timer`] overwrites the node's single timer slot.
+/// `SifsResponse` and `NavExpired` are condition-validated plain events and
+/// may coexist with a contention timer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TimerKind {
-    /// DIFS (or EIFS) wait finished; begin or resume backoff countdown.
-    DeferDone,
-    /// Backoff countdown reached zero; transmit.
+    /// The DIFS/EIFS defer and then the backoff slots of a countdown ran
+    /// out; transmit.
     BackoffDone,
     /// The SIFS before an owed CTS/ACK response elapsed.
     SifsResponse,
@@ -62,10 +67,7 @@ impl TimerKind {
     pub fn is_cancellable(self) -> bool {
         matches!(
             self,
-            TimerKind::DeferDone
-                | TimerKind::BackoffDone
-                | TimerKind::CtsTimeout
-                | TimerKind::AckTimeout
+            TimerKind::BackoffDone | TimerKind::CtsTimeout | TimerKind::AckTimeout
         )
     }
 }
@@ -235,11 +237,15 @@ pub struct EventQueue {
     pool: VecPool<Entry>,
     /// Per-node armed cancellable timer.
     armed: Vec<Option<ArmedTimer>>,
-    /// Fire times of cancelled timers, for events-processed parity (see
-    /// [`EventQueue::drain_ghosts`]). Unordered: at chunk-rate drains nearly
-    /// every ghost is swept by the next drain, and a flat retain scan beats
-    /// heap sifts on the ~⅓ of pushes that end up cancelled.
+    /// Ghosts later than `ghost_horizon`, for events-processed parity (see
+    /// [`EventQueue::drain_ghosts`]). Unordered: a flat retain scan beats
+    /// heap sifts, and only ghosts past the running horizon land here.
     ghosts: Vec<Micros>,
+    /// Ghosts at or before `ghost_horizon` since the last drain: the next
+    /// drain reaches them whatever its time, so they are only counted.
+    ghosts_due: u64,
+    /// The earliest time the next [`EventQueue::drain_ghosts`] may use.
+    ghost_horizon: Micros,
     next_seq: u64,
     /// Live entries (excludes tombstones).
     live: usize,
@@ -271,6 +277,8 @@ impl EventQueue {
             pool: VecPool::new(POOL_SPARES, POOL_RETAIN_CAP),
             armed: Vec::new(),
             ghosts: Vec::new(),
+            ghosts_due: 0,
+            ghost_horizon: 0,
             next_seq: 0,
             live: 0,
             raw: 0,
@@ -315,18 +323,56 @@ impl EventQueue {
     /// fire time is recorded as a ghost so the events-processed denominator
     /// stays identical to the lazy-deletion scheme this replaced.
     pub fn cancel_timer(&mut self, node: NodeId) {
-        let Some(timer) = self.armed.get_mut(node).and_then(Option::take) else {
-            return;
-        };
+        if let Some(at) = self.remove_timer(node) {
+            self.record_ghost(at);
+        }
+    }
+
+    /// Removes `node`'s armed timer like [`EventQueue::cancel_timer`], but
+    /// records no ghost: for a timer whose stale pop the historical count
+    /// has already recorded otherwise (a countdown withdrawn during its
+    /// defer, whose deadline is the ghost).
+    pub fn withdraw_timer(&mut self, node: NodeId) {
+        self.remove_timer(node);
+    }
+
+    /// The fire time of `node`'s armed cancellable timer, if any.
+    pub fn armed_at(&self, node: NodeId) -> Option<Micros> {
+        self.armed.get(node).copied().flatten().map(|t| t.at)
+    }
+
+    /// Records a ghost at `at`: an event the lazy-deletion scheme would
+    /// have popped and counted at that time without this queue holding it.
+    /// Besides cancelled timers, the simulator records here the defer
+    /// deadline of each backoff countdown with slots left, where the
+    /// two-timer DCF dispatched or cancelled a separate defer timer.
+    pub fn record_ghost(&mut self, at: Micros) {
+        if at <= self.ghost_horizon {
+            self.ghosts_due += 1;
+        } else {
+            self.ghosts.push(at);
+        }
+    }
+
+    /// Promises that the next [`EventQueue::drain_ghosts`] comes at or after
+    /// `horizon`, so ghosts up to it need no storage. `Simulator::run_until`
+    /// sets its `until` here.
+    pub fn set_ghost_horizon(&mut self, horizon: Micros) {
+        self.ghost_horizon = horizon;
+    }
+
+    /// Takes `node`'s armed timer out of the queue; its fire time, or
+    /// `None` when nothing was armed.
+    fn remove_timer(&mut self, node: NodeId) -> Option<Micros> {
+        let timer = self.armed.get_mut(node).and_then(Option::take)?;
         self.stats.stale_dropped += 1;
         self.live -= 1;
-        self.ghosts.push(timer.at);
         if timer.at < self.current_end {
             // Already drained: tombstone in place so consume indices hold.
             for e in self.current[self.current_pos..].iter_mut() {
                 if e.seq == timer.seq {
                     e.dead = true;
-                    return;
+                    return Some(timer.at);
                 }
             }
             unreachable!("armed timer not found in drained buffer");
@@ -361,6 +407,7 @@ impl EventQueue {
             self.spill_len -= 1;
             self.raw -= 1;
         }
+        Some(timer.at)
     }
 
     fn insert(&mut self, e: Entry) {
@@ -562,7 +609,8 @@ impl EventQueue {
         Some(self.current[self.current_pos].at)
     }
 
-    /// Counts (and forgets) cancelled timers whose fire time is `<= now`.
+    /// Counts (and forgets) the ghosts whose time is `<= now`; `now` must
+    /// not be before the horizon ([`EventQueue::set_ghost_horizon`]).
     ///
     /// Under lazy deletion these entries would have popped as stale events
     /// and been counted into the simulator's events-processed figure — the
@@ -570,9 +618,10 @@ impl EventQueue {
     /// removes the entries; this hands the simulator the exact count the
     /// lazy scheme would have produced by the time `now` is reached.
     pub fn drain_ghosts(&mut self, now: Micros) -> u64 {
+        debug_assert!(now >= self.ghost_horizon, "drain before the horizon");
         let before = self.ghosts.len();
         self.ghosts.retain(|&t| t > now);
-        (before - self.ghosts.len()) as u64
+        (before - self.ghosts.len()) as u64 + std::mem::take(&mut self.ghosts_due)
     }
 
     /// Physical entries present, including cancelled-but-unskipped
@@ -682,7 +731,7 @@ mod tests {
     #[test]
     fn rearm_overwrites_and_cancel_removes() {
         let mut q = EventQueue::new();
-        q.arm_timer(2, TimerKind::DeferDone, 100);
+        q.arm_timer(2, TimerKind::AckTimeout, 100);
         assert_eq!((q.len(), q.live_len()), (1, 1));
         // Re-arm: the old entry is gone, not lingering as a dead one.
         q.arm_timer(2, TimerKind::BackoffDone, 300);
@@ -696,12 +745,21 @@ mod tests {
         assert_eq!(q.drain_ghosts(99), 0);
         assert_eq!(q.drain_ghosts(300), 2);
         assert_eq!(q.drain_ghosts(1_000_000), 0);
+        // Up to the horizon a ghost is a count, not a stored time; a
+        // withdrawn timer leaves none.
+        q.set_ghost_horizon(2_000_000);
+        q.record_ghost(2_000_000);
+        q.arm_timer(2, TimerKind::BackoffDone, 1_500_000);
+        q.withdraw_timer(2);
+        assert!(q.ghosts.is_empty());
+        assert_eq!(q.drain_ghosts(2_000_000), 1);
     }
 
-    /// Drains must count exactly the cancelled fire times that have come
-    /// due, whatever the interleaving of arms, re-arms, cancels and drains
-    /// — including drains that land on a ghost's time and timers cancelled
-    /// after their time has passed.
+    /// Drains must count exactly the ghosts that have come due, whatever
+    /// the interleaving of arms, re-arms, cancels, recorded ghosts, horizons
+    /// and drains — including drains that land on a ghost's time, timers
+    /// cancelled after their time has passed, and ghosts recorded on either
+    /// side of the horizon.
     #[test]
     fn ghost_drain_matches_full_scan() {
         let mut q = EventQueue::new();
@@ -716,20 +774,32 @@ mod tests {
         let mut now: Micros = 0;
         let mut drained = 0;
         for round in 0..5_000u64 {
+            // The next drain's time, promised up front as the horizon.
+            let next = now + rand(60);
+            q.set_ghost_horizon(next);
             for _ in 0..rand(4) {
                 let node = rand(16) as NodeId;
                 // Arming over a live timer cancels it: a ghost too.
-                if let Some(timer) = q.armed.get(node).copied().flatten() {
-                    reference.push(timer.at);
+                if let Some(at) = q.armed_at(node) {
+                    reference.push(at);
                 }
                 let at = now.saturating_sub(50) + rand(400);
                 q.arm_timer(node, TimerKind::BackoffDone, at);
+                match rand(4) {
+                    0 | 1 => {
+                        reference.push(at);
+                        q.cancel_timer(node);
+                    }
+                    2 => q.withdraw_timer(node),
+                    _ => {}
+                }
                 if rand(2) == 0 {
-                    reference.push(at);
-                    q.cancel_timer(node);
+                    let ghost = now.saturating_sub(50) + rand(400);
+                    reference.push(ghost);
+                    q.record_ghost(ghost);
                 }
             }
-            now += rand(60);
+            now = next;
             let before = reference.len();
             reference.retain(|&t| t > now);
             let expect = (before - reference.len()) as u64;
@@ -737,6 +807,8 @@ mod tests {
             drained += expect;
         }
         assert!(drained > 1_000, "the sequence exercised real drains");
+        // Only ghosts past the horizon were stored: exactly those still due.
+        assert_eq!(q.ghosts.len(), reference.len());
         assert_eq!(q.drain_ghosts(Micros::MAX), reference.len() as u64);
         assert_eq!(q.drain_ghosts(Micros::MAX), 0);
     }
@@ -788,8 +860,8 @@ mod tests {
     fn stats_account_for_all_flows() {
         let mut q = EventQueue::new();
         q.push(1, Event::BeaconDue { node: 0 });
-        q.arm_timer(1, TimerKind::DeferDone, 30);
-        q.arm_timer(1, TimerKind::DeferDone, 60); // re-arm drops one
+        q.arm_timer(1, TimerKind::BackoffDone, 30);
+        q.arm_timer(1, TimerKind::BackoffDone, 60); // re-arm drops one
         while q.pop().is_some() {}
         let s = q.stats();
         assert_eq!(s.pushed, 3);

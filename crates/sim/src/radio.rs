@@ -145,8 +145,10 @@ pub(crate) struct FadeMemo {
     station_keys: Vec<u64>,
     /// Fade link of each sniffer (`SNIFFER_LINK_BASE + key`), by index.
     sniffer_links: Vec<u64>,
-    /// Station-link fades, `[tx * n + rx]`.
-    links: Vec<f64>,
+    /// Station-link fades, `[tx][rx]`: one allocation per transmitter, as
+    /// in [`crate::topology::SensingTopology`], so a build never needs a
+    /// population-squared hole in the heap.
+    links: Vec<Box<[f64]>>,
     /// Sniffer-link fades, `[sniffer * n + tx]` (unscaled; callers apply
     /// [`crate::sniffer::FADE_SCALE`]).
     sniffers: Vec<f64>,
@@ -180,18 +182,20 @@ impl FadeMemo {
     /// Sizes both tables for the registered population. A population change
     /// rebuilds them all-`NAN`, as fresh exact-size allocations: incremental
     /// joins would otherwise leave amortized-doubling dead capacity on the
-    /// largest allocation in the simulator.
+    /// largest table in the simulator.
     pub(crate) fn cover(&mut self) {
         let n = self.station_keys.len();
-        for (table, len) in [
-            (&mut self.links, n * n),
-            (&mut self.sniffers, self.sniffer_links.len() * n),
-        ] {
-            if table.len() != len {
-                *table = Vec::new();
-                table.reserve_exact(len);
-                table.resize(len, f64::NAN);
-            }
+        if self.links.len() != n {
+            self.links = Vec::new();
+            self.links.reserve_exact(n);
+            self.links
+                .resize_with(n, || vec![f64::NAN; n].into_boxed_slice());
+        }
+        let len = self.sniffer_links.len() * n;
+        if self.sniffers.len() != len {
+            self.sniffers = Vec::new();
+            self.sniffers.reserve_exact(len);
+            self.sniffers.resize(len, f64::NAN);
         }
     }
 
@@ -199,7 +203,9 @@ impl FadeMemo {
     #[inline]
     fn refresh(&mut self, now: Micros) {
         if now >= self.until {
-            self.links.fill(f64::NAN);
+            for row in &mut self.links {
+                row.fill(f64::NAN);
+            }
             self.sniffers.fill(f64::NAN);
             let coherence = self.fading.coherence_us.max(1);
             self.until = (now / coherence + 1).saturating_mul(coherence);
@@ -213,8 +219,7 @@ impl FadeMemo {
             return 0.0;
         }
         self.refresh(now);
-        let n = self.station_keys.len();
-        let slot = &mut self.links[tx * n + rx];
+        let slot = &mut self.links[tx][rx];
         if slot.is_nan() {
             *slot = self
                 .fading
@@ -247,10 +252,10 @@ impl FadeMemo {
     pub(crate) fn moved(&mut self, node: NodeId) {
         self.station_keys[node] = self.station_keys[node].wrapping_add(MOVE_KEY_STEP);
         let n = self.station_keys.len();
-        if self.links.len() == n * n {
-            self.links[node * n..(node + 1) * n].fill(f64::NAN);
-            for rx in 0..n {
-                self.links[rx * n + node] = f64::NAN;
+        if self.links.len() == n {
+            self.links[node].fill(f64::NAN);
+            for row in &mut self.links {
+                row[node] = f64::NAN;
             }
         }
         if self.sniffers.len() == self.sniffer_links.len() * n {

@@ -6,7 +6,7 @@
 //! The methods here are the self-contained pieces (queue management, backoff
 //! bookkeeping, adapter lookup) that are unit-testable in isolation.
 
-use crate::events::NodeId;
+use crate::events::{EventQueue, NodeId};
 use crate::frame_info::SimFrame;
 use crate::geometry::Pos;
 use crate::rate::{RateAdaptation, RateAdapter};
@@ -120,15 +120,24 @@ pub struct TxOp {
 pub enum MacState {
     /// Nothing to send.
     Idle,
-    /// Have a frame; waiting out DIFS/EIFS after the channel went idle.
-    WaitDefer,
-    /// Counting down backoff slots; `started` is when the countdown began,
-    /// `slots_at_start` the remaining slots at that moment.
+    /// Have a frame and an idle channel: waiting out DIFS/EIFS until
+    /// `started`, then counting down `backoff_slots`. One `BackoffDone`
+    /// timer covers both phases, armed at `started + backoff_slots × slot`.
+    /// A busy edge before the defer ends consumes nothing; one after it
+    /// consumes the whole slots elapsed since `started`.
     Backoff {
-        /// Countdown start time.
+        /// When the defer ends and the slot countdown begins.
         started: Micros,
-        /// Slots remaining when the countdown began.
-        slots_at_start: u32,
+        /// Which same-microsecond batch at `started` the defer ends in: 0
+        /// for the first, `r + 1` for a defer armed at `started` itself
+        /// during batch `r` (see `Simulator::run_until`). Orders the
+        /// defer's end against the other events of that microsecond.
+        round: u32,
+        /// The EIFS flag while the defer runs. Arming the countdown clears
+        /// `HotState::use_eifs`, as the defer's end does in the standard; a
+        /// failed decode before that end sets this instead, and a busy edge
+        /// before it puts this back.
+        held_eifs: bool,
     },
     /// Have a frame; channel is busy; backoff frozen.
     Frozen,
@@ -186,7 +195,7 @@ pub struct StationStats {
 /// the set of its stations that sense energy, so a busy or release edge
 /// is word-wide set arithmetic on the listener bitset, and only the
 /// listeners whose carrier changed *and* that are *contending* — in
-/// `WaitDefer`, `Backoff` or `Frozen`, tracked as a bitset beside `state` —
+/// `Backoff` or `Frozen`, tracked as a bitset beside `state` —
 /// get a MAC callback, which reads `nav_until` and `state` here. With the
 /// fields inline in `Station` (a multi-hundred-byte struct holding queues
 /// and adapter maps) each touch was a fresh cache line. Packed columns put
@@ -198,11 +207,11 @@ pub struct HotState {
     /// Contention state. Private so that every write goes through
     /// [`HotState::set_state`], which keeps `contending` in step.
     state: Vec<MacState>,
-    /// Stations whose `state` is `WaitDefer`, `Backoff` or `Frozen` — the
-    /// only states a carrier-sense busy or idle transition acts on beyond
-    /// the idle stamp.
+    /// Stations whose `state` is `Backoff` or `Frozen` — the only states a
+    /// carrier-sense busy or idle transition acts on beyond the idle stamp.
     contending: NodeSet,
-    /// Remaining backoff slots (meaningful in WaitDefer/Frozen/Backoff).
+    /// Remaining backoff slots (meaningful in Frozen/Backoff; in `Backoff`,
+    /// the slots left at `started`).
     pub backoff_slots: Vec<u32>,
     /// Current contention-window size.
     pub cw: Vec<u32>,
@@ -214,6 +223,8 @@ pub struct HotState {
     /// [`crate::medium::Medium::idle_since`] combines the two.
     pub idle_stamp: Vec<Micros>,
     /// Whether the next defer must use EIFS (after an undecodable frame).
+    /// In `Backoff` this is the flag as it stands after the running defer
+    /// ends; the flag during the defer is `MacState::Backoff::held_eifs`.
     pub use_eifs: Vec<bool>,
     /// End time of the station's own most recent transmission
     /// (half-duplex check).
@@ -287,6 +298,18 @@ impl HotState {
             .all(|(i, &s)| self.contending.contains(i) == is_contending(s))
     }
 
+    /// Whether every `Backoff` station's armed timer fires where its
+    /// countdown ends, at `started + backoff_slots × slot` (checked by the
+    /// event loop in debug builds).
+    pub(crate) fn countdown_consistent(&self, queue: &EventQueue) -> bool {
+        self.state.iter().enumerate().all(|(i, &s)| match s {
+            MacState::Backoff { started, .. } => {
+                queue.armed_at(i) == Some(started + self.backoff_slots[i] as Micros * dcf::SLOT_US)
+            }
+            _ => true,
+        })
+    }
+
     /// Number of stations.
     pub fn len(&self) -> usize {
         self.state.len()
@@ -317,13 +340,10 @@ impl HotState {
 }
 
 /// The states a carrier-sense transition acts on: a busy channel freezes
-/// `WaitDefer`/`Backoff`, an idle one restarts the defer of `Frozen`.
+/// `Backoff`, an idle one restarts the defer of `Frozen`.
 #[inline]
 fn is_contending(state: MacState) -> bool {
-    matches!(
-        state,
-        MacState::WaitDefer | MacState::Backoff { .. } | MacState::Frozen
-    )
+    matches!(state, MacState::Backoff { .. } | MacState::Frozen)
 }
 
 /// A station (AP or client): the *cold* per-station state — identity,
@@ -562,11 +582,11 @@ mod tests {
         let phases = [TxPhase::Rts, TxPhase::Data, TxPhase::Cts, TxPhase::Ack];
         let states = [
             (MacState::Idle, false),
-            (MacState::WaitDefer, true),
             (
                 MacState::Backoff {
                     started: 5,
-                    slots_at_start: 3,
+                    round: 1,
+                    held_eifs: true,
                 },
                 true,
             ),

@@ -6,8 +6,9 @@
 //! this?" loop — O(stations) of `log10` path-loss math on every frame — can
 //! be computed once into an index-based matrix. [`SensingTopology`] holds:
 //!
-//! * the full pairwise RSSI matrix (`tx × rx`), bit-identical to calling
-//!   `rssi_dbm` afresh (it *is* the same call, memoized);
+//! * the pairwise RSSI matrix, bit-identical to calling `rssi_dbm` afresh
+//!   (it *is* the same call, memoized). Path loss is symmetric, so it
+//!   keeps one triangle, one row allocation per station;
 //! * one carrier-sense row per transmitter: a bitset of the listeners whose
 //!   cached RSSI clears the CS threshold (self excluded) — a transmission's
 //!   `sensed_by` set becomes one word-wise AND with the channel-membership
@@ -142,8 +143,8 @@ pub struct SensingTopology {
     n: usize,
     /// Sniffers covered.
     sniffers: usize,
-    /// Row stride of `rssi` and `sniffer_rssi` (≥ `n`; extra columns are
-    /// reserved growth room so a join extends rows in place).
+    /// Row stride of `sniffer_rssi` (≥ `n`; extra columns are reserved
+    /// growth room so a join extends rows in place).
     cap: usize,
     /// Words per carrier-sense row (derived from `cap`).
     wpr: usize,
@@ -151,8 +152,13 @@ pub struct SensingTopology {
     positions: Vec<Pos>,
     /// Sniffer positions.
     sniffer_positions: Vec<Pos>,
-    /// Path-loss RSSI, `[tx * cap + rx]`, dBm.
-    rssi: Vec<f64>,
+    /// Path-loss RSSI between stations `a ≥ b` at `[a][b]`, dBm: the
+    /// lower triangle, as [`RadioConfig::rssi_dbm`] is symmetric (one
+    /// transmit power; the distance squares the coordinate differences, so
+    /// swapping the ends gives the same bits). One allocation per row, none
+    /// larger than one station's row: a population-squared block would need
+    /// a hole that large in the heap on every build.
+    rssi: Vec<Box<[f64]>>,
     /// Carrier-sense reachability rows, `wpr` words per transmitter: bit
     /// `rx` set when `rssi[tx][rx] >= cs_threshold_dbm` and `rx != tx`.
     sensed: Vec<u64>,
@@ -197,25 +203,20 @@ impl SensingTopology {
             .reserve_exact(want.saturating_sub(self.sniffer_rssi.len()));
     }
 
-    /// Re-strides every matrix to `new_cap` columns. Pure copies — no RSSI
-    /// is recomputed, so grown caches stay bit-identical to a fresh
-    /// rebuild. Growth reserves the *full* `new_cap × new_cap` matrix up
-    /// front (exact when the caller sized via [`SensingTopology::reserve`];
-    /// geometric-doubling overshoot otherwise is address space the ramp
-    /// never touches — see the allocation note in
-    /// [`SensingTopology::rebuild`]).
+    /// Re-strides the bitsets and the sniffer matrix to `new_cap` columns
+    /// and reserves room for `new_cap` RSSI rows; the rows themselves never
+    /// move, as a join appends its own row and extends no other. Pure
+    /// copies — no RSSI is recomputed, so grown caches stay bit-identical
+    /// to a fresh rebuild. Growth reserves for the *full* `new_cap`
+    /// population up front (exact when the caller sized via
+    /// [`SensingTopology::reserve`]; geometric-doubling overshoot otherwise
+    /// is address space the ramp never touches — see the allocation note
+    /// in [`SensingTopology::rebuild`]).
     fn grow(&mut self, new_cap: usize) {
         debug_assert!(new_cap > self.cap);
         let (old_cap, old_wpr) = (self.cap, self.wpr);
         let new_wpr = new_cap.div_ceil(64).max(1);
-        let mut rssi = Vec::new();
-        rssi.reserve_exact(new_cap * new_cap);
-        rssi.resize(self.n * new_cap, f64::NAN);
-        for tx in 0..self.n {
-            rssi[tx * new_cap..tx * new_cap + self.n]
-                .copy_from_slice(&self.rssi[tx * old_cap..tx * old_cap + self.n]);
-        }
-        self.rssi = rssi;
+        self.rssi.reserve_exact(new_cap - self.rssi.len());
         let mut sensed = Vec::new();
         sensed.reserve_exact(new_cap * new_wpr);
         sensed.resize(self.n * new_wpr, 0);
@@ -242,10 +243,11 @@ impl SensingTopology {
         self.wpr = new_wpr;
     }
 
-    /// Registers a joining station: extends the matrices by one row, then
-    /// computes its row + column through [`Self::update_station`] (the
-    /// bits that clears are still zero for a fresh id) — O(population)
-    /// against the O(population²) full rebuild, and bit-identical to it.
+    /// Registers a joining station: appends its RSSI row and extends the
+    /// other matrices by one row, then computes its row + column through
+    /// [`Self::update_station`] (the bits that clears are still zero for a
+    /// fresh id) — O(population) against the O(population²) full rebuild,
+    /// and bit-identical to it.
     /// Returns the new station's id.
     pub fn add_station(&mut self, pos: Pos, radio: &RadioConfig) -> NodeId {
         if self.n == self.cap {
@@ -254,7 +256,7 @@ impl SensingTopology {
         let id = self.n;
         self.n = id + 1;
         self.positions.push(pos);
-        self.rssi.resize(self.n * self.cap, f64::NAN);
+        self.rssi.push(vec![f64::NAN; self.n].into_boxed_slice());
         self.sensed.resize(self.n * self.wpr, 0);
         self.coupled.resize(self.n * self.wpr, 0);
         self.update_station(id, pos, radio);
@@ -262,11 +264,11 @@ impl SensingTopology {
     }
 
     /// Moves station `id` to `pos`, recomputing only its row + column:
-    /// RSSI to and from every other station (the diagonal included, as in
-    /// `rebuild`), `sensed`/`coupled` bits in both directions, and its
-    /// column in every sniffer row. O(n) per move; bit-identical to a full
-    /// rebuild at the new positions (same pure calls in the same argument
-    /// order).
+    /// its RSSI with every other station (one value serves both
+    /// directions; the diagonal included, as in `rebuild`),
+    /// `sensed`/`coupled` bits in both directions, and its column in every
+    /// sniffer row. O(n) per move; bit-identical to a full rebuild at the
+    /// new positions (the same pure calls).
     pub fn update_station(&mut self, id: NodeId, pos: Pos, radio: &RadioConfig) {
         assert!(
             id < self.n,
@@ -280,25 +282,23 @@ impl SensingTopology {
         self.coupled[id * wpr..(id + 1) * wpr].fill(0);
         let (col_word, col_mask) = (id / 64, 1u64 << (id % 64));
         for other in 0..self.n {
-            let out = radio.rssi_dbm(pos, self.positions[other]);
-            self.rssi[id * cap + other] = out;
+            let rssi = radio.rssi_dbm(pos, self.positions[other]);
+            self.rssi[id.max(other)][id.min(other)] = rssi;
             if other != id {
-                if out >= radio.cs_threshold_dbm {
+                if rssi >= radio.cs_threshold_dbm {
                     self.sensed[id * wpr + other / 64] |= 1 << (other % 64);
                 }
-                if out >= floor {
+                if rssi >= floor {
                     self.coupled[id * wpr + other / 64] |= 1 << (other % 64);
                 }
-                let inc = radio.rssi_dbm(self.positions[other], pos);
-                self.rssi[other * cap + id] = inc;
                 let s = &mut self.sensed[other * wpr + col_word];
-                if inc >= radio.cs_threshold_dbm {
+                if rssi >= radio.cs_threshold_dbm {
                     *s |= col_mask;
                 } else {
                     *s &= !col_mask;
                 }
                 let c = &mut self.coupled[other * wpr + col_word];
-                if inc >= floor {
+                if rssi >= floor {
                     *c |= col_mask;
                 } else {
                     *c &= !col_mask;
@@ -344,23 +344,28 @@ impl SensingTopology {
         // run never writes (untouched pages stay non-resident — measured
         // flat against the ramp-320 RSS pin either way).
         self.rssi = Vec::new();
-        self.rssi.reserve_exact(n * n);
+        self.rssi.reserve_exact(n);
         self.sensed.clear();
         self.sensed.resize(n * self.wpr, 0);
         self.coupled.clear();
         self.coupled.resize(n * self.wpr, 0);
         let floor = radio.effective_coupling_floor_dbm();
+        let wpr = self.wpr;
         for tx in 0..n {
-            for rx in 0..n {
-                let rssi = radio.rssi_dbm(station_pos[tx], station_pos[rx]);
-                self.rssi.push(rssi);
-                if rx != tx && rssi >= radio.cs_threshold_dbm {
-                    self.sensed[tx * self.wpr + rx / 64] |= 1 << (rx % 64);
-                }
-                if rx != tx && rssi >= floor {
-                    self.coupled[tx * self.wpr + rx / 64] |= 1 << (rx % 64);
+            let row: Box<[f64]> = (0..=tx)
+                .map(|rx| radio.rssi_dbm(station_pos[tx], station_pos[rx]))
+                .collect();
+            for (rx, &rssi) in row[..tx].iter().enumerate() {
+                for (a, b) in [(tx, rx), (rx, tx)] {
+                    if rssi >= radio.cs_threshold_dbm {
+                        self.sensed[a * wpr + b / 64] |= 1 << (b % 64);
+                    }
+                    if rssi >= floor {
+                        self.coupled[a * wpr + b / 64] |= 1 << (b % 64);
+                    }
                 }
             }
+            self.rssi.push(row);
         }
         self.sniffer_rssi = Vec::new();
         self.sniffer_rssi.reserve_exact(sniffer_pos.len() * n);
@@ -374,7 +379,7 @@ impl SensingTopology {
     /// Cached path-loss RSSI of the `tx → rx` station link, dBm.
     #[inline]
     pub fn rssi(&self, tx: NodeId, rx: NodeId) -> f64 {
-        self.rssi[tx * self.cap + rx]
+        self.rssi[tx.max(rx)][tx.min(rx)]
     }
 
     /// Cached path-loss RSSI of station `tx` at sniffer `sniffer`, dBm.

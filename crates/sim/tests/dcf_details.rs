@@ -12,7 +12,7 @@ use wifi_sim::geometry::Pos;
 use wifi_sim::radio::{Fading, RadioConfig};
 use wifi_sim::rate::RateAdaptation;
 use wifi_sim::sniffer::SnifferConfig;
-use wifi_sim::station::RtsPolicy;
+use wifi_sim::station::{MacState, RtsPolicy};
 use wifi_sim::traffic::{FlowConfig, SizeDist, TrafficProfile};
 use wifi_sim::{ClientConfig, SimConfig, Simulator};
 
@@ -786,4 +786,453 @@ fn eifs_boundary_after_a_failed_decode() {
     // A release more than one EIFS old holds nothing back.
     let late = release + 2 * dcf::EIFS_US;
     assert_eq!(roam(late), late);
+}
+
+// ----------------------------------------------------------------------
+// The end of a DIFS/EIFS defer against events of the same microsecond.
+// The defer ends where a timer of its own would have run in the batch
+// order: after the events of earlier batches and before the carrier-sense
+// and end-of-frame events of its own batch, but after every event of a
+// batch that armed it for that very microsecond. Its end clears the EIFS
+// flag. A busy edge before the end consumes no slot and keeps the flag; a
+// failed decode before the end is cleared with it. Each test below places
+// one such event at the defer's end, read off a reference run (the same
+// cell with the extra station silent), and checks the transmit times, the
+// flag the next defer reads, and the event count of the two-timer scheme.
+// ----------------------------------------------------------------------
+
+/// A join time past the end of every run below.
+const NEVER: u64 = 100 * SEC;
+/// An AP's beacon interval (100 TU).
+const BEACON_US: u64 = 102_400;
+
+/// A client `P` at the edge of its AP's range: 11 Mb/s downlink frames to it
+/// nearly always fail (it owes EIFS), its own 1 Mb/s uplink gets through,
+/// and carrier sense reaches a little further than the default so that it
+/// senses the AP. `Q`, two metres from `P`, stays silent until `q_join`:
+/// its probe then goes out at once, and `P` senses it `cs_delay_us` later.
+struct EdgeCell {
+    sim: Simulator,
+    p: usize,
+    q: usize,
+}
+
+impl EdgeCell {
+    fn new(cs_delay_us: u64, q_join: u64) -> EdgeCell {
+        let radio = RadioConfig {
+            cs_threshold_dbm: -89.0,
+            ..RadioConfig::default()
+        };
+        let edge = radio.range_at_dbm(-88.0);
+        let mut sim = Simulator::new(SimConfig {
+            seed: 5,
+            cs_delay_us,
+            record_ground_truth: true,
+            radio,
+            ..SimConfig::default()
+        });
+        sim.add_ap_with(
+            Pos::new(0.0, 0.0),
+            0,
+            6,
+            RateAdaptation::Fixed(Rate::R11),
+            RtsPolicy::Never,
+        );
+        let p = sim.add_client(ClientConfig {
+            adaptation: RateAdaptation::Fixed(Rate::R1),
+            traffic: TrafficProfile {
+                uplink: FlowConfig::poisson(30.0, SizeDist::fixed(200)),
+                downlink: FlowConfig::poisson(40.0, SizeDist::fixed(1000)),
+            },
+            ..silent_client(Pos::new(edge, 0.0), 0, 0)
+        });
+        let q = sim.add_client(silent_client(Pos::new(edge + 2.0, 0.0), 0, q_join));
+        EdgeCell { sim, p, q }
+    }
+
+    /// `P`'s state, EIFS flag and backoff slots after everything up to `at`.
+    fn p_at(cs_delay_us: u64, q_join: u64, at: u64) -> (MacState, bool, u32) {
+        let mut cell = EdgeCell::new(cs_delay_us, q_join);
+        cell.sim.run_until(at);
+        let hot = cell.sim.hot();
+        (
+            hot.state(cell.p),
+            hot.use_eifs[cell.p],
+            hot.backoff_slots[cell.p],
+        )
+    }
+}
+
+/// The tape in air-start order.
+fn by_start(tape: &[FrameRecord]) -> Vec<FrameRecord> {
+    let mut tape = tape.to_vec();
+    tape.sort_by_key(start_of);
+    tape
+}
+
+/// The frames `src` started, each with the release before it: the latest
+/// end among the frames that started earlier, when none is still on air.
+fn starts_after_release(tape: &[FrameRecord], src: MacAddr) -> Vec<(u64, u64)> {
+    let tape = by_start(tape);
+    (1..tape.len())
+        .filter(|&j| tape[j].src == Some(src))
+        .filter_map(|j| {
+            let release = tape[..j].iter().map(|r| r.timestamp_us).max()?;
+            let start = start_of(&tape[j]);
+            (release <= start).then_some((release, start))
+        })
+        .collect()
+}
+
+/// A countdown of `P` whose EIFS defer ends in the first batch of its
+/// microsecond: `P` was frozen by a frame up to its release and then sent
+/// EIFS and `k ≥ 1` whole slots later, with nothing else on the air. The
+/// defer's end and `k`.
+fn eifs_countdown(cs_delay_us: u64) -> (u64, u32) {
+    let mut cell = EdgeCell::new(cs_delay_us, NEVER);
+    cell.sim.run_until(3 * SEC);
+    let p_mac = cell.sim.stations()[cell.p].mac;
+    starts_after_release(&cell.sim.ground_truth.records, p_mac)
+        .into_iter()
+        .find_map(|(release, start)| {
+            let gap = start - release;
+            if gap < dcf::EIFS_US + dcf::SLOT_US
+                || !(gap - dcf::EIFS_US).is_multiple_of(dcf::SLOT_US)
+            {
+                return None;
+            }
+            let (state, _, _) = EdgeCell::p_at(cs_delay_us, NEVER, release - 1);
+            let k = ((gap - dcf::EIFS_US) / dcf::SLOT_US) as u32;
+            (state == MacState::Frozen).then_some((release + dcf::EIFS_US, k))
+        })
+        .expect("P counts down behind an EIFS")
+}
+
+/// `Q` joins `cs_delay_us` before `busy_at`, so `P` senses its probe at
+/// `busy_at`. Checks the probe's start and returns, after everything up to
+/// `busy_at`, `P`'s state, EIFS flag and slots; then the start of `P`'s
+/// next frame with the release before it, and the event count at 3 s.
+fn busy_edge_at(cs_delay_us: u64, busy_at: u64) -> ((MacState, bool, u32), (u64, u64), u64) {
+    let q_join = busy_at - cs_delay_us;
+    let at_edge = EdgeCell::p_at(cs_delay_us, q_join, busy_at);
+    let mut cell = EdgeCell::new(cs_delay_us, q_join);
+    cell.sim.run_until(3 * SEC);
+    let tape = &cell.sim.ground_truth.records;
+    let q_mac = cell.sim.stations()[cell.q].mac;
+    let probe = first_from(tape, q_mac, 0);
+    assert_eq!(probe.kind, FrameKind::ProbeRequest);
+    assert_eq!(start_of(probe), q_join, "Q's probe goes out as it joins");
+    let p_mac = cell.sim.stations()[cell.p].mac;
+    let next = starts_after_release(tape, p_mac)
+        .into_iter()
+        .find(|&(_, start)| start > busy_at)
+        .expect("P sends again");
+    (at_edge, next, cell.sim.events_processed())
+}
+
+#[test]
+fn a_busy_edge_sorted_after_the_defer_end_comes_after_it() {
+    // The busy edge lands in the defer's own batch, a class after it: the
+    // defer has ended, so it cleared the EIFS flag, and the edge consumes
+    // the zero slots elapsed since.
+    let (end, k) = eifs_countdown(15);
+    let ((state, eifs, slots), (release, start), events) = busy_edge_at(15, end);
+    assert_eq!(state, MacState::Frozen);
+    assert_eq!(slots, k, "no slot consumed");
+    assert!(!eifs, "the defer's end cleared the EIFS flag");
+    // So the next defer is a DIFS.
+    assert_eq!((start - release - dcf::DIFS_US) % dcf::SLOT_US, 0);
+    // The two-timer count: the defer's timer ran, and the slot timer it
+    // armed was cancelled.
+    assert_eq!((end, k, events), (184_107, 3, 3_445));
+}
+
+#[test]
+fn a_busy_edge_in_a_later_batch_comes_after_the_defer_end() {
+    // Without a detection delay, `Q`'s carrier reaches `P` in the follow-up
+    // batch of its join: after the defer's end, as above.
+    let (end, k) = eifs_countdown(0);
+    let ((state, eifs, slots), (release, start), events) = busy_edge_at(0, end);
+    assert_eq!(state, MacState::Frozen);
+    assert_eq!(slots, k, "no slot consumed");
+    assert!(!eifs, "the defer's end cleared the EIFS flag");
+    assert_eq!((start - release - dcf::DIFS_US) % dcf::SLOT_US, 0);
+    assert_eq!((end, k, events), (184_147, 3, 3_569));
+}
+
+/// A countdown of `P` armed for the very microsecond its defer ends: an
+/// MSDU reaches `P` idle, owing EIFS, more than an EIFS after the last
+/// release, with slots left from its previous delivery, and `P` sends
+/// those slots later. That microsecond and the slots.
+fn countdown_armed_for_now() -> (u64, u32) {
+    let mut cell = EdgeCell::new(15, NEVER);
+    cell.sim.run_until(3 * SEC);
+    let p_mac = cell.sim.stations()[cell.p].mac;
+    starts_after_release(&cell.sim.ground_truth.records, p_mac)
+        .into_iter()
+        .find_map(|(release, start)| {
+            let owed = release + dcf::EIFS_US;
+            if start <= owed {
+                return None;
+            }
+            let (state, eifs, slots) = EdgeCell::p_at(15, NEVER, owed);
+            if state != MacState::Idle || !eifs || slots == 0 {
+                return None;
+            }
+            // The MSDU's arrival: `P` is idle at `lo` and busy at `hi`.
+            let (mut lo, mut hi) = (owed, start);
+            while hi - lo > 1 {
+                let mid = (lo + hi) / 2;
+                if EdgeCell::p_at(15, NEVER, mid).0 == MacState::Idle {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            (start == hi + slots as u64 * dcf::SLOT_US).then_some((hi, slots))
+        })
+        .expect("an MSDU finds P idle and owing EIFS")
+}
+
+#[test]
+fn a_busy_edge_in_the_batch_that_armed_the_defer_comes_before_its_end() {
+    // The MSDU's arrival arms a defer that ends at once, in the follow-up
+    // batch; the busy edge sorts after the arrival in the arrival's own
+    // batch, so it comes first: nothing is consumed, and the EIFS flag
+    // stays for the next defer.
+    let (arrival, k) = countdown_armed_for_now();
+    let ((state, eifs, slots), (release, start), events) = busy_edge_at(15, arrival);
+    assert_eq!(state, MacState::Frozen);
+    assert_eq!(slots, k, "no slot consumed");
+    assert!(eifs, "the defer never ended: the EIFS flag stays");
+    assert_eq!((start - release - dcf::EIFS_US) % dcf::SLOT_US, 0);
+    // The two-timer count: the defer's timer was cancelled.
+    assert_eq!((arrival, k, events), (61_781, 16, 3_528));
+}
+
+/// An AP `P` with two clients: `X` at the edge of its range, outside
+/// carrier sense both ways, whose 11 Mb/s uplink frames nearly always fail
+/// at `P` (so `P` owes EIFS for frames it never senses), joining at
+/// `x_join`; and `Q`, two metres from `P`, silent until `q_join`, whose
+/// probe `P` answers.
+struct HiddenCell {
+    sim: Simulator,
+    p: usize,
+    x: usize,
+    q: usize,
+}
+
+impl HiddenCell {
+    fn new(x_join: u64, q_join: u64) -> HiddenCell {
+        let radio = RadioConfig::default();
+        let edge = radio.range_at_dbm(-88.0);
+        let mut sim = Simulator::new(SimConfig {
+            seed: 9,
+            record_ground_truth: true,
+            radio,
+            ..SimConfig::default()
+        });
+        let p = sim.add_ap(Pos::new(0.0, 0.0), 0, 6);
+        let x = sim.add_client(ClientConfig {
+            adaptation: RateAdaptation::Fixed(Rate::R11),
+            traffic: TrafficProfile {
+                uplink: FlowConfig::poisson(30.0, SizeDist::fixed(1000)),
+                downlink: FlowConfig::off(),
+            },
+            ..silent_client(Pos::new(edge, 0.0), 0, x_join)
+        });
+        let q = sim.add_client(silent_client(Pos::new(-2.0, 0.0), 0, q_join));
+        HiddenCell { sim, p, x, q }
+    }
+
+    /// Runs to `until`; the cell and the MACs of `P`, `X` and `Q`.
+    fn run(mut self, until: u64) -> (Self, [MacAddr; 3]) {
+        self.sim.run_until(until);
+        let mac = |i: usize| self.sim.stations()[i].mac;
+        let macs = [mac(self.p), mac(self.x), mac(self.q)];
+        (self, macs)
+    }
+
+    /// `P`'s state, EIFS flag and backoff slots after everything up to `at`.
+    fn p_at(x_join: u64, q_join: u64, at: u64) -> (MacState, bool, u32) {
+        let (cell, _) = HiddenCell::new(x_join, q_join).run(at);
+        let hot = cell.sim.hot();
+        (
+            hot.state(cell.p),
+            hot.use_eifs[cell.p],
+            hot.backoff_slots[cell.p],
+        )
+    }
+}
+
+/// The ends of the data frames `from` sent to `to`.
+fn data_ends(tape: &[FrameRecord], from: MacAddr, to: MacAddr) -> Vec<u64> {
+    by_start(tape)
+        .iter()
+        .filter(|r| r.kind == FrameKind::Data && r.src == Some(from) && r.dst == to)
+        .map(|r| r.timestamp_us)
+        .collect()
+}
+
+#[test]
+fn a_failed_decode_at_the_defer_end_after_it_survives() {
+    // `Q`'s probe ends a DIFS before one of `X`'s frames does: `P` answers
+    // the probe behind a defer that ends in the frame's end-of-frame batch,
+    // a class before it. The defer's end clears the EIFS flag first; the
+    // failed decode then sets it for the next defer.
+    let (reference, [p_mac, x_mac, _]) = HiddenCell::new(0, NEVER).run(3 * SEC);
+    let probe_air = {
+        let (early, [_, _, q_mac]) = HiddenCell::new(NEVER, SEC).run(2 * SEC);
+        first_from(&early.sim.ground_truth.records, q_mac, 0).timestamp_us - SEC
+    };
+    let (end, q_join) = data_ends(&reference.sim.ground_truth.records, x_mac, p_mac)
+        .into_iter()
+        .find_map(|end| {
+            let q_join = end.checked_sub(dcf::DIFS_US + probe_air)?;
+            let (state, eifs, _) = HiddenCell::p_at(0, NEVER, q_join + probe_air - 1);
+            (state == MacState::Idle && !eifs).then_some((end, q_join))
+        })
+        .expect("a frame of X ends while P is idle and owes no EIFS");
+    let (state, eifs, slots) = HiddenCell::p_at(0, q_join, end);
+    assert!(slots > 0, "P counts down after the defer");
+    assert!(
+        matches!(state, MacState::Backoff { .. }),
+        "P is counting down at the defer's end: {state:?}"
+    );
+    assert!(eifs, "the failed decode after the defer's end stands");
+    let (cell, [_, x_mac, q_mac]) = HiddenCell::new(0, q_join).run(3 * SEC);
+    let tape = &cell.sim.ground_truth.records;
+    let probe = first_from(tape, q_mac, 0);
+    assert_eq!(
+        (probe.kind, start_of(probe)),
+        (FrameKind::ProbeRequest, q_join)
+    );
+    assert_eq!(
+        probe.timestamp_us + dcf::DIFS_US,
+        end,
+        "the defer ends with X's frame"
+    );
+    assert!(data_ends(tape, x_mac, p_mac).contains(&end));
+    // `Q`'s association request interrupts the countdown; `P`'s next
+    // defer, after its ACK to it, is an EIFS.
+    let answer = first_from(tape, p_mac, end);
+    assert_eq!(answer.kind, FrameKind::ProbeResponse);
+    let start = start_of(answer);
+    let release = sensed_release_before(tape, start, x_mac);
+    assert!(start >= release + dcf::EIFS_US);
+    assert_eq!((start - release - dcf::EIFS_US) % dcf::SLOT_US, 0);
+    // The two-timer count: the defer's timer ran, and the slot timer it
+    // armed was cancelled by `Q`'s request.
+    assert_eq!(
+        (end, slots, cell.sim.events_processed()),
+        (37_695, 11, 2_724)
+    );
+}
+
+#[test]
+fn a_failed_decode_in_the_batch_that_armed_the_defer_is_cleared_by_its_end() {
+    // A beacon falls due at an idle `P` as one of `X`'s frames ends: the
+    // beacon's countdown is armed for that microsecond, so its defer ends
+    // in the follow-up batch, after the failed decode of the frame, and
+    // clears the EIFS flag the decode set.
+    let beacon_due = first_beacon_due();
+    let (_, [p_mac, x_mac, _]) = HiddenCell::new(NEVER, NEVER).run(0);
+    // Joining later shifts `X`'s frames, piecewise: move its join until one
+    // of its frames ends exactly as a beacon falls due.
+    let (due, x_join, slots) = (1..12u64)
+        .map(|n| beacon_due + n * BEACON_US)
+        .find_map(|due| {
+            let mut x_join = due - 50_000;
+            for _ in 0..4 {
+                let (cell, _) = HiddenCell::new(x_join, NEVER).run(due + 30_000);
+                let tape = &cell.sim.ground_truth.records;
+                let ends = data_ends(tape, x_mac, p_mac);
+                let &near = ends.iter().min_by_key(|&&e| e.abs_diff(due))?;
+                if near != due {
+                    x_join = (x_join + due).checked_sub(near)?;
+                    continue;
+                }
+                let quiet = sensed_release_before(tape, due - 1, x_mac) + dcf::EIFS_US <= due;
+                let (state, _, slots) = HiddenCell::p_at(x_join, NEVER, due - 1);
+                return (quiet && state == MacState::Idle && slots > 0)
+                    .then_some((due, x_join, slots));
+            }
+            None
+        })
+        .expect("a frame of X can end as a beacon falls due");
+    let (state, eifs, _) = HiddenCell::p_at(x_join, NEVER, due);
+    assert!(
+        matches!(state, MacState::Backoff { .. }),
+        "P counts down for its beacon: {state:?}"
+    );
+    assert!(
+        !eifs,
+        "the defer's end cleared the failed decode's EIFS flag"
+    );
+    let (cell, _) = HiddenCell::new(x_join, NEVER).run(3 * SEC);
+    let beacon = first_from(&cell.sim.ground_truth.records, p_mac, due);
+    assert_eq!(beacon.kind, FrameKind::Beacon);
+    assert_eq!(start_of(beacon), due + slots as u64 * dcf::SLOT_US);
+    // The two-timer count: the defer's timer ran, then its slot timer.
+    assert_eq!(
+        (due, slots, cell.sim.events_processed()),
+        (188_203, 11, 2_500)
+    );
+}
+
+#[test]
+fn a_hidden_failed_decode_during_the_countdown_survives_it() {
+    // `P` counts down for a beacon while one of `X`'s frames, which it
+    // cannot sense, ends and fails to decode: the countdown runs on, and
+    // the EIFS flag the failure set outlives it for the next defer.
+    let beacon_due = first_beacon_due();
+    let (cell, [p_mac, x_mac, _]) = HiddenCell::new(0, NEVER).run(3 * SEC);
+    let tape = &cell.sim.ground_truth.records;
+    let ends = data_ends(tape, x_mac, p_mac);
+    let (due, end, start) = by_start(tape)
+        .iter()
+        .filter(|r| r.kind == FrameKind::Beacon && r.src == Some(p_mac))
+        .find_map(|beacon| {
+            let start = start_of(beacon);
+            let due = start - (start - beacon_due) % BEACON_US;
+            let quiet = sensed_release_before(tape, due - 1, x_mac) + dcf::EIFS_US <= due;
+            let slots = (start - due).is_multiple_of(dcf::SLOT_US) && start > due;
+            let &end = ends.iter().find(|&&e| due < e && e < start)?;
+            (quiet && slots).then_some((due, end, start))
+        })
+        .expect("one of X's frames ends while P counts down for a beacon");
+    let (state, eifs, _) = HiddenCell::p_at(0, NEVER, end - 1);
+    assert!(matches!(state, MacState::Backoff { .. }), "{state:?}");
+    assert!(!eifs, "the countdown's defer cleared the flag");
+    let (state, eifs, _) = HiddenCell::p_at(0, NEVER, end);
+    assert!(matches!(state, MacState::Backoff { .. }), "{state:?}");
+    assert!(eifs, "the failed decode owes an EIFS");
+    // The countdown runs out on time, and the beacon leaves the flag for
+    // the next defer.
+    let beacon = first_from(tape, p_mac, end);
+    assert_eq!((beacon.kind, start_of(beacon)), (FrameKind::Beacon, start));
+    let (state, eifs, _) = HiddenCell::p_at(0, NEVER, beacon.timestamp_us);
+    assert_eq!(state, MacState::Idle);
+    assert!(eifs, "the EIFS flag survives the countdown");
+    // The two-timer count: the defer's timer ran, then its slot timer.
+    assert_eq!(
+        (due, end, cell.sim.events_processed()),
+        (1_417_003, 1_417_328, 2_576)
+    );
+}
+
+/// When `P`'s beacons fall due: the first goes out at once in a cell where
+/// nobody else ever transmits.
+fn first_beacon_due() -> u64 {
+    let (alone, [p_mac, _, _]) = HiddenCell::new(NEVER, NEVER).run(SEC);
+    start_of(first_from(&alone.sim.ground_truth.records, p_mac, 0))
+}
+
+/// The latest end, before `at`, of a frame not sent by `hidden`.
+fn sensed_release_before(tape: &[FrameRecord], at: u64, hidden: MacAddr) -> u64 {
+    tape.iter()
+        .filter(|r| r.src != Some(hidden) && r.timestamp_us <= at)
+        .map(|r| r.timestamp_us)
+        .max()
+        .expect("a release")
 }

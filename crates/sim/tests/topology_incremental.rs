@@ -7,7 +7,10 @@
 //! equality) to a fresh rebuild of the same positions. That is the
 //! contract that lets every downstream consumer — carrier sense, SINR,
 //! capture — treat the incrementally maintained cache as
-//! indistinguishable from the from-scratch computation.
+//! indistinguishable from the from-scratch computation. Both are also
+//! checked against `RadioConfig::rssi_dbm` of every ordered pair: the cache
+//! keeps one triangle of the matrix, so each stored value must serve both
+//! directions.
 
 use proptest::prelude::*;
 use wifi_sim::geometry::Pos;
@@ -82,6 +85,13 @@ fn check_schedule(steps: &[Step], radio: &RadioConfig) {
     assert_eq!(topo.sniffer_count(), sniffer_pos.len());
     for a in 0..station_pos.len() {
         for b in 0..station_pos.len() {
+            let direct = radio.rssi_dbm(station_pos[a], station_pos[b]);
+            assert_eq!(topo.rssi(a, b).to_bits(), direct.to_bits(), "rssi({a},{b})");
+            assert_eq!(
+                topo.sensed(a, b),
+                a != b && direct >= radio.cs_threshold_dbm,
+                "sensed({a},{b}) against the direct RSSI"
+            );
             assert_eq!(
                 topo.rssi(a, b).to_bits(),
                 fresh.rssi(a, b).to_bits(),
