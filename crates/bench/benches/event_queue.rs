@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the timing-wheel event queue in isolation:
-//! push/pop churn, timer re-arm (the DCF hot operation — every
-//! DIFS/backoff/SIFS/NAV transition re-arms), and far-future spill
-//! cascades, each at 1k–100k pending events.
+//! push/pop churn, timer re-arm (the Ack/Cts timeouts of the per-node
+//! slot; backoff countdowns reach the queue as one grant per medium and
+//! re-arm nothing), and far-future spill cascades, each at 1k–100k pending
+//! events.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use wifi_sim::events::{Event, EventQueue, TimerKind};
@@ -55,14 +56,15 @@ fn bench_rearm(c: &mut Criterion) {
     for &pending in &[1_000u64, 10_000, 100_000] {
         g.throughput(Throughput::Elements(pending));
         g.bench_function(&format!("rearm_under_{pending}_pending"), |b| {
-            // Timer churn against a deep queue: node re-arms overwrite the
-            // previous entry (the old scheme left it dead in the heap).
+            // Ack/Cts timeout churn against a deep queue: node re-arms
+            // overwrite the previous entry (the old scheme left it dead in
+            // the heap).
             let mut q = filled(pending, 0);
             let mut round = 0u64;
             b.iter(|| {
                 for node in 0..pending as usize {
                     round += 1;
-                    q.arm_timer(node & 1023, TimerKind::BackoffDone, 20 + round % 1_000);
+                    q.arm_timer(node & 1023, TimerKind::AckTimeout, 20 + round % 1_000);
                 }
             })
         });

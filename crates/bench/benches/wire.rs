@@ -1,5 +1,6 @@
-//! Criterion benchmarks of the byte-level layers: the capture writer's
-//! per-record frame encoding, header parsing of a snaplen-cut frame, FCS
+//! Criterion benchmarks of the byte-level layers: per-record frame
+//! encoding, whole and cut at the capture writer's snap length, header
+//! parsing of a snaplen-cut frame, FCS
 //! computation, radiotap encode/parse, and pcap write/read (with the
 //! decoder's setup timed alone, so the read loop is the difference).
 
@@ -37,6 +38,13 @@ fn bench_wire(c: &mut Criterion) {
     g.bench_function("encode_record_1500B_data", |b| {
         b.iter(|| black_box(wire::encode(black_box(&record))))
     });
+    // What the capture writer encodes at the study's 250-byte snap length:
+    // the frame bytes after the 25-byte radiotap header, no FCS.
+    g.throughput(Throughput::Bytes(225));
+    g.bench_function("encode_record_1500B_data_snap250", |b| {
+        b.iter(|| black_box(wire::encode_prefix(black_box(&record), 225)))
+    });
+    g.throughput(Throughput::Bytes(bytes.len() as u64));
     g.bench_function("parse_header_truncated", |b| {
         b.iter(|| black_box(wire::parse_header(black_box(&bytes[..250])).unwrap()))
     });

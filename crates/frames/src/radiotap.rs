@@ -107,11 +107,14 @@ const _: () = {
     }
 };
 
+/// Length of the radiotap header [`encode_packet`] writes: header(8)
+/// tsft(8) flags(1) rate(1) chan(4 at align 2) signal(1) noise(1)
+/// antenna(1).
+pub const ENCODED_HEADER_LEN: usize = 25;
+
 /// Serializes a capture record: radiotap header followed by the frame bytes.
 pub fn encode_packet(meta: &CaptureMeta, frame: &[u8]) -> Vec<u8> {
-    // Fixed layout: header(8) tsft(8) flags(1) rate(1) chan(4 at align 2)
-    // signal(1) noise(1) antenna(1) = 25 bytes.
-    const LEN: u16 = 25;
+    const LEN: u16 = ENCODED_HEADER_LEN as u16;
     let present: u32 = 1 << BIT_TSFT
         | 1 << BIT_FLAGS
         | 1 << BIT_RATE

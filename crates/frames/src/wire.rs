@@ -66,6 +66,14 @@ impl From<FcError> for ParseError {
 /// destination and from-DS otherwise. A beacon goes to broadcast with a
 /// zero duration. RTS, CTS, ACK and beacons never carry the retry bit.
 pub fn encode(r: &FrameRecord) -> Vec<u8> {
+    encode_prefix(r, usize::MAX).0
+}
+
+/// The first `keep` bytes of [`encode`]'s frame, and the whole frame's
+/// length, without building the rest: the zero fill past `keep` is never
+/// written, and the FCS is computed only when one of its bytes falls
+/// inside the prefix. A capture cut at a snap length needs no more.
+pub fn encode_prefix(r: &FrameRecord, keep: usize) -> (Vec<u8>, usize) {
     let mut fc = FrameControl::new(r.kind);
     fc.flags.retry = r.retry
         && !matches!(
@@ -83,7 +91,7 @@ pub fn encode(r: &FrameRecord) -> Vec<u8> {
         (r.dst, r.duration_us)
     };
     let mac_bytes = r.mac_bytes as usize;
-    let mut out = Vec::with_capacity(mac_bytes);
+    let mut out = Vec::with_capacity(mac_bytes.min(keep));
     out.extend_from_slice(&fc.to_le_bytes());
     out.extend_from_slice(&duration.to_le_bytes());
     out.extend_from_slice(&dst.octets());
@@ -115,9 +123,15 @@ pub fn encode(r: &FrameRecord) -> Vec<u8> {
         ]);
         out.extend_from_slice(&[ie::DS_PARAMS, 1, r.channel.number()]);
     }
-    out.resize(out.len().max(mac_bytes.saturating_sub(4)), 0);
-    fcs::append_fcs(&mut out);
-    out
+    let body = out.len().max(mac_bytes.saturating_sub(4));
+    if body < keep {
+        out.resize(body, 0);
+        fcs::append_fcs(&mut out);
+        out.truncate(keep);
+    } else {
+        out.resize(keep, 0);
+    }
+    (out, body + 4)
 }
 
 struct Cursor<'a> {

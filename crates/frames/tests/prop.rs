@@ -317,6 +317,27 @@ fn arb_radiotap_packet() -> impl Strategy<Value = Vec<u8>> {
 }
 
 proptest! {
+    /// `encode_prefix` is `encode` cut at `keep`, with the whole length, at
+    /// every cut: inside the header, the body and the FCS, and past the end;
+    /// also for a declared size shorter than the header.
+    #[test]
+    fn encode_prefix_is_the_cut_encoding(
+        r in arb_record(),
+        extra in 0usize..8,
+        shrink in any::<bool>(),
+    ) {
+        let mut r = r;
+        if shrink {
+            r.mac_bytes %= 16;
+        }
+        let bytes = wire::encode(&r);
+        for keep in 0..=bytes.len() + extra {
+            let (prefix, len) = wire::encode_prefix(&r, keep);
+            prop_assert_eq!(len, bytes.len());
+            prop_assert_eq!(&prefix[..], &bytes[..keep.min(bytes.len())], "keep {}", keep);
+        }
+    }
+
     /// `parse_header` + `from_header` invert `encode` at every snap length
     /// that keeps the header, and refuse every shorter cut as truncated.
     #[test]

@@ -18,18 +18,26 @@
 //!   their window arrives. An empty wheel jumps straight to the spill's
 //!   first window instead of revolving through idle time.
 //! * **Timers** ([`EventQueue::arm_timer`]): each node has at most one live
-//!   contention timer, tracked in a per-node slot. Re-arming overwrites the
-//!   slot — the previous entry is physically removed instead of lingering as
-//!   a dead heap entry — and [`EventQueue::cancel_timer`] drops it outright.
+//!   exchange timer (`CtsTimeout`/`AckTimeout`), tracked in a per-node slot.
+//!   Re-arming overwrites the slot — the previous entry is physically
+//!   removed instead of lingering as a dead heap entry — and
+//!   [`EventQueue::cancel_timer`] drops it outright.
+//! * **Grants** (`EventQueue::set_grant`): backoff countdowns are not
+//!   queue entries. The simulator keeps each station's countdown end in its
+//!   hot state, and each medium holds at most one [`Event::Grant`] here, at
+//!   or before the earliest end of its contending stations; a busy edge
+//!   that freezes a countdown costs no queue operation, unless it was the
+//!   medium's last, whose grant is then dropped. Moving a grant earlier
+//!   removes and re-inserts it like a timer re-arm.
 //! * **Ghosts**: the fire times of timers the historical lazy-deletion heap
-//!   would have popped dead — cancelled timers, and the defer deadline of
-//!   every backoff countdown (the two-timer DCF's separate defer timer,
-//!   which the simulator now folds into its `BackoffDone`; see
-//!   [`EventQueue::record_ghost`]). [`EventQueue::drain_ghosts`] adds them
-//!   back so the events-processed denominator stays exactly the historical
-//!   one (committed perf baselines fingerprint it). A ghost at or before
-//!   the drain horizon ([`EventQueue::set_ghost_horizon`]) is only counted;
-//!   later ones are kept until a drain reaches them.
+//!   would have popped dead — cancelled timers and frozen countdowns, and
+//!   the defer deadline of every backoff countdown (the two-timer DCF's
+//!   separate defer timer, which the simulator folds into its countdown;
+//!   see [`EventQueue::record_ghost`]). [`EventQueue::drain_ghosts`] adds
+//!   them back so the events-processed denominator stays exactly the
+//!   historical one (committed perf baselines fingerprint it). A ghost at or
+//!   before the drain horizon ([`EventQueue::set_ghost_horizon`]) is only
+//!   counted; later ones are kept until a drain reaches them.
 //!
 //! Queue churn is observable through [`EventQueue::stats`]:
 //! pushed/popped/stale-dropped/cascaded counters that run reports surface
@@ -42,11 +50,12 @@ use wifi_frames::timing::Micros;
 /// Identifies a node (station, AP, or sniffer) inside one simulation.
 pub type NodeId = usize;
 
-/// Timer kinds a station can arm. Contention timers (`BackoffDone`,
-/// `CtsTimeout`, `AckTimeout`) are cancellable: arming via
-/// [`EventQueue::arm_timer`] overwrites the node's single timer slot.
-/// `SifsResponse` and `NavExpired` are condition-validated plain events and
-/// may coexist with a contention timer.
+/// Timer kinds a station can arm. The exchange timers (`CtsTimeout`,
+/// `AckTimeout`) are cancellable: arming via [`EventQueue::arm_timer`]
+/// overwrites the node's single timer slot. `SifsResponse` and `NavExpired`
+/// are condition-validated plain events and may coexist with an exchange
+/// timer. `BackoffDone` is never queued: the simulator makes one for each
+/// countdown that a popped [`Event::Grant`] finds at its end.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TimerKind {
     /// The DIFS/EIFS defer and then the backoff slots of a countdown ran
@@ -65,10 +74,7 @@ pub enum TimerKind {
 impl TimerKind {
     /// Whether this kind lives in the node's cancellable timer slot.
     pub fn is_cancellable(self) -> bool {
-        matches!(
-            self,
-            TimerKind::BackoffDone | TimerKind::CtsTimeout | TimerKind::AckTimeout
-        )
+        matches!(self, TimerKind::CtsTimeout | TimerKind::AckTimeout)
     }
 }
 
@@ -97,7 +103,7 @@ pub enum Event {
         /// transmitter's one transmission in flight.
         node: NodeId,
     },
-    /// A station timer fires. A cancelled or superseded contention timer
+    /// A station timer fires. A cancelled or superseded exchange timer
     /// never fires: the queue removes it eagerly
     /// ([`EventQueue::cancel_timer`]).
     Timer {
@@ -146,6 +152,14 @@ pub enum Event {
         /// The client.
         node: NodeId,
     },
+    /// The earliest backoff countdown of a medium's stations may have run
+    /// out (`EventQueue::set_grant`). Never dispatched itself: the
+    /// simulator replaces it in its batch with one `BackoffDone` timer per
+    /// countdown that ends at the batch's time.
+    Grant {
+        /// The channel index of the medium.
+        medium: usize,
+    },
 }
 
 /// Queue-churn counters, surfaced per sweep cell through run reports.
@@ -155,7 +169,8 @@ pub struct QueueStats {
     pub pushed: u64,
     /// Events delivered to the simulator.
     pub popped: u64,
-    /// Timers dropped at cancellation/re-arm time instead of popping dead.
+    /// Timers dropped at cancellation/re-arm time, and grants moved
+    /// earlier or dropped, instead of popping dead.
     pub stale_dropped: u64,
     /// Far-future events cascaded from the spill level into the wheel.
     pub cascaded: u64,
@@ -203,7 +218,8 @@ struct Entry {
     dead: bool,
 }
 
-/// A node's armed cancellable timer: enough to locate the entry for removal.
+/// A node's armed cancellable timer, or a medium's grant: enough to locate
+/// the entry for removal.
 #[derive(Clone, Copy)]
 struct ArmedTimer {
     seq: u64,
@@ -237,6 +253,8 @@ pub struct EventQueue {
     pool: VecPool<Entry>,
     /// Per-node armed cancellable timer.
     armed: Vec<Option<ArmedTimer>>,
+    /// Per-medium pending grant.
+    grants: Vec<Option<ArmedTimer>>,
     /// Ghosts later than `ghost_horizon`, for events-processed parity (see
     /// [`EventQueue::drain_ghosts`]). Unordered: a flat retain scan beats
     /// heap sifts, and only ghosts past the running horizon land here.
@@ -276,6 +294,7 @@ impl EventQueue {
             spill_len: 0,
             pool: VecPool::new(POOL_SPARES, POOL_RETAIN_CAP),
             armed: Vec::new(),
+            grants: Vec::new(),
             ghosts: Vec::new(),
             ghosts_due: 0,
             ghost_horizon: 0,
@@ -304,36 +323,21 @@ impl EventQueue {
     pub fn arm_timer(&mut self, node: NodeId, kind: TimerKind, at: Micros) {
         debug_assert!(kind.is_cancellable());
         self.cancel_timer(node);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.stats.pushed += 1;
         if self.armed.len() <= node {
             self.armed.resize(node + 1, None);
         }
-        self.armed[node] = Some(ArmedTimer { seq, at });
-        self.insert(Entry {
-            at,
-            seq,
-            event: Event::Timer { node, kind },
-            dead: false,
-        });
+        self.armed[node] = Some(self.push_tracked(at, Event::Timer { node, kind }));
     }
 
     /// Cancels `node`'s armed timer, removing its entry from the queue. The
     /// fire time is recorded as a ghost so the events-processed denominator
     /// stays identical to the lazy-deletion scheme this replaced.
     pub fn cancel_timer(&mut self, node: NodeId) {
-        if let Some(at) = self.remove_timer(node) {
-            self.record_ghost(at);
+        let armed = self.armed.get_mut(node).and_then(Option::take);
+        if let Some(timer) = armed {
+            self.remove_entry(timer);
+            self.record_ghost(timer.at);
         }
-    }
-
-    /// Removes `node`'s armed timer like [`EventQueue::cancel_timer`], but
-    /// records no ghost: for a timer whose stale pop the historical count
-    /// has already recorded otherwise (a countdown withdrawn during its
-    /// defer, whose deadline is the ghost).
-    pub fn withdraw_timer(&mut self, node: NodeId) {
-        self.remove_timer(node);
     }
 
     /// The fire time of `node`'s armed cancellable timer, if any.
@@ -341,11 +345,45 @@ impl EventQueue {
         self.armed.get(node).copied().flatten().map(|t| t.at)
     }
 
+    /// Places `medium`'s grant at `at`, physically removing a pending one.
+    /// A grant is no timer of the lazy-deletion heap, so moving one records
+    /// no ghost.
+    pub(crate) fn set_grant(&mut self, medium: usize, at: Micros) {
+        if self.grants.len() <= medium {
+            self.grants.resize(medium + 1, None);
+        }
+        if let Some(grant) = self.grants[medium].take() {
+            self.remove_entry(grant);
+        }
+        self.grants[medium] = Some(self.push_tracked(at, Event::Grant { medium }));
+    }
+
+    /// Removes `medium`'s pending grant, if any, without a ghost.
+    pub(crate) fn drop_grant(&mut self, medium: usize) {
+        if let Some(grant) = self.grants.get_mut(medium).and_then(Option::take) {
+            self.remove_entry(grant);
+        }
+    }
+
+    /// The time of `medium`'s pending grant, if any.
+    pub(crate) fn grant_at(&self, medium: usize) -> Option<Micros> {
+        self.grants.get(medium).copied().flatten().map(|t| t.at)
+    }
+
+    /// Pushes `event` and returns what locates its entry.
+    fn push_tracked(&mut self, at: Micros, event: Event) -> ArmedTimer {
+        let seq = self.next_seq;
+        self.push(at, event);
+        ArmedTimer { seq, at }
+    }
+
     /// Records a ghost at `at`: an event the lazy-deletion scheme would
     /// have popped and counted at that time without this queue holding it.
-    /// Besides cancelled timers, the simulator records here the defer
-    /// deadline of each backoff countdown with slots left, where the
-    /// two-timer DCF dispatched or cancelled a separate defer timer.
+    /// Besides cancelled timers, the simulator records here the end of each
+    /// countdown a busy edge froze, where that scheme cancelled its timer,
+    /// and the defer deadline of each backoff countdown with slots left,
+    /// where the two-timer DCF dispatched or cancelled a separate defer
+    /// timer.
     pub fn record_ghost(&mut self, at: Micros) {
         if at <= self.ghost_horizon {
             self.ghosts_due += 1;
@@ -361,10 +399,8 @@ impl EventQueue {
         self.ghost_horizon = horizon;
     }
 
-    /// Takes `node`'s armed timer out of the queue; its fire time, or
-    /// `None` when nothing was armed.
-    fn remove_timer(&mut self, node: NodeId) -> Option<Micros> {
-        let timer = self.armed.get_mut(node).and_then(Option::take)?;
+    /// Takes a tracked entry (a timer or a grant) out of the queue.
+    fn remove_entry(&mut self, timer: ArmedTimer) {
         self.stats.stale_dropped += 1;
         self.live -= 1;
         if timer.at < self.current_end {
@@ -372,7 +408,7 @@ impl EventQueue {
             for e in self.current[self.current_pos..].iter_mut() {
                 if e.seq == timer.seq {
                     e.dead = true;
-                    return Some(timer.at);
+                    return;
                 }
             }
             unreachable!("armed timer not found in drained buffer");
@@ -407,7 +443,6 @@ impl EventQueue {
             self.spill_len -= 1;
             self.raw -= 1;
         }
-        Some(timer.at)
     }
 
     fn insert(&mut self, e: Entry) {
@@ -538,16 +573,17 @@ impl EventQueue {
         }
     }
 
-    /// Clears the armed-timer slot when its entry is delivered.
+    /// Clears the armed-timer or grant slot when its entry is delivered.
     #[inline]
     fn note_materialized(&mut self, e: &Entry) {
-        if let Event::Timer { node, kind, .. } = e.event {
-            if kind.is_cancellable() {
-                if let Some(Some(t)) = self.armed.get(node) {
-                    if t.seq == e.seq {
-                        self.armed[node] = None;
-                    }
-                }
+        let slot = match e.event {
+            Event::Timer { node, kind } if kind.is_cancellable() => self.armed.get_mut(node),
+            Event::Grant { medium } => self.grants.get_mut(medium),
+            _ => return,
+        };
+        if let Some(slot) = slot {
+            if slot.is_some_and(|t| t.seq == e.seq) {
+                *slot = None;
             }
         }
     }
@@ -734,7 +770,7 @@ mod tests {
         q.arm_timer(2, TimerKind::AckTimeout, 100);
         assert_eq!((q.len(), q.live_len()), (1, 1));
         // Re-arm: the old entry is gone, not lingering as a dead one.
-        q.arm_timer(2, TimerKind::BackoffDone, 300);
+        q.arm_timer(2, TimerKind::CtsTimeout, 300);
         assert_eq!((q.len(), q.live_len()), (1, 1));
         assert_eq!(q.stats().stale_dropped, 1);
         q.cancel_timer(2);
@@ -745,14 +781,35 @@ mod tests {
         assert_eq!(q.drain_ghosts(99), 0);
         assert_eq!(q.drain_ghosts(300), 2);
         assert_eq!(q.drain_ghosts(1_000_000), 0);
-        // Up to the horizon a ghost is a count, not a stored time; a
-        // withdrawn timer leaves none.
+        // Up to the horizon a ghost is a count, not a stored time.
         q.set_ghost_horizon(2_000_000);
         q.record_ghost(2_000_000);
-        q.arm_timer(2, TimerKind::BackoffDone, 1_500_000);
-        q.withdraw_timer(2);
+        q.arm_timer(2, TimerKind::AckTimeout, 1_500_000);
+        q.cancel_timer(2);
         assert!(q.ghosts.is_empty());
-        assert_eq!(q.drain_ghosts(2_000_000), 1);
+        assert_eq!(q.drain_ghosts(2_000_000), 2);
+    }
+
+    /// A medium's grant is one entry: moving or dropping it removes the
+    /// pending one without a ghost, and delivering it frees the slot.
+    #[test]
+    fn a_grant_moves_and_drops_without_a_ghost_and_frees_its_slot_on_delivery() {
+        let mut q = EventQueue::new();
+        q.set_grant(1, 500);
+        q.arm_timer(1, TimerKind::AckTimeout, 400);
+        assert_eq!((q.grant_at(0), q.grant_at(1)), (None, Some(500)));
+        q.set_grant(1, 200);
+        assert_eq!((q.len(), q.grant_at(1)), (2, Some(200)));
+        assert_eq!(q.armed_at(1), Some(400), "node and medium slots are apart");
+        assert_eq!(q.pop(), Some((200, Event::Grant { medium: 1 })));
+        assert_eq!(q.grant_at(1), None);
+        q.set_grant(1, 300);
+        q.drop_grant(1);
+        q.drop_grant(1);
+        assert_eq!((q.grant_at(1), q.live_len()), (None, 1));
+        let s = q.stats();
+        assert_eq!((s.pushed, s.popped, s.stale_dropped), (4, 1, 2));
+        assert_eq!(q.drain_ghosts(Micros::MAX), 0);
     }
 
     /// Drains must count exactly the ghosts that have come due, whatever
@@ -784,14 +841,10 @@ mod tests {
                     reference.push(at);
                 }
                 let at = now.saturating_sub(50) + rand(400);
-                q.arm_timer(node, TimerKind::BackoffDone, at);
-                match rand(4) {
-                    0 | 1 => {
-                        reference.push(at);
-                        q.cancel_timer(node);
-                    }
-                    2 => q.withdraw_timer(node),
-                    _ => {}
+                q.arm_timer(node, TimerKind::AckTimeout, at);
+                if rand(2) == 0 {
+                    reference.push(at);
+                    q.cancel_timer(node);
                 }
                 if rand(2) == 0 {
                     let ghost = now.saturating_sub(50) + rand(400);
@@ -860,8 +913,8 @@ mod tests {
     fn stats_account_for_all_flows() {
         let mut q = EventQueue::new();
         q.push(1, Event::BeaconDue { node: 0 });
-        q.arm_timer(1, TimerKind::BackoffDone, 30);
-        q.arm_timer(1, TimerKind::BackoffDone, 60); // re-arm drops one
+        q.arm_timer(1, TimerKind::AckTimeout, 30);
+        q.arm_timer(1, TimerKind::AckTimeout, 60); // re-arm drops one
         while q.pop().is_some() {}
         let s = q.stats();
         assert_eq!(s.pushed, 3);

@@ -311,19 +311,63 @@ pub fn sum_dbm(levels: impl IntoIterator<Item = f64>) -> f64 {
 /// interference — the physical reason slow frames survive collisions that
 /// destroy CCK frames, and a key ingredient of the paper's observation that
 /// 1 Mbps traffic keeps flowing (and keeps being captured) under congestion.
+///
+/// The receivers of the simulator hold a [`NoiseFloor`] instead, which
+/// converts the floor once; this is the same kernel with the conversion
+/// inline.
 pub fn effective_sinr_db(
     signal_dbm: f64,
     interferers_dbm: &[f64],
     noise_floor_dbm: f64,
     processing_gain_db: f64,
 ) -> f64 {
-    let denom = sum_dbm(
-        interferers_dbm
-            .iter()
-            .map(|i| i - processing_gain_db)
-            .chain(std::iter::once(noise_floor_dbm)),
-    );
-    signal_dbm - denom
+    NoiseFloor::new(noise_floor_dbm).sinr_db(signal_dbm, interferers_dbm, processing_gain_db)
+}
+
+/// A noise floor with its power converted to milliwatts and back to dB
+/// once, for [`NoiseFloor::sinr_db`].
+#[derive(Clone, Copy, Debug)]
+pub struct NoiseFloor {
+    mw: f64,
+    db: f64,
+}
+
+impl NoiseFloor {
+    /// The floor at `dbm`.
+    pub fn new(dbm: f64) -> NoiseFloor {
+        NoiseFloor {
+            mw: 10f64.powf(dbm / 10.0),
+            db: sum_dbm([dbm]),
+        }
+    }
+
+    /// [`effective_sinr_db`] against this floor, to the bit: the
+    /// interferers' milliwatts are summed in order and the floor's added
+    /// last, as [`sum_dbm`] over the interferers chained with the floor
+    /// does; with no interferers the denominator is the floor's dB value.
+    #[inline]
+    pub fn sinr_db(
+        &self,
+        signal_dbm: f64,
+        interferers_dbm: &[f64],
+        processing_gain_db: f64,
+    ) -> f64 {
+        let Some((&first, rest)) = interferers_dbm.split_first() else {
+            return signal_dbm - self.db;
+        };
+        let to_mw = |dbm: f64| 10f64.powf((dbm - processing_gain_db) / 10.0);
+        let mut mw = to_mw(first);
+        for &i in rest {
+            mw += to_mw(i);
+        }
+        mw += self.mw;
+        let denom = if mw <= 0.0 {
+            f64::NEG_INFINITY
+        } else {
+            10.0 * mw.log10()
+        };
+        signal_dbm - denom
+    }
 }
 
 /// Interference-rejection (despreading) gain of each 802.11b rate, dB.
@@ -519,6 +563,36 @@ mod tests {
         // 802.11b rate.
         let s = effective_sinr_db(-60.0, &[-60.0], -95.0, 0.0);
         assert!(s < 0.1);
+    }
+
+    /// The cached floor reproduces the `sum_dbm` chain it replaced to the
+    /// bit, for interferer lists of every length the simulator sees.
+    #[test]
+    fn cached_noise_floor_matches_the_sum_chain_bit_for_bit() {
+        let floor = NoiseFloor::new(NOISE_FLOOR_DBM);
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for n in 0..40 {
+            for _ in 0..50 {
+                let signal = -30.0 - 70.0 * draw();
+                let interferers: Vec<f64> = (0..n).map(|_| -20.0 - 100.0 * draw()).collect();
+                let gain = [0.0, 0.7, 2.0, 7.4, 10.4][n % 5];
+                let chain = signal
+                    - sum_dbm(
+                        interferers
+                            .iter()
+                            .map(|i| i - gain)
+                            .chain(std::iter::once(NOISE_FLOOR_DBM)),
+                    );
+                let cached = floor.sinr_db(signal, &interferers, gain);
+                assert_eq!(cached.to_bits(), chain.to_bits(), "{n} interferers");
+            }
+        }
     }
 
     #[test]

@@ -27,17 +27,18 @@ use crate::frame_info::SimFrame;
 use crate::geometry::Pos;
 use crate::medium::Medium;
 use crate::radio::{
-    effective_sinr_db, frame_success_prob, processing_gain_db, FadeMemo, NOISE_FLOOR_DBM,
-    SENSITIVITY_DBM,
+    frame_success_prob, processing_gain_db, FadeMemo, NoiseFloor, NOISE_FLOOR_DBM, SENSITIVITY_DBM,
 };
 use crate::rate::RateAdaptation;
 use crate::rng::SimRng;
 use crate::sniffer::{MissReason, Sniffer, SnifferConfig, FADE_SCALE};
-use crate::station::{HotState, MacState, Msdu, MsduKind, Role, RtsPolicy, Station, TxOp, TxPhase};
+use crate::station::{
+    HotState, MacMap, MacState, Msdu, MsduKind, Role, RtsPolicy, Station, TxOp, TxPhase,
+    NO_COUNTDOWN,
+};
 use crate::topology::{for_each_bit, NodeSet, SensingTopology};
 use crate::traffic::TrafficProfile;
 use rand::Rng;
-use std::collections::HashMap;
 use wifi_frames::fc::FrameKind;
 use wifi_frames::frame;
 use wifi_frames::mac::MacAddr;
@@ -134,7 +135,17 @@ pub struct Simulator {
     /// medium also keeps which of its stations sense energy, and the
     /// listeners of its recent releases.
     media: Vec<Medium>,
-    mac_index: HashMap<MacAddr, NodeId>,
+    /// Per medium: the earliest countdown end armed there since its grant
+    /// was placed, and the next end found when the grant popped
+    /// ([`NO_COUNTDOWN`]: none). `run_until` moves the grant up to it
+    /// before the next pop ([`Self::place_grants`]).
+    armed_since_grant: Vec<Micros>,
+    /// Per medium: how many of its stations have a countdown end.
+    counting_down: Vec<u32>,
+    /// Whether some `armed_since_grant` entry was lowered since
+    /// [`Self::place_grants`] last ran; most batches arm nothing.
+    grants_stale: bool,
+    mac_index: MacMap<NodeId>,
     /// Ground truth.
     pub ground_truth: GroundTruth,
     events_processed: u64,
@@ -163,6 +174,8 @@ pub struct Simulator {
     followers_scratch: Vec<NodeId>,
     /// Scratch: interferer RSSI values of one reception.
     interferer_rssi: Vec<f64>,
+    /// The thermal noise floor of every receiver, converted once.
+    noise: NoiseFloor,
     /// Scratch: one same-timestamp event batch from the queue.
     batch_scratch: Vec<Event>,
     /// Timestamp of the latest event batch (`Micros::MAX` before the first).
@@ -191,6 +204,8 @@ impl Simulator {
         let channels = config.channels.len();
         let media = (0..channels).map(|_| Medium::new()).collect();
         let chan_airtime_us = vec![0; channels];
+        let armed_since_grant = vec![NO_COUNTDOWN; channels];
+        let counting_down = vec![0; channels];
         let medium_members = (0..channels).map(|_| NodeSet::new()).collect();
         let fades = FadeMemo::new(config.radio.fading);
         Simulator {
@@ -201,7 +216,10 @@ impl Simulator {
             hot: HotState::default(),
             sniffers: Vec::new(),
             media,
-            mac_index: HashMap::new(),
+            armed_since_grant,
+            counting_down,
+            grants_stale: false,
+            mac_index: MacMap::default(),
             ground_truth: GroundTruth::default(),
             events_processed: 0,
             chan_airtime_us,
@@ -213,6 +231,7 @@ impl Simulator {
             eval_deltas: Vec::new(),
             followers_scratch: Vec::new(),
             interferer_rssi: Vec::new(),
+            noise: NoiseFloor::new(NOISE_FLOOR_DBM),
             batch_scratch: Vec::new(),
             batch_at: Micros::MAX,
             round: 0,
@@ -296,7 +315,9 @@ impl Simulator {
         for &nid in &tx.interferers {
             interf.push(self.faded_rssi(nid, rx_node));
         }
-        let sinr = effective_sinr_db(rssi, &interf, NOISE_FLOOR_DBM, processing_gain_db(tx.rate));
+        let sinr = self
+            .noise
+            .sinr_db(rssi, &interf, processing_gain_db(tx.rate));
         self.interferer_rssi = interf;
         sinr
     }
@@ -505,6 +526,11 @@ impl Simulator {
     /// current timestamp form the *next* batch (higher sequence numbers),
     /// which is canonically sorted in turn; `round` numbers the batches of
     /// one microsecond.
+    ///
+    /// Backoff countdowns reach the batches through their medium's grant
+    /// (`place_grants`, `expand_grants`): a countdown that
+    /// ends at `t` joins the first batch at `t` popped after it was armed,
+    /// as its own queue timer did.
     pub fn run_until(&mut self, until: Micros) {
         // The station/sniffer adders and `move_station` keep the topology
         // covering the population eagerly and incrementally (one dirty row
@@ -515,10 +541,18 @@ impl Simulator {
         self.queue.set_ghost_horizon(until);
         let mut batch = std::mem::take(&mut self.batch_scratch);
         loop {
+            self.place_grants();
             batch.clear();
             let Some(at) = self.queue.pop_batch(until, &mut batch) else {
                 break;
             };
+            self.expand_grants(at, &mut batch);
+            if batch.is_empty() {
+                // Grants none of whose countdowns end now (the earliest
+                // froze): the timers they stand for were cancelled, so
+                // there is no batch, and no round.
+                continue;
+            }
             if batch.len() > 1 {
                 // Stable: events with identical keys (only literally
                 // identical, idempotent events can tie) keep queue order.
@@ -541,8 +575,12 @@ impl Simulator {
                 "contending set out of step with MAC state"
             );
             debug_assert!(
-                self.hot.countdown_consistent(&self.queue),
-                "a countdown's timer is not at its end"
+                self.hot.countdown_consistent(),
+                "a countdown's end is not where its state puts it"
+            );
+            debug_assert!(
+                self.grants_consistent(),
+                "a medium's grant is later than one of its countdowns"
             );
             debug_assert!(
                 self.media.iter().all(Medium::busy_consistent),
@@ -565,6 +603,74 @@ impl Simulator {
         // fold them back in so the events-per-second denominator stays
         // comparable across the committed baseline trajectory.
         self.events_processed += self.queue.drain_ghosts(until);
+    }
+
+    /// Moves each medium's grant up to the earliest countdown armed there
+    /// since it was placed, when that is earlier and something still counts
+    /// down there; a grant already at or before it stays, and the earliest
+    /// end is found again when it pops.
+    fn place_grants(&mut self) {
+        if !std::mem::take(&mut self.grants_stale) {
+            return;
+        }
+        for (medium, armed) in self.armed_since_grant.iter_mut().enumerate() {
+            let earliest = std::mem::replace(armed, NO_COUNTDOWN);
+            if self.counting_down[medium] > 0
+                && earliest < self.queue.grant_at(medium).unwrap_or(NO_COUNTDOWN)
+            {
+                self.queue.set_grant(medium, earliest);
+            }
+        }
+    }
+
+    /// Replaces each grant in `batch`, popped at `at`, with a `BackoffDone`
+    /// for every countdown of its medium that ends at `at`, and notes the
+    /// earliest end left for the grant's next placement.
+    fn expand_grants(&mut self, at: Micros, batch: &mut Vec<Event>) {
+        let mut i = 0;
+        while i < batch.len() {
+            let Event::Grant { medium } = batch[i] else {
+                i += 1;
+                continue;
+            };
+            // Order within the batch is the canonical sort's business.
+            batch.swap_remove(i);
+            if self.counting_down[medium] == 0 {
+                continue; // nothing counts down there any more
+            }
+            let mut due = 0;
+            let next = self.hot.take_due(&self.medium_members[medium], at, |node| {
+                due += 1;
+                batch.push(Event::Timer {
+                    node,
+                    kind: TimerKind::BackoffDone,
+                });
+            });
+            self.counting_down[medium] -= due;
+            let armed = &mut self.armed_since_grant[medium];
+            *armed = (*armed).min(next);
+            self.grants_stale = true;
+        }
+    }
+
+    /// Whether each medium's grant, or the earlier end in
+    /// `armed_since_grant`, comes no later than the earliest undispatched
+    /// countdown end on that medium, and `counting_down` counts its ends
+    /// (checked by the event loop in debug builds).
+    fn grants_consistent(&self) -> bool {
+        self.medium_members
+            .iter()
+            .enumerate()
+            .all(|(medium, members)| {
+                let grant = self.queue.grant_at(medium).unwrap_or(NO_COUNTDOWN);
+                let earliest = self.hot.earliest_end(members);
+                let ends = members
+                    .iter()
+                    .filter(|&i| self.hot.countdown_end[i] != NO_COUNTDOWN)
+                    .count();
+                grant.min(self.armed_since_grant[medium]) <= earliest
+                    && ends == self.counting_down[medium] as usize
+            })
     }
 
     /// Canonical order of same-microsecond events: `(event class, global
@@ -595,6 +701,7 @@ impl Simulator {
             Event::ChannelEval { node } => (7, key(node), 0),
             Event::PowerSaveTick { node } => (8, key(node), 0),
             Event::FollowAp { node, channel_idx } => (9, key(node), channel_idx as u64),
+            Event::Grant { .. } => unreachable!("grants are expanded before sorting"),
         }
     }
 
@@ -614,6 +721,7 @@ impl Simulator {
             Event::ChannelEval { node } => self.on_channel_eval(node),
             Event::PowerSaveTick { node } => self.on_power_save_tick(node),
             Event::FollowAp { node, channel_idx } => self.on_follow_ap(node, channel_idx),
+            Event::Grant { .. } => unreachable!("grants are expanded before dispatch"),
         }
     }
 
@@ -629,10 +737,11 @@ impl Simulator {
         );
     }
 
-    /// NavExpired and SifsResponse are condition-validated. A contention
+    /// NavExpired and SifsResponse are condition-validated. An exchange
     /// timer that pops is live: cancelling or re-arming one removes it from
-    /// the queue, and in a same-microsecond batch timers run before the
-    /// carrier-sense and end-of-frame events that cancel them.
+    /// the queue. A `BackoffDone` is live unless an earlier event of its
+    /// batch froze the countdown; in a same-microsecond batch timers run
+    /// before the carrier-sense and end-of-frame events that freeze them.
     fn on_timer(&mut self, node: NodeId, kind: TimerKind) {
         match kind {
             TimerKind::NavExpired => {
@@ -961,7 +1070,9 @@ impl Simulator {
     }
 
     /// Starts `node`'s countdown: a defer that ends at `ready_at`, then
-    /// `backoff_slots` slots, under one `BackoffDone` at the end of both.
+    /// `backoff_slots` slots, with one deadline at the end of both in
+    /// `HotState::countdown_end`. The medium's grant moves up to it before
+    /// the next batch pops ([`Self::place_grants`]).
     ///
     /// The defer's end does exactly what the separate defer timer of the
     /// two-timer DCF did: it clears the EIFS flag (cleared here and held in
@@ -991,8 +1102,15 @@ impl Simulator {
         if slots > 0 {
             self.queue.record_ghost(ready_at);
         }
-        let fire_at = ready_at + slots as Micros * dcf::SLOT_US;
-        self.queue.arm_timer(node, TimerKind::BackoffDone, fire_at);
+        debug_assert_eq!(self.queue.armed_at(node), None, "a live exchange timer");
+        let end = ready_at + slots as Micros * dcf::SLOT_US;
+        debug_assert_eq!(self.hot.countdown_end[node], NO_COUNTDOWN);
+        self.hot.countdown_end[node] = end;
+        let medium = self.hot.channel_idx[node];
+        self.counting_down[medium] += 1;
+        let armed = &mut self.armed_since_grant[medium];
+        *armed = (*armed).min(end);
+        self.grants_stale = true;
     }
 
     /// Whether the defer of `node`'s countdown, ending at `started` in batch
@@ -1036,6 +1154,15 @@ impl Simulator {
             return;
         }
         debug_assert!(!self.channel_busy(node), "a busy edge froze the countdown");
+        let rearmed = std::mem::replace(&mut self.hot.countdown_end[node], NO_COUNTDOWN);
+        if rearmed != NO_COUNTDOWN {
+            // An earlier event of this batch froze the countdown and armed
+            // another (a channel switch). The station still transmits, as
+            // its queue timer did; that timer left the new one armed, to
+            // pop dead or be cancelled: one event at its end either way.
+            self.counting_down[self.hot.channel_idx[node]] -= 1;
+            self.queue.record_ghost(rearmed);
+        }
         self.hot.backoff_slots[node] = 0;
         self.transmit_current(node);
     }
@@ -1043,6 +1170,14 @@ impl Simulator {
     /// The channel turned busy for `node`: freeze contention. Inside the
     /// defer nothing is consumed and the EIFS flag is put back; after it,
     /// the whole slots since `started` are.
+    ///
+    /// The countdown's end is cleared; the queue is touched only when this
+    /// was the last countdown of the medium, whose grant then goes. Where
+    /// the queue timer this replaces was cancelled, its end is a ghost:
+    /// after the defer, and inside it when no slots are left (the end is
+    /// the defer's end). With slots left, the defer's end is the ghost
+    /// already (`arm_countdown`). A countdown whose `BackoffDone` is in
+    /// the current batch already has no end, and no ghost.
     fn on_channel_busy(&mut self, node: NodeId) {
         let MacState::Backoff {
             started,
@@ -1052,18 +1187,24 @@ impl Simulator {
         else {
             return;
         };
-        if self.defer_over(node, started, round) {
+        let end = std::mem::replace(&mut self.hot.countdown_end[node], NO_COUNTDOWN);
+        if end != NO_COUNTDOWN {
+            let medium = self.hot.channel_idx[node];
+            self.counting_down[medium] -= 1;
+            if self.counting_down[medium] == 0 {
+                // Its grant would pop with nothing to dispatch.
+                self.queue.drop_grant(medium);
+            }
+        }
+        let cancelled = if self.defer_over(node, started, round) {
             self.hot.consume_backoff(node, self.now - started);
-            self.queue.cancel_timer(node);
+            true
         } else {
             self.hot.use_eifs[node] = held_eifs;
-            if self.hot.backoff_slots[node] == 0 {
-                // The timer is the defer's end itself: its ghost.
-                self.queue.cancel_timer(node);
-            } else {
-                // The defer's end is already a ghost (`arm_countdown`).
-                self.queue.withdraw_timer(node);
-            }
+            self.hot.backoff_slots[node] == 0
+        };
+        if cancelled && end != NO_COUNTDOWN {
+            self.queue.record_ghost(end);
         }
         self.hot.set_state(node, MacState::Frozen);
     }
@@ -1350,6 +1491,7 @@ impl Simulator {
         };
         match phase {
             TxPhase::Rts => {
+                debug_assert_eq!(self.hot.countdown_end[node], NO_COUNTDOWN);
                 self.hot.set_state(node, MacState::AwaitCts);
                 let timeout = now + delay::SIFS + delay::CTS + TIMEOUT_MARGIN_US;
                 self.queue.arm_timer(node, TimerKind::CtsTimeout, timeout);
@@ -1358,6 +1500,7 @@ impl Simulator {
                 if tx.frame.is_broadcast() {
                     self.complete_delivery(node, false);
                 } else {
+                    debug_assert_eq!(self.hot.countdown_end[node], NO_COUNTDOWN);
                     self.hot.set_state(node, MacState::AwaitAck);
                     let timeout = now + delay::SIFS + delay::ACK + TIMEOUT_MARGIN_US;
                     self.queue.arm_timer(node, TimerKind::AckTimeout, timeout);
@@ -1666,8 +1809,9 @@ impl Simulator {
                 }
                 interf.push(path + FADE_SCALE * self.fades.sniffer(idx, nid, now));
             }
-            let sinr =
-                effective_sinr_db(rssi, &interf, NOISE_FLOOR_DBM, processing_gain_db(tx.rate));
+            let sinr = self
+                .noise
+                .sinr_db(rssi, &interf, processing_gain_db(tx.rate));
             self.interferer_rssi = interf;
             let p = frame_success_prob(sinr, tx.rate, tx.frame.mac_bytes);
             if self.sniffer_rngs[idx].gen::<f64>() >= p {
@@ -2088,5 +2232,164 @@ mod tests {
         sim.add_client(silent_client(0.0, 2_000));
         sim.run_until(2_000);
         assert_eq!((sim.batch_at, sim.round + 1), (2_000, 2));
+    }
+
+    /// `sim` with a client, far from joining, that sits mid-dispatch in the
+    /// first batch at 1 000 µs with a broadcast to send and no slots left:
+    /// the state in which a handler arms a countdown for now.
+    fn mid_batch_at_1000(mut sim: Simulator) -> (Simulator, NodeId) {
+        let c = sim.add_client(silent_client(5.0, 10_000_000));
+        sim.run_until(999);
+        (sim.now, sim.batch_at, sim.round) = (1_000, 1_000, 0);
+        sim.dispatching = Some(Event::UserJoin { node: c });
+        let msdu = Msdu {
+            dst: MacAddr::BROADCAST,
+            bssid: MacAddr::BROADCAST,
+            payload: PROBE_REQ_BODY,
+            kind: MsduKind::Mgmt(FrameKind::ProbeRequest),
+            enqueued_at: 1_000,
+        };
+        sim.stations[c].current = Some(TxOp {
+            msdu,
+            retries: 0,
+            current_payload: PROBE_REQ_BODY,
+            pending_fragments: Vec::new(),
+            frag_no: 0,
+            use_rts: false,
+            cts_received: false,
+            seq: 0,
+            rate: CONTROL_RATE,
+            first_tx_at: None,
+        });
+        sim.hot.backoff_slots[c] = 0;
+        (sim, c)
+    }
+
+    /// A zero-slot countdown armed for the current microsecond ends in the
+    /// follow-up batch, where its queue timer ran: the grant placed for it
+    /// pops there and dispatches its `BackoffDone`.
+    #[test]
+    fn a_zero_slot_countdown_armed_for_now_fires_in_the_follow_up_batch() {
+        let (mut sim, c) = mid_batch_at_1000(Simulator::new(SimConfig::default()));
+        sim.arm_countdown(c, 1_000);
+        assert_eq!(sim.hot.countdown_end[c], 1_000);
+        sim.run_until(1_000);
+        let transmitting = MacState::Transmitting {
+            phase: TxPhase::Data,
+        };
+        assert_eq!(sim.hot.state(c), transmitting);
+        assert_eq!(sim.hot.countdown_end[c], NO_COUNTDOWN);
+        // One follow-up batch (round 1), closed by the run's end.
+        assert_eq!((sim.batch_at, sim.round), (1_000, 2));
+        assert_eq!(sim.events_processed(), 1, "the BackoffDone");
+        assert_eq!(sim.queue_stats().popped, 1, "the grant");
+    }
+
+    /// A frozen countdown is no batch, as its cancelled queue timer made
+    /// none, so `round` does not advance and the defers of that
+    /// microsecond resolve against later batches as before. With nothing
+    /// else counting down on its medium it gets no grant, or loses the one
+    /// placed for it; under a grant that another countdown keeps, the grant
+    /// pops, dispatches nothing, is skipped and moves on.
+    #[test]
+    fn a_frozen_countdown_is_no_batch() {
+        // Frozen in the batch that armed it: no grant.
+        let (mut sim, c) = mid_batch_at_1000(Simulator::new(SimConfig::default()));
+        sim.arm_countdown(c, 1_000);
+        // Inside the defer, no slots left: the end is the cancelled
+        // timer's ghost.
+        sim.on_channel_busy(c);
+        assert_eq!(sim.hot.state(c), MacState::Frozen);
+        sim.run_until(1_000);
+        assert_eq!(sim.queue_stats().pushed, 1, "no grant, only the join");
+        assert_eq!(sim.events_processed(), 1, "only the ghost");
+        // No batch after round 0: the run's end closes round 1, where a
+        // defer armed in round 0 for now would have ended, and the next
+        // batch at 1 000 is round 2, as with the timer cancelled outright.
+        assert_eq!((sim.batch_at, sim.round + 1), (1_000, 2));
+
+        // Frozen under its grant, alone: the grant goes.
+        let (mut sim, c) = mid_batch_at_1000(Simulator::new(SimConfig::default()));
+        sim.hot.backoff_slots[c] = 3;
+        sim.arm_countdown(c, 1_000);
+        sim.run_until(1_010);
+        assert_eq!(sim.queue.grant_at(0), Some(1_060));
+        sim.on_channel_busy(c);
+        assert_eq!(sim.queue.grant_at(0), None);
+        sim.run_until(1_060);
+        assert_eq!(sim.queue_stats().popped, 0);
+        assert_eq!(
+            sim.events_processed(),
+            2,
+            "the defer's and the end's ghosts"
+        );
+        assert_eq!((sim.batch_at, sim.round), (1_060, 0), "no batch at 1 060");
+
+        // Frozen under a grant that a later countdown keeps.
+        let mut two = Simulator::new(SimConfig::default());
+        let d = two.add_client(silent_client(5.0, 10_000_000));
+        let (mut sim, c) = mid_batch_at_1000(two);
+        sim.stations[d].current = sim.stations[c].current.clone();
+        (sim.hot.backoff_slots[c], sim.hot.backoff_slots[d]) = (3, 5);
+        sim.arm_countdown(c, 1_000);
+        sim.arm_countdown(d, 1_000);
+        sim.run_until(1_010);
+        sim.on_channel_busy(c);
+        sim.run_until(1_060);
+        assert_eq!(sim.queue_stats().popped, 1, "the grant popped");
+        assert_eq!((sim.batch_at, sim.round), (1_060, 0), "no batch at 1 060");
+        assert_eq!(sim.queue.grant_at(0), Some(1_100), "on to the next end");
+        assert_eq!(sim.events_processed(), 3, "two defer ghosts, one end ghost");
+    }
+
+    /// A `BackoffDone` already in its batch still transmits when an earlier
+    /// event of the batch froze its countdown and armed another: the
+    /// station's own `UserJoin`, finding no AP on its channel, switches it
+    /// to the AP's. The counts are those of the per-node queue timer this
+    /// replaced (measured on it with this same setup): that timer left the
+    /// new countdown's timer armed, to pop dead at its end (1 110 µs), which
+    /// the ghost recorded at the transmission now counts instead.
+    #[test]
+    fn a_countdown_rearmed_before_its_dispatched_end_transmits() {
+        let config = SimConfig {
+            channels: vec![
+                wifi_frames::phy::Channel::new(1).unwrap(),
+                wifi_frames::phy::Channel::new(6).unwrap(),
+            ],
+            record_ground_truth: true,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(config);
+        sim.add_ap(Pos::new(0.0, 0.0), 1, 6);
+        let (mut sim, c) = mid_batch_at_1000(sim);
+        sim.hot.backoff_slots[c] = 3;
+        sim.arm_countdown(c, 1_000);
+        sim.queue.push(1_060, Event::UserJoin { node: c });
+        let mut seen = Vec::new();
+        for until in [1_060, 1_109, 1_110, 5_000, 300_000] {
+            sim.run_until(until);
+            seen.push((
+                until,
+                sim.events_processed(),
+                sim.ground_truth.transmissions,
+            ));
+        }
+        assert_eq!(sim.hot.channel_idx[c], 1, "switched to the AP's channel");
+        assert_eq!(
+            seen,
+            [
+                (1_060, 3, 0),
+                (1_109, 4, 0),
+                (1_110, 5, 0),
+                (5_000, 34, 6),
+                (300_000, 61, 13)
+            ]
+        );
+        let ends: Vec<Micros> = sim.ground_truth.records[..4]
+            .iter()
+            .map(|r| r.timestamp_us)
+            .collect();
+        // The probe went out at 1 060 µs, with the switch's DIFS unheeded.
+        assert_eq!(ends, [1_572, 2_104, 3_152, 3_466]);
     }
 }

@@ -6,14 +6,15 @@
 //! The methods here are the self-contained pieces (queue management, backoff
 //! bookkeeping, adapter lookup) that are unit-testable in isolation.
 
-use crate::events::{EventQueue, NodeId};
+use crate::events::NodeId;
 use crate::frame_info::SimFrame;
 use crate::geometry::Pos;
 use crate::rate::{RateAdaptation, RateAdapter};
 use crate::rng::SimRng;
-use crate::topology::NodeSet;
+use crate::topology::{for_each_bit, NodeSet};
 use crate::traffic::TrafficProfile;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use wifi_frames::fc::FrameKind;
 use wifi_frames::mac::MacAddr;
 use wifi_frames::phy::Rate;
@@ -121,10 +122,11 @@ pub enum MacState {
     /// Nothing to send.
     Idle,
     /// Have a frame and an idle channel: waiting out DIFS/EIFS until
-    /// `started`, then counting down `backoff_slots`. One `BackoffDone`
-    /// timer covers both phases, armed at `started + backoff_slots × slot`.
-    /// A busy edge before the defer ends consumes nothing; one after it
-    /// consumes the whole slots elapsed since `started`.
+    /// `started`, then counting down `backoff_slots`. One deadline covers
+    /// both phases, `HotState::countdown_end` = `started + backoff_slots ×
+    /// slot`; the medium's grant dispatches a `BackoffDone` there. A busy
+    /// edge before the defer ends consumes nothing; one after it consumes
+    /// the whole slots elapsed since `started`.
     Backoff {
         /// When the defer ends and the slot countdown begins.
         started: Micros,
@@ -202,6 +204,11 @@ pub struct StationStats {
 /// 8–16 stations' worth of one field on a line. Cold state (MAC, queue
 /// payloads, stats, RNG, adapters) stays in [`Station`] behind the same
 /// `NodeId` indexing.
+///
+/// A countdown's end is a column here too, `countdown_end`, not a queue
+/// entry: each medium's one grant in the event queue stands for the
+/// earliest of them, so a busy edge that freezes a countdown touches only
+/// this row.
 #[derive(Default)]
 pub struct HotState {
     /// Contention state. Private so that every write goes through
@@ -213,6 +220,10 @@ pub struct HotState {
     /// Remaining backoff slots (meaningful in Frozen/Backoff; in `Backoff`,
     /// the slots left at `started`).
     pub backoff_slots: Vec<u32>,
+    /// In `Backoff`, when the countdown runs out: `started + backoff_slots
+    /// × slot`. [`NO_COUNTDOWN`] in every other state, and from the moment
+    /// the medium's grant puts the countdown's `BackoffDone` into a batch.
+    pub countdown_end: Vec<Micros>,
     /// Current contention-window size.
     pub cw: Vec<u32>,
     /// NAV expiry.
@@ -254,6 +265,7 @@ impl HotState {
         let id = self.state.len();
         self.state.push(MacState::Idle);
         self.backoff_slots.push(0);
+        self.countdown_end.push(NO_COUNTDOWN);
         self.cw.push(dcf::CW_MIN);
         self.nav_until.push(0);
         self.idle_stamp.push(0);
@@ -298,16 +310,57 @@ impl HotState {
             .all(|(i, &s)| self.contending.contains(i) == is_contending(s))
     }
 
-    /// Whether every `Backoff` station's armed timer fires where its
-    /// countdown ends, at `started + backoff_slots × slot` (checked by the
-    /// event loop in debug builds).
-    pub(crate) fn countdown_consistent(&self, queue: &EventQueue) -> bool {
-        self.state.iter().enumerate().all(|(i, &s)| match s {
-            MacState::Backoff { started, .. } => {
-                queue.armed_at(i) == Some(started + self.backoff_slots[i] as Micros * dcf::SLOT_US)
-            }
-            _ => true,
+    /// Whether every `Backoff` station's `countdown_end` is where its
+    /// countdown ends, at `started + backoff_slots × slot`, and every other
+    /// station has none (checked by the event loop in debug builds, between
+    /// batches).
+    pub(crate) fn countdown_consistent(&self) -> bool {
+        self.state.iter().enumerate().all(|(i, &s)| {
+            let end = match s {
+                MacState::Backoff { started, .. } => {
+                    started + self.backoff_slots[i] as Micros * dcf::SLOT_US
+                }
+                _ => NO_COUNTDOWN,
+            };
+            self.countdown_end[i] == end
         })
+    }
+
+    /// Takes the countdowns of `members` that end at `at`: calls `due` for
+    /// each, ascending, and clears its `countdown_end`. Returns the earliest
+    /// end left among them (`NO_COUNTDOWN` when none is).
+    pub(crate) fn take_due(
+        &mut self,
+        members: &NodeSet,
+        at: Micros,
+        mut due: impl FnMut(NodeId),
+    ) -> Micros {
+        let mut next = NO_COUNTDOWN;
+        for (wi, &w) in members.words().iter().enumerate() {
+            for_each_bit(w & self.contending.word(wi), wi * 64, |i| {
+                let end = self.countdown_end[i];
+                debug_assert!(end >= at, "a countdown ended before its grant");
+                if end == at {
+                    self.countdown_end[i] = NO_COUNTDOWN;
+                    due(i);
+                } else {
+                    next = next.min(end);
+                }
+            });
+        }
+        next
+    }
+
+    /// The earliest `countdown_end` among `members` (checked against the
+    /// medium's grant in debug builds).
+    pub(crate) fn earliest_end(&self, members: &NodeSet) -> Micros {
+        let mut earliest = NO_COUNTDOWN;
+        for (wi, &w) in members.words().iter().enumerate() {
+            for_each_bit(w & self.contending.word(wi), wi * 64, |i| {
+                earliest = earliest.min(self.countdown_end[i]);
+            });
+        }
+        earliest
     }
 
     /// Number of stations.
@@ -336,6 +389,53 @@ impl HotState {
     pub fn consume_backoff(&mut self, node: NodeId, elapsed: Micros) {
         let consumed = (elapsed / dcf::SLOT_US) as u32;
         self.backoff_slots[node] = self.backoff_slots[node].saturating_sub(consumed);
+    }
+}
+
+/// `HotState::countdown_end` of a station with no countdown to grant.
+pub const NO_COUNTDOWN: Micros = Micros::MAX;
+
+/// A `HashMap` keyed by MAC address, hashed with [`MacHasher`].
+pub type MacMap<V> = HashMap<MacAddr, V, BuildHasherDefault<MacHasher>>;
+
+/// A fixed multiply-and-fold hasher for the MAC-keyed maps of the event
+/// loop. Keys come from the simulation itself, never from outside it, so
+/// they need no keyed (SipHash) hashing; no such map is iterated, so the
+/// hasher cannot change any output. A MAC hashes as its length prefix and
+/// one little-endian word of its six octets; the fold at the end spreads
+/// the octets that vary (the low id bytes sit high in that word) into the
+/// low bits the table indexes with.
+#[derive(Clone, Copy, Default)]
+pub struct MacHasher(u64);
+
+impl MacHasher {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for MacHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let wide = self.0 as u128 * Self::K as u128;
+        (wide as u64) ^ (wide >> 64) as u64
     }
 }
 
@@ -376,9 +476,9 @@ pub struct Station {
     /// Rate-adaptation algorithm configuration.
     pub adapter_cfg: RateAdaptation,
     /// Per-peer adapters.
-    pub adapters: HashMap<MacAddr, Box<dyn RateAdapter>>,
+    pub adapters: MacMap<Box<dyn RateAdapter>>,
     /// Most recent SNR (dB) observed from each peer.
-    pub snr_hints: HashMap<MacAddr, f64>,
+    pub snr_hints: MacMap<f64>,
     /// Next sequence number.
     pub next_seq: u16,
     /// Has the user powered on (join event fired)?
@@ -427,8 +527,8 @@ impl Station {
             pending_response: None,
             rts_policy,
             adapter_cfg,
-            adapters: HashMap::new(),
-            snr_hints: HashMap::new(),
+            adapters: MacMap::default(),
+            snr_hints: MacMap::default(),
             next_seq: 0,
             joined: false,
             departed: false,
@@ -611,6 +711,21 @@ mod tests {
                 assert!(h.contending_consistent());
             }
         }
+    }
+
+    /// Simulated MACs differ only in their last octets, which sit in the
+    /// high bytes of the hashed word; the fold must still spread them over
+    /// the low bits a table indexes with (a bare multiply leaves those bits
+    /// constant).
+    #[test]
+    fn mac_hashes_spread_over_the_low_bits() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<MacHasher>::default();
+        let buckets: std::collections::BTreeSet<u64> = (1..=4096)
+            .map(|id| build.hash_one(MacAddr::from_id(id)) & 4095)
+            .collect();
+        // 4 096 random draws fill about 2 590 of 4 096 buckets.
+        assert!(buckets.len() > 2_400, "{} buckets", buckets.len());
     }
 
     #[test]

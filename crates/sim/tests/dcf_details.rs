@@ -1236,3 +1236,42 @@ fn sensed_release_before(tape: &[FrameRecord], at: u64, hidden: MacAddr) -> u64 
         .max()
         .expect("a release")
 }
+
+/// A countdown armed in the first batch of a run is granted at its end:
+/// here the reassociation request of a roam made between two `run_until`
+/// calls, whose join runs at the start of the next call. The second call
+/// to the same bound runs only that join, so the countdown's end can be
+/// read before the run that reaches it.
+#[test]
+fn a_countdown_armed_after_a_roam_between_runs_is_granted_at_its_end() {
+    let roam_at = 200_000;
+    let (mut sim, p, end) = (1..20)
+        .find_map(|seed| {
+            let mut sim = Simulator::new(SimConfig {
+                seed,
+                record_ground_truth: true,
+                ..SimConfig::default()
+            });
+            sim.add_ap(Pos::new(0.0, 0.0), 0, 6);
+            sim.add_ap(Pos::new(60.0, 0.0), 0, 6);
+            let p = sim.add_client(silent_client(Pos::new(3.0, 0.0), 0, 0));
+            sim.run_until(roam_at);
+            sim.move_station(p, Pos::new(57.0, 0.0));
+            assert!(sim.reassociate_strongest(p, 3.0), "seed {seed}: the roam");
+            sim.run_until(roam_at);
+            let end = sim.hot().countdown_end[p];
+            matches!(sim.hot().state(p), MacState::Backoff { .. }).then_some((sim, p, end))
+        })
+        .expect("a seed whose roam waits out a countdown");
+    assert!(end > roam_at);
+    sim.run_until(roam_at + 50_000);
+    let tape = &sim.ground_truth.records;
+    let mac = sim.stations()[p].mac;
+    // Nothing else on the air meanwhile, so nothing froze the countdown.
+    assert!(!tape
+        .iter()
+        .any(|r| r.src != Some(mac) && r.timestamp_us > roam_at && start_of(r) <= end));
+    let req = first_from(tape, mac, roam_at);
+    assert_eq!(req.kind, FrameKind::AssocRequest);
+    assert_eq!(start_of(req), end);
+}

@@ -18,6 +18,10 @@
 use proptest::prelude::*;
 use wifi_sim::events::{Event, EventQueue, TimerKind};
 
+/// The timer kinds that live in a node's cancellable slot (backoff
+/// countdowns reach the queue through their medium's grant instead).
+const CANCELLABLE: [TimerKind; 2] = [TimerKind::CtsTimeout, TimerKind::AckTimeout];
+
 /// One wheel window (16 µs × 4096 slots), mirrored from the implementation
 /// to aim pushes at slot/window/spill boundaries.
 const WINDOW_US: u64 = 4096 << 4;
@@ -171,11 +175,7 @@ impl Driver {
             2 => {
                 let node = (a % 4) as usize;
                 let at = self.target_time(a / 4, b);
-                let kind = [
-                    TimerKind::BackoffDone,
-                    TimerKind::CtsTimeout,
-                    TimerKind::AckTimeout,
-                ][(a / 16 % 3) as usize];
+                let kind = CANCELLABLE[(a / 16 % 2) as usize];
                 self.wheel.arm_timer(node, kind, at);
                 self.reference.arm_timer(node, kind, at);
             }
@@ -271,8 +271,9 @@ proptest! {
                     let node = (a % 4) as usize;
                     let at = b % (2 * WINDOW_US);
                     max_at = max_at.max(at);
-                    single.arm_timer(node, TimerKind::BackoffDone, at);
-                    batched.arm_timer(node, TimerKind::BackoffDone, at);
+                    let kind = CANCELLABLE[(b % 2) as usize];
+                    single.arm_timer(node, kind, at);
+                    batched.arm_timer(node, kind, at);
                 }
             }
         }

@@ -2,10 +2,11 @@
 //! radiotap headers (what tethereal in RFMon mode wrote in 2005), and
 //! ingest such files back into analysis records.
 //!
-//! The export path encodes each compact [`FrameRecord`] straight to its
-//! frame bytes with [`wire::encode`] (bodies zero-filled — the study's
-//! sniffers kept only the first 250 bytes anyway), and the import path
-//! exercises the same truncated-header parsing a real trace analysis needs.
+//! The export path encodes each compact [`FrameRecord`] straight to the
+//! frame bytes its snap length keeps with [`wire::encode_prefix`] (bodies
+//! zero-filled — the study's sniffers kept only the first 250 bytes
+//! anyway), and the import path exercises the same truncated-header
+//! parsing a real trace analysis needs.
 
 use std::io::{self, Read};
 use std::path::Path;
@@ -74,6 +75,7 @@ pub fn write_capture_with_snaplen(
 /// as the batch writer does.
 pub struct CaptureWriter {
     writer: PcapWriter<io::BufWriter<std::fs::File>>,
+    snaplen: u32,
 }
 
 impl CaptureWriter {
@@ -82,14 +84,14 @@ impl CaptureWriter {
     pub fn create(path: &Path, snaplen: u32) -> Result<CaptureWriter, CaptureError> {
         let file = std::fs::File::create(path).map_err(PcapError::Io)?;
         let writer = PcapWriter::new(io::BufWriter::new(file), LinkType::Radiotap, snaplen)?;
-        Ok(CaptureWriter { writer })
+        Ok(CaptureWriter { writer, snaplen })
     }
 
     /// Serializes and appends one record.
     pub fn write_record(&mut self, r: &FrameRecord) -> Result<(), CaptureError> {
-        let packet = record_to_packet(r);
+        let (packet, orig_len) = record_to_packet(r, self.snaplen);
         self.writer
-            .write_packet(r.timestamp_us, &packet, packet.len() as u32)?;
+            .write_packet(r.timestamp_us, &packet, orig_len)?;
         Ok(())
     }
 
@@ -286,8 +288,10 @@ impl<R: Read> Iterator for CaptureStream<R> {
     }
 }
 
-/// A record as the radiotap packet a sniffer would have captured.
-fn record_to_packet(r: &FrameRecord) -> Vec<u8> {
+/// A record as the radiotap packet a sniffer with snap length `snaplen`
+/// (0 = no truncation) would have captured, and the packet's length on
+/// air. Only the frame bytes the snap length keeps are encoded.
+fn record_to_packet(r: &FrameRecord, snaplen: u32) -> (Vec<u8>, u32) {
     let meta = CaptureMeta {
         tsft_us: r.timestamp_us,
         flags: FLAG_FCS_AT_END,
@@ -297,7 +301,14 @@ fn record_to_packet(r: &FrameRecord) -> Vec<u8> {
         noise_dbm: -95,
         antenna: 0,
     };
-    radiotap::encode_packet(&meta, &wire::encode(r))
+    let keep = match snaplen {
+        0 => usize::MAX,
+        n => (n as usize).saturating_sub(radiotap::ENCODED_HEADER_LEN),
+    };
+    let (frame, frame_len) = wire::encode_prefix(r, keep);
+    let packet = radiotap::encode_packet(&meta, &frame);
+    let orig_len = packet.len() - frame.len() + frame_len;
+    (packet, orig_len as u32)
 }
 
 #[cfg(test)]
@@ -506,7 +517,7 @@ mod tests {
         // enforce `orig_len >= caplen`), but the decode layer must not rely
         // on that: the plain formula `orig_len - radiotap_len` would
         // debug-panic / release-wrap here.
-        let packet = record_to_packet(&sample_records()[0]);
+        let (packet, _) = record_to_packet(&sample_records()[0], 0);
         let mut report = IngestReport::default();
         let rec = decode_packet(&packet, 3, &mut report).expect("frame itself is decodable");
         assert_eq!(rec.mac_bytes, 0, "claimed length saturates to zero");
@@ -516,7 +527,7 @@ mod tests {
 
     #[test]
     fn undecodable_frames_and_radiotap_heads_are_counted_and_skipped() {
-        let good = record_to_packet(&sample_records()[0]);
+        let (good, _) = record_to_packet(&sample_records()[0], 0);
         // Radiotap intact, but only 3 bytes of MAC header behind it.
         let radiotap_len = u16::from_le_bytes([good[2], good[3]]) as usize;
         let bad_frame = &good[..radiotap_len + 3];
