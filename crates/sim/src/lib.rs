@@ -52,6 +52,7 @@
 
 #![warn(missing_docs)]
 
+pub mod access;
 pub mod arena;
 pub mod config;
 pub mod events;

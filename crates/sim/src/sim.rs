@@ -21,6 +21,7 @@
 //!   terminals), the later obligation replaces the earlier, costing the
 //!   first peer an ACK. Real hardware behaves comparably under collision.
 
+use crate::access::StationAccess;
 use crate::config::SimConfig;
 use crate::events::{Event, EventQueue, NodeId, QueueStats, TimerKind};
 use crate::frame_info::SimFrame;
@@ -274,6 +275,20 @@ impl Simulator {
     /// transmissions of each channel's [`Medium`].
     pub fn hot(&self) -> &HotState {
         &self.hot
+    }
+
+    /// Station `node`'s channel-access values.
+    pub fn station_access(&self, node: NodeId) -> StationAccess {
+        let hot = &self.hot;
+        StationAccess {
+            state: hot.state(node),
+            backoff_slots: hot.backoff_slots[node],
+            cw: hot.cw[node],
+            countdown_end: Some(hot.countdown_end[node]).filter(|&e| e != NO_COUNTDOWN),
+            nav_until: hot.nav_until[node],
+            idle_stamp: hot.idle_stamp[node],
+            use_eifs: hot.use_eifs[node],
+        }
     }
 
     /// The sniffers.

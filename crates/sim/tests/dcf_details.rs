@@ -16,24 +16,10 @@ use wifi_sim::station::{MacState, RtsPolicy};
 use wifi_sim::traffic::{FlowConfig, SizeDist, TrafficProfile};
 use wifi_sim::{ClientConfig, SimConfig, Simulator};
 
-const SEC: u64 = 1_000_000;
+mod common;
+use common::{base_client, silent_client};
 
-fn base_client(pos: Pos, fps: f64, payload: u32) -> ClientConfig {
-    ClientConfig {
-        pos,
-        channel_idx: 0,
-        rts_policy: RtsPolicy::Never,
-        adaptation: RateAdaptation::Fixed(Rate::R11),
-        traffic: TrafficProfile {
-            uplink: FlowConfig::poisson(fps, SizeDist::fixed(payload)),
-            downlink: FlowConfig::off(),
-        },
-        join_at_us: 0,
-        leave_at_us: None,
-        power_save_interval_us: None,
-        frag_threshold: None,
-    }
-}
+const SEC: u64 = 1_000_000;
 
 fn wide_open_sniffer() -> SnifferConfig {
     SnifferConfig {
@@ -509,16 +495,6 @@ fn one_retry_limit_drops_an_msdu_after_eight_attempts() {
 /// Air start of a ground-truth record (records carry the end time).
 fn start_of(r: &FrameRecord) -> u64 {
     r.timestamp_us - frame_airtime_us(r.mac_bytes as u64, r.rate, Preamble::Long)
-}
-
-/// A client that joins at `join_at_us` and offers no traffic of its own.
-fn silent_client(pos: Pos, channel_idx: usize, join_at_us: u64) -> ClientConfig {
-    ClientConfig {
-        channel_idx,
-        traffic: TrafficProfile::silent(),
-        join_at_us,
-        ..base_client(pos, 0.0, 0)
-    }
 }
 
 /// The first frame `src` sent that ends after `after`.
