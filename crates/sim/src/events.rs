@@ -23,12 +23,12 @@
 //!   removed instead of lingering as a dead heap entry — and
 //!   [`EventQueue::cancel_timer`] drops it outright.
 //! * **Grants** (`EventQueue::set_grant`): backoff countdowns are not
-//!   queue entries. The simulator keeps each station's countdown end in its
-//!   hot state, and each medium holds at most one [`Event::Grant`] here, at
-//!   or before the earliest end of its contending stations; a busy edge
-//!   that freezes a countdown costs no queue operation, unless it was the
-//!   medium's last, whose grant is then dropped. Moving a grant earlier
-//!   removes and re-inserts it like a timer re-arm.
+//!   queue entries. [`crate::access`] keeps each station's countdown end,
+//!   and each medium holds at most one [`Event::Grant`] here, at or before
+//!   the earliest end of its stations; a busy edge that freezes a countdown
+//!   costs no queue operation, unless it was the medium's last, whose grant
+//!   is then dropped. Moving a grant earlier removes and re-inserts it like
+//!   a timer re-arm.
 //! * **Ghosts**: the fire times of timers the historical lazy-deletion heap
 //!   would have popped dead — cancelled timers and frozen countdowns, and
 //!   the defer deadline of every backoff countdown (the two-timer DCF's

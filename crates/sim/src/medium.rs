@@ -19,7 +19,7 @@
 //! or release edge is a few word-wide ORs instead of a counter update at
 //! every listener. The listener sets of the releases of the last
 //! [`dcf::EIFS_US`] are kept, which is all a defer decision can see of
-//! when the channel went idle (see [`Medium::idle_since`]).
+//! when the channel went idle (see `Medium::last_release`).
 
 use crate::arena::VecPool;
 use crate::events::NodeId;
@@ -220,7 +220,7 @@ impl Medium {
     /// becomes the union of the carrier sense still in flight; `hits`
     /// (cleared first) receives the words of the listeners that went quiet
     /// and are `contending`. The listener set is kept as a release at `now`
-    /// for [`Medium::idle_since`].
+    /// for `Medium::last_release`.
     pub fn retire(
         &mut self,
         tx: Transmission,
@@ -273,29 +273,12 @@ impl Medium {
         self.busy.contains(node)
     }
 
-    /// When the channel last went idle for `node`, as far as a defer
-    /// decision can tell: the later of `stamp` (the station's own record:
-    /// the end of its own transmission, a NAV expiry, a channel switch)
-    /// and the latest release `node` sensed. Call it only while the
-    /// channel is idle for `node` (no carrier, `nav_until` passed).
-    ///
-    /// A release that found `node` still sensing another frame is followed
-    /// by a later one that did not, so the latest release `node` sensed is
-    /// the one that let its carrier go. One that came before `nav_until`
-    /// was covered by the NAV and is not an idle edge; the NAV expiry
-    /// stamps instead. Releases older than one EIFS are forgotten: such a
-    /// time is at least a full defer interval back and decides a defer the
-    /// same way as any older one.
-    pub fn idle_since(&self, node: NodeId, stamp: Micros, nav_until: Micros) -> Micros {
-        match self
-            .releases
-            .iter()
-            .rev()
-            .find(|r| r.listeners.contains(node))
-        {
-            Some(r) if r.at >= nav_until => stamp.max(r.at),
-            _ => stamp,
-        }
+    /// The latest release `node` sensed, if it came within the last EIFS:
+    /// an older one is at least a full defer interval back and decides a
+    /// defer the same way as any older one.
+    pub(crate) fn last_release(&self, node: NodeId) -> Option<Micros> {
+        let mut releases = self.releases.iter().rev();
+        releases.find(|r| r.listeners.contains(node)).map(|r| r.at)
     }
 
     /// Takes `node` off this medium's in-flight transmissions (it is
@@ -354,6 +337,7 @@ fn fresh_hits(listeners: &NodeSet, busy: &NodeSet, contending: &NodeSet, hits: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::idle_since;
     use crate::rng::SimRng;
     use crate::topology::for_each_bit;
     use rand::Rng;
@@ -557,7 +541,7 @@ mod tests {
                             );
                             if !busy {
                                 let floor = now.saturating_sub(dcf::EIFS_US);
-                                let derived = m.idle_since(i, stamp[i], nav[i]);
+                                let derived = idle_since(m.last_release(i), stamp[i], nav[i]);
                                 assert_eq!(
                                     derived.max(floor),
                                     o.idle_since[i].max(floor),

@@ -1,11 +1,12 @@
-//! The simulator: event loop and DCF orchestration.
+//! The simulator: event loop and MAC orchestration.
 //!
 //! [`Simulator`] owns the stations, the per-channel media, the sniffers and
-//! the event queue, and drives every MAC-layer interaction: CSMA/CA
-//! contention (defer, backoff, freeze/resume), RTS/CTS exchanges, SIFS-spaced
-//! responses, retransmission with exponential contention-window growth,
-//! rate-adaptation feedback, beaconing, association, traffic generation, and
-//! sniffer capture.
+//! the event queue, and drives every MAC-layer interaction: RTS/CTS
+//! exchanges, SIFS-spaced responses, retransmission, rate-adaptation
+//! feedback, beaconing, association, traffic generation, and sniffer
+//! capture. CSMA/CA channel access (defer, backoff, freeze/resume, the
+//! contention window, and the countdown ends each medium's grant stands
+//! for) is [`crate::access`]'s: the handlers tell it what happened.
 //!
 //! ## Fidelity notes and deliberate simplifications
 //!
@@ -21,7 +22,7 @@
 //!   terminals), the later obligation replaces the earlier, costing the
 //!   first peer an ACK. Real hardware behaves comparably under collision.
 
-use crate::access::StationAccess;
+use crate::access::{Access, ChannelAccess, Edge, StationAccess};
 use crate::config::SimConfig;
 use crate::events::{Event, EventQueue, NodeId, QueueStats, TimerKind};
 use crate::frame_info::SimFrame;
@@ -35,9 +36,8 @@ use crate::rng::SimRng;
 use crate::sniffer::{MissReason, Sniffer, SnifferConfig, FADE_SCALE};
 use crate::station::{
     HotState, MacMap, MacState, Msdu, MsduKind, Role, RtsPolicy, Station, TxOp, TxPhase,
-    NO_COUNTDOWN,
 };
-use crate::topology::{for_each_bit, NodeSet, SensingTopology};
+use crate::topology::{NodeSet, SensingTopology};
 use crate::traffic::TrafficProfile;
 use rand::Rng;
 use wifi_frames::fc::FrameKind;
@@ -62,10 +62,6 @@ const BEACON_INTERVAL_US: Micros = 102_400;
 const TIMEOUT_MARGIN_US: Micros = 30;
 /// Delay before a failed association is retried.
 const ASSOC_RETRY_US: Micros = 500_000;
-/// Timer rank (`Simulator::batch_sort_key`) at which a countdown's defer
-/// ends: before its station's `BackoffDone` and every other timer of it,
-/// where the two-timer DCF's separate defer timer sorted.
-const DEFER_END_RANK: u64 = 0;
 /// Key offset distinguishing sniffer fade links and RNG streams from
 /// station ones: a sniffer's fade link and RNG stream are both keyed
 /// `SNIFFER_LINK_BASE + key`. Station keys are scenario build indices, far
@@ -122,11 +118,14 @@ pub struct Simulator {
     now: Micros,
     queue: EventQueue,
     stations: Vec<Station>,
-    /// Struct-of-arrays columns of the per-station hot state (contention,
-    /// NAV, idle stamps, identity keys), parallel to `stations`. Carrier
-    /// sense itself is a bitset per medium; packed columns keep the MAC
-    /// callbacks of a busy or release edge on a few cache lines.
+    /// Struct-of-arrays columns of the per-station hot state (contention
+    /// state, identity keys), parallel to `stations`. Carrier sense itself
+    /// is a bitset per medium; packed columns keep the MAC callbacks of a
+    /// busy or release edge on a few cache lines.
     hot: HotState,
+    /// DCF channel access: every station's access columns and every
+    /// medium's grant bookkeeping ([`Self::access`]).
+    channel_access: ChannelAccess,
     sniffers: Vec<Sniffer>,
     /// One medium per channel (`media[c]` is channel `c`), in every
     /// simulator, whole or shard. Every effect of a transmission —
@@ -136,16 +135,6 @@ pub struct Simulator {
     /// medium also keeps which of its stations sense energy, and the
     /// listeners of its recent releases.
     media: Vec<Medium>,
-    /// Per medium: the earliest countdown end armed there since its grant
-    /// was placed, and the next end found when the grant popped
-    /// ([`NO_COUNTDOWN`]: none). `run_until` moves the grant up to it
-    /// before the next pop ([`Self::place_grants`]).
-    armed_since_grant: Vec<Micros>,
-    /// Per medium: how many of its stations have a countdown end.
-    counting_down: Vec<u32>,
-    /// Whether some `armed_since_grant` entry was lowered since
-    /// [`Self::place_grants`] last ran; most batches arm nothing.
-    grants_stale: bool,
     mac_index: MacMap<NodeId>,
     /// Ground truth.
     pub ground_truth: GroundTruth,
@@ -169,10 +158,6 @@ pub struct Simulator {
     /// or release edge changed — the stations the MAC callback pass visits
     /// (see [`Self::on_cs_busy`]).
     cs_scratch: Vec<u64>,
-    /// Scratch: per-channel air-time deltas of one channel evaluation.
-    eval_deltas: Vec<u64>,
-    /// Scratch: clients following an AP's channel switch.
-    followers_scratch: Vec<NodeId>,
     /// Scratch: interferer RSSI values of one reception.
     interferer_rssi: Vec<f64>,
     /// The thermal noise floor of every receiver, converted once.
@@ -203,42 +188,32 @@ impl Simulator {
     /// A new, empty simulation with one medium per channel.
     pub fn new(config: SimConfig) -> Simulator {
         let channels = config.channels.len();
-        let media = (0..channels).map(|_| Medium::new()).collect();
-        let chan_airtime_us = vec![0; channels];
-        let armed_since_grant = vec![NO_COUNTDOWN; channels];
-        let counting_down = vec![0; channels];
-        let medium_members = (0..channels).map(|_| NodeSet::new()).collect();
-        let fades = FadeMemo::new(config.radio.fading);
         Simulator {
-            config,
             now: 0,
             queue: EventQueue::new(),
             stations: Vec::new(),
             hot: HotState::default(),
+            channel_access: ChannelAccess::new(channels, config.eifs_enabled),
             sniffers: Vec::new(),
-            media,
-            armed_since_grant,
-            counting_down,
-            grants_stale: false,
+            media: (0..channels).map(|_| Medium::new()).collect(),
             mac_index: MacMap::default(),
             ground_truth: GroundTruth::default(),
             events_processed: 0,
-            chan_airtime_us,
+            chan_airtime_us: vec![0; channels],
             topology: SensingTopology::default(),
-            medium_members,
+            medium_members: (0..channels).map(|_| NodeSet::new()).collect(),
             sniffer_rngs: Vec::new(),
             sizes_scratch: Vec::new(),
             cs_scratch: Vec::new(),
-            eval_deltas: Vec::new(),
-            followers_scratch: Vec::new(),
             interferer_rssi: Vec::new(),
             noise: NoiseFloor::new(NOISE_FLOOR_DBM),
             batch_scratch: Vec::new(),
             batch_at: Micros::MAX,
             round: 0,
             dispatching: None,
-            fades,
+            fades: FadeMemo::new(config.radio.fading),
             shell_mode: false,
+            config,
         }
     }
 
@@ -269,25 +244,32 @@ impl Simulator {
         &self.stations
     }
 
-    /// The struct-of-arrays hot-state columns (contention, NAV, idle
-    /// stamps, keys), indexed by node id parallel to [`Self::stations`].
-    /// Carrier sense is not among them: it is derived from the in-flight
-    /// transmissions of each channel's [`Medium`].
+    /// The struct-of-arrays hot-state columns (contention state, keys),
+    /// indexed by node id parallel to [`Self::stations`]. Carrier sense is
+    /// not among them: it is derived from the in-flight transmissions of
+    /// each channel's [`Medium`].
     pub fn hot(&self) -> &HotState {
         &self.hot
     }
 
     /// Station `node`'s channel-access values.
     pub fn station_access(&self, node: NodeId) -> StationAccess {
-        let hot = &self.hot;
-        StationAccess {
-            state: hot.state(node),
-            backoff_slots: hot.backoff_slots[node],
-            cw: hot.cw[node],
-            countdown_end: Some(hot.countdown_end[node]).filter(|&e| e != NO_COUNTDOWN),
-            nav_until: hot.nav_until[node],
-            idle_stamp: hot.idle_stamp[node],
-            use_eifs: hot.use_eifs[node],
+        self.channel_access.station(node, self.hot.state(node))
+    }
+
+    /// Channel access, lent the event loop's clock and state for one call.
+    #[inline]
+    fn access(&mut self) -> Access<'_> {
+        Access {
+            dcf: &mut self.channel_access,
+            hot: &mut self.hot,
+            queue: &mut self.queue,
+            media: &self.media,
+            members: &self.medium_members,
+            stations: &mut self.stations,
+            now: self.now,
+            round: self.round,
+            dispatching: self.dispatching,
         }
     }
 
@@ -341,19 +323,8 @@ impl Simulator {
     /// scheduled at a random offset inside one beacon interval so that
     /// co-channel APs do not beacon in lockstep.
     pub fn add_ap(&mut self, pos: Pos, channel_idx: usize, ssid_len: u32) -> NodeId {
-        assert!(
-            channel_idx < self.config.channels.len(),
-            "bad channel index"
-        );
-        let key = self.stations.len() as u64;
-        self.add_ap_keyed(
-            pos,
-            channel_idx,
-            ssid_len,
-            RateAdaptation::Arf(Rate::R11),
-            RtsPolicy::Never,
-            key,
-        )
+        let adaptation = RateAdaptation::Arf(Rate::R11);
+        self.add_ap_with(pos, channel_idx, ssid_len, adaptation, RtsPolicy::Never)
     }
 
     /// Adds an AP whose downlink transmissions use the given rate adaptation
@@ -399,17 +370,16 @@ impl Simulator {
             Role::Ap {
                 beacon_body_bytes: beacon_body,
             },
-            RtsPolicy::Never,
-            RateAdaptation::Arf(Rate::R11),
+            rts_policy,
+            adaptation,
             TrafficProfile::silent(),
         );
-        st.adapter_cfg = adaptation;
-        st.rts_policy = rts_policy;
         st.queue_cap = self.config.queue_cap;
         st.joined = true;
         st.rng = SimRng::new(self.config.seed, key);
         self.stations.push(st);
         self.hot.push(channel_idx, key, self.shell_mode);
+        self.channel_access.push();
         self.fades.add_station(key);
         // Eager incremental topology maintenance: one dirty row + column,
         // shells included (every shard must agree on the full matrix).
@@ -467,6 +437,7 @@ impl Simulator {
         st.rng = SimRng::new(self.config.seed, key);
         self.stations.push(st);
         self.hot.push(cfg.channel_idx, key, self.shell_mode);
+        self.channel_access.push();
         self.fades.add_station(key);
         self.topology.add_station(cfg.pos, &self.config.radio);
         self.mac_index.insert(mac, id);
@@ -540,12 +511,8 @@ impl Simulator {
     /// same-microsecond batch identically. Handlers that push at the
     /// current timestamp form the *next* batch (higher sequence numbers),
     /// which is canonically sorted in turn; `round` numbers the batches of
-    /// one microsecond.
-    ///
-    /// Backoff countdowns reach the batches through their medium's grant
-    /// (`place_grants`, `expand_grants`): a countdown that
-    /// ends at `t` joins the first batch at `t` popped after it was armed,
-    /// as its own queue timer did.
+    /// one microsecond. Backoff countdowns join the batches through their
+    /// medium's grant ([`crate::access`]).
     pub fn run_until(&mut self, until: Micros) {
         // The station/sniffer adders and `move_station` keep the topology
         // covering the population eagerly and incrementally (one dirty row
@@ -556,12 +523,12 @@ impl Simulator {
         self.queue.set_ghost_horizon(until);
         let mut batch = std::mem::take(&mut self.batch_scratch);
         loop {
-            self.place_grants();
+            self.access().place_grants();
             batch.clear();
             let Some(at) = self.queue.pop_batch(until, &mut batch) else {
                 break;
             };
-            self.expand_grants(at, &mut batch);
+            self.access().expand_grants(at, &mut batch);
             if batch.is_empty() {
                 // Grants none of whose countdowns end now (the earliest
                 // froze): the timers they stand for were cancelled, so
@@ -571,7 +538,7 @@ impl Simulator {
             if batch.len() > 1 {
                 // Stable: events with identical keys (only literally
                 // identical, idempotent events can tie) keep queue order.
-                batch.sort_by_key(|e| self.batch_sort_key(e));
+                batch.sort_by_key(|e| batch_sort_key(e, &self.hot.key));
             }
             self.round = if at == self.batch_at {
                 self.round + 1
@@ -586,16 +553,8 @@ impl Simulator {
                 self.handle(event);
             }
             debug_assert!(
-                self.hot.contending_consistent(),
-                "contending set out of step with MAC state"
-            );
-            debug_assert!(
-                self.hot.countdown_consistent(),
-                "a countdown's end is not where its state puts it"
-            );
-            debug_assert!(
-                self.grants_consistent(),
-                "a medium's grant is later than one of its countdowns"
+                self.access().consistent(),
+                "channel access out of step with the MAC states"
             );
             debug_assert!(
                 self.media.iter().all(Medium::busy_consistent),
@@ -620,106 +579,6 @@ impl Simulator {
         self.events_processed += self.queue.drain_ghosts(until);
     }
 
-    /// Moves each medium's grant up to the earliest countdown armed there
-    /// since it was placed, when that is earlier and something still counts
-    /// down there; a grant already at or before it stays, and the earliest
-    /// end is found again when it pops.
-    fn place_grants(&mut self) {
-        if !std::mem::take(&mut self.grants_stale) {
-            return;
-        }
-        for (medium, armed) in self.armed_since_grant.iter_mut().enumerate() {
-            let earliest = std::mem::replace(armed, NO_COUNTDOWN);
-            if self.counting_down[medium] > 0
-                && earliest < self.queue.grant_at(medium).unwrap_or(NO_COUNTDOWN)
-            {
-                self.queue.set_grant(medium, earliest);
-            }
-        }
-    }
-
-    /// Replaces each grant in `batch`, popped at `at`, with a `BackoffDone`
-    /// for every countdown of its medium that ends at `at`, and notes the
-    /// earliest end left for the grant's next placement.
-    fn expand_grants(&mut self, at: Micros, batch: &mut Vec<Event>) {
-        let mut i = 0;
-        while i < batch.len() {
-            let Event::Grant { medium } = batch[i] else {
-                i += 1;
-                continue;
-            };
-            // Order within the batch is the canonical sort's business.
-            batch.swap_remove(i);
-            if self.counting_down[medium] == 0 {
-                continue; // nothing counts down there any more
-            }
-            let mut due = 0;
-            let next = self.hot.take_due(&self.medium_members[medium], at, |node| {
-                due += 1;
-                batch.push(Event::Timer {
-                    node,
-                    kind: TimerKind::BackoffDone,
-                });
-            });
-            self.counting_down[medium] -= due;
-            let armed = &mut self.armed_since_grant[medium];
-            *armed = (*armed).min(next);
-            self.grants_stale = true;
-        }
-    }
-
-    /// Whether each medium's grant, or the earlier end in
-    /// `armed_since_grant`, comes no later than the earliest undispatched
-    /// countdown end on that medium, and `counting_down` counts its ends
-    /// (checked by the event loop in debug builds).
-    fn grants_consistent(&self) -> bool {
-        self.medium_members
-            .iter()
-            .enumerate()
-            .all(|(medium, members)| {
-                let grant = self.queue.grant_at(medium).unwrap_or(NO_COUNTDOWN);
-                let earliest = self.hot.earliest_end(members);
-                let ends = members
-                    .iter()
-                    .filter(|&i| self.hot.countdown_end[i] != NO_COUNTDOWN)
-                    .count();
-                grant.min(self.armed_since_grant[medium]) <= earliest
-                    && ends == self.counting_down[medium] as usize
-            })
-    }
-
-    /// Canonical order of same-microsecond events: `(event class, global
-    /// entity key, detail)`. Every component is derived from scenario-global
-    /// identity — station keys are build indices, and transmission events
-    /// order by their transmitter's key — so any two simulators holding the
-    /// same events in a batch sort them the same way. A station has at most
-    /// one transmission in flight, so the transmitter key is unique per
-    /// `TxEnd`/`CsBusy` at one timestamp.
-    fn batch_sort_key(&self, ev: &Event) -> (u8, u64, u64) {
-        let key = |node: NodeId| self.hot.key[node];
-        // Rank 0 is a countdown's defer end (`DEFER_END_RANK`).
-        let timer_rank = |kind: TimerKind| match kind {
-            TimerKind::BackoffDone => 1u64,
-            TimerKind::SifsResponse => 2,
-            TimerKind::CtsTimeout => 3,
-            TimerKind::AckTimeout => 4,
-            TimerKind::NavExpired => 5,
-        };
-        match *ev {
-            Event::UserJoin { node } => (0, key(node), 0),
-            Event::UserLeave { node } => (1, key(node), 0),
-            Event::BeaconDue { node } => (2, key(node), 0),
-            Event::TrafficArrival { node, flow } => (3, key(node), flow as u64),
-            Event::Timer { node, kind } => (4, key(node), timer_rank(kind)),
-            Event::CsBusy { node, .. } => (5, key(node), 0),
-            Event::TxEnd { node, .. } => (6, key(node), 0),
-            Event::ChannelEval { node } => (7, key(node), 0),
-            Event::PowerSaveTick { node } => (8, key(node), 0),
-            Event::FollowAp { node, channel_idx } => (9, key(node), channel_idx as u64),
-            Event::Grant { .. } => unreachable!("grants are expanded before sorting"),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Event dispatch
     // ------------------------------------------------------------------
@@ -740,18 +599,6 @@ impl Simulator {
         }
     }
 
-    /// NavExpired is a plain event validated by condition: it must not
-    /// take the contention-timer slot (that would cancel a live timer).
-    fn arm_nav_expiry(&mut self, node: NodeId, at: Micros) {
-        self.queue.push(
-            at,
-            Event::Timer {
-                node,
-                kind: TimerKind::NavExpired,
-            },
-        );
-    }
-
     /// NavExpired and SifsResponse are condition-validated. An exchange
     /// timer that pops is live: cancelling or re-arming one removes it from
     /// the queue. A `BackoffDone` is live unless an earlier event of its
@@ -759,13 +606,13 @@ impl Simulator {
     /// before the carrier-sense and end-of-frame events that freeze them.
     fn on_timer(&mut self, node: NodeId, kind: TimerKind) {
         match kind {
-            TimerKind::NavExpired => {
-                if !self.channel_busy(node) {
-                    self.on_channel_idle(node);
+            TimerKind::NavExpired => self.access().idle_if_quiet(node),
+            TimerKind::SifsResponse => self.fire_sifs_response(node),
+            TimerKind::BackoffDone => {
+                if self.access().backoff_done(node) {
+                    self.transmit_current(node);
                 }
             }
-            TimerKind::SifsResponse => self.fire_sifs_response(node),
-            TimerKind::BackoffDone => self.on_backoff_done(node),
             TimerKind::CtsTimeout => self.on_exchange_timeout(node, MacState::AwaitCts),
             TimerKind::AckTimeout => self.on_exchange_timeout(node, MacState::AwaitAck),
         }
@@ -861,25 +708,12 @@ impl Simulator {
         st.associated_ap = Some(ap);
         // Start traffic flows; both directions draw on the client's stream.
         let Station { traffic, rng, .. } = st;
-        let up_gap = traffic.uplink.next_gap(rng);
-        let down_gap = traffic.downlink.next_gap(rng);
-        if let Some(g) = up_gap {
-            self.queue.push(
-                self.now + g,
-                Event::TrafficArrival {
-                    node: client,
-                    flow: 0,
-                },
-            );
-        }
-        if let Some(g) = down_gap {
-            self.queue.push(
-                self.now + g,
-                Event::TrafficArrival {
-                    node: client,
-                    flow: 1,
-                },
-            );
+        let gaps = [traffic.uplink.next_gap(rng), traffic.downlink.next_gap(rng)];
+        for (flow, gap) in gaps.into_iter().enumerate() {
+            if let Some(g) = gap {
+                let arrival = Event::TrafficArrival { node: client, flow };
+                self.queue.push(self.now + g, arrival);
+            }
         }
     }
 
@@ -910,11 +744,7 @@ impl Simulator {
                 ..
             } = self;
             let Station { traffic, rng, .. } = &mut stations[node];
-            let flow_cfg = if flow == 0 {
-                &traffic.uplink
-            } else {
-                &traffic.downlink
-            };
+            let flow_cfg = traffic.flow(flow);
             let batch = flow_cfg.batch_size(rng);
             sizes_scratch.clear();
             for _ in 0..batch {
@@ -941,12 +771,7 @@ impl Simulator {
             stations, queue, ..
         } = self;
         let Station { traffic, rng, .. } = &mut stations[node];
-        let flow_cfg = if flow == 0 {
-            &traffic.uplink
-        } else {
-            &traffic.downlink
-        };
-        if let Some(g) = flow_cfg.next_gap(rng) {
+        if let Some(g) = traffic.flow(flow).next_gap(rng) {
             queue.push(now + g, Event::TrafficArrival { node, flow });
         }
     }
@@ -1026,15 +851,8 @@ impl Simulator {
         // SIFS-separated fragment burst.
         let (current_payload, pending_fragments) = match (st.frag_threshold, &msdu.kind) {
             (Some(thr), MsduKind::Data { .. }) if unicast && msdu.payload > thr && thr > 0 => {
-                let mut chunks: Vec<u32> = Vec::new();
-                let mut remaining = msdu.payload;
-                while remaining > 0 {
-                    let take = remaining.min(thr);
-                    chunks.push(take);
-                    remaining -= take;
-                }
-                let first = chunks.remove(0);
-                (first, chunks)
+                let rest = (thr..msdu.payload).step_by(thr as usize);
+                (thr, rest.map(|at| thr.min(msdu.payload - at)).collect())
             }
             _ => (msdu.payload, Vec::new()),
         };
@@ -1050,206 +868,9 @@ impl Simulator {
             rate,
             first_tx_at: None,
         });
-        self.begin_access(node);
-    }
-
-    /// Enters the channel-access procedure for the current TxOp.
-    fn begin_access(&mut self, node: NodeId) {
-        let now = self.now;
-        let difs = self.defer_interval(node);
-        debug_assert!(self.stations[node].current.is_some());
-        if self.channel_busy(node) {
-            if self.hot.backoff_slots[node] == 0 {
-                let cw = self.hot.cw[node];
-                self.hot.backoff_slots[node] = draw_backoff(&mut self.stations[node].rng, cw);
-            }
-            self.hot.set_state(node, MacState::Frozen);
-            return;
-        }
-        // Channel idle. Immediate transmission is allowed only with no
-        // pending backoff and a DIFS of idle time already behind us.
-        let idle_since = self.media[self.hot.channel_idx[node]].idle_since(
-            node,
-            self.hot.idle_stamp[node],
-            self.hot.nav_until[node],
-        );
-        if self.hot.backoff_slots[node] == 0 && idle_since + difs <= now {
+        if self.access().start(node) {
             self.transmit_current(node);
-            return;
         }
-        if self.hot.backoff_slots[node] == 0 {
-            let cw = self.hot.cw[node];
-            self.hot.backoff_slots[node] = draw_backoff(&mut self.stations[node].rng, cw);
-        }
-        self.arm_countdown(node, (idle_since + difs).max(now));
-    }
-
-    /// Starts `node`'s countdown: a defer that ends at `ready_at`, then
-    /// `backoff_slots` slots, with one deadline at the end of both in
-    /// `HotState::countdown_end`. The medium's grant moves up to it before
-    /// the next batch pops ([`Self::place_grants`]).
-    ///
-    /// The defer's end does exactly what the separate defer timer of the
-    /// two-timer DCF did: it clears the EIFS flag (cleared here and held in
-    /// the state in case a busy edge comes first, see
-    /// [`Self::on_channel_busy`]), it falls among the events of its
-    /// microsecond where that timer ran ([`Self::defer_over`]), and it
-    /// counts as one event: a ghost when slots are left, the `BackoffDone`
-    /// at `ready_at` itself when none are.
-    fn arm_countdown(&mut self, node: NodeId, ready_at: Micros) {
-        let slots = self.hot.backoff_slots[node];
-        // A timer armed for a later time runs in the first batch there; one
-        // armed for now, in the follow-up batch.
-        let round = if ready_at == self.now {
-            self.round + 1
-        } else {
-            0
-        };
-        let held_eifs = std::mem::replace(&mut self.hot.use_eifs[node], false);
-        self.hot.set_state(
-            node,
-            MacState::Backoff {
-                started: ready_at,
-                round,
-                held_eifs,
-            },
-        );
-        if slots > 0 {
-            self.queue.record_ghost(ready_at);
-        }
-        debug_assert_eq!(self.queue.armed_at(node), None, "a live exchange timer");
-        let end = ready_at + slots as Micros * dcf::SLOT_US;
-        debug_assert_eq!(self.hot.countdown_end[node], NO_COUNTDOWN);
-        self.hot.countdown_end[node] = end;
-        let medium = self.hot.channel_idx[node];
-        self.counting_down[medium] += 1;
-        let armed = &mut self.armed_since_grant[medium];
-        *armed = (*armed).min(end);
-        self.grants_stale = true;
-    }
-
-    /// Whether the defer of `node`'s countdown, ending at `started` in batch
-    /// `round` of that microsecond, is behind the event being dispatched:
-    /// whether the two-timer DCF's defer timer would have run by now. At
-    /// `started` itself that timer ran after the events of earlier batches
-    /// and, within its own batch, in canonical order at
-    /// `(4, key, DEFER_END_RANK)`: after the station's own `UserJoin`, say,
-    /// and before any carrier-sense or end-of-frame event.
-    fn defer_over(&self, node: NodeId, started: Micros, round: u32) -> bool {
-        use std::cmp::Ordering;
-        match (self.now.cmp(&started), self.round.cmp(&round)) {
-            (Ordering::Less, _) => false,
-            (Ordering::Greater, _) => true,
-            (Ordering::Equal, Ordering::Less) => false,
-            (Ordering::Equal, Ordering::Greater) => true,
-            (Ordering::Equal, Ordering::Equal) => {
-                let event = self.dispatching.expect("MAC handlers run inside run_until");
-                self.batch_sort_key(&event) > (4, self.hot.key[node], DEFER_END_RANK)
-            }
-        }
-    }
-
-    /// The channel is busy for `node` right now: it senses a transmission,
-    /// or its NAV is set.
-    #[inline]
-    fn channel_busy(&self, node: NodeId) -> bool {
-        self.media[self.hot.channel_idx[node]].senses(node) || self.hot.nav_until[node] > self.now
-    }
-
-    fn defer_interval(&self, node: NodeId) -> Micros {
-        if self.config.eifs_enabled && self.hot.use_eifs[node] {
-            dcf::EIFS_US
-        } else {
-            dcf::DIFS_US
-        }
-    }
-
-    fn on_backoff_done(&mut self, node: NodeId) {
-        if !matches!(self.hot.state(node), MacState::Backoff { .. }) {
-            return;
-        }
-        debug_assert!(!self.channel_busy(node), "a busy edge froze the countdown");
-        let rearmed = std::mem::replace(&mut self.hot.countdown_end[node], NO_COUNTDOWN);
-        if rearmed != NO_COUNTDOWN {
-            // An earlier event of this batch froze the countdown and armed
-            // another (a channel switch). The station still transmits, as
-            // its queue timer did; that timer left the new one armed, to
-            // pop dead or be cancelled: one event at its end either way.
-            self.counting_down[self.hot.channel_idx[node]] -= 1;
-            self.queue.record_ghost(rearmed);
-        }
-        self.hot.backoff_slots[node] = 0;
-        self.transmit_current(node);
-    }
-
-    /// The channel turned busy for `node`: freeze contention. Inside the
-    /// defer nothing is consumed and the EIFS flag is put back; after it,
-    /// the whole slots since `started` are.
-    ///
-    /// The countdown's end is cleared; the queue is touched only when this
-    /// was the last countdown of the medium, whose grant then goes. Where
-    /// the queue timer this replaces was cancelled, its end is a ghost:
-    /// after the defer, and inside it when no slots are left (the end is
-    /// the defer's end). With slots left, the defer's end is the ghost
-    /// already (`arm_countdown`). A countdown whose `BackoffDone` is in
-    /// the current batch already has no end, and no ghost.
-    fn on_channel_busy(&mut self, node: NodeId) {
-        let MacState::Backoff {
-            started,
-            round,
-            held_eifs,
-        } = self.hot.state(node)
-        else {
-            return;
-        };
-        let end = std::mem::replace(&mut self.hot.countdown_end[node], NO_COUNTDOWN);
-        if end != NO_COUNTDOWN {
-            let medium = self.hot.channel_idx[node];
-            self.counting_down[medium] -= 1;
-            if self.counting_down[medium] == 0 {
-                // Its grant would pop with nothing to dispatch.
-                self.queue.drop_grant(medium);
-            }
-        }
-        let cancelled = if self.defer_over(node, started, round) {
-            self.hot.consume_backoff(node, self.now - started);
-            true
-        } else {
-            self.hot.use_eifs[node] = held_eifs;
-            self.hot.backoff_slots[node] == 0
-        };
-        if cancelled && end != NO_COUNTDOWN {
-            self.queue.record_ghost(end);
-        }
-        self.hot.set_state(node, MacState::Frozen);
-    }
-
-    /// The channel turned idle for `node`: restart the defer.
-    fn on_channel_idle(&mut self, node: NodeId) {
-        let now = self.now;
-        self.hot.idle_stamp[node] = now;
-        if self.hot.state(node) == MacState::Frozen {
-            let difs = self.defer_interval(node);
-            self.arm_countdown(node, now + difs);
-        }
-    }
-
-    /// `node` failed to decode a frame addressed to it: its next defer is
-    /// an EIFS. Inside a countdown's defer that is the held flag, which
-    /// the defer's end discards.
-    fn owe_eifs(&mut self, node: NodeId) {
-        if let MacState::Backoff { started, round, .. } = self.hot.state(node) {
-            if !self.defer_over(node, started, round) {
-                let held = MacState::Backoff {
-                    started,
-                    round,
-                    held_eifs: true,
-                };
-                self.hot.set_state(node, held);
-                return;
-            }
-        }
-        self.hot.use_eifs[node] = true;
     }
 
     // ------------------------------------------------------------------
@@ -1277,26 +898,25 @@ impl Simulator {
         let retry = op.retries > 0;
         let seq = op.seq;
         op.first_tx_at.get_or_insert(now);
+        // A unicast frame reserves the channel for its ACK.
+        let dur = if unicast {
+            (delay::SIFS + delay::ACK) as u16
+        } else {
+            0
+        };
         let frame = match op.msdu.kind {
-            MsduKind::Data { to_ds } => {
-                let dur = if unicast {
-                    (delay::SIFS + delay::ACK) as u16
-                } else {
-                    0
-                };
-                SimFrame::data_fragment(
-                    mac,
-                    op.msdu.dst,
-                    op.msdu.bssid,
-                    seq,
-                    op.frag_no,
-                    op.current_payload,
-                    retry,
-                    dur,
-                    to_ds,
-                    !op.pending_fragments.is_empty(),
-                )
-            }
+            MsduKind::Data { to_ds } => SimFrame::data_fragment(
+                mac,
+                op.msdu.dst,
+                op.msdu.bssid,
+                seq,
+                op.frag_no,
+                op.current_payload,
+                retry,
+                dur,
+                to_ds,
+                !op.pending_fragments.is_empty(),
+            ),
             MsduKind::Null => {
                 let mut f = SimFrame::data(
                     mac,
@@ -1321,11 +941,7 @@ impl Simulator {
                 seq,
                 op.msdu.payload,
                 retry,
-                if unicast {
-                    (delay::SIFS + delay::ACK) as u16
-                } else {
-                    0
-                },
+                dur,
             ),
         };
         let rate = match op.msdu.kind {
@@ -1374,23 +990,12 @@ impl Simulator {
     ///
     /// [`Medium::apply_cs`] adds the listener set to the medium's busy set
     /// and collects, into a reused scratch buffer, the listeners that were
-    /// idle and are contending; the callback pass then freezes those whose
-    /// NAV was not already holding them. Only contending listeners need a
-    /// callback: [`Self::on_channel_busy`] acts only on `Backoff`
-    /// and touches nothing but its own station, so the callbacks, and the
-    /// queue operations they make, run in ascending id order as in a walk
-    /// over every listener.
+    /// idle and are contending, which channel access then freezes. Only
+    /// contending listeners need it: a busy edge acts only on `Backoff`.
     fn on_cs_busy(&mut self, medium: usize, node: NodeId) {
-        let now = self.now;
         let mut hits = std::mem::take(&mut self.cs_scratch);
         self.media[medium].apply_cs(node, self.hot.contending(), &mut hits);
-        for (wi, &w) in hits.iter().enumerate() {
-            for_each_bit(w, wi * 64, |i| {
-                if self.hot.nav_until[i] <= now {
-                    self.on_channel_busy(i);
-                }
-            });
-        }
+        self.access().carrier_edge(&hits, Edge::Busy);
         self.cs_scratch = hits;
     }
 
@@ -1418,15 +1023,12 @@ impl Simulator {
             FrameKind::Cts | FrameKind::Ack => {
                 // A control response; never interrupt an exchange we are in
                 // the middle of (the peer will retry instead).
-                if matches!(
-                    state,
-                    MacState::Transmitting { .. } | MacState::AwaitCts | MacState::AwaitAck
-                ) {
+                if state.in_exchange() {
                     return;
                 }
                 // Pause any contention countdown; it resumes after the
                 // response.
-                self.on_channel_busy(node);
+                self.access().busy(node);
                 if frame.kind == FrameKind::Cts {
                     self.stations[node].stats.cts_sent += 1;
                     (TxPhase::Cts, CONTROL_RATE)
@@ -1478,24 +1080,15 @@ impl Simulator {
         // 6. Release carrier sense (and return the transmission's buffers):
         // the medium's busy set drops the listeners no other frame holds and
         // keeps the listener set as a release at `now`, which is the idle
-        // edge every listener's next defer reads. The callback pass then
-        // restarts the defer of the contending listeners that went idle, NAV
-        // permitting (a no-op re-stamp outside `Frozen`).
+        // edge every listener's next defer reads. Channel access then
+        // restarts the defer of the contending listeners that went idle, and
+        // stamps the transmitter's own channel quiet from its side.
         let transmitter = tx.node;
         let mut hits = std::mem::take(&mut self.cs_scratch);
         self.media[channel].retire(tx, now, self.hot.contending(), &mut hits);
-        for (wi, &w) in hits.iter().enumerate() {
-            for_each_bit(w, wi * 64, |i| {
-                if self.hot.nav_until[i] <= now {
-                    self.on_channel_idle(i);
-                }
-            });
-        }
+        self.access()
+            .carrier_edge(&hits, Edge::Release { transmitter });
         self.cs_scratch = hits;
-        // The transmitter itself: its own channel went quiet from its side.
-        if !self.channel_busy(transmitter) {
-            self.hot.idle_stamp[transmitter] = now;
-        }
     }
 
     fn advance_transmitter(&mut self, tx: &crate::medium::Transmission) {
@@ -1506,7 +1099,6 @@ impl Simulator {
         };
         match phase {
             TxPhase::Rts => {
-                debug_assert_eq!(self.hot.countdown_end[node], NO_COUNTDOWN);
                 self.hot.set_state(node, MacState::AwaitCts);
                 let timeout = now + delay::SIFS + delay::CTS + TIMEOUT_MARGIN_US;
                 self.queue.arm_timer(node, TimerKind::CtsTimeout, timeout);
@@ -1515,7 +1107,6 @@ impl Simulator {
                 if tx.frame.is_broadcast() {
                     self.complete_delivery(node, false);
                 } else {
-                    debug_assert_eq!(self.hot.countdown_end[node], NO_COUNTDOWN);
                     self.hot.set_state(node, MacState::AwaitAck);
                     let timeout = now + delay::SIFS + delay::ACK + TIMEOUT_MARGIN_US;
                     self.queue.arm_timer(node, TimerKind::AckTimeout, timeout);
@@ -1523,18 +1114,11 @@ impl Simulator {
             }
             TxPhase::Cts | TxPhase::Ack => {
                 // Response sent; resume whatever we were doing. Contention
-                // was paused into Frozen by fire_sifs_response, so the
-                // channel-idle path restarts the defer with preserved
-                // backoff.
+                // was paused by fire_sifs_response and restarts with its
+                // backoff preserved.
                 let has_work = self.stations[node].current.is_some();
-                if has_work {
-                    self.hot.set_state(node, MacState::Frozen);
-                    if !self.channel_busy(node) {
-                        self.on_channel_idle(node);
-                    }
-                } else {
-                    self.hot.set_state(node, MacState::Idle);
-                    self.hot.idle_stamp[node] = now;
+                self.access().response_sent(node, has_work);
+                if !has_work {
                     self.try_dequeue(node);
                 }
             }
@@ -1552,7 +1136,7 @@ impl Simulator {
         if !self.topology.coupled(tx.node, rx) {
             return None; // below the pair-coupling floor: no interaction
         }
-        if self.hot.was_transmitting_during(rx, tx.start, tx.end) {
+        if self.hot.was_transmitting_during(rx, tx.start) {
             return None; // half-duplex
         }
         let rssi = self.faded_rssi(tx.node, rx);
@@ -1587,9 +1171,7 @@ impl Simulator {
             return;
         };
         if !decoded {
-            if self.config.eifs_enabled {
-                self.owe_eifs(rx_node);
-            }
+            self.access().owe_eifs(rx_node);
             return;
         }
         self.deliver_frame(rx_node, tx, sinr);
@@ -1659,7 +1241,7 @@ impl Simulator {
             }
             FrameKind::Rts => {
                 // Respond with CTS only if our NAV is clear.
-                if self.hot.nav_until[rx_node] <= now {
+                if self.access().nav_clear(rx_node) {
                     let src = frame.src.expect("RTS carries a transmitter");
                     let dur = (frame.duration_us as u64)
                         .saturating_sub(delay::SIFS + delay::CTS)
@@ -1714,26 +1296,23 @@ impl Simulator {
         // from AwaitCts/AwaitAck would clobber that state machine. The peer
         // simply retries — comparable to real-hardware behaviour under the
         // same (collision-heavy) conditions.
-        if matches!(
-            self.hot.state(node),
-            MacState::Transmitting { .. } | MacState::AwaitCts | MacState::AwaitAck
-        ) {
+        if self.hot.state(node).in_exchange() {
             return;
         }
-        let now = self.now;
+        self.after_sifs(node, frame);
+    }
+
+    /// `node` sends `frame` a SIFS from now, bypassing contention
+    /// ([`Self::fire_sifs_response`]).
+    fn after_sifs(&mut self, node: NodeId, frame: SimFrame) {
         self.stations[node].pending_response = Some(frame);
-        self.queue.push(
-            now + delay::SIFS,
-            Event::Timer {
-                node,
-                kind: TimerKind::SifsResponse,
-            },
-        );
+        let kind = TimerKind::SifsResponse;
+        self.queue
+            .push(self.now + delay::SIFS, Event::Timer { node, kind });
     }
 
     /// The data frame of an RTS-protected exchange follows the CTS by a
-    /// SIFS, bypassing contention: store the pre-built frame as the pending
-    /// response and let [`Self::fire_sifs_response`] release it.
+    /// SIFS, bypassing contention.
     fn schedule_post_cts_data(&mut self, node: NodeId) {
         let now = self.now;
         let st = &mut self.stations[node];
@@ -1754,15 +1333,8 @@ impl Simulator {
             to_ds,
         );
         st.stats.tx_attempts += 1;
-        st.pending_response = Some(frame);
         self.ground_truth.data_tx += 1;
-        self.queue.push(
-            now + delay::SIFS,
-            Event::Timer {
-                node,
-                kind: TimerKind::SifsResponse,
-            },
-        );
+        self.after_sifs(node, frame);
     }
 
     fn process_nav(&mut self, channel: usize, tx: &crate::medium::Transmission) {
@@ -1776,13 +1348,11 @@ impl Simulator {
                 continue; // the addressee does not set NAV from its own exchange
             }
             let decoded = matches!(self.decode_at(tx, i), Some((true, _)));
-            if decoded && until > self.hot.nav_until[i] {
-                let was_busy = self.channel_busy(i);
-                self.hot.nav_until[i] = until;
-                if !was_busy {
-                    self.on_channel_busy(i);
-                }
-                self.arm_nav_expiry(i, until);
+            if decoded && self.access().set_nav(i, until) {
+                // A plain event validated by condition: it must not take
+                // the exchange-timer slot (that would cancel a live timer).
+                let kind = TimerKind::NavExpired;
+                self.queue.push(until, Event::Timer { node: i, kind });
             }
         }
     }
@@ -1868,33 +1438,17 @@ impl Simulator {
             snap.extend_from_slice(&self.chan_airtime_us);
             return;
         }
-        let (best, best_load, cur, cur_load) = {
-            let Simulator {
-                stations,
-                hot,
-                chan_airtime_us,
-                eval_deltas,
-                ..
-            } = self;
-            let st = &mut stations[node];
-            eval_deltas.clear();
-            eval_deltas.extend(
-                chan_airtime_us
-                    .iter()
-                    .zip(&st.chan_airtime_snapshot)
-                    .map(|(now_v, then_v)| now_v.saturating_sub(*then_v)),
-            );
-            st.chan_airtime_snapshot.copy_from_slice(chan_airtime_us);
-            let cur = hot.channel_idx[node];
-            let Some((best, &best_load)) = eval_deltas
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, load)| *load)
-            else {
-                return;
-            };
-            (best, best_load, cur, eval_deltas[cur] as f64)
-        };
+        // Each channel's air time since the last evaluation; the first
+        // least-loaded channel is the candidate.
+        let cur = self.hot.channel_idx[node];
+        let snapshot = &mut self.stations[node].chan_airtime_snapshot;
+        let airtime = &self.chan_airtime_us;
+        let load = |c: usize| airtime[c].saturating_sub(snapshot[c]);
+        let best = (0..airtime.len())
+            .min_by_key(|&c| load(c))
+            .expect("a channel");
+        let (best_load, cur_load) = (load(best), load(cur) as f64);
+        snapshot.copy_from_slice(airtime);
         if best == cur {
             return;
         }
@@ -1905,15 +1459,10 @@ impl Simulator {
             return; // mid-exchange; try again next interval
         }
         // Associated clients notice the beacon loss and follow.
-        let mut followers = std::mem::take(&mut self.followers_scratch);
-        followers.clear();
-        followers.extend(
-            self.stations
-                .iter()
-                .filter(|s| s.associated_ap == Some(node))
-                .map(|s| s.id),
-        );
-        for &c in &followers {
+        for c in 0..self.stations.len() {
+            if self.stations[c].associated_ap != Some(node) {
+                continue;
+            }
             self.stations[c].associated_ap = None;
             let delay = self.stations[c]
                 .rng
@@ -1926,7 +1475,6 @@ impl Simulator {
                 },
             );
         }
-        self.followers_scratch = followers;
     }
 
     /// A client moves to its AP's new channel and re-associates.
@@ -1949,24 +1497,17 @@ impl Simulator {
     /// when the station is in the middle of a frame exchange.
     fn move_station_channel(&mut self, node: NodeId, new_idx: usize) -> bool {
         assert!(new_idx < self.config.channels.len(), "bad channel index");
-        if matches!(
-            self.hot.state(node),
-            MacState::Transmitting { .. } | MacState::AwaitCts | MacState::AwaitAck
-        ) || self.stations[node].pending_response.is_some()
-        {
+        if self.hot.state(node).in_exchange() || self.stations[node].pending_response.is_some() {
             return false;
         }
         let old_idx = self.hot.channel_idx[node];
         if old_idx == new_idx {
             return true;
         }
-        let now = self.now;
-        // Detach from the old channel's in-flight transmissions.
+        // Detach from the old channel's in-flight transmissions, and pause
+        // any contention countdown.
         self.media[old_idx].detach(node);
-        // Pause any contention countdown; NAV from the old channel is void.
-        self.on_channel_busy(node); // freezes a countdown safely
-        self.hot.nav_until[node] = 0;
-        self.hot.use_eifs[node] = false;
+        self.access().detune(node);
         self.hot.channel_idx[node] = new_idx;
         self.medium_members[old_idx].remove(node);
         self.medium_members[new_idx].insert(node);
@@ -1974,10 +1515,7 @@ impl Simulator {
         // reachability comes straight from the cached topology row).
         let topology = &self.topology;
         self.media[new_idx].attach(node, |tx| topology.sensed(tx, node));
-        self.hot.idle_stamp[node] = now;
-        if self.hot.state(node) == MacState::Frozen && !self.channel_busy(node) {
-            self.on_channel_idle(node);
-        }
+        self.access().retuned(node);
         true
     }
 
@@ -2021,11 +1559,7 @@ impl Simulator {
         let Some(cur) = st.associated_ap else {
             return false; // association in flight; let it land first
         };
-        if matches!(
-            self.hot.state(node),
-            MacState::Transmitting { .. } | MacState::AwaitCts | MacState::AwaitAck
-        ) || st.pending_response.is_some()
-        {
+        if self.hot.state(node).in_exchange() || st.pending_response.is_some() {
             return false;
         }
         let channel = self.hot.channel_idx[node];
@@ -2048,21 +1582,17 @@ impl Simulator {
         if self.hot.state(node) != expected {
             return;
         }
-        let drop;
-        let peer;
-        let is_assoc_req;
-        let is_data;
-        {
-            let st = &mut self.stations[node];
-            let op = st.current.as_mut().expect("timeout without TxOp");
-            peer = op.msdu.dst;
-            is_assoc_req = op.msdu.kind == MsduKind::Mgmt(FrameKind::AssocRequest);
-            is_data = matches!(op.msdu.kind, MsduKind::Data { .. });
-            op.retries += 1;
-            op.cts_received = false;
-            drop = op.retries > dcf::RETRY_LIMIT;
-            self.hot.cw[node] = dcf::cw_after(op.retries);
-        }
+        let op = self.stations[node]
+            .current
+            .as_mut()
+            .expect("timeout without TxOp");
+        op.retries += 1;
+        op.cts_received = false;
+        let (peer, kind) = (op.msdu.dst, op.msdu.kind);
+        let is_assoc_req = kind == MsduKind::Mgmt(FrameKind::AssocRequest);
+        let is_data = matches!(kind, MsduKind::Data { .. });
+        let drop = op.retries > dcf::RETRY_LIMIT;
+        let grown = dcf::cw_after(op.retries);
         // Rate-adaptation feedback for data frames. This is exactly the
         // deficiency the paper identifies: the adapter cannot distinguish a
         // collision from a weak signal, so congestion drives rates down.
@@ -2074,12 +1604,10 @@ impl Simulator {
             }
         }
         if drop {
+            self.access().backoff_from(node, dcf::CW_MIN);
             let st = &mut self.stations[node];
-            let backoff = draw_backoff(&mut st.rng, dcf::CW_MIN);
             st.stats.retry_drops += 1;
             st.current = None;
-            self.hot.cw[node] = dcf::CW_MIN;
-            self.hot.backoff_slots[node] = backoff;
             self.hot.set_state(node, MacState::Idle);
             self.ground_truth.retry_drops += 1;
             if is_assoc_req && self.stations[node].joined {
@@ -2091,24 +1619,21 @@ impl Simulator {
         }
         // Retry: new rate decision, fresh backoff from the grown window.
         let new_rate = self.stations[node].pick_rate(peer);
-        {
-            let st = &mut self.stations[node];
-            if let Some(op) = st.current.as_mut() {
-                if matches!(op.msdu.kind, MsduKind::Data { .. }) {
-                    op.rate = new_rate;
-                }
+        if let Some(op) = self.stations[node].current.as_mut() {
+            if matches!(op.msdu.kind, MsduKind::Data { .. }) {
+                op.rate = new_rate;
             }
-            let cw = self.hot.cw[node];
-            self.hot.backoff_slots[node] = draw_backoff(&mut st.rng, cw);
-            self.hot.set_state(node, MacState::Idle);
         }
-        self.begin_access(node);
+        self.access().backoff_from(node, grown);
+        self.hot.set_state(node, MacState::Idle);
+        if self.access().start(node) {
+            self.transmit_current(node);
+        }
     }
 
     /// A fragment was acknowledged and more remain: release the next one a
     /// SIFS later, without re-contending (the fragment-burst rule).
     fn advance_fragment(&mut self, node: NodeId) {
-        let now = self.now;
         let st = &mut self.stations[node];
         let Some(op) = st.current.as_mut() else {
             return;
@@ -2132,34 +1657,19 @@ impl Simulator {
             !op.pending_fragments.is_empty(),
         );
         st.stats.tx_attempts += 1;
-        st.pending_response = Some(frame);
         self.ground_truth.data_tx += 1;
-        self.queue.push(
-            now + delay::SIFS,
-            Event::Timer {
-                node,
-                kind: TimerKind::SifsResponse,
-            },
-        );
+        self.after_sifs(node, frame);
     }
 
     /// The current MSDU is done: delivered (ACK received) or broadcast sent.
     fn complete_delivery(&mut self, node: NodeId, acked: bool) {
-        let now = self.now;
-        let peer;
-        let is_data;
-        {
-            let st = &mut self.stations[node];
-            let op = st.current.take().expect("completion without TxOp");
-            peer = op.msdu.dst;
-            is_data = matches!(op.msdu.kind, MsduKind::Data { .. });
-            st.stats.delivered += 1;
-            st.stats.delivery_delay_total_us += now.saturating_sub(op.msdu.enqueued_at);
-            let cw = dcf::CW_MIN;
-            self.hot.cw[node] = cw;
-            self.hot.backoff_slots[node] = draw_backoff(&mut st.rng, cw);
-            self.hot.set_state(node, MacState::Idle);
-        }
+        let st = &mut self.stations[node];
+        let op = st.current.take().expect("completion without TxOp");
+        let (peer, is_data) = (op.msdu.dst, matches!(op.msdu.kind, MsduKind::Data { .. }));
+        st.stats.delivered += 1;
+        st.stats.delivery_delay_total_us += self.now.saturating_sub(op.msdu.enqueued_at);
+        self.access().backoff_from(node, dcf::CW_MIN);
+        self.hot.set_state(node, MacState::Idle);
         self.ground_truth.delivered += 1;
         if acked && is_data {
             self.stations[node].adapter_for(peer).on_success();
@@ -2168,13 +1678,41 @@ impl Simulator {
     }
 }
 
-fn draw_backoff(rng: &mut SimRng, cw: u32) -> u32 {
-    rng.gen_range(0..=cw)
+/// Canonical order of same-microsecond events: `(event class, global entity
+/// key, detail)`, with `key` the stations' global keys. Every component is
+/// derived from scenario-global identity — station keys are build indices,
+/// and transmission events order by their transmitter's key — so any two
+/// simulators holding the same events in a batch sort them the same way. A
+/// station has at most one transmission in flight, so the transmitter key
+/// is unique per `TxEnd`/`CsBusy` at one timestamp.
+pub(crate) fn batch_sort_key(ev: &Event, key: &[u64]) -> (u8, u64, u64) {
+    // Rank 0 is a countdown's defer end (`access::DEFER_END_RANK`).
+    let timer_rank = |kind: TimerKind| match kind {
+        TimerKind::BackoffDone => 1u64,
+        TimerKind::SifsResponse => 2,
+        TimerKind::CtsTimeout => 3,
+        TimerKind::AckTimeout => 4,
+        TimerKind::NavExpired => 5,
+    };
+    match *ev {
+        Event::UserJoin { node } => (0, key[node], 0),
+        Event::UserLeave { node } => (1, key[node], 0),
+        Event::BeaconDue { node } => (2, key[node], 0),
+        Event::TrafficArrival { node, flow } => (3, key[node], flow as u64),
+        Event::Timer { node, kind } => (4, key[node], timer_rank(kind)),
+        Event::CsBusy { node, .. } => (5, key[node], 0),
+        Event::TxEnd { node, .. } => (6, key[node], 0),
+        Event::ChannelEval { node } => (7, key[node], 0),
+        Event::PowerSaveTick { node } => (8, key[node], 0),
+        Event::FollowAp { node, channel_idx } => (9, key[node], channel_idx as u64),
+        Event::Grant { .. } => unreachable!("grants are expanded before sorting"),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::tests::set_backoff_slots;
 
     /// A client `x` metres out that joins at `join_at_us` and sends nothing.
     fn silent_client(x: f64, join_at_us: Micros) -> ClientConfig {
@@ -2205,7 +1743,7 @@ mod tests {
         (sim.now, sim.batch_at, sim.round) = (500, 500, 2);
         let mut over = |event: Event, started: Micros, round: u32| {
             sim.dispatching = Some(event);
-            sim.defer_over(c, started, round)
+            sim.access().defer_over(c, started, round)
         };
         let timer = |node: NodeId, kind: TimerKind| Event::Timer { node, kind };
         let busy = Event::CsBusy {
@@ -2276,7 +1814,7 @@ mod tests {
             rate: CONTROL_RATE,
             first_tx_at: None,
         });
-        sim.hot.backoff_slots[c] = 0;
+        set_backoff_slots(&mut sim.channel_access, c, 0);
         (sim, c)
     }
 
@@ -2286,14 +1824,14 @@ mod tests {
     #[test]
     fn a_zero_slot_countdown_armed_for_now_fires_in_the_follow_up_batch() {
         let (mut sim, c) = mid_batch_at_1000(Simulator::new(SimConfig::default()));
-        sim.arm_countdown(c, 1_000);
-        assert_eq!(sim.hot.countdown_end[c], 1_000);
+        sim.access().arm_countdown(c, 1_000);
+        assert_eq!(sim.station_access(c).countdown_end, Some(1_000));
         sim.run_until(1_000);
         let transmitting = MacState::Transmitting {
             phase: TxPhase::Data,
         };
         assert_eq!(sim.hot.state(c), transmitting);
-        assert_eq!(sim.hot.countdown_end[c], NO_COUNTDOWN);
+        assert_eq!(sim.station_access(c).countdown_end, None);
         // One follow-up batch (round 1), closed by the run's end.
         assert_eq!((sim.batch_at, sim.round), (1_000, 2));
         assert_eq!(sim.events_processed(), 1, "the BackoffDone");
@@ -2310,10 +1848,10 @@ mod tests {
     fn a_frozen_countdown_is_no_batch() {
         // Frozen in the batch that armed it: no grant.
         let (mut sim, c) = mid_batch_at_1000(Simulator::new(SimConfig::default()));
-        sim.arm_countdown(c, 1_000);
+        sim.access().arm_countdown(c, 1_000);
         // Inside the defer, no slots left: the end is the cancelled
         // timer's ghost.
-        sim.on_channel_busy(c);
+        sim.access().busy(c);
         assert_eq!(sim.hot.state(c), MacState::Frozen);
         sim.run_until(1_000);
         assert_eq!(sim.queue_stats().pushed, 1, "no grant, only the join");
@@ -2325,11 +1863,11 @@ mod tests {
 
         // Frozen under its grant, alone: the grant goes.
         let (mut sim, c) = mid_batch_at_1000(Simulator::new(SimConfig::default()));
-        sim.hot.backoff_slots[c] = 3;
-        sim.arm_countdown(c, 1_000);
+        set_backoff_slots(&mut sim.channel_access, c, 3);
+        sim.access().arm_countdown(c, 1_000);
         sim.run_until(1_010);
         assert_eq!(sim.queue.grant_at(0), Some(1_060));
-        sim.on_channel_busy(c);
+        sim.access().busy(c);
         assert_eq!(sim.queue.grant_at(0), None);
         sim.run_until(1_060);
         assert_eq!(sim.queue_stats().popped, 0);
@@ -2345,11 +1883,12 @@ mod tests {
         let d = two.add_client(silent_client(5.0, 10_000_000));
         let (mut sim, c) = mid_batch_at_1000(two);
         sim.stations[d].current = sim.stations[c].current.clone();
-        (sim.hot.backoff_slots[c], sim.hot.backoff_slots[d]) = (3, 5);
-        sim.arm_countdown(c, 1_000);
-        sim.arm_countdown(d, 1_000);
+        set_backoff_slots(&mut sim.channel_access, c, 3);
+        set_backoff_slots(&mut sim.channel_access, d, 5);
+        sim.access().arm_countdown(c, 1_000);
+        sim.access().arm_countdown(d, 1_000);
         sim.run_until(1_010);
-        sim.on_channel_busy(c);
+        sim.access().busy(c);
         sim.run_until(1_060);
         assert_eq!(sim.queue_stats().popped, 1, "the grant popped");
         assert_eq!((sim.batch_at, sim.round), (1_060, 0), "no batch at 1 060");
@@ -2377,8 +1916,8 @@ mod tests {
         let mut sim = Simulator::new(config);
         sim.add_ap(Pos::new(0.0, 0.0), 1, 6);
         let (mut sim, c) = mid_batch_at_1000(sim);
-        sim.hot.backoff_slots[c] = 3;
-        sim.arm_countdown(c, 1_000);
+        set_backoff_slots(&mut sim.channel_access, c, 3);
+        sim.access().arm_countdown(c, 1_000);
         sim.queue.push(1_060, Event::UserJoin { node: c });
         let mut seen = Vec::new();
         for until in [1_060, 1_109, 1_110, 5_000, 300_000] {

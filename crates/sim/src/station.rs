@@ -1,24 +1,25 @@
-//! Per-station MAC state: the DCF contention machine's data, the transmit
-//! queue, per-peer rate adapters, and counters.
+//! Per-station MAC state: the contention state, the transmit queue,
+//! per-peer rate adapters, and counters.
 //!
 //! `Station` is deliberately a *state container*: the transition logic lives
-//! in [`crate::sim::Simulator`], which owns the medium and the event queue.
-//! The methods here are the self-contained pieces (queue management, backoff
-//! bookkeeping, adapter lookup) that are unit-testable in isolation.
+//! in [`crate::sim::Simulator`], which owns the medium and the event queue,
+//! and channel access in [`crate::access`]. The methods here are the
+//! self-contained pieces (queue management, adapter lookup) that are
+//! unit-testable in isolation.
 
 use crate::events::NodeId;
 use crate::frame_info::SimFrame;
 use crate::geometry::Pos;
 use crate::rate::{RateAdaptation, RateAdapter};
 use crate::rng::SimRng;
-use crate::topology::{for_each_bit, NodeSet};
+use crate::topology::NodeSet;
 use crate::traffic::TrafficProfile;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use wifi_frames::fc::FrameKind;
 use wifi_frames::mac::MacAddr;
 use wifi_frames::phy::Rate;
-use wifi_frames::timing::{dcf, Micros};
+use wifi_frames::timing::Micros;
 
 /// When a station precedes data frames with an RTS/CTS exchange.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,11 +123,11 @@ pub enum MacState {
     /// Nothing to send.
     Idle,
     /// Have a frame and an idle channel: waiting out DIFS/EIFS until
-    /// `started`, then counting down `backoff_slots`. One deadline covers
-    /// both phases, `HotState::countdown_end` = `started + backoff_slots ×
-    /// slot`; the medium's grant dispatches a `BackoffDone` there. A busy
-    /// edge before the defer ends consumes nothing; one after it consumes
-    /// the whole slots elapsed since `started`.
+    /// `started`, then counting down the backoff slots, with one deadline
+    /// at the end of both where the medium's grant dispatches a
+    /// `BackoffDone` ([`crate::access`]). A busy edge before the defer ends
+    /// consumes nothing; one after it consumes the whole slots elapsed
+    /// since `started`.
     Backoff {
         /// When the defer ends and the slot countdown begins.
         started: Micros,
@@ -136,7 +137,7 @@ pub enum MacState {
         /// defer's end against the other events of that microsecond.
         round: u32,
         /// The EIFS flag while the defer runs. Arming the countdown clears
-        /// `HotState::use_eifs`, as the defer's end does in the standard; a
+        /// the station's flag, as the defer's end does in the standard; a
         /// failed decode before that end sets this instead, and a busy edge
         /// before it puts this back.
         held_eifs: bool,
@@ -152,6 +153,16 @@ pub enum MacState {
     AwaitCts,
     /// Data sent; waiting for the ACK.
     AwaitAck,
+}
+
+impl MacState {
+    /// Mid frame exchange: transmitting, or awaiting a CTS or ACK.
+    pub(crate) fn in_exchange(self) -> bool {
+        matches!(
+            self,
+            MacState::Transmitting { .. } | MacState::AwaitCts | MacState::AwaitAck
+        )
+    }
 }
 
 /// What a transmitting station is sending.
@@ -198,17 +209,13 @@ pub struct StationStats {
 /// is word-wide set arithmetic on the listener bitset, and only the
 /// listeners whose carrier changed *and* that are *contending* — in
 /// `Backoff` or `Frozen`, tracked as a bitset beside `state` —
-/// get a MAC callback, which reads `nav_until` and `state` here. With the
+/// get a MAC callback, which reads `state` here. With the
 /// fields inline in `Station` (a multi-hundred-byte struct holding queues
 /// and adapter maps) each touch was a fresh cache line. Packed columns put
 /// 8–16 stations' worth of one field on a line. Cold state (MAC, queue
 /// payloads, stats, RNG, adapters) stays in [`Station`] behind the same
-/// `NodeId` indexing.
-///
-/// A countdown's end is a column here too, `countdown_end`, not a queue
-/// entry: each medium's one grant in the event queue stands for the
-/// earliest of them, so a busy edge that freezes a countdown touches only
-/// this row.
+/// `NodeId` indexing, and channel access keeps its own columns
+/// ([`crate::access`]).
 #[derive(Default)]
 pub struct HotState {
     /// Contention state. Private so that every write goes through
@@ -217,26 +224,6 @@ pub struct HotState {
     /// Stations whose `state` is `Backoff` or `Frozen` — the only states a
     /// carrier-sense busy or idle transition acts on beyond the idle stamp.
     contending: NodeSet,
-    /// Remaining backoff slots (meaningful in Frozen/Backoff; in `Backoff`,
-    /// the slots left at `started`).
-    pub backoff_slots: Vec<u32>,
-    /// In `Backoff`, when the countdown runs out: `started + backoff_slots
-    /// × slot`. [`NO_COUNTDOWN`] in every other state, and from the moment
-    /// the medium's grant puts the countdown's `BackoffDone` into a batch.
-    pub countdown_end: Vec<Micros>,
-    /// Current contention-window size.
-    pub cw: Vec<u32>,
-    /// NAV expiry.
-    pub nav_until: Vec<Micros>,
-    /// The station's own record of when its channel went idle: the end of
-    /// its own transmission, a NAV expiry, a channel switch. The idle edges
-    /// that other stations' releases make are kept by the medium instead;
-    /// [`crate::medium::Medium::idle_since`] combines the two.
-    pub idle_stamp: Vec<Micros>,
-    /// Whether the next defer must use EIFS (after an undecodable frame).
-    /// In `Backoff` this is the flag as it stands after the running defer
-    /// ends; the flag during the defer is `MacState::Backoff::held_eifs`.
-    pub use_eifs: Vec<bool>,
     /// End time of the station's own most recent transmission
     /// (half-duplex check).
     pub tx_until: Vec<Micros>,
@@ -260,16 +247,10 @@ pub struct HotState {
 }
 
 impl HotState {
-    /// Appends one station's row, its window at CWmin; returns its node id.
+    /// Appends one station's row; returns its node id.
     pub fn push(&mut self, channel_idx: usize, key: u64, shell: bool) -> NodeId {
         let id = self.state.len();
         self.state.push(MacState::Idle);
-        self.backoff_slots.push(0);
-        self.countdown_end.push(NO_COUNTDOWN);
-        self.cw.push(dcf::CW_MIN);
-        self.nav_until.push(0);
-        self.idle_stamp.push(0);
-        self.use_eifs.push(false);
         self.tx_until.push(0);
         self.channel_idx.push(channel_idx);
         self.key.push(key);
@@ -310,59 +291,6 @@ impl HotState {
             .all(|(i, &s)| self.contending.contains(i) == is_contending(s))
     }
 
-    /// Whether every `Backoff` station's `countdown_end` is where its
-    /// countdown ends, at `started + backoff_slots × slot`, and every other
-    /// station has none (checked by the event loop in debug builds, between
-    /// batches).
-    pub(crate) fn countdown_consistent(&self) -> bool {
-        self.state.iter().enumerate().all(|(i, &s)| {
-            let end = match s {
-                MacState::Backoff { started, .. } => {
-                    started + self.backoff_slots[i] as Micros * dcf::SLOT_US
-                }
-                _ => NO_COUNTDOWN,
-            };
-            self.countdown_end[i] == end
-        })
-    }
-
-    /// Takes the countdowns of `members` that end at `at`: calls `due` for
-    /// each, ascending, and clears its `countdown_end`. Returns the earliest
-    /// end left among them (`NO_COUNTDOWN` when none is).
-    pub(crate) fn take_due(
-        &mut self,
-        members: &NodeSet,
-        at: Micros,
-        mut due: impl FnMut(NodeId),
-    ) -> Micros {
-        let mut next = NO_COUNTDOWN;
-        for (wi, &w) in members.words().iter().enumerate() {
-            for_each_bit(w & self.contending.word(wi), wi * 64, |i| {
-                let end = self.countdown_end[i];
-                debug_assert!(end >= at, "a countdown ended before its grant");
-                if end == at {
-                    self.countdown_end[i] = NO_COUNTDOWN;
-                    due(i);
-                } else {
-                    next = next.min(end);
-                }
-            });
-        }
-        next
-    }
-
-    /// The earliest `countdown_end` among `members` (checked against the
-    /// medium's grant in debug builds).
-    pub(crate) fn earliest_end(&self, members: &NodeSet) -> Micros {
-        let mut earliest = NO_COUNTDOWN;
-        for (wi, &w) in members.words().iter().enumerate() {
-            for_each_bit(w & self.contending.word(wi), wi * 64, |i| {
-                earliest = earliest.min(self.countdown_end[i]);
-            });
-        }
-        earliest
-    }
-
     /// Number of stations.
     pub fn len(&self) -> usize {
         self.state.len()
@@ -373,27 +301,15 @@ impl HotState {
         self.state.is_empty()
     }
 
-    /// Was station `node` transmitting at any point in `[start, end]`?
+    /// Was station `node` still transmitting after `start`, when a frame
+    /// it might receive began?
     #[inline]
-    pub fn was_transmitting_during(&self, node: NodeId, start: Micros, end: Micros) -> bool {
-        // tx_until > start means the last transmission was still in the air
-        // after `start`; transmissions always begin before the station could
-        // hear anything, so overlap reduces to this check.
-        let _ = end;
+    pub fn was_transmitting_during(&self, node: NodeId, start: Micros) -> bool {
+        // Transmissions always begin before the station could hear
+        // anything, so overlap with the frame reduces to this check.
         self.tx_until[node] > start
     }
-
-    /// Consumes elapsed backoff time of `node`: decrements the remaining
-    /// slot count by the number of whole slots that fit in `elapsed`.
-    #[inline]
-    pub fn consume_backoff(&mut self, node: NodeId, elapsed: Micros) {
-        let consumed = (elapsed / dcf::SLOT_US) as u32;
-        self.backoff_slots[node] = self.backoff_slots[node].saturating_sub(consumed);
-    }
 }
-
-/// `HotState::countdown_end` of a station with no countdown to grant.
-pub const NO_COUNTDOWN: Micros = Micros::MAX;
 
 /// A `HashMap` keyed by MAC address, hashed with [`MacHasher`].
 pub type MacMap<V> = HashMap<MacAddr, V, BuildHasherDefault<MacHasher>>;
@@ -654,16 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_consumption_floors_partial_slots() {
-        let mut h = hot_with_one();
-        h.backoff_slots[0] = 10;
-        h.consume_backoff(0, 59); // 2.95 slots -> 2
-        assert_eq!(h.backoff_slots[0], 8);
-        h.consume_backoff(0, 1_000_000); // saturates at zero
-        assert_eq!(h.backoff_slots[0], 0);
-    }
-
-    #[test]
     fn adapters_are_per_peer() {
         let mut s = station();
         let p1 = MacAddr::from_id(10);
@@ -732,7 +638,7 @@ mod tests {
     fn half_duplex_overlap_check() {
         let mut h = hot_with_one();
         h.tx_until[0] = 1000;
-        assert!(h.was_transmitting_during(0, 500, 2000));
-        assert!(!h.was_transmitting_during(0, 1000, 2000));
+        assert!(h.was_transmitting_during(0, 500));
+        assert!(!h.was_transmitting_during(0, 1000));
     }
 }

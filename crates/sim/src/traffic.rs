@@ -159,6 +159,15 @@ pub struct TrafficProfile {
 }
 
 impl TrafficProfile {
+    /// Flow `flow` of a client: 0 the uplink, 1 the downlink.
+    pub(crate) fn flow(&self, flow: usize) -> &FlowConfig {
+        if flow == 0 {
+            &self.uplink
+        } else {
+            &self.downlink
+        }
+    }
+
     /// A symmetric profile with the IETF size mix at `fps` frames per second
     /// in each direction.
     pub fn symmetric(fps: f64) -> TrafficProfile {

@@ -744,9 +744,9 @@ fn eifs_boundary_after_a_failed_decode() {
             let release = EifsCell::quiet_release(seed)?;
             let mut probe = EifsCell::new(seed);
             probe.sim.run_until(release);
-            let (hot, p) = (probe.sim.hot(), probe.p);
+            let (access, p) = (probe.sim.station_access(probe.p), probe.p);
             let associated = probe.sim.stations()[p].associated_ap.is_some();
-            (associated && hot.use_eifs[p] && hot.backoff_slots[p] == 0).then_some((seed, release))
+            (associated && access.use_eifs && access.backoff_slots == 0).then_some((seed, release))
         })
         .expect("some seed leaves P owing EIFS with no backoff pending");
     let roam = |at: u64| EifsCell::new(seed).roam_at(at);
@@ -830,12 +830,8 @@ impl EdgeCell {
     fn p_at(cs_delay_us: u64, q_join: u64, at: u64) -> (MacState, bool, u32) {
         let mut cell = EdgeCell::new(cs_delay_us, q_join);
         cell.sim.run_until(at);
-        let hot = cell.sim.hot();
-        (
-            hot.state(cell.p),
-            hot.use_eifs[cell.p],
-            hot.backoff_slots[cell.p],
-        )
+        let access = cell.sim.station_access(cell.p);
+        (access.state, access.use_eifs, access.backoff_slots)
     }
 }
 
@@ -1032,12 +1028,8 @@ impl HiddenCell {
     /// `P`'s state, EIFS flag and backoff slots after everything up to `at`.
     fn p_at(x_join: u64, q_join: u64, at: u64) -> (MacState, bool, u32) {
         let (cell, _) = HiddenCell::new(x_join, q_join).run(at);
-        let hot = cell.sim.hot();
-        (
-            hot.state(cell.p),
-            hot.use_eifs[cell.p],
-            hot.backoff_slots[cell.p],
-        )
+        let access = cell.sim.station_access(cell.p);
+        (access.state, access.use_eifs, access.backoff_slots)
     }
 }
 
@@ -1235,8 +1227,9 @@ fn a_countdown_armed_after_a_roam_between_runs_is_granted_at_its_end() {
             sim.move_station(p, Pos::new(57.0, 0.0));
             assert!(sim.reassociate_strongest(p, 3.0), "seed {seed}: the roam");
             sim.run_until(roam_at);
-            let end = sim.hot().countdown_end[p];
-            matches!(sim.hot().state(p), MacState::Backoff { .. }).then_some((sim, p, end))
+            let access = sim.station_access(p);
+            let end = access.countdown_end?;
+            matches!(access.state, MacState::Backoff { .. }).then_some((sim, p, end))
         })
         .expect("a seed whose roam waits out a countdown");
     assert!(end > roam_at);
