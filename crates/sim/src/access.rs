@@ -7,7 +7,7 @@
 //! loop's clock and state for one call and say what happened: a frame is
 //! ready, a carrier edge, a failed decode, an exchange's end, a
 //! countdown's `BackoffDone`; and, around each batch, it places and expands
-//! the grants. docs/ARCHITECTURE.md §5 has the model: one deadline per
+//! the grants. docs/ARCHITECTURE.md §4 has the model: one deadline per
 //! countdown, where a defer's end sorts, and the ghosts that stand in for
 //! the timers of the two-timer DCF.
 
@@ -164,7 +164,7 @@ impl Access<'_> {
     /// The channel is busy for `node` right now: it senses a transmission,
     /// or its NAV is set.
     #[inline]
-    pub(crate) fn channel_busy(&self, node: NodeId) -> bool {
+    fn channel_busy(&self, node: NodeId) -> bool {
         self.media[self.hot.channel_idx[node]].senses(node) || !self.nav_clear(node)
     }
 
@@ -365,7 +365,7 @@ impl Access<'_> {
 
     /// The channel turned idle for `node`: restart the defer.
     #[inline]
-    pub(crate) fn idle(&mut self, node: NodeId) {
+    fn idle(&mut self, node: NodeId) {
         let now = self.now;
         self.dcf.idle_stamp[node] = now;
         if self.hot.state(node) == MacState::Frozen {
