@@ -16,8 +16,10 @@
 //!
 //! 1. [`ShardSpec::build_unsharded`] replays the ops into a per-channel
 //!    simulator — exactly what calling the adders directly produces.
-//! 2. [`ShardSpec::partition`] finds the components and packs them into at
-//!    most `max_shards` shards (longest-processing-time by station count);
+//! 2. [`ShardSpec::partition`] finds the components (a grid over the
+//!    recorded positions offers each station only the peers within coupling
+//!    range) and packs them into at most `max_shards` shards
+//!    (longest-processing-time by station count);
 //!    [`ShardSpec::build_shard`] materializes one shard as an ordinary
 //!    per-channel [`Simulator`] over that shard's stations and sniffers.
 //!
@@ -83,11 +85,13 @@
 use crate::config::SimConfig;
 use crate::geometry::Pos;
 use crate::medium::OVERLAP_GUARD_US;
+use crate::radio::RadioConfig;
 use crate::rate::RateAdaptation;
 use crate::sim::{ClientConfig, Simulator};
 use crate::sniffer::SnifferConfig;
 use crate::station::RtsPolicy;
 use crate::topology::{NodeSet, SensingTopology};
+use std::collections::HashMap;
 use wifi_frames::phy::Rate;
 use wifi_frames::timing::Micros;
 
@@ -189,7 +193,7 @@ pub struct ShardSpec {
 /// One shard of a partitioned scenario: the stations and sniffers of a
 /// group of whole RF-isolation components, materialized as one per-channel
 /// [`Simulator`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Shard {
     /// Global station indices, ascending.
     stations: Vec<usize>,
@@ -211,6 +215,7 @@ impl Shard {
 
 /// The result of partitioning: shards covering every station and sniffer
 /// exactly once.
+#[derive(Debug, PartialEq, Eq)]
 pub struct ShardPlan {
     /// The shards, largest (by station count) first.
     pub shards: Vec<Shard>,
@@ -344,6 +349,103 @@ fn lpt_pack(sizes: &[usize], max_bins: usize) -> Vec<Vec<usize>> {
     assignment
 }
 
+/// One past the highest channel index any station uses: the length of a
+/// per-channel table.
+fn channel_slots(stations: &[StationOp]) -> usize {
+    stations
+        .iter()
+        .map(|op| op.channel_idx() + 1)
+        .max()
+        .unwrap_or(0)
+}
+
+/// Cell coordinates of on-grid points stay below this magnitude, where
+/// dividing by the cell side rounds by far less than the side's slack.
+const GRID_LIMIT: f64 = 16_777_216.0; // 2^24
+
+/// Stations bucketed by (channel, square cell) for the coupling scans of
+/// [`ShardSpec::partition`].
+///
+/// Path RSSI falls with distance, so a pair clears the coupling floor only
+/// within `range_at_dbm(floor)`. Cells are at least that wide, so every
+/// point a station couples to lies in the 3×3 cells around its own. The
+/// grid is only ever looked up, never iterated, so no hash order reaches
+/// the plan.
+struct CouplingGrid {
+    /// Cell side, metres; `None` when path loss does not fall with
+    /// distance to a finite range, which puts every point off the grid.
+    side: Option<f64>,
+    /// The stations of each occupied (channel, cell), ascending.
+    cells: HashMap<(usize, i64, i64), Vec<usize>>,
+    /// Per channel: every station, ascending. An off-grid point is tested
+    /// against all of them.
+    by_channel: Vec<Vec<usize>>,
+    /// Per channel: the stations off the grid (non-finite or far-out
+    /// coordinates), ascending. Every point is tested against them.
+    off_grid: Vec<Vec<usize>>,
+}
+
+impl CouplingGrid {
+    fn new(stations: &[StationOp], radio: &RadioConfig, floor: f64) -> CouplingGrid {
+        let range = radio.range_at_dbm(floor);
+        // At least 1 m: rssi_dbm is flat inside 1 m, so a shorter range
+        // couples nothing and would only shrink the cells. The relative
+        // slack covers the float error of rssi_dbm and range_at_dbm at the
+        // range's edge.
+        let side =
+            (radio.pathloss_exp > 0.0 && range.is_finite()).then(|| range.max(1.0) * (1.0 + 1e-6));
+        let channels = channel_slots(stations);
+        let mut grid = CouplingGrid {
+            side,
+            cells: HashMap::new(),
+            by_channel: vec![Vec::new(); channels],
+            off_grid: vec![Vec::new(); channels],
+        };
+        for (i, op) in stations.iter().enumerate() {
+            let ch = op.channel_idx();
+            grid.by_channel[ch].push(i);
+            match grid.cell(op.pos()) {
+                Some((cx, cy)) => grid.cells.entry((ch, cx, cy)).or_default().push(i),
+                None => grid.off_grid[ch].push(i),
+            }
+        }
+        grid
+    }
+
+    fn cell(&self, pos: Pos) -> Option<(i64, i64)> {
+        let side = self.side?;
+        let (cx, cy) = ((pos.x / side).floor(), (pos.y / side).floor());
+        // NaN fails both comparisons.
+        (cx.abs() < GRID_LIMIT && cy.abs() < GRID_LIMIT).then_some((cx as i64, cy as i64))
+    }
+
+    /// Calls `f` on every station on channel `ch` that a point at `pos` can
+    /// couple to, and on some that it cannot.
+    fn for_each_near(&self, ch: usize, pos: Pos, mut f: impl FnMut(usize)) {
+        let Some((cx, cy)) = self.cell(pos) else {
+            for &i in self.by_channel.get(ch).into_iter().flatten() {
+                f(i);
+            }
+            return;
+        };
+        for dx in -1..=1 {
+            for dy in -1..=1 {
+                for &i in self
+                    .cells
+                    .get(&(ch, cx + dx, cy + dy))
+                    .into_iter()
+                    .flatten()
+                {
+                    f(i);
+                }
+            }
+        }
+        for &i in self.off_grid.get(ch).into_iter().flatten() {
+            f(i);
+        }
+    }
+}
+
 impl ShardSpec {
     /// A new, empty scenario description.
     pub fn new(config: SimConfig) -> ShardSpec {
@@ -455,26 +557,132 @@ impl ShardSpec {
         sim
     }
 
+    /// Each channel's APs (global indices, ascending), indexed by channel.
+    fn aps_by_channel(&self) -> Vec<Vec<usize>> {
+        let mut aps = vec![Vec::new(); channel_slots(&self.stations)];
+        for (i, op) in self.stations.iter().enumerate() {
+            if op.is_ap() {
+                aps[op.channel_idx()].push(i);
+            }
+        }
+        aps
+    }
+
     /// Does some client's channel have no AP at all? Its join would rescan
-    /// onto another channel, outside any fixed plan.
-    fn has_orphan_client(&self) -> bool {
+    /// onto another channel, outside any fixed plan. `aps` is
+    /// [`ShardSpec::aps_by_channel`].
+    fn has_orphan_client(&self, aps: &[Vec<usize>]) -> bool {
+        self.stations
+            .iter()
+            .any(|op| !op.is_ap() && aps[op.channel_idx()].is_empty())
+    }
+
+    /// Each client's join-time AP as `(client, ap)`, ascending by client:
+    /// the co-channel AP with the strongest path RSSI, first maximum in
+    /// build order — exactly the join-time argmax. `aps` is
+    /// [`ShardSpec::aps_by_channel`]; callers rule out orphan clients first.
+    fn client_aps(&self, aps: &[Vec<usize>]) -> Vec<(usize, usize)> {
+        let radio = &self.config.radio;
+        let mut client_ap = Vec::new();
+        for (c, client) in self.stations.iter().enumerate() {
+            if client.is_ap() {
+                continue;
+            }
+            let mut best: Option<(usize, f64)> = None;
+            for &i in &aps[client.channel_idx()] {
+                let rssi = radio.rssi_dbm(self.stations[i].pos(), client.pos());
+                if best.is_none_or(|(_, b)| rssi > b) {
+                    best = Some((i, rssi));
+                }
+            }
+            let (ap, _) = best.expect("orphan clients are ruled out first");
+            client_ap.push((c, ap));
+        }
+        client_ap
+    }
+
+    /// Partitions the scenario into at most `max_shards` shards of
+    /// RF-isolation components, or `None` when the scenario cannot be
+    /// sharded (dynamic channel management, or a client whose channel has
+    /// no AP and would rescan across channels).
+    pub fn partition(&self, max_shards: usize) -> Option<ShardPlan> {
+        let aps = self.aps_by_channel();
+        if self.config.channel_mgmt.is_some() || max_shards == 0 || self.has_orphan_client(&aps) {
+            return None;
+        }
+        let n = self.stations.len();
+        let radio = &self.config.radio;
+        let floor = radio.effective_coupling_floor_dbm();
+        let mut uf = UnionFind::new(n + self.sniffers.len());
+        // Forced edge: each client joins its join-time AP wherever it is;
+        // keep that AP in the client's component.
+        for (c, ap) in self.client_aps(&aps) {
+            uf.union(c, ap);
+        }
+        // Coupled same-channel pairs interact; everything below the floor
+        // is ignored by the simulator entirely. The grid offers each station
+        // the only peers that can clear the floor, and a pair already in one
+        // component needs no path-loss math. The edges are the exhaustive
+        // scan's, and the plan depends only on the edges.
+        let grid = CouplingGrid::new(&self.stations, radio, floor);
+        for (a, op_a) in self.stations.iter().enumerate() {
+            grid.for_each_near(op_a.channel_idx(), op_a.pos(), |b| {
+                if b > a
+                    && uf.find(a) != uf.find(b)
+                    && radio.rssi_dbm(op_a.pos(), self.stations[b].pos()) >= floor
+                {
+                    uf.union(a, b);
+                }
+            });
+        }
+        // A sniffer hears (or counts a miss for) every co-channel station
+        // whose path RSSI at the sniffer clears the floor; all of them must
+        // share the sniffer's shard.
+        for (si, cfg) in self.sniffers.iter().enumerate() {
+            grid.for_each_near(cfg.channel_idx, cfg.pos, |i| {
+                if uf.find(n + si) != uf.find(i)
+                    && radio.rssi_dbm(self.stations[i].pos(), cfg.pos) >= floor
+                {
+                    uf.union(n + si, i);
+                }
+            });
+        }
+        Some(self.pack(uf, max_shards))
+    }
+
+    /// The exhaustive planner that [`ShardSpec::partition`] replaced: every
+    /// same-channel pair, every client against every station, every sniffer
+    /// against every station. The reference the grid planner is tested
+    /// against; O(N²), so nothing else should call it.
+    #[doc(hidden)]
+    pub fn partition_oracle(&self, max_shards: usize) -> Option<ShardPlan> {
         let has_ap = |ch: usize| {
             self.stations
                 .iter()
                 .any(|o| o.is_ap() && o.channel_idx() == ch)
         };
-        self.stations
-            .iter()
-            .any(|op| !op.is_ap() && !has_ap(op.channel_idx()))
-    }
-
-    /// Each client's join-time AP as `(client, ap)`, ascending by client:
-    /// the co-channel AP with the strongest path RSSI, first maximum in
-    /// build order — exactly the join-time argmax. Callers rule out orphan
-    /// clients first.
-    fn client_aps(&self) -> Vec<(usize, usize)> {
+        if self.config.channel_mgmt.is_some()
+            || max_shards == 0
+            || self
+                .stations
+                .iter()
+                .any(|op| !op.is_ap() && !has_ap(op.channel_idx()))
+        {
+            return None;
+        }
+        let n = self.stations.len();
         let radio = &self.config.radio;
-        let mut client_ap = Vec::new();
+        let floor = radio.effective_coupling_floor_dbm();
+        let mut uf = UnionFind::new(n + self.sniffers.len());
+        for (a, op_a) in self.stations.iter().enumerate() {
+            for (b, op_b) in self.stations.iter().enumerate().skip(a + 1) {
+                if op_a.channel_idx() == op_b.channel_idx()
+                    && radio.rssi_dbm(op_a.pos(), op_b.pos()) >= floor
+                {
+                    uf.union(a, b);
+                }
+            }
+        }
         for (c, client) in self.stations.iter().enumerate() {
             if client.is_ap() {
                 continue;
@@ -489,45 +697,8 @@ impl ShardSpec {
                 }
             }
             let (ap, _) = best.expect("orphan clients are ruled out first");
-            client_ap.push((c, ap));
-        }
-        client_ap
-    }
-
-    /// Partitions the scenario into at most `max_shards` shards of
-    /// RF-isolation components, or `None` when the scenario cannot be
-    /// sharded (dynamic channel management, or a client whose channel has
-    /// no AP and would rescan across channels).
-    pub fn partition(&self, max_shards: usize) -> Option<ShardPlan> {
-        if self.config.channel_mgmt.is_some() || max_shards == 0 || self.has_orphan_client() {
-            return None;
-        }
-        let n = self.stations.len();
-        let radio = &self.config.radio;
-        let floor = radio.effective_coupling_floor_dbm();
-        // Direct path-loss math: materializing an O(N²) topology just for
-        // this one pass would be a multi-hundred-MB transient at venue
-        // scale.
-        let mut uf = UnionFind::new(n + self.sniffers.len());
-        // Coupled same-channel pairs interact; everything below the floor
-        // is ignored by the simulator entirely.
-        for (a, op_a) in self.stations.iter().enumerate() {
-            for (b, op_b) in self.stations.iter().enumerate().skip(a + 1) {
-                if op_a.channel_idx() == op_b.channel_idx()
-                    && radio.rssi_dbm(op_a.pos(), op_b.pos()) >= floor
-                {
-                    uf.union(a, b);
-                }
-            }
-        }
-        // Forced edge: each client joins its join-time AP wherever it is;
-        // keep that AP in the client's component.
-        for (c, ap) in self.client_aps() {
             uf.union(c, ap);
         }
-        // A sniffer hears (or counts a miss for) every co-channel station
-        // whose path RSSI at the sniffer clears the floor; all of them must
-        // share the sniffer's shard.
         for (si, cfg) in self.sniffers.iter().enumerate() {
             for (i, op) in self.stations.iter().enumerate() {
                 if op.channel_idx() == cfg.channel_idx && radio.rssi_dbm(op.pos(), cfg.pos) >= floor
@@ -536,8 +707,14 @@ impl ShardSpec {
                 }
             }
         }
-        // Group the members by component (a sniffer coupled to nothing is
-        // its own silent component).
+        Some(self.pack(uf, max_shards))
+    }
+
+    /// Groups the members by component and packs the components into at
+    /// most `max_shards` shards.
+    fn pack(&self, mut uf: UnionFind, max_shards: usize) -> ShardPlan {
+        let n = self.stations.len();
+        // A sniffer coupled to nothing is its own silent component.
         let (comp_of, components) = uf.dense_ids();
         let mut comps = vec![
             Shard {
@@ -575,7 +752,7 @@ impl ShardSpec {
             shards.push(shard);
         }
         shards.sort_by_key(|s| std::cmp::Reverse(s.stations.len()));
-        Some(ShardPlan { shards, components })
+        ShardPlan { shards, components }
     }
 
     /// Materializes one shard as a per-channel simulator over the shard's
@@ -622,7 +799,8 @@ impl ShardSpec {
         }
         // Orphan clients rescan onto other channels, toward APs a sibling
         // shard may own; decline exactly as component sharding does.
-        if self.has_orphan_client() {
+        let aps = self.aps_by_channel();
+        if self.has_orphan_client(&aps) {
             return None;
         }
         // BSS grouping: co-own each client with its join-time argmax AP.
@@ -630,7 +808,7 @@ impl ShardSpec {
         // traffic handler; only co-ownership keeps that enqueue
         // shard-local.
         let mut uf = UnionFind::new(n);
-        for (c, ap) in self.client_aps() {
+        for (c, ap) in self.client_aps(&aps) {
             uf.union(c, ap);
         }
         let (group_of, count) = uf.dense_ids();
@@ -748,9 +926,9 @@ impl ShardSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::radio::RadioConfig;
     use crate::sniffer::SnifferConfig;
     use crate::traffic::TrafficProfile;
+    use proptest::prelude::*;
 
     fn config(channels: Vec<u8>) -> SimConfig {
         SimConfig {
@@ -989,5 +1167,194 @@ mod tests {
             assert_eq!(plan.shards.len(), max_shards.min(2));
         }
         assert!(halls.partition(0).is_none(), "zero cap");
+    }
+
+    /// The radios the grid-vs-oracle tests plan under: the default and the
+    /// venue radio, a long free-space range, a range under the 1 m clamp,
+    /// and two whose path loss does not fall with distance (every point
+    /// off the grid).
+    fn radio(kind: usize) -> RadioConfig {
+        let (tx_power_dbm, pathloss_exp, cs_threshold_dbm) = [
+            (15.0, 3.0, -82.0),
+            (13.0, 3.5, -92.0),
+            (15.0, 2.0, -82.0),
+            (-75.0, 3.0, -82.0),
+            (15.0, 0.0, -82.0),
+            (15.0, -1.0, -82.0),
+        ][kind];
+        RadioConfig {
+            tx_power_dbm,
+            pathloss_exp,
+            cs_threshold_dbm,
+            ..RadioConfig::default()
+        }
+    }
+
+    /// Places a point relative to `anchor`, an earlier point, so that the
+    /// separations the grid must get right come up often. `r` is the
+    /// coupling range; `u` and `v` are in [-3, 3).
+    fn place(kind: u8, anchor: Pos, r: f64, u: f64, v: f64) -> Pos {
+        let along = |d: f64| Pos::new(anchor.x + d, anchor.y);
+        match kind {
+            // Anywhere within a few ranges, negative coordinates included.
+            0 | 1 => Pos::new(u * r, v * r),
+            // At the coupling range and one ulp either side.
+            2 => along(r),
+            3 => along(r.next_up()),
+            4 => along(r.next_down()),
+            5 => Pos::new(
+                anchor.x + r * (u * std::f64::consts::PI).cos(),
+                anchor.y + r * (u * std::f64::consts::PI).sin(),
+            ),
+            // Coincident, and under the 1 m clamp.
+            6 => anchor,
+            7 => Pos::new(anchor.x + 0.2 * u, anchor.y + 0.2 * v),
+            // Near a cell edge: the anchor's coordinates rounded to a
+            // multiple of the range.
+            8 => Pos::new(
+                (anchor.x / r).round() * r,
+                (anchor.y / r).round() * r + 0.1 * v,
+            ),
+            // Off the grid: non-finite or far-out coordinates.
+            _ => match ((u + 3.0) * 2.0) as usize {
+                0..=2 => Pos::new(f64::NAN, v * r),
+                3..=5 => Pos::new(f64::INFINITY, 0.0),
+                6..=8 => Pos::new(1e12 + u * r, v * r),
+                _ => Pos::new(anchor.x, -1e300),
+            },
+        }
+    }
+
+    /// One generated entity: role (0–1 client, 2 AP, 3 sniffer), channel,
+    /// placement kind, anchor, and two draws in [-3, 3).
+    type Item = (u8, usize, u8, prop::sample::Index, f64, f64);
+
+    /// A random layout on channels 1/6/11 (plus an AP-less fourth channel
+    /// for the orphan client): one AP per channel, the generated items, an
+    /// optional cluster of equidistant APs around a client that couples to
+    /// none of them (so the first-maximum tie decides its component), an
+    /// optional sniffer far from everything, and an optional orphan.
+    fn layout(radio_kind: usize, items: &[Item], flags: u8) -> ShardSpec {
+        let mut spec = ShardSpec::new(SimConfig {
+            radio: radio(radio_kind),
+            ..config(vec![1, 6, 11, 3])
+        });
+        let radio = spec.config().radio;
+        let r = radio
+            .range_at_dbm(radio.effective_coupling_floor_dbm())
+            .clamp(1.0, 1e4);
+        let mut points = Vec::new();
+        for ch in 0..3 {
+            let pos = Pos::new(ch as f64 * r, -r);
+            spec.add_ap(pos, ch, 4);
+            points.push(pos);
+        }
+        for &(role, ch, kind, anchor, u, v) in items {
+            let pos = place(kind, points[anchor.index(points.len())], r, u, v);
+            match role {
+                0 | 1 => {
+                    spec.add_client(client(pos, ch));
+                }
+                2 => {
+                    spec.add_ap(pos, ch, 4);
+                }
+                _ => {
+                    spec.add_sniffer(SnifferConfig {
+                        pos,
+                        channel_idx: ch,
+                        ..SnifferConfig::default()
+                    });
+                }
+            }
+            points.push(pos);
+        }
+        // Bit 0: the equidistant-AP cluster, its build order rotated by
+        // `flags >> 3`.
+        if flags & 1 != 0 {
+            let center = Pos::new((40.0 * r).round(), (-40.0 * r).round());
+            let s = (r / 5.0).ceil() + 1.0;
+            let offsets = [(5.0, 0.0), (-3.0, 4.0), (0.0, -5.0)];
+            let first = (flags >> 3) as usize % offsets.len();
+            spec.add_client(client(center, 1));
+            for k in 0..offsets.len() {
+                let (dx, dy) = offsets[(first + k) % offsets.len()];
+                spec.add_ap(Pos::new(center.x + s * dx, center.y + s * dy), 1, 4);
+            }
+        }
+        // Bit 1: a sniffer far from everything.
+        if flags & 2 != 0 {
+            spec.add_sniffer(SnifferConfig {
+                pos: Pos::new(-60.0 * r, 60.0 * r),
+                channel_idx: 2,
+                ..SnifferConfig::default()
+            });
+        }
+        // Bit 2 with bits 5–7 clear, one case in sixteen: the orphan.
+        if flags & 4 != 0 && flags >> 5 == 0 {
+            spec.add_client(client(Pos::new(0.0, 0.0), 3));
+        }
+        spec
+    }
+
+    proptest! {
+        /// The grid planner returns the exhaustive scan's plan, `None`
+        /// included, at every shard cap.
+        fn grid_plan_matches_the_oracle(
+            radio_kind in prop_oneof![Just(0usize), Just(1usize), 0usize..6],
+            items in prop::collection::vec(
+                (0u8..4, 0usize..3, 0u8..10, any::<prop::sample::Index>(),
+                    -3.0f64..3.0, -3.0f64..3.0),
+                0..48,
+            ),
+            flags in 0u8..=255,
+        ) {
+            let spec = layout(radio_kind, &items, flags);
+            for max_shards in [1, 2, 6, usize::MAX] {
+                prop_assert_eq!(
+                    spec.partition(max_shards),
+                    spec.partition_oracle(max_shards),
+                    "max_shards {}", max_shards
+                );
+            }
+        }
+    }
+
+    /// Pairs at the coupling range and one ulp either side, in every
+    /// direction and at negative coordinates: some couple and some do not,
+    /// and the grid finds exactly the oracle's edges.
+    #[test]
+    fn grid_matches_the_oracle_at_the_coupling_range() {
+        for kind in 0..4 {
+            let mut spec = ShardSpec::new(SimConfig {
+                radio: radio(kind),
+                ..config(vec![1])
+            });
+            let radio = spec.config().radio;
+            let floor = radio.effective_coupling_floor_dbm();
+            let r = radio.range_at_dbm(floor).max(1.0);
+            let mut verdicts = Vec::new();
+            for (k, d) in [r.next_down(), r, r.next_up()].into_iter().enumerate() {
+                for (j, (dx, dy)) in [(1.0, 0.0), (0.0, -1.0), (-0.6, 0.8)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let a = Pos::new(-1_000.0 * r * (3 * k + j + 1) as f64, -7.3 * r);
+                    let b = Pos::new(a.x + d * dx, a.y + d * dy);
+                    verdicts.push(radio.rssi_dbm(a, b) >= floor);
+                    spec.add_ap(a, 0, 4);
+                    spec.add_ap(b, 0, 4);
+                }
+            }
+            if kind == 0 {
+                assert!(
+                    verdicts.contains(&true) && verdicts.contains(&false),
+                    "the pairs straddle the coupling range: {verdicts:?}"
+                );
+            }
+            assert_eq!(
+                spec.partition(usize::MAX),
+                spec.partition_oracle(usize::MAX)
+            );
+        }
     }
 }
