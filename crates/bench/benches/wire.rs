@@ -84,7 +84,9 @@ fn bench_radiotap(c: &mut Criterion) {
 fn bench_pcap(c: &mut Criterion) {
     // Write 1000 records into memory in each container, then benchmark
     // reading them back through the one decoder, and the decoder's setup
-    // (`PcapStream::new`: window allocation and the header) alone.
+    // alone: `PcapStream::new` allocates its two-read window buffer, reads
+    // the first 64 KiB chunk into it and checks the container's magic (and
+    // a classic global header).
     let payload = vec![0xEEu8; 275];
     let mut file = Vec::new();
     let mut ng_file = Vec::new();

@@ -10,42 +10,50 @@
 //! [`PcapError`]; the only errors a stream returns are an unusable classic
 //! global header and source I/O.
 //!
-//! # The window invariant
+//! # The lookahead contract
 //!
-//! Every structural decision the head checks make — "does this record's
-//! body run past end-of-stream?", "does the stream end exactly after this
-//! candidate?", "is the following header also sane?" — looks at most
-//! `2 * MAX_SANE_CAPLEN + 64` bytes past the current position:
+//! A head check sees the stream through `Ahead`: the window, and whether
+//! the source has ended. It asks one question, "the stream's next `n`
+//! bytes, if it holds that many", and asks it only for the bytes its
+//! decision reads:
 //!
-//! * a classic record occupies at most `RECORD_HEADER_LEN +
-//!   MAX_SANE_CAPLEN` bytes, and resync double-confirmation peeks one more
-//!   record header past it;
-//! * a pcapng block occupies at most `2 * MAX_SANE_CAPLEN` bytes (longer
-//!   lengths are rejected as [`PcapError::OversizedRecord`]).
+//! * classic pcap: the 16-byte record header, then `16 + caplen`; a resync
+//!   candidate asks 16 more for its double confirmation;
+//! * pcapng: the 8-byte lead (12 for a section header's byte order), then
+//!   the block's `total_len`.
 //!
-//! The window guarantees that after a refill it holds at least that many
-//! bytes *or* the source is exhausted and the window is exactly the
-//! remainder of the stream. Under that invariant every boundary test
-//! against `window.len()` means precisely what it would mean against the
-//! whole remaining stream, so the decisions — including every
-//! [`IngestReport`] counter — are the same for *any* chunking of the
-//! underlying reads. The tests at the bottom enforce this by differencing
-//! byte-at-a-time and coarser reads against whole-buffer reads over clean
-//! and chaos-corrupted captures of both containers.
+//! While the window holds fewer bytes and the source has not ended, the
+//! check returns `Need` and changes nothing; the decoder reads until the
+//! window holds them or the source ends, then runs the check again. So
+//! each answer is the one the whole remaining stream gives, and every
+//! decision, hence every record and every [`IngestReport`] counter, is the
+//! same for any chunking of the underlying reads. A check reads only the
+//! slices it was handed, so it cannot look past what it asked for, and no
+//! request exceeds [`WINDOW_TARGET`]: the longest pcapng block the checks
+//! accept, and a classic record with the header after it. The tests at the
+//! bottom difference byte-at-a-time and coarser reads against a decode of
+//! the whole buffer over clean, chaos-corrupted and near-`MAX_SANE_CAPLEN`
+//! captures of both containers.
+//!
+//! The window buffer is `2 * READ_CHUNK` bytes and every read asks for
+//! `READ_CHUNK`. A refill moves only the unconsumed tail to the front, and
+//! that tail is shorter than the lookahead that asked for the refill: less
+//! than one record on clean input. A check that asks for more than
+//! `READ_CHUNK` bytes grows the buffer to its lookahead plus one read; the
+//! next refill that needs no more than `READ_CHUNK` returns it to
+//! `2 * READ_CHUNK`.
 //!
 //! # Live (non-blocking) sources
 //!
-//! A tailed live capture cannot satisfy the invariant: the last bytes of a
-//! growing file are a partial window with no end-of-stream in sight. A
-//! source that returns [`std::io::ErrorKind::WouldBlock`] leaves the window
-//! partial, and [`PcapStream::poll_packet`] then follows one rule: on a
-//! partial window, either act on a **fully-validated in-window record or
-//! block** (a decision unchanged by any extension of the window, so a
-//! decode of the final bytes makes it identically) or change nothing and
-//! report [`Polled::Pending`]. Damage — a resync or a skipped block —
-//! always waits for a full (or end-of-stream) window. Consequently a
-//! poll-driven decode of a growing file converges, byte-for-byte in records
-//! and accounting, to the decode of the final file contents.
+//! A tailed live capture is a window with no end-of-stream in sight. When
+//! its source returns [`std::io::ErrorKind::WouldBlock`] before the window
+//! holds a check's lookahead, [`PcapStream::poll_packet`] reports
+//! [`Polled::Pending`] and the check waits. A decision — a record, a
+//! skipped block, damage and the resync it starts — is made only once the
+//! bytes it reads have arrived, and then exactly as a decode of the final
+//! bytes makes it. Consequently a poll-driven decode of a growing file
+//! converges, byte-for-byte in records and accounting, to the decode of the
+//! final file contents.
 
 use crate::format::{
     u16_at, u32_at, LinkType, PacketRef, PcapError, GLOBAL_HEADER_LEN, MAGIC_BE, MAGIC_LE,
@@ -63,25 +71,25 @@ use std::ops::Range;
 /// not decades).
 const RESYNC_TS_TOLERANCE_S: u64 = 86_400;
 
-/// The minimum number of bytes a non-exhausted window must hold: the
-/// largest lookahead any head check needs (see the module docs).
+/// The most lookahead any head check asks for (see the module docs): the
+/// longest pcapng block the checks accept, which also covers a classic
+/// record of `MAX_SANE_CAPLEN` bytes with the header after it.
 pub const WINDOW_TARGET: usize = 2 * (MAX_SANE_CAPLEN as usize) + 64;
-
-/// Refill high-water mark: topping up to twice the window target halves the
-/// number of compaction memmoves per byte consumed.
-const REFILL_TARGET: usize = 2 * WINDOW_TARGET;
 
 /// Granularity of reads from the underlying source.
 const READ_CHUNK: usize = 64 * 1024;
 
+/// The window buffer's size whenever no check asks for more than one read.
+const BASE_BUF_LEN: usize = 2 * READ_CHUNK;
+
 /// What a [`ChunkedSource::fill`] achieved.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum FillStatus {
-    /// The window invariant holds: at least [`WINDOW_TARGET`] bytes, or
-    /// end-of-stream with the window the exact remainder.
+    /// The window holds the bytes asked for, or the source has ended and
+    /// the window is the exact remainder of the stream.
     Full,
-    /// The source would block: the window is a prefix (possibly empty) of
-    /// the eventual remainder and must not drive structural decisions.
+    /// The source would block first: the window is a prefix (possibly
+    /// empty) of the eventual remainder, shorter than the bytes asked for.
     Partial,
 }
 
@@ -97,17 +105,12 @@ pub enum Polled<T> {
     End,
 }
 
-/// A bounded rolling byte window over any [`Read`] source.
-///
-/// Invariant: after [`ChunkedSource::fill`] returns [`FillStatus::Full`],
-/// either the window holds at least [`WINDOW_TARGET`] bytes, or
-/// `eof` is true and the window is exactly the unconsumed remainder of the
-/// stream.
+/// A rolling byte window over any [`Read`] source, filled on demand.
 struct ChunkedSource<R> {
     inner: R,
-    /// Reads land here in place. Its capacity, reserved at construction,
-    /// is `REFILL_TARGET + READ_CHUNK` bytes, the most a refill can hold;
-    /// its length grows into it as reads first reach each byte.
+    /// Reads land here in place. Its capacity is [`BASE_BUF_LEN`], or one
+    /// read past the lookahead of the refill that asked for more; its
+    /// length grows into that capacity only as reads first reach each byte.
     buf: Vec<u8>,
     /// Start of the unconsumed window.
     pos: usize,
@@ -119,40 +122,50 @@ struct ChunkedSource<R> {
 }
 
 impl<R: Read> ChunkedSource<R> {
-    /// Wraps a byte source. No bytes are read until the first [`fill`].
+    /// Wraps a byte source. Nothing is read or allocated until the first
+    /// [`fill`].
     ///
     /// [`fill`]: ChunkedSource::fill
     fn new(inner: R) -> ChunkedSource<R> {
         ChunkedSource {
             inner,
-            buf: Vec::with_capacity(REFILL_TARGET + READ_CHUNK),
+            buf: Vec::new(),
             pos: 0,
             end: 0,
             eof: false,
         }
     }
 
-    /// Tops the window up to at least [`WINDOW_TARGET`] bytes (reading ahead
-    /// to twice that), unless the source is exhausted first. Cheap no-op when
-    /// the window is already full enough.
+    /// Reads until the window holds `need` bytes or the source ends; a
+    /// no-op when it already does.
     ///
-    /// A source that returns [`std::io::ErrorKind::WouldBlock`] before the
-    /// target is met yields [`FillStatus::Partial`]: the window then holds a
-    /// prefix of the eventual remainder and the invariant does **not** hold.
-    /// Blocking sources never produce `Partial`.
-    fn fill(&mut self) -> Result<FillStatus, PcapError> {
-        if self.eof || self.end - self.pos >= WINDOW_TARGET {
+    /// A source that returns [`std::io::ErrorKind::WouldBlock`] first yields
+    /// [`FillStatus::Partial`]. Blocking sources never produce `Partial`.
+    fn fill(&mut self, need: usize) -> Result<FillStatus, PcapError> {
+        debug_assert!(need <= WINDOW_TARGET, "lookahead {need} past WINDOW_TARGET");
+        if self.eof || self.end - self.pos >= need {
             return Ok(FillStatus::Full);
         }
         if self.pos > 0 {
+            // The unconsumed tail, shorter than `need`, moves to the front.
             self.buf.copy_within(self.pos..self.end, 0);
             self.end -= self.pos;
             self.pos = 0;
         }
-        while self.end < REFILL_TARGET {
+        // Room for the lookahead plus one read: every read starts below
+        // `need`, so it fits.
+        let cap = BASE_BUF_LEN.max(need + READ_CHUNK);
+        let capacity = self.buf.capacity();
+        if capacity < cap || (capacity > cap && cap == BASE_BUF_LEN) {
+            // Resized around the tail, so a reallocation copies only it.
+            self.buf.truncate(self.end);
+            self.buf.shrink_to(cap);
+            self.buf.reserve_exact(cap - self.end);
+        }
+        while self.end < need {
             if self.buf.len() < self.end + READ_CHUNK {
-                // Within the capacity reserved at construction: zeroes only
-                // bytes no read has reached yet, and never reallocates.
+                // Within the capacity reserved above: zeroes only bytes no
+                // read has reached yet, and never reallocates.
                 self.buf.resize(self.end + READ_CHUNK, 0);
             }
             match self
@@ -166,21 +179,26 @@ impl<R: Read> ChunkedSource<R> {
                 Ok(n) => self.end += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return Ok(if self.end >= WINDOW_TARGET {
-                        FillStatus::Full
-                    } else {
-                        FillStatus::Partial
-                    });
+                    return Ok(FillStatus::Partial)
                 }
                 Err(e) => return Err(PcapError::Io(e)),
             }
         }
+        debug_assert!(self.eof || self.window().len() >= need);
         Ok(FillStatus::Full)
     }
 
     /// The bytes currently visible at the stream position.
     fn window(&self) -> &[u8] {
         &self.buf[self.pos..self.end]
+    }
+
+    /// The window as the head checks see it.
+    fn ahead(&self) -> Ahead<'_> {
+        Ahead {
+            window: self.window(),
+            eof: self.eof,
+        }
     }
 
     /// Advances the stream position by `n` bytes (which must be within the
@@ -191,15 +209,43 @@ impl<R: Read> ChunkedSource<R> {
     }
 }
 
-/// Fills `src` until its window holds `n` bytes or the window invariant
-/// holds; on a live source, waits for the bytes to arrive or the source to
-/// end.
+/// Fills `src` until its window holds `n` bytes or the source ends; on a
+/// live source, waits for the bytes to arrive.
 fn wait_for<R: Read>(src: &mut ChunkedSource<R>, n: usize) -> Result<&[u8], PcapError> {
-    while src.fill()? == FillStatus::Partial && src.window().len() < n {
+    while src.fill(n)? == FillStatus::Partial {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     Ok(src.window())
 }
+
+/// What a head check may see of the stream past its position: the window,
+/// and whether the source has ended, making the window all that is left.
+#[derive(Clone, Copy)]
+struct Ahead<'a> {
+    window: &'a [u8],
+    eof: bool,
+}
+
+/// A head check's unmet lookahead: it decides once the window holds this
+/// many bytes or the source ends.
+#[derive(Debug)]
+struct Need(usize);
+
+impl<'a> Ahead<'a> {
+    /// The stream's next `n` bytes, or `None` when it ends sooner.
+    fn get(self, n: usize) -> Result<Option<&'a [u8]>, Need> {
+        debug_assert!(n <= WINDOW_TARGET, "a head check asked for {n} bytes");
+        match self.window.get(..n) {
+            Some(bytes) => Ok(Some(bytes)),
+            None if self.eof => Ok(None),
+            None => Err(Need(n)),
+        }
+    }
+}
+
+/// A head check's outcome: [`Need`] until the bytes it reads are in the
+/// window, then its decision.
+type Verdict<T> = Result<Result<T, PcapError>, Need>;
 
 struct ClassicHeader {
     big_endian: bool,
@@ -246,40 +292,40 @@ pub(crate) struct Record {
 /// Record validation at the window head: a whole header, sane lengths,
 /// the body inside the stream. [`PcapError::TruncatedFile`] means the
 /// stream ends inside the record.
-fn record_head(w: &[u8], h: &ClassicHeader) -> Result<Record, PcapError> {
-    if w.len() < RECORD_HEADER_LEN {
-        return Err(PcapError::TruncatedFile);
-    }
+fn record_head(a: Ahead<'_>, h: &ClassicHeader) -> Verdict<Record> {
+    let Some(w) = a.get(RECORD_HEADER_LEN)? else {
+        return Ok(Err(PcapError::TruncatedFile));
+    };
     let ts_sec = u32_at(h.big_endian, w, 0) as u64;
     let ts_frac = u32_at(h.big_endian, w, 4) as u64;
     let caplen = u32_at(h.big_endian, w, 8);
     let orig_len = u32_at(h.big_endian, w, 12);
     if caplen > MAX_SANE_CAPLEN {
-        return Err(PcapError::OversizedRecord(caplen));
+        return Ok(Err(PcapError::OversizedRecord(caplen)));
     }
     if caplen > orig_len {
-        return Err(PcapError::InconsistentLengths { caplen, orig_len });
+        return Ok(Err(PcapError::InconsistentLengths { caplen, orig_len }));
     }
     let end = RECORD_HEADER_LEN + caplen as usize;
-    if end > w.len() {
-        return Err(PcapError::TruncatedFile);
+    if a.get(end)?.is_none() {
+        return Ok(Err(PcapError::TruncatedFile));
     }
     let micros = if h.nanos { ts_frac / 1000 } else { ts_frac };
-    Ok(Record {
+    Ok(Ok(Record {
         link: h.link,
         timestamp_us: ts_sec * 1_000_000 + micros,
         orig_len,
         data: RECORD_HEADER_LEN..end,
         end,
-    })
+    }))
 }
 
 /// Resync plausibility at the window head: stricter than [`record_head`] so
 /// a scan does not lock onto payload bytes that merely look like a header.
-fn plausible_record(w: &[u8], h: &ClassicHeader, last_sec: Option<u64>) -> bool {
-    if w.len() < RECORD_HEADER_LEN {
-        return false;
-    }
+fn plausible_record(a: Ahead<'_>, h: &ClassicHeader, last_sec: Option<u64>) -> Result<bool, Need> {
+    let Some(w) = a.get(RECORD_HEADER_LEN)? else {
+        return Ok(false);
+    };
     let ts_sec = u32_at(h.big_endian, w, 0) as u64;
     let ts_frac = u32_at(h.big_endian, w, 4) as u64;
     let caplen = u32_at(h.big_endian, w, 8);
@@ -290,30 +336,23 @@ fn plausible_record(w: &[u8], h: &ClassicHeader, last_sec: Option<u64>) -> bool 
         || caplen > orig_len
         || orig_len > MAX_SANE_CAPLEN
     {
-        return false;
+        return Ok(false);
     }
     if let Some(last) = last_sec {
         if ts_sec.abs_diff(last) > RESYNC_TS_TOLERANCE_S {
-            return false;
+            return Ok(false);
         }
     }
+    // Double confirmation: the next header must also look sane, or the
+    // stream must end exactly after the candidate.
     let next = RECORD_HEADER_LEN + caplen as usize;
-    if next > w.len() {
-        return false;
-    }
-    // Double confirmation: the stream must end exactly here, or the next
-    // header must also look sane. (`next == w.len()` implies eof: a
-    // non-exhausted window always holds more than one record's lookahead.)
-    if next == w.len() {
-        return true;
-    }
-    if next + RECORD_HEADER_LEN > w.len() {
-        return false; // trailing sliver that can't be a record
-    }
+    let Some(w) = a.get(next + RECORD_HEADER_LEN)? else {
+        return Ok(a.get(next)?.is_some() && a.get(next + 1)?.is_none());
+    };
     let n_frac = u32_at(h.big_endian, w, next + 4) as u64;
     let n_caplen = u32_at(h.big_endian, w, next + 8);
     let n_orig = u32_at(h.big_endian, w, next + 12);
-    n_frac < frac_bound && n_caplen <= MAX_SANE_CAPLEN && n_caplen <= n_orig
+    Ok(n_frac < frac_bound && n_caplen <= MAX_SANE_CAPLEN && n_caplen <= n_orig)
 }
 
 /// True when the bytes lead with a pcapng Section Header Block. The SHB
@@ -325,58 +364,60 @@ fn is_pcapng(bytes: &[u8]) -> bool {
 
 /// Block framing at the window head, shared by in-stride parsing and
 /// resync scanning: lead length in range and aligned, body inside the
-/// stream, trailing length equal to the lead. Returns the total length.
-fn ng_block_sane(w: &[u8], big_endian: bool) -> Result<usize, PcapError> {
-    if w.len() < 8 {
-        return Err(PcapError::TruncatedFile);
-    }
-    let total_len = u32_at(big_endian, w, 4);
+/// stream, trailing length equal to the lead. Returns the block's bytes.
+fn ng_block_sane(a: Ahead<'_>, big_endian: bool) -> Verdict<&[u8]> {
+    let Some(lead) = a.get(8)? else {
+        return Ok(Err(PcapError::TruncatedFile));
+    };
+    let total_len = u32_at(big_endian, lead, 4);
     if total_len < 12 || !total_len.is_multiple_of(4) {
-        return Err(PcapError::BadBlockLength(total_len));
+        return Ok(Err(PcapError::BadBlockLength(total_len)));
     }
     if total_len > MAX_SANE_CAPLEN * 2 {
-        return Err(PcapError::OversizedRecord(total_len));
+        return Ok(Err(PcapError::OversizedRecord(total_len)));
     }
-    let end = total_len as usize;
-    if end > w.len() {
-        return Err(PcapError::TruncatedFile);
-    }
-    let trailing = u32_at(big_endian, w, end - 4);
+    let Some(block) = a.get(total_len as usize)? else {
+        return Ok(Err(PcapError::TruncatedFile));
+    };
+    let trailing = u32_at(big_endian, block, block.len() - 4);
     if trailing != total_len {
-        return Err(PcapError::BadBlockLength(trailing));
+        return Ok(Err(PcapError::BadBlockLength(trailing)));
     }
-    Ok(end)
+    Ok(Ok(block))
 }
 
-/// Validates a Section Header Block at the window head; returns
-/// `(big_endian, total_len)`.
-fn ng_shb_sane(w: &[u8]) -> Result<(bool, usize), PcapError> {
-    if w.len() < 8 {
-        return Err(PcapError::TruncatedFile);
-    }
+/// Validates a Section Header Block at the window head; returns its byte
+/// order and bytes.
+fn ng_shb_sane(a: Ahead<'_>) -> Verdict<(bool, &[u8])> {
+    let Some(w) = a.get(8)? else {
+        return Ok(Err(PcapError::TruncatedFile));
+    };
     let block_type = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
     if block_type != BT_SHB {
-        return Err(PcapError::BadMagic(block_type));
+        return Ok(Err(PcapError::BadMagic(block_type)));
     }
-    if w.len() < 12 {
-        return Err(PcapError::TruncatedFile);
-    }
+    let Some(w) = a.get(12)? else {
+        return Ok(Err(PcapError::TruncatedFile));
+    };
     let big_endian = match u32::from_le_bytes([w[8], w[9], w[10], w[11]]) {
         BYTE_ORDER_MAGIC => false,
         m if m == BYTE_ORDER_MAGIC.swap_bytes() => true,
-        other => return Err(PcapError::BadMagic(other)),
+        other => return Ok(Err(PcapError::BadMagic(other))),
     };
     let declared = u32_at(big_endian, w, 4);
     if declared < 28 {
-        return Err(PcapError::BadBlockLength(declared));
+        return Ok(Err(PcapError::BadBlockLength(declared)));
     }
-    let total_len = ng_block_sane(w, big_endian)?;
-    let major = u16_at(big_endian, w, 12);
+    let block = match ng_block_sane(a, big_endian)? {
+        Ok(block) => block,
+        Err(e) => return Ok(Err(e)),
+    };
+    let major = u16_at(big_endian, block, 12);
     if major != 1 {
-        let minor = u16_at(big_endian, w, 14);
-        return Err(PcapError::UnsupportedVersion(major, minor));
+        let minor = u16_at(big_endian, block, 14);
+        return Ok(Err(PcapError::UnsupportedVersion(major, minor)));
     }
-    Ok((big_endian, total_len))
+    Ok(Ok((big_endian, block)))
 }
 
 /// A pcapng stream's state: the current section's byte order and
@@ -395,27 +436,30 @@ impl NgSection {
     /// The pcapng head check. SHB first: its type bytes are palindromic, so
     /// it is identifiable before the byte order is known. Any other block
     /// needs a section to have started.
-    fn head(&mut self, w: &[u8]) -> Head {
-        if let Ok((big_endian, len)) = ng_shb_sane(w) {
+    fn head(&mut self, a: Ahead<'_>) -> Result<Head, Need> {
+        if let Ok((big_endian, block)) = ng_shb_sane(a)? {
             self.big_endian = big_endian;
             self.started = true;
             self.interfaces.clear();
-            return Head::Block {
-                len,
+            return Ok(Head::Block {
+                len: block.len(),
                 abandoned: false,
-            };
+            });
         }
-        let len = match ng_block_sane(w, self.big_endian) {
-            Ok(len) if self.started => len,
-            _ => {
-                return Head::Damage {
-                    truncated: w.len() < 12,
-                }
-            }
+        let framed = if self.started {
+            ng_block_sane(a, self.big_endian)?.ok()
+        } else {
+            None
         };
-        match u32_at(self.big_endian, w, 0) {
+        let Some(block) = framed else {
+            return Ok(Head::Damage {
+                truncated: a.get(12)?.is_none(),
+            });
+        };
+        let len = block.len();
+        Ok(match u32_at(self.big_endian, block, 0) {
             BT_IDB => {
-                let iface = parse_idb(self.big_endian, &w[8..len - 4]).ok();
+                let iface = parse_idb(self.big_endian, &block[8..len - 4]).ok();
                 self.interfaces.push(iface);
                 Head::Block {
                     len,
@@ -423,7 +467,7 @@ impl NgSection {
                 }
             }
             block_type @ (BT_EPB | BT_SPB) => {
-                match parse_packet_block(block_type, self.big_endian, &w[..len], &self.interfaces) {
+                match parse_packet_block(block_type, self.big_endian, block, &self.interfaces) {
                     Ok(rec) => Head::Record(rec),
                     Err(_) => Head::Block {
                         len,
@@ -436,17 +480,18 @@ impl NgSection {
                 len,
                 abandoned: false,
             },
-        }
+        })
     }
 
     /// Resync plausibility: pcapng is self-framing, so a candidate is an
     /// SHB or, within a section, a known block whose two length copies
     /// agree.
-    fn resync_candidate(&self, w: &[u8]) -> bool {
-        ng_shb_sane(w).is_ok()
+    fn resync_candidate(&self, a: Ahead<'_>) -> Result<bool, Need> {
+        let known = |w: &[u8]| matches!(u32_at(self.big_endian, w, 0), BT_IDB | BT_EPB | BT_SPB);
+        Ok(ng_shb_sane(a)?.is_ok()
             || (self.started
-                && matches!(u32_at(self.big_endian, w, 0), BT_IDB | BT_EPB | BT_SPB)
-                && ng_block_sane(w, self.big_endian).is_ok())
+                && a.get(4)?.is_some_and(known)
+                && ng_block_sane(a, self.big_endian)?.is_ok()))
     }
 }
 
@@ -475,7 +520,7 @@ enum Head {
 }
 
 impl Container {
-    /// The fewest bytes a record or block takes: a shorter window at end of
+    /// The fewest bytes a record or block takes: a shorter remainder of the
     /// stream is a sliver.
     fn min_head(&self) -> usize {
         match self {
@@ -488,9 +533,9 @@ impl Container {
     /// The head check: classifies the bytes at the window head, updating
     /// the container state (last timestamp, section, interfaces) with what
     /// it accepts.
-    fn head(&mut self, w: &[u8]) -> Head {
-        match self {
-            Container::Classic { header, last_sec } => match record_head(w, header) {
+    fn head(&mut self, a: Ahead<'_>) -> Result<Head, Need> {
+        Ok(match self {
+            Container::Classic { header, last_sec } => match record_head(a, header)? {
                 Ok(rec) => {
                     *last_sec = Some(rec.timestamp_us / 1_000_000);
                     Head::Record(rec)
@@ -499,22 +544,32 @@ impl Container {
                     truncated: matches!(e, PcapError::TruncatedFile),
                 },
             },
-            Container::Ng(section) => section.head(w),
-        }
+            Container::Ng(section) => section.head(a)?,
+        })
     }
 
     /// Resync plausibility at the window head: classic pcap has no
     /// framing, so a candidate must pass [`plausible_record`].
-    fn resync_candidate(&self, w: &[u8]) -> bool {
+    fn resync_candidate(&self, a: Ahead<'_>) -> Result<bool, Need> {
         match self {
-            Container::Classic { header, last_sec } => plausible_record(w, header, *last_sec),
-            Container::Ng(section) => section.resync_candidate(w),
+            Container::Classic { header, last_sec } => plausible_record(a, header, *last_sec),
+            Container::Ng(section) => section.resync_candidate(a),
         }
     }
 }
 
+/// What one decision at the window head did.
+enum Step {
+    /// Accepted a record, which the stream emits next.
+    Record(Record),
+    /// Consumed bytes, or ended a resync scan on a candidate.
+    Moved,
+    /// Reached the end of the stream.
+    End,
+}
+
 /// The capture decoder for both containers over any byte stream, in
-/// O(window) memory (see the module docs).
+/// O(lookahead) memory (see the module docs).
 pub struct PcapStream<R> {
     src: ChunkedSource<R>,
     container: Container,
@@ -535,7 +590,12 @@ impl<R: Read> PcapStream<R> {
     /// (`WouldBlock`) source this waits until the magic (and a classic
     /// header) arrive or the source ends.
     pub fn new(inner: R) -> Result<PcapStream<R>, PcapError> {
-        let mut src = ChunkedSource::new(inner);
+        PcapStream::over(ChunkedSource::new(inner))
+    }
+
+    /// [`PcapStream::new`] over a window source; the tests also build one
+    /// that already holds a whole capture.
+    fn over(mut src: ChunkedSource<R>) -> Result<PcapStream<R>, PcapError> {
         let container = if is_pcapng(wait_for(&mut src, 4)?) {
             Container::Ng(NgSection::default())
         } else {
@@ -587,82 +647,20 @@ impl<R: Read> PcapStream<R> {
     }
 
     /// Non-blocking decode step; see the module docs on live sources. On
-    /// [`Polled::Pending`] no observable state (position, accounting)
-    /// changes, so any interleaving of polls converges to the decode of the
-    /// final bytes.
+    /// [`Polled::Pending`] the decision at hand has changed nothing, so any
+    /// interleaving of polls converges to the decode of the final bytes.
     pub fn poll_packet(&mut self) -> Result<Polled<PacketRef<'_>>, PcapError> {
         self.src.consume(self.pending);
         self.pending = 0;
         let rec = loop {
-            if self.resyncing {
-                loop {
-                    if self.src.fill()? == FillStatus::Partial {
+            match self.step() {
+                Ok(Step::Record(rec)) => break rec,
+                Ok(Step::Moved) => {}
+                Ok(Step::End) => return Ok(Polled::End),
+                Err(Need(n)) => {
+                    if self.src.fill(n)? == FillStatus::Partial {
                         return Ok(Polled::Pending);
                     }
-                    let w = self.src.window();
-                    if w.len() < self.container.min_head() {
-                        // Trailing sliver too small for a record: the
-                        // scan discards it without a truncated-tail flag.
-                        self.report.bytes_skipped += w.len() as u64;
-                        let n = w.len();
-                        self.src.consume(n);
-                        return Ok(Polled::End);
-                    }
-                    if self.container.resync_candidate(w) {
-                        break;
-                    }
-                    self.src.consume(1);
-                    self.report.bytes_skipped += 1;
-                }
-                self.resyncing = false;
-                self.just_resynced = true;
-            }
-            let status = self.src.fill()?;
-            let len = self.src.window().len();
-            if len == 0 {
-                return Ok(match status {
-                    FillStatus::Full => Polled::End,
-                    FillStatus::Partial => Polled::Pending,
-                });
-            }
-            match self.container.head(self.src.window()) {
-                // In-window sane record or block: a decode over any
-                // extension of this window takes it identically, so acting
-                // is safe even on a partial window.
-                Head::Record(rec) => {
-                    if self.just_resynced {
-                        self.report.records_recovered += 1;
-                        self.just_resynced = false;
-                    } else {
-                        self.report.records_ok += 1;
-                    }
-                    break rec;
-                }
-                Head::Block { len, abandoned } => {
-                    self.report.blocks_skipped += u64::from(abandoned);
-                    self.src.consume(len);
-                }
-                Head::Damage { .. } if status == FillStatus::Partial => {
-                    // Bytes not yet arrived look truncated, and even a bad
-                    // head must not count as damage before the scan's
-                    // full-window lookahead is available.
-                    return Ok(Polled::Pending);
-                }
-                Head::Damage { truncated } => {
-                    self.report.truncated_tail |= truncated;
-                    if len < self.container.min_head() {
-                        // The window invariant makes this end-of-stream by
-                        // construction: too few bytes for a record.
-                        self.report.bytes_skipped += len as u64;
-                        self.src.consume(len);
-                        return Ok(Polled::End);
-                    }
-                    // Resync: the scan runs at the top of the outer loop.
-                    self.report.resyncs += 1;
-                    self.report.blocks_skipped += 1;
-                    self.src.consume(1);
-                    self.report.bytes_skipped += 1;
-                    self.resyncing = true;
                 }
             }
         };
@@ -673,6 +671,71 @@ impl<R: Read> PcapStream<R> {
             orig_len: rec.orig_len,
             data: &self.src.window()[rec.data],
         }))
+    }
+
+    /// One decision at the window head, or the lookahead it needs first.
+    /// Nothing changes before the decision, so the retry after a refill
+    /// repeats none of it.
+    fn step(&mut self) -> Result<Step, Need> {
+        let a = self.src.ahead();
+        let min_head = self.container.min_head();
+        if self.resyncing {
+            if a.get(min_head)?.is_none() {
+                // Trailing sliver too small for a record: the scan
+                // discards it without a truncated-tail flag.
+                return Ok(self.skip_rest());
+            }
+            if self.container.resync_candidate(a)? {
+                self.resyncing = false;
+                self.just_resynced = true;
+            } else {
+                self.src.consume(1);
+                self.report.bytes_skipped += 1;
+            }
+            return Ok(Step::Moved);
+        }
+        if a.get(1)?.is_none() {
+            return Ok(Step::End);
+        }
+        match self.container.head(a)? {
+            Head::Record(rec) => {
+                if self.just_resynced {
+                    self.report.records_recovered += 1;
+                    self.just_resynced = false;
+                } else {
+                    self.report.records_ok += 1;
+                }
+                Ok(Step::Record(rec))
+            }
+            Head::Block { len, abandoned } => {
+                self.report.blocks_skipped += u64::from(abandoned);
+                self.src.consume(len);
+                Ok(Step::Moved)
+            }
+            Head::Damage { truncated } => {
+                let sliver = a.get(min_head)?.is_none();
+                self.report.truncated_tail |= truncated;
+                if sliver {
+                    // Too few bytes left for a record.
+                    return Ok(self.skip_rest());
+                }
+                // Resync: the scan runs from the next step.
+                self.report.resyncs += 1;
+                self.report.blocks_skipped += 1;
+                self.src.consume(1);
+                self.report.bytes_skipped += 1;
+                self.resyncing = true;
+                Ok(Step::Moved)
+            }
+        }
+    }
+
+    /// Counts the rest of the stream, all of it in the window, as skipped.
+    fn skip_rest(&mut self) -> Step {
+        let n = self.src.window().len();
+        self.report.bytes_skipped += n as u64;
+        self.src.consume(n);
+        Step::End
     }
 }
 
@@ -734,9 +797,8 @@ mod tests {
         buf
     }
 
-    /// Every packet of a read through `max`-byte reads, and its report.
-    fn stream(bytes: &[u8], max: usize) -> (Vec<Packet>, IngestReport) {
-        let mut s = PcapStream::new(small(bytes, max)).unwrap();
+    /// Every packet of `s`, and its report.
+    fn drain<R: Read>(mut s: PcapStream<R>) -> (Vec<Packet>, IngestReport) {
         let mut out = Vec::new();
         while let Some(p) = s.next_packet().unwrap() {
             out.push(owned(p));
@@ -744,33 +806,147 @@ mod tests {
         (out, *s.report())
     }
 
+    /// Every packet of a read through `max`-byte reads, and its report.
+    fn stream(bytes: &[u8], max: usize) -> (Vec<Packet>, IngestReport) {
+        drain(PcapStream::new(small(bytes, max)).unwrap())
+    }
+
+    /// The reference decode: the whole buffer in the window and the source
+    /// ended, so no check ever waits for a refill.
+    fn whole(bytes: &[u8]) -> (Vec<Packet>, IngestReport) {
+        let src = ChunkedSource {
+            inner: std::io::empty(),
+            buf: bytes.to_vec(),
+            pos: 0,
+            end: bytes.len(),
+            eof: true,
+        };
+        drain(PcapStream::over(src).unwrap())
+    }
+
+    /// Caplens of [`long_records`]: one byte, more than a read, and
+    /// `MAX_SANE_CAPLEN` itself.
+    const LONG_CAPLENS: [u32; 7] = [
+        1,
+        MAX_SANE_CAPLEN,
+        70_000,
+        40,
+        MAX_SANE_CAPLEN - 3,
+        READ_CHUNK as u32 - 16,
+        200,
+    ];
+
+    /// A record's bytes: `len` bytes counting up from `i`.
+    fn payload(i: usize, len: u32) -> Vec<u8> {
+        (0..len as usize).map(|b| (b + i) as u8).collect()
+    }
+
+    /// Clean records of [`LONG_CAPLENS`] in either container.
+    fn long_records(ng: bool) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let packets = LONG_CAPLENS.iter().enumerate();
+        if ng {
+            let mut w = PcapNgWriter::new(&mut buf, LinkType::Radiotap, 0).unwrap();
+            for (i, &len) in packets {
+                w.write_packet(1_000_000 + i as u64, &payload(i, len), len)
+                    .unwrap();
+            }
+        } else {
+            let mut w = PcapWriter::new(&mut buf, LinkType::Radiotap, MAX_SANE_CAPLEN).unwrap();
+            for (i, &len) in packets {
+                w.write_packet(1_000_000 + i as u64, &payload(i, len), len)
+                    .unwrap();
+            }
+        }
+        buf
+    }
+
+    /// A pcapng block of `block_type` declaring `total_len` bytes, holding
+    /// `body` between its two length copies.
+    fn ng_block(block_type: u32, total_len: u32, body: &[u8]) -> Vec<u8> {
+        let mut b = Vec::new();
+        b.extend_from_slice(&block_type.to_le_bytes());
+        b.extend_from_slice(&total_len.to_le_bytes());
+        b.extend_from_slice(body);
+        b.extend_from_slice(&total_len.to_le_bytes());
+        b
+    }
+
+    /// [`long_records`] in two pcapng sections with an unknown block of
+    /// the largest accepted length, `2 * MAX_SANE_CAPLEN`, between them.
+    fn ng_long_blocks() -> Vec<u8> {
+        let longest = 2 * MAX_SANE_CAPLEN;
+        let unknown = ng_block(0x0BAD, longest, &vec![0x5A; longest as usize - 12]);
+        [long_records(true), unknown, ng_file(3)].concat()
+    }
+
+    /// A section, then a packet block whose length is past the accepted
+    /// `2 * MAX_SANE_CAPLEN`, then garbage the scan walks to the next
+    /// section.
+    fn ng_oversized_block() -> Vec<u8> {
+        let oversized = ng_block(BT_EPB, 2 * MAX_SANE_CAPLEN + 4, &[0xEE; 64]);
+        [ng_file(3), oversized, long_records(true)].concat()
+    }
+
+    /// A classic record header.
+    fn classic_head(ts_sec: u32, ts_usec: u32, caplen: u32, orig_len: u32) -> Vec<u8> {
+        [ts_sec, ts_usec, caplen, orig_len]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect()
+    }
+
+    /// Damage whose resync scan meets candidates that need more than one
+    /// read to confirm: a record with a blasted caplen, then a fake header
+    /// over `0xFF` filler whose double confirmation fails 100 000 bytes on,
+    /// then a true 70 000-byte record and the records after it.
+    fn classic_resync_across_reads() -> Vec<u8> {
+        let mut buf = Vec::new();
+        PcapWriter::new(&mut buf, LinkType::Radiotap, MAX_SANE_CAPLEN)
+            .unwrap()
+            .write_packet(1_000_000, &[7; 40], 40)
+            .unwrap();
+        let blasted = MAX_SANE_CAPLEN + 1;
+        buf.extend(classic_head(1, 5, blasted, blasted));
+        buf.extend([0xFF; 30]);
+        buf.extend(classic_head(1, 9, 100_000, 100_000));
+        buf.extend(vec![0xFF; 100_020]);
+        for (i, len) in [70_000, 40, MAX_SANE_CAPLEN, 40].into_iter().enumerate() {
+            buf.extend(classic_head(2 + i as u32, 0, len, len));
+            buf.extend(vec![0xFF; len as usize]);
+        }
+        buf
+    }
+
     #[test]
     fn classic_chunking_is_invisible_on_clean_files() {
-        let buf = classic_file(60);
-        let (batch, batch_report) = stream(&buf, usize::MAX);
-        for max in [1, 7, 64, 4096] {
-            let (pkts, report) = stream(&buf, max);
-            assert_eq!(pkts, batch, "read granularity {max}");
-            assert_eq!(report, batch_report, "read granularity {max}");
+        for buf in [classic_file(60), long_records(false)] {
+            let (batch, batch_report) = whole(&buf);
+            for max in [1, 7, 64, 4096, usize::MAX] {
+                let (pkts, report) = stream(&buf, max);
+                assert_eq!(pkts, batch, "read granularity {max}");
+                assert_eq!(report, batch_report, "read granularity {max}");
+            }
+            assert!(batch_report.is_clean());
         }
-        assert!(batch_report.is_clean());
     }
 
     #[test]
     fn ng_chunking_is_invisible_on_clean_files() {
-        let buf = ng_file(60);
-        let (batch, batch_report) = stream(&buf, usize::MAX);
-        for max in [1, 7, 64, 4096] {
-            let (pkts, report) = stream(&buf, max);
-            assert_eq!(pkts, batch, "read granularity {max}");
-            assert_eq!(report, batch_report, "read granularity {max}");
+        for buf in [ng_file(60), long_records(true), ng_long_blocks()] {
+            let (batch, batch_report) = whole(&buf);
+            for max in [1, 7, 64, 4096, usize::MAX] {
+                let (pkts, report) = stream(&buf, max);
+                assert_eq!(pkts, batch, "read granularity {max}");
+                assert_eq!(report, batch_report, "read granularity {max}");
+            }
+            assert!(batch_report.is_clean());
         }
-        assert!(batch_report.is_clean());
     }
 
     #[test]
     fn classic_chunking_is_invisible_under_chaos() {
-        for seed in 0..40u64 {
+        let chaos = (0..40u64).map(|seed| {
             let mut buf = classic_file(30);
             let mut rng = ChaosRng::new(seed);
             let cfg = ChaosConfig {
@@ -780,18 +956,26 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, GLOBAL_HEADER_LEN, &cfg, &mut rng);
-            let (batch, batch_report) = stream(&buf, usize::MAX);
-            for max in [1, 13, 256] {
+            buf
+        });
+        let crafted = classic_resync_across_reads();
+        for (input, buf) in chaos.chain([crafted.clone()]).enumerate() {
+            let (batch, batch_report) = whole(&buf);
+            for max in [1, 13, 256, usize::MAX] {
                 let (pkts, report) = stream(&buf, max);
-                assert_eq!(pkts, batch, "seed {seed} granularity {max}");
-                assert_eq!(report, batch_report, "seed {seed} granularity {max}");
+                assert_eq!(pkts, batch, "input {input} granularity {max}");
+                assert_eq!(report, batch_report, "input {input} granularity {max}");
             }
         }
+        // The crafted damage resyncs onto the long record.
+        let (pkts, report) = whole(&crafted);
+        assert_eq!((report.resyncs, report.records_recovered), (1, 1));
+        assert_eq!(pkts.iter().map(|p| p.3.len()).nth(1), Some(70_000));
     }
 
     #[test]
     fn ng_chunking_is_invisible_under_chaos() {
-        for seed in 0..40u64 {
+        let chaos = (0..40u64).map(|seed| {
             let mut buf = ng_file(30);
             let mut rng = ChaosRng::new(seed ^ 0xA5A5);
             let cfg = ChaosConfig {
@@ -801,13 +985,68 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, 0, &cfg, &mut rng);
-            let (batch, batch_report) = stream(&buf, usize::MAX);
-            for max in [1, 13, 256] {
+            buf
+        });
+        let crafted = ng_oversized_block();
+        for (input, buf) in chaos.chain([crafted.clone()]).enumerate() {
+            let (batch, batch_report) = whole(&buf);
+            for max in [1, 13, 256, usize::MAX] {
                 let (pkts, report) = stream(&buf, max);
-                assert_eq!(pkts, batch, "seed {seed} granularity {max}");
-                assert_eq!(report, batch_report, "seed {seed} granularity {max}");
+                assert_eq!(pkts, batch, "input {input} granularity {max}");
+                assert_eq!(report, batch_report, "input {input} granularity {max}");
             }
         }
+        // The oversized block is damage, and the scan finds the section
+        // after it.
+        let (pkts, report) = whole(&crafted);
+        assert_eq!(report.resyncs, 1);
+        assert_eq!(pkts.len(), 3 + LONG_CAPLENS.len());
+    }
+
+    /// Decodes `bytes` through the decoder's own reads, checking after
+    /// every record that the window buffer stays within two reads plus
+    /// `longest`; returns the buffer's final capacity.
+    fn checked_capacity(bytes: &[u8], longest: usize) -> usize {
+        let mut s = PcapStream::new(bytes).unwrap();
+        while s.next_packet().unwrap().is_some() {
+            let capacity = s.src.buf.capacity();
+            assert!(capacity <= 2 * READ_CHUNK + longest, "{capacity} bytes");
+        }
+        assert!(s.report().is_clean());
+        s.src.buf.capacity()
+    }
+
+    #[test]
+    fn clean_decode_keeps_the_buffer_within_two_reads_and_the_longest_record() {
+        // Multi-megabyte captures of short records with two longer than a
+        // read, the longest `MAX_SANE_CAPLEN`: the buffer grows for those
+        // two only, and is back at two reads once they are consumed.
+        let caplens: Vec<u32> = (0..30_000)
+            .map(|i| match i {
+                9_000 => 300_000,
+                20_000 => MAX_SANE_CAPLEN,
+                _ => 60 + i % 250,
+            })
+            .collect();
+        let mut classic = Vec::new();
+        let mut ng = Vec::new();
+        {
+            let mut w = PcapWriter::new(&mut classic, LinkType::Radiotap, MAX_SANE_CAPLEN).unwrap();
+            let mut n = PcapNgWriter::new(&mut ng, LinkType::Radiotap, 0).unwrap();
+            for (i, &len) in caplens.iter().enumerate() {
+                let data = payload(i, len);
+                w.write_packet(i as u64 * 100, &data, len).unwrap();
+                n.write_packet(i as u64 * 100, &data, len).unwrap();
+            }
+        }
+        assert!(classic.len() > 5_000_000 && ng.len() > 5_000_000);
+        let longest = MAX_SANE_CAPLEN as usize;
+        let capacity = checked_capacity(&classic, RECORD_HEADER_LEN + longest);
+        assert_eq!(capacity, BASE_BUF_LEN);
+        // An enhanced packet block: 28 bytes of framing and fields, the
+        // padded data, and the trailing length.
+        let capacity = checked_capacity(&ng, 32 + longest);
+        assert_eq!(capacity, BASE_BUF_LEN);
     }
 
     #[test]
@@ -884,29 +1123,31 @@ mod tests {
 
     #[test]
     fn classic_polling_converges_to_batch_on_clean_files() {
-        let buf = classic_file(60);
-        let (batch, batch_report) = stream(&buf, usize::MAX);
-        for max in [7, 64, 4096] {
-            let (pkts, report) = poll(&buf, max);
-            assert_eq!(pkts, batch, "granularity {max}");
-            assert_eq!(report, batch_report, "granularity {max}");
+        for buf in [classic_file(60), long_records(false)] {
+            let (batch, batch_report) = whole(&buf);
+            for max in [7, 64, 4096] {
+                let (pkts, report) = poll(&buf, max);
+                assert_eq!(pkts, batch, "granularity {max}");
+                assert_eq!(report, batch_report, "granularity {max}");
+            }
         }
     }
 
     #[test]
     fn ng_polling_converges_to_batch_on_clean_files() {
-        let buf = ng_file(60);
-        let (batch, batch_report) = stream(&buf, usize::MAX);
-        for max in [7, 64, 4096] {
-            let (pkts, report) = poll(&buf, max);
-            assert_eq!(pkts, batch, "granularity {max}");
-            assert_eq!(report, batch_report, "granularity {max}");
+        for buf in [ng_file(60), ng_long_blocks()] {
+            let (batch, batch_report) = whole(&buf);
+            for max in [7, 64, 4096] {
+                let (pkts, report) = poll(&buf, max);
+                assert_eq!(pkts, batch, "granularity {max}");
+                assert_eq!(report, batch_report, "granularity {max}");
+            }
         }
     }
 
     #[test]
     fn classic_polling_converges_to_batch_under_chaos() {
-        for seed in 0..25u64 {
+        let chaos = (0..25u64).map(|seed| {
             let mut buf = classic_file(30);
             let mut rng = ChaosRng::new(seed);
             let cfg = ChaosConfig {
@@ -916,18 +1157,21 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, GLOBAL_HEADER_LEN, &cfg, &mut rng);
-            let (batch, batch_report) = stream(&buf, usize::MAX);
+            buf
+        });
+        for (input, buf) in chaos.chain([classic_resync_across_reads()]).enumerate() {
+            let (batch, batch_report) = whole(&buf);
             for max in [13, 256] {
                 let (pkts, report) = poll(&buf, max);
-                assert_eq!(pkts, batch, "seed {seed} granularity {max}");
-                assert_eq!(report, batch_report, "seed {seed} granularity {max}");
+                assert_eq!(pkts, batch, "input {input} granularity {max}");
+                assert_eq!(report, batch_report, "input {input} granularity {max}");
             }
         }
     }
 
     #[test]
     fn ng_polling_converges_to_batch_under_chaos() {
-        for seed in 0..25u64 {
+        let chaos = (0..25u64).map(|seed| {
             let mut buf = ng_file(30);
             let mut rng = ChaosRng::new(seed ^ 0x5A5A);
             let cfg = ChaosConfig {
@@ -937,11 +1181,14 @@ mod tests {
                 length_blast: 0.5,
             };
             corrupt_bytes(&mut buf, 0, &cfg, &mut rng);
-            let (batch, batch_report) = stream(&buf, usize::MAX);
+            buf
+        });
+        for (input, buf) in chaos.chain([ng_oversized_block()]).enumerate() {
+            let (batch, batch_report) = whole(&buf);
             for max in [13, 256] {
                 let (pkts, report) = poll(&buf, max);
-                assert_eq!(pkts, batch, "seed {seed} granularity {max}");
-                assert_eq!(report, batch_report, "seed {seed} granularity {max}");
+                assert_eq!(pkts, batch, "input {input} granularity {max}");
+                assert_eq!(report, batch_report, "input {input} granularity {max}");
             }
         }
     }
@@ -998,25 +1245,37 @@ mod tests {
         }
     }
 
-    /// Drains `src` through fills and consumes of up to `take` bytes,
-    /// checking the window invariant, the meaning of `Partial` and the
-    /// buffer bound after every fill. Returns the bytes consumed and the
-    /// number of `Partial` fills.
-    fn drain_checked<R: Read>(mut src: ChunkedSource<R>, take: usize) -> (Vec<u8>, usize) {
+    /// Drains `src` through fills asking for each lookahead of `needs` in
+    /// turn and consumes of up to `take` bytes, checking after every fill
+    /// the meaning of its status and the buffer's size. Returns the bytes
+    /// consumed and the number of `Partial` fills.
+    fn drain_checked<R: Read>(
+        mut src: ChunkedSource<R>,
+        needs: &[usize],
+        take: usize,
+    ) -> (Vec<u8>, usize) {
         let mut seen = Vec::new();
         let mut partials = 0;
-        loop {
-            match src.fill().unwrap() {
+        for &need in needs.iter().cycle() {
+            let refill = src.window().len() < need && !src.eof;
+            match src.fill(need).unwrap() {
                 FillStatus::Full => assert!(
-                    src.window().len() >= WINDOW_TARGET || src.eof,
-                    "window invariant violated"
+                    src.window().len() >= need || src.eof,
+                    "a full fill holds the lookahead or the whole rest"
                 ),
                 FillStatus::Partial => {
-                    assert!(src.window().len() < WINDOW_TARGET && !src.eof);
+                    assert!(src.window().len() < need && !src.eof);
                     partials += 1;
                 }
             }
-            assert!(src.buf.capacity() <= REFILL_TARGET + READ_CHUNK);
+            let capacity = src.buf.capacity();
+            assert!(capacity <= WINDOW_TARGET + READ_CHUNK);
+            if refill {
+                assert!(capacity >= need + READ_CHUNK);
+                if need <= READ_CHUNK {
+                    assert_eq!(capacity, BASE_BUF_LEN, "back to two reads");
+                }
+            }
             if src.eof && src.window().is_empty() {
                 return (seen, partials);
             }
@@ -1024,32 +1283,39 @@ mod tests {
             seen.extend_from_slice(&src.window()[..n]);
             src.consume(n);
         }
+        unreachable!("the needs cycle until the source ends")
     }
 
     #[test]
-    fn chunked_source_window_invariant_holds() {
-        // A stream longer than two refills: every fill either tops the
-        // window past WINDOW_TARGET or exhausts the source, reads land in a
-        // buffer that never grows past REFILL_TARGET + READ_CHUNK bytes, and
-        // no byte is lost or duplicated across refills.
-        let bytes: Vec<u8> = (0..(2 * REFILL_TARGET + 1234))
+    fn chunked_source_fills_each_lookahead() {
+        // A stream several largest lookaheads long, drained while asking
+        // for lookaheads from one byte to `WINDOW_TARGET`: every fill holds
+        // the bytes asked for or the rest of the stream, the buffer grows
+        // to one read past the largest lookahead only while a fill asks for
+        // it, and no byte is lost or duplicated across refills.
+        let bytes: Vec<u8> = (0..(3 * WINDOW_TARGET + 1234))
             .map(|i| (i % 251) as u8)
             .collect();
-        let (seen, partials) = drain_checked(ChunkedSource::new(small(&bytes, 50_000)), 100_000);
+        let needs = [16, 300, 70_000, WINDOW_TARGET, 1, 16, READ_CHUNK];
+        let src = ChunkedSource::new(small(&bytes, 50_000));
+        let (seen, partials) = drain_checked(src, &needs, 100_000);
         assert_eq!(seen, bytes, "no bytes lost or duplicated across refills");
         assert_eq!(partials, 0, "a blocking source never yields Partial");
 
-        // Consuming less than a fill reads lets the window cross
-        // WINDOW_TARGET inside a fill that then meets WouldBlock: that fill
-        // must report Full.
+        // Consuming less than a fill reads, from a source that would block
+        // between reads: a fill that meets WouldBlock short of its
+        // lookahead reports Partial, and the next fill resumes it.
         let choppy = ChoppyReads {
             bytes: &bytes,
             pos: 0,
             calls: 0,
         };
-        let (seen, partials) = drain_checked(ChunkedSource::new(choppy), 20_000);
+        let (seen, partials) = drain_checked(ChunkedSource::new(choppy), &needs, 20_000);
         assert_eq!(seen, bytes, "no bytes lost or duplicated across refills");
-        assert!(partials > 0, "WouldBlock below the target yields Partial");
+        assert!(
+            partials > 0,
+            "WouldBlock short of the lookahead yields Partial"
+        );
     }
 
     // Head checks: the typed error each finds, and what the stream makes of
@@ -1068,7 +1334,16 @@ mod tests {
 
     /// `record_head` at `off` in a classic file.
     fn head_at(buf: &[u8], off: usize) -> Result<Record, PcapError> {
-        record_head(&buf[off..], &parse_global_header(buf).unwrap())
+        record_head(at_end(&buf[off..]), &parse_global_header(buf).unwrap())
+            .expect("the whole stream decides")
+    }
+
+    /// `w` as the rest of the stream.
+    fn at_end(w: &[u8]) -> Ahead<'_> {
+        Ahead {
+            window: w,
+            eof: true,
+        }
     }
 
     #[test]
@@ -1117,7 +1392,7 @@ mod tests {
             head_at(&buf[..cut], SECOND_RECORD),
             Err(PcapError::TruncatedFile)
         ));
-        let (pkts, report) = stream(&buf[..cut], usize::MAX);
+        let (pkts, report) = whole(&buf[..cut]);
         assert_eq!(pkts.len(), 1);
         assert!(report.truncated_tail && report.bytes_skipped == 4);
     }
@@ -1130,7 +1405,7 @@ mod tests {
             head_at(&buf[..cut], SECOND_RECORD),
             Err(PcapError::TruncatedFile)
         ));
-        let (pkts, report) = stream(&buf[..cut], usize::MAX);
+        let (pkts, report) = whole(&buf[..cut]);
         assert_eq!(pkts.len(), 1);
         assert!(report.truncated_tail);
     }
@@ -1199,7 +1474,7 @@ mod tests {
             head_at(&buf, GLOBAL_HEADER_LEN),
             Err(PcapError::OversizedRecord(n)) if n == MAX_SANE_CAPLEN + 1
         ));
-        let (pkts, report) = stream(&buf, usize::MAX);
+        let (pkts, report) = whole(&buf);
         assert_eq!(pkts.len(), 1, "the scan recovers the second record");
         assert_eq!((report.resyncs, report.records_recovered), (1, 1));
     }
@@ -1216,7 +1491,7 @@ mod tests {
                 orig_len: 1
             })
         ));
-        let (pkts, report) = stream(&buf, usize::MAX);
+        let (pkts, report) = whole(&buf);
         assert_eq!(pkts.len(), 1, "the scan recovers the second record");
         assert_eq!((report.resyncs, report.records_recovered), (1, 1));
     }
@@ -1237,16 +1512,16 @@ mod tests {
         // Patch the EPB's total length to a misaligned value.
         buf[EPB_OFF + 4..EPB_OFF + 8].copy_from_slice(&41u32.to_le_bytes());
         assert!(matches!(
-            ng_block_sane(&buf[EPB_OFF..], false),
-            Err(PcapError::BadBlockLength(41))
+            ng_block_sane(at_end(&buf[EPB_OFF..]), false),
+            Ok(Err(PcapError::BadBlockLength(41)))
         ));
         // And an under-minimum length.
         buf[EPB_OFF + 4..EPB_OFF + 8].copy_from_slice(&8u32.to_le_bytes());
         assert!(matches!(
-            ng_block_sane(&buf[EPB_OFF..], false),
-            Err(PcapError::BadBlockLength(8))
+            ng_block_sane(at_end(&buf[EPB_OFF..]), false),
+            Ok(Err(PcapError::BadBlockLength(8)))
         ));
-        let (pkts, report) = stream(&buf, usize::MAX);
+        let (pkts, report) = whole(&buf);
         assert!(pkts.is_empty());
         assert_eq!(report.resyncs, 1);
     }
@@ -1257,10 +1532,10 @@ mod tests {
         let last4 = buf.len() - 4;
         buf[last4..].copy_from_slice(&44u32.to_le_bytes());
         assert!(matches!(
-            ng_block_sane(&buf[EPB_OFF..], false),
-            Err(PcapError::BadBlockLength(44))
+            ng_block_sane(at_end(&buf[EPB_OFF..]), false),
+            Ok(Err(PcapError::BadBlockLength(44)))
         ));
-        let (pkts, report) = stream(&buf, usize::MAX);
+        let (pkts, report) = whole(&buf);
         assert!(pkts.is_empty());
         assert_eq!(report.resyncs, 1);
     }
@@ -1270,10 +1545,10 @@ mod tests {
         let buf = one_epb_file();
         let cut = buf.len() - 5;
         assert!(matches!(
-            ng_block_sane(&buf[EPB_OFF..cut], false),
-            Err(PcapError::TruncatedFile)
+            ng_block_sane(at_end(&buf[EPB_OFF..cut]), false),
+            Ok(Err(PcapError::TruncatedFile))
         ));
-        let (pkts, report) = stream(&buf[..cut], usize::MAX);
+        let (pkts, report) = whole(&buf[..cut]);
         assert!(pkts.is_empty());
         assert_eq!(report.bytes_skipped, (cut - EPB_OFF) as u64);
     }
@@ -1281,10 +1556,13 @@ mod tests {
     #[test]
     fn ng_garbage_is_bad_magic() {
         let buf = [0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 0];
-        assert!(matches!(ng_shb_sane(&buf), Err(PcapError::BadMagic(_))));
+        assert!(matches!(
+            ng_shb_sane(at_end(&buf)),
+            Ok(Err(PcapError::BadMagic(_)))
+        ));
         // Behind a section's type bytes, the scan skips it all.
         let buf = [&BT_SHB.to_le_bytes()[..], &buf].concat();
-        let (pkts, report) = stream(&buf, usize::MAX);
+        let (pkts, report) = whole(&buf);
         assert!(pkts.is_empty());
         assert_eq!(report.bytes_skipped, 12);
     }
@@ -1303,10 +1581,10 @@ mod tests {
         buf.extend_from_slice(&[0u8; 8]);
         assert_eq!(buf.len(), 32);
         assert!(matches!(
-            ng_shb_sane(&buf),
-            Err(PcapError::OversizedRecord(0xFFFF_FFF0))
+            ng_shb_sane(at_end(&buf)),
+            Ok(Err(PcapError::OversizedRecord(0xFFFF_FFF0)))
         ));
-        let (pkts, report) = stream(&buf, usize::MAX);
+        let (pkts, report) = whole(&buf);
         assert!(pkts.is_empty());
         assert_eq!(report.bytes_skipped, 32);
     }

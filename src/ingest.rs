@@ -38,7 +38,7 @@ use crate::trace::{CaptureError, CapturePoll, CaptureStream};
 use congestion::merge::{MergePoll, OnlineMerge};
 use congestion::persec::{SecondAccumulator, SecondStats};
 use congestion::{CongestionClassifier, CongestionLevel, UtilizationBins};
-use std::io::{BufReader, Read};
+use std::io::Read;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -71,10 +71,8 @@ pub enum Source {
 impl Source {
     fn open(self) -> Result<Box<dyn Read + Send>, CaptureError> {
         match self {
-            Source::File(path) => {
-                let file = std::fs::File::open(path).map_err(PcapError::Io)?;
-                Ok(Box::new(BufReader::new(file)))
-            }
+            // Unbuffered: the decoder reads in its own 64 KiB chunks.
+            Source::File(path) => Ok(Box::new(std::fs::File::open(path).map_err(PcapError::Io)?)),
             Source::Reader(reader) => Ok(reader),
         }
     }

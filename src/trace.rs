@@ -169,11 +169,12 @@ pub struct CaptureStream<R: Read = Box<dyn Read + Send>> {
     failed: Option<CaptureError>,
 }
 
-impl CaptureStream<io::BufReader<std::fs::File>> {
-    /// Opens a capture file for streaming ingestion.
+impl CaptureStream<std::fs::File> {
+    /// Opens a capture file for streaming ingestion. The file is read
+    /// unbuffered: the decoder reads in its own 64 KiB chunks.
     pub fn open(path: &Path) -> Result<Self, CaptureError> {
         let file = std::fs::File::open(path).map_err(PcapError::Io)?;
-        CaptureStream::from_reader(io::BufReader::new(file))
+        CaptureStream::from_reader(file)
     }
 }
 

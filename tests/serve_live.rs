@@ -447,9 +447,9 @@ fn serve_cli_socket_protocol_and_rotation() {
     let live1_bytes = capture_bytes(&dir, "clean1", &views[1]);
     let part_a = capture_bytes(&dir, "part_a", &views[2][..split]);
     let part_b = capture_bytes(&dir, "part_b", &views[2][split..]);
-    // Mid-stream, part B's global header is damage, and the lossy reader
-    // resynchronizes only over a full window. A part B longer than that
-    // window lets the live merge reach the batch count before shutdown.
+    // Mid-stream, part B's global header is damage. A decision waits for
+    // at most WINDOW_TARGET bytes past its position, so a part B longer
+    // than that lets the live merge reach the batch count before shutdown.
     assert!(part_b.len() > WINDOW_TARGET);
 
     // Reference files carrying the exact final bytes each live source will
