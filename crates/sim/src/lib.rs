@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod access;
-pub mod arena;
 pub mod config;
 pub mod events;
 pub mod frame_info;

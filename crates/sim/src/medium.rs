@@ -9,9 +9,8 @@
 //! scenario, so receivers look the interferer path loss up in the cached
 //! [`SensingTopology`](crate::topology::SensingTopology) instead of
 //! carrying positions around. The `sensed_by` listener set is a pooled
-//! [`NodeSet`] bitset, and interferer lists are pooled too (via the
-//! [`crate::arena`] free-list) — retiring a transmission recycles both, so
-//! steady-state operation allocates nothing.
+//! [`NodeSet`] bitset that retiring a transmission recycles; interferer
+//! lists come from, and go back to, the allocator.
 //!
 //! The medium is also where carrier sense lives. Its `busy` set is the
 //! union of the listener sets of the transmissions whose carrier sense has
@@ -21,7 +20,6 @@
 //! [`dcf::EIFS_US`] are kept, which is all a defer decision can see of
 //! when the channel went idle (see `Medium::last_release`).
 
-use crate::arena::VecPool;
 use crate::events::NodeId;
 use crate::frame_info::SimFrame;
 use crate::topology::NodeSet;
@@ -74,13 +72,6 @@ fn insert_sorted(list: &mut Vec<NodeId>, node: NodeId) {
     list.insert(pos, node);
 }
 
-/// Interferer-list buffers the medium's arena keeps warm; both bounds
-/// comfortably exceed the concurrent-transmission count of any cell while
-/// capping the arena's resident ceiling in the tens of kilobytes.
-const LIST_POOL_SPARES: usize = 64;
-/// Largest capacity (node ids) a retained interferer list may have.
-const LIST_POOL_RETAIN_CAP: usize = 256;
-
 /// One carrier-sense release: when it happened and who sensed it.
 struct Release {
     at: Micros,
@@ -105,9 +96,6 @@ pub struct Medium {
     /// Recycled listener bitsets (from [`Medium::retire`] and pruned
     /// releases).
     set_pool: Vec<NodeSet>,
-    /// Recycled interferer lists (a bounded [`crate::arena`] free-list;
-    /// concurrent-transmission counts keep it tiny in practice).
-    list_pool: VecPool<NodeId>,
 }
 
 impl Default for Medium {
@@ -119,7 +107,6 @@ impl Default for Medium {
             busy: NodeSet::new(),
             releases: VecDeque::new(),
             set_pool: Vec::new(),
-            list_pool: VecPool::new(LIST_POOL_SPARES, LIST_POOL_RETAIN_CAP),
         }
     }
 }
@@ -131,7 +118,9 @@ impl Medium {
     }
 
     /// A cleared listener set from the pool (or a fresh one), for the
-    /// caller to fill and hand to [`Medium::start_tx`].
+    /// caller to fill and hand to [`Medium::start_tx`]. The pool pays for
+    /// itself: without it, perfbench's plenary-sharded `wall_s` rose 25 %
+    /// and churn's 11–12 % (paired suite on a 2-vCPU x86-64 host).
     pub fn take_set(&mut self) -> NodeSet {
         self.set_pool.pop().unwrap_or_default()
     }
@@ -160,7 +149,7 @@ impl Medium {
             self.active.iter().all(|t| t.node != node),
             "node {node} already has a transmission in flight"
         );
-        let mut interferers = self.list_pool.take();
+        let mut interferers = Vec::new();
         for other in &mut self.active {
             // `other` started no later than `start`; the pair interferes iff
             // the earlier transmission outlives the later one's start by
@@ -216,7 +205,7 @@ impl Medium {
     }
 
     /// Releases the carrier sense of a transmission taken out by
-    /// [`Medium::end_tx`] and returns its buffers to the pools. `busy`
+    /// [`Medium::end_tx`] and returns its listener set to the pool. `busy`
     /// becomes the union of the carrier sense still in flight; `hits`
     /// (cleared first) receives the words of the listeners that went quiet
     /// and are `contending`. The listener set is kept as a release at `now`
@@ -230,11 +219,9 @@ impl Medium {
     ) {
         let Transmission {
             sensed_by,
-            interferers,
             cs_applied,
             ..
         } = tx;
-        self.list_pool.put(interferers);
         hits.clear();
         if !cs_applied {
             self.recycle_set(sensed_by);
@@ -437,8 +424,8 @@ mod tests {
         assert!(set.is_empty(), "pooled set is cleared");
         m.start_tx(2, frame(), Rate::R1, 0, 10, set, |_| true);
         let tc = m.end_tx(2).unwrap();
-        // The pooled interferer list was cleared before reuse: only the
-        // still-active transmission shows up.
+        // The interferer list is fresh: only the still-active transmission
+        // shows up.
         assert_eq!(tc.interferers, vec![0]);
         let _ = m.end_tx(a);
     }

@@ -17,7 +17,7 @@
 use rand::RngCore;
 
 /// The Weyl-sequence increment (the splitmix64 gamma).
-const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// splitmix64's finalizing mix — a full 64-bit permutation.
 #[inline]
@@ -25,6 +25,12 @@ fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// One splitmix64 step: the mix of `x` advanced by one gamma.
+#[inline]
+pub(crate) fn splitmix64(x: u64) -> u64 {
+    mix(x.wrapping_add(GAMMA))
 }
 
 /// One deterministic random stream, keyed by `(seed, stream)`.
@@ -46,8 +52,7 @@ impl SimRng {
     /// combined, so nearby `(seed, stream)` pairs land on unrelated keys
     /// (plain XOR would alias `(s, t)` with `(s ^ d, t ^ d)`).
     pub fn new(seed: u64, stream: u64) -> SimRng {
-        let key =
-            mix(seed.wrapping_add(GAMMA)) ^ mix(stream.wrapping_mul(GAMMA).wrapping_add(GAMMA));
+        let key = splitmix64(seed) ^ splitmix64(stream.wrapping_mul(GAMMA));
         SimRng {
             key: mix(key),
             ctr: 0,

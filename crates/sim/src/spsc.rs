@@ -1,41 +1,19 @@
 //! A minimal bounded single-producer single-consumer batch channel.
 //!
-//! Built on `Mutex` + `Condvar` only (the workspace is offline and vendors
-//! no concurrency crates). One producer pushes items that cross to one
-//! consumer `batch_len` at a time, so the per-item cost is a `Vec::push`,
-//! not a mutex round-trip; at most `capacity` full batches are in flight,
-//! so a fast producer cannot buffer an unbounded backlog ahead of a slow
-//! consumer. Dropping the [`BatchSender`] flushes its partial batch and
-//! closes the channel (the [`BatchReceiver`] yields what is buffered, then
-//! ends); dropping the [`BatchReceiver`] makes further shipments fail fast
-//! with [`Disconnected`].
+//! A batcher over `std::sync::mpsc::sync_channel::<Vec<T>>`: one producer
+//! pushes items that cross to one consumer `batch_len` at a time, so the
+//! per-item cost is a `Vec::push`, not a channel operation; at most
+//! `capacity` full batches are in flight, so a fast producer cannot buffer
+//! an unbounded backlog ahead of a slow consumer. Dropping the
+//! [`BatchSender`] flushes its partial batch and closes the channel (the
+//! [`BatchReceiver`] yields what is buffered, then ends); dropping the
+//! [`BatchReceiver`] makes further shipments fail fast with
+//! [`Disconnected`].
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
-
-struct State<T> {
-    batches: VecDeque<Vec<T>>,
-    producer_alive: bool,
-    consumer_alive: bool,
-}
-
-/// Locks the channel state, recovering from poisoning. Every mutation of
-/// [`State`] is panic-atomic (plain field writes and `VecDeque` ops that
-/// leave the queue consistent even if an allocation panics mid-call), so a
-/// poisoned lock only means *some other* thread panicked while holding it —
-/// the state itself is still sound, and a resident service must keep
-/// draining rather than cascade the panic across the pipeline.
-fn lock_state<T>(mutex: &Mutex<State<T>>) -> MutexGuard<'_, State<T>> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-struct Shared<T> {
-    state: Mutex<State<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    capacity: usize,
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// The receiving half of a batch channel disconnected; items the producer
 /// had buffered were discarded.
@@ -58,7 +36,10 @@ pub enum TryRecv<T> {
 /// `batch_len` at a time. A partial batch is shipped on
 /// [`BatchSender::flush`] or on drop. Not clonable: single producer.
 pub struct BatchSender<T> {
-    shared: Arc<Shared<T>>,
+    tx: SyncSender<Vec<T>>,
+    /// Batches shipped and not yet taken, shared with the receiver for
+    /// [`BatchReceiver::queued_batches`] (`std`'s channel has no length).
+    queued: Arc<AtomicUsize>,
     batch: Vec<T>,
     batch_len: usize,
 }
@@ -67,7 +48,8 @@ pub struct BatchSender<T> {
 /// from the channel transparently; ends once the sender is gone and
 /// everything buffered has been yielded. Not clonable: single consumer.
 pub struct BatchReceiver<T> {
-    shared: Arc<Shared<T>>,
+    rx: Receiver<Vec<T>>,
+    queued: Arc<AtomicUsize>,
     current: std::vec::IntoIter<T>,
 }
 
@@ -76,26 +58,20 @@ pub struct BatchReceiver<T> {
 /// consumer's backlog to roughly `capacity * batch_len` items plus one
 /// partial batch.
 pub fn batch_channel<T>(capacity: usize, batch_len: usize) -> (BatchSender<T>, BatchReceiver<T>) {
-    let capacity = capacity.max(1);
     let batch_len = batch_len.max(1);
-    let shared = Arc::new(Shared {
-        state: Mutex::new(State {
-            batches: VecDeque::with_capacity(capacity),
-            producer_alive: true,
-            consumer_alive: true,
-        }),
-        not_full: Condvar::new(),
-        not_empty: Condvar::new(),
-        capacity,
-    });
+    // A zero bound would make `sync_channel` a rendezvous channel.
+    let (tx, rx) = sync_channel(capacity.max(1));
+    let queued = Arc::new(AtomicUsize::new(0));
     (
         BatchSender {
-            shared: Arc::clone(&shared),
+            tx,
+            queued: Arc::clone(&queued),
             batch: Vec::with_capacity(batch_len),
             batch_len,
         },
         BatchReceiver {
-            shared,
+            rx,
+            queued,
             current: Vec::new().into_iter(),
         },
     )
@@ -120,21 +96,11 @@ impl<T> BatchSender<T> {
             return Ok(());
         }
         let full = std::mem::replace(&mut self.batch, Vec::with_capacity(self.batch_len));
-        let shared = &*self.shared;
-        let mut state = lock_state(&shared.state);
-        while state.batches.len() >= shared.capacity && state.consumer_alive {
-            state = shared
-                .not_full
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        if !state.consumer_alive {
-            return Err(Disconnected);
-        }
-        state.batches.push_back(full);
-        drop(state);
-        shared.not_empty.notify_one();
-        Ok(())
+        // Counted before the send, so the receiver's decrement of this
+        // batch can never come first. A failed send leaves the count high,
+        // but then no receiver is left to read it.
+        self.queued.fetch_add(1, Ordering::Relaxed);
+        self.tx.send(full).map_err(|_| Disconnected)
     }
 
     /// True when no items are sitting in the local (unshipped) batch. Since
@@ -149,9 +115,8 @@ impl<T> BatchSender<T> {
 impl<T> Drop for BatchSender<T> {
     fn drop(&mut self) {
         // Best effort: a dead receiver already discarded everything anyway.
+        // Dropping `tx` afterwards closes the channel.
         let _ = self.flush();
-        lock_state(&self.shared.state).producer_alive = false;
-        self.shared.not_empty.notify_one();
     }
 }
 
@@ -181,57 +146,28 @@ impl<T> BatchReceiver<T> {
             if let Some(item) = self.current.next() {
                 return TryRecv::Item(item);
             }
-            match self.recv_batch(timeout) {
-                TryRecv::Item(batch) => self.current = batch.into_iter(),
-                TryRecv::Empty => return TryRecv::Empty,
-                TryRecv::Disconnected => return TryRecv::Disconnected,
-            }
-        }
-    }
-
-    /// Dequeues the next shipped batch, waiting at most `timeout` (forever
-    /// on `None`) for one to arrive or for the producer to disconnect.
-    fn recv_batch(&self, timeout: Option<Duration>) -> TryRecv<Vec<T>> {
-        let shared = &*self.shared;
-        let mut state = lock_state(&shared.state);
-        let mut started: Option<Instant> = None;
-        while state.batches.is_empty() && state.producer_alive {
-            let Some(timeout) = timeout else {
-                state = shared
-                    .not_empty
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-                continue;
+            let got = match timeout {
+                None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Some(timeout) => self.rx.recv_timeout(timeout),
             };
-            let waited = started.map_or(Duration::ZERO, |s| s.elapsed());
-            let Some(left) = timeout.checked_sub(waited).filter(|d| !d.is_zero()) else {
-                break;
-            };
-            started.get_or_insert_with(Instant::now);
-            state = shared
-                .not_empty
-                .wait_timeout(state, left)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        let batch = state.batches.pop_front();
-        let producer_alive = state.producer_alive;
-        drop(state);
-        match batch {
-            Some(batch) => {
-                shared.not_full.notify_one();
-                TryRecv::Item(batch)
+            match got {
+                Ok(batch) => {
+                    let before = self.queued.fetch_sub(1, Ordering::Relaxed);
+                    debug_assert!(before > 0, "took a batch that was never counted");
+                    self.current = batch.into_iter();
+                }
+                Err(RecvTimeoutError::Timeout) => return TryRecv::Empty,
+                Err(RecvTimeoutError::Disconnected) => return TryRecv::Disconnected,
             }
-            None if producer_alive => TryRecv::Empty,
-            None => TryRecv::Disconnected,
         }
     }
 
     /// Full batches currently queued in the channel (excludes the batch this
-    /// receiver is part-way through). A point-in-time snapshot for status
-    /// reporting; it can be stale by the time it is read.
+    /// receiver is part-way through, includes one the producer is blocked
+    /// shipping). A point-in-time snapshot for status reporting; it can be
+    /// stale by the time it is read.
     pub fn queued_batches(&self) -> usize {
-        lock_state(&self.shared.state).batches.len()
+        self.queued.load(Ordering::Relaxed)
     }
 }
 
@@ -246,16 +182,10 @@ impl<T> Iterator for BatchReceiver<T> {
     }
 }
 
-impl<T> Drop for BatchReceiver<T> {
-    fn drop(&mut self) {
-        lock_state(&self.shared.state).consumer_alive = false;
-        self.shared.not_full.notify_one();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn batch_channel_delivers_in_order_and_flushes_tail_on_drop() {
@@ -288,8 +218,11 @@ mod tests {
         let (mut tx, mut rx) = batch_channel::<u32>(4, 64);
         tx.push(1).unwrap();
         tx.push(2).unwrap();
+        assert_eq!(rx.queued_batches(), 0);
         tx.flush().unwrap();
+        assert_eq!(rx.queued_batches(), 1);
         assert_eq!(rx.next(), Some(1));
+        assert_eq!(rx.queued_batches(), 0, "the batch in hand is not queued");
         assert_eq!(rx.next(), Some(2));
         drop(tx);
         assert_eq!(rx.next(), None);
@@ -379,33 +312,6 @@ mod tests {
             ]
         );
         assert_eq!(rx.next_timeout(timeout), TryRecv::Disconnected);
-    }
-
-    #[test]
-    fn channel_survives_a_poisoned_lock() {
-        // Poisoning the state mutex from inside a push on another thread
-        // is hard to arrange deterministically; instead poison it directly
-        // and confirm every entry point recovers.
-        let (mut tx, mut rx) = batch_channel::<u32>(4, 1);
-        let shared = Arc::clone(&rx.shared);
-        let _ = std::thread::spawn(move || {
-            let _guard = shared.state.lock().unwrap();
-            panic!("poison the spsc mutex");
-        })
-        .join();
-        assert!(rx.shared.state.is_poisoned());
-        assert_eq!(rx.next_timeout(Duration::from_millis(5)), TryRecv::Empty);
-        tx.push(3).unwrap();
-        assert_eq!(rx.queued_batches(), 1);
-        assert_eq!(rx.next_timeout(Duration::from_millis(5)), TryRecv::Item(3));
-        tx.push(4).unwrap();
-        assert_eq!(rx.next(), Some(4));
-        drop(tx);
-        assert_eq!(
-            rx.next_timeout(Duration::from_millis(5)),
-            TryRecv::Disconnected
-        );
-        assert_eq!(rx.next(), None);
     }
 
     #[test]
