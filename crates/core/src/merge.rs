@@ -10,7 +10,10 @@
 //! sequence number, retry flag, frame kind and size whose timestamp falls
 //! within a small window (sniffer clocks are aligned here; the window covers
 //! capture-timestamp jitter). Control frames carry no sequence number, so
-//! they deduplicate on `(kind, dst, timestamp window)`.
+//! they deduplicate on `(kind, dst, timestamp window)`. Two sniffers whose
+//! clocks are offset by more than [`DEDUP_WINDOW_US`] capture one
+//! transmission twice: both copies are kept and the frame counts double. The
+//! merge neither aligns the clocks nor drops the lagging sniffer's records.
 //!
 //! Duplicates cluster: with three (or more) sniffers, captures of one
 //! transmission form a *chain* where consecutive members sit inside the
@@ -144,14 +147,12 @@ pub enum MergePoll {
 ///   an in-window duplicate), which resurrects a later true duplicate as a
 ///   false new frame. For well-formed (time-ordered) inputs the clamp is a
 ///   no-op, so batch equivalence with [`merge_traces`] is preserved.
-/// * **Skew-horizon advance.** `poll(Some(horizon))` lets the merge emit
-///   past a stream that has nothing buffered once the candidate record's
-///   timestamp exceeds that stream's high-water mark by more than `horizon`
-///   µs — a stalled or dead sniffer delays output by at most the horizon
-///   instead of wedging the merge. Records a skipped stream delivers late
-///   (below the emitted watermark) are dropped and counted per stream, so
+/// * **Deferral.** The caller may [`OnlineMerge::defer`] a stream that has
+///   stopped delivering, so that the merge goes on without it. Records the
+///   stream delivers after it rejoins that fall below the emitted watermark
+///   are dropped and counted per stream ([`OnlineMerge::late_dropped`]), so
 ///   output timestamps stay non-decreasing — the contract the per-second
-///   accumulator depends on. `poll(None)` never skips and never drops.
+///   accumulator depends on. A merge that never defers never drops.
 pub struct OnlineMerge {
     /// The not-yet-merged head record of each stream; `None` while waiting.
     heads: Vec<Option<FrameRecord>>,
@@ -236,13 +237,11 @@ impl OnlineMerge {
     }
 
     /// Temporarily excludes an open, empty stream from blocking the merge —
-    /// the caller's wall-clock stall policy for live sources (the trace-time
-    /// skew horizon cannot advance past a stream whose last record sits at
-    /// the merge frontier, because the candidate timestamp is pinned there
-    /// too). The stream rejoins automatically on its next
-    /// [`OnlineMerge::offer`]; records below the watermark by then are
-    /// dropped and counted as late. Returns whether the stream was deferred
-    /// (no-op unless it currently blocks the merge).
+    /// the caller's wall-clock stall policy for live sources. The stream
+    /// rejoins automatically on its next [`OnlineMerge::offer`]; records
+    /// below the watermark by then are dropped and counted as late. Returns
+    /// whether the stream was deferred (no-op unless it currently blocks the
+    /// merge).
     pub fn defer(&mut self, idx: usize) -> bool {
         if self.needs(idx) && !self.deferred[idx] {
             self.deferred[idx] = true;
@@ -258,33 +257,18 @@ impl OnlineMerge {
         self.deferred[idx]
     }
 
-    /// Pulls the next merged record. With `horizon: None` this blocks (via
-    /// [`MergePoll::Need`]) on every open stream; with `Some(h)` an open,
-    /// empty stream is skipped once the candidate record is more than `h` µs
-    /// past that stream's high-water mark.
-    pub fn poll(&mut self, horizon: Option<Micros>) -> MergePoll {
+    /// Pulls the next merged record, or names the open, non-deferred stream
+    /// the merge waits on ([`MergePoll::Need`]).
+    pub fn poll(&mut self) -> MergePoll {
         loop {
-            // The head scan runs once per record taken: in the needy check
-            // only when a horizon may skip, otherwise after it.
-            let mut next = None;
             if self.needy > 0 {
                 for idx in 0..self.heads.len() {
-                    if !self.needs(idx) || self.deferred[idx] {
-                        continue;
-                    }
-                    let Some(h) = horizon else {
-                        return MergePoll::Need(idx);
-                    };
-                    // Skip the stream once the candidate is past its horizon.
-                    let candidate = *next.get_or_insert_with(|| self.earliest_head());
-                    let within =
-                        |(ts, _): (Micros, usize)| ts <= self.stream_high[idx].saturating_add(h);
-                    if candidate.is_none_or(within) {
+                    if self.needs(idx) && !self.deferred[idx] {
                         return MergePoll::Need(idx);
                     }
                 }
             }
-            let Some((_, idx)) = next.unwrap_or_else(|| self.earliest_head()) else {
+            let Some((_, idx)) = self.earliest_head() else {
                 return MergePoll::Done;
             };
             let record = self.heads[idx].take().expect("earliest head exists");
@@ -293,9 +277,9 @@ impl OnlineMerge {
             if !self.ended[idx] {
                 self.needy += 1;
             }
-            // A stream skipped over by the horizon can deliver records below
-            // the emitted watermark; dropping them keeps output timestamps
-            // non-decreasing for the per-second accumulator.
+            // A stream that rejoins after a deferral can deliver records
+            // below the emitted watermark; dropping them keeps output
+            // timestamps non-decreasing for the per-second accumulator.
             let ts = record.timestamp_us;
             if ts < self.watermark {
                 self.late_dropped[idx] += 1;
@@ -351,7 +335,7 @@ impl OnlineMerge {
     }
 
     /// Records dropped per stream for arriving below the watermark after a
-    /// horizon skip, indexed by input order.
+    /// deferral, indexed by input order.
     pub fn late_dropped(&self) -> &[u64] {
         &self.late_dropped
     }
@@ -423,7 +407,7 @@ impl<I: Iterator<Item = FrameRecord>> Iterator for MergeStream<I> {
 
     fn next(&mut self) -> Option<FrameRecord> {
         loop {
-            match self.core.poll(None) {
+            match self.core.poll() {
                 MergePoll::Record(record) => return Some(record),
                 MergePoll::Need(idx) => match self.streams[idx].next() {
                     Some(record) => self.core.offer(idx, record),
@@ -804,36 +788,12 @@ mod tests {
     }
 
     #[test]
-    fn online_merge_blocks_without_horizon_and_skips_with_one() {
-        let mut m = OnlineMerge::new(2);
-        assert!(matches!(m.poll(None), MergePoll::Need(0)));
-        m.offer(0, rec(10_000, 1, 1));
-        // Stream 1 has nothing: no horizon → merge must wait on it.
-        assert!(matches!(m.poll(None), MergePoll::Need(1)));
-        // Candidate (10 000) is within the horizon of stream 1's high (0):
-        // still waiting.
-        assert!(matches!(m.poll(Some(50_000)), MergePoll::Need(1)));
-        // Past the horizon: the merge advances without stream 1.
-        assert_eq!(m.poll(Some(5_000)), MergePoll::Record(rec(10_000, 1, 1)));
-        assert_eq!(m.lag_us(1), 10_000);
-        // The skipped stream now delivers a record below the watermark: it
-        // is dropped (counted), not emitted out of order.
-        m.offer(1, rec(2_000, 2, 2));
-        m.end(0);
-        m.end(1);
-        assert_eq!(m.poll(Some(5_000)), MergePoll::Done);
-        assert_eq!(m.late_dropped(), &[0, 1]);
-        assert_eq!(m.received(), &[1, 1]);
-        assert_eq!(m.contributed(), &[1, 0]);
-    }
-
-    #[test]
     fn online_merge_end_with_buffered_head_still_merges_it() {
         let mut m = OnlineMerge::new(1);
         m.offer(0, rec(1000, 1, 1));
         m.end(0);
-        assert_eq!(m.poll(None), MergePoll::Record(rec(1000, 1, 1)));
-        assert_eq!(m.poll(None), MergePoll::Done);
+        assert_eq!(m.poll(), MergePoll::Record(rec(1000, 1, 1)));
+        assert_eq!(m.poll(), MergePoll::Done);
         assert_eq!(m.watermark(), 1000);
     }
 
@@ -842,14 +802,15 @@ mod tests {
         let mut m = OnlineMerge::new(2);
         m.offer(0, rec(1000, 1, 1));
         // Stream 1 has nothing and blocks the merge…
-        assert_eq!(m.poll(None), MergePoll::Need(1));
+        assert_eq!(m.poll(), MergePoll::Need(1));
         // …until the caller's stall policy defers it.
         assert!(m.defer(1));
         assert!(m.is_deferred(1));
-        assert_eq!(m.poll(None), MergePoll::Record(rec(1000, 1, 1)));
-        assert_eq!(m.poll(None), MergePoll::Need(0));
+        assert_eq!(m.poll(), MergePoll::Record(rec(1000, 1, 1)));
+        assert_eq!(m.poll(), MergePoll::Need(0));
         m.offer(0, rec(2000, 1, 2));
-        assert_eq!(m.poll(None), MergePoll::Record(rec(2000, 1, 2)));
+        assert_eq!(m.poll(), MergePoll::Record(rec(2000, 1, 2)));
+        assert_eq!(m.lag_us(1), 2000);
 
         // The stalled stream resumes: it rejoins on its next offer. Its
         // record from before the watermark is dropped and counted late; the
@@ -857,12 +818,13 @@ mod tests {
         m.offer(1, rec(500, 2, 1));
         assert!(!m.is_deferred(1));
         m.end(0);
-        assert_eq!(m.poll(None), MergePoll::Need(1));
+        assert_eq!(m.poll(), MergePoll::Need(1));
         m.offer(1, rec(3000, 2, 2));
-        assert_eq!(m.poll(None), MergePoll::Record(rec(3000, 2, 2)));
+        assert_eq!(m.poll(), MergePoll::Record(rec(3000, 2, 2)));
         m.end(1);
-        assert_eq!(m.poll(None), MergePoll::Done);
+        assert_eq!(m.poll(), MergePoll::Done);
         assert_eq!(m.late_dropped(), &[0, 1]);
+        assert_eq!(m.received(), &[2, 2]);
         assert_eq!(m.contributed(), &[2, 1]);
     }
 
@@ -875,13 +837,13 @@ mod tests {
         assert!(!m.defer(1), "an ended stream never defers");
         // All open streams deferred + nothing buffered reports Done, but a
         // deferred stream may still rejoin afterwards.
-        assert_eq!(m.poll(None), MergePoll::Record(rec(1000, 1, 1)));
+        assert_eq!(m.poll(), MergePoll::Record(rec(1000, 1, 1)));
         assert!(m.defer(0));
-        assert_eq!(m.poll(None), MergePoll::Done);
+        assert_eq!(m.poll(), MergePoll::Done);
         m.offer(0, rec(2000, 1, 2));
-        assert_eq!(m.poll(None), MergePoll::Record(rec(2000, 1, 2)));
+        assert_eq!(m.poll(), MergePoll::Record(rec(2000, 1, 2)));
         m.end(0);
-        assert_eq!(m.poll(None), MergePoll::Done);
+        assert_eq!(m.poll(), MergePoll::Done);
     }
 
     #[test]

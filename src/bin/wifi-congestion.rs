@@ -65,8 +65,8 @@ USAGE:
                                             per-sniffer captures of one
                                             channel and merged (streaming)
   wifi-congestion serve      <trace.pcap>... [--socket PATH] [--poll-ms N]
-                             [--skew-horizon-us N|none] [--stall-ms N|none]
-                             [--heartbeat-s N] [--max-duration-s N]
+                             [--stall-ms N|none] [--heartbeat-s N]
+                             [--max-duration-s N]
                                             resident service: tail live /
                                             rotating captures, merge online,
                                             classify congestion per second;
@@ -104,10 +104,11 @@ fn with_trace(
     f(&capture.records)
 }
 
-/// Prints each source's damage accounting and hard error on stderr (clean
-/// sources stay silent), then the merge's first-capture split.
+/// Prints each source's damage accounting, hard error and records the merge
+/// dropped on stderr (clean sources stay silent), then the merge's
+/// first-capture split.
 fn report_sources(paths: &[PathBuf], out: &StreamAnalysis) {
-    for (p, source) in paths.iter().zip(&out.sources) {
+    for ((p, source), &late) in paths.iter().zip(&out.sources).zip(&out.late_dropped) {
         if !source.report.is_clean() {
             eprintln!(
                 "note: {} had skips: {}",
@@ -117,6 +118,12 @@ fn report_sources(paths: &[PathBuf], out: &StreamAnalysis) {
         }
         if let Some(e) = &source.error {
             eprintln!("error: cannot read {}: {e} (source degraded)", p.display());
+        }
+        if late > 0 {
+            eprintln!(
+                "note: {} delivered {late} records after the merge had passed them (dropped)",
+                p.display()
+            );
         }
     }
     if paths.len() > 1 {
@@ -167,7 +174,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--socket" => cfg.socket = Some(PathBuf::from(value(arg)?)),
             "--poll-ms" => cfg.poll_ms = int(value(arg)?, arg)?,
-            "--skew-horizon-us" => cfg.skew_horizon_us = int_or_none(value(arg)?, arg)?,
             "--stall-ms" => cfg.stall_timeout_ms = int_or_none(value(arg)?, arg)?,
             "--heartbeat-s" => cfg.heartbeat_s = int(value(arg)?, arg)?,
             "--max-duration-s" => cfg.max_duration_s = Some(int(value(arg)?, arg)?),

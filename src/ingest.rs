@@ -17,12 +17,12 @@
 //! driver answers each [`MergePoll::Need`] from the needed source's channel.
 //!
 //! Batch analysis ([`analyze_capture_streams`]) is the pipeline over sources
-//! that end: no skew horizon, no stall timeout, and the driver blocks on
-//! the stream the merge needs. The resident service ([`crate::serve`]) runs
-//! the same pipeline under a live policy: the driver waits at most one
-//! poll interval, defers a source that stays quiet past the stall timeout
-//! (by a [`Clock`] the caller supplies), and hands every step to an
-//! observer that publishes status.
+//! that end: no stall timeout, and the driver blocks on the stream the
+//! merge needs. The resident service ([`crate::serve`]) runs the same
+//! pipeline under a live policy: the driver waits at most one poll
+//! interval, defers a source that stays quiet past the stall timeout (by a
+//! [`Clock`] the caller supplies), and hands every step to an observer that
+//! publishes status.
 //!
 //! Deadlock freedom: every source has its own thread, so every producer
 //! makes progress independently, and the merge always drains the stream
@@ -150,6 +150,10 @@ pub struct StreamAnalysis {
     pub merged_records: u64,
     /// Records each sniffer was the first to capture, in input order.
     pub contributed: Vec<u64>,
+    /// Records each sniffer delivered after the merge had moved past them,
+    /// which the merge dropped, in input order. Only a source the live
+    /// policy deferred can have any; a batch run's are all zero.
+    pub late_dropped: Vec<u64>,
 }
 
 impl StreamAnalysis {
@@ -275,9 +279,6 @@ fn decode_source(
 /// How the merge driver treats sources that can go quiet without ending —
 /// the resident service's half of the pipeline.
 pub(crate) struct Live<'a> {
-    /// Skew horizon in trace µs (see [`OnlineMerge::poll`]); `None` never
-    /// skips a source.
-    pub horizon: Option<u64>,
     /// A source the merge waits on that delivers nothing for this long, by
     /// `clock`, is deferred ([`OnlineMerge::defer`]). `None` never defers.
     pub stall: Option<Duration>,
@@ -337,6 +338,7 @@ pub(crate) fn run_pipeline(sources: Vec<Source>, live: Option<Live<'_>>) -> Stre
             sources,
             merged_records,
             contributed: merge.contributed().to_vec(),
+            late_dropped: merge.late_dropped().to_vec(),
         }
     })
 }
@@ -354,11 +356,10 @@ fn drive(
     let mut acc = SecondAccumulator::new();
     let mut merged = 0u64;
     let mut open = n;
-    let horizon = live.as_ref().and_then(|l| l.horizon);
     // When each source last delivered, by the live clock.
     let mut heard = vec![live.as_ref().map_or(Duration::ZERO, |l| l.clock.now()); n];
     loop {
-        let idx = match merge.poll(horizon) {
+        let idx = match merge.poll() {
             MergePoll::Record(r) => {
                 merged += 1;
                 acc.push(r);
@@ -389,9 +390,7 @@ fn drive(
         if !idle {
             heard[idx] = now;
         } else {
-            // A source quiet past the stall timeout stops blocking the
-            // merge (trace-time horizons cannot unwedge a source stalled at
-            // the merge frontier).
+            // A source quiet past the stall timeout stops blocking the merge.
             if live
                 .stall
                 .is_some_and(|t| now.saturating_sub(heard[idx]) >= t)

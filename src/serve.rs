@@ -29,10 +29,11 @@
 //!   batch ingestion (the decode decisions on a growing file are *monotone*:
 //!   the service's final output is byte-identical to a batch run over the
 //!   final bytes);
-//! * a stalled source holds the merge back by at most the skew horizon or
-//!   the stall timeout, after which the merge advances without it (it shows
-//!   as `lagging` in the status; records it delivers late are dropped and
-//!   counted);
+//! * a stalled source holds the merge back by at most the stall timeout,
+//!   after which the merge advances without it (it shows as `lagging` in
+//!   the status; records it delivers after the merge has moved past them
+//!   are dropped and counted, in the status and in the final report). A
+//!   source that never stalls loses nothing, whatever its clock offset;
 //! * a hard failure (unreadable file, wrong link type, decoder panic) marks
 //!   that source `failed` with its error in the status, and the remaining
 //!   sources keep the service running.
@@ -65,10 +66,6 @@ pub struct ServeConfig {
     pub socket: Option<PathBuf>,
     /// Poll interval for source growth and merge idling, milliseconds.
     pub poll_ms: u64,
-    /// Skew horizon in trace µs: the merge advances past a source whose
-    /// newest record is this far behind the merge candidate. `None` never
-    /// skips (a stalled source then holds the merge until it ends).
-    pub skew_horizon_us: Option<u64>,
     /// Wall-clock stall timeout: a source that delivers nothing for this
     /// long while the merge waits on it is deferred (the merge advances
     /// without it; it rejoins on its next record, older-than-watermark
@@ -83,14 +80,13 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: 50 ms poll, 2 s skew horizon, 1 s stall timeout, 10 s
-    /// heartbeat, no socket, no deadline.
+    /// Defaults: 50 ms poll, 1 s stall timeout, 10 s heartbeat, no socket,
+    /// no deadline.
     pub fn new(paths: Vec<PathBuf>) -> ServeConfig {
         ServeConfig {
             paths,
             socket: None,
             poll_ms: 50,
-            skew_horizon_us: Some(2_000_000),
             stall_timeout_ms: Some(1_000),
             heartbeat_s: 10,
             max_duration_s: None,
@@ -219,7 +215,6 @@ fn render_status(
     rotations: &[AtomicU64],
     view: &PipelineView<'_>,
     uptime: Duration,
-    horizon: Option<u64>,
 ) -> String {
     use std::fmt::Write;
     let merge = view.merge;
@@ -259,11 +254,8 @@ fn render_status(
             error,
         } = lock(progress).clone();
         let lag = merge.lag_us(idx);
-        // A live source the merge has moved on from — deferred by the stall
-        // policy, or more than one horizon behind the frontier — surfaces
-        // as `lagging`.
-        let lagging = state == SourceState::Live
-            && (merge.is_deferred(idx) || horizon.is_some_and(|h| lag > h));
+        // A live source the stall policy deferred surfaces as `lagging`.
+        let lagging = state == SourceState::Live && merge.is_deferred(idx);
         let state_name = if lagging { "lagging" } else { state.name() };
         let _ = write!(
             out,
@@ -433,13 +425,7 @@ fn serve(
                     .extend_from_slice(&view.seconds[published_seconds..finalized]);
                 published_seconds = finalized;
             }
-            *lock(&shared.status_json) = render_status(
-                &cfg.paths,
-                &shared.rotations,
-                view,
-                uptime,
-                cfg.skew_horizon_us,
-            );
+            *lock(&shared.status_json) = render_status(&cfg.paths, &shared.rotations, view, uptime);
         }
         if cfg.heartbeat_s > 0 && view.now >= next_heartbeat {
             next_heartbeat = view.now + heartbeat;
@@ -454,7 +440,6 @@ fn serve(
         }
     };
     let live = Live {
-        horizon: cfg.skew_horizon_us,
         stall: cfg.stall_timeout_ms.map(Duration::from_millis),
         poll: Duration::from_millis(cfg.poll_ms.max(1)),
         clock,
@@ -593,7 +578,6 @@ mod tests {
             &Shared::new(1).rotations,
             &view,
             Duration::from_secs(3),
-            Some(2_000_000),
         );
         assert!(status.contains("\"sources\":["));
         assert!(status.contains("\\\"quoted\\\""));

@@ -87,6 +87,13 @@ fn helpful_errors() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
+    // A removed flag.
+    let out = bin()
+        .args(["serve", "x.pcap", "--skew-horizon-us", "5"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
     // Help exits zero.
     let out = bin().arg("help").output().unwrap();
     assert!(out.status.success());

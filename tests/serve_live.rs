@@ -142,20 +142,24 @@ impl Read for Scripted {
     }
 }
 
-/// A capture that delivers its bytes, then stalls (`WouldBlock`) until
-/// released, then ends.
+/// A capture that delivers its first `stall_at` bytes, then stalls
+/// (`WouldBlock`) until released, then delivers the rest and ends.
 struct Stalling {
     bytes: Cursor<Vec<u8>>,
+    stall_at: u64,
     release: Arc<AtomicBool>,
 }
 
 impl Read for Stalling {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.bytes.read(buf)?;
-        if n > 0 || self.release.load(Ordering::Acquire) {
-            Ok(n)
-        } else {
+        let room = self.stall_at.saturating_sub(self.bytes.position());
+        if self.release.load(Ordering::Acquire) {
+            self.bytes.read(buf)
+        } else if room == 0 {
             Err(std::io::ErrorKind::WouldBlock.into())
+        } else {
+            let n = buf.len().min(room as usize);
+            self.bytes.read(&mut buf[..n])
         }
     }
 }
@@ -179,13 +183,13 @@ impl Read for Panicking {
     }
 }
 
-/// Service settings for in-process runs: no horizon, no stall timeout, no
-/// heartbeat, a 1 ms poll; `n` sources labelled `src<i>`.
+/// Service settings for in-process runs: the production liveness policy
+/// (`ServeConfig::new`'s stall timeout), no heartbeat, a 1 ms poll; `n`
+/// sources labelled `src<i>`. Under a `ManualClock` left at zero the stall
+/// timeout never expires, so no source is deferred.
 fn test_config(n: usize) -> ServeConfig {
     let mut cfg = ServeConfig::new((0..n).map(|i| PathBuf::from(format!("src{i}"))).collect());
     cfg.poll_ms = 1;
-    cfg.skew_horizon_us = None;
-    cfg.stall_timeout_ms = None;
     cfg.heartbeat_s = 0;
     cfg
 }
@@ -327,16 +331,21 @@ fn status_until(sock: &Path, what: &str, done: impl Fn(&str) -> bool) -> String 
 fn serve_skips_past_a_stalled_source_and_marks_it_lagging() {
     let dir = temp_dir("stalled");
     let views = sniffer_views(3000);
-    // Source 2 delivers only its first ~10% of records, then stalls.
-    let prefix = &views[2][..views[2].len() / 10];
+    // Source 2 delivers its first ~10% of records, stalls, and once
+    // released delivers the rest, long after the merge has passed them.
+    let prefix = views[2].len() / 10;
+    let stall_at = capture_bytes(&dir, "prefix", &views[2][..prefix]).len() as u64;
     let images = [
         capture_bytes(&dir, "s0", &views[0]),
         capture_bytes(&dir, "s1", &views[1]),
-        capture_bytes(&dir, "s2", prefix),
+        capture_bytes(&dir, "s2", &views[2]),
     ];
-    let merged = merge_traces(&[&views[0], &views[1], prefix]);
-    // Without a horizon the merge wedges right after source 2's last record.
-    let stalled_at = prefix.last().unwrap().timestamp_us;
+    // Sources 0 and 1 together capture every record first, so source 2's
+    // late records change no merged output.
+    let merged = merge_traces(&[&views[0], &views[1], &views[2][..prefix]]);
+    assert_eq!(merged, merge_traces(&[&views[0], &views[1], &views[2]]));
+    // The merge wedges right after source 2's last record before the stall.
+    let stalled_at = views[2][prefix - 1].timestamp_us;
     let wedge = merged
         .iter()
         .filter(|r| r.timestamp_us <= stalled_at)
@@ -349,6 +358,7 @@ fn serve_skips_past_a_stalled_source_and_marks_it_lagging() {
         Source::Reader(Box::new(Cursor::new(images[1].clone()))),
         Source::Reader(Box::new(Stalling {
             bytes: Cursor::new(images[2].clone()),
+            stall_at,
             release: Arc::clone(&release),
         })),
     ];
@@ -393,6 +403,57 @@ fn serve_skips_past_a_stalled_source_and_marks_it_lagging() {
     let refs: Vec<&[u8]> = images.iter().map(|b| b.as_slice()).collect();
     let batch = analyze_capture_streams(&write_files(&dir, "final", &refs)).unwrap();
     assert_same_analysis(&served, &batch, "stalled");
+    // Every record source 2 delivered after its stall sits below the merge
+    // watermark, except its copy of the last record (20 µs past source 1's):
+    // the merge dropped them, and the final report says so.
+    let late = (views[2].len() - prefix - 1) as u64;
+    assert!(late > 0);
+    assert_eq!(served.late_dropped, vec![0, 0, late]);
+    assert_eq!(batch.late_dropped, vec![0, 0, 0]);
+}
+
+#[test]
+fn serve_defaults_keep_every_record_of_sources_that_never_stall() {
+    // Two complete sniffers, distinct transmitters, one record every 10 ms.
+    // (a) Both go quiet after 9.99 s, then send once more: A at 12.3 s, B
+    // at 12.2 s. (b) B's clock runs 3 s behind A's. Neither source ever
+    // stalls, so the production policy must merge what batch merges.
+    let dir = temp_dir("defaults");
+    let every_10ms = |src: u32, offset: u64| -> Vec<FrameRecord> {
+        (0..1000u64)
+            .map(|i| rec(offset + i * 10_000, src, i as u16))
+            .collect()
+    };
+    let mut gap_a = every_10ms(1, 0);
+    gap_a.push(rec(12_300_000, 1, 1000));
+    let mut gap_b = every_10ms(2, 0);
+    gap_b.push(rec(12_200_000, 2, 1000));
+    let cases = [
+        ("shared gap", [gap_a, gap_b], 2002),
+        (
+            "3 s clock offset",
+            [every_10ms(1, 3_000_000), every_10ms(2, 0)],
+            2000,
+        ),
+    ];
+    for (case, views, distinct) in cases {
+        let images: Vec<Vec<u8>> = views
+            .iter()
+            .enumerate()
+            .map(|(i, v)| capture_bytes(&dir, &i.to_string(), v))
+            .collect();
+        let sources = images
+            .iter()
+            .map(|bytes| Source::Reader(Box::new(Cursor::new(bytes.clone()))))
+            .collect();
+        let served = serve_sources(&test_config(2), sources, &ManualClock::default()).unwrap();
+        let refs: Vec<&[u8]> = images.iter().map(|b| b.as_slice()).collect();
+        let batch = analyze_capture_streams(&write_files(&dir, "final", &refs)).unwrap();
+        assert_eq!(batch.merged_records, distinct, "{case}");
+        assert_eq!(served.merged_records, distinct, "{case}");
+        assert_same_analysis(&served, &batch, case);
+        assert_eq!(served.late_dropped, vec![0, 0], "{case}");
+    }
 }
 
 #[test]
@@ -478,8 +539,8 @@ fn serve_cli_socket_protocol_and_rotation() {
         .args(&live)
         .arg("--socket")
         .arg(&sock)
-        .args(["--poll-ms", "10", "--skew-horizon-us", "none"])
-        .args(["--stall-ms", "none", "--heartbeat-s", "0"])
+        .args(["--poll-ms", "10", "--stall-ms", "none"])
+        .args(["--heartbeat-s", "0"])
         .args(["--max-duration-s", "60"])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
