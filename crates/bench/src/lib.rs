@@ -1,43 +1,26 @@
 //! # congestion-bench
 //!
-//! The figure-regeneration harness: one binary per table/figure of the
-//! paper, plus ablation studies, all built on a shared dataset pipeline.
+//! The figure-regeneration harness. The `figures` binary renders every
+//! table, figure and ablation of the paper ([`figures::ARTIFACTS`]):
+//! `figures <artifact>` prints one, `figures all` writes each to
+//! `results/<artifact>.txt`, and `figures --help` lists them. The shared
+//! datasets are built at most once per invocation ([`figures::Datasets`]),
+//! on the sweep engine ([`sweep`]). Set `CONG_QUICK=1` to shrink runs for
+//! smoke-testing.
 //!
-//! Run any target with
-//! `cargo run -p congestion-bench --release --bin <target>`:
-//!
-//! | target | reproduces |
-//! |---|---|
-//! | `table1` | Table 1 — the two data sets |
-//! | `table2` | Table 2 — delay components |
-//! | `fig4` | Fig 4(a) per-AP frames, 4(b) users, 4(c) unrecorded % |
-//! | `fig5` | Fig 5(a,b) utilization time series, 5(c) histogram |
-//! | `fig6` | Fig 6 — throughput & goodput vs utilization |
-//! | `fig7` | Fig 7 — RTS/CTS frames per second vs utilization |
-//! | `fig8_9` | Figs 8–9 — per-rate busy time and bytes vs utilization |
-//! | `fig10_13` | Figs 10–13 — frame counts by size × rate vs utilization |
-//! | `fig14` | Fig 14 — first-attempt acknowledgments vs utilization |
-//! | `fig15` | Fig 15 — acceptance delay vs utilization |
-//! | `ablation_rate` | A1 — rate-adaptation algorithms under congestion |
-//! | `ablation_rtscts` | A2 — RTS/CTS adoption and fairness |
-//! | `ablation_knee` | A3 — knee stability across workloads/seeds |
-//! | `ablation_unrecorded` | A4 — estimator accuracy vs ground truth |
-//! | `ablation_beacon` | A5 — beacon-reliability metric vs busy-time |
-//! | `chaos_smoke` | fuzz smoke — seeded corrupted captures through the lossy ingesters (`--budget N`) |
-//!
-//! Set `CONG_QUICK=1` to shrink runs for smoke-testing. Every target also
-//! accepts `--threads N` (sweep parallelism) and `--seeds N` (seeds per
-//! configuration) — see [`sweep::SweepArgs`] — and writes a run report to
-//! `results/<target>.run.json`.
+//! Two more binaries are not paper artifacts: `chaos_smoke` pushes seeded
+//! corrupted captures through the lossy ingesters (`--budget N`), and
+//! `bench_baseline` runs the pinned performance scenarios.
 
 #![warn(missing_docs)]
 
+pub mod figures;
 pub mod streaming;
 pub mod sweep;
 
+use congestion::analyze;
 use congestion::persec::SecondStats;
-use congestion::{analyze, UtilizationBins};
-use ietf_workloads::{ietf_day, ietf_plenary, load_ramp, ScenarioResult, SessionScale};
+use ietf_workloads::{ietf_day, ietf_plenary, load_ramp, SessionScale};
 pub use sweep::{run_cells, Cell, SweepArgs};
 use wifi_sim::runner::RunReport;
 
@@ -56,24 +39,22 @@ pub fn scaled(full: u64, quick_value: u64) -> u64 {
     }
 }
 
+/// `scale`, shrunk to 40 users over 20 s in quick mode.
+fn quick_session(mut scale: SessionScale) -> SessionScale {
+    if quick() {
+        (scale.users, scale.duration_s) = (40, 20);
+    }
+    scale
+}
+
 /// The day-session scale at the requested seed, shrunk in quick mode.
 pub fn day_scale(seed: u64) -> SessionScale {
-    let mut day = SessionScale::day_default(seed);
-    if quick() {
-        day.users = 40;
-        day.duration_s = 20;
-    }
-    day
+    quick_session(SessionScale::day_default(seed))
 }
 
 /// The plenary-session scale at the requested seed, shrunk in quick mode.
 pub fn plenary_scale(seed: u64) -> SessionScale {
-    let mut plenary = SessionScale::plenary_default(seed);
-    if quick() {
-        plenary.users = 40;
-        plenary.duration_s = 20;
-    }
-    plenary
+    quick_session(SessionScale::plenary_default(seed))
 }
 
 /// Base seed of the day session (plenary uses the next base).
@@ -123,55 +104,6 @@ pub fn figure_dataset(name: &str, args: &SweepArgs) -> (Vec<SecondStats>, RunRep
     (seconds, report)
 }
 
-/// Runs the two sessions across `args.seeds` seeds each and returns
-/// `(day runs, plenary runs, report)` — the Figure 4 / 5 inputs. The first
-/// element of each vector is the canonical seed
-/// ([`DAY_SEED`] / [`PLENARY_SEED`]); further seeds feed the cross-seed
-/// mean ± CI summaries.
-pub fn session_results(
-    name: &str,
-    args: &SweepArgs,
-) -> (Vec<ScenarioResult>, Vec<ScenarioResult>, RunReport) {
-    let mut cells = Vec::new();
-    for seed in args.seed_list(DAY_SEED) {
-        cells.push(Cell::new(format!("day seed={seed}"), seed, move || {
-            ietf_day(day_scale(seed))
-        }));
-    }
-    for seed in args.seed_list(PLENARY_SEED) {
-        cells.push(Cell::new(format!("plenary seed={seed}"), seed, move || {
-            ietf_plenary(plenary_scale(seed))
-        }));
-    }
-    let (mut results, report) = run_cells(name, args, cells);
-    let plenary = results.split_off(args.seeds);
-    (results, plenary, report)
-}
-
-/// Builds utilization bins over a pooled dataset.
-pub fn bins_of(seconds: &[SecondStats]) -> UtilizationBins {
-    UtilizationBins::build(seconds)
-}
-
-/// Prints a table header followed by rows, aligning on tabs for easy
-/// copy-paste into plotting tools.
-pub fn print_series(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    println!("{}", header.join("\t"));
-    for row in rows {
-        println!("{}", row.join("\t"));
-    }
-}
-
-/// The utilization bins the paper's figures plot (30–99 %), restricted to
-/// bins with enough seconds to average meaningfully.
-pub fn occupied_bins(bins: &UtilizationBins) -> Vec<usize> {
-    bins.occupied()
-        .filter(|&(u, b)| (30..=99).contains(&u) && b.seconds >= 2)
-        .map(|(u, _)| u)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,10 +113,5 @@ mod tests {
         // Not set in the test environment unless the harness set it.
         let _ = quick();
         assert_eq!(scaled(100, 5), if quick() { 5 } else { 100 });
-    }
-
-    #[test]
-    fn print_series_smoke() {
-        print_series("test", &["a", "b"], &[vec!["1".into(), "2".into()]]);
     }
 }

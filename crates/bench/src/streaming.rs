@@ -173,7 +173,7 @@ pub fn run_streaming_mobile(
 }
 
 /// [`run_streaming`] under its former name. Kept only because the frozen
-/// `perfbench/` calls it by name; ROADMAP item 3's benchmark PR moves
+/// `perfbench/` calls it by name; ROADMAP item 6's benchmark PR moves
 /// `perfbench/` to [`run_streaming`] and deletes this forward.
 pub fn run_streaming_pipelined(scenario: Scenario, chunk_us: Micros) -> StreamedRun {
     run_streaming(scenario, chunk_us)

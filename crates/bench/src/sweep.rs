@@ -1,10 +1,9 @@
-//! The shared sweep engine behind every figure and ablation binary.
+//! The shared sweep engine behind every figure and ablation.
 //!
 //! A figure is a sweep of independent `(scenario, seed, load-point)` cells.
-//! This module owns the three things the per-binary code used to hand-roll:
+//! This module owns the three things every sweep needs:
 //!
-//! 1. **CLI** — [`SweepArgs`] gives every bench binary the same
-//!    `--threads N` / `--seeds N` surface;
+//! 1. **CLI** — [`SweepArgs`] is the `--threads N` / `--seeds N` surface;
 //! 2. **execution** — [`run_cells`] fans [`Cell`]s across a thread pool via
 //!    [`wifi_sim::runner::run_parallel`], with per-cell wall-clock timing.
 //!    Each cell builds its own seeded simulator, so results are
@@ -18,48 +17,19 @@
 use ietf_workloads::{Scenario, ScenarioResult};
 use wifi_sim::runner::{run_parallel, timed, CellReport, RunReport};
 
-/// The sweep options every bench binary accepts.
+/// The sweep options: worker threads and seeds per configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepArgs {
     /// Worker threads for the cell pool (default: available parallelism).
     pub threads: usize,
-    /// Seeds per swept configuration (default: per-binary).
+    /// Seeds per swept configuration (default: per artifact).
     pub seeds: usize,
 }
 
 impl SweepArgs {
-    /// Parses `--threads N` / `--seeds N` (also `--threads=N` forms) from
-    /// the process arguments. `--help` prints usage and exits; an unknown
-    /// argument is a usage error (exit code 2) so typos never silently run
-    /// the default sweep.
-    pub fn parse(default_seeds: usize) -> SweepArgs {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        match Self::from_args(&argv, default_seeds) {
-            Ok(args) => args,
-            Err(Usage::Help) => {
-                println!(
-                    "usage: [--threads N] [--seeds N]\n\
-                     \n\
-                     --threads N  worker threads for the scenario sweep\n\
-                     \x20            (default: all cores; results are identical\n\
-                     \x20            for every N)\n\
-                     --seeds N    seeds per swept configuration (default {default_seeds});\n\
-                     \x20            more seeds tighten the ±95% CI columns\n\
-                     \n\
-                     Set CONG_QUICK=1 to shrink scenario scale for smoke runs.\n\
-                     A run report (per-cell wall-clock, events processed,\n\
-                     events/s) is written to results/<name>.run.json."
-                );
-                std::process::exit(0);
-            }
-            Err(Usage::Error(msg)) => {
-                eprintln!("error: {msg} (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// [`SweepArgs::parse`] without the process exit, for tests.
+    /// Parses `--threads N` / `--seeds N` (also `--threads=N` forms).
+    /// `--help` and an unknown argument come back as [`Usage`], so typos
+    /// never silently run the default sweep.
     pub fn from_args(argv: &[String], default_seeds: usize) -> Result<SweepArgs, Usage> {
         let mut args = SweepArgs {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
