@@ -8,9 +8,10 @@
 //! on the sweep engine ([`sweep`]). Set `CONG_QUICK=1` to shrink runs for
 //! smoke-testing.
 //!
-//! Two more binaries are not paper artifacts: `chaos_smoke` pushes seeded
-//! corrupted captures through the lossy ingesters (`--budget N`), and
-//! `bench_baseline` runs the pinned performance scenarios.
+//! One more binary is not a paper artifact: `chaos_smoke` pushes seeded
+//! corrupted captures through the lossy ingesters (`--budget N`).
+//! Performance is measured by the repository benchmark in `perfbench/`,
+//! which drives [`streaming`]'s entry points.
 
 #![warn(missing_docs)]
 

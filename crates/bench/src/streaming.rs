@@ -142,11 +142,9 @@ pub fn run_streaming(mut scenario: Scenario, chunk_us: Micros) -> StreamedRun {
 }
 
 /// Mobility counters of a finished [`run_streaming_mobile`] run, reported
-/// alongside the [`StreamedRun`] for the churn trajectory entries.
+/// alongside the [`StreamedRun`].
 #[derive(Clone, Copy, Debug)]
 pub struct MobilityStats {
-    /// Walkers registered with the waypoint model.
-    pub walkers: usize,
     /// Positions applied via `Simulator::move_station`.
     pub moves: u64,
     /// Roams triggered via `Simulator::reassociate_strongest`.
@@ -165,7 +163,6 @@ pub fn run_streaming_mobile(
     let duration_us = scenario.duration_us;
     analysis.stream(&mut scenario, duration_us, chunk_us);
     let stats = MobilityStats {
-        walkers: scenario.mobility.walker_count(),
         moves: scenario.mobility.moves,
         roams: scenario.mobility.roams,
     };

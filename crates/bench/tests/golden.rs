@@ -18,6 +18,11 @@
 //!   as the last two lines of the file: one ticks on the fade coherence
 //!   interval, the other between its boundaries.
 //!
+//! The two load-ramp fingerprints are plain numbers instead: the seed-11
+//! `ramp-quick` and `ramp-320` runs must keep their event, frame and
+//! analyzed-second counts, the ones their entries in `BENCH_sim_quick.json`
+//! and `BENCH_sim.json` record. perfbench fingerprints the other pins.
+//!
 //! Regenerate with `GOLDEN_BLESS=1 cargo test -p congestion-bench --test
 //! golden` — but only when a change is *supposed* to alter simulated output;
 //! a perf PR that needs a re-bless is a broken perf PR.
@@ -449,5 +454,24 @@ fn serial_streaming_matches_batch_on_golden_cells() {
                 cell.label
             );
         }
+    }
+}
+
+/// The seed-11 load ramps at their pinned scales keep their fingerprints:
+/// `ramp-quick` (48 users, 60 s) and `ramp-320` (320 users, 30 s) through
+/// the serial streaming loop.
+#[test]
+fn ramp_pins_keep_their_fingerprints() {
+    for (label, users, duration_s, events, frames_on_air) in [
+        ("ramp-quick", 48, 60, 128_212, 26_672),
+        ("ramp-320", 320, 30, 368_125, 40_862),
+    ] {
+        let run = run_streaming(load_ramp(11, users, duration_s, 1.7), 1_000_000);
+        let seconds: usize = run.per_sniffer_seconds.iter().map(Vec::len).sum();
+        assert_eq!(
+            (run.events_processed, run.frames_on_air, seconds),
+            (events, frames_on_air, duration_s as usize),
+            "{label}: (events, frames_on_air, analyzed seconds) drifted"
+        );
     }
 }

@@ -19,7 +19,7 @@
 //! * [`MobileScenario`] owns the tick schedule
 //!   ([`MobileScenario::run_until`]): simulate to the next tick, move the
 //!   walkers, repeat — and [`mobile_venue`] instantiates the pinned churn workload
-//!   (`BENCH_sim_churn.json`).
+//!   (perfbench's `churn`).
 //!
 //! Determinism: one seeded [`SmallRng`] drives every walker, advanced in
 //! ascending node order each tick, and all moves of a tick are applied
@@ -209,7 +209,7 @@ pub struct ChurnScale {
 }
 
 impl ChurnScale {
-    /// The pinned churn scale (`BENCH_sim_churn.json`): a venue floor's
+    /// The pinned churn scale (perfbench's `churn` workload): a venue floor's
     /// worth of users, a third of them wandering between rooms for the
     /// whole session.
     pub fn venue_default(seed: u64) -> ChurnScale {

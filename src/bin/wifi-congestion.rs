@@ -82,24 +82,47 @@ USAGE:
     );
 }
 
-/// Reads one capture the way `analyze` does: lossily, noting any skips on
-/// stderr and failing only on a hard error; then runs `f` over its records.
+/// The capture paths among a subcommand's arguments: at least one, and no
+/// `--` flag.
+fn capture_paths(args: &[String]) -> Result<Vec<PathBuf>, String> {
+    let mut paths: Vec<PathBuf> = Vec::new();
+    for a in args {
+        match a.as_str() {
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            p => paths.push(PathBuf::from(p)),
+        }
+    }
+    if paths.is_empty() {
+        return Err("missing <trace.pcap> argument".to_string());
+    }
+    Ok(paths)
+}
+
+/// Reads the one capture that the subcommand `args[0]` names the way
+/// `analyze` does: lossily, noting any skips on stderr and failing only on
+/// a hard error; then runs `f` over its records.
 fn with_trace(
     args: &[String],
     f: fn(&[wifi_frames::FrameRecord]) -> Result<(), String>,
 ) -> Result<(), String> {
-    let path = args
-        .get(1)
-        .ok_or_else(|| "missing <trace.pcap> argument".to_string())?;
+    let paths = capture_paths(&args[1..])?;
+    let [path] = &paths[..] else {
+        return Err(format!(
+            "`{}` reads one capture, got {} (`analyze` merges several)",
+            args[0],
+            paths.len()
+        ));
+    };
+    let shown = path.display();
     let capture = std::fs::File::open(path)
         .map_err(|e| CaptureError::Pcap(e.into()))
         .and_then(read_capture)
-        .map_err(|e| format!("cannot read {path}: {e}"))?;
+        .map_err(|e| format!("cannot read {shown}: {e}"))?;
     if !capture.report.is_clean() {
-        eprintln!("note: {path} had skips: {}", capture.report.to_json());
+        eprintln!("note: {shown} had skips: {}", capture.report.to_json());
     }
     if capture.records.is_empty() {
-        return Err(format!("{path} contains no parseable 802.11 records"));
+        return Err(format!("{shown} contains no parseable 802.11 records"));
     }
     f(&capture.records)
 }
@@ -135,16 +158,7 @@ fn report_sources(paths: &[PathBuf], out: &StreamAnalysis) {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    for a in args {
-        match a.as_str() {
-            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            p => paths.push(PathBuf::from(p)),
-        }
-    }
-    if paths.is_empty() {
-        return Err("missing <trace.pcap> argument".to_string());
-    }
+    let paths = capture_paths(args)?;
     let out =
         analyze_capture_streams(&paths).map_err(|e| format!("cannot read {:?}: {e}", paths))?;
     report_sources(&paths, &out);

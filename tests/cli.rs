@@ -94,6 +94,23 @@ fn helpful_errors() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    // The single-capture subcommands reject a flag and a second path
+    // before reading anything.
+    for cmd in ["histogram", "unrecorded", "aps"] {
+        let out = bin()
+            .args([cmd, "a.pcap", "--frobnicate", "/nonexistent.pcap"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{cmd} accepted a flag");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--frobnicate`"));
+        let out = bin()
+            .args([cmd, "a.pcap", "/nonexistent.pcap"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{cmd} accepted two captures");
+        assert!(String::from_utf8_lossy(&out.stderr)
+            .contains(&format!("`{cmd}` reads one capture, got 2")));
+    }
     // Help exits zero.
     let out = bin().arg("help").output().unwrap();
     assert!(out.status.success());
