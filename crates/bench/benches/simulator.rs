@@ -1,9 +1,11 @@
 //! Criterion benchmarks of the DCF simulator: events per wall-second for a
-//! saturated single cell, for a dense cell of mostly idle listeners, and for
-//! an IETF-style multi-AP channel.
+//! saturated single cell, for a dense cell of mostly idle listeners, for
+//! an IETF-style multi-AP channel, and for a three-channel plenary run as
+//! one event loop and as its three RF-isolation components.
 
+use congestion_bench::PLENARY_SEED;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ietf_workloads::load_ramp;
+use ietf_workloads::{ietf_plenary, load_ramp, Scenario, SessionScale};
 use wifi_frames::phy::Rate;
 use wifi_sim::geometry::Pos;
 use wifi_sim::rate::RateAdaptation;
@@ -125,10 +127,39 @@ fn bench_dense_cell(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_plenary_components(c: &mut Criterion) {
+    // The `CONG_QUICK` plenary session (40 users, 20 s): one coupled cell
+    // per channel. `whole` runs the built simulator as one event loop;
+    // `components` is `Scenario::run`, which drops it and runs the three
+    // channels one after another. Same events and output; the second
+    // row's event loops each hold one channel's working set.
+    let scale = SessionScale {
+        users: 40,
+        duration_s: 20,
+        ..SessionScale::plenary_default(PLENARY_SEED)
+    };
+    let mut g = c.benchmark_group("plenary");
+    g.sample_size(10);
+    g.bench_function("quick_plenary_whole", |b| {
+        b.iter(|| {
+            let whole = Scenario {
+                spec: None,
+                ..ietf_plenary(scale)
+            };
+            black_box(whole.run().events_processed)
+        })
+    });
+    g.bench_function("quick_plenary_components", |b| {
+        b.iter(|| black_box(ietf_plenary(scale).run().events_processed))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_saturated_second,
     bench_ietf_ramp_10s,
-    bench_dense_cell
+    bench_dense_cell,
+    bench_plenary_components
 );
 criterion_main!(benches);

@@ -9,23 +9,33 @@
 //! [`SecondAccumulator`] on the calling thread. Peak memory is
 //! O(chunk + seconds), however long the run.
 //!
-//! - [`run_streaming`]: the loop advances a [`Scenario`]'s simulator.
+//! - [`run_streaming`]: a [`Scenario`] runs as [`Scenario::plan`] says.
+//!   A plan of two or more RF-isolation components (the day and plenary
+//!   sessions: one per channel) streams them one after another on the
+//!   calling thread, each simulator built, run and dropped before the
+//!   next; otherwise the loop advances the scenario's whole simulator.
+//!   The three channels never interact, so this is the same output with a
+//!   smaller working set per event loop: on the 523-user plenary each
+//!   handler call costs a fifth to a third fewer cycles (see
+//!   `docs/ARCHITECTURE.md` §6).
 //! - [`run_streaming_mobile`]: the loop advances a [`MobileScenario`],
 //!   whose own tick schedule ([`MobileScenario::run_until`]) moves the
-//!   walkers between continuations.
+//!   walkers between continuations. Walkers can change the coupling cut,
+//!   so a mobile scenario always runs whole.
 //! - [`run_sharded`]: intra-scenario parallelism. The scenario runs
 //!   unsharded when [`wifi_sim::shard::ShardSpec::partition`] declines,
-//!   and otherwise as RF-isolation component shards, each streamed by
-//!   `run_streaming`'s loop on a worker. Every shard's result merges, by
-//!   global sniffer index and by sums, into a run byte-identical to the
-//!   unsharded one.
+//!   and otherwise as RF-isolation component shards, streamed by the same
+//!   helper as `run_streaming`'s components, on the [`run_parallel`] pool.
+//!
+//! Either way, every shard's result merges, by global sniffer index and by
+//! sums, into a run byte-identical to the whole one.
 
 use congestion::persec::{SecondAccumulator, SecondStats};
-use ietf_workloads::{MobileScenario, Scenario, ShardScenario};
+use ietf_workloads::{MobileScenario, RunPlan, Scenario, ShardScenario};
 use wifi_frames::timing::Micros;
 use wifi_sim::events::QueueStats;
 use wifi_sim::runner::run_parallel;
-use wifi_sim::shard::Shard;
+use wifi_sim::shard::{by_global_index, Shard, ShardSpec};
 use wifi_sim::sniffer::SnifferStats;
 use wifi_sim::Simulator;
 
@@ -122,8 +132,40 @@ impl Advance for MobileScenario {
     }
 }
 
+/// Streams one simulator to `duration_us`: a whole run, or one shard's.
+fn stream_sim(
+    name: String,
+    mut sim: Simulator,
+    duration_us: Micros,
+    chunk_us: Micros,
+) -> StreamedRun {
+    let mut analysis = Analysis::new(&sim);
+    analysis.stream(&mut sim, duration_us, chunk_us);
+    analysis.finish(name, &sim)
+}
+
+/// Streams each of `spec`'s `shards` on `threads` workers (inline, in plan
+/// order, on one), each simulator built inside its worker (a `Simulator` is
+/// not `Send`; the spec is) and dropped when its stream ends.
+fn stream_shards(
+    spec: &ShardSpec,
+    shards: &[Shard],
+    threads: usize,
+    duration_us: Micros,
+    chunk_us: Micros,
+) -> Vec<ShardRun> {
+    run_parallel(shards, threads, |shard: &Shard| {
+        let sim = spec.build_shard(shard);
+        (
+            shard.sniffer_indices().collect(),
+            stream_sim(String::new(), sim, duration_us, chunk_us),
+        )
+    })
+}
+
 /// Runs `scenario` to completion in `chunk_us` steps, folding captured
-/// frames into per-sniffer accumulators as they appear.
+/// frames into per-sniffer accumulators as they appear: whole, or one
+/// RF-isolation component after another, as [`Scenario::plan`] says.
 ///
 /// ```
 /// use congestion_bench::streaming::run_streaming;
@@ -135,10 +177,15 @@ impl Advance for MobileScenario {
 ///     assert_eq!(seconds.len(), 2); // one row per simulated second
 /// }
 /// ```
-pub fn run_streaming(mut scenario: Scenario, chunk_us: Micros) -> StreamedRun {
-    let mut analysis = Analysis::new(&scenario.sim);
-    analysis.stream(&mut scenario.sim, scenario.duration_us, chunk_us);
-    analysis.finish(scenario.name, &scenario.sim)
+pub fn run_streaming(scenario: Scenario, chunk_us: Micros) -> StreamedRun {
+    let (name, duration_us, plan) = scenario.plan();
+    match plan {
+        RunPlan::Whole(sim) => stream_sim(name, *sim, duration_us, chunk_us),
+        RunPlan::Components(spec, shards) => merge(
+            name,
+            stream_shards(&spec, &shards, 1, duration_us, chunk_us),
+        ),
+    }
 }
 
 /// Mobility counters of a finished [`run_streaming_mobile`] run, reported
@@ -202,8 +249,9 @@ type ShardRun = (Vec<usize>, StreamedRun);
 ///   declines (dynamic channel management, or a client whose channel has
 ///   no AP);
 /// - **RF-isolation components** ([`wifi_sim::shard`]) otherwise, packed
-///   into at most `max_shards` shards, each streamed by [`run_streaming`]'s
-///   loop on the [`run_parallel`] work queue across `threads` workers.
+///   into at most `max_shards` shards, each streamed by the helper
+///   [`run_streaming`] runs its components with, on the [`run_parallel`]
+///   work queue across `threads` workers.
 ///
 /// The per-shard results merge into one [`StreamedRun`]. Every sniffer
 /// lives in exactly one shard, so per-sniffer seconds and counters need no
@@ -215,15 +263,16 @@ type ShardRun = (Vec<usize>, StreamedRun);
 ///
 /// ```
 /// use congestion_bench::streaming::{run_sharded, run_streaming};
-/// use ietf_workloads::{ietf_plenary, ietf_plenary_sharded, SessionScale};
+/// use ietf_workloads::{ietf_plenary, ietf_plenary_sharded, Scenario, SessionScale};
 ///
 /// let scale = SessionScale { seed: 3, users: 24, duration_s: 1, activity: 1.0, rts_fraction: 0.0 };
 /// let sharded = run_sharded(ietf_plenary_sharded(scale), 1_000_000, 4, 6);
 /// // One coupled cell per channel: three component shards.
 /// assert_eq!((sharded.components, sharded.shards), (3, 3));
 ///
-/// // The merged result reproduces the serial run bit for bit.
-/// let serial = run_streaming(ietf_plenary(scale), 1_000_000);
+/// // The merged result reproduces the whole simulator's run bit for bit.
+/// let whole = Scenario { spec: None, ..ietf_plenary(scale) };
+/// let serial = run_streaming(whole, 1_000_000);
 /// assert_eq!(sharded.run.events_processed, serial.events_processed);
 /// assert_eq!(sharded.run.medium_stats, serial.medium_stats);
 /// assert_eq!(
@@ -242,31 +291,16 @@ pub fn run_sharded(
         duration_us,
         spec,
     } = scenario;
-    let stream_shard = |sim: Simulator| {
-        let shard = Scenario {
-            name: String::new(),
-            duration_us,
-            sim,
-        };
-        run_streaming(shard, chunk_us)
-    };
     let (runs, components): (Vec<ShardRun>, usize) = match spec.partition(max_shards) {
         None => {
             let all_sniffers = (0..spec.sniffer_count()).collect();
-            let run = stream_shard(spec.build_unsharded());
+            let run = stream_sim(String::new(), spec.build_unsharded(), duration_us, chunk_us);
             (vec![(all_sniffers, run)], 1)
         }
-        Some(plan) => {
-            // Sub-simulators are built inside the worker (a Simulator is
-            // not Send; the spec is).
-            let runs = run_parallel(&plan.shards, threads, |shard: &Shard| {
-                (
-                    shard.sniffer_indices().collect(),
-                    stream_shard(spec.build_shard(shard)),
-                )
-            });
-            (runs, plan.components)
-        }
+        Some(plan) => (
+            stream_shards(&spec, &plan.shards, threads, duration_us, chunk_us),
+            plan.components,
+        ),
     };
     ShardedRun {
         shards: runs.len(),
@@ -295,16 +329,10 @@ fn merge(name: String, runs: Vec<ShardRun>) -> StreamedRun {
         }
         merged.events_processed += run.events_processed;
         merged.frames_on_air += run.frames_on_air;
-        merged.queue.pushed += run.queue.pushed;
-        merged.queue.popped += run.queue.popped;
-        merged.queue.stale_dropped += run.queue.stale_dropped;
-        merged.queue.cascaded += run.queue.cascaded;
+        merged.queue += run.queue;
     }
-    // The shards' sniffers together are the whole roster, once each.
-    sniffers.sort_by_key(|&(gi, _)| gi);
-    debug_assert!(sniffers.iter().enumerate().all(|(i, &(gi, _))| i == gi));
     (merged.per_sniffer_seconds, merged.sniffer_stats) =
-        sniffers.into_iter().map(|(_, sniffer)| sniffer).unzip();
+        by_global_index(sniffers).into_iter().unzip();
     merged.name = name;
     merged
 }
@@ -396,6 +424,7 @@ mod tests {
             Scenario {
                 name: reference.name.clone(),
                 duration_us: reference.duration_us,
+                spec: None,
                 sim: reference.spec.build_unsharded(),
             },
             1_000_000,
@@ -453,6 +482,7 @@ mod tests {
             Scenario {
                 name: reference.name.clone(),
                 duration_us: reference.duration_us,
+                spec: None,
                 sim: reference.spec.build_unsharded(),
             },
             1_000_000,

@@ -181,6 +181,15 @@ pub struct QueueStats {
     pub cascaded: u64,
 }
 
+impl std::ops::AddAssign for QueueStats {
+    fn add_assign(&mut self, other: QueueStats) {
+        self.pushed += other.pushed;
+        self.popped += other.popped;
+        self.stale_dropped += other.stale_dropped;
+        self.cascaded += other.cascaded;
+    }
+}
+
 /// Width of one wheel slot, as a power-of-two shift (16 µs).
 const SLOT_SHIFT: u32 = 4;
 /// Number of slots per wheel window (must be a power of two).

@@ -207,10 +207,26 @@ impl Shard {
         self.stations.len()
     }
 
+    /// Stations materialized into this shard (global indices, ascending):
+    /// the shard simulator's station `i` is global station
+    /// `station_indices().nth(i)`.
+    pub fn station_indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.stations.iter().copied()
+    }
+
     /// Sniffers materialized into this shard (global indices, ascending).
     pub fn sniffer_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.sniffers.iter().copied()
     }
+}
+
+/// Puts per-shard parts, each tagged with its global index, back in global
+/// order. The shards of a plan hold every station and every sniffer
+/// exactly once, so their parts together are the whole roster.
+pub fn by_global_index<T>(mut parts: Vec<(usize, T)>) -> Vec<T> {
+    parts.sort_unstable_by_key(|&(gi, _)| gi);
+    debug_assert!(parts.iter().enumerate().all(|(i, &(gi, _))| i == gi));
+    parts.into_iter().map(|(_, part)| part).collect()
 }
 
 /// The result of partitioning: shards covering every station and sniffer

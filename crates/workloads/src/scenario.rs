@@ -21,7 +21,7 @@ use wifi_sim::events::QueueStats;
 use wifi_sim::geometry::Pos;
 use wifi_sim::radio::{Fading, RadioConfig};
 use wifi_sim::rate::RateAdaptation;
-use wifi_sim::shard::ShardSpec;
+use wifi_sim::shard::{by_global_index, Shard, ShardSpec};
 use wifi_sim::sniffer::{SnifferConfig, SnifferStats};
 use wifi_sim::station::RtsPolicy;
 use wifi_sim::traffic::{FlowConfig, SizeDist, TrafficProfile};
@@ -69,14 +69,35 @@ impl SessionScale {
     }
 }
 
-/// A ready-to-run scenario.
+/// A ready-to-run static scenario (no station moves at run time).
 pub struct Scenario {
     /// Scenario name ("day", "plenary", "ramp", …).
     pub name: String,
     /// How long to run.
     pub duration_us: Micros,
-    /// The configured simulator.
+    /// The recorded build, kept by every builder here: what
+    /// [`Scenario::plan`] finds the RF-isolation components in and builds
+    /// them from. `None` for a simulator built by hand, which always runs
+    /// whole.
+    pub spec: Option<ShardSpec>,
+    /// The whole materialization of `spec`, built and not yet run. It runs
+    /// as is when the scenario runs whole; when it runs as components it is
+    /// dropped unrun, and only its `config` counts (the components are
+    /// built against it). Edit nothing but `config.record_ground_truth`
+    /// between build and run. Frozen `perfbench/` writes `sim.config`, and
+    /// its traced replicas drive `sim` directly; ROADMAP item 6 drops the
+    /// field.
     pub sim: Simulator,
+}
+
+/// How a [`Scenario`] runs, from [`Scenario::plan`].
+pub enum RunPlan {
+    /// The already-built whole simulator, as one event loop.
+    Whole(Box<Simulator>),
+    /// Two or more RF-isolation components, in plan order (largest first):
+    /// each shard is built from the spec, run to the end and dropped
+    /// before the next, and the results merge by global index and by sums.
+    Components(ShardSpec, Vec<Shard>),
 }
 
 /// Per-station outcome summary (ground truth, for fairness ablations).
@@ -101,6 +122,7 @@ pub struct StationSummary {
 }
 
 /// Everything a figure harness needs from one scenario run.
+#[derive(Default)]
 pub struct ScenarioResult {
     /// Scenario name.
     pub name: String,
@@ -127,10 +149,119 @@ pub struct ScenarioResult {
 }
 
 impl Scenario {
-    /// Runs the scenario to completion.
-    pub fn run(mut self) -> ScenarioResult {
-        self.sim.run_until(self.duration_us);
-        collect_result(self.name, &mut self.sim)
+    /// A scenario over `spec`, with its whole materialization built.
+    pub fn from_spec(name: impl Into<String>, duration_us: Micros, spec: ShardSpec) -> Scenario {
+        Scenario {
+            name: name.into(),
+            duration_us,
+            sim: spec.build_unsharded(),
+            spec: Some(spec),
+        }
+    }
+
+    /// Splits the scenario into its name, its duration and how it runs.
+    ///
+    /// Components never share a medium's effects (see
+    /// [`wifi_sim::shard`]), so running them one after another gives the
+    /// whole run's output, and each event loop's working set is one
+    /// component's. The scenario runs whole, on the already-built `sim`,
+    /// when:
+    ///
+    /// - it has no spec;
+    /// - `sim.config.record_ground_truth` is on: the tape interleaves
+    ///   every component's transmissions, and same-microsecond frames of
+    ///   two components have no key to merge them by;
+    /// - [`ShardSpec::partition`] declines (channel management, or a
+    ///   client whose channel has no AP);
+    /// - the plan has one component (the single-channel load ramps).
+    ///
+    /// Otherwise `sim` is dropped, so its fade table and topology are
+    /// freed before the first component is built.
+    pub fn plan(self) -> (String, Micros, RunPlan) {
+        let Scenario {
+            name,
+            duration_us,
+            spec,
+            sim,
+        } = self;
+        let plan = match spec {
+            Some(spec) if !sim.config.record_ground_truth => plan_components(spec, sim),
+            _ => RunPlan::Whole(Box::new(sim)),
+        };
+        (name, duration_us, plan)
+    }
+
+    /// Runs the scenario to completion, as [`Scenario::plan`] says: whole,
+    /// or one component at a time with every per-sniffer and per-station
+    /// result placed at its global index.
+    pub fn run(self) -> ScenarioResult {
+        let (name, duration_us, plan) = self.plan();
+        match plan {
+            RunPlan::Whole(mut sim) => {
+                sim.run_until(duration_us);
+                collect_result(name, &mut sim)
+            }
+            RunPlan::Components(spec, shards) => run_components(name, &spec, &shards, duration_us),
+        }
+    }
+}
+
+/// Builds, runs and drops each of `spec`'s `shards` in turn, and merges
+/// their results: traces, sniffer counters and station summaries placed
+/// at their global indices, medium stats and counters summed.
+fn run_components(
+    name: String,
+    spec: &ShardSpec,
+    shards: &[Shard],
+    duration_us: Micros,
+) -> ScenarioResult {
+    let mut merged = ScenarioResult {
+        name,
+        ..ScenarioResult::default()
+    };
+    let mut sniffers = Vec::with_capacity(spec.sniffer_count());
+    let mut stations = Vec::with_capacity(spec.station_count());
+    for shard in shards {
+        let mut sim = spec.build_shard(shard);
+        sim.run_until(duration_us);
+        let part = collect_result(String::new(), &mut sim);
+        sniffers.extend(
+            shard
+                .sniffer_indices()
+                .zip(part.traces.into_iter().zip(part.sniffer_stats)),
+        );
+        stations.extend(shard.station_indices().zip(part.stations));
+        merged.medium_stats.resize(part.medium_stats.len(), (0, 0));
+        for (sum, (tx, coll)) in merged.medium_stats.iter_mut().zip(part.medium_stats) {
+            sum.0 += tx;
+            sum.1 += coll;
+        }
+        merged.events_processed += part.events_processed;
+        merged.frames_on_air += part.frames_on_air;
+        merged.queue += part.queue;
+    }
+    (merged.traces, merged.sniffer_stats) = by_global_index(sniffers).into_iter().unzip();
+    merged.stations = by_global_index(stations);
+    merged
+}
+
+/// Plans `spec`'s RF-isolation components against the live `sim.config`
+/// (the config the whole run would use), or keeps `sim` when there are
+/// fewer than two.
+fn plan_components(mut spec: ShardSpec, sim: Simulator) -> RunPlan {
+    debug_assert!(
+        sim.now() == 0
+            && sim.stations().len() == spec.station_count()
+            && sim.sniffers().len() == spec.sniffer_count(),
+        "a scenario's simulator is its spec's unrun materialization"
+    );
+    *spec.config_mut() = sim.config.clone();
+    match spec.partition(usize::MAX) {
+        Some(plan) if plan.shards.len() > 1 => {
+            drop(sim);
+            RunPlan::Components(spec, plan.shards)
+        }
+        _ => RunPlan::Whole(Box::new(sim)),
     }
 }
 
@@ -321,11 +452,7 @@ fn build_session(
     // The spec replays the identical adder sequence, so this is
     // byte-identical to having called the `Simulator` adders directly.
     let s = build_session_spec(name, scale, attendance, user_pos, sniffer_pos);
-    Scenario {
-        name: s.name,
-        duration_us: s.duration_us,
-        sim: s.spec.build_unsharded(),
-    }
+    Scenario::from_spec(s.name, s.duration_us, s.spec)
 }
 
 /// The day session: users spread over every room of the floor, the three
@@ -349,11 +476,7 @@ pub fn ietf_day(scale: SessionScale) -> Scenario {
 /// sniffers co-located at one point inside it (Fig 3).
 pub fn ietf_plenary(scale: SessionScale) -> Scenario {
     let s = ietf_plenary_sharded(scale);
-    Scenario {
-        name: s.name,
-        duration_us: s.duration_us,
-        sim: s.spec.build_unsharded(),
-    }
+    Scenario::from_spec(s.name, s.duration_us, s.spec)
 }
 
 /// [`ietf_plenary`] recorded as a [`ShardScenario`], for
@@ -444,11 +567,7 @@ pub fn load_ramp_with(
         channel_idx: 0,
         ..SnifferConfig::default()
     });
-    Scenario {
-        name: "ramp".to_string(),
-        duration_us: duration_s * SECOND,
-        sim: spec.build_unsharded(),
-    }
+    Scenario::from_spec("ramp", duration_s * SECOND, spec)
 }
 
 /// Scale of the venue-campus scenario: several conference halls far enough
