@@ -14,9 +14,11 @@
 //!   station outcomes, event counts) is hashed and compared against
 //!   `tests/golden_digests.txt`, committed from the unoptimized build;
 //! * two smoke-scale churn cells (waypoint walkers moving and roaming) run
-//!   unsharded through `MobileScenario::run` and are digested the same way,
-//!   as the last two lines of the file: one ticks on the fade coherence
-//!   interval, the other between its boundaries.
+//!   unsharded through `MobileScenario::run` (the one chunk loop of
+//!   `ietf_workloads::run` in one chunk, moving the walkers at every tick)
+//!   and are digested the same way, as the last two lines of the file: one
+//!   ticks on the fade coherence interval, the other between its
+//!   boundaries.
 //!
 //! The two load-ramp fingerprints are plain numbers instead: the seed-11
 //! `ramp-quick` and `ramp-320` runs must keep their event, frame and
@@ -30,7 +32,7 @@
 mod common;
 
 use common::{golden_cells, FRAG_THRESHOLD};
-use congestion_bench::streaming::run_streaming;
+use congestion_bench::streaming::{run_streaming, run_streaming_mobile};
 use congestion_bench::{run_cells, SweepArgs};
 use ietf_workloads::{load_ramp, mobile_venue, ChurnScale, MobileScenario, ScenarioResult};
 use wifi_frames::fc::FrameKind;
@@ -210,24 +212,23 @@ fn path_cells_reach_their_paths() {
     let full = data.iter().filter(|&&p| p == FRAG_THRESHOLD).count();
     assert!(full > 50, "only {full} full-size fragments captured");
 
-    let mut churn = churn_cell();
-    churn.run_until(churn.duration_us);
-    assert!(churn.mobility.moves > 0, "no walker moved");
-    assert!(churn.mobility.roams > 0, "no walker roamed to another AP");
+    let (_, churn) = run_streaming_mobile(churn_cell(), 1_000_000);
+    assert!(churn.moves > 0, "no walker moved");
+    assert!(churn.roams > 0, "no walker roamed to another AP");
 
-    let mut mid = churn_mid_interval_cell();
+    let mid = churn_mid_interval_cell();
     let coherence_us = mid.sim.config.radio.fading.coherence_us;
     assert_ne!(
         mid.tick_us % coherence_us,
         0,
         "ticks land on fade boundaries"
     );
-    mid.run_until(mid.duration_us);
+    let (_, mid) = run_streaming_mobile(mid, 1_000_000);
     assert!(
-        mid.mobility.moves > churn.mobility.moves,
+        mid.moves > churn.moves,
         "the mid-interval cell moved {} times, the 4 s one {}",
-        mid.mobility.moves,
-        churn.mobility.moves
+        mid.moves,
+        churn.moves
     );
 }
 

@@ -16,10 +16,11 @@
 //!   global flush), followed by a strongest-AP reassociation check with
 //!   hysteresis ([`Simulator::reassociate_strongest`]), mirroring how
 //!   aggressive-roaming-era cards hopped APs as RSSI shifted.
-//! * [`MobileScenario`] owns the tick schedule
-//!   ([`MobileScenario::run_until`]): simulate to the next tick, move the
-//!   walkers, repeat — and [`mobile_venue`] instantiates the pinned churn workload
-//!   (perfbench's `churn`).
+//! * [`MobileScenario`] pairs a simulator with its walkers and tick, and
+//!   [`mobile_venue`] instantiates the pinned churn workload (perfbench's
+//!   `churn`). It runs through the one chunk loop in [`crate::run`]
+//!   ([`MobileScenario::run`], [`crate::run::run_streaming_mobile`]),
+//!   which simulates to the next tick, moves the walkers, and repeats.
 //!
 //! Determinism: one seeded [`SmallRng`] drives every walker, advanced in
 //! ascending node order each tick, and all moves of a tick are applied
@@ -27,8 +28,7 @@
 //! the ordering contract.
 
 use crate::scenario::{
-    ap_grid, collect_result, draw_power_save, draw_traffic, draw_user_fps, ietf_radio,
-    ScenarioResult, VENUE_H, VENUE_W,
+    ap_grid, draw_power_save, draw_traffic, draw_user_fps, ietf_radio, VENUE_H, VENUE_W,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -150,7 +150,9 @@ impl WaypointMobility {
 }
 
 /// A scenario whose clients move: simulate to the next coherence tick,
-/// advance the walkers, repeat.
+/// advance the walkers, repeat. It runs whole, through [`crate::run`]'s
+/// chunk loop: [`MobileScenario::run`] keeps whole traces, and
+/// [`crate::run::run_streaming_mobile`] streams per-second rows.
 pub struct MobileScenario {
     /// Scenario name ("churn", …).
     pub name: String,
@@ -162,35 +164,6 @@ pub struct MobileScenario {
     pub sim: Simulator,
     /// The walk driver.
     pub mobility: WaypointMobility,
-}
-
-impl MobileScenario {
-    /// Runs to completion, interleaving simulation and movement.
-    pub fn run(mut self) -> ScenarioResult {
-        self.run_until(self.duration_us);
-        collect_result(self.name, &mut self.sim)
-    }
-
-    /// Advances the run to `until` (capped at `duration_us`), moving the
-    /// walkers at every mobility-tick boundary on the way: simulation is
-    /// clipped at tick boundaries so a move never lands mid-step, and the
-    /// final boundary applies no moves (there is nothing left to observe
-    /// them). A zero `tick_us` counts as 1 µs. Between ticks, successive
-    /// calls are pure continuations of one event queue, so any sequence of
-    /// calls ending at `duration_us` reproduces [`MobileScenario::run`].
-    pub fn run_until(&mut self, until: Micros) {
-        let until = until.min(self.duration_us);
-        let tick_us = self.tick_us.max(1);
-        while self.sim.now() < until {
-            let now = self.sim.now();
-            let next_tick = (now - now % tick_us).saturating_add(tick_us);
-            let step = next_tick.min(until);
-            self.sim.run_until(step);
-            if step == next_tick && step < self.duration_us {
-                self.mobility.advance(&mut self.sim, tick_us);
-            }
-        }
-    }
 }
 
 /// Scale of the mobile-venue churn scenario.
@@ -289,8 +262,26 @@ pub fn mobile_venue(scale: ChurnScale) -> MobileScenario {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The mobility oracle, independent of the chunk loop: `sc` run to its
+    /// end one tick at a time with nothing but [`Simulator::run_until`] and
+    /// [`WaypointMobility::advance`]. A zero tick counts as 1 µs, the
+    /// walkers move at every tick before the end, and a zero-length run
+    /// still runs to 0 µs.
+    pub(crate) fn tick_by_tick(sc: &mut MobileScenario) {
+        let tick_us = sc.tick_us.max(1);
+        let mut now = 0;
+        loop {
+            now = (now + tick_us).min(sc.duration_us);
+            sc.sim.run_until(now);
+            if now == sc.duration_us {
+                break;
+            }
+            sc.mobility.advance(&mut sc.sim, tick_us);
+        }
+    }
 
     #[test]
     fn churn_run_is_deterministic_in_its_seed() {
@@ -320,8 +311,7 @@ mod tests {
             walker_fraction: 1.0,
         });
         let ticks = sc.duration_us / sc.tick_us;
-        // Not `run`, so the mobility counters stay inspectable.
-        sc.run_until(sc.duration_us);
+        tick_by_tick(&mut sc);
         assert!(sc.mobility.moves > 0, "walkers moved");
         assert!(
             sc.mobility.moves <= sc.mobility.walker_count() as u64 * ticks,
@@ -331,24 +321,5 @@ mod tests {
             assert!(w.pos.x >= 0.0 && w.pos.x <= VENUE_W);
             assert!(w.pos.y >= 0.0 && w.pos.y <= VENUE_H);
         }
-    }
-
-    /// A zero tick used to spin forever at `now = 0`; it now counts as
-    /// 1 µs, so the run ends with one move per walker per tick.
-    #[test]
-    fn zero_tick_run_terminates() {
-        let mut sc = mobile_venue(ChurnScale {
-            seed: 5,
-            users: 3,
-            duration_s: 1,
-            activity: 0.5,
-            walker_fraction: 1.0,
-        });
-        sc.tick_us = 0;
-        sc.duration_us = 1_000;
-        sc.run_until(sc.duration_us);
-        // No move at the final boundary.
-        assert_eq!(sc.mobility.moves, 3 * 999);
-        assert_eq!(sc.run().name, "churn");
     }
 }

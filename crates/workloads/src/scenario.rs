@@ -21,7 +21,7 @@ use wifi_sim::events::QueueStats;
 use wifi_sim::geometry::Pos;
 use wifi_sim::radio::{Fading, RadioConfig};
 use wifi_sim::rate::RateAdaptation;
-use wifi_sim::shard::{by_global_index, Shard, ShardSpec};
+use wifi_sim::shard::ShardSpec;
 use wifi_sim::sniffer::{SnifferConfig, SnifferStats};
 use wifi_sim::station::RtsPolicy;
 use wifi_sim::traffic::{FlowConfig, SizeDist, TrafficProfile};
@@ -69,7 +69,11 @@ impl SessionScale {
     }
 }
 
-/// A ready-to-run static scenario (no station moves at run time).
+/// A ready-to-run static scenario (no station moves at run time). It runs
+/// through [`crate::run`]'s one chunk loop: [`Scenario::run`] keeps whole
+/// traces, and [`crate::run::run_streaming`] streams per-second rows; both
+/// run the whole simulator or one RF-isolation component at a time, as
+/// [`Scenario::plan`] says.
 pub struct Scenario {
     /// Scenario name ("day", "plenary", "ramp", …).
     pub name: String,
@@ -88,16 +92,6 @@ pub struct Scenario {
     /// its traced replicas drive `sim` directly; ROADMAP item 6 drops the
     /// field.
     pub sim: Simulator,
-}
-
-/// How a [`Scenario`] runs, from [`Scenario::plan`].
-pub enum RunPlan {
-    /// The already-built whole simulator, as one event loop.
-    Whole(Box<Simulator>),
-    /// Two or more RF-isolation components, in plan order (largest first):
-    /// each shard is built from the spec, run to the end and dropped
-    /// before the next, and the results merge by global index and by sums.
-    Components(ShardSpec, Vec<Shard>),
 }
 
 /// Per-station outcome summary (ground truth, for fairness ablations).
@@ -157,148 +151,6 @@ impl Scenario {
             sim: spec.build_unsharded(),
             spec: Some(spec),
         }
-    }
-
-    /// Splits the scenario into its name, its duration and how it runs.
-    ///
-    /// Components never share a medium's effects (see
-    /// [`wifi_sim::shard`]), so running them one after another gives the
-    /// whole run's output, and each event loop's working set is one
-    /// component's. The scenario runs whole, on the already-built `sim`,
-    /// when:
-    ///
-    /// - it has no spec;
-    /// - `sim.config.record_ground_truth` is on: the tape interleaves
-    ///   every component's transmissions, and same-microsecond frames of
-    ///   two components have no key to merge them by;
-    /// - [`ShardSpec::partition`] declines (channel management, or a
-    ///   client whose channel has no AP);
-    /// - the plan has one component (the single-channel load ramps).
-    ///
-    /// Otherwise `sim` is dropped, so its fade table and topology are
-    /// freed before the first component is built.
-    pub fn plan(self) -> (String, Micros, RunPlan) {
-        let Scenario {
-            name,
-            duration_us,
-            spec,
-            sim,
-        } = self;
-        let plan = match spec {
-            Some(spec) if !sim.config.record_ground_truth => plan_components(spec, sim),
-            _ => RunPlan::Whole(Box::new(sim)),
-        };
-        (name, duration_us, plan)
-    }
-
-    /// Runs the scenario to completion, as [`Scenario::plan`] says: whole,
-    /// or one component at a time with every per-sniffer and per-station
-    /// result placed at its global index.
-    pub fn run(self) -> ScenarioResult {
-        let (name, duration_us, plan) = self.plan();
-        match plan {
-            RunPlan::Whole(mut sim) => {
-                sim.run_until(duration_us);
-                collect_result(name, &mut sim)
-            }
-            RunPlan::Components(spec, shards) => run_components(name, &spec, &shards, duration_us),
-        }
-    }
-}
-
-/// Builds, runs and drops each of `spec`'s `shards` in turn, and merges
-/// their results: traces, sniffer counters and station summaries placed
-/// at their global indices, medium stats and counters summed.
-fn run_components(
-    name: String,
-    spec: &ShardSpec,
-    shards: &[Shard],
-    duration_us: Micros,
-) -> ScenarioResult {
-    let mut merged = ScenarioResult {
-        name,
-        ..ScenarioResult::default()
-    };
-    let mut sniffers = Vec::with_capacity(spec.sniffer_count());
-    let mut stations = Vec::with_capacity(spec.station_count());
-    for shard in shards {
-        let mut sim = spec.build_shard(shard);
-        sim.run_until(duration_us);
-        let part = collect_result(String::new(), &mut sim);
-        sniffers.extend(
-            shard
-                .sniffer_indices()
-                .zip(part.traces.into_iter().zip(part.sniffer_stats)),
-        );
-        stations.extend(shard.station_indices().zip(part.stations));
-        merged.medium_stats.resize(part.medium_stats.len(), (0, 0));
-        for (sum, (tx, coll)) in merged.medium_stats.iter_mut().zip(part.medium_stats) {
-            sum.0 += tx;
-            sum.1 += coll;
-        }
-        merged.events_processed += part.events_processed;
-        merged.frames_on_air += part.frames_on_air;
-        merged.queue += part.queue;
-    }
-    (merged.traces, merged.sniffer_stats) = by_global_index(sniffers).into_iter().unzip();
-    merged.stations = by_global_index(stations);
-    merged
-}
-
-/// Plans `spec`'s RF-isolation components against the live `sim.config`
-/// (the config the whole run would use), or keeps `sim` when there are
-/// fewer than two.
-fn plan_components(mut spec: ShardSpec, sim: Simulator) -> RunPlan {
-    debug_assert!(
-        sim.now() == 0
-            && sim.stations().len() == spec.station_count()
-            && sim.sniffers().len() == spec.sniffer_count(),
-        "a scenario's simulator is its spec's unrun materialization"
-    );
-    *spec.config_mut() = sim.config.clone();
-    match spec.partition(usize::MAX) {
-        Some(plan) if plan.shards.len() > 1 => {
-            drop(sim);
-            RunPlan::Components(spec, plan.shards)
-        }
-        _ => RunPlan::Whole(Box::new(sim)),
-    }
-}
-
-/// Drains a finished simulator into a [`ScenarioResult`] — shared by
-/// [`Scenario::run`] and the mobility driver
-/// ([`crate::mobility::MobileScenario::run`]).
-pub(crate) fn collect_result(name: String, sim: &mut Simulator) -> ScenarioResult {
-    let sniffer_stats = sim.sniffers().iter().map(|s| s.stats).collect();
-    let traces = sim
-        .sniffers_mut()
-        .iter_mut()
-        .map(|s| std::mem::take(&mut s.trace))
-        .collect();
-    let stations = sim
-        .stations()
-        .iter()
-        .map(|s| StationSummary {
-            mac: s.mac,
-            is_ap: s.is_ap(),
-            uses_rts: s.rts_policy != RtsPolicy::Never,
-            delivered: s.stats.delivered,
-            attempts: s.stats.tx_attempts,
-            retry_drops: s.stats.retry_drops,
-            queue_drops: s.stats.queue_drops,
-            delay_total_us: s.stats.delivery_delay_total_us,
-        })
-        .collect();
-    ScenarioResult {
-        name,
-        traces,
-        sniffer_stats,
-        ground_truth: std::mem::take(&mut sim.ground_truth.records),
-        medium_stats: sim.medium_stats(),
-        stations,
-        events_processed: sim.events_processed(),
-        frames_on_air: sim.ground_truth.transmissions,
-        queue: sim.queue_stats(),
     }
 }
 
@@ -480,7 +332,7 @@ pub fn ietf_plenary(scale: SessionScale) -> Scenario {
 }
 
 /// [`ietf_plenary`] recorded as a [`ShardScenario`], for
-/// `congestion_bench::streaming::run_sharded`: one dense coupled cell per
+/// [`crate::run::run_sharded`]: one dense coupled cell per
 /// channel (one RF-isolation component each), so it shards at most three
 /// ways, one shard per channel.
 pub fn ietf_plenary_sharded(scale: SessionScale) -> ShardScenario {

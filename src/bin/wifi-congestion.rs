@@ -253,10 +253,11 @@ fn cmd_aps(records: &[wifi_frames::FrameRecord]) -> Result<(), String> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let kind = args
-        .get(1)
-        .ok_or_else(|| "missing scenario: day | plenary | ramp".to_string())?
-        .clone();
+    // A flag where the scenario belongs means the scenario is missing.
+    let kind = match args.get(1) {
+        Some(kind) if !kind.starts_with('-') => kind.clone(),
+        _ => return Err("missing scenario: day | plenary | ramp".to_string()),
+    };
     let mut out: Option<PathBuf> = None;
     let mut seed = 1u64;
     let mut users: Option<usize> = None;
@@ -300,8 +301,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         }
     }
     let out = out.ok_or("missing --out DIR")?;
-    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {out:?}: {e}"))?;
-
     let scenario: Scenario = match kind.as_str() {
         "day" => {
             let mut scale = SessionScale::day_default(seed);
@@ -326,6 +325,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         "ramp" => load_ramp(seed, users.unwrap_or(200), duration_s.unwrap_or(240), 1.7),
         other => return Err(format!("unknown scenario `{other}`")),
     };
+    // Only a valid command line leaves anything behind.
+    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {out:?}: {e}"))?;
     eprintln!("running scenario `{kind}` (seed {seed}) …");
     let result = scenario.run();
     for (i, trace) in result.traces.iter().enumerate() {

@@ -111,6 +111,24 @@ fn helpful_errors() {
         assert!(String::from_utf8_lossy(&out.stderr)
             .contains(&format!("`{cmd}` reads one capture, got 2")));
     }
+    // `simulate` checks the scenario and every flag before it creates
+    // the output directory.
+    let dir = temp_dir("rejected").join("out");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out_dir = dir.to_str().unwrap();
+    for (args, message) in [
+        (
+            vec!["simulate", "bogus", "--out", out_dir],
+            "unknown scenario `bogus`",
+        ),
+        (vec!["simulate", "--out", out_dir], "missing scenario"),
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} succeeded");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!dir.exists(), "{args:?} created {out_dir}");
+    }
     // Help exits zero.
     let out = bin().arg("help").output().unwrap();
     assert!(out.status.success());
